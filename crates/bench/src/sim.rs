@@ -182,6 +182,9 @@ pub fn run_closed_loop(
         read_latency_outside: Histogram::new(),
         events: 0,
     };
+    // Per key, the window in which its latest write is in flight: a
+    // one-sided read overlapping it is torn. Only one-sided reads look, so
+    // RPC-read runs record nothing.
     let mut write_busy: FastHashMap<u64, (SimTime, SimTime)> = FastHashMap::default();
     let mut compaction_pending = spec.compaction_at;
     let mut buf = vec![0u8; spec.value_len];
@@ -271,7 +274,9 @@ pub fn run_closed_loop(
                 };
                 ptrs[k as usize] = ptr;
                 let worker_done = workers.admit(ingress_done, cost);
-                write_busy.insert(k, (ingress_done, worker_done));
+                if spec.read_path == ReadPath::Rdma {
+                    write_busy.insert(k, (ingress_done, worker_done));
+                }
                 completion = worker_done + wire_rpc(spec.value_len);
                 if now >= warmup_end && completion <= end {
                     out.writes += 1;
@@ -323,10 +328,16 @@ pub fn run_closed_loop(
                         trace.wall_since(Stage::HotDirectRead, verb_wall);
                         // A racing write to the same key within the fetch
                         // window tears the read.
-                        let torn = write_busy
-                            .get(&k)
-                            .map(|&(s, e)| now < e && now + attempt.cost > s)
-                            .unwrap_or(false);
+                        let torn = match write_busy.get(&k) {
+                            Some(&(s, e)) if now < e => now + attempt.cost > s,
+                            // Event time is monotone: a window that has
+                            // ended can never tear a read again.
+                            Some(_) => {
+                                write_busy.remove(&k);
+                                false
+                            }
+                            None => false,
+                        };
                         let outcome = if torn {
                             ReadOutcome::Invalid(corm_core::consistency::ReadFailure::TornRead)
                         } else {

@@ -1,4 +1,5 @@
-//! Proof that a steady-state fig12 op is allocation-free.
+//! Proof that a steady-state fig12 op, and a steady-state alloc/write/free
+//! cycle, are allocation-free.
 //!
 //! The whole test binary runs under a counting `#[global_allocator]`: after
 //! a warm-up phase fills every scratch buffer, slab arena, translation
@@ -7,7 +8,9 @@
 //! `direct_read`, RPC-path `server.write`, FIFO-station admits, torn-read
 //! bookkeeping, latency recording — and asserts the allocation counter does
 //! not move. Any `vec![..]`/`Box::new`/map-growth regression on the hot
-//! path fails this test with the exact allocation count.
+//! path fails this test with the exact allocation count. The second test
+//! holds `CormServer::{alloc, write, free}` to the same standard while no
+//! block is fetched or released.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,12 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use corm_bench::populate_server;
 use corm_bench::simspeed::{FIG12_OBJECTS, FIG12_SIZE, SEED};
 use corm_core::client::CormClient;
-use corm_core::server::ServerConfig;
-use corm_core::ReadOutcome;
+use corm_core::server::{CormServer, ServerConfig};
+use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::queue::EventQueue;
 use corm_sim_core::resource::FifoResource;
-use corm_sim_core::rng::stream_rng;
+use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_workloads::ycsb::{KeyDist, Mix, Op, Workload};
@@ -85,6 +88,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// The counter is the process's: one measured window at a time.
+static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Allocator round trips `measured` makes, with the `ALLOC_TRAP` debugging
+/// aid armed if asked for.
+fn allocations_during(measured: impl FnOnce()) -> u64 {
+    if std::env::var_os("ALLOC_TRAP").is_some() {
+        TRAP.store(true, Ordering::Relaxed);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    measured();
+    TRAP.store(false, Ordering::Relaxed);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 /// One fig12-shaped op: draw from the workload, pay the queue churn, run
 /// the real client/server handler, and record the outcome — the same
 /// stations `run_closed_loop` drives, minus the parts that only shape
@@ -94,8 +112,8 @@ fn one_op(
     op: Op,
     now: SimTime,
     client: &mut CormClient,
-    server: &corm_core::server::CormServer,
-    ptrs: &mut [corm_core::GlobalPtr],
+    server: &CormServer,
+    ptrs: &mut [GlobalPtr],
     buf: &mut [u8],
     payload: &[u8],
     ingress: &mut FifoResource,
@@ -119,8 +137,14 @@ fn one_op(
         Op::Read(k) => {
             let ptr = ptrs[k as usize];
             let t = client.direct_read(&ptr, buf, now).expect("qp healthy");
-            let torn =
-                write_busy.get(&k).map(|&(s, e)| now < e && now + t.cost > s).unwrap_or(false);
+            let torn = match write_busy.get(&k) {
+                Some(&(s, e)) if now < e => now + t.cost > s,
+                Some(_) => {
+                    write_busy.remove(&k);
+                    false
+                }
+                None => false,
+            };
             if !torn {
                 assert!(matches!(t.value, ReadOutcome::Ok(_)), "steady-state read must validate");
             }
@@ -133,6 +157,7 @@ fn one_op(
 
 #[test]
 fn steady_state_fig12_op_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
     let server = store.server.clone();
     let mut ptrs = store.ptrs;
@@ -145,10 +170,12 @@ fn steady_state_fig12_op_allocates_nothing() {
     let mut nic = FifoResource::new(1);
     let mut write_busy: FastHashMap<u64, (SimTime, SimTime)> = FastHashMap::default();
     let mut hist = Histogram::new();
-    // The latency vector is the one amortized grower in the loop's
-    // bookkeeping; reserve it up front so the measured window stays at
-    // exactly zero allocator round trips.
+    // The latency vector and the write-window map (whose population of
+    // written-but-not-yet-reread keys keeps drifting to new highs) are the
+    // amortized growers in the loop's bookkeeping; reserve them up front so
+    // the measured window stays at exactly zero allocator round trips.
     hist.reserve(64 * 1024);
+    write_busy.reserve(2 * FIG12_OBJECTS);
     let mut buf = vec![0u8; FIG12_SIZE];
     let payload = vec![0xA5u8; FIG12_SIZE];
 
@@ -156,8 +183,8 @@ fn steady_state_fig12_op_allocates_nothing() {
     let run = |ops: usize,
                clock: &mut SimTime,
                client: &mut CormClient,
-               ptrs: &mut [corm_core::GlobalPtr],
-               rng: &mut corm_sim_core::rng::DetRng,
+               ptrs: &mut [GlobalPtr],
+               rng: &mut DetRng,
                queue: &mut EventQueue<u32>,
                ingress: &mut FifoResource,
                workers: &mut FifoResource,
@@ -201,31 +228,85 @@ fn steady_state_fig12_op_allocates_nothing() {
         &mut buf,
     );
 
-    if std::env::var_os("ALLOC_TRAP").is_some() {
-        TRAP.store(true, Ordering::Relaxed);
-    }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    run(
-        20_000,
-        &mut clock,
-        &mut client,
-        &mut ptrs,
-        &mut rng,
-        &mut queue,
-        &mut ingress,
-        &mut workers,
-        &mut nic,
-        &mut write_busy,
-        &mut hist,
-        &mut buf,
-    );
-    TRAP.store(false, Ordering::Relaxed);
-    let after = ALLOCS.load(Ordering::Relaxed);
-
+    let allocations = allocations_during(|| {
+        run(
+            20_000,
+            &mut clock,
+            &mut client,
+            &mut ptrs,
+            &mut rng,
+            &mut queue,
+            &mut ingress,
+            &mut workers,
+            &mut nic,
+            &mut write_busy,
+            &mut hist,
+            &mut buf,
+        )
+    });
     assert_eq!(
-        after - before,
-        0,
-        "steady-state fig12 ops hit the allocator {} times in 20k ops",
-        after - before
+        allocations, 0,
+        "steady-state fig12 ops hit the allocator {allocations} times in 20k ops"
+    );
+}
+
+/// Frees a random quarter of the store, then allocates and writes the same
+/// keys back. Key `k` lives in a block of worker `k % workers` and is put
+/// back through that worker, so every bin regains exactly the room it lost:
+/// no block is fetched; and no block of 85 slots loses all of them to a
+/// one-in-four draw, so none is released.
+fn churn_cycle(
+    server: &CormServer,
+    ptrs: &mut [GlobalPtr],
+    order: &mut [usize],
+    rng: &mut DetRng,
+    payload: &[u8],
+) {
+    let workers = server.config().workers;
+    let freed = order.len() / 4;
+    for i in 0..freed {
+        let j = rand::Rng::gen_range(rng, i..order.len());
+        order.swap(i, j);
+    }
+    for (i, &key) in order[..freed].iter().enumerate() {
+        server.free(i % workers, &mut ptrs[key]).expect("steady-state free");
+    }
+    for &key in &order[..freed] {
+        let worker = key % workers;
+        ptrs[key] = server.alloc(worker, payload.len()).expect("steady-state alloc").value;
+        server.write(worker, &mut ptrs[key], payload).expect("steady-state write");
+    }
+}
+
+#[test]
+fn steady_state_alloc_write_free_cycle_allocates_nothing() {
+    const OBJECTS: usize = 32 * 1024;
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let server = CormServer::new(ServerConfig::default());
+    let workers = server.config().workers;
+    let payload = vec![0x5Au8; FIG12_SIZE];
+    let mut ptrs: Vec<GlobalPtr> = (0..OBJECTS)
+        .map(|key| server.alloc(key % workers, payload.len()).expect("populate").value)
+        .collect();
+    let mut order: Vec<usize> = (0..OBJECTS).collect();
+    let mut rng = stream_rng(SEED, 1);
+    // Warm-up: the handlers' scratch image, and every table at the size the
+    // cycle takes it to.
+    churn_cycle(&server, &mut ptrs, &mut order, &mut rng, &payload);
+
+    let refills = || server.stats.refills.load(Ordering::Relaxed);
+    let blocks = server.active_bytes();
+    let refills_before = refills();
+    let allocations = allocations_during(|| {
+        for _ in 0..3 {
+            churn_cycle(&server, &mut ptrs, &mut order, &mut rng, &payload);
+        }
+    });
+    assert_eq!(refills(), refills_before, "the cycle must not fetch a block");
+    assert_eq!(server.active_bytes(), blocks, "the cycle must not release a block");
+    let ops = 3 * 3 * (OBJECTS / 4);
+    assert_eq!(
+        allocations, 0,
+        "steady-state alloc/write/free hit the allocator {allocations} times in {ops} ops"
     );
 }

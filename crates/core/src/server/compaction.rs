@@ -278,15 +278,7 @@ impl CormServer {
         now: SimTime,
         scratch: &mut Vec<u8>,
     ) -> Result<MergeStats, CormError> {
-        let model = self.model().clone();
-        // Spilled blocks must come back to DRAM before the CPU copies any
-        // bytes (the spill poisoned their frames); the fetch transfers are
-        // folded into the merge's cost below.
-        let mut tier_cost = SimDuration::ZERO;
-        if self.tiering.is_some() {
-            tier_cost += self.ensure_resident(src)?;
-            tier_cost += self.ensure_resident(dst)?;
-        }
+        let model = self.model();
         // Lock both blocks in address order (the only two-block lock site).
         let (src_base, dst_base) = (src.lock().vaddr(), dst.lock().vaddr());
         assert_ne!(src_base, dst_base);
@@ -300,6 +292,10 @@ impl CormServer {
             (s, d)
         };
         assert!(d.corm_compactable(&s), "planner must check compatibility");
+        // Spilled blocks must come back to DRAM before the CPU copies any
+        // bytes (the spill poisoned their frames); the fetch transfers are
+        // folded into the merge's cost below.
+        let tier_cost = self.ensure_resident(&s)? + self.ensure_resident(&d)?;
         let slot_bytes = s.obj_size();
         let pages = s.pages();
         let objects: Vec<(u32, u32)> = s.live_objects().collect();

@@ -28,12 +28,13 @@ use rand::Rng;
 
 use corm_alloc::process::SharedBlock;
 use corm_alloc::{
-    AllocConfig, AllocError, FragmentationReport, ProcessAllocator, SizeClasses, ThreadAllocator,
+    AllocConfig, AllocError, Block, FragmentationReport, ProcessAllocator, SizeClasses,
+    ThreadAllocator,
 };
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
-    AddressSpace, FarTier, MemError, PageSpan, PhysicalMemory, Residency, TierConfig,
+    AddressSpace, DmaSession, FarTier, MemError, PageSpan, PhysicalMemory, Residency, TierConfig,
 };
 use corm_sim_rdma::{LatencyModel, MttUpdateStrategy, QosConfig, RdmaError, Rnic, RnicConfig};
 use corm_trace::{Stage, TraceHandle, Track};
@@ -265,6 +266,41 @@ pub(crate) struct WorkerState {
     pub rng: DetRng,
 }
 
+thread_local! {
+    /// The handlers' slot-image scratch. Every use rebuilds or overwrites
+    /// the whole image first, so recycling the buffer is invisible.
+    static SLOT_IMAGE: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The address and pages of `slot` in the locked block `b`, translated
+/// through the block's own frame list — which the held block lock keeps in
+/// sync with the page table — instead of a page-table walk per access.
+fn slot_span(b: &Block, slot: u32) -> Result<(u64, PageSpan), CormError> {
+    let vaddr = b.slot_vaddr(slot);
+    PageSpan::from_frames(vaddr, b.obj_size(), b.vaddr(), b.frames())
+        .map(|span| (vaddr, span))
+        .ok_or(CormError::BadPointer)
+}
+
+/// Reads the header of the slot a mutating handler is about to touch.
+/// `Ok(None)` means the slot is mid-migration — locked, or its image lags
+/// the block metadata until the remap lands — and the caller must back off
+/// and re-locate; an invalid slot is `ObjectNotFound`.
+fn live_header(
+    span: &PageSpan,
+    dma: &DmaSession<'_>,
+    slot_vaddr: u64,
+    obj_id: u16,
+) -> Result<Option<ObjectHeader>, CormError> {
+    let mut bytes = [0u8; HEADER_BYTES];
+    span.read(dma, slot_vaddr, &mut bytes)?;
+    let header = ObjectHeader::from_bytes(bytes);
+    if !header.valid {
+        return Err(CormError::ObjectNotFound);
+    }
+    Ok((header.obj_id == obj_id && header.readable()).then_some(header))
+}
+
 /// A CoRM node: allocator, RNIC, registry, and RPC handlers.
 pub struct CormServer {
     config: ServerConfig,
@@ -432,15 +468,15 @@ impl CormServer {
         }
     }
 
-    /// Fetches any far frames of `block` back into DRAM so CPU-side access
-    /// (header reads, scatter/gather, compaction copies) sees real bytes
-    /// instead of spill poison. Returns the virtual-time fetch cost, which
-    /// the caller charges into its RPC/merge total. Zero without tiering.
-    fn ensure_resident(&self, block: &SharedBlock) -> Result<SimDuration, CormError> {
+    /// Fetches any far frames of the locked block `b` back into DRAM so
+    /// CPU-side access (header reads, scatter/gather, compaction copies)
+    /// sees real bytes instead of spill poison. Returns the virtual-time
+    /// fetch cost, which the caller charges into its RPC/merge total. Zero
+    /// without tiering.
+    fn ensure_resident(&self, b: &Block) -> Result<SimDuration, CormError> {
         let Some(t) = &self.tiering else {
             return Ok(SimDuration::ZERO);
         };
-        let b = block.lock();
         let mut cost = SimDuration::ZERO;
         let dma = self.phys.dma();
         for &f in b.frames() {
@@ -582,43 +618,33 @@ impl CormServer {
     pub fn alloc(&self, worker: usize, payload_len: usize) -> Result<Timed<GlobalPtr>, CormError> {
         let class = consistency::class_for_payload(self.classes(), payload_len)
             .ok_or(CormError::PayloadTooLarge(payload_len))?;
-        let model = self.model().clone();
+        let model = self.model();
         let mut cost = model.alloc_free_extra;
 
+        // The worker stays locked until the object is stamped and counted.
+        // The compaction leader and the release of emptied blocks take
+        // blocks out of a bin under this lock, so neither can merge the
+        // block away, or release its vaddr as unhomed, in between.
         let mut w = self.workers[worker].lock();
         let WorkerState { alloc, rng } = &mut *w;
         let out = alloc.alloc(class, &self.proc, rng)?;
-        drop(w);
-
+        let mut b = out.block.lock();
+        let base = b.vaddr();
         if out.refilled {
             // Fresh block: register with the RNIC and publish it.
-            let (base, pages) = {
-                let b = out.block.lock();
-                (b.vaddr(), b.pages())
-            };
             let odp = self.config.mtt_strategy.needs_odp();
-            let (mr, _reg_cost) = self.rnic.register(base, pages, odp)?;
-            out.block.lock().set_keys(mr.lkey, mr.rkey);
+            let (mr, _reg_cost) = self.rnic.register(base, b.pages(), odp)?;
+            b.set_keys(mr.lkey, mr.rkey);
             self.registry.insert_block(base, out.block.clone());
             // §4.1: the +5 µs refill penalty covers both fetching the block
             // and registering its memory on the RNIC.
             cost += model.block_refill_extra;
             self.stats.refills.fetch_add(1, Ordering::Relaxed);
         }
-
-        let (base, rkey, slot_vaddr, slot_bytes) = {
-            let b = out.block.lock();
-            (
-                b.vaddr(),
-                b.rkey().expect("registered above or earlier"),
-                b.slot_vaddr(out.slot),
-                b.obj_size(),
-            )
-        };
         // A recycled slot may sit in a spilled block; the header stamp
         // below must land on real bytes, and the fresh allocation makes
         // the block hot by definition.
-        cost += self.ensure_resident(&out.block)?;
+        cost += self.ensure_resident(&b)?;
         if let Some(t) = &self.tiering {
             t.touch(base);
         }
@@ -626,9 +652,15 @@ impl CormServer {
         // lock-free readers of a never-written object still validate.
         let home = home_index(base, self.mmap_base(), self.block_bytes());
         let header = ObjectHeader::new(out.id as u16, 1, home);
-        let image = consistency::scatter(header, &[], slot_bytes);
-        self.aspace.write(slot_vaddr, &image)?;
+        let (slot_vaddr, span) = slot_span(&b, out.slot)?;
+        SLOT_IMAGE.with(|cell| {
+            let mut image = cell.borrow_mut();
+            consistency::scatter_into(header, &[], b.obj_size(), &mut image);
+            span.write(&self.phys.dma(), slot_vaddr, &image)
+        })?;
+        let rkey = b.rkey().expect("registered above or earlier");
         self.vaddrs.lock().inc(base);
+        drop((b, w));
         self.stats.allocs.fetch_add(1, Ordering::Relaxed);
 
         Ok(Timed::new(
@@ -643,60 +675,54 @@ impl CormServer {
         ))
     }
 
-    /// Locates the live block and slot a pointer refers to, applying
-    /// pointer correction if the object moved. Returns
-    /// `(block, slot, correction_cost, corrected)` and updates the pointer
-    /// hint in place.
-    fn locate(
-        &self,
-        worker: usize,
-        ptr: &mut GlobalPtr,
-    ) -> Result<(SharedBlock, u32, SimDuration, bool), CormError> {
-        let block_bytes = self.block_bytes();
-        let base = ptr.block_base(block_bytes);
+    /// The live block a pointer's base resolves to, through at most one
+    /// alias hop.
+    fn resolve(&self, ptr: &GlobalPtr) -> Result<SharedBlock, CormError> {
+        let base = ptr.block_base(self.block_bytes());
         // Registry resolution is host work with no virtual-time charge.
         // Counting it (rather than wall-timing it) keeps this — the hottest
         // server-side call — at one relaxed fetch_add when tracing.
         self.config.trace.count(Stage::RegistryResolve);
-        let resolved = self.registry.resolve(base).ok_or(CormError::UnknownBlock(base))?;
-        let block = resolved.block;
-        let offset = ptr.block_offset(block_bytes);
-        let b = block.lock();
+        Ok(self.registry.resolve(base).ok_or(CormError::UnknownBlock(base))?.block)
+    }
+
+    /// Locates the slot a pointer refers to within its locked live block
+    /// `b` (from [`Self::resolve`]), applying pointer correction if the
+    /// object moved: the pointer hint is then updated in place. Returns the
+    /// slot and the virtual-time cost of the block's CPU access so far —
+    /// the correction plus any far-tier fetch. The caller keeps `b` locked
+    /// for its own slot access, so one acquisition serves both.
+    fn locate(
+        &self,
+        b: &Block,
+        worker: usize,
+        ptr: &mut GlobalPtr,
+    ) -> Result<(u32, SimDuration), CormError> {
+        let block_bytes = self.block_bytes();
         // Heat feeds off the *resolved* block (not the pointer's possibly
         // aliased base), so eviction ranks live blocks by real traffic.
         if let Some(t) = &self.tiering {
             t.touch(b.vaddr());
         }
-        let slot = b.slot_of_offset(offset).ok_or(CormError::BadPointer)?;
+        let slot = b.slot_of_offset(ptr.block_offset(block_bytes)).ok_or(CormError::BadPointer)?;
         if b.id_at_slot(slot) == Some(ptr.obj_id as u32) {
-            drop(b);
-            return Ok((block, slot, SimDuration::ZERO, false));
+            return Ok((slot, self.ensure_resident(b)?));
         }
         // Indirect pointer: find the object by its ID (§3.2.1).
         let model = self.model();
         let cost = match self.config.correction {
-            CorrectionStrategy::ThreadMessaging => {
-                if b.owner() as usize != worker {
-                    // Round trip to the owning thread, which answers from
-                    // its metadata table.
-                    model.collection_pair
-                } else {
-                    SimDuration::ZERO
-                }
+            // Round trip to the owning thread, which answers from its
+            // metadata table.
+            CorrectionStrategy::ThreadMessaging if b.owner() as usize != worker => {
+                model.collection_pair
             }
+            CorrectionStrategy::ThreadMessaging => SimDuration::ZERO,
             CorrectionStrategy::BlockScan => model.scan_cost(b.slots()),
         };
-        let found = b.slot_of_id(ptr.obj_id as u32);
-        drop(b);
-        match found {
-            Some(new_slot) => {
-                let obj_size = block.lock().obj_size();
-                ptr.correct_offset(block_bytes, new_slot as usize * obj_size);
-                self.stats.corrections.fetch_add(1, Ordering::Relaxed);
-                Ok((block.clone(), new_slot, cost, true))
-            }
-            None => Err(CormError::ObjectNotFound),
-        }
+        let new_slot = b.slot_of_id(ptr.obj_id as u32).ok_or(CormError::ObjectNotFound)?;
+        ptr.correct_offset(block_bytes, b.slot_offset(new_slot));
+        self.stats.corrections.fetch_add(1, Ordering::Relaxed);
+        Ok((new_slot, cost + self.ensure_resident(b)?))
     }
 
     /// RPC read (Table 2 `Read`): copies up to `buf.len()` object bytes
@@ -717,32 +743,23 @@ impl CormServer {
         ptr: &mut GlobalPtr,
         buf: &mut [u8],
     ) -> Result<Timed<usize>, CormError> {
-        // Slot images land in a per-worker scratch buffer and payload
-        // bytes are gathered straight into `buf`: the hot read path
-        // allocates nothing after warm-up.
-        thread_local! {
-            static SLOT_SCRATCH: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let (block, slot, corr_cost, _) = self.locate(worker, ptr)?;
+            let block = self.resolve(ptr)?;
+            let b = block.lock();
+            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
             corr_total += corr_cost;
-            corr_total += self.ensure_resident(&block)?;
-            let gathered = SLOT_SCRATCH.with(|scratch| {
-                let mut image = scratch.borrow_mut();
-                let b = block.lock();
+            // The slot image lands in the per-thread scratch buffer and
+            // payload bytes are gathered straight into `buf`: the hot read
+            // path allocates nothing after warm-up.
+            let gathered = SLOT_IMAGE.with(|cell| {
+                let mut image = cell.borrow_mut();
                 image.resize(b.obj_size(), 0);
-                // Translate through the block's own frame list (kept in
-                // sync with the page table under the block lock): one
-                // slice index instead of a page-table walk per read.
-                let slot_vaddr = b.slot_vaddr(slot);
-                let span = PageSpan::from_frames(slot_vaddr, image.len(), b.vaddr(), b.frames())
-                    .ok_or(CormError::BadPointer)?;
-                span.read(&self.aspace.phys().dma(), slot_vaddr, &mut image)?;
-                drop(b);
+                let (slot_vaddr, span) = slot_span(&b, slot)?;
+                span.read(&self.phys.dma(), slot_vaddr, &mut image)?;
                 Ok::<_, CormError>(consistency::gather_into(&image, Some(ptr.obj_id), buf))
             })?;
+            drop(b);
             match gathered {
                 Ok((_, n)) => {
                     self.stats.reads.fetch_add(1, Ordering::Relaxed);
@@ -819,37 +836,24 @@ impl CormServer {
     ) -> Result<Timed<()>, CormError> {
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let (block, slot, corr_cost, _) = self.locate(worker, ptr)?;
-            corr_total += corr_cost;
-            corr_total += self.ensure_resident(&block)?;
+            let block = self.resolve(ptr)?;
             let b = block.lock();
+            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
+            corr_total += corr_cost;
             let slot_bytes = b.obj_size();
             if data.len() > consistency::layout(slot_bytes).capacity {
                 return Err(CormError::PayloadTooLarge(data.len()));
             }
-            let slot_vaddr = b.slot_vaddr(slot);
-            // Resolve the slot's pages once — straight from the block's
-            // frame list, which the held block lock keeps in sync with the
-            // page table — and pin a DMA session for the whole operation:
-            // the header read and the three ordered writes below then cost
-            // zero translations and zero extra lock acquisitions.
-            let span = PageSpan::from_frames(slot_vaddr, slot_bytes, b.vaddr(), b.frames())
-                .ok_or(CormError::BadPointer)?;
-            let dma = self.aspace.phys().dma();
-            let mut hdr_bytes = [0u8; HEADER_BYTES];
-            span.read(&dma, slot_vaddr, &mut hdr_bytes)?;
-            let header = ObjectHeader::from_bytes(hdr_bytes);
-            if !header.valid {
-                return Err(CormError::ObjectNotFound);
-            }
-            if header.obj_id != ptr.obj_id || !header.readable() {
-                // Mid-migration (locked, or the image lags the block
-                // metadata until the remap lands): back off and re-locate.
-                drop(dma);
-                drop(b);
+            // One pinned DMA session for the whole operation: the header
+            // read and the three ordered writes below cost zero
+            // translations and zero extra lock acquisitions.
+            let (slot_vaddr, span) = slot_span(&b, slot)?;
+            let dma = self.phys.dma();
+            let Some(header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
+                drop((dma, b));
                 self.rpc_backoff(attempt);
                 continue;
-            }
+            };
             // 1) lock, 2) body with new version, 3) unlocked header. The
             // intermediate states are what concurrent DirectReads can
             // observe — the lock must land as its own store *before* the
@@ -859,20 +863,13 @@ impl CormServer {
             let locked = header.with_lock(LockState::WriteLocked);
             span.write(&dma, slot_vaddr, &locked.to_bytes())?;
             let new_header = header.bump_version();
-            // Per-thread scratch: the slot image is rebuilt (zero-filled)
-            // on every write, so recycling the buffer is invisible.
-            thread_local! {
-                static WRITE_IMAGE: std::cell::RefCell<Vec<u8>> =
-                    const { std::cell::RefCell::new(Vec::new()) };
-            }
-            WRITE_IMAGE.with(|cell| {
+            SLOT_IMAGE.with(|cell| {
                 let mut image = cell.borrow_mut();
                 consistency::scatter_into(new_header, data, slot_bytes, &mut image);
                 span.write(&dma, slot_vaddr + HEADER_BYTES as u64, &image[HEADER_BYTES..])
             })?;
             span.write(&dma, slot_vaddr, &new_header.to_bytes())?;
-            drop(dma);
-            drop(b);
+            drop((dma, b));
             self.stats.writes.fetch_add(1, Ordering::Relaxed);
             let model = self.model();
             let cost = model.rpc_worker_service + model.copy_cost(data.len()) + corr_total;
@@ -885,50 +882,41 @@ impl CormServer {
     /// home-vaddr accounting (§3.3).
     pub fn free(&self, worker: usize, ptr: &mut GlobalPtr) -> Result<Timed<()>, CormError> {
         let mut corr_total = SimDuration::ZERO;
-        let mut freed = None;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let (block, slot, corr_cost, _) = self.locate(worker, ptr)?;
-            corr_total += corr_cost;
-            corr_total += self.ensure_resident(&block)?;
+            let block = self.resolve(ptr)?;
             let mut b = block.lock();
-            let slot_vaddr = b.slot_vaddr(slot);
-            let mut hdr_bytes = [0u8; HEADER_BYTES];
-            self.aspace.read(slot_vaddr, &mut hdr_bytes)?;
-            let header = ObjectHeader::from_bytes(hdr_bytes);
-            if !header.valid {
-                return Err(CormError::ObjectNotFound);
-            }
-            if header.obj_id != ptr.obj_id || !header.readable() {
+            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
+            corr_total += corr_cost;
+            let (slot_vaddr, span) = slot_span(&b, slot)?;
+            let dma = self.phys.dma();
+            let Some(header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
                 // Mid-migration: freeing the source copy now would leave
                 // the migrated copy alive. Back off until the remap lands,
                 // then free the object at its new home.
-                drop(b);
+                drop((dma, b));
                 self.rpc_backoff(attempt);
                 continue;
-            }
-            self.aspace.write(slot_vaddr, &header.invalidated().to_bytes())?;
+            };
+            span.write(&dma, slot_vaddr, &header.invalidated().to_bytes())?;
+            drop(dma);
             b.free_slot(slot);
-            freed = Some((
-                block.clone(),
-                home_base(header.home_block, self.mmap_base(), self.block_bytes()),
-                b.is_empty(),
-                b.vaddr(),
-            ));
-            break;
+            // Counted under the block lock, like the slot itself: whoever
+            // finds the block empty finds its objects' homes settled too.
+            let home_addr = home_base(header.home_block, self.mmap_base(), self.block_bytes());
+            let remaining = self.vaddrs.lock().dec(home_addr);
+            let (block_empty, live_base) = (b.is_empty(), b.vaddr());
+            drop(b);
+            if remaining == 0 {
+                self.try_release_vaddr(home_addr);
+            }
+            if block_empty && self.config.release_empty_blocks {
+                self.try_release_empty_block(&block, live_base);
+            }
+            self.stats.frees.fetch_add(1, Ordering::Relaxed);
+            let cost = self.model().alloc_free_extra + corr_total;
+            return Ok(Timed::new((), cost));
         }
-        let Some((block, home_addr, block_empty, live_base)) = freed else {
-            return Err(CormError::ObjectLocked);
-        };
-        let remaining = self.vaddrs.lock().dec(home_addr);
-        if remaining == 0 {
-            self.try_release_vaddr(home_addr);
-        }
-        if block_empty && self.config.release_empty_blocks {
-            self.try_release_empty_block(&block, live_base);
-        }
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
-        let cost = self.model().alloc_free_extra + corr_total;
-        Ok(Timed::new((), cost))
+        Err(CormError::ObjectLocked)
     }
 
     /// RPC ReleasePtr (Table 2): the client has corrected all copies of an
@@ -941,56 +929,46 @@ impl CormServer {
     ) -> Result<Timed<GlobalPtr>, CormError> {
         let old_base = ptr.block_base(self.block_bytes());
         let mut corr_total = SimDuration::ZERO;
-        let mut rehomed = None;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let (block, slot, corr_cost, _) = self.locate(worker, ptr)?;
-            corr_total += corr_cost;
-            corr_total += self.ensure_resident(&block)?;
+            let block = self.resolve(ptr)?;
             let b = block.lock();
-            let slot_vaddr = b.slot_vaddr(slot);
-            let mut hdr_bytes = [0u8; HEADER_BYTES];
-            self.aspace.read(slot_vaddr, &mut hdr_bytes)?;
-            let mut header = ObjectHeader::from_bytes(hdr_bytes);
-            if !header.valid {
-                return Err(CormError::ObjectNotFound);
-            }
-            if header.obj_id != ptr.obj_id || !header.readable() {
+            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
+            corr_total += corr_cost;
+            let (slot_vaddr, span) = slot_span(&b, slot)?;
+            let dma = self.phys.dma();
+            let Some(mut header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
                 // Mid-migration: re-homing now would stamp a home index the
                 // remap is about to invalidate. Back off and re-locate.
-                drop(b);
+                drop((dma, b));
                 self.rpc_backoff(attempt);
                 continue;
-            }
+            };
             let new_base = b.vaddr();
             header.home_block = home_index(new_base, self.mmap_base(), self.block_bytes());
-            self.aspace.write(slot_vaddr, &header.to_bytes())?;
-            rehomed = Some((
-                GlobalPtr {
-                    vaddr: slot_vaddr,
-                    rkey: b.rkey().expect("live block is registered"),
-                    obj_id: ptr.obj_id,
-                    class: ptr.class,
-                    flags: 0,
-                },
-                new_base,
-            ));
-            break;
-        }
-        let Some((new_ptr, new_base)) = rehomed else {
-            return Err(CormError::ObjectLocked);
-        };
-        if new_base != old_base {
-            let mut v = self.vaddrs.lock();
-            v.inc(new_base);
-            let remaining = v.dec(old_base);
-            drop(v);
-            if remaining == 0 {
-                self.try_release_vaddr(old_base);
+            span.write(&dma, slot_vaddr, &header.to_bytes())?;
+            let rkey = b.rkey().expect("live block is registered");
+            drop((dma, b));
+            if new_base != old_base {
+                let mut v = self.vaddrs.lock();
+                v.inc(new_base);
+                let remaining = v.dec(old_base);
+                drop(v);
+                if remaining == 0 {
+                    self.try_release_vaddr(old_base);
+                }
             }
+            self.stats.releases.fetch_add(1, Ordering::Relaxed);
+            let cost = self.model().release_ptr_extra + corr_total;
+            let new_ptr = GlobalPtr {
+                vaddr: slot_vaddr,
+                rkey,
+                obj_id: ptr.obj_id,
+                class: ptr.class,
+                flags: 0,
+            };
+            return Ok(Timed::new(new_ptr, cost));
         }
-        self.stats.releases.fetch_add(1, Ordering::Relaxed);
-        let cost = self.model().release_ptr_extra + corr_total;
-        Ok(Timed::new(new_ptr, cost))
+        Err(CormError::ObjectLocked)
     }
 
     // ------------------------------------------------------------------

@@ -3,7 +3,8 @@
 //! The leader used to interleave pairing decisions with merge execution:
 //! one serial loop picked the next `(src, dst)` pair and immediately merged
 //! it. [`MergePlan::build`] lifts the *same greedy pairing* out into an
-//! up-front plan — it replays the pairing on cloned [`BlockModel`]s, so the
+//! up-front plan — it replays the pairing on [`BlockModel`]s built from the
+//! candidates ([`corm_alloc::Block::to_model`]), so the
 //! planned sequence is byte-identical to what the old loop would have
 //! executed — and then partitions the merges into **disjoint lanes**:
 //! merges that share no block (directly or transitively through a shared
@@ -59,8 +60,7 @@ impl MergePlan {
     pub fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
         let lanes = lanes.max(1);
         let n = candidates.len();
-        let mut models: Vec<BlockModel> =
-            candidates.iter().map(|b| b.lock().model().clone()).collect();
+        let mut models: Vec<BlockModel> = candidates.iter().map(|b| b.lock().to_model()).collect();
         let mut gone = vec![false; n];
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for s in 0..n {

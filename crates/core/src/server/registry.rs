@@ -27,11 +27,12 @@
 //!
 //! [`Block`]: corm_alloc::Block
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 
 use corm_alloc::process::SharedBlock;
+use corm_sim_core::hash::{FastBuildHasher, FastHashMap};
 
 /// Default shard count: enough to spread 8 workers plus the compaction
 /// leader with negligible collision probability.
@@ -73,10 +74,10 @@ pub struct Resolved {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<u64, RegEntry>,
+    map: FastHashMap<u64, RegEntry>,
     /// live base → alias bases pointing at it (kept in the shard of the
     /// *live* base).
-    rev: HashMap<u64, HashSet<u64>>,
+    rev: FastHashMap<u64, HashSet<u64, FastBuildHasher>>,
 }
 
 /// Registry of all blocks and aliases on a CoRM node, sharded by block

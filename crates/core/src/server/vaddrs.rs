@@ -7,12 +7,12 @@
 //! When the count hits zero — through `Free`s or explicit `ReleasePtr`
 //! calls — the address can be unmapped and reused.
 
-use std::collections::HashMap;
+use corm_sim_core::hash::FastHashMap;
 
 /// Per-home-vaddr live-object counts.
 #[derive(Debug, Default)]
 pub struct VaddrTracker {
-    counts: HashMap<u64, u64>,
+    counts: FastHashMap<u64, u64>,
     released: u64,
 }
 

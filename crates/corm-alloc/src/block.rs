@@ -6,18 +6,22 @@
 //!   the frames themselves;
 //! - its *virtual identity* — the vaddr it is mapped at and (once the
 //!   server registers it) the RDMA keys;
-//! - its *occupancy metadata* — a [`BlockModel`] of live IDs/offsets and
-//!   the ID→slot hash table the paper keeps "for fast pointer correction"
-//!   (§3.1.4).
+//! - its *occupancy metadata* — one dense slot→ID array and the ID→slot
+//!   hash table the paper keeps "for fast pointer correction" (§3.1.4).
+//!   Everything else (live count, lowest free slot, compactability) is
+//!   derived from those two; a [`BlockModel`] with its ID bitset is built
+//!   only on demand, for merge planning.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::Rng;
 
 use corm_compact::BlockModel;
+use corm_sim_core::hash::FastHashMap;
 use corm_sim_mem::{FileId, FrameId};
 
 use crate::classes::ClassId;
+use crate::room::BinRoom;
 
 /// Globally unique block identifier (for diagnostics and ownership maps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,6 +29,9 @@ pub struct BlockId(pub u64);
 
 /// A slot within a block: `byte_offset = slot * gross_object_size`.
 pub type ObjectSlot = u32;
+
+/// `slot_id` entry of a free slot; no ID reaches it (IDs are ≤ 20 bits).
+const VACANT: u32 = u32::MAX;
 
 /// A memory block holding objects of a single size class.
 #[derive(Debug)]
@@ -42,16 +49,23 @@ pub struct Block {
     file_page: usize,
     /// The physical frames currently backing the block's vaddr.
     frames: Vec<FrameId>,
-    /// Occupancy model (live IDs and slot offsets).
-    model: BlockModel,
-    /// ID → slot map: the per-block metadata table for pointer correction.
-    id_slot: HashMap<u32, ObjectSlot>,
-    /// Slot → ID reverse map.
-    slot_id: Vec<Option<u32>>,
+    /// Number of distinct object IDs (`n` in §3.4), at least the slot count.
+    id_space: usize,
+    /// Slot → ID, [`VACANT`] where free.
+    slot_id: Vec<u32>,
+    /// ID → slot: the per-block metadata table for pointer correction. Its
+    /// length is the live count.
+    id_slot: FastHashMap<u32, ObjectSlot>,
+    /// The lowest free slot; the slot count when full.
+    first_free: ObjectSlot,
     /// RDMA keys once the server registers the block (lkey, rkey).
     keys: Option<(u32, u32)>,
     /// Owning worker thread.
     owner: u16,
+    /// The owning allocator's bin and this block's position in it, told
+    /// whenever the block turns full or gets room again. Frees come from
+    /// any thread holding the block's lock, never through the allocator.
+    bin: Option<(Arc<BinRoom>, usize)>,
 }
 
 impl Block {
@@ -83,11 +97,15 @@ impl Block {
             file,
             file_page,
             frames,
-            model: BlockModel::new(slots, id_space.max(slots)),
-            id_slot: HashMap::new(),
-            slot_id: vec![None; slots],
+            id_space: id_space.max(slots),
+            slot_id: vec![VACANT; slots],
+            // Twice the slots: the table then clears the tombstones that
+            // removals leave by rehashing in place, and never reallocates.
+            id_slot: FastHashMap::with_capacity_and_hasher(2 * slots, Default::default()),
+            first_free: 0,
             keys: None,
             owner,
+            bin: None,
         }
     }
 
@@ -140,32 +158,37 @@ impl Block {
 
     /// Total object slots.
     pub fn slots(&self) -> usize {
-        self.model.slots()
+        self.slot_id.len()
     }
 
     /// Live objects.
     pub fn live(&self) -> usize {
-        self.model.live()
+        self.id_slot.len()
     }
 
     /// Occupancy in `[0, 1]`.
     pub fn occupancy(&self) -> f64 {
-        self.model.occupancy()
+        self.live() as f64 / self.slots() as f64
     }
 
     /// Whether no objects are live.
     pub fn is_empty(&self) -> bool {
-        self.model.is_empty()
+        self.id_slot.is_empty()
     }
 
     /// Whether every slot is taken.
     pub fn is_full(&self) -> bool {
-        self.model.is_full()
+        self.first_free as usize == self.slots()
     }
 
-    /// The occupancy model (for compaction conflict checks).
-    pub fn model(&self) -> &BlockModel {
-        &self.model
+    /// The occupancy as a [`BlockModel`] — the ID and offset bitsets merge
+    /// planning runs its conflict checks on. Built afresh on every call.
+    pub fn to_model(&self) -> BlockModel {
+        let mut model = BlockModel::new(self.slots(), self.id_space);
+        for (id, slot) in self.live_objects() {
+            model.insert(id as usize, slot as usize);
+        }
+        model
     }
 
     /// Registered RDMA keys, if any.
@@ -193,33 +216,81 @@ impl Block {
         self.owner = owner;
     }
 
-    /// Allocates a slot with a fresh random object ID. Returns
-    /// `(id, slot)`, or `None` when full.
+    /// Moves the block to position `bin.1` of an allocator's bin, or out of
+    /// any bin: the previous bin forgets it, the new one learns whether it
+    /// has room.
+    pub(crate) fn set_bin(&mut self, bin: Option<(Arc<BinRoom>, usize)>) {
+        self.tell_bin(false);
+        self.bin = bin;
+        self.tell_bin(!self.is_full());
+    }
+
+    /// The block's position in the bin `room` belongs to, if it is there.
+    pub(crate) fn pos_in(&self, room: &Arc<BinRoom>) -> Option<usize> {
+        self.bin.as_ref().filter(|(r, _)| Arc::ptr_eq(r, room)).map(|&(_, pos)| pos)
+    }
+
+    fn tell_bin(&self, has_room: bool) {
+        if let Some((room, pos)) = &self.bin {
+            room.set(*pos, has_room);
+        }
+    }
+
+    /// Allocates the lowest free slot with a fresh random object ID drawn
+    /// uniformly from the unused identifiers (§3.1.2: IDs are random;
+    /// collisions within a block are re-drawn). Returns `(id, slot)`, or
+    /// `None` when full.
     pub fn alloc_object(&mut self, rng: &mut impl Rng) -> Option<(u32, ObjectSlot)> {
-        let (id, slot) = self.model.alloc(rng)?;
-        let (id, slot) = (id as u32, slot as ObjectSlot);
-        self.id_slot.insert(id, slot);
-        self.slot_id[slot as usize] = Some(id);
+        let slot = self.free_slot_hint()?;
+        // The ID space is at least the slot count, so at worst half the
+        // draws reject; with 16-bit IDs collisions are rare.
+        let id = loop {
+            let cand = rng.gen_range(0..self.id_space) as u32;
+            if !self.id_slot.contains_key(&cand) {
+                break cand;
+            }
+        };
+        self.place(id, slot);
         Some((id, slot))
     }
 
     /// Inserts an object with an explicit ID at an explicit slot (used when
     /// compaction moves objects in). Returns `false` on conflict.
     pub fn insert_object(&mut self, id: u32, slot: ObjectSlot) -> bool {
-        if !self.model.insert(id as usize, slot as usize) {
+        if self.slot_id[slot as usize] != VACANT || self.id_slot.contains_key(&id) {
             return false;
         }
-        self.id_slot.insert(id, slot);
-        self.slot_id[slot as usize] = Some(id);
+        self.place(id, slot);
         true
+    }
+
+    /// Records `id` in the vacant `slot`.
+    fn place(&mut self, id: u32, slot: ObjectSlot) {
+        debug_assert!(id != VACANT && (id as usize) < self.id_space);
+        self.slot_id[slot as usize] = id;
+        self.id_slot.insert(id, slot);
+        if slot == self.first_free {
+            let above = &self.slot_id[slot as usize + 1..];
+            let skip = above.iter().position(|&id| id == VACANT).unwrap_or(above.len());
+            self.first_free = slot + 1 + skip as ObjectSlot;
+            if self.is_full() {
+                self.tell_bin(false);
+            }
+        }
     }
 
     /// Frees the object in `slot`; returns its ID, or `None` if vacant.
     pub fn free_slot(&mut self, slot: ObjectSlot) -> Option<u32> {
-        let id = self.slot_id[slot as usize].take()?;
-        let removed = self.model.free(id as usize, slot as usize);
-        debug_assert!(removed);
-        self.id_slot.remove(&id);
+        let id = std::mem::replace(&mut self.slot_id[slot as usize], VACANT);
+        if id == VACANT {
+            return None;
+        }
+        let removed = self.id_slot.remove(&id);
+        debug_assert_eq!(removed, Some(slot));
+        if self.is_full() {
+            self.tell_bin(true);
+        }
+        self.first_free = self.first_free.min(slot);
         Some(id)
     }
 
@@ -231,12 +302,12 @@ impl Block {
 
     /// The ID of the object in `slot`, if any.
     pub fn id_at_slot(&self, slot: ObjectSlot) -> Option<u32> {
-        self.slot_id.get(slot as usize).copied().flatten()
+        self.slot_id.get(slot as usize).copied().filter(|&id| id != VACANT)
     }
 
     /// The first free slot, if any.
     pub fn free_slot_hint(&self) -> Option<ObjectSlot> {
-        self.model.offsets().lowest_clear(1).first().map(|&s| s as ObjectSlot)
+        (!self.is_full()).then_some(self.first_free)
     }
 
     /// Byte offset of a slot within the block.
@@ -263,14 +334,18 @@ impl Block {
         self.slot_id
             .iter()
             .enumerate()
-            .filter_map(|(slot, id)| id.map(|id| (id, slot as ObjectSlot)))
+            .filter(|&(_, &id)| id != VACANT)
+            .map(|(slot, &id)| (id, slot as ObjectSlot))
     }
 
-    /// Whether `other` can be merged into `self` under CoRM's ID rule.
+    /// Whether `other` can be merged into `self` under CoRM's ID rule:
+    /// same class, disjoint ID sets, and the union fitting the slot count
+    /// (§3.4).
     pub fn corm_compactable(&self, other: &Block) -> bool {
         self.class == other.class
             && self.obj_size == other.obj_size
-            && self.model.corm_compactable(other.model())
+            && self.live() + other.live() <= self.slots()
+            && other.id_slot.keys().all(|id| !self.id_slot.contains_key(id))
     }
 }
 

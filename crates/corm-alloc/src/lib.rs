@@ -9,9 +9,9 @@
 //!
 //! Blocks store objects of exactly one size class. Classes are 8-byte
 //! aligned and chosen to bound internal fragmentation (§3.1.1). Every block
-//! keeps the metadata CoRM's compaction needs: the set of live object IDs
-//! and offsets (a [`corm_compact::BlockModel`]) plus an ID→slot hash table
-//! used for fast pointer correction (§3.1.4).
+//! keeps the metadata CoRM's compaction needs: a slot→ID array and the
+//! ID→slot hash table used for fast pointer correction (§3.1.4), from which
+//! a [`corm_compact::BlockModel`] is built when a merge is planned.
 //!
 //! Layering note: this crate knows nothing about RDMA. Registration keys
 //! are attached to blocks by the CoRM server (`corm-core`), which owns the
@@ -20,6 +20,7 @@
 pub mod block;
 pub mod classes;
 pub mod process;
+mod room;
 pub mod stats;
 pub mod thread_alloc;
 

@@ -11,9 +11,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::Rng;
 
-use crate::block::ObjectSlot;
+use crate::block::{Block, ObjectSlot};
 use crate::classes::ClassId;
 use crate::process::{AllocError, ProcessAllocator, SharedBlock};
+use crate::room::BinRoom;
 
 /// Result of a thread-local allocation.
 #[derive(Debug, Clone)]
@@ -31,10 +32,50 @@ pub struct AllocOutcome {
     pub refilled: bool,
 }
 
+/// The blocks of one size class, oldest first, and which of them have room
+/// (kept current by the blocks themselves, see [`BinRoom`]).
+#[derive(Default)]
+struct Bin {
+    blocks: Vec<SharedBlock>,
+    room: Arc<BinRoom>,
+}
+
+impl Bin {
+    /// Appends `block` — held by the caller, locked or not yet shared — as
+    /// the newest; the caller pushes its handle.
+    fn bind_newest(&self, block: &mut Block) {
+        block.set_bin(Some((self.room.clone(), self.blocks.len())));
+    }
+
+    /// `Vec::swap_remove`, telling both blocks involved where they are now.
+    fn swap_remove(&mut self, pos: usize) -> SharedBlock {
+        let removed = self.blocks.swap_remove(pos);
+        removed.lock().set_bin(None);
+        if let Some(moved) = self.blocks.get(pos) {
+            moved.lock().set_bin(Some((self.room.clone(), pos)));
+        }
+        removed
+    }
+
+    /// Removes and returns the blocks `give` selects, visiting the bin the
+    /// way a `swap_remove` sweep does (the order is part of the seeded
+    /// behaviour: it decides where adopted blocks land later).
+    fn drain_where(&mut self, mut give: impl FnMut(&Block) -> bool, out: &mut Vec<SharedBlock>) {
+        let mut i = 0;
+        while i < self.blocks.len() {
+            if give(&self.blocks[i].lock()) {
+                out.push(self.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
 /// A per-worker allocator: one bin of blocks per size class.
 pub struct ThreadAllocator {
     id: u16,
-    bins: Vec<Vec<SharedBlock>>,
+    bins: Vec<Bin>,
 }
 
 impl std::fmt::Debug for ThreadAllocator {
@@ -49,7 +90,7 @@ impl std::fmt::Debug for ThreadAllocator {
 impl ThreadAllocator {
     /// Creates an empty allocator for worker `id` over `n_classes` classes.
     pub fn new(id: u16, n_classes: usize) -> Self {
-        ThreadAllocator { id, bins: (0..n_classes).map(|_| Vec::new()).collect() }
+        ThreadAllocator { id, bins: (0..n_classes).map(|_| Bin::default()).collect() }
     }
 
     /// The owning worker's id.
@@ -59,16 +100,17 @@ impl ThreadAllocator {
 
     /// Total blocks currently owned.
     pub fn block_count(&self) -> usize {
-        self.bins.iter().map(Vec::len).sum()
+        self.bins.iter().map(|bin| bin.blocks.len()).sum()
     }
 
     /// Blocks owned in one class.
     pub fn blocks_in_class(&self, class: ClassId) -> &[SharedBlock] {
-        &self.bins[class.0 as usize]
+        &self.bins[class.0 as usize].blocks
     }
 
-    /// Allocates an object of `class`, refilling from `proc` when every
-    /// owned block of the class is full.
+    /// Allocates an object of `class` in the newest owned block with room
+    /// (the "current" block, then older partials), refilling from `proc`
+    /// when every owned block of the class is full.
     pub fn alloc(
         &mut self,
         class: ClassId,
@@ -76,8 +118,10 @@ impl ThreadAllocator {
         rng: &mut impl Rng,
     ) -> Result<AllocOutcome, AllocError> {
         let bin = &mut self.bins[class.0 as usize];
-        // Newest block first (the "current" block), then older partials.
-        for block in bin.iter().rev() {
+        // A block clears its own bit the moment it fills, so a position
+        // whose block turns out full is not offered again.
+        while let Some(pos) = bin.room.newest() {
+            let block = &bin.blocks[pos];
             let mut b = block.lock();
             if let Some((id, slot)) = b.alloc_object(rng) {
                 let vaddr = b.slot_vaddr(slot);
@@ -86,26 +130,24 @@ impl ThreadAllocator {
             }
         }
         // Refill: fetch a new block from the process-wide allocator.
-        let block = proc.create_block(class, self.id)?;
+        let mut block = proc.create_block(class, self.id)?;
+        let (id, slot) = block.alloc_object(rng).expect("fresh block must have room");
+        let vaddr = block.slot_vaddr(slot);
+        bin.bind_newest(&mut block);
         let shared: SharedBlock = Arc::new(Mutex::new(block));
-        let (id, slot, vaddr) = {
-            let mut b = shared.lock();
-            let (id, slot) = b.alloc_object(rng).expect("fresh block must have room");
-            (id, slot, b.slot_vaddr(slot))
-        };
-        bin.push(shared.clone());
+        bin.blocks.push(shared.clone());
         Ok(AllocOutcome { block: shared, slot, id, vaddr, refilled: true })
     }
 
     /// Adopts a block (e.g. the merged result the compaction leader keeps,
     /// or a block handed back after compaction).
     pub fn adopt(&mut self, block: SharedBlock) {
-        let class = {
-            let mut b = block.lock();
-            b.set_owner(self.id);
-            b.class()
-        };
-        self.bins[class.0 as usize].push(block);
+        let mut b = block.lock();
+        b.set_owner(self.id);
+        let bin = &mut self.bins[b.class().0 as usize];
+        bin.bind_newest(&mut b);
+        drop(b);
+        bin.blocks.push(block);
     }
 
     /// Removes and returns every empty block of every class (empty blocks
@@ -114,14 +156,7 @@ impl ThreadAllocator {
     pub fn take_empty_blocks(&mut self) -> Vec<SharedBlock> {
         let mut out = Vec::new();
         for bin in &mut self.bins {
-            let mut i = 0;
-            while i < bin.len() {
-                if bin[i].lock().is_empty() {
-                    out.push(bin.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
+            bin.drain_where(Block::is_empty, &mut out);
         }
         out
     }
@@ -134,20 +169,9 @@ impl ThreadAllocator {
         class: ClassId,
         max_occupancy: f64,
     ) -> Vec<SharedBlock> {
-        let bin = &mut self.bins[class.0 as usize];
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < bin.len() {
-            let give = {
-                let b = bin[i].lock();
-                !b.is_empty() && b.occupancy() <= max_occupancy
-            };
-            if give {
-                out.push(bin.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        self.bins[class.0 as usize]
+            .drain_where(|b| !b.is_empty() && b.occupancy() <= max_occupancy, &mut out);
         out
     }
 
@@ -156,33 +180,27 @@ impl ThreadAllocator {
     /// Returns `true` if the block was owned here.
     pub fn remove_block(&mut self, class: ClassId, block: &SharedBlock) -> bool {
         let bin = &mut self.bins[class.0 as usize];
-        if let Some(pos) = bin.iter().position(|b| Arc::ptr_eq(b, block)) {
-            bin.swap_remove(pos);
-            true
-        } else {
-            false
-        }
+        let Some(pos) = block.lock().pos_in(&bin.room) else {
+            return false;
+        };
+        debug_assert!(Arc::ptr_eq(&bin.blocks[pos], block));
+        bin.swap_remove(pos);
+        true
     }
 
     /// Live objects across all blocks of a class.
     pub fn live_in_class(&self, class: ClassId) -> usize {
-        self.bins[class.0 as usize].iter().map(|b| b.lock().live()).sum()
+        self.blocks_in_class(class).iter().map(|b| b.lock().live()).sum()
     }
 }
 
 /// Finds the block of a thread allocator holding `vaddr`, if any.
 pub fn find_block_by_vaddr(alloc: &ThreadAllocator, vaddr: u64) -> Option<SharedBlock> {
-    for class_idx in 0..alloc.bins.len() {
-        for block in &alloc.bins[class_idx] {
-            let b = block.lock();
-            let base = b.vaddr();
-            if vaddr >= base && vaddr < base + b.len_bytes() as u64 {
-                drop(b);
-                return Some(block.clone());
-            }
-        }
-    }
-    None
+    alloc.bins.iter().flat_map(|bin| &bin.blocks).find_map(|block| {
+        let b = block.lock();
+        let base = b.vaddr();
+        (vaddr >= base && vaddr < base + b.len_bytes() as u64).then(|| block.clone())
+    })
 }
 
 #[cfg(test)]

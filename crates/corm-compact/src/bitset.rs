@@ -96,32 +96,43 @@ impl BitSet {
 
     /// Iterates over set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + tz)
-            })
-        })
+        self.words.iter().enumerate().flat_map(|(wi, &w)| word_bits(wi, w))
     }
 
-    /// The lowest `n` unset bits, in ascending order (free-slot search).
-    pub fn lowest_clear(&self, n: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..self.len {
-            if out.len() == n {
-                break;
-            }
-            if !self.contains(i) {
-                out.push(i);
-            }
-        }
-        out
+    /// Unset bits in ascending order. The last word's bits past the
+    /// universe read as clear, hence the bound.
+    fn iter_clear(&self) -> impl Iterator<Item = usize> + '_ {
+        let len = self.len;
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| word_bits(wi, !w))
+            .take_while(move |&i| i < len)
     }
+
+    /// The lowest unset bit, if any (free-slot search).
+    pub fn first_clear(&self) -> Option<usize> {
+        self.iter_clear().next()
+    }
+
+    /// The lowest `n` unset bits, in ascending order (fewer if fewer are
+    /// unset).
+    pub fn lowest_clear(&self, n: usize) -> Vec<usize> {
+        self.iter_clear().take(n).collect()
+    }
+}
+
+/// The set bits of word `wi`, as indices into the whole set: one
+/// `trailing_zeros` per bit found.
+fn word_bits(wi: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let tz = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(wi * 64 + tz)
+    })
 }
 
 #[cfg(test)]
@@ -195,6 +206,23 @@ mod tests {
         full.insert(1);
         full.insert(2);
         assert_eq!(full.lowest_clear(2), Vec::<usize>::new());
+        assert_eq!(full.first_clear(), None);
+    }
+
+    #[test]
+    fn clear_search_is_word_wise_and_bounded_by_the_universe() {
+        // 130 bits: two full words and two bits of a third.
+        let mut s = BitSet::new(130);
+        for i in 0..129 {
+            s.insert(i);
+        }
+        assert_eq!(s.first_clear(), Some(129));
+        assert_eq!(s.lowest_clear(5), vec![129], "bits past the universe are not clear");
+        s.remove(64);
+        s.remove(3);
+        assert_eq!(s.first_clear(), Some(3));
+        assert_eq!(s.lowest_clear(2), vec![3, 64]);
+        assert_eq!(BitSet::new(70).lowest_clear(70), (0..70).collect::<Vec<_>>());
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl BlockModel {
         if self.is_full() {
             return None;
         }
-        let offset = *self.offsets.lowest_clear(1).first()?;
+        let offset = self.offsets.first_clear()?;
         // Rejection-sample a free ID. The ID space is at least the slot
         // count, so at worst half the draws reject in a degenerate setup;
         // in practice (16-bit IDs) collisions are rare.

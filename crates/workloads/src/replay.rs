@@ -218,7 +218,7 @@ impl ModelHeap {
         let block = &mut bin[block_idx];
         let (id, offset) = if offset_identified {
             // Offset-conflict strategies identify objects by their offset.
-            let off = block.offsets().lowest_clear(1)[0];
+            let off = block.offsets().first_clear().expect("block has room");
             assert!(block.insert(off, off));
             (off, off)
         } else {
