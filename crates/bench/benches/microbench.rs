@@ -13,7 +13,6 @@ use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::{consistency, header::ObjectHeader};
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::LruCache;
 use corm_workloads::zipf::Zipfian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,20 +140,6 @@ fn bench_probability(c: &mut Criterion) {
     });
 }
 
-fn bench_lru(c: &mut Criterion) {
-    let mut cache: LruCache<u64, ()> = LruCache::new(16 * 1024);
-    let mut key = 0u64;
-    c.bench_function("lru_translation_cache_access", |b| {
-        b.iter(|| {
-            key = key.wrapping_add(0x9E37_79B9);
-            let k = key % (32 * 1024);
-            if cache.get(&k).is_none() {
-                cache.insert(k, ());
-            }
-        })
-    });
-}
-
 fn bench_zipf(c: &mut Criterion) {
     let z = Zipfian::new(8 << 20, 0.99).scrambled();
     let mut rng = StdRng::seed_from_u64(3);
@@ -171,7 +156,6 @@ criterion_group!(
     bench_compaction,
     bench_conflict_checks,
     bench_probability,
-    bench_lru,
     bench_zipf
 );
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! not move. Any `vec![..]`/`Box::new`/map-growth regression on the hot
 //! path fails this test with the exact allocation count. The second test
 //! holds `CormServer::{alloc, write, free}` to the same standard while no
-//! block is fetched or released.
+//! block is fetched or released, and the third holds a steady
+//! `CormClient::read_batch` to exactly one allocation per call, the vector
+//! it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,5 +310,36 @@ fn steady_state_alloc_write_free_cycle_allocates_nothing() {
     assert_eq!(
         allocations, 0,
         "steady-state alloc/write/free hit the allocator {allocations} times in {ops} ops"
+    );
+}
+
+#[test]
+fn steady_state_read_batch_allocates_only_its_result() {
+    const DEPTH: usize = 16;
+    const CALLS: usize = 2_000;
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
+    let mut client = CormClient::connect(store.server.clone());
+    let mut rng = stream_rng(SEED, 2);
+    let mut batch = Vec::with_capacity(DEPTH);
+    let mut bufs = vec![vec![0u8; FIG12_SIZE]; DEPTH];
+    let mut clock = SimTime::ZERO;
+    let mut run = |calls: usize| {
+        for _ in 0..calls {
+            batch.clear();
+            batch.extend(
+                (0..DEPTH).map(|_| store.ptrs[rand::Rng::gen_range(&mut rng, 0..FIG12_OBJECTS)]),
+            );
+            let t = client.read_batch(&mut batch, &mut bufs, clock).expect("qp healthy");
+            assert_eq!(t.value, [FIG12_SIZE; DEPTH]);
+            clock += t.cost;
+        }
+    };
+    // Warm-up: the client's batch scratch and the translation cache.
+    run(CALLS);
+    let allocations = allocations_during(|| run(CALLS));
+    assert_eq!(
+        allocations, CALLS as u64,
+        "a steady read_batch allocates its `lens` vector and nothing else: {allocations} allocations in {CALLS} calls"
     );
 }

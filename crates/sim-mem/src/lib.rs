@@ -17,17 +17,21 @@
 //!   `remap`, fixed-address mapping (for virtual-address reuse, §3.3), and
 //!   per-page epochs that the simulated RNIC's ODP machinery checks for
 //!   staleness.
+//! - [`PagedTable`]: the directory-of-leaves table behind the page table,
+//!   shared with the simulated RNIC's MTT and region table.
 //!
 //! Frame bytes are relaxed atomics: concurrent CPU stores and (simulated)
 //! DMA reads race by design, so torn reads across cachelines are observable
 //! — that is exactly what FaRM/CoRM cacheline versioning exists to detect.
 
 pub mod file;
+pub mod paged;
 pub mod phys;
 pub mod tier;
 pub mod vspace;
 
 pub use file::{FileId, MemFile};
+pub use paged::PagedTable;
 pub use phys::{
     DmaSession, FrameId, MemError, PhysicalMemory, Residency, ResidencySnapshot, PAGE_SIZE,
     POISON_BYTE,

@@ -11,12 +11,13 @@
 //!
 //! [`remap`]: AddressSpace::remap
 
-use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::paged::PagedTable;
 use crate::phys::{DmaSession, FrameId, MemError, PhysicalMemory, PAGE_SIZE};
 
 /// Pages a [`PageSpan`] holds inline before spilling to the heap. Slot- and
@@ -150,11 +151,15 @@ pub struct Translation {
     pub epoch: u64,
 }
 
+/// One page-table entry. Epochs start at 1, so a vacant slot of the table
+/// is the all-zero entry and four entries share a cache line.
 #[derive(Debug, Clone, Copy)]
 struct Pte {
     frame: FrameId,
-    epoch: u64,
+    epoch: NonZeroU64,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<Pte>>() == 16);
 
 /// A per-process virtual address space with mmap/munmap/remap.
 ///
@@ -164,7 +169,8 @@ struct Pte {
 /// addresses after a `ReleasePtr` (§3.3).
 pub struct AddressSpace {
     phys: Arc<PhysicalMemory>,
-    table: RwLock<BTreeMap<u64, Pte>>,
+    /// Indexed by virtual page number.
+    table: RwLock<PagedTable<Pte>>,
     next_va: AtomicU64,
     epoch_counter: AtomicU64,
     remaps: AtomicU64,
@@ -188,7 +194,7 @@ impl AddressSpace {
     pub fn new(phys: Arc<PhysicalMemory>) -> Self {
         AddressSpace {
             phys,
-            table: RwLock::new(BTreeMap::new()),
+            table: RwLock::new(PagedTable::default()),
             next_va: AtomicU64::new(Self::MMAP_BASE),
             epoch_counter: AtomicU64::new(1),
             remaps: AtomicU64::new(0),
@@ -202,6 +208,12 @@ impl AddressSpace {
 
     fn page_of(va: u64) -> u64 {
         va / PAGE_SIZE as u64
+    }
+
+    /// A fresh entry for `frame`, stamped with the next epoch.
+    fn next_pte(&self, frame: FrameId) -> Pte {
+        let epoch = self.epoch_counter.fetch_add(1, Ordering::Relaxed);
+        Pte { frame, epoch: NonZeroU64::new(epoch).expect("the epoch counter starts at 1") }
     }
 
     /// Maps `frames` at a fresh, page-aligned virtual address (like `mmap`
@@ -237,7 +249,7 @@ impl AddressSpace {
         }
         let mut table = self.table.write();
         for i in 0..frames.len() as u64 {
-            if table.contains_key(&(base + i)) {
+            if table.get(base + i).is_some() {
                 drop(table);
                 for &f in frames {
                     self.phys.release(f);
@@ -246,8 +258,7 @@ impl AddressSpace {
             }
         }
         for (i, &frame) in frames.iter().enumerate() {
-            let epoch = self.epoch_counter.fetch_add(1, Ordering::Relaxed);
-            table.insert(base + i as u64, Pte { frame, epoch });
+            table.insert(base + i as u64, self.next_pte(frame));
         }
         Ok(())
     }
@@ -261,12 +272,12 @@ impl AddressSpace {
         let mut table = self.table.write();
         // Validate first so the operation is atomic.
         for i in 0..pages as u64 {
-            if !table.contains_key(&(base + i)) {
+            if table.get(base + i).is_none() {
                 return Err(MemError::Unmapped(va + i * PAGE_SIZE as u64));
             }
         }
         let freed: Vec<FrameId> = (0..pages as u64)
-            .map(|i| table.remove(&(base + i)).expect("validated above").frame)
+            .map(|i| table.remove(base + i).expect("validated above").frame)
             .collect();
         // Release outside the table lock (see `mmap_fixed` on lock order).
         drop(table);
@@ -299,7 +310,7 @@ impl AddressSpace {
         }
         let mut table = self.table.write();
         for i in 0..new_frames.len() as u64 {
-            if !table.contains_key(&(base + i)) {
+            if table.get(base + i).is_none() {
                 drop(table);
                 for &f in new_frames {
                     self.phys.release(f);
@@ -309,9 +320,8 @@ impl AddressSpace {
         }
         let mut displaced = Vec::with_capacity(new_frames.len());
         for (i, &frame) in new_frames.iter().enumerate() {
-            let epoch = self.epoch_counter.fetch_add(1, Ordering::Relaxed);
-            let old = table.insert(base + i as u64, Pte { frame, epoch }).expect("validated above");
-            displaced.push(old.frame);
+            let pte = table.get_mut(base + i as u64).expect("validated above");
+            displaced.push(std::mem::replace(pte, self.next_pte(frame)).frame);
         }
         drop(table);
         for frame in displaced {
@@ -324,13 +334,13 @@ impl AddressSpace {
     /// Resolves the translation of the page containing `va`.
     pub fn translate(&self, va: u64) -> Result<Translation, MemError> {
         let table = self.table.read();
-        let pte = table.get(&Self::page_of(va)).ok_or(MemError::Unmapped(va))?;
-        Ok(Translation { frame: pte.frame, epoch: pte.epoch })
+        let pte = table.get(Self::page_of(va)).ok_or(MemError::Unmapped(va))?;
+        Ok(Translation { frame: pte.frame, epoch: pte.epoch.get() })
     }
 
     /// Whether the page containing `va` is mapped.
     pub fn is_mapped(&self, va: u64) -> bool {
-        self.table.read().contains_key(&Self::page_of(va))
+        self.table.read().get(Self::page_of(va)).is_some()
     }
 
     /// CPU read through the MMU; may cross page boundaries.
@@ -350,7 +360,7 @@ impl AddressSpace {
             // slot-sized accesses: one table lock, one lookup, one copy.
             let frame = {
                 let table = self.table.read();
-                table.get(&Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
+                table.get(Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
             };
             return self.phys.read(frame, (va % PAGE_SIZE as u64) as usize, buf);
         }
@@ -372,7 +382,7 @@ impl AddressSpace {
         if Self::page_of(va) == Self::page_of(last) {
             let frame = {
                 let table = self.table.read();
-                table.get(&Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
+                table.get(Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
             };
             return self.phys.write(frame, (va % PAGE_SIZE as u64) as usize, buf);
         }
@@ -416,7 +426,7 @@ impl AddressSpace {
                 // Report the same address the per-page walk used to: the
                 // requested va for the first page, the page base after.
                 let page_va = if i == 0 { va } else { vpn * PAGE_SIZE as u64 };
-                frames[i] = table.get(&vpn).ok_or(MemError::Unmapped(page_va))?.frame;
+                frames[i] = table.get(vpn).ok_or(MemError::Unmapped(page_va))?.frame;
             }
         }
         Ok(span)
@@ -425,6 +435,12 @@ impl AddressSpace {
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
         self.table.read().len()
+    }
+
+    /// Resident page-table leaves.
+    #[cfg(test)]
+    fn table_leaves(&self) -> usize {
+        self.table.read().leaves()
     }
 
     /// Number of remap operations performed.
@@ -537,6 +553,56 @@ mod tests {
             aspace.remap(AddressSpace::MMAP_BASE, &frames),
             Err(MemError::Unmapped(_))
         ));
+    }
+
+    #[test]
+    fn far_fixed_mapping_costs_one_leaf() {
+        let (_pm, aspace, frames) = setup(1);
+        let va = AddressSpace::MMAP_BASE + (1 << 40);
+        aspace.mmap_fixed(va, &frames).unwrap();
+        assert_eq!((aspace.mapped_pages(), aspace.table_leaves()), (1, 1));
+        assert_eq!(aspace.translate(va + 5).unwrap().frame, frames[0]);
+        assert!(!aspace.is_mapped(va - PAGE_SIZE as u64));
+        aspace.munmap(va, 1).unwrap();
+        assert_eq!((aspace.mapped_pages(), aspace.table_leaves()), (0, 0));
+    }
+
+    #[test]
+    fn sliding_window_keeps_the_table_bounded() {
+        // Vaddrs are never reused: 100 K pages pass through a 1 K-page
+        // window, and the table holds the window, not the history.
+        const WINDOW: usize = 1_000;
+        let (_pm, aspace, frames) = setup(1);
+        let mut live = std::collections::VecDeque::new();
+        for _ in 0..100_000 {
+            live.push_back(aspace.mmap(&frames).unwrap());
+            if live.len() > WINDOW {
+                aspace.munmap(live.pop_front().unwrap(), 1).unwrap();
+            }
+            assert_eq!(aspace.mapped_pages(), live.len());
+            assert!(aspace.table_leaves() <= WINDOW / crate::paged::LEAF_SLOTS + 2);
+        }
+        assert!(live.iter().all(|&va| aspace.is_mapped(va)));
+        assert!(!aspace.is_mapped(live[0] - PAGE_SIZE as u64));
+    }
+
+    #[test]
+    fn failed_remap_and_munmap_name_the_first_bad_page_and_change_nothing() {
+        let (pm, aspace, frames) = setup(3);
+        let va = aspace.mmap(&frames).unwrap();
+        let page = PAGE_SIZE as u64;
+        aspace.munmap(va + page, 1).unwrap();
+        let before = aspace.translate(va).unwrap();
+        assert_eq!(aspace.munmap(va, 3), Err(MemError::Unmapped(va + page)));
+        assert_eq!(aspace.remap(va, &frames), Err(MemError::Unmapped(va + page)));
+        assert_eq!(
+            aspace.mmap_fixed(va + page, &frames[..2]),
+            Err(MemError::AlreadyMapped(va + 2 * page))
+        );
+        assert_eq!(aspace.translate(va).unwrap(), before);
+        assert_eq!((aspace.mapped_pages(), aspace.remaps()), (2, 0));
+        // allocator ref + one mapping each for the mapped pages, allocator only for the hole
+        assert_eq!(frames.iter().map(|&f| pm.ref_count(f)).collect::<Vec<_>>(), [2, 1, 2]);
     }
 
     #[test]

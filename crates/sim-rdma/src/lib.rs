@@ -32,9 +32,9 @@
 //! - [`rpc`]: a two-sided SEND/RECV fabric (crossbeam channels) used by the
 //!   threaded CoRM server.
 
-pub mod cache;
 pub mod fault;
 pub mod latency;
+mod mtt;
 pub mod mux;
 pub mod pool;
 pub mod qp;
@@ -43,7 +43,6 @@ pub mod rpc;
 pub mod sched;
 pub mod wq;
 
-pub use cache::LruCache;
 pub use corm_sim_core::lanes::LaneId;
 pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};

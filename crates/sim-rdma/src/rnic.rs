@@ -14,16 +14,18 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::lanes::LaneId;
 use corm_sim_core::resource::FifoResource;
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_mem::{AddressSpace, DmaSession, FarTier, FrameId, MemError, Residency, PAGE_SIZE};
+use corm_sim_mem::{
+    AddressSpace, DmaSession, FarTier, FrameId, MemError, PagedTable, Residency, Translation,
+    PAGE_SIZE,
+};
 use corm_trace::{Stage, TraceHandle, Track};
 
-use crate::cache::LruCache;
 use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind};
 use crate::latency::LatencyModel;
+use crate::mtt::MttShard;
 use crate::pool::{BufPool, PooledBuf};
 use crate::sched::{QosConfig, QosScheduler, TrafficClass};
 use crate::wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
@@ -189,30 +191,47 @@ impl Default for RnicConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MttEntry {
-    frame: FrameId,
-    epoch: u64,
+/// The first key issued. Keys go out in pairs — `lkey` even, `rkey` the odd
+/// number after it — and are never reissued.
+const FIRST_KEY: u32 = 0x1000;
+
+/// One region-table slot, padded from 40 bytes to a cache line of its own
+/// so that a verb's look-up never reads two.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct RegionSlot {
+    mr: MemoryRegion,
+    /// End of the region's latest `rereg_mr` busy window (zero: none yet).
+    busy_until: SimTime,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<RegionSlot>>() == 64);
 
 /// Region/key metadata, touched on every verb only for a read-mostly
 /// lookup. Registration paths take the write lock; the hot path never
 /// does.
-#[derive(Debug)]
 struct RegionTable {
-    regions: FastHashMap<u32, MemoryRegion>,
-    /// Regions mid-`rereg_mr`: rkey → end of the busy window.
-    busy_until: FastHashMap<u32, SimTime>,
+    /// Indexed by the rkey's position in the issue order.
+    regions: PagedTable<RegionSlot>,
     next_key: u32,
 }
 
-/// One MTT shard: the translations whose vpn hashes here plus that slice
-/// of the on-chip translation cache. Concurrent verbs on different pages
-/// lock different shards.
-#[derive(Debug)]
-struct MttShard {
-    mtt: FastHashMap<u64, MttEntry>,
-    cache: LruCache<u64, ()>,
+impl RegionTable {
+    /// Where `rkey`'s slot sits, if `rkey` has the form of an issued key.
+    #[inline]
+    fn index(rkey: u32) -> Option<u64> {
+        let nth = rkey.checked_sub(FIRST_KEY + 1)?;
+        nth.is_multiple_of(2).then_some(nth as u64 / 2)
+    }
+
+    #[inline]
+    fn get(&self, rkey: u32) -> Result<&RegionSlot, RdmaError> {
+        Self::index(rkey).and_then(|i| self.regions.get(i)).ok_or(RdmaError::InvalidKey(rkey))
+    }
+
+    fn get_mut(&mut self, rkey: u32) -> Result<&mut RegionSlot, RdmaError> {
+        Self::index(rkey).and_then(|i| self.regions.get_mut(i)).ok_or(RdmaError::InvalidKey(rkey))
+    }
 }
 
 /// Doorbell-batch-scoped MTT shard guards. The serve paths prescan which
@@ -225,8 +244,11 @@ struct MttShard {
 /// batch-at-a-time instead of page-at-a-time, and virtual time never
 /// depends on lock timing.
 struct ShardGuards<'a> {
-    guards: Vec<Option<MutexGuard<'a, MttShard>>>,
+    guards: [Option<MutexGuard<'a, MttShard>>; MAX_HELD_SHARDS],
 }
+
+/// As many shards as the prescan's 64-bit mask can name.
+const MAX_HELD_SHARDS: usize = 64;
 
 impl<'a> ShardGuards<'a> {
     /// The held guard for shard `idx`.
@@ -303,7 +325,7 @@ pub struct RnicStats {
 pub struct Rnic {
     aspace: Arc<AddressSpace>,
     regions: RwLock<RegionTable>,
-    /// MTT + translation-cache shards, indexed by `vpn % shards.len()`.
+    /// MTT + translation-cache shards; see [`Rnic::locate`].
     shards: Box<[Mutex<MttShard>]>,
     config: RnicConfig,
     /// Fault injectors, one per execution lane (a single injector — the
@@ -343,14 +365,7 @@ impl Rnic {
         // Split the cache budget evenly; every shard keeps at least one
         // entry so small caches still cache.
         let per_shard = config.cache_entries.div_ceil(n_shards).max(1);
-        let shards = (0..n_shards)
-            .map(|_| {
-                Mutex::new(MttShard {
-                    mtt: FastHashMap::default(),
-                    cache: LruCache::new(per_shard),
-                })
-            })
-            .collect();
+        let shards = (0..n_shards).map(|_| Mutex::new(MttShard::new(per_shard))).collect();
         let units = config.processing_units.max(1);
         let engines =
             (0..units).map(|_| Mutex::new(FifoResource::new(config.engine_width.max(1)))).collect();
@@ -361,9 +376,8 @@ impl Rnic {
         Rnic {
             aspace,
             regions: RwLock::new(RegionTable {
-                regions: FastHashMap::default(),
-                busy_until: FastHashMap::default(),
-                next_key: 0x1000,
+                regions: PagedTable::default(),
+                next_key: FIRST_KEY,
             }),
             shards,
             config,
@@ -376,10 +390,13 @@ impl Rnic {
         }
     }
 
-    /// The MTT shard responsible for a virtual page number.
+    /// Where the MTT keeps a virtual page: the shard, and the page's index
+    /// within it. Pages are dealt round-robin, so each shard's indexes are
+    /// as dense as the vpns themselves.
     #[inline]
-    fn shard_of(&self, vpn: u64) -> &Mutex<MttShard> {
-        &self.shards[(vpn % self.shards.len() as u64) as usize]
+    fn locate(&self, vpn: u64) -> (usize, u64) {
+        let n = self.shards.len() as u64;
+        ((vpn % n) as usize, vpn / n)
     }
 
     /// Locks the MTT shards a doorbell batch will touch, once, in
@@ -393,7 +410,7 @@ impl Rnic {
         accesses: impl Iterator<Item = (u64, usize)>,
     ) -> Option<ShardGuards<'_>> {
         let n = self.shards.len();
-        if n > 64 {
+        if n > MAX_HELD_SHARDS {
             return None;
         }
         let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
@@ -405,17 +422,15 @@ impl Rnic {
                 mask = full;
             } else {
                 for vpn in first..=last {
-                    mask |= 1 << (vpn % n as u64);
+                    mask |= 1 << self.locate(vpn).0;
                 }
             }
             if mask == full {
                 break;
             }
         }
-        let mut guards = Vec::with_capacity(n);
-        for (i, shard) in self.shards.iter().enumerate() {
-            guards.push(((mask >> i) & 1 == 1).then(|| shard.lock()));
-        }
+        // `from_fn` walks the indexes forward: ascending lock order.
+        let guards = std::array::from_fn(|i| ((mask >> i) & 1 == 1).then(|| self.shards[i].lock()));
         Some(ShardGuards { guards })
     }
 
@@ -457,6 +472,31 @@ impl Rnic {
         &self.aspace
     }
 
+    /// The page table's current translation of every page of
+    /// `[base, base + pages*PAGE_SIZE)`. Read-only: a page that fails to
+    /// translate fails the caller before it has changed anything.
+    fn snapshot(&self, base: u64, pages: usize) -> Result<Vec<Translation>, RdmaError> {
+        (0..pages).map(|i| Ok(self.aspace.translate(base + (i * PAGE_SIZE) as u64)?)).collect()
+    }
+
+    /// Installs `t` as the MTT's translation of page `vpn`. `uncache` also
+    /// drops the page from the translation cache.
+    fn install(&self, vpn: u64, t: Translation, uncache: bool) {
+        let (shard, page) = self.locate(vpn);
+        let mut shard = self.shards[shard].lock();
+        shard.install(page, t);
+        if uncache {
+            shard.uncache(page);
+        }
+    }
+
+    /// Installs a [`Rnic::snapshot`] of the pages from `base` on.
+    fn install_all(&self, base: u64, fresh: &[Translation], uncache: bool) {
+        for (i, &t) in fresh.iter().enumerate() {
+            self.install(base / PAGE_SIZE as u64 + i as u64, t, uncache);
+        }
+    }
+
     /// Registers `[base, base + pages*PAGE_SIZE)`. Snapshot-copies the
     /// current page-table entries into the MTT (pinning semantics) and
     /// returns keys. Cost is the same order as `rereg_mr`.
@@ -472,67 +512,66 @@ impl Rnic {
         if !base.is_multiple_of(PAGE_SIZE as u64) {
             return Err(RdmaError::Mem(MemError::Unaligned(base)));
         }
-        let mut entries = Vec::with_capacity(pages);
-        for i in 0..pages {
-            let va = base + (i * PAGE_SIZE) as u64;
-            let t = self.aspace.translate(va)?;
-            entries.push((va / PAGE_SIZE as u64, MttEntry { frame: t.frame, epoch: t.epoch }));
-        }
-        let (lkey, rkey) = {
+        let fresh = self.snapshot(base, pages)?;
+        let lkey = {
             let mut rt = self.regions.write();
             let lkey = rt.next_key;
-            let rkey = rt.next_key + 1;
             rt.next_key += 2;
-            (lkey, rkey)
+            lkey
         };
-        for (vpn, e) in entries {
-            self.shard_of(vpn).lock().mtt.insert(vpn, e);
-        }
-        let mr = MemoryRegion { lkey, rkey, base, pages, odp };
-        self.regions.write().regions.insert(rkey, mr);
+        self.install_all(base, &fresh, false);
+        let mr = MemoryRegion { lkey, rkey: lkey + 1, base, pages, odp };
+        let index = RegionTable::index(mr.rkey).expect("a key just issued");
+        self.regions.write().regions.insert(index, RegionSlot { mr, busy_until: SimTime::ZERO });
         Ok((mr, self.config.model.rereg_cost(pages)))
     }
 
     /// Deregisters a region, dropping its MTT entries.
     pub fn deregister(&self, rkey: u32) -> Result<(), RdmaError> {
-        let mr = {
-            let mut rt = self.regions.write();
-            let mr = rt.regions.remove(&rkey).ok_or(RdmaError::InvalidKey(rkey))?;
-            rt.busy_until.remove(&rkey);
-            mr
-        };
+        let removed = RegionTable::index(rkey).and_then(|i| self.regions.write().regions.remove(i));
+        let mr = removed.ok_or(RdmaError::InvalidKey(rkey))?.mr;
         for i in 0..mr.pages {
-            let vpn = mr.base / PAGE_SIZE as u64 + i as u64;
-            let mut shard = self.shard_of(vpn).lock();
-            shard.mtt.remove(&vpn);
-            shard.cache.remove(&vpn);
+            let (shard, page) = self.locate(mr.base / PAGE_SIZE as u64 + i as u64);
+            self.shards[shard].lock().remove(page);
         }
         Ok(())
     }
 
+    /// Re-snapshots every region in `rkeys` under one busy window. Every
+    /// key and every page is checked first, read-only, so a failure leaves
+    /// no window open and the MTT as it was.
+    fn rereg_regions(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
+        let (fresh, cost) = {
+            let mut rt = self.regions.write();
+            let mut fresh = Vec::with_capacity(rkeys.len());
+            let mut max_pages = 0;
+            for &rkey in rkeys {
+                let mr = rt.get(rkey)?.mr;
+                max_pages = max_pages.max(mr.pages);
+                fresh.push((mr.base, self.snapshot(mr.base, mr.pages)?));
+            }
+            let cost = self.config.model.rereg_cost(max_pages);
+            // Open the busy windows before any translation changes:
+            // concurrent one-sided accesses see RegionBusy first, as on
+            // real hardware.
+            for &rkey in rkeys {
+                rt.get_mut(rkey).expect("checked under this lock").busy_until = now + cost;
+            }
+            (fresh, cost)
+        };
+        for (base, fresh) in &fresh {
+            self.install_all(*base, fresh, true);
+        }
+        self.stats.reregs.fetch_add(rkeys.len() as u64, Ordering::Relaxed);
+        Ok(cost)
+    }
+
     /// `ibv_rereg_mr`: re-snapshots the region's translations, preserving
     /// keys. The region is unavailable for `[now, now+cost)`; one-sided
-    /// accesses inside the window break the QP.
+    /// accesses inside the window break the QP. A region with an unmapped
+    /// page fails the verb and stays as it was, window closed.
     pub fn rereg(&self, rkey: u32, now: SimTime) -> Result<SimDuration, RdmaError> {
-        // Open the busy window first: concurrent one-sided accesses see
-        // RegionBusy before any translation changes, as on real hardware.
-        let (mr, cost) = {
-            let mut rt = self.regions.write();
-            let mr = *rt.regions.get(&rkey).ok_or(RdmaError::InvalidKey(rkey))?;
-            let cost = self.config.model.rereg_cost(mr.pages);
-            rt.busy_until.insert(rkey, now + cost);
-            (mr, cost)
-        };
-        for i in 0..mr.pages {
-            let va = mr.base + (i * PAGE_SIZE) as u64;
-            let t = self.aspace.translate(va)?;
-            let vpn = va / PAGE_SIZE as u64;
-            let mut shard = self.shard_of(vpn).lock();
-            shard.mtt.insert(vpn, MttEntry { frame: t.frame, epoch: t.epoch });
-            shard.cache.remove(&vpn);
-        }
-        self.stats.reregs.fetch_add(1, Ordering::Relaxed);
-        Ok(cost)
+        self.rereg_regions(&[rkey], now)
     }
 
     /// Batched `ibv_rereg_mr`: re-snapshots every region in `rkeys` with a
@@ -543,58 +582,25 @@ impl Rnic {
     /// compaction batch's regions all alias the same destination frames).
     ///
     /// The whole batch is validated before any region is touched: an
-    /// unknown key fails the batch with no busy window opened.
+    /// unknown key or an unmapped page fails the batch with no busy window
+    /// opened.
     pub fn rereg_batch(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
         if rkeys.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        let (mrs, cost) = {
-            let mut rt = self.regions.write();
-            let mut mrs = Vec::with_capacity(rkeys.len());
-            let mut max_pages = 0usize;
-            for &rkey in rkeys {
-                let mr = *rt.regions.get(&rkey).ok_or(RdmaError::InvalidKey(rkey))?;
-                max_pages = max_pages.max(mr.pages);
-                mrs.push(mr);
-            }
-            let cost = self.config.model.rereg_cost(max_pages);
-            // Open every busy window before any translation changes, as in
-            // the single-region path.
-            for &rkey in rkeys {
-                rt.busy_until.insert(rkey, now + cost);
-            }
-            (mrs, cost)
-        };
-        for mr in &mrs {
-            for i in 0..mr.pages {
-                let va = mr.base + (i * PAGE_SIZE) as u64;
-                let t = self.aspace.translate(va)?;
-                let vpn = va / PAGE_SIZE as u64;
-                let mut shard = self.shard_of(vpn).lock();
-                shard.mtt.insert(vpn, MttEntry { frame: t.frame, epoch: t.epoch });
-                shard.cache.remove(&vpn);
-            }
-        }
-        self.stats.reregs.fetch_add(rkeys.len() as u64, Ordering::Relaxed);
+        let cost = self.rereg_regions(rkeys, now)?;
         self.stats.rereg_batches.fetch_add(1, Ordering::Relaxed);
         Ok(cost)
     }
 
-    /// Batched `ibv_advise_mr`: prefetches translations for every
-    /// `(rkey, va, pages)` target with a single posted verb. Costs one
-    /// advise over the largest target (the batch shares a
-    /// doorbell/transition; compaction's targets all map the same frames).
-    ///
-    /// The whole batch is validated before any translation is installed.
-    pub fn advise_batch(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
-        if targets.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    /// Prefetches the translations of every `(rkey, va, pages)` target,
+    /// after checking all of them. Costs one advise over the largest.
+    fn advise_targets(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
         let mut max_pages = 0usize;
         {
             let rt = self.regions.read();
             for &(rkey, va, pages) in targets {
-                let mr = rt.regions.get(&rkey).ok_or(RdmaError::InvalidKey(rkey))?;
+                let mr = rt.get(rkey)?.mr;
                 if !mr.odp {
                     return Err(RdmaError::OdpUnsupported);
                 }
@@ -607,40 +613,32 @@ impl Rnic {
         for &(_, va, pages) in targets {
             for i in 0..pages {
                 let page_va = va + (i * PAGE_SIZE) as u64;
-                let t = self.aspace.translate(page_va)?;
-                let vpn = page_va / PAGE_SIZE as u64;
-                self.shard_of(vpn)
-                    .lock()
-                    .mtt
-                    .insert(vpn, MttEntry { frame: t.frame, epoch: t.epoch });
+                self.install(page_va / PAGE_SIZE as u64, self.aspace.translate(page_va)?, false);
             }
         }
         self.stats.advises.fetch_add(targets.len() as u64, Ordering::Relaxed);
-        self.stats.advise_batches.fetch_add(1, Ordering::Relaxed);
         Ok(self.config.model.advise_cost(max_pages))
+    }
+
+    /// Batched `ibv_advise_mr`: prefetches translations for every
+    /// `(rkey, va, pages)` target with a single posted verb. Costs one
+    /// advise over the largest target (the batch shares a
+    /// doorbell/transition; compaction's targets all map the same frames).
+    ///
+    /// The whole batch is validated before any translation is installed.
+    pub fn advise_batch(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
+        if targets.is_empty() {
+            return Ok(SimDuration::ZERO);
+        }
+        let cost = self.advise_targets(targets)?;
+        self.stats.advise_batches.fetch_add(1, Ordering::Relaxed);
+        Ok(cost)
     }
 
     /// `ibv_advise_mr` prefetch: refreshes translations of an ODP region's
     /// pages ahead of the first access.
     pub fn advise(&self, rkey: u32, va: u64, pages: usize) -> Result<SimDuration, RdmaError> {
-        let mr = {
-            let rt = self.regions.read();
-            *rt.regions.get(&rkey).ok_or(RdmaError::InvalidKey(rkey))?
-        };
-        if !mr.odp {
-            return Err(RdmaError::OdpUnsupported);
-        }
-        if !mr.covers(va, pages * PAGE_SIZE) {
-            return Err(RdmaError::OutOfRange { rkey, va, len: pages * PAGE_SIZE });
-        }
-        for i in 0..pages {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            let t = self.aspace.translate(page_va)?;
-            let vpn = page_va / PAGE_SIZE as u64;
-            self.shard_of(vpn).lock().mtt.insert(vpn, MttEntry { frame: t.frame, epoch: t.epoch });
-        }
-        self.stats.advises.fetch_add(1, Ordering::Relaxed);
-        Ok(self.config.model.advise_cost(pages))
+        self.advise_targets(&[(rkey, va, pages)])
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at `(rkey, va)`.
@@ -1112,16 +1110,12 @@ impl Rnic {
         let mr = match memo {
             Some((k, mr)) if *k == rkey => *mr,
             _ => {
-                let mr = *rt.regions.get(&rkey).ok_or(RdmaError::InvalidKey(rkey))?;
-                if !rt.busy_until.is_empty() {
-                    if let Some(&until) = rt.busy_until.get(&rkey) {
-                        if now < until {
-                            return Err(RdmaError::RegionBusy(rkey));
-                        }
-                    }
+                let slot = rt.get(rkey)?;
+                if now < slot.busy_until {
+                    return Err(RdmaError::RegionBusy(rkey));
                 }
-                *memo = Some((rkey, mr));
-                mr
+                *memo = Some((rkey, slot.mr));
+                slot.mr
             }
         };
         if !mr.covers(va, len) {
@@ -1145,13 +1139,13 @@ impl Rnic {
         };
         let mut all_hit = true;
         let mut odp_misses = 0u32;
-        let n_shards = self.shards.len() as u64;
         for vpn in first_vpn..=last_vpn {
+            let (shard, page) = self.locate(vpn);
             let mut fresh;
             let shard: &mut MttShard = match held {
-                Some(h) => h.shard((vpn % n_shards) as usize),
+                Some(h) => h.shard(shard),
                 None => {
-                    fresh = self.shard_of(vpn).lock();
+                    fresh = self.shards[shard].lock();
                     &mut fresh
                 }
             };
@@ -1159,9 +1153,9 @@ impl Rnic {
                 // A forced MTT-cache-miss fault evicts the page's
                 // translation so the normal lookup below takes a genuine
                 // miss.
-                shard.cache.remove(&vpn);
+                shard.uncache(page);
             }
-            let entry = match shard.mtt.get(&vpn).copied() {
+            let entry = match shard.get(page) {
                 Some(e) if !mr.odp => e,
                 maybe => {
                     // ODP region (or missing entry on one): validate epoch
@@ -1177,17 +1171,13 @@ impl Rnic {
                             // Stale or absent: take the ODP miss and install.
                             odp_misses += 1;
                             self.stats.odp_misses.fetch_add(1, Ordering::Relaxed);
-                            let e = MttEntry { frame: current.frame, epoch: current.epoch };
-                            shard.mtt.insert(vpn, e);
-                            e
+                            shard.install(page, current);
+                            current
                         }
                     }
                 }
             };
-            if shard.cache.get(&vpn).is_none() {
-                all_hit = false;
-                shard.cache.insert(vpn, ());
-            }
+            all_hit &= shard.touch(page);
             frames[(vpn - first_vpn) as usize] = entry.frame;
         }
         // Tiering fault path (NP-RDMA): an access that resolved to an
@@ -1300,14 +1290,10 @@ impl Rnic {
     /// Cache hit/miss counters of the translation cache, summed over all
     /// MTT shards.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for shard in self.shards.iter() {
-            let s = shard.lock();
-            hits += s.cache.hits();
-            misses += s.cache.misses();
-        }
-        (hits, misses)
+        self.shards.iter().fold((0, 0), |(hits, misses), shard| {
+            let (h, m) = shard.lock().stats();
+            (hits + h, misses + m)
+        })
     }
 
     /// Number of MTT shards.
@@ -1318,13 +1304,27 @@ impl Rnic {
     /// The MTT's current translation for a page, if any (test/diagnostic
     /// hook: lets tests assert MTT-vs-page-table divergence).
     pub fn mtt_lookup(&self, va: u64) -> Option<FrameId> {
-        let vpn = va / PAGE_SIZE as u64;
-        self.shard_of(vpn).lock().mtt.get(&vpn).map(|e| e.frame)
+        let (shard, page) = self.locate(va / PAGE_SIZE as u64);
+        self.shards[shard].lock().get(page).map(|t| t.frame)
+    }
+
+    /// Whether the page's translation sits in the on-chip cache (test/
+    /// diagnostic hook like [`Rnic::mtt_lookup`]: promotes and counts
+    /// nothing).
+    pub fn mtt_cached(&self, va: u64) -> bool {
+        let (shard, page) = self.locate(va / PAGE_SIZE as u64);
+        self.shards[shard].lock().is_cached(page)
+    }
+
+    /// Resident leaves of the region table.
+    #[cfg(test)]
+    fn region_leaves(&self) -> usize {
+        self.regions.read().regions.leaves()
     }
 
     /// Looks up a region by rkey.
     pub fn region(&self, rkey: u32) -> Option<MemoryRegion> {
-        self.regions.read().regions.get(&rkey).copied()
+        self.regions.read().get(rkey).ok().map(|slot| slot.mr)
     }
 }
 
@@ -1432,6 +1432,63 @@ mod tests {
         let after = t0 + cost;
         rnic.read(mr.rkey, va, &mut buf, after).unwrap();
         assert_eq!(&buf, b"new!");
+    }
+
+    #[test]
+    fn rereg_of_a_region_with_an_unmapped_page_changes_nothing() {
+        let (aspace, rnic, va, frames) = setup(4);
+        let page = PAGE_SIZE as u64;
+        let (a, _) = rnic.register(va, 2, false).unwrap();
+        let (b, _) = rnic.register(va + 2 * page, 2, false).unwrap();
+        let spare = aspace.phys().alloc().unwrap();
+        aspace.remap(va, &[spare]).unwrap();
+        aspace.remap(va + 2 * page, &[spare]).unwrap();
+        aspace.munmap(va + 3 * page, 1).unwrap();
+        let t0 = SimTime::from_micros(100);
+        let unmapped = RdmaError::Mem(MemError::Unmapped(va + 3 * page));
+        assert_eq!(rnic.rereg(b.rkey, t0), Err(unmapped.clone()));
+        assert_eq!(rnic.rereg_batch(&[a.rkey, b.rkey], t0), Err(unmapped));
+        assert_eq!(rnic.rereg_batch(&[a.rkey, 0xdead], t0), Err(RdmaError::InvalidKey(0xdead)));
+        // No window opened, no translation moved, nothing counted.
+        let mut buf = [0u8; 4];
+        rnic.read(a.rkey, va, &mut buf, t0).unwrap();
+        rnic.read(b.rkey, va + 2 * page, &mut buf, t0).unwrap();
+        assert_eq!(rnic.mtt_lookup(va), Some(frames[0]));
+        assert_eq!(rnic.mtt_lookup(va + 2 * page), Some(frames[2]));
+        assert_eq!(rnic.stats.reregs.load(Ordering::Relaxed), 0);
+        // The mapped region still re-registers.
+        let cost = rnic.rereg(a.rkey, t0).unwrap();
+        assert_eq!(rnic.mtt_lookup(va), Some(spare));
+        assert_eq!(rnic.read(a.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(a.rkey)));
+        rnic.read(a.rkey, va, &mut buf, t0 + cost).unwrap();
+    }
+
+    #[test]
+    fn region_table_follows_the_live_key_window() {
+        // rkeys are never reissued: 20 K regions pass through a 600-region
+        // window, and the table holds the window, not the history.
+        const WINDOW: usize = 600;
+        let (_aspace, rnic, va, _) = setup(1);
+        assert_eq!(rnic.region_leaves(), 0);
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..20_000u32 {
+            let (mr, _) = rnic.register(va, 1, i % 2 == 0).unwrap();
+            assert_eq!((mr.lkey, mr.rkey), (FIRST_KEY + 2 * i, FIRST_KEY + 2 * i + 1));
+            live.push_back(mr);
+            if live.len() > WINDOW {
+                let old = live.pop_front().unwrap();
+                rnic.deregister(old.rkey).unwrap();
+                assert_eq!(rnic.deregister(old.rkey), Err(RdmaError::InvalidKey(old.rkey)));
+            }
+            assert!(rnic.region_leaves() <= WINDOW / corm_sim_mem::paged::LEAF_SLOTS + 2);
+        }
+        assert!(live.iter().all(|mr| rnic.region(mr.rkey) == Some(*mr)));
+        // Keys that were never issued — below the first, an lkey, past the
+        // last — and a retired one.
+        for rkey in [0, FIRST_KEY - 1, live[0].lkey, live[0].rkey - 2, FIRST_KEY + 40_001, u32::MAX]
+        {
+            assert_eq!(rnic.region(rkey), None, "{rkey:#x}");
+        }
     }
 
     #[test]

@@ -1,0 +1,321 @@
+//! Differential test of the RNIC's fused MTT and translation cache against
+//! a naive reference: a `HashMap` MTT and, per shard, a `Vec` of cached
+//! pages in recency order.
+//!
+//! Random register / deregister / rereg / advise / remap / unmap / read
+//! sequences (reads forced down the miss path now and then) run against
+//! both. Every verb must report the same `cache_hit` and `odp_misses` and
+//! return the bytes of the frame the reference translates to, and after
+//! every step the two must agree on each page's translation, on which
+//! pages are cached — so on every eviction victim — and on `cache_stats()`.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use corm_sim_core::time::SimTime;
+use corm_sim_mem::{AddressSpace, FrameId, MemError, PhysicalMemory, Translation, PAGE_SIZE};
+use corm_sim_rdma::{
+    FaultConfig, FaultKind, MemoryRegion, RdmaError, Rnic, RnicConfig, ScheduledFault,
+};
+
+/// Pages of virtual address space the sequences play on.
+const PAGES: usize = 96;
+const PAGE: u64 = PAGE_SIZE as u64;
+
+/// One generated step: an operation selector and its raw operands.
+type Step = (u8, usize, usize, bool);
+
+fn is_read(step: &Step) -> bool {
+    step.0 >= 6
+}
+
+/// Every fifth read or so takes the injected MTT-cache-miss fault.
+fn is_forced(step: &Step) -> bool {
+    step.2.is_multiple_of(5)
+}
+
+struct Reference {
+    n_shards: u64,
+    per_shard: usize,
+    mtt: HashMap<u64, Translation>,
+    /// Cached pages per shard, most recently used first.
+    cached: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Reference {
+    fn uncache(&mut self, vpn: u64) {
+        self.cached[(vpn % self.n_shards) as usize].retain(|&v| v != vpn);
+    }
+
+    /// Installs fresh translations of the pages from `base` on.
+    fn install(&mut self, base: u64, fresh: Vec<Translation>, uncache: bool) {
+        for (p, t) in fresh.into_iter().enumerate() {
+            let vpn = base / PAGE + p as u64;
+            self.mtt.insert(vpn, t);
+            if uncache {
+                self.uncache(vpn);
+            }
+        }
+    }
+
+    /// One cache look-up; returns whether it hit.
+    fn touch(&mut self, vpn: u64) -> bool {
+        let lru = &mut self.cached[(vpn % self.n_shards) as usize];
+        match lru.iter().position(|&v| v == vpn) {
+            Some(pos) => {
+                lru.remove(pos);
+                lru.insert(0, vpn);
+                self.hits += 1;
+                true
+            }
+            None => {
+                if lru.len() == self.per_shard {
+                    lru.pop();
+                }
+                lru.insert(0, vpn);
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    /// The verb path of a read of pages `first..=last`: the frames it
+    /// reads, whether every page hit, and the ODP misses it took.
+    fn read(
+        &mut self,
+        aspace: &AddressSpace,
+        odp: bool,
+        first: u64,
+        last: u64,
+        forced: bool,
+    ) -> Result<(Vec<FrameId>, bool, u32), RdmaError> {
+        let (mut frames, mut all_hit, mut odp_misses) = (Vec::new(), true, 0);
+        for vpn in first..=last {
+            if forced {
+                self.uncache(vpn);
+            }
+            let entry = match self.mtt.get(&vpn).copied() {
+                Some(e) if !odp => e,
+                stale => {
+                    let now = aspace
+                        .translate(vpn * PAGE)
+                        .map_err(|_| RdmaError::OdpFault(vpn * PAGE))?;
+                    if stale.map(|e| e.epoch) != Some(now.epoch) {
+                        odp_misses += 1;
+                        self.mtt.insert(vpn, now);
+                    }
+                    now
+                }
+            };
+            all_hit &= self.touch(vpn);
+            frames.push(entry.frame);
+        }
+        Ok((frames, all_hit, odp_misses))
+    }
+}
+
+/// A registration-path verb succeeds exactly when every page of its range
+/// translates, and fails naming the first one that does not. Returns the
+/// verb's value and the translations the reference installs.
+fn settled<T: std::fmt::Debug>(
+    got: Result<T, RdmaError>,
+    pages: Result<Vec<Translation>, MemError>,
+) -> Result<Option<(T, Vec<Translation>)>, TestCaseError> {
+    match (got, pages) {
+        (Ok(value), Ok(fresh)) => Ok(Some((value, fresh))),
+        (Err(e), Err(unmapped)) => {
+            prop_assert_eq!(e, RdmaError::Mem(unmapped));
+            Ok(None)
+        }
+        (got, want) => Err(TestCaseError::fail(format!("verb {got:?}, page table {want:?}"))),
+    }
+}
+
+/// A fresh frame whose every byte names it.
+fn tagged_frame(pm: &PhysicalMemory) -> FrameId {
+    let frame = pm.alloc().unwrap();
+    pm.write(frame, 0, &[frame.0 as u8; PAGE_SIZE]).unwrap();
+    frame
+}
+
+fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
+    let pm = Arc::new(PhysicalMemory::new());
+    let aspace = Arc::new(AddressSpace::new(pm.clone()));
+    let frames: Vec<FrameId> = (0..PAGES).map(|_| tagged_frame(&pm)).collect();
+    let va = aspace.mmap(&frames).unwrap();
+    // The k-th read of the sequence is the NIC's k-th verb.
+    let schedule = steps
+        .iter()
+        .filter(|s| is_read(s))
+        .enumerate()
+        .filter(|(_, s)| is_forced(s))
+        .map(|(k, _)| ScheduledFault { at_op: k as u64, kind: FaultKind::CacheMiss })
+        .collect();
+    let rnic = Rnic::new(
+        aspace.clone(),
+        RnicConfig {
+            mtt_shards: n_shards,
+            cache_entries: capacity,
+            faults: Some(FaultConfig::scripted(schedule)),
+            ..RnicConfig::default()
+        },
+    );
+    let mut model = Reference {
+        n_shards: n_shards as u64,
+        per_shard: capacity.div_ceil(n_shards).max(1),
+        mtt: HashMap::new(),
+        cached: vec![Vec::new(); n_shards],
+        hits: 0,
+        misses: 0,
+    };
+    let mut live: Vec<MemoryRegion> = Vec::new();
+    let translate_all = |base: u64, pages: usize| -> Result<Vec<Translation>, MemError> {
+        (0..pages as u64).map(|i| aspace.translate(base + i * PAGE)).collect()
+    };
+
+    for (i, step) in steps.iter().enumerate() {
+        // Far enough apart that no verb lands in an earlier rereg's window.
+        let now = SimTime::from_millis(i as u64);
+        let &(kind, a, b, flag) = step;
+        let region = (!live.is_empty()).then(|| live[a % live.len()]);
+        match (kind, region) {
+            (0, _) => {
+                let first = a % PAGES;
+                let pages = (1 + b % 4).min(PAGES - first);
+                let base = va + first as u64 * PAGE;
+                let got = rnic.register(base, pages, flag);
+                if let Some(((mr, _), fresh)) = settled(got, translate_all(base, pages))? {
+                    live.push(mr);
+                    model.install(base, fresh, false);
+                }
+            }
+            (1, Some(mr)) => {
+                rnic.deregister(mr.rkey).unwrap();
+                live.swap_remove(a % live.len());
+                for p in 0..mr.pages as u64 {
+                    model.mtt.remove(&(mr.base / PAGE + p));
+                    model.uncache(mr.base / PAGE + p);
+                }
+                prop_assert_eq!(rnic.deregister(mr.rkey), Err(RdmaError::InvalidKey(mr.rkey)));
+            }
+            (2, Some(mr)) => {
+                let got = rnic.rereg(mr.rkey, now);
+                if let Some((_, fresh)) = settled(got, translate_all(mr.base, mr.pages))? {
+                    model.install(mr.base, fresh, true);
+                }
+            }
+            (3, Some(mr)) => {
+                let skip = b % mr.pages;
+                let (base, pages) = (mr.base + skip as u64 * PAGE, mr.pages - skip);
+                let got = rnic.advise(mr.rkey, base, pages);
+                if !mr.odp {
+                    prop_assert_eq!(got, Err(RdmaError::OdpUnsupported));
+                } else {
+                    // Page by page, up to the first that does not translate.
+                    let mut want = Ok(());
+                    for page_va in (0..pages as u64).map(|p| base + p * PAGE) {
+                        match aspace.translate(page_va) {
+                            Ok(t) => model.mtt.insert(page_va / PAGE, t),
+                            Err(unmapped) => {
+                                want = Err(RdmaError::Mem(unmapped));
+                                break;
+                            }
+                        };
+                    }
+                    prop_assert_eq!(got.map(drop), want, "step {}", i);
+                }
+            }
+            (4, _) => {
+                // Move a page to a new frame behind the NIC's back.
+                let page_va = va + (a % PAGES) as u64 * PAGE;
+                if aspace.is_mapped(page_va) {
+                    aspace.remap(page_va, &[tagged_frame(&pm)]).unwrap();
+                }
+            }
+            (5, _) => {
+                let page_va = va + (a % PAGES) as u64 * PAGE;
+                if aspace.is_mapped(page_va) {
+                    aspace.munmap(page_va, 1).unwrap();
+                } else {
+                    aspace.mmap_fixed(page_va, &[tagged_frame(&pm)]).unwrap();
+                }
+            }
+            (_, Some(mr)) if is_read(step) => {
+                let span = mr.pages * PAGE_SIZE;
+                let offset = b % span;
+                let len =
+                    if flag { 1 + a % 64 } else { 1 + a % (2 * PAGE_SIZE) }.min(span - offset);
+                let (start, end) = (mr.base + offset as u64, mr.base + (offset + len) as u64 - 1);
+                let (first, last) = (start / PAGE, end / PAGE);
+                let mut buf = vec![0u8; len];
+                if !mr.odp && (first..=last).any(|vpn| !model.mtt.contains_key(&vpn)) {
+                    // An overlapping region's deregistration took this
+                    // one's translations with it: no such read is issued
+                    // (the verb still has to happen, to keep the count).
+                    let bad = rnic.read(0xdead, start, &mut buf, now);
+                    prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+                } else {
+                    let want = model.read(&aspace, mr.odp, first, last, is_forced(step));
+                    let got = rnic.read(mr.rkey, start, &mut buf, now);
+                    match (got, want) {
+                        (Ok(out), Ok((frames, all_hit, odp_misses))) => {
+                            prop_assert_eq!(
+                                (out.cache_hit, out.odp_misses),
+                                (all_hit, odp_misses),
+                                "step {}",
+                                i
+                            );
+                            for (k, byte) in buf.iter().enumerate() {
+                                let frame = frames[((start + k as u64) / PAGE - first) as usize];
+                                prop_assert_eq!(*byte, frame.0 as u8, "step {} byte {}", i, k);
+                            }
+                        }
+                        (Err(got), Err(want)) => prop_assert_eq!(got, want, "step {}", i),
+                        (got, want) => prop_assert!(false, "step {i}: read {got:?} vs {want:?}"),
+                    }
+                }
+            }
+            _ if is_read(step) => {
+                let bad = rnic.read(0xdead, va, &mut [0u8; 8], now);
+                prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+            }
+            _ => {}
+        }
+        for p in 0..PAGES as u64 {
+            let (page_va, vpn) = (va + p * PAGE, va / PAGE + p);
+            prop_assert_eq!(
+                rnic.mtt_lookup(page_va),
+                model.mtt.get(&vpn).map(|t| t.frame),
+                "step {} page {}: translation",
+                i,
+                p
+            );
+            prop_assert_eq!(
+                rnic.mtt_cached(page_va),
+                model.cached[(vpn % model.n_shards) as usize].contains(&vpn),
+                "step {} page {}: cached",
+                i,
+                p
+            );
+        }
+        prop_assert_eq!(rnic.cache_stats(), (model.hits, model.misses), "step {}", i);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mtt_and_cache_match_the_reference(
+        shards in 0usize..3,
+        capacity in 1usize..=64,
+        steps in prop::collection::vec((0u8..10, 0usize..10_000, 0usize..10_000, any::<bool>()), 1..=2_000),
+    ) {
+        run([1, 3, 8][shards], capacity, &steps)?;
+    }
+}
