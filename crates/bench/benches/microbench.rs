@@ -75,12 +75,15 @@ fn bench_read_batch(c: &mut Criterion) {
 fn bench_scatter_gather(c: &mut Criterion) {
     let header = ObjectHeader::new(42, 3, 7);
     let payload = vec![0xEEu8; consistency::layout(2048).capacity];
-    let image = consistency::scatter(header, &payload, 2048);
+    let mut image = Vec::new();
+    let mut out = vec![0u8; payload.len()];
     let mut g = c.benchmark_group("consistency");
     g.throughput(Throughput::Bytes(2048));
-    g.bench_function("scatter_2KiB", |b| b.iter(|| consistency::scatter(header, &payload, 2048)));
+    g.bench_function("scatter_2KiB", |b| {
+        b.iter(|| consistency::scatter_into(header, &payload, 2048, &mut image))
+    });
     g.bench_function("gather_2KiB", |b| {
-        b.iter(|| consistency::gather(&image, Some(42), payload.len()).unwrap())
+        b.iter(|| consistency::gather_into(&image, Some(42), &mut out).unwrap())
     });
     g.finish();
 }

@@ -42,7 +42,7 @@ use corm_core::server::ServerConfig;
 use corm_core::GlobalPtr;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{MuxQp, QosConfig, QueuePair, RnicConfig, TrafficClass};
+use corm_sim_rdma::{MuxQp, QosConfig, QueuePair, ReadReq, RnicConfig, TrafficClass};
 use corm_trace::TraceHandle;
 
 const LAT_SIZE: usize = 64;
@@ -130,31 +130,23 @@ fn run_isolation_cell(
         if loaded {
             for i in 0..sizes.bulk_per_round {
                 let p = bulk_ptrs[rand::Rng::gen_range(&mut rng, 0..BULK_OBJECTS)];
-                qp.post_read_tagged(
-                    p.rkey,
-                    p.vaddr,
-                    BULK_SIZE,
-                    BULK_BAND | i as u64,
-                    0,
-                    TrafficClass::Bulk,
-                );
+                qp.post(ReadReq {
+                    class: TrafficClass::Bulk,
+                    ..ReadReq::new(BULK_BAND | i as u64, p.rkey, p.vaddr, BULK_SIZE)
+                });
             }
             for i in 0..SYNC_PER_ROUND {
                 let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
-                qp.post_read_tagged(
-                    p.rkey,
-                    p.vaddr,
-                    LAT_SIZE,
-                    SYNC_BAND | i as u64,
-                    0,
-                    TrafficClass::Sync,
-                );
+                qp.post(ReadReq {
+                    class: TrafficClass::Sync,
+                    ..ReadReq::new(SYNC_BAND | i as u64, p.rkey, p.vaddr, LAT_SIZE)
+                });
             }
         }
         for i in 0..sizes.lat_per_round {
             let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
             let tenant = 1 + rand::Rng::gen_range(&mut rng, 0..sizes.tenant_space);
-            qp.post_read_tagged(p.rkey, p.vaddr, LAT_SIZE, i as u64, tenant, TrafficClass::Latency);
+            qp.post(ReadReq { tenant, ..ReadReq::new(i as u64, p.rkey, p.vaddr, LAT_SIZE) });
         }
         qp.ring_doorbell(clock);
         let mut makespan = SimDuration::ZERO;

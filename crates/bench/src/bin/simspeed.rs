@@ -1,20 +1,20 @@
 //! Simulator-speed benchmark binary.
 //!
 //! Measures events/sec and wall-seconds-per-virtual-second on the fixed
-//! `simspeed` workloads (see `corm_bench::simspeed`) and writes the
-//! measurement to `results/simspeed.json`.
+//! `simspeed` workloads (see `corm_bench::simspeed`) and prints the
+//! measurement; a plain run writes nothing.
 //!
-//! - `--update` additionally rewrites the committed `BENCH_simspeed.json`
-//!   at the workspace root, carrying the `baseline_heap` section forward
-//!   from the existing file (or seeding it from this run on first
-//!   publish, or from `CORM_SIMSPEED_HEAP_FIG12`/`_FIG13` if set).
+//! - `--update` rewrites the committed `BENCH_simspeed.json` at the
+//!   workspace root, carrying the `baseline_heap` section forward from the
+//!   existing file (or seeding it from this run on first publish, or from
+//!   `CORM_SIMSPEED_HEAP_FIG12`/`_FIG13` if set), and appends a trajectory
+//!   point keyed by `HEAD` — `<HEAD>+dirty` when the work tree differs
+//!   from it, as it does when the measured change is not committed yet.
 //! - `--smoke` is the CI gate: it compares the fresh measurement against
 //!   the committed `BENCH_simspeed.json` and exits non-zero if any
 //!   workload's events/sec regressed by more than the tolerance (10% by
-//!   default; override with `CORM_SIMSPEED_TOL=0.25` for noisier hosts).
-//!   It also checks the lane sweep: fingerprints must be identical at
-//!   every executor width, and — only on hosts with more than one logical
-//!   CPU — the 4-thread cell must beat the 1-thread cell's wall clock.
+//!   default; override with `CORM_SIMSPEED_TOL=0.25` for noisier hosts)
+//!   or any cell's fingerprint differs from the committed one.
 //! - `--profile` re-runs each cell once with a recording trace handle and
 //!   prints the merged per-stage breakdown (counts, virtual totals, and
 //!   wall totals) from the corm-trace stage registries.
@@ -22,8 +22,8 @@
 use corm_bench::report::{f2, write_json, Json, JsonObject, Table};
 use corm_bench::simspeed::{
     bench_json, committed_bench_path, host_cpus, parse_committed, parse_trajectory,
-    push_trajectory, run_fig12_cell, run_fig13_cell, run_fig13_lanes_cell, run_fig21_cell,
-    run_fig22_cell, stage_profile, SpeedCell, TrajectoryEntry, LANES_CELL_THREADS,
+    push_trajectory, run_fig12_cell, run_fig13_cell, run_fig21_cell, run_fig22_cell, stage_profile,
+    SpeedCell, TrajectoryEntry,
 };
 use corm_trace::TraceHandle;
 
@@ -37,6 +37,16 @@ fn git(args: &[&str]) -> Option<String> {
     let s = String::from_utf8(out.stdout).ok()?;
     let t = s.trim();
     (!t.is_empty()).then(|| t.to_string())
+}
+
+/// The commit a trajectory point is keyed by: `HEAD`, marked `+dirty`
+/// when the measured tree is not what `HEAD` holds.
+fn measured_sha() -> String {
+    let Some(head) = git(&["rev-parse", "--short=12", "HEAD"]) else { return "unknown".into() };
+    match git(&["status", "--porcelain"]) {
+        Some(_) => format!("{head}+dirty"),
+        None => head,
+    }
 }
 
 fn env_f64(name: &str) -> Option<f64> {
@@ -99,14 +109,12 @@ fn main() {
     let fig13 = run_fig13_cell(&trace);
     let fig21 = run_fig21_cell(&trace);
     let fig22 = run_fig22_cell(&trace);
-    let lanes: Vec<SpeedCell> =
-        LANES_CELL_THREADS.iter().map(|&n| run_fig13_lanes_cell(n, &trace)).collect();
 
     let mut t = Table::new(
         format!("simspeed: simulator wall-clock speed (host_cpus={})", host_cpus()),
         &["workload", "events", "wall_ms", "events_per_sec", "wall_per_virt_sec"],
     );
-    for c in [&fig12, &fig13, &fig21, &fig22].into_iter().chain(&lanes) {
+    for c in [&fig12, &fig13, &fig21, &fig22] {
         t.row(&[
             c.workload.to_string(),
             c.events.to_string(),
@@ -116,16 +124,6 @@ fn main() {
         ]);
     }
     t.print();
-
-    for c in &lanes {
-        assert_eq!(
-            (c.events, c.virt, c.fingerprint),
-            (lanes[0].events, lanes[0].virt, lanes[0].fingerprint),
-            "lane cell {} diverged from {}: executor width must never change results",
-            c.workload,
-            lanes[0].workload,
-        );
-    }
 
     let committed_path = committed_bench_path();
     let committed_text = std::fs::read_to_string(&committed_path).ok();
@@ -141,7 +139,7 @@ fn main() {
         trajectory = push_trajectory(
             trajectory,
             TrajectoryEntry {
-                sha: git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into()),
+                sha: measured_sha(),
                 date: git(&["show", "-s", "--format=%cs", "HEAD"])
                     .unwrap_or_else(|| "unknown".into()),
                 fig12_events_per_sec: fig12.events_per_sec(),
@@ -170,16 +168,14 @@ fn main() {
             .or((!trajectory.is_empty()).then(|| slowest(|e| e.fig13_events_per_sec)))
             .unwrap_or_else(|| fig13.events_per_sec()),
     );
-    let doc = bench_json(&fig12, &fig13, &fig21, &fig22, &lanes, heap, &trajectory);
-    let path = write_json("simspeed", &doc).expect("write results json");
-    println!("\njson: {}", path.display());
     println!(
-        "speedup vs BinaryHeap baseline: fig12 {:.2}x, fig13 {:.2}x",
+        "\nspeedup vs BinaryHeap baseline: fig12 {:.2}x, fig13 {:.2}x",
         fig12.events_per_sec() / heap.0,
         fig13.events_per_sec() / heap.1
     );
 
     if update {
+        let doc = bench_json(&fig12, &fig13, &fig21, &fig22, heap, &trajectory);
         std::fs::write(&committed_path, doc.render()).expect("write BENCH_simspeed.json");
         println!("updated {}", committed_path.display());
     }
@@ -259,50 +255,6 @@ fn main() {
         if pinned > 0 {
             println!("fingerprint gate passed: {pinned} serial cells match the committed snapshot");
         }
-        // The lane sweep is gated too: every executor width already agreed
-        // with lanes[0] above, so pinning t1 pins the whole sweep.
-        match committed.fig13_lanes_fingerprint {
-            Some(fp) => {
-                assert_eq!(
-                    lanes[0].fingerprint, fp,
-                    "seeded lane-sweep results drifted from the committed fingerprint",
-                );
-                println!("fingerprint gate passed: lane sweep matches the committed snapshot");
-            }
-            None => println!(
-                "fingerprint gate skipped for the lane sweep: committed snapshot predates \
-                 its fingerprint publication (refresh with --update)"
-            ),
-        }
-        // Lane sweep gate: a multi-CPU host must actually realise the
-        // parallel windows as wall-clock speedup; a 1-CPU host physically
-        // cannot, so only the (always-on) fingerprint identity above
-        // applies there.
-        let (t1, t4) = (&lanes[0], &lanes[1]);
-        if host_cpus() > 1 {
-            assert!(
-                t4.wall_secs < t1.wall_secs,
-                "lane gate: {} ({:.1} ms) should beat {} ({:.1} ms) on a {}-CPU host",
-                t4.workload,
-                t4.wall_secs * 1e3,
-                t1.workload,
-                t1.wall_secs * 1e3,
-                host_cpus(),
-            );
-            println!(
-                "lane gate passed: {} {:.1} ms beats {} {:.1} ms (host_cpus={})",
-                t4.workload,
-                t4.wall_secs * 1e3,
-                t1.workload,
-                t1.wall_secs * 1e3,
-                host_cpus(),
-            );
-        } else {
-            println!(
-                "lane gate skipped: host has 1 logical CPU, thread parallelism cannot \
-                 show wall-clock speedup (fingerprint identity still enforced)"
-            );
-        }
     }
 
     if profile {
@@ -311,7 +263,6 @@ fn main() {
             profile_cell("fig13", run_fig13_cell),
             profile_cell("fig21", run_fig21_cell),
             profile_cell("fig22", run_fig22_cell),
-            profile_cell("fig13_lanes_t4", |t| run_fig13_lanes_cell(4, t)),
         ];
         let doc = JsonObject::new()
             .str("schema", "corm-simspeed-profile-v1")

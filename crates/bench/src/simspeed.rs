@@ -3,7 +3,7 @@
 //!
 //! Every ROADMAP direction (cluster scale-out, million-client QoS,
 //! interleaving checking) is bounded by simulator wall-clock, so this
-//! module gives the repo a perf trajectory: two fixed workloads whose
+//! module gives the repo a perf trajectory: four fixed workloads whose
 //! events/sec and wall-seconds-per-virtual-second are published as
 //! `BENCH_simspeed.json` and gated in CI against >10% regressions.
 //!
@@ -21,13 +21,10 @@
 //!   weighted QoS scheduler on, so the mux completion routing and the
 //!   deficit-weighted admission are on the measured hot path. An *event*
 //!   is one executed WQE.
-//! - **fig13_lanes cells** — the same batched DirectRead shape partitioned
-//!   into [`LANES_CELL_LANES`] sealed lanes and executed by the
-//!   conservative [`LaneEngine`](corm_sim_core::lanes::LaneEngine) at
-//!   executor widths of 1, 4, and 8 threads. The workload and its
-//!   fingerprint are identical at every width; only wall clock may move,
-//!   and only on hosts with more than one logical CPU (published as
-//!   `host_cpus` provenance).
+//! - **fig22 cell** — the batched path against a 2×-oversubscribed
+//!   pinless server, so residency checks, the NIC fault path and
+//!   heat-ranked eviction are on the measured hot path. An *event* is one
+//!   executed WQE.
 //!
 //! Every cell is fully deterministic: same seed → identical virtual-time
 //! results and identical `corm-trace` canonical event streams (pinned by
@@ -86,19 +83,7 @@ pub const FIG22_RATIO: u64 = 2;
 /// fig22 cell: budget enforcement period, in doorbell batches.
 pub const FIG22_ENFORCE_EVERY: usize = 64;
 
-/// Lane cell: logical lanes in the lane-parallel fig13-shaped cell. The
-/// lane count is fixed; the executor width (`threads`) is what the
-/// published sweep varies, so every cell simulates the identical workload.
-pub const LANES_CELL_LANES: usize = 8;
-/// Lane cell: executor widths published in `BENCH_simspeed.json`.
-pub const LANES_CELL_THREADS: [usize; 3] = [1, 4, 8];
-/// Lane cell: per-lane key stream tag (xor'd with the lane index).
-const LANES_KEY_STREAM: u64 = 0x1A9E_5EED;
-
-/// Logical CPUs on this host. Published as provenance next to the lane
-/// cells: wall-clock speedup from `threads > 1` is only physically
-/// possible when this exceeds 1, so readers (and the CI gate) must
-/// interpret the lane sweep relative to it.
+/// Logical CPUs on this host, published as provenance next to the cells.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
@@ -322,109 +307,6 @@ fn fig22_once(ops: usize, trace: &TraceHandle) -> (u64, SimDuration, u64, f64) {
     (events, clock.saturating_since(SimTime::ZERO), fp, wall_secs)
 }
 
-/// Per-lane state of the lane-parallel fig13-shaped cell: one private
-/// server + client + key stream per lane, so lanes never share simulator
-/// state and can be sealed (the whole run drains in one safe window).
-struct LaneCellState {
-    client: CormClient,
-    ptrs: Vec<GlobalPtr>,
-    keys: Vec<usize>,
-    next: usize,
-    bptrs: Vec<GlobalPtr>,
-    bufs: Vec<Vec<u8>>,
-    clock: SimTime,
-    fp: u64,
-}
-
-/// Runs the lane-parallel fig13-shaped cell once: [`LANES_CELL_LANES`]
-/// sealed lanes, each a private populated server driven through the
-/// batched DirectRead path by one event per doorbell batch, executed by
-/// the conservative [`LaneEngine`](corm_sim_core::lanes::LaneEngine) at
-/// the given executor width. Returns (events, virt, fingerprint, wall
-/// seconds); the fingerprint folds per-lane digests in lane order and is
-/// invariant in `threads` (pinned by tests and the CI gate).
-fn fig13_lanes_once(
-    ops: usize,
-    threads: usize,
-    trace: &TraceHandle,
-) -> (u64, SimDuration, u64, f64) {
-    use corm_sim_core::lanes::{Lane, LaneEngine, LaneId};
-    use corm_trace::Stage;
-
-    let per_lane_objects = (FIG13_OBJECTS / LANES_CELL_LANES).max(1);
-    let per_lane_ops = ops.div_ceil(LANES_CELL_LANES);
-    let mut rnics = Vec::with_capacity(LANES_CELL_LANES);
-    let mut lookahead = None;
-    let mut lanes: Vec<Lane<LaneCellState, (), ()>> = (0..LANES_CELL_LANES)
-        .map(|l| {
-            let config =
-                ServerConfig { workers: 1, trace: trace.clone(), ..ServerConfig::default() };
-            let store = populate_server(config, per_lane_objects, FIG13_SIZE);
-            lookahead.get_or_insert_with(|| store.server.model().cross_lane_lookahead());
-            rnics.push(store.server.rnic().clone());
-            let mut rng = corm_sim_core::rng::stream_rng(SEED, LANES_KEY_STREAM ^ l as u64);
-            let keys: Vec<usize> = (0..per_lane_ops)
-                .map(|_| rand::Rng::gen_range(&mut rng, 0..per_lane_objects))
-                .collect();
-            let state = LaneCellState {
-                client: CormClient::connect(store.server.clone()),
-                ptrs: store.ptrs,
-                keys,
-                next: 0,
-                bptrs: Vec::with_capacity(FIG13_BATCH_DEPTH),
-                bufs: vec![vec![0u8; FIG13_SIZE]; FIG13_BATCH_DEPTH],
-                clock: SimTime::ZERO,
-                fp: 0xcbf29ce484222325,
-            };
-            let mut lane = Lane::new(LaneId(l as u32), state);
-            lane.seal();
-            lane.seed(SimTime::ZERO, ());
-            lane
-        })
-        .collect();
-
-    let wqes0: Vec<u64> = rnics.iter().map(|r| r.stats.wqes.load(Relaxed)).collect();
-    let engine = LaneEngine::new(lookahead.expect("at least one lane"), threads);
-    let mut window_wall = trace.wall_start();
-    let wall = Instant::now();
-    engine.run(
-        &mut lanes,
-        |st: &mut LaneCellState, _at, (), ctx| {
-            let end = (st.next + FIG13_BATCH_DEPTH).min(st.keys.len());
-            st.bptrs.clear();
-            st.bptrs.extend(st.keys[st.next..end].iter().map(|&k| st.ptrs[k]));
-            let n = end - st.next;
-            let tb = st
-                .client
-                .read_batch(&mut st.bptrs, &mut st.bufs[..n], st.clock)
-                .expect("lane batch read in speed cell");
-            debug_assert!(tb.value.iter().all(|&v| v == FIG13_SIZE));
-            st.clock += tb.cost;
-            st.fp = mix(st.fp, st.clock.as_nanos());
-            st.next = end;
-            if st.next < st.keys.len() {
-                ctx.schedule(st.clock, ());
-            }
-        },
-        |_w| {
-            trace.count(Stage::LaneWindow);
-            trace.wall_since(Stage::LaneWindow, window_wall);
-            window_wall = trace.wall_start();
-        },
-        |_, _, ()| {},
-    );
-    let wall_secs = wall.elapsed().as_secs_f64();
-
-    let mut fp = 0xcbf29ce484222325;
-    let mut virt = SimDuration::ZERO;
-    for lane in &lanes {
-        fp = mix(fp, lane.state.fp);
-        virt = virt.max(lane.state.clock.saturating_since(SimTime::ZERO));
-    }
-    let events: u64 = rnics.iter().zip(&wqes0).map(|(r, w0)| r.stats.wqes.load(Relaxed) - w0).sum();
-    (events, virt, fp, wall_secs)
-}
-
 fn best_of(repeats: usize, run: impl Fn() -> (u64, SimDuration, u64, f64)) -> SpeedCell {
     let mut best: Option<(u64, SimDuration, u64, f64)> = None;
     for _ in 0..repeats.max(1) {
@@ -467,20 +349,6 @@ pub fn run_fig21_cell(trace: &TraceHandle) -> SpeedCell {
 pub fn run_fig22_cell(trace: &TraceHandle) -> SpeedCell {
     let mut c = best_of(REPEATS, || fig22_once(FIG22_OPS, trace));
     c.workload = "fig22";
-    c
-}
-
-/// Runs the lane-parallel fig13-shaped cell at the given executor width,
-/// best-of-[`REPEATS`] wall clock. The fingerprint is identical for every
-/// `threads` value (same seed, same lanes — only the executor differs).
-pub fn run_fig13_lanes_cell(threads: usize, trace: &TraceHandle) -> SpeedCell {
-    let mut c = best_of(REPEATS, || fig13_lanes_once(FIG13_OPS, threads, trace));
-    c.workload = match threads {
-        1 => "fig13_lanes_t1",
-        4 => "fig13_lanes_t4",
-        8 => "fig13_lanes_t8",
-        _ => "fig13_lanes",
-    };
     c
 }
 
@@ -629,9 +497,6 @@ pub struct CommittedBench {
     pub fig21_fingerprint: Option<u64>,
     /// fig22 result fingerprint at commit time (`None` for old snapshots).
     pub fig22_fingerprint: Option<u64>,
-    /// Lane-sweep result fingerprint at commit time (the t1 cell; every
-    /// executor width must agree with it). `None` for old snapshots.
-    pub fig13_lanes_fingerprint: Option<u64>,
 }
 
 /// Extracts the number following `"key":` after the first occurrence of
@@ -683,7 +548,6 @@ pub fn parse_committed(json: &str) -> Option<CommittedBench> {
         fig13_fingerprint: extract_u64(json, "\"fig13\"", "fingerprint"),
         fig21_fingerprint: extract_u64(json, "\"fig21\"", "fingerprint"),
         fig22_fingerprint: extract_u64(json, "\"fig22\"", "fingerprint"),
-        fig13_lanes_fingerprint: extract_u64(json, "\"fig13_lanes_t1\"", "fingerprint"),
     })
 }
 
@@ -715,16 +579,9 @@ pub fn bench_json(
     fig13: &SpeedCell,
     fig21: &SpeedCell,
     fig22: &SpeedCell,
-    lanes: &[SpeedCell],
     heap: (f64, f64),
     trajectory: &[TrajectoryEntry],
 ) -> Json {
-    let mut lanes_obj = JsonObject::new()
-        .uint("lane_count", LANES_CELL_LANES as u64)
-        .uint("host_cpus", host_cpus() as u64);
-    for c in lanes {
-        lanes_obj = lanes_obj.field(c.workload, c.json());
-    }
     JsonObject::new()
         .str("schema", "corm-simspeed-v1")
         .uint("fig13_ops", FIG13_OPS as u64)
@@ -739,7 +596,6 @@ pub fn bench_json(
         .field("fig13", fig13.json())
         .field("fig21", fig21.json())
         .field("fig22", fig22.json())
-        .field("fig13_lanes", lanes_obj.build())
         .field(
             "baseline_heap",
             JsonObject::new()
@@ -786,15 +642,7 @@ mod tests {
             fingerprint: u64::MAX - 7,
         };
         let history = vec![entry("aaa111", 1.0e6), entry("bbb222", 2.5e6)];
-        let doc = bench_json(
-            &cell,
-            &cell,
-            &cell,
-            &cell,
-            std::slice::from_ref(&cell),
-            (1.0e6, 2.0e6),
-            &history,
-        );
+        let doc = bench_json(&cell, &cell, &cell, &cell, (1.0e6, 2.0e6), &history);
         let parsed = parse_trajectory(&doc.render());
         assert_eq!(parsed, history);
     }
@@ -847,36 +695,6 @@ mod tests {
         assert_eq!(ea, 512, "every key becomes exactly one WQE");
     }
 
-    /// The lane cell's results are a pure function of the seed — the
-    /// executor width must never leak into events, virtual time, or the
-    /// fingerprint (the invariant the published lanes sweep rests on).
-    #[test]
-    fn lane_cell_fingerprint_is_invariant_in_executor_width() {
-        let t = TraceHandle::disabled();
-        let (e1, v1, f1, _) = fig13_lanes_once(2048, 1, &t);
-        for threads in [2, 4, 8] {
-            let (e, v, f, _) = fig13_lanes_once(2048, threads, &t);
-            assert_eq!((e1, v1, f1), (e, v, f), "threads={threads} diverged from serial");
-        }
-        assert_eq!(e1, 2048, "every key becomes exactly one WQE across the lanes");
-    }
-
-    /// `--profile`'s merged per-stage rows: the lane cell must surface
-    /// `lane_window` activity (count and wall total) through the trace
-    /// handle's stage totals.
-    #[test]
-    fn lane_cell_profiles_its_windows() {
-        let trace = TraceHandle::recording();
-        let _ = fig13_lanes_once(1024, 2, &trace);
-        let rows = stage_profile(&trace);
-        let lane_window = rows
-            .iter()
-            .find(|(name, ..)| *name == "lane_window")
-            .expect("lane cell records lane_window stage totals");
-        assert!(lane_window.1 > 0, "at least one window counted");
-        assert!(lane_window.3 > 0, "window drains accumulate wall time");
-    }
-
     /// The tiered pinless cell is seeded-deterministic end to end: costs,
     /// fault counts (via the folded clock), and eviction order all replay.
     #[test]
@@ -927,36 +745,13 @@ mod tests {
             virt: SimDuration::from_millis(300),
             fingerprint: 46,
         };
-        let lanes = [
-            SpeedCell {
-                workload: "fig13_lanes_t1",
-                events: 4000,
-                wall_secs: 1.0,
-                virt: SimDuration::from_millis(300),
-                fingerprint: 45,
-            },
-            SpeedCell {
-                workload: "fig13_lanes_t4",
-                events: 4000,
-                wall_secs: 0.5,
-                virt: SimDuration::from_millis(300),
-                fingerprint: 45,
-            },
-        ];
-        let doc = bench_json(&a, &b, &c, &d, &lanes, (1000.0, 4000.0), &[]).render();
-        assert!(
-            extract_number(&doc, "\"fig13_lanes_t4\"", "events_per_sec")
-                .is_some_and(|eps| (eps - 8000.0).abs() < 1e-9),
-            "lane cells must be addressable by their own anchors"
-        );
-        assert!(extract_number(&doc, "\"fig13_lanes\"", "host_cpus").is_some());
+        let doc = bench_json(&a, &b, &c, &d, (1000.0, 4000.0), &[]).render();
         let parsed = parse_committed(&doc).expect("parse back");
         assert!((parsed.fig12_events_per_sec - 2000.0).abs() < 1e-9);
         assert!((parsed.fig13_events_per_sec - 8000.0).abs() < 1e-9);
         assert!((parsed.fig21_events_per_sec.expect("fig21 present") - 6000.0).abs() < 1e-9);
         assert!((parsed.fig22_events_per_sec.expect("fig22 present") - 3000.0).abs() < 1e-9);
         assert_eq!(parsed.fig22_fingerprint, Some(46));
-        assert_eq!(parsed.fig13_lanes_fingerprint, Some(45));
         assert!((parsed.heap_fig12_events_per_sec - 1000.0).abs() < 1e-9);
         assert!((parsed.heap_fig13_events_per_sec - 4000.0).abs() < 1e-9);
         assert_eq!(

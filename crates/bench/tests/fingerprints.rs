@@ -1,6 +1,6 @@
 //! Fingerprint identity against the committed benchmark snapshot.
 //!
-//! The five `simspeed` cells fold their seeded results into order-sensitive
+//! The four `simspeed` cells fold their seeded results into order-sensitive
 //! digests that `BENCH_simspeed.json` pins. Perf work on the simulator is
 //! allowed to make these cells faster, never different: any drift here
 //! means seeded behaviour changed. This is the same check `simspeed
@@ -8,8 +8,8 @@
 //! catches a drift before a benchmark run does.
 
 use corm_bench::simspeed::{
-    committed_bench_path, parse_committed, run_fig12_cell, run_fig13_cell, run_fig13_lanes_cell,
-    run_fig21_cell, run_fig22_cell,
+    committed_bench_path, parse_committed, run_fig12_cell, run_fig13_cell, run_fig21_cell,
+    run_fig22_cell,
 };
 use corm_trace::TraceHandle;
 
@@ -23,16 +23,11 @@ fn seeded_cells_match_committed_fingerprints() {
     let committed = parse_committed(&text)
         .unwrap_or_else(|| panic!("{} exists but did not parse", path.display()));
     let trace = TraceHandle::disabled();
-    let checks: [(&str, u64, Option<u64>); 5] = [
+    let checks: [(&str, u64, Option<u64>); 4] = [
         ("fig12", run_fig12_cell(&trace).fingerprint, committed.fig12_fingerprint),
         ("fig13", run_fig13_cell(&trace).fingerprint, committed.fig13_fingerprint),
         ("fig21", run_fig21_cell(&trace).fingerprint, committed.fig21_fingerprint),
         ("fig22", run_fig22_cell(&trace).fingerprint, committed.fig22_fingerprint),
-        (
-            "fig13_lanes",
-            run_fig13_lanes_cell(1, &trace).fingerprint,
-            committed.fig13_lanes_fingerprint,
-        ),
     ];
     for (name, got, want) in checks {
         match want {

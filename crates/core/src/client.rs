@@ -937,7 +937,7 @@ impl CormClient {
             let cost = verb.latency + check;
             total += cost;
             clock += cost;
-            match consistency::gather(image, Some(ptr.obj_id), 0) {
+            match consistency::gather_into(image, Some(ptr.obj_id), &mut []) {
                 Ok((header, _)) => {
                     // Re-scatter in place: the validated image is dead
                     // after the header is extracted.
@@ -1026,12 +1026,8 @@ impl CormClient {
         image.resize(slot_bytes, 0);
         self.server.aspace().read(ptr.vaddr, image)?;
         let cost = self.server.model().local_read_cost(slot_bytes);
-        match consistency::gather(image, Some(ptr.obj_id), buf.len()) {
-            Ok((_, payload)) => {
-                let n = payload.len().min(buf.len());
-                buf[..n].copy_from_slice(&payload[..n]);
-                Ok(Timed::new(n, cost))
-            }
+        match consistency::gather_into(image, Some(ptr.obj_id), buf) {
+            Ok((_, n)) => Ok(Timed::new(n, cost)),
             Err(ReadFailure::IdMismatch { .. } | ReadFailure::NotValid) => {
                 // Not at the hint (relocated, or its old slot was freed):
                 // fall back to an RPC read, which corrects the pointer.

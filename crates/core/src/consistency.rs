@@ -76,21 +76,10 @@ pub fn layout(slot_bytes: usize) -> SlotLayout {
     SlotLayout { slot_bytes, lines, capacity: slot_bytes - HEADER_BYTES - (lines - 1) }
 }
 
-/// Builds the full slot image for an object: header, version bytes, and
-/// payload scattered around them.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds the slot's capacity.
-pub fn scatter(header: ObjectHeader, payload: &[u8], slot_bytes: usize) -> Vec<u8> {
-    let mut image = Vec::new();
-    scatter_into(header, payload, slot_bytes, &mut image);
-    image
-}
-
-/// Allocation-free [`scatter`]: builds the slot image in `out`, which is
-/// cleared and zero-filled first so a recycled buffer produces an image
-/// byte-identical to a fresh allocation.
+/// Builds the full slot image for an object in `out` — header, version
+/// bytes, and payload scattered around them. `out` is cleared and
+/// zero-filled first, so a recycled buffer produces an image byte-identical
+/// to a fresh allocation.
 ///
 /// # Panics
 ///
@@ -128,23 +117,10 @@ pub fn scatter_into(header: ObjectHeader, payload: &[u8], slot_bytes: usize, out
     }
 }
 
-/// Validates a slot image read lock-free and extracts up to `want` payload
-/// bytes. `expect_id` enables the relocation check of §3.2.2.
-pub fn gather(
-    image: &[u8],
-    expect_id: Option<u16>,
-    want: usize,
-) -> Result<(ObjectHeader, Vec<u8>), ReadFailure> {
-    let lay = layout(image.len());
-    let mut payload = vec![0u8; want.min(lay.capacity)];
-    let (header, n) = gather_into(image, expect_id, &mut payload)?;
-    payload.truncate(n);
-    Ok((header, payload))
-}
-
-/// Allocation-free [`gather`]: validates the slot image and copies up to
-/// `out.len()` payload bytes straight into `out` (the RPC hot path's
-/// caller-owned buffer). Returns the header and the bytes written.
+/// Validates a slot image read lock-free and copies up to `out.len()`
+/// payload bytes straight into `out` (the caller-owned buffer). `expect_id`
+/// enables the relocation check of §3.2.2. Returns the header and the bytes
+/// written.
 pub fn gather_into(
     image: &[u8],
     expect_id: Option<u16>,
@@ -203,6 +179,23 @@ mod tests {
 
     fn hdr(id: u16, version: u8) -> ObjectHeader {
         ObjectHeader::new(id, version, 3)
+    }
+
+    fn scatter(header: ObjectHeader, payload: &[u8], slot_bytes: usize) -> Vec<u8> {
+        let mut image = Vec::new();
+        scatter_into(header, payload, slot_bytes, &mut image);
+        image
+    }
+
+    fn gather(
+        image: &[u8],
+        expect_id: Option<u16>,
+        want: usize,
+    ) -> Result<(ObjectHeader, Vec<u8>), ReadFailure> {
+        let mut payload = vec![0u8; want];
+        let (header, n) = gather_into(image, expect_id, &mut payload)?;
+        payload.truncate(n);
+        Ok((header, payload))
     }
 
     #[test]

@@ -107,20 +107,10 @@ pub struct ServerConfig {
     /// QoS scheduling for the node: SLO-class/tenant weights applied to
     /// the RNIC's batched-verb dispatch *and* to the threaded server's
     /// per-worker RPC queues (deficit-weighted class selection). `None` —
-    /// the default — keeps both on their legacy schedules: seeded replays
-    /// are byte-identical to builds predating QoS. Propagated into the
-    /// RNIC's config unless that config carries its own `qos`.
+    /// the default — runs both uniformly (round-robin engines, equal class
+    /// shares). Propagated into the RNIC's config unless that config
+    /// carries its own `qos`.
     pub qos: Option<QosConfig>,
-    /// Execution lanes for windowed lane-parallel simulation. At `1` (the
-    /// default) the node runs the exact classic code path. Above `1`: the
-    /// RNIC is partitioned into this many lanes (per-lane fault streams,
-    /// lane-pinned engine dispatch — see
-    /// [`RnicConfig::lanes`](corm_sim_rdma::RnicConfig)), and the threaded
-    /// server's workers batch their shared-clock advances into
-    /// lookahead-bounded windows committed per lane instead of per op.
-    /// Propagated into the RNIC's config unless that config already asks
-    /// for multiple lanes itself.
-    pub sim_lanes: usize,
     /// Pin budget: maximum DRAM-resident frames before the server starts
     /// spilling cold blocks to the far tier. `None` (the default) disables
     /// tiering entirely — residency is never consulted, no far tier is
@@ -158,7 +148,6 @@ impl Default for ServerConfig {
             compaction_budget: None,
             batch_mtt_sync: false,
             qos: None,
-            sim_lanes: 1,
             pin_budget_frames: None,
             tier: None,
             seed: 0xC0_4D,
@@ -347,9 +336,6 @@ impl CormServer {
         }
         if rnic_config.qos.is_none() {
             rnic_config.qos = config.qos.clone();
-        }
-        if rnic_config.lanes <= 1 {
-            rnic_config.lanes = config.sim_lanes.max(1);
         }
         // A pin budget brings a far tier with it. The director and the RNIC
         // share one tier instance so NIC-side fetches and server-side

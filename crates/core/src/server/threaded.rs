@@ -119,78 +119,6 @@ const YIELD_SERVE_BURST: usize = 32;
 /// Per-worker queue sets, one per traffic class: `queues[class][worker]`.
 type ClassedQueues = Vec<Arc<[RpcQueue<Request, Response>]>>;
 
-/// One worker's open execution window under windowed lane mode
-/// (`ServerConfig::sim_lanes > 1`): clock advances accumulate locally and
-/// publish to the shared Lamport clock in lookahead-bounded commits — one
-/// `fetch_add` (and one trace event) per window instead of per op. Any
-/// observer of the shared clock sees it at most one lookahead stale, the
-/// same conservative bound the lane-parallel event engine runs under.
-struct LaneWindow {
-    /// The lane this worker's windows commit as (`worker % sim_lanes`).
-    lane: u32,
-    /// Window budget: the model's cross-lane lookahead, in nanoseconds.
-    lookahead_ns: u64,
-    /// Shared-clock snapshot the open window is based at.
-    base_ns: u64,
-    /// Virtual time accumulated in the open window, not yet published.
-    adv_ns: u64,
-}
-
-impl LaneWindow {
-    fn open(lane: u32, lookahead: SimDuration) -> Self {
-        LaneWindow { lane, lookahead_ns: lookahead.as_nanos().max(1), base_ns: 0, adv_ns: 0 }
-    }
-
-    /// Serves one request inside the window; commits if the accumulated
-    /// advance reached the lookahead budget.
-    fn serve(
-        &mut self,
-        worker: usize,
-        server: &CormServer,
-        clock: &AtomicU64,
-        request: Request,
-    ) -> (Response, SimDuration) {
-        if self.adv_ns == 0 {
-            self.base_ns = clock.load(Ordering::Relaxed);
-        }
-        let base = self.base_ns;
-        let mut adv = self.adv_ns;
-        let r = serve_with(worker, server, request, &mut |cost| {
-            server.trace().span(
-                Track::Worker(worker as u32),
-                Stage::WorkerServe,
-                0,
-                SimTime::from_nanos(base + adv),
-                cost,
-            );
-            adv += cost.as_nanos();
-            cost
-        });
-        self.adv_ns = adv;
-        if self.adv_ns >= self.lookahead_ns {
-            self.commit(server, clock);
-        }
-        r
-    }
-
-    /// Publishes the open window to the shared clock (no-op when empty).
-    fn commit(&mut self, server: &CormServer, clock: &AtomicU64) {
-        if self.adv_ns == 0 {
-            return;
-        }
-        clock.fetch_add(self.adv_ns, Ordering::Relaxed);
-        server.trace().span(
-            Track::Lane(self.lane),
-            Stage::LaneWindow,
-            0,
-            SimTime::from_nanos(self.base_ns),
-            SimDuration::from_nanos(self.adv_ns),
-        );
-        server.trace().count(Stage::LaneCommit);
-        self.adv_ns = 0;
-    }
-}
-
 /// A running threaded CoRM node.
 pub struct ThreadedServer {
     server: Arc<CormServer>,
@@ -373,22 +301,12 @@ fn worker_loop(
     // Virtual service time this worker has granted each class — the
     // deficit-weighted schedule's state.
     let mut served_ns = [0u64; TrafficClass::COUNT];
-    // Windowed lane mode: this worker commits its clock advances as lane
-    // `worker % sim_lanes`, batched into lookahead-bounded windows. At
-    // `sim_lanes <= 1` the classic per-op commit path runs unchanged.
-    let mut lane_window = (server.config().sim_lanes > 1).then(|| {
-        let lanes = server.config().sim_lanes as u32;
-        LaneWindow::open(worker as u32 % lanes, server.model().cross_lane_lookahead())
-    });
-    let handle = |envelope: Envelope<Request, Response>, lane_window: &mut Option<LaneWindow>| {
+    let handle = |envelope: Envelope<Request, Response>| {
         // Queue wait is host-scheduling time with no virtual meaning: it
         // feeds the secondary (wall) aggregate only, never the event stream.
         server.trace().wall_ns(Stage::RpcQueueWait, envelope.queue_wait().as_nanos() as u64);
         let (request, reply) = envelope.into_parts();
-        let (response, cost) = match lane_window {
-            Some(w) => w.serve(worker, &server, &clock, request),
-            None => serve(worker, &server, &clock, request),
-        };
+        let (response, cost) = serve(worker, &server, &clock, request);
         if let Pacing::Virtual = pacing {
             // Model this worker as a real service station: it stays
             // occupied for the op's virtual cost before the reply goes
@@ -408,7 +326,7 @@ fn worker_loop(
             if let Some(envelope) = queues[c][home].try_poll() {
                 // Charge at least 1ns so zero-cost error replies still
                 // rotate the schedule instead of pinning their class.
-                served_ns[c] += handle(envelope, &mut lane_window).as_nanos().max(1);
+                served_ns[c] += handle(envelope).as_nanos().max(1);
                 served += 1;
             }
             // A dry poll means a sibling stole the entry between the
@@ -424,15 +342,9 @@ fn worker_loop(
         });
         if let Some((c, envelope)) = stolen {
             server.trace().count(Stage::QosSteal);
-            served_ns[c] += handle(envelope, &mut lane_window).as_nanos().max(1);
+            served_ns[c] += handle(envelope).as_nanos().max(1);
             served += 1;
             continue;
-        }
-        // Nothing anywhere: the worker is about to idle, so publish any
-        // open lane window first — observers of the shared clock must
-        // never wait on a parked worker's uncommitted advance.
-        if let Some(w) = &mut lane_window {
-            w.commit(&server, &clock);
         }
         // Block briefly on the home latency queue so an idle fleet parks
         // on its own condvars instead of spinning. Bulk and sync arrivals
@@ -440,7 +352,7 @@ fn worker_loop(
         // the next loop iteration.
         let c = TrafficClass::Latency.index();
         if let Some(envelope) = queues[c][home].poll(Duration::from_millis(5)) {
-            served_ns[c] += handle(envelope, &mut lane_window).as_nanos().max(1);
+            served_ns[c] += handle(envelope).as_nanos().max(1);
             served += 1;
         }
     }
@@ -453,7 +365,7 @@ fn worker_loop(
             let c = class.index();
             for k in 0..n {
                 while let Some(envelope) = queues[c][(home + k) % n].try_poll() {
-                    handle(envelope, &mut lane_window);
+                    handle(envelope);
                     served += 1;
                     drained = true;
                 }
@@ -462,9 +374,6 @@ fn worker_loop(
         if !drained {
             break;
         }
-    }
-    if let Some(w) = &mut lane_window {
-        w.commit(&server, &clock);
     }
     served
 }
@@ -478,7 +387,7 @@ fn serve(
     clock: &AtomicU64,
     request: Request,
 ) -> (Response, SimDuration) {
-    serve_with(worker, server, request, &mut |cost: SimDuration| {
+    let advance = |cost: SimDuration| {
         // fetch_add returns the clock *before* this op, which is exactly
         // the span's start on the worker's Lamport timeline.
         let before = clock.fetch_add(cost.as_nanos(), Ordering::Relaxed);
@@ -490,18 +399,7 @@ fn serve(
             cost,
         );
         cost
-    })
-}
-
-/// The request dispatch shared by the per-op and windowed clock regimes:
-/// `advance` is called with each successful op's cost and owns publishing
-/// it (immediately, or into an open lane window).
-fn serve_with(
-    worker: usize,
-    server: &CormServer,
-    request: Request,
-    advance: &mut dyn FnMut(SimDuration) -> SimDuration,
-) -> (Response, SimDuration) {
+    };
     match request {
         Request::Alloc { len } => match server.alloc(worker, len) {
             Ok(t) => (Response::Ptr(t.value), advance(t.cost)),
@@ -712,47 +610,6 @@ mod tests {
         }
         let served: u64 = ts.shutdown().iter().sum();
         assert_eq!(served, 3);
-    }
-
-    #[test]
-    fn windowed_lane_mode_serves_everything_and_lands_the_clock() {
-        // sim_lanes > 1: workers commit clock advances in lookahead-bounded
-        // lane windows. Every request must still be served exactly once,
-        // and after shutdown (which closes every window) the shared clock
-        // must hold the full sum of op costs — windowing batches the
-        // publication, it never drops virtual time.
-        let server = Arc::new(CormServer::new(ServerConfig {
-            workers: 4,
-            sim_lanes: 4,
-            ..ServerConfig::default()
-        }));
-        let ts = ThreadedServer::start(server);
-        let mut threads = Vec::new();
-        for _ in 0..4 {
-            let client = ts.rpc_client();
-            threads.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    let ptr = match client.call(Request::Alloc { len: 48 }).unwrap() {
-                        Response::Ptr(p) => p,
-                        other => panic!("{other:?}"),
-                    };
-                    let data = vec![i as u8; 48];
-                    match client.call(Request::Write { ptr, data: data.clone() }).unwrap() {
-                        Response::Done(_) => {}
-                        other => panic!("{other:?}"),
-                    }
-                    match client.call(Request::Read { ptr, len: 48 }).unwrap() {
-                        Response::Data { data: got, .. } => assert_eq!(got, data),
-                        other => panic!("{other:?}"),
-                    }
-                }
-            }));
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        let served: u64 = ts.shutdown().iter().sum();
-        assert_eq!(served, 4 * 50 * 3);
     }
 
     #[test]

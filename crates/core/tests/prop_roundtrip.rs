@@ -6,6 +6,12 @@ use corm_core::consistency::{self, ReadFailure};
 use corm_core::header::{LockState, ObjectHeader};
 use corm_core::ptr::GlobalPtr;
 
+fn scatter(header: ObjectHeader, payload: &[u8], slot_bytes: usize) -> Vec<u8> {
+    let mut image = Vec::new();
+    consistency::scatter_into(header, payload, slot_bytes, &mut image);
+    image
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -55,10 +61,11 @@ proptest! {
         let cap = consistency::layout(slot).capacity;
         let payload = &payload[..payload.len().min(cap)];
         let header = ObjectHeader::new(id, version, 1);
-        let image = consistency::scatter(header, payload, slot);
+        let image = scatter(header, payload, slot);
         prop_assert_eq!(image.len(), slot);
-        let (h, got) = consistency::gather(&image, Some(id), payload.len()).unwrap();
-        prop_assert_eq!(&got[..], payload);
+        let mut got = vec![0u8; payload.len()];
+        let (h, n) = consistency::gather_into(&image, Some(id), &mut got).unwrap();
+        prop_assert_eq!(&got[..n], payload);
         prop_assert_eq!(h.version, version);
     }
 
@@ -73,10 +80,10 @@ proptest! {
         let cap = consistency::layout(slot).capacity;
         let payload = vec![0x44u8; cap];
         let header = ObjectHeader::new(9, 100, 1);
-        let mut image = consistency::scatter(header, &payload, slot);
+        let mut image = scatter(header, &payload, slot);
         image[line * 64] = image[line * 64].wrapping_add(delta);
         prop_assert_eq!(
-            consistency::gather(&image, Some(9), cap),
+            consistency::gather_into(&image, Some(9), &mut vec![0u8; cap]),
             Err(ReadFailure::TornRead)
         );
     }

@@ -85,13 +85,6 @@ pub enum Stage {
     /// A worker stealing queued work from a sibling's class queue
     /// (counter; stealing itself is free).
     QosSteal,
-    /// One lane's safe execution window under windowed lane-parallel
-    /// execution: the virtual span `[open, committed)` the lane drained
-    /// before its clock advance was published.
-    LaneWindow,
-    /// A lane committing its window to the shared timeline (counter;
-    /// the commit itself is free in virtual time).
-    LaneCommit,
     /// One page spilled out of DRAM to the far tier (duration = transfer
     /// completion including channel queueing).
     TierSpill,
@@ -123,7 +116,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (sizes the recorder's counter arrays).
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 39;
 
     /// Every stage, in declaration order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -156,8 +149,6 @@ impl Stage {
         Stage::CompactionYield,
         Stage::QosClassWait,
         Stage::QosSteal,
-        Stage::LaneWindow,
-        Stage::LaneCommit,
         Stage::TierSpill,
         Stage::TierFetch,
         Stage::DynamicPin,
@@ -207,8 +198,6 @@ impl Stage {
             Stage::CompactionYield => "compaction_yield",
             Stage::QosClassWait => "qos_class_wait",
             Stage::QosSteal => "qos_steal",
-            Stage::LaneWindow => "lane_window",
-            Stage::LaneCommit => "lane_commit",
             Stage::TierSpill => "tier_spill",
             Stage::TierFetch => "tier_fetch",
             Stage::DynamicPin => "dynamic_pin",
@@ -253,8 +242,6 @@ pub enum Track {
     Worker(u32),
     /// The compaction leader's timeline.
     Compaction,
-    /// One execution lane's windowed timeline.
-    Lane(u32),
 }
 
 impl Track {
@@ -266,7 +253,6 @@ impl Track {
             Track::Compaction => 3,
             Track::EngineUnit(u) => 16 + u as u64,
             Track::Worker(w) => 4096 + w as u64,
-            Track::Lane(l) => 65536 + l as u64,
         }
     }
 
@@ -278,7 +264,6 @@ impl Track {
             Track::Compaction => "compaction".to_string(),
             Track::EngineUnit(u) => format!("engine-unit-{u}"),
             Track::Worker(w) => format!("worker-{w}"),
-            Track::Lane(l) => format!("lane-{l}"),
         }
     }
 }
@@ -330,8 +315,6 @@ mod tests {
             Track::EngineUnit(7),
             Track::Worker(0),
             Track::Worker(63),
-            Track::Lane(0),
-            Track::Lane(7),
         ];
         let mut tids: Vec<u64> = tracks.iter().map(|t| t.tid()).collect();
         tids.sort_unstable();

@@ -8,8 +8,6 @@
 //! - [`SimTime`] / [`SimDuration`]: a nanosecond-resolution virtual clock.
 //! - [`EventQueue`]: a monotonic future-event list used to drive closed-loop
 //!   client simulations (YCSB, throughput timelines).
-//! - [`lanes`]: conservative lane-parallel windowed execution on top of
-//!   per-lane event queues, deterministic regardless of thread count.
 //! - [`FifoResource`]: a multi-server FIFO queueing resource used to model
 //!   server worker pools and the RNIC inbound engine.
 //! - [`rng`]: seeded, reproducible random number utilities.
@@ -23,7 +21,6 @@
 
 pub mod arena;
 pub mod hash;
-pub mod lanes;
 pub mod queue;
 pub mod resource;
 pub mod rng;
@@ -32,7 +29,6 @@ pub mod time;
 
 pub use arena::{SlabArena, SlabHandle};
 pub use hash::{FastBuildHasher, FastHashMap, FastHasher};
-pub use lanes::{Lane, LaneCtx, LaneEngine, LaneId, WindowStats};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use stats::{Histogram, OnlineStats, TimeSeries};

@@ -180,12 +180,12 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at `at` with an explicit tie-breaking `key` in
     /// place of the internal insertion counter: equal-timestamp events pop
-    /// in ascending key order regardless of insertion order. Lane engines
-    /// use this to give cross-lane deliveries an intrinsic, thread-count-
-    /// independent position in the total order. Callers own key uniqueness
-    /// per timestamp; mixing with [`EventQueue::schedule`] on one queue
-    /// compares caller keys against internal counters and is almost never
-    /// what you want.
+    /// in ascending key order regardless of insertion order. This makes
+    /// the tie-break sequence an input: a schedule explorer permutes it to
+    /// enumerate the orders equal-time events can take. Callers own key
+    /// uniqueness per timestamp; mixing with [`EventQueue::schedule`] on one
+    /// queue compares caller keys against internal counters and is almost
+    /// never what you want.
     ///
     /// # Panics
     ///
@@ -248,8 +248,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest pending event only if it fires strictly before
-    /// `horizon` — the window-drain primitive of conservative lane-parallel
-    /// execution: a lane may safely execute everything in `[now, horizon)`.
+    /// `horizon`: drains the window `[now, horizon)` and no further.
     #[inline]
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? >= horizon {

@@ -22,8 +22,8 @@ impl SimTime {
     /// The origin of the simulation timeline.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The far end of the timeline — later than every reachable instant.
-    /// Used as the "unbounded" horizon by windowed lane execution.
+    /// The far end of the timeline — later than every reachable instant:
+    /// the "unbounded" horizon of [`crate::EventQueue::pop_before`].
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `ns` nanoseconds after the origin.

@@ -126,19 +126,9 @@ const FAULT_STREAM: u64 = 0xFA17;
 
 impl FaultInjector {
     /// Builds an injector. The schedule is sorted by verb index.
-    pub fn new(config: FaultConfig) -> Self {
-        FaultInjector::for_lane(config, 0)
-    }
-
-    /// Builds the injector for one execution lane: lane `l` draws from its
-    /// own decorrelated RNG stream and keeps its own per-lane verb counter,
-    /// so lanes served in parallel never race for draws. Lane 0's stream is
-    /// *exactly* the classic `FAULT_STREAM`, making the single-lane default
-    /// byte-identical to [`FaultInjector::new`]. Scripted `at_op` indices
-    /// count that lane's verbs only.
-    pub fn for_lane(mut config: FaultConfig, lane: u32) -> Self {
+    pub fn new(mut config: FaultConfig) -> Self {
         config.schedule.sort_by_key(|s| s.at_op);
-        let rng = stream_rng(config.seed, FAULT_STREAM ^ (u64::from(lane) << 16));
+        let rng = stream_rng(config.seed, FAULT_STREAM);
         FaultInjector {
             config,
             state: Mutex::new(FaultState { rng, op: 0, next_sched: 0, fired: Vec::new() }),
@@ -352,25 +342,6 @@ mod tests {
         assert_eq!(seq.fired(), blk.fired());
         assert_eq!(seq.ops(), blk.ops());
         assert!(!seq.fired().is_empty(), "probs this high must fire in 150+ ops");
-    }
-
-    #[test]
-    fn lane_zero_stream_matches_plain_injector() {
-        let cfg = FaultConfig {
-            seed: 13,
-            transient_prob: 0.02,
-            delay_prob: 0.02,
-            cache_miss_prob: 0.05,
-            ..FaultConfig::default()
-        };
-        let plain = drain(&FaultInjector::new(cfg.clone()), 20_000);
-        let lane0 = drain(&FaultInjector::for_lane(cfg.clone(), 0), 20_000);
-        assert!(!plain.is_empty());
-        assert_eq!(plain, lane0, "lane 0 must be the classic stream");
-        let lane1 = drain(&FaultInjector::for_lane(cfg.clone(), 1), 20_000);
-        let lane2 = drain(&FaultInjector::for_lane(cfg, 2), 20_000);
-        assert_ne!(plain, lane1, "lanes must draw decorrelated streams");
-        assert_ne!(lane1, lane2);
     }
 
     #[test]

@@ -250,17 +250,6 @@ impl LatencyModel {
         self.rpc_rtt + self.per_byte(self.wire_per_byte_ns, len)
     }
 
-    /// The conservative cross-lane lookahead for windowed lane-parallel
-    /// execution: a hard lower bound on how far in the future any event one
-    /// lane can cause on another lane lands. No cross-lane interaction is
-    /// cheaper than ringing a doorbell (the per-batch MMIO write — 0.25 µs
-    /// on the NP-RDMA anchor) or than half the wire round trip, so the
-    /// minimum of the two is safe for every verb and RPC path the model
-    /// prices.
-    pub fn cross_lane_lookahead(&self) -> SimDuration {
-        self.doorbell_cost.min(self.wire_rtt / 2)
-    }
-
     /// DRAM copy cost for `len` bytes.
     pub fn copy_cost(&self, len: usize) -> SimDuration {
         self.per_byte(self.copy_per_byte_ns, len)

@@ -25,10 +25,12 @@
 //!   one-sided READ/WRITE verbs executed against physical frames.
 //! - [`QueuePair`]: reliable connection semantics — invalid accesses move
 //!   the QP to the error state and reconnecting costs milliseconds. QPs
-//!   also expose the asynchronous verb path: `post_read`/`post_write`
-//!   enqueue [`Wqe`]s, `ring_doorbell` admits the batch into the RNIC's
-//!   FIFO inbound engine for one doorbell cost plus per-WQE service, and
-//!   `poll_cq` drains [`Completion`]s in virtual-time order.
+//!   also expose the batched READ path, one doorbell behind two adapters:
+//!   `post` enqueues [`ReadReq`]s, `ring_doorbell` admits the batch into
+//!   the RNIC's engine scheduler for one doorbell cost plus per-WQE
+//!   service, and `poll_cq` drains [`Completion`]s in virtual-time order;
+//!   `read_batch_into` rings the same doorbell over a caller-held batch
+//!   and lands the payloads in the caller's buffers.
 //! - [`rpc`]: a two-sided SEND/RECV fabric (crossbeam channels) used by the
 //!   threaded CoRM server.
 
@@ -43,7 +45,6 @@ pub mod rpc;
 pub mod sched;
 pub mod wq;
 
-pub use corm_sim_core::lanes::LaneId;
 pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};
@@ -51,4 +52,4 @@ pub use pool::{BufPool, PooledBuf};
 pub use qp::{QpDepthStats, QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
 pub use sched::{QosAdmission, QosConfig, QosScheduler, TrafficClass};
-pub use wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+pub use wq::{Completion, ReadReq, ReadResult};

@@ -12,14 +12,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use corm_sim_core::lanes::LaneId;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_trace::Stage;
 
-use crate::pool::PooledBuf;
-use crate::rnic::{RdmaError, Rnic, VerbOutcome};
+use crate::pool::{BufPool, PooledBuf};
+use crate::rnic::{RdmaError, ReadSink, Rnic, VerbOutcome};
 use crate::sched::TrafficClass;
-use crate::wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+use crate::wq::{Completion, ReadReq, ReadResult};
 
 /// Connection state of a queue pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,18 +51,21 @@ pub struct QpDepthStats {
     pub class_sq_depth_max: [u64; TrafficClass::COUNT],
 }
 
+/// Send queue: WQEs posted but not yet admitted by a doorbell.
+#[derive(Default)]
+struct SendQueue {
+    wqes: Vec<ReadReq>,
+    /// How many of `wqes` ride each class.
+    class_depth: [u64; TrafficClass::COUNT],
+}
+
 /// A reliable connected queue pair bound to a remote NIC.
 pub struct QueuePair {
     rnic: Arc<Rnic>,
-    /// The execution lane this QP's doorbell traffic is tagged with
-    /// (lane 0 — the classic untagged path — unless connected with
-    /// [`QueuePair::connect_on_lane`]).
-    lane: LaneId,
     state: Mutex<QpState>,
     reconnects: AtomicU64,
     breaks: AtomicU64,
-    /// Send queue: WQEs posted but not yet admitted by a doorbell.
-    sq: Mutex<Vec<Wqe>>,
+    sq: Mutex<SendQueue>,
     /// Completion queue: executed/flushed WQEs awaiting `poll_cq`.
     cq: Mutex<VecDeque<Completion>>,
     posted: AtomicU64,
@@ -72,9 +74,6 @@ pub struct QueuePair {
     sq_depth_max: AtomicU64,
     cq_depth_max: AtomicU64,
     class_posted: [AtomicU64; TrafficClass::COUNT],
-    /// Current per-class send-queue occupancy (updated under the `sq`
-    /// lock; atomics only so `depth_stats` can read without it).
-    class_sq_depth: [AtomicU64; TrafficClass::COUNT],
     class_sq_depth_max: [AtomicU64; TrafficClass::COUNT],
 }
 
@@ -84,24 +83,66 @@ impl std::fmt::Debug for QueuePair {
     }
 }
 
+/// The queued adapter's sink: payloads stage through the NIC's buffer pool
+/// and ride their [`Completion`] onto the completion queue.
+struct Queued<'a> {
+    pool: &'a Arc<BufPool>,
+    /// The buffer of the request being served.
+    staged: PooledBuf,
+    cq: &'a mut VecDeque<Completion>,
+}
+
+impl ReadSink for Queued<'_> {
+    fn buffer(&mut self, _k: usize, len: usize) -> &mut [u8] {
+        self.staged = self.pool.take(len);
+        &mut self.staged
+    }
+
+    fn complete(
+        &mut self,
+        req: &ReadReq,
+        completed_at: SimTime,
+        result: Result<VerbOutcome, RdmaError>,
+    ) {
+        let staged = std::mem::take(&mut self.staged);
+        let data = if result.is_ok() { staged } else { PooledBuf::empty() };
+        self.cq.push_back(Completion { wr_id: req.wr_id, completed_at, result, data });
+    }
+}
+
+/// The synchronous adapter's sink: payloads land in the caller's buffers,
+/// results in the caller's vector.
+struct Direct<'a> {
+    outs: &'a mut [Vec<u8>],
+    results: &'a mut Vec<ReadResult>,
+}
+
+impl ReadSink for Direct<'_> {
+    fn buffer(&mut self, k: usize, len: usize) -> &mut [u8] {
+        let out = &mut self.outs[k];
+        out.resize(len, 0);
+        out
+    }
+
+    fn complete(
+        &mut self,
+        req: &ReadReq,
+        completed_at: SimTime,
+        result: Result<VerbOutcome, RdmaError>,
+    ) {
+        self.results.push(ReadResult { wr_id: req.wr_id, completed_at, result });
+    }
+}
+
 impl QueuePair {
     /// Creates a connected QP targeting `rnic`.
     pub fn connect(rnic: Arc<Rnic>) -> Self {
-        QueuePair::connect_on_lane(rnic, LaneId(0))
-    }
-
-    /// Creates a connected QP whose doorbell batches carry `lane`'s tag:
-    /// fault draws come from the lane's injector stream and, on a
-    /// multi-lane NIC, engine dispatch pins to `lane % processing_units`.
-    /// `connect` is exactly `connect_on_lane(rnic, LaneId(0))`.
-    pub fn connect_on_lane(rnic: Arc<Rnic>, lane: LaneId) -> Self {
         QueuePair {
             rnic,
-            lane,
             state: Mutex::new(QpState::Connected),
             reconnects: AtomicU64::new(0),
             breaks: AtomicU64::new(0),
-            sq: Mutex::new(Vec::new()),
+            sq: Mutex::default(),
             cq: Mutex::new(VecDeque::new()),
             posted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -109,7 +150,6 @@ impl QueuePair {
             sq_depth_max: AtomicU64::new(0),
             cq_depth_max: AtomicU64::new(0),
             class_posted: Default::default(),
-            class_sq_depth: Default::default(),
             class_sq_depth_max: Default::default(),
         }
     }
@@ -122,11 +162,6 @@ impl QueuePair {
     /// The remote NIC this QP targets.
     pub fn rnic(&self) -> &Arc<Rnic> {
         &self.rnic
-    }
-
-    /// The execution lane this QP's batches are tagged with.
-    pub fn lane(&self) -> LaneId {
-        self.lane
     }
 
     /// One-sided READ through this QP. On any access error the QP breaks.
@@ -170,123 +205,111 @@ impl QueuePair {
         }
     }
 
-    /// Enqueues a READ WQE on the send queue. Nothing executes until
-    /// [`QueuePair::ring_doorbell`]; `wr_id` is echoed in the completion.
-    /// Rides the latency class as the default tenant.
+    /// Enqueues a READ WQE on the send queue as a latency-class request of
+    /// the default tenant: shorthand for [`QueuePair::post`].
     pub fn post_read(&self, rkey: u32, va: u64, len: usize, wr_id: u64) {
-        self.post_read_tagged(rkey, va, len, wr_id, 0, TrafficClass::Latency);
+        self.post(ReadReq::new(wr_id, rkey, va, len));
     }
 
-    /// Enqueues a WRITE WQE on the send queue (latency class, default
-    /// tenant).
-    pub fn post_write(&self, rkey: u32, va: u64, data: Vec<u8>, wr_id: u64) {
-        self.post_write_tagged(rkey, va, data, wr_id, 0, TrafficClass::Latency);
-    }
-
-    /// Enqueues a READ WQE charged to `tenant` under `class`.
-    pub fn post_read_tagged(
-        &self,
-        rkey: u32,
-        va: u64,
-        len: usize,
-        wr_id: u64,
-        tenant: u32,
-        class: TrafficClass,
-    ) {
-        self.post(Wqe { wr_id, op: WqeOp::Read { rkey, va, len }, tenant, class });
-    }
-
-    /// Enqueues a WRITE WQE charged to `tenant` under `class`.
-    pub fn post_write_tagged(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: Vec<u8>,
-        wr_id: u64,
-        tenant: u32,
-        class: TrafficClass,
-    ) {
-        self.post(Wqe { wr_id, op: WqeOp::Write { rkey, va, data }, tenant, class });
-    }
-
-    fn post(&self, wqe: Wqe) {
+    /// Enqueues a WQE on the send queue. Nothing executes until
+    /// [`QueuePair::ring_doorbell`]; `wr_id` is echoed in the completion.
+    pub fn post(&self, req: ReadReq) {
         let mut sq = self.sq.lock();
-        let class = wqe.class.index();
-        sq.push(wqe);
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max(sq.len() as u64, Ordering::Relaxed);
-        self.class_posted[class].fetch_add(1, Ordering::Relaxed);
-        let depth = self.class_sq_depth[class].fetch_add(1, Ordering::Relaxed) + 1;
-        self.class_sq_depth_max[class].fetch_max(depth, Ordering::Relaxed);
-        // Posting is free in virtual time (the doorbell pays); count it so
-        // the metrics registry can report posted-vs-served divergence.
-        self.rnic.trace().count(Stage::WqePost);
+        self.count_posted(std::slice::from_ref(&req), sq.wqes.len(), &sq.class_depth);
+        sq.wqes.push(req);
+        sq.class_depth[req.class.index()] += 1;
+    }
+
+    /// Counts `reqs` as posted onto a send queue holding `depth` WQEs,
+    /// `class_depth[c]` of them of class `c`. Posting is free in virtual
+    /// time (the doorbell pays); the trace counter lets the metrics
+    /// registry report posted-vs-served divergence.
+    fn count_posted(
+        &self,
+        reqs: &[ReadReq],
+        depth: usize,
+        class_depth: &[u64; TrafficClass::COUNT],
+    ) {
+        let n = reqs.len() as u64;
+        self.posted.fetch_add(n, Ordering::Relaxed);
+        self.sq_depth_max.fetch_max(depth as u64 + n, Ordering::Relaxed);
+        let mut per_class = [0u64; TrafficClass::COUNT];
+        for r in reqs {
+            per_class[r.class.index()] += 1;
+        }
+        for (i, &count) in per_class.iter().enumerate() {
+            if count > 0 {
+                self.class_posted[i].fetch_add(count, Ordering::Relaxed);
+                self.class_sq_depth_max[i].fetch_max(class_depth[i] + count, Ordering::Relaxed);
+            }
+        }
+        self.rnic.trace().add(Stage::WqePost, n);
+    }
+
+    /// One doorbell over `reqs`, whichever adapter rang it: the NIC serves
+    /// the batch into `sink`, and a failed WQE moves the QP to the error
+    /// state; if the QP is *already* broken, every WQE completes flushed at
+    /// `now` without reaching the NIC. `cq_depth` is how many completions
+    /// were already waiting to be polled.
+    fn doorbell(&self, reqs: &[ReadReq], now: SimTime, cq_depth: usize, sink: &mut impl ReadSink) {
+        self.doorbells.fetch_add(1, Ordering::Relaxed);
+        if *self.state.lock() == QpState::Error {
+            for req in reqs {
+                sink.complete(req, now, Err(RdmaError::QpBroken));
+            }
+        } else if self.rnic.serve_doorbell(reqs, now, sink) {
+            *self.state.lock() = QpState::Error;
+            self.breaks.fetch_add(1, Ordering::Relaxed);
+        }
+        self.completed.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        self.cq_depth_max.fetch_max((cq_depth + reqs.len()) as u64, Ordering::Relaxed);
     }
 
     /// Rings the doorbell: the entire send queue is handed to the NIC as
     /// one batch, paying a single doorbell cost plus per-WQE engine
-    /// service. Completions (in virtual-time order) are appended to the
-    /// completion queue for [`QueuePair::poll_cq`]. If any WQE fails the
-    /// QP moves to the error state and the rest of the batch is flushed;
-    /// if the QP is *already* broken, every WQE completes flushed without
-    /// reaching the NIC. Returns the number of completions produced.
+    /// service. Completions are appended to the completion queue for
+    /// [`QueuePair::poll_cq`] sorted by completion time (stable, so ties
+    /// keep posting order). If any WQE fails the QP moves to the error
+    /// state and the rest of the batch is flushed; if the QP is *already*
+    /// broken, every WQE completes flushed without reaching the NIC.
+    /// Returns the number of completions produced.
     pub fn ring_doorbell(&self, now: SimTime) -> usize {
-        let mut wqes: Vec<Wqe> = {
+        let mut wqes = {
             let mut sq = self.sq.lock();
-            let wqes = std::mem::take(&mut *sq);
-            // The whole queue drains in one batch; occupancy resets under
-            // the same lock posts update it with.
-            for depth in &self.class_sq_depth {
-                depth.store(0, Ordering::Relaxed);
-            }
-            wqes
+            sq.class_depth = Default::default();
+            std::mem::take(&mut sq.wqes)
         };
-        if wqes.is_empty() {
+        let n = wqes.len();
+        if n == 0 {
             return 0;
         }
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
-        let completions = if *self.state.lock() == QpState::Error {
-            wqes.drain(..)
-                .map(|w| Completion {
-                    wr_id: w.wr_id,
-                    completed_at: now,
-                    result: Err(RdmaError::QpBroken),
-                    data: PooledBuf::empty(),
-                })
-                .collect()
-        } else {
-            let completions = self.rnic.serve_batch_on(self.lane, &mut wqes, now);
-            if completions.iter().any(|c| c.result.is_err()) {
-                *self.state.lock() = QpState::Error;
-                self.breaks.fetch_add(1, Ordering::Relaxed);
-            }
-            completions
-        };
+        {
+            let mut cq = self.cq.lock();
+            let waiting = cq.len();
+            let mut sink =
+                Queued { pool: self.rnic.staging(), staged: PooledBuf::empty(), cq: &mut cq };
+            self.doorbell(&wqes, now, waiting, &mut sink);
+            cq.make_contiguous()[waiting..].sort_by_key(|c| c.completed_at);
+        }
         // Hand the drained vector's capacity back to the send queue so
         // steady-state batches re-post without reallocating.
-        {
-            let mut sq = self.sq.lock();
-            if sq.is_empty() && sq.capacity() < wqes.capacity() {
-                *sq = wqes;
-            }
+        wqes.clear();
+        let mut sq = self.sq.lock();
+        if sq.wqes.is_empty() && sq.wqes.capacity() < wqes.capacity() {
+            sq.wqes = wqes;
         }
-        let n = completions.len();
-        self.completed.fetch_add(n as u64, Ordering::Relaxed);
-        let mut cq = self.cq.lock();
-        cq.extend(completions);
-        self.cq_depth_max.fetch_max(cq.len() as u64, Ordering::Relaxed);
         n
     }
 
-    /// Synchronously executes an all-READ batch, landing each payload
-    /// directly in `outs[k]` (resized to the request's length): the
-    /// zero-copy twin of `post_read`×n + [`QueuePair::ring_doorbell`] +
-    /// [`QueuePair::poll_cq`]. Depth statistics, break/flush behaviour,
-    /// fault draws, and virtual completion times are identical to the
-    /// queued path — only the send/completion-queue traffic and the
-    /// staging copies are gone. `results` is cleared and refilled **in
-    /// posting order**; callers needing virtual-completion order (what
-    /// `poll_cq` returns) sort stably by `completed_at`.
+    /// Synchronously executes a batch, landing each payload directly in
+    /// `outs[k]` (resized to the request's length): [`QueuePair::post`]×n +
+    /// [`QueuePair::ring_doorbell`] + [`QueuePair::poll_cq`] without the
+    /// queue traffic and the staging copies. Depth statistics, break/flush
+    /// behaviour, fault draws, and virtual completion times are those of
+    /// the queued path — both run the same doorbell. `results` is cleared
+    /// and refilled **in posting order**; callers needing
+    /// virtual-completion order (what `poll_cq` returns) sort stably by
+    /// `completed_at`.
     pub fn read_batch_into(
         &self,
         reqs: &[ReadReq],
@@ -299,38 +322,10 @@ impl QueuePair {
             return;
         }
         assert!(outs.len() >= reqs.len(), "one output buffer per request");
-        let n = reqs.len() as u64;
-        // Same bookkeeping as post() + ring_doorbell(): the queues are
-        // bypassed, the accounting is not.
-        self.posted.fetch_add(n, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max(n, Ordering::Relaxed);
-        let mut per_class = [0u64; TrafficClass::COUNT];
-        for r in reqs {
-            per_class[r.class.index()] += 1;
-        }
-        for (i, &count) in per_class.iter().enumerate() {
-            if count > 0 {
-                self.class_posted[i].fetch_add(count, Ordering::Relaxed);
-                self.class_sq_depth_max[i].fetch_max(count, Ordering::Relaxed);
-            }
-        }
-        self.rnic.trace().add(Stage::WqePost, n);
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
-        if *self.state.lock() == QpState::Error {
-            results.extend(reqs.iter().map(|r| ReadResult {
-                wr_id: r.wr_id,
-                completed_at: now,
-                result: Err(RdmaError::QpBroken),
-            }));
-        } else {
-            self.rnic.serve_reads_into_on(self.lane, reqs, outs, now, results);
-            if results.iter().any(|r| r.result.is_err()) {
-                *self.state.lock() = QpState::Error;
-                self.breaks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.completed.fetch_add(n, Ordering::Relaxed);
-        self.cq_depth_max.fetch_max(n, Ordering::Relaxed);
+        // The batch bypasses the queues: it is posted onto, and completes
+        // into, empty ones.
+        self.count_posted(reqs, 0, &[0; TrafficClass::COUNT]);
+        self.doorbell(reqs, now, 0, &mut Direct { outs, results });
     }
 
     /// Drains up to `max` completions from the completion queue, oldest
@@ -343,7 +338,7 @@ impl QueuePair {
 
     /// Current send-queue depth (posted WQEs awaiting a doorbell).
     pub fn sq_depth(&self) -> usize {
-        self.sq.lock().len()
+        self.sq.lock().wqes.len()
     }
 
     /// Current completion-queue depth (completions awaiting `poll_cq`).
@@ -380,10 +375,11 @@ impl QueuePair {
     /// the per-client cost the [`crate::MuxQp`] shared-connection mode
     /// amortizes across tenants.
     pub fn state_bytes(&self) -> usize {
+        let sq = self.sq.lock().wqes.capacity().max(Self::PROVISIONED_DEPTH);
+        let cq = self.cq.lock().capacity().max(Self::PROVISIONED_DEPTH);
         std::mem::size_of::<Self>()
-            + self.sq.lock().capacity().max(Self::PROVISIONED_DEPTH) * std::mem::size_of::<Wqe>()
-            + self.cq.lock().capacity().max(Self::PROVISIONED_DEPTH)
-                * std::mem::size_of::<Completion>()
+            + sq * std::mem::size_of::<ReadReq>()
+            + cq * std::mem::size_of::<Completion>()
     }
 
     /// Re-establishes a broken connection. Returns the recovery cost
@@ -615,96 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn read_batch_into_matches_queued_path() {
-        let mk = || {
-            let pm = Arc::new(PhysicalMemory::new());
-            let frames = pm.alloc_n(8).unwrap();
-            let aspace = Arc::new(AddressSpace::new(pm));
-            let va = aspace.mmap(&frames).unwrap();
-            for i in 0..8u64 {
-                aspace.write(va + i * 4096, &[i as u8 + 1; 32]).unwrap();
-            }
-            let rnic = Arc::new(Rnic::new(aspace, RnicConfig::default()));
-            let (mr, _) = rnic.register(va, 8, false).unwrap();
-            (rnic, mr, va)
-        };
-        // Queued path: post / doorbell / poll.
-        let (rnic_q, mr_q, va_q) = mk();
-        let qp_q = QueuePair::connect(rnic_q.clone());
-        for i in 0..8u64 {
-            qp_q.post_read(mr_q.rkey, va_q + i * 4096, 32, i);
-        }
-        qp_q.ring_doorbell(SimTime::from_micros(3));
-        let comps = qp_q.poll_cq(usize::MAX);
-        // Synchronous path, same requests against an identical twin NIC.
-        let (rnic_s, mr_s, va_s) = mk();
-        let qp_s = QueuePair::connect(rnic_s.clone());
-        let reqs: Vec<ReadReq> =
-            (0..8u64).map(|i| ReadReq::new(i, mr_s.rkey, va_s + i * 4096, 32)).collect();
-        let mut outs = vec![Vec::new(); 8];
-        let mut results = Vec::new();
-        qp_s.read_batch_into(&reqs, &mut outs, SimTime::from_micros(3), &mut results);
-        // Sorted into completion order, the sync results are the queued
-        // completions: same ids, virtual times, outcomes, and payloads.
-        let mut order: Vec<usize> = (0..8).collect();
-        order.sort_by_key(|&k| results[k].completed_at);
-        assert_eq!(comps.len(), results.len());
-        for (c, &k) in comps.iter().zip(order.iter()) {
-            assert_eq!(c.wr_id, results[k].wr_id);
-            assert_eq!(c.completed_at, results[k].completed_at);
-            assert_eq!(c.result, results[k].result);
-            assert_eq!(c.data, outs[k]);
-        }
-        assert_eq!(qp_q.depth_stats(), qp_s.depth_stats());
-        assert_eq!(
-            rnic_q.stats.wqes.load(Ordering::Relaxed),
-            rnic_s.stats.wqes.load(Ordering::Relaxed)
-        );
-        assert_eq!(rnic_q.engine_busy(), rnic_s.engine_busy());
-    }
-
-    #[test]
-    fn read_batch_into_flushes_like_queued_path_on_fault() {
-        use crate::fault::{FaultConfig, FaultKind, ScheduledFault};
-        let pm = Arc::new(PhysicalMemory::new());
-        let frames = pm.alloc_n(1).unwrap();
-        let aspace = Arc::new(AddressSpace::new(pm));
-        let va = aspace.mmap(&frames).unwrap();
-        let cfg = RnicConfig {
-            faults: Some(FaultConfig::scripted(vec![ScheduledFault {
-                at_op: 2,
-                kind: FaultKind::Transient,
-            }])),
-            ..RnicConfig::default()
-        };
-        let rnic = Arc::new(Rnic::new(aspace, cfg));
-        let (mr, _) = rnic.register(va, 1, false).unwrap();
-        let qp = QueuePair::connect(rnic.clone());
-        let reqs: Vec<ReadReq> = (0..5u64).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
-        let mut outs = vec![Vec::new(); 5];
-        let mut results = Vec::new();
-        qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
-        assert_eq!(results.len(), 5);
-        assert_eq!(results[2].result, Err(RdmaError::InjectedFault));
-        assert_eq!(results[3].result, Err(RdmaError::QpBroken));
-        assert_eq!(results[4].result, Err(RdmaError::QpBroken));
-        assert_eq!(qp.state(), QpState::Error);
-        assert_eq!(qp.breaks(), 1);
-        // Flushed entries consumed no fault draws.
-        assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
-        // A broken QP flushes the next batch without touching the NIC.
-        qp.read_batch_into(&reqs[..2], &mut outs[..2], SimTime::from_micros(9), &mut results);
-        assert!(results.iter().all(|r| r.result == Err(RdmaError::QpBroken)));
-        assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
-        // After reconnecting, the retried requests land on draw index 3,
-        // exactly like the queued-path recovery.
-        qp.reconnect();
-        qp.read_batch_into(&reqs[2..], &mut outs[..3], SimTime::from_micros(50), &mut results);
-        assert!(results.iter().all(|r| r.result.is_ok()));
-        assert_eq!(rnic.fault_log(), vec![(2, FaultKind::Transient)]);
-    }
-
-    #[test]
     fn access_during_rereg_window_breaks_qp() {
         let (aspace, rnic, va) = setup();
         let pm = aspace.phys().clone();
@@ -717,57 +623,5 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(matches!(qp.read(mr.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(_))));
         assert_eq!(qp.state(), QpState::Error);
-    }
-
-    /// Per-lane fault streams: a two-lane RNIC gives each lane's QP its
-    /// own injector. Replays are byte-identical, scripted `at_op` indices
-    /// count each lane's own verbs, the lanes draw from distinct streams,
-    /// and one lane's traffic volume never shifts the other's draws.
-    #[test]
-    fn lane_fault_streams_replay_and_stay_partitioned() {
-        use crate::fault::{FaultConfig, FaultKind, ScheduledFault};
-        let run = |lane0_ops: u64| {
-            let pm = Arc::new(PhysicalMemory::new());
-            let frames = pm.alloc_n(1).unwrap();
-            let aspace = Arc::new(AddressSpace::new(pm));
-            let va = aspace.mmap(&frames).unwrap();
-            let cfg = RnicConfig {
-                lanes: 2,
-                faults: Some(FaultConfig {
-                    seed: 7,
-                    delay_prob: 0.2,
-                    schedule: vec![ScheduledFault { at_op: 3, kind: FaultKind::DelaySpike }],
-                    ..FaultConfig::default()
-                }),
-                ..RnicConfig::default()
-            };
-            let rnic = Arc::new(Rnic::new(aspace, cfg));
-            let (mr, _) = rnic.register(va, 1, false).unwrap();
-            for (lane, ops) in [(LaneId(0), lane0_ops), (LaneId(1), 64)] {
-                let qp = QueuePair::connect_on_lane(rnic.clone(), lane);
-                for i in 0..ops {
-                    qp.post_read(mr.rkey, va, 8, i);
-                }
-                qp.ring_doorbell(SimTime::ZERO);
-                assert_eq!(qp.poll_cq(usize::MAX).len(), ops as usize);
-            }
-            (rnic.fault_log_for(LaneId(0)), rnic.fault_log_for(LaneId(1)))
-        };
-        let (a0, a1) = run(64);
-        let (b0, b1) = run(64);
-        assert_eq!(a0, b0, "lane 0's fault stream must replay byte-identically");
-        assert_eq!(a1, b1, "lane 1's fault stream must replay byte-identically");
-        assert!(
-            a0.contains(&(3, FaultKind::DelaySpike)) && a1.contains(&(3, FaultKind::DelaySpike)),
-            "scripted at_op indices are per-lane: each lane fires at its own 4th verb"
-        );
-        assert_ne!(a0, a1, "the lanes draw from distinct fault streams");
-        let (c0, c1) = run(128);
-        assert_eq!(
-            c0.iter().filter(|&&(op, _)| op < 64).copied().collect::<Vec<_>>(),
-            a0,
-            "lane 0's first 64 draws are a prefix of its longer run"
-        );
-        assert_eq!(c1, a1, "lane 1's draws are untouched by lane 0's traffic volume");
     }
 }

@@ -9,13 +9,11 @@
 //! That is the central hazard of the paper, and it is fully observable here.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use corm_sim_core::lanes::LaneId;
-use corm_sim_core::resource::FifoResource;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
     AddressSpace, DmaSession, FarTier, FrameId, MemError, PagedTable, Residency, Translation,
@@ -26,9 +24,9 @@ use corm_trace::{Stage, TraceHandle, Track};
 use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind};
 use crate::latency::LatencyModel;
 use crate::mtt::MttShard;
-use crate::pool::{BufPool, PooledBuf};
+use crate::pool::BufPool;
 use crate::sched::{QosConfig, QosScheduler, TrafficClass};
-use crate::wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+use crate::wq::ReadReq;
 
 /// Errors surfaced by RNIC verbs. Any error on a one-sided access breaks
 /// the issuing queue pair, per reliable-connection semantics.
@@ -125,11 +123,9 @@ pub struct RnicConfig {
     /// aggregate plateau; widen for hypothetical multi-engine devices.
     pub engine_width: usize,
     /// Number of independent on-NIC processing units. Each unit owns its
-    /// own inbound [`FifoResource`] (with `engine_width` servers) and WQEs
-    /// are dispatched round-robin across units, the NP-RDMA model of an
-    /// internally parallel RNIC. At `1` (the default) dispatch, virtual
-    /// time, and the fault-draw order are byte-identical to the
-    /// single-engine NIC, which keeps seeded replays stable.
+    /// own inbound FIFO engine (with `engine_width` servers) and WQEs are
+    /// dispatched round-robin across units, the NP-RDMA model of an
+    /// internally parallel RNIC.
     pub processing_units: usize,
     /// Number of MTT shards. Translations are sharded by page-aligned
     /// virtual address, so concurrent one-sided verbs from different QPs
@@ -142,20 +138,11 @@ pub struct RnicConfig {
     /// observational, so it never changes virtual time or fault draws.
     pub trace: TraceHandle,
     /// SLO-class-aware engine scheduling for the batched verb path. `None`
-    /// (the default) keeps the legacy round-robin dispatch byte-for-byte;
-    /// a uniform (equal-weight) config replays it exactly through the
-    /// scheduler, and skewed weights buy latency-class isolation — see
-    /// [`crate::sched`].
+    /// (the default) and any equal-weight config run the scheduler's
+    /// uniform discipline — round-robin over per-unit FIFO engines — and
+    /// `None` additionally reports no per-class counters; skewed weights
+    /// buy latency-class isolation — see [`crate::sched`].
     pub qos: Option<QosConfig>,
-    /// Number of execution lanes the NIC is partitioned for (windowed
-    /// lane-parallel simulation). At `1` (the default) everything is
-    /// byte-identical to the classic NIC. Above `1`: fault draws come from
-    /// per-lane decorrelated RNG streams (lane 0 keeps the classic
-    /// stream), and lane-tagged doorbell batches are pinned to engine unit
-    /// `lane % processing_units` instead of the round-robin cursor, so
-    /// dispatch is a pure function of the lane rather than of wall-clock
-    /// arrival interleaving.
-    pub lanes: usize,
     /// The far tier behind unpinned memory, when the host runs a pin
     /// budget. `None` (the default) disables tiering entirely: residency
     /// is never consulted and the NIC is byte-identical to the pre-tiering
@@ -184,7 +171,6 @@ impl Default for RnicConfig {
             mtt_shards: 8,
             trace: TraceHandle::disabled(),
             qos: None,
-            lanes: 1,
             tier: None,
             dynamic_pin: false,
         }
@@ -328,19 +314,12 @@ pub struct Rnic {
     /// MTT + translation-cache shards; see [`Rnic::locate`].
     shards: Box<[Mutex<MttShard>]>,
     config: RnicConfig,
-    /// Fault injectors, one per execution lane (a single injector — the
-    /// classic stream — when `RnicConfig::lanes` is 1).
-    faults: Option<Box<[FaultInjector]>>,
-    /// Inbound verb engines, one per processing unit, each serving
-    /// doorbell-batched WQEs in FIFO order. Unused when `sched` is on —
-    /// the scheduler owns the engine capacity then.
-    engines: Box<[Mutex<FifoResource>]>,
-    /// Round-robin cursor for WQE dispatch across processing units.
-    next_unit: AtomicUsize,
-    /// The SLO-class scheduler, when `RnicConfig::qos` enabled one. It
-    /// replaces the per-unit FIFO dispatch for doorbell-batched WQEs.
-    sched: Option<Mutex<QosScheduler>>,
-    /// Recycled DMA staging buffers for the batched READ path.
+    /// The fault injector, when `RnicConfig::faults` configured one.
+    faults: Option<FaultInjector>,
+    /// The inbound verb engines behind their one admission path: every
+    /// doorbell-batched WQE is admitted here.
+    sched: Mutex<QosScheduler>,
+    /// Recycled DMA staging buffers for queued READ completions.
     staging: Arc<BufPool>,
     /// Public counters.
     pub stats: RnicStats,
@@ -355,24 +334,17 @@ impl fmt::Debug for Rnic {
 impl Rnic {
     /// Creates a NIC attached to `aspace`.
     pub fn new(aspace: Arc<AddressSpace>, config: RnicConfig) -> Self {
-        let n_lanes = config.lanes.max(1) as u32;
-        let faults = config.faults.clone().map(|cfg| {
-            (0..n_lanes)
-                .map(|lane| FaultInjector::for_lane(cfg.clone(), lane))
-                .collect::<Box<[_]>>()
-        });
+        let faults = config.faults.clone().map(FaultInjector::new);
         let n_shards = config.mtt_shards.max(1);
         // Split the cache budget evenly; every shard keeps at least one
         // entry so small caches still cache.
         let per_shard = config.cache_entries.div_ceil(n_shards).max(1);
         let shards = (0..n_shards).map(|_| Mutex::new(MttShard::new(per_shard))).collect();
-        let units = config.processing_units.max(1);
-        let engines =
-            (0..units).map(|_| Mutex::new(FifoResource::new(config.engine_width.max(1)))).collect();
-        let sched = config
-            .qos
-            .clone()
-            .map(|qos| Mutex::new(QosScheduler::new(qos, units, config.engine_width.max(1))));
+        let sched = Mutex::new(QosScheduler::new(
+            config.qos.clone().unwrap_or_else(QosConfig::equal_weights),
+            config.processing_units,
+            config.engine_width,
+        ));
         Rnic {
             aspace,
             regions: RwLock::new(RegionTable {
@@ -382,8 +354,6 @@ impl Rnic {
             shards,
             config,
             faults,
-            engines,
-            next_unit: AtomicUsize::new(0),
             sched,
             staging: Arc::new(BufPool::new()),
             stats: RnicStats::default(),
@@ -434,27 +404,20 @@ impl Rnic {
         Some(ShardGuards { guards })
     }
 
-    /// The fault injector (lane 0's — the classic stream), if fault
-    /// injection is enabled.
+    /// The fault injector, if fault injection is enabled.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults_for(LaneId(0))
+        self.faults.as_ref()
     }
 
-    /// The fault injector serving `lane`'s verb traffic, if injection is
-    /// enabled. Lanes beyond `RnicConfig::lanes` fold back modulo.
-    pub fn faults_for(&self, lane: LaneId) -> Option<&FaultInjector> {
-        self.faults.as_ref().map(|f| &f[lane.0 as usize % f.len()])
-    }
-
-    /// The replay log of injected faults on lane 0 (empty when injection
-    /// is off). Use [`Rnic::fault_log_for`] for other lanes.
+    /// The replay log of injected faults (empty when injection is off).
     pub fn fault_log(&self) -> Vec<(u64, FaultKind)> {
-        self.fault_log_for(LaneId(0))
+        self.faults.as_ref().map(|f| f.fired()).unwrap_or_default()
     }
 
-    /// The replay log of faults injected on `lane`'s stream.
-    pub fn fault_log_for(&self, lane: LaneId) -> Vec<(u64, FaultKind)> {
-        self.faults_for(lane).map(|f| f.fired()).unwrap_or_default()
+    /// The staging pool queued READ completions borrow their payload
+    /// buffers from.
+    pub(crate) fn staging(&self) -> &Arc<BufPool> {
+        &self.staging
     }
 
     /// The latency model in force.
@@ -654,10 +617,11 @@ impl Rnic {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<VerbOutcome, RdmaError> {
-        let outcome = self.access(rkey, va, buf.len(), now, AccessDir::Read(buf))?;
+        let len = buf.len();
+        let outcome = self.access(rkey, va, len, now, AccessDir::Read(buf))?;
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(outcome.1 as u64, Ordering::Relaxed);
-        Ok(outcome.0)
+        self.stats.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
+        Ok(outcome)
     }
 
     /// One-sided RDMA WRITE of `data` at `(rkey, va)`.
@@ -670,216 +634,54 @@ impl Rnic {
     ) -> Result<VerbOutcome, RdmaError> {
         let outcome = self.access(rkey, va, data.len(), now, AccessDir::Write(data))?;
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(outcome.0)
+        Ok(outcome)
     }
 
-    /// Executes a doorbell-rung batch of WQEs through the inbound engine.
+    /// Serves one doorbell of READs through the inbound engine: the core
+    /// under both [`crate::QueuePair`] batch entry points, which differ
+    /// only in the [`ReadSink`] they pass.
     ///
     /// The batch arrives at `now + doorbell_cost` — one doorbell pays for
     /// the whole batch. Each WQE then runs the full verb path (fault draw,
-    /// region checks, per-page MTT/cache lookup, DMA) and is admitted into
-    /// the FIFO engine for its service time; its completion lands at
+    /// region checks, per-page MTT/cache lookup, DMA into the sink's
+    /// buffer) and is admitted into the engine scheduler for its service
+    /// time; its completion lands at
     /// `engine_done + (end_to_end_latency − service)`, the same composition
     /// the closed-loop simulations use. The first failing WQE stops
-    /// execution: the remaining WQEs are *flushed* with
-    /// [`RdmaError::QpBroken`] and consume no fault draws, mirroring the
-    /// sequential path where a broken QP rejects follow-up verbs before
-    /// they reach the NIC.
+    /// execution and completes at the batch's arrival; the remaining WQEs
+    /// are *flushed* there with [`RdmaError::QpBroken`] and consume no
+    /// fault draws, mirroring the sequential path where a broken QP rejects
+    /// follow-up verbs before they reach the NIC.
     ///
-    /// Completions are returned sorted by completion time (stable, so ties
-    /// keep posting order). Callers ([`crate::QueuePair::ring_doorbell`])
-    /// are responsible for moving the QP to the error state on failure.
-    ///
-    /// The batch is drained from `wqes`, leaving the (empty) vector's
-    /// capacity for the caller to recycle into the send queue.
-    /// The batch carries an execution-lane tag: faults draw from `lane`'s
-    /// injector stream and, when the NIC is configured with `lanes > 1`,
-    /// engine dispatch pins to `lane % processing_units`. Lane 0 on a
-    /// single-lane NIC is exactly the classic untagged path.
-    pub(crate) fn serve_batch_on(
+    /// The sink sees every request once, in posting order. Returns whether
+    /// a WQE failed; the caller moves its QP to the error state then.
+    pub(crate) fn serve_doorbell(
         &self,
-        lane: LaneId,
-        wqes: &mut Vec<Wqe>,
-        now: SimTime,
-    ) -> Vec<Completion> {
-        let model = &self.config.model;
-        let arrival = now + model.doorbell_cost;
-        self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        self.config.trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
-        // Shared-state locks are taken once per doorbell, not once per WQE:
-        // the region snapshot, the DMA session, the (single) engine, and
-        // the staging free list all amortize across the batch. Virtual-time
-        // results are identical to per-WQE locking — these guards only
-        // serialize wall-clock access.
-        let rt = self.regions.read();
-        let dma = self.aspace.phys().dma();
-        let mut sched = self.sched.as_ref().map(|s| s.lock());
-        let mut single_engine =
-            (sched.is_none() && self.engines.len() == 1).then(|| self.engines[0].lock());
-        let mut fault = self.faults_for(lane).map(|inj| inj.begin_block());
-        // Last in the lock order (regions -> sched/engine -> fault ->
-        // shards ascending): hold the batch's MTT shards for the whole
-        // doorbell instead of relocking per page.
-        let mut held = self.lock_batch_shards(wqes.iter().map(|w| match &w.op {
-            WqeOp::Read { va, len, .. } => (*va, *len),
-            WqeOp::Write { va, data, .. } => (*va, data.len()),
-        }));
-        let mut memo = None;
-        let mut completions = Vec::with_capacity(wqes.len());
-        let mut failed = false;
-        let (mut n_wqes, mut n_reads, mut n_writes, mut bytes_read) = (0u64, 0u64, 0u64, 0u64);
-        let mut iter = wqes.drain(..);
-        for wqe in iter.by_ref() {
-            let Wqe { wr_id, op, tenant, class } = wqe;
-            n_wqes += 1;
-            let (len, outcome, data) = match op {
-                WqeOp::Read { rkey, va, len } => {
-                    let mut buf = self.staging.take(len);
-                    match self.access_locked(
-                        &rt,
-                        &dma,
-                        &mut fault,
-                        &mut held,
-                        &mut memo,
-                        rkey,
-                        va,
-                        len,
-                        arrival,
-                        AccessDir::Read(&mut buf),
-                    ) {
-                        Ok((v, _)) => {
-                            n_reads += 1;
-                            bytes_read += len as u64;
-                            (len, Ok(v), buf)
-                        }
-                        Err(e) => (len, Err(e), PooledBuf::empty()),
-                    }
-                }
-                WqeOp::Write { rkey, va, data } => {
-                    let len = data.len();
-                    let r = self
-                        .access_locked(
-                            &rt,
-                            &dma,
-                            &mut fault,
-                            &mut held,
-                            &mut memo,
-                            rkey,
-                            va,
-                            len,
-                            arrival,
-                            AccessDir::Write(&data),
-                        )
-                        .map(|(v, _)| {
-                            n_writes += 1;
-                            v
-                        });
-                    (len, r, PooledBuf::empty())
-                }
-            };
-            match outcome {
-                Ok(verb) => {
-                    let mut service = model.rdma_read_service(len, verb.cache_hit);
-                    if verb.odp_misses > 0 {
-                        service +=
-                            model.odp_miss.unwrap_or(SimDuration::ZERO) * verb.odp_misses as u64;
-                    }
-                    let (done, unit) = match (&mut sched, &mut single_engine) {
-                        (Some(sched), _) => {
-                            let adm = sched.admit(tenant, class, arrival, service);
-                            if adm.class_wait > SimDuration::ZERO {
-                                self.config.trace.span(
-                                    Track::Nic,
-                                    Stage::QosClassWait,
-                                    wr_id,
-                                    arrival,
-                                    adm.class_wait,
-                                );
-                            }
-                            (adm.done, adm.unit)
-                        }
-                        (None, Some(engine)) => (engine.admit(arrival, service), 0),
-                        (None, None) => self.dispatch(lane, arrival, service),
-                    };
-                    self.config.trace.span(
-                        Track::EngineUnit(unit as u32),
-                        Stage::EngineService,
-                        wr_id,
-                        SimTime::from_nanos(done.as_nanos() - service.as_nanos()),
-                        service,
-                    );
-                    let completed_at = done + verb.latency.saturating_sub(service);
-                    completions.push(Completion { wr_id, completed_at, result: Ok(verb), data });
-                }
-                Err(e) => {
-                    completions.push(Completion {
-                        wr_id,
-                        completed_at: arrival,
-                        result: Err(e),
-                        data: PooledBuf::empty(),
-                    });
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            for wqe in iter {
-                completions.push(Completion {
-                    wr_id: wqe.wr_id,
-                    completed_at: arrival,
-                    result: Err(RdmaError::QpBroken),
-                    data: PooledBuf::empty(),
-                });
-            }
-        }
-        self.stats.wqes.fetch_add(n_wqes, Ordering::Relaxed);
-        if n_reads > 0 {
-            self.stats.reads.fetch_add(n_reads, Ordering::Relaxed);
-            self.stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        }
-        if n_writes > 0 {
-            self.stats.writes.fetch_add(n_writes, Ordering::Relaxed);
-        }
-        completions.sort_by_key(|c| c.completed_at);
-        completions
-    }
-
-    /// The synchronous twin of [`Rnic::serve_batch_on`] for all-READ batches:
-    /// each payload DMAs straight into the caller's buffer (`outs[k]`,
-    /// resized to the request's length) instead of staging through a pooled
-    /// completion. Doorbell cost, per-request fault draws, engine
-    /// admission, trace spans, and first-failure flush semantics are
-    /// identical to `serve_batch_on` WQE by WQE, so virtual-time results are
-    /// byte-for-byte the same as the queued path. Results are pushed in
-    /// posting order and NOT sorted — the caller owns completion ordering.
-    pub(crate) fn serve_reads_into_on(
-        &self,
-        lane: LaneId,
         reqs: &[ReadReq],
-        outs: &mut [Vec<u8>],
         now: SimTime,
-        results: &mut Vec<ReadResult>,
-    ) {
+        sink: &mut impl ReadSink,
+    ) -> bool {
         let model = &self.config.model;
+        let trace = &self.config.trace;
         let arrival = now + model.doorbell_cost;
         self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        self.config.trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
+        trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
+        // Shared-state locks are taken once per doorbell, not once per WQE,
+        // in the one global order regions -> DMA session -> scheduler ->
+        // fault -> shards ascending. Virtual-time results are identical to
+        // per-WQE locking — these guards only serialize wall-clock access.
         let rt = self.regions.read();
         let dma = self.aspace.phys().dma();
-        let mut sched = self.sched.as_ref().map(|s| s.lock());
-        let mut single_engine =
-            (sched.is_none() && self.engines.len() == 1).then(|| self.engines[0].lock());
-        let mut fault = self.faults_for(lane).map(|inj| inj.begin_block());
-        // Same lock position as `serve_batch`: shards last, ascending.
+        let mut sched = self.sched.lock();
+        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
         let mut held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
         let mut memo = None;
-        let (mut n_wqes, mut n_reads, mut bytes_read) = (0u64, 0u64, 0u64);
-        let mut flush_from = None;
+        let mut bytes_read = 0u64;
+        // How many requests reached the NIC, and whether the last one failed.
+        let mut executed = 0usize;
+        let mut failed = false;
         for (k, req) in reqs.iter().enumerate() {
-            n_wqes += 1;
-            let out = &mut outs[k];
-            out.resize(req.len, 0);
+            executed += 1;
             match self.access_locked(
                 &rt,
                 &dma,
@@ -890,100 +692,62 @@ impl Rnic {
                 req.va,
                 req.len,
                 arrival,
-                AccessDir::Read(out),
+                AccessDir::Read(sink.buffer(k, req.len)),
             ) {
-                Ok((verb, _)) => {
-                    n_reads += 1;
+                Ok(verb) => {
                     bytes_read += req.len as u64;
                     let mut service = model.rdma_read_service(req.len, verb.cache_hit);
                     if verb.odp_misses > 0 {
                         service +=
                             model.odp_miss.unwrap_or(SimDuration::ZERO) * verb.odp_misses as u64;
                     }
-                    let (done, unit) = match (&mut sched, &mut single_engine) {
-                        (Some(sched), _) => {
-                            let adm = sched.admit(req.tenant, req.class, arrival, service);
-                            if adm.class_wait > SimDuration::ZERO {
-                                self.config.trace.span(
-                                    Track::Nic,
-                                    Stage::QosClassWait,
-                                    req.wr_id,
-                                    arrival,
-                                    adm.class_wait,
-                                );
-                            }
-                            (adm.done, adm.unit)
-                        }
-                        (None, Some(engine)) => (engine.admit(arrival, service), 0),
-                        (None, None) => self.dispatch(lane, arrival, service),
-                    };
-                    self.config.trace.span(
-                        Track::EngineUnit(unit as u32),
+                    let adm = sched.admit(req.tenant, req.class, arrival, service);
+                    if adm.class_wait > SimDuration::ZERO {
+                        trace.span(
+                            Track::Nic,
+                            Stage::QosClassWait,
+                            req.wr_id,
+                            arrival,
+                            adm.class_wait,
+                        );
+                    }
+                    trace.span(
+                        Track::EngineUnit(adm.unit as u32),
                         Stage::EngineService,
                         req.wr_id,
-                        SimTime::from_nanos(done.as_nanos() - service.as_nanos()),
+                        SimTime::from_nanos(adm.done.as_nanos() - service.as_nanos()),
                         service,
                     );
-                    let completed_at = done + verb.latency.saturating_sub(service);
-                    results.push(ReadResult { wr_id: req.wr_id, completed_at, result: Ok(verb) });
+                    sink.complete(req, adm.done + verb.latency.saturating_sub(service), Ok(verb));
                 }
                 Err(e) => {
-                    results.push(ReadResult {
-                        wr_id: req.wr_id,
-                        completed_at: arrival,
-                        result: Err(e),
-                    });
-                    flush_from = Some(k + 1);
+                    sink.complete(req, arrival, Err(e));
+                    failed = true;
                     break;
                 }
             }
         }
-        if let Some(rest) = flush_from {
-            // Flushed requests never reach the NIC and consume no fault
-            // draws, exactly like serve_batch's flush loop.
-            for req in &reqs[rest..] {
-                results.push(ReadResult {
-                    wr_id: req.wr_id,
-                    completed_at: arrival,
-                    result: Err(RdmaError::QpBroken),
-                });
-            }
+        for req in &reqs[executed..] {
+            sink.complete(req, arrival, Err(RdmaError::QpBroken));
         }
-        self.stats.wqes.fetch_add(n_wqes, Ordering::Relaxed);
-        if n_reads > 0 {
-            self.stats.reads.fetch_add(n_reads, Ordering::Relaxed);
+        self.stats.wqes.fetch_add(executed as u64, Ordering::Relaxed);
+        let reads = (executed - failed as usize) as u64;
+        if reads > 0 {
+            self.stats.reads.fetch_add(reads, Ordering::Relaxed);
             self.stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
         }
-    }
-
-    /// Admits one WQE's engine service. On a single-lane NIC this is the
-    /// classic round-robin across processing units (with one unit, exactly
-    /// the single-engine FIFO admission). On a multi-lane NIC the unit is
-    /// `lane % processing_units` — a pure function of the lane, so
-    /// dispatch never depends on how parallel lanes interleave in wall
-    /// clock. Returns the completion time and the unit index that served
-    /// the WQE (which names its trace track).
-    fn dispatch(&self, lane: LaneId, arrival: SimTime, service: SimDuration) -> (SimTime, usize) {
-        let unit = if self.config.lanes > 1 {
-            lane.0 as usize % self.engines.len()
-        } else {
-            self.next_unit.fetch_add(1, Ordering::Relaxed) % self.engines.len()
-        };
-        (self.engines[unit].lock().admit(arrival, service), unit)
+        failed
     }
 
     /// Number of on-NIC processing units.
     pub fn processing_units(&self) -> usize {
-        self.engines.len()
+        self.config.processing_units.max(1)
     }
 
     /// Total WQEs admitted into the inbound verb engines, summed over all
-    /// processing units (or through the QoS scheduler when one is on).
+    /// processing units.
     pub fn engine_admitted(&self) -> u64 {
-        match &self.sched {
-            Some(s) => s.lock().admitted(),
-            None => self.engines.iter().map(|e| e.lock().admitted()).sum(),
-        }
+        self.sched.lock().admitted()
     }
 
     /// Cumulative busy time of the inbound verb engines, summed over all
@@ -991,48 +755,34 @@ impl Rnic {
     /// divided by the window length, give the engine utilization over that
     /// window.
     pub fn engine_busy(&self) -> SimDuration {
-        match &self.sched {
-            Some(s) => s.lock().busy(),
-            None => {
-                self.engines.iter().map(|e| e.lock().busy()).fold(SimDuration::ZERO, |a, b| a + b)
-            }
-        }
+        self.sched.lock().busy()
     }
 
     /// Mean inbound-engine utilization over `[0, horizon]`, across every
     /// server of every processing unit.
     pub fn engine_utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        if let Some(s) = &self.sched {
-            return s.lock().utilization(horizon);
-        }
-        let servers: usize = self.engines.iter().map(|e| e.lock().servers()).sum();
-        self.engine_busy().as_secs_f64() / (horizon.as_secs_f64() * servers as f64)
+        self.sched.lock().utilization(horizon)
     }
 
-    /// Whether the SLO-class scheduler is driving engine admission.
+    /// Whether `RnicConfig::qos` asked for SLO-class scheduling.
     pub fn qos_enabled(&self) -> bool {
-        self.sched.is_some()
+        self.config.qos.is_some()
     }
 
     /// WQEs admitted per traffic class (all zero when QoS is off, which
-    /// does not observe classes).
+    /// does not report classes).
     pub fn qos_class_admitted(&self) -> [u64; TrafficClass::COUNT] {
-        match &self.sched {
-            Some(s) => s.lock().class_admitted(),
-            None => [0; TrafficClass::COUNT],
+        if self.qos_enabled() {
+            self.sched.lock().class_admitted()
+        } else {
+            [0; TrafficClass::COUNT]
         }
     }
 
     /// Scheduler-imposed wait per traffic class, in nanoseconds (all zero
     /// when QoS is off or uniform).
     pub fn qos_class_wait_ns(&self) -> [u64; TrafficClass::COUNT] {
-        match &self.sched {
-            Some(s) => s.lock().class_wait_ns(),
-            None => [0; TrafficClass::COUNT],
-        }
+        self.sched.lock().class_wait_ns()
     }
 
     fn access(
@@ -1042,15 +792,15 @@ impl Rnic {
         len: usize,
         now: SimTime,
         dir: AccessDir<'_>,
-    ) -> Result<(VerbOutcome, usize), RdmaError> {
+    ) -> Result<VerbOutcome, RdmaError> {
         let rt = self.regions.read();
         let dma = self.aspace.phys().dma();
-        let mut fault = self.faults_for(LaneId(0)).map(|inj| inj.begin_block());
+        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
         self.access_locked(&rt, &dma, &mut fault, &mut None, &mut None, rkey, va, len, now, dir)
     }
 
     /// The verb path proper, under a caller-held region-table snapshot,
-    /// DMA session, and fault-draw block. The batched serve paths acquire
+    /// DMA session, and fault-draw block. [`Rnic::serve_doorbell`] acquires
     /// all three once per doorbell batch, plus batch-held shard guards in
     /// `held` and a one-entry region memo in `memo` (valid because the
     /// region snapshot is pinned and every WQE in a batch shares one
@@ -1069,7 +819,7 @@ impl Rnic {
         len: usize,
         now: SimTime,
         mut dir: AccessDir<'_>,
-    ) -> Result<(VerbOutcome, usize), RdmaError> {
+    ) -> Result<VerbOutcome, RdmaError> {
         // Consult the fault layer first: injected failures model the NIC or
         // the fabric going wrong before the verb touches any state.
         let mut injected_delay = SimDuration::ZERO;
@@ -1279,7 +1029,7 @@ impl Rnic {
             latency += model.odp_miss.unwrap_or(SimDuration::ZERO) * odp_misses as u64;
         }
         latency += injected_delay + tier_delay;
-        Ok((VerbOutcome { latency, cache_hit: all_hit, odp_misses, pin_faults }, len))
+        Ok(VerbOutcome { latency, cache_hit: all_hit, odp_misses, pin_faults })
     }
 
     /// The far tier attached to this NIC, if the host runs a pin budget.
@@ -1331,6 +1081,22 @@ impl Rnic {
 enum AccessDir<'a> {
     Read(&'a mut [u8]),
     Write(&'a [u8]),
+}
+
+/// Where one doorbell's payloads land and where its results go: all that
+/// the queued and the synchronous [`crate::QueuePair`] adapter over
+/// [`Rnic::serve_doorbell`] differ in.
+pub(crate) trait ReadSink {
+    /// The `len`-byte buffer that request `k` of the batch DMAs into.
+    fn buffer(&mut self, k: usize, len: usize) -> &mut [u8];
+
+    /// Records `req`'s outcome; an `Err` discards whatever its buffer holds.
+    fn complete(
+        &mut self,
+        req: &ReadReq,
+        completed_at: SimTime,
+        result: Result<VerbOutcome, RdmaError>,
+    );
 }
 
 #[cfg(test)]

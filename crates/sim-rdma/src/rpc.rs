@@ -18,7 +18,6 @@
 //! handlers directly and charges virtual time — so this fabric carries no
 //! latency model of its own.
 
-use corm_sim_core::lanes::LaneId;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -164,9 +163,6 @@ impl<Req, Resp> RpcClient<Req, Resp> {
 #[derive(Clone)]
 pub struct RpcQueue<Req, Resp> {
     rx: Receiver<Envelope<Req, Resp>>,
-    /// The execution lane this worker queue maps to under windowed
-    /// lane-parallel execution (its shard index).
-    lane: LaneId,
 }
 
 impl<Req, Resp> RpcQueue<Req, Resp> {
@@ -190,13 +186,6 @@ impl<Req, Resp> RpcQueue<Req, Resp> {
     pub fn is_empty(&self) -> bool {
         self.rx.is_empty()
     }
-
-    /// The execution lane this worker queue is tagged with: its shard
-    /// index from [`sharded_rpc_channel`]. Workers that drive lane-tagged
-    /// QPs derive the QP lane from this.
-    pub fn lane(&self) -> LaneId {
-        self.lane
-    }
 }
 
 /// Creates a client connected to `shards` per-worker queues (clamped to
@@ -207,10 +196,10 @@ pub fn sharded_rpc_channel<Req, Resp>(
     let n = shards.max(1);
     let mut txs = Vec::with_capacity(n);
     let mut queues = Vec::with_capacity(n);
-    for shard in 0..n {
+    for _ in 0..n {
         let (tx, rx) = unbounded();
         txs.push(tx);
-        queues.push(RpcQueue { rx, lane: LaneId(shard as u32) });
+        queues.push(RpcQueue { rx });
     }
     (
         RpcClient {

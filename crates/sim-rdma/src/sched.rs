@@ -1,14 +1,14 @@
-//! Weighted, SLO-class-aware scheduling for the RNIC verb engines.
+//! The RNIC's verb engines and their one admission path: round-robin over
+//! per-unit FIFOs, or weighted SLO-class-aware sharing.
 //!
-//! The plain round-robin WQE dispatch treats every verb alike, so a tenant
+//! Plain round-robin WQE dispatch treats every verb alike, so a tenant
 //! spraying bulk scans starves latency-sensitive gets: once the per-unit
 //! FIFO backlogs, a get queues behind the whole scan window. Real RNICs
 //! (and the NP-RDMA discipline this simulator's verb costs are anchored to)
-//! arbitrate between flows, so this module adds a deficit-weighted
-//! scheduler in *virtual time*: every verb belongs to a flow — a
-//! `(tenant, class)` pair — and the scheduler rations the engines'
-//! aggregate service capacity across the *backlogged* flows in proportion
-//! to their weights.
+//! arbitrate between flows, so the scheduler can also run deficit-weighted
+//! in *virtual time*: every verb belongs to a flow — a `(tenant, class)`
+//! pair — and the scheduler rations the engines' aggregate service
+//! capacity across the *backlogged* flows in proportion to their weights.
 //!
 //! # Disciplines
 //!
@@ -19,10 +19,9 @@
 //! regimes:
 //!
 //! * **Uniform** — when every flow weight is equal there is nothing to
-//!   arbitrate, and the scheduler degenerates to a bit-exact replica of
-//!   the legacy dispatch: per-unit FIFO engines with round-robin WQE
-//!   assignment. Seeded replays with a uniform scheduler are
-//!   byte-identical to runs without one (pinned by test), and work
+//!   arbitrate: per-unit FIFO engines with round-robin WQE assignment.
+//!   This is what a NIC without a QoS config runs, so an equal-weight
+//!   config replays it byte for byte by construction, and work
 //!   conservation is the FIFO's own.
 //!
 //! * **Weighted** — with skewed weights the scheduler runs the fluid
@@ -42,8 +41,8 @@
 //!   until real time catches up with their clocks, a conservative
 //!   (never-overcommitting) artifact of answering admissions immediately.
 //!
-//! The scheduler is strictly opt-in (`RnicConfig::qos`); with it disabled
-//! the NIC's dispatch path is untouched.
+//! The weights come from `RnicConfig::qos`; without one the NIC runs the
+//! uniform discipline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -108,9 +107,8 @@ impl Default for QosConfig {
 }
 
 impl QosConfig {
-    /// A configuration with every class and tenant weighted equally — the
-    /// neutral configuration whose seeded replays are byte-identical to
-    /// the unscheduled round-robin dispatch.
+    /// A configuration with every class and tenant weighted equally: the
+    /// uniform discipline a NIC without a QoS config runs.
     pub fn equal_weights() -> Self {
         QosConfig {
             class_weights: [1; TrafficClass::COUNT],
@@ -119,8 +117,8 @@ impl QosConfig {
         }
     }
 
-    /// Whether every flow ends up with the same weight, making the
-    /// scheduler degenerate to the legacy FIFO dispatch.
+    /// Whether every flow ends up with the same weight, which selects the
+    /// round-robin FIFO dispatch.
     pub fn is_uniform(&self) -> bool {
         self.class_weights.iter().all(|&w| w == self.class_weights[0])
             && self.tenant_weights.iter().all(|&(_, w)| w == self.default_tenant_weight)
@@ -164,8 +162,7 @@ pub struct QosAdmission {
 
 #[derive(Debug)]
 enum Discipline {
-    /// Bit-exact replica of the legacy dispatch: per-unit FIFO engines,
-    /// round-robin assignment.
+    /// Per-unit FIFO engines, round-robin assignment.
     Uniform { engines: Vec<FifoResource> },
     /// Fluid deficit-weighted sharing across backlogged flows.
     Weighted {
@@ -185,13 +182,13 @@ enum Discipline {
     },
 }
 
-/// The SLO-class-aware scheduler for the RNIC's inbound engines. See the
-/// module docs for the two disciplines it runs.
+/// The RNIC's inbound engines behind their scheduler. See the module docs
+/// for the two disciplines it runs.
 #[derive(Debug)]
 pub struct QosScheduler {
     config: QosConfig,
     discipline: Discipline,
-    /// Round-robin cursor assigning trace units.
+    /// Round-robin cursor over the units.
     next_unit: usize,
     units: usize,
     /// Verbs admitted.
@@ -211,7 +208,7 @@ fn flow_key(tenant: u32, class: TrafficClass) -> u64 {
 
 impl QosScheduler {
     /// Creates a scheduler rationing `units` engines of `width` servers
-    /// each — the same shape as the legacy engine array.
+    /// each (both clamped to ≥ 1).
     pub fn new(config: QosConfig, units: usize, width: usize) -> Self {
         let units = units.max(1);
         let width = width.max(1);
@@ -247,16 +244,14 @@ impl QosScheduler {
         now: SimTime,
         service: SimDuration,
     ) -> QosAdmission {
+        let unit = self.next_unit;
+        self.next_unit = if unit + 1 == self.units { 0 } else { unit + 1 };
         let adm = match &mut self.discipline {
-            Discipline::Uniform { engines } => {
-                let unit = self.next_unit;
-                self.next_unit = (self.next_unit + 1) % self.units;
-                QosAdmission {
-                    done: engines[unit].admit(now, service),
-                    class_wait: SimDuration::ZERO,
-                    unit,
-                }
-            }
+            Discipline::Uniform { engines } => QosAdmission {
+                done: engines[unit].admit(now, service),
+                class_wait: SimDuration::ZERO,
+                unit,
+            },
             Discipline::Weighted { flows, drain, w_active, capacity, last_admit } => {
                 let now = now.max(*last_admit);
                 *last_admit = now;
@@ -292,8 +287,6 @@ impl QosScheduler {
                     service.as_nanos().saturating_mul(*w_active).div_ceil(flow.weight * *capacity);
                 flow.next_start = start + SimDuration::from_nanos(spacing);
                 drain.push(Reverse((flow.next_start, key)));
-                let unit = self.next_unit;
-                self.next_unit = (self.next_unit + 1) % self.units;
                 QosAdmission { done, class_wait: start.saturating_since(now), unit }
             }
         };
@@ -355,8 +348,8 @@ mod tests {
         SimTime::from_micros(n)
     }
 
-    /// Replays the legacy `Rnic::dispatch`: round-robin across per-unit
-    /// FIFO engines.
+    /// The oracle of the uniform discipline — round-robin across per-unit
+    /// FIFO engines, as the NIC dispatched before it had a scheduler.
     struct LegacyDispatch {
         engines: Vec<FifoResource>,
         next: usize,

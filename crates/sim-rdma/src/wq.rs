@@ -6,53 +6,18 @@
 //! completion-queue entry per WQE. Throughput comes from keeping many WQEs
 //! in flight so the per-verb doorbell/fetch overhead is amortized and the
 //! inbound engine never idles — the effect behind CoRM's Fig. 11/12
-//! plateaus. [`crate::QueuePair::post_read`]/[`crate::QueuePair::post_write`]
-//! enqueue [`Wqe`]s, [`crate::QueuePair::ring_doorbell`] executes them, and
-//! [`crate::QueuePair::poll_cq`] drains [`Completion`]s in virtual-time
-//! order.
+//! plateaus. CoRM's clients post one-sided READs only (writes travel by
+//! RPC, §3.2), so a WQE is a [`ReadReq`]: [`crate::QueuePair::post`]
+//! enqueues one, [`crate::QueuePair::ring_doorbell`] executes the queue,
+//! and [`crate::QueuePair::poll_cq`] drains [`Completion`]s in
+//! virtual-time order. [`crate::QueuePair::read_batch_into`] runs the same
+//! doorbell on a caller-held batch and hands back [`ReadResult`]s.
 
 use corm_sim_core::time::SimTime;
 
 use crate::pool::PooledBuf;
 use crate::rnic::{RdmaError, VerbOutcome};
 use crate::sched::TrafficClass;
-
-/// The operation a work-queue element requests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WqeOp {
-    /// One-sided READ of `len` bytes at `(rkey, va)`.
-    Read {
-        /// Remote key of the target region.
-        rkey: u32,
-        /// Target virtual address.
-        va: u64,
-        /// Number of bytes to read.
-        len: usize,
-    },
-    /// One-sided WRITE of `data` at `(rkey, va)`.
-    Write {
-        /// Remote key of the target region.
-        rkey: u32,
-        /// Target virtual address.
-        va: u64,
-        /// Payload to write.
-        data: Vec<u8>,
-    },
-}
-
-/// A work-queue element sitting in a send queue awaiting a doorbell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wqe {
-    /// Caller-chosen identifier echoed back in the matching completion.
-    pub wr_id: u64,
-    /// The requested operation.
-    pub op: WqeOp,
-    /// Tenant the WQE is charged to by the QoS scheduler (0 when QoS is
-    /// off or the QP is unshared).
-    pub tenant: u32,
-    /// SLO class the WQE rides under the QoS scheduler.
-    pub class: TrafficClass,
-}
 
 /// A completion-queue entry: the outcome of one executed (or flushed) WQE.
 ///
@@ -71,7 +36,7 @@ pub struct Completion {
     pub completed_at: SimTime,
     /// Verb outcome, or the error that failed/flushed the WQE.
     pub result: Result<VerbOutcome, RdmaError>,
-    /// Payload read by a READ WQE (empty for writes and failures). The
+    /// Payload read by the WQE (empty for failures). The
     /// buffer is borrowed from the RNIC's staging pool and returns there
     /// when the completion is dropped.
     pub data: PooledBuf,
@@ -84,10 +49,9 @@ impl Completion {
     }
 }
 
-/// One entry of a synchronous READ batch
-/// ([`crate::QueuePair::read_batch_into`]): the fields of [`WqeOp::Read`]
-/// plus the echoed `wr_id`, flattened into a copyable record so batches can
-/// live in a caller-recycled vector instead of the send queue.
+/// A READ work-queue element: one entry of a send queue awaiting a doorbell,
+/// or of a synchronous batch ([`crate::QueuePair::read_batch_into`]). A
+/// copyable record, so batches can live in a caller-recycled vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadReq {
     /// Caller-chosen identifier echoed back in the matching result.

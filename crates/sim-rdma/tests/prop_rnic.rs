@@ -6,7 +6,10 @@ use proptest::prelude::*;
 
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::{AddressSpace, PhysicalMemory, PAGE_SIZE};
-use corm_sim_rdma::{Rnic, RnicConfig};
+use corm_sim_rdma::{
+    FaultConfig, FaultKind, QosConfig, QueuePair, ReadReq, ReadResult, Rnic, RnicConfig,
+    ScheduledFault, TrafficClass,
+};
 
 fn setup(pages: usize) -> (Arc<AddressSpace>, Arc<Rnic>, u64) {
     let pm = Arc::new(PhysicalMemory::new());
@@ -17,8 +20,147 @@ fn setup(pages: usize) -> (Arc<AddressSpace>, Arc<Rnic>, u64) {
     (aspace, rnic, va)
 }
 
+/// Pages of the region the adapter property reads from.
+const ADAPTER_PAGES: usize = 8;
+
+/// A NIC over a patterned `ADAPTER_PAGES`-page region, plus a QP on it.
+fn adapter_setup(config: RnicConfig) -> (Arc<Rnic>, QueuePair, u32, u64) {
+    let pm = Arc::new(PhysicalMemory::new());
+    let frames = pm.alloc_n(ADAPTER_PAGES).unwrap();
+    let aspace = Arc::new(AddressSpace::new(pm));
+    let va = aspace.mmap(&frames).unwrap();
+    let pattern: Vec<u8> = (0..ADAPTER_PAGES * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+    aspace.write(va, &pattern).unwrap();
+    let rnic = Arc::new(Rnic::new(aspace, config));
+    let (mr, _) = rnic.register(va, ADAPTER_PAGES, false).unwrap();
+    let qp = QueuePair::connect(rnic.clone());
+    (rnic, qp, mr.rkey, va)
+}
+
+/// Every observable the two adapters must leave equal on their NIC and QP.
+fn adapter_state(rnic: &Rnic, qp: &QueuePair) -> impl PartialEq + std::fmt::Debug {
+    let s = &rnic.stats;
+    let counters = [
+        &s.reads,
+        &s.writes,
+        &s.bytes_read,
+        &s.odp_misses,
+        &s.injected_faults,
+        &s.injected_qp_breaks,
+        &s.injected_delays,
+        &s.injected_delay_ns,
+        &s.forced_cache_misses,
+        &s.doorbells,
+        &s.wqes,
+    ]
+    .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+    (
+        counters,
+        qp.depth_stats(),
+        (qp.state(), qp.breaks()),
+        (rnic.engine_busy(), rnic.engine_admitted()),
+        (rnic.qos_class_admitted(), rnic.qos_class_wait_ns()),
+        rnic.cache_stats(),
+        rnic.fault_log(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The queued adapter (`post` + `ring_doorbell` + `poll_cq`) and the
+    /// synchronous one (`read_batch_into`) are one doorbell: for random
+    /// batches — page-crossing reads, bad rkeys, reads off the region's
+    /// end, a scripted fault of any kind at a random index — under every
+    /// scheduling discipline and unit count, they produce the same
+    /// `(wr_id, completed_at, result)` per entry, the same payload bytes,
+    /// and leave NIC and QP in the same state. Three doorbells per case:
+    /// the second finds the QP broken if the first broke it, the third
+    /// follows a reconnect.
+    #[test]
+    fn queued_and_synchronous_adapters_agree(
+        batch in prop::collection::vec(
+            (0usize..ADAPTER_PAGES, 0usize..PAGE_SIZE, 2usize..300, 0u8..16, 0u32..12),
+            1..=32,
+        ),
+        fault in (0u64..40, 0u8..5),
+        qos in 0u8..3,
+        units in 1usize..=4,
+    ) {
+        let config = RnicConfig {
+            processing_units: units,
+            qos: match qos {
+                0 => None,
+                1 => Some(QosConfig::equal_weights()),
+                _ => Some(QosConfig::default()),
+            },
+            faults: Some(FaultConfig::scripted(match fault.1 {
+                0 => vec![],
+                k => vec![ScheduledFault {
+                    at_op: fault.0,
+                    kind: [
+                        FaultKind::Transient,
+                        FaultKind::QpBreak,
+                        FaultKind::DelaySpike,
+                        FaultKind::CacheMiss,
+                    ][k as usize - 1],
+                }],
+            })),
+            ..RnicConfig::default()
+        };
+        let (rnic_q, qp_q, rkey, va) = adapter_setup(config.clone());
+        let (rnic_s, qp_s, rkey_s, va_s) = adapter_setup(config);
+        prop_assert_eq!((rkey, va), (rkey_s, va_s));
+        let reqs: Vec<ReadReq> = batch
+            .iter()
+            .enumerate()
+            .map(|(k, &(page, off, len, kind, flow))| {
+                // A sixteenth carry a bad rkey, three in sixteen straddle a
+                // page boundary (off the region's end on the last page).
+                let off = if (1..=3).contains(&kind) { PAGE_SIZE - len / 2 } else { off };
+                ReadReq {
+                    tenant: flow / 3,
+                    class: TrafficClass::ALL[flow as usize % 3],
+                    ..ReadReq::new(
+                        k as u64,
+                        if kind == 0 { rkey + 2 } else { rkey },
+                        va + (page * PAGE_SIZE + off) as u64,
+                        len,
+                    )
+                }
+            })
+            .collect();
+        let mut outs = vec![Vec::new(); reqs.len()];
+        let mut results: Vec<ReadResult> = Vec::new();
+        for (round, now) in [3u64, 50, 100].into_iter().enumerate() {
+            let now = SimTime::from_micros(now);
+            if round == 2 {
+                prop_assert_eq!(qp_q.reconnect(), qp_s.reconnect());
+            }
+            for req in &reqs {
+                qp_q.post(*req);
+            }
+            prop_assert_eq!(qp_q.ring_doorbell(now), reqs.len());
+            let comps = qp_q.poll_cq(usize::MAX);
+            qp_s.read_batch_into(&reqs, &mut outs, now, &mut results);
+            // In completion order, the synchronous results are the queued
+            // completions.
+            results.sort_by_key(|r| r.completed_at);
+            prop_assert_eq!(comps.len(), results.len());
+            for (c, r) in comps.iter().zip(&results) {
+                prop_assert_eq!(
+                    (c.wr_id, c.completed_at, &c.result),
+                    (r.wr_id, r.completed_at, &r.result)
+                );
+                if c.is_ok() {
+                    prop_assert_eq!(&c.data[..], &outs[c.wr_id as usize][..]);
+                } else {
+                    prop_assert!(c.data.is_empty());
+                }
+            }
+            prop_assert_eq!(adapter_state(&rnic_q, &qp_q), adapter_state(&rnic_s, &qp_s));
+        }
+    }
 
     /// RDMA reads return exactly what the CPU wrote, for arbitrary
     /// offsets/lengths inside the region (including page-crossing).
