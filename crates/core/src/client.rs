@@ -36,20 +36,9 @@ pub enum FixStrategy {
 pub struct ClientConfig {
     /// Recovery strategy for relocated objects.
     pub fix_strategy: FixStrategy,
-    /// Retries for torn/locked reads before giving up.
-    pub max_retries: usize,
     /// Backoff between retries (§3.2.3: "the read is repeated after a
     /// backoff period").
     pub backoff: SimDuration,
-    /// QP reconnect attempts per operation before giving up (§3.5: a break
-    /// is survivable but costs milliseconds — a persistently broken fabric
-    /// must eventually surface as an error).
-    pub max_reconnects: usize,
-    /// Base backoff before a QP reconnect; doubles per consecutive
-    /// reconnect within one operation, capped at `reconnect_backoff_cap`.
-    pub reconnect_backoff: SimDuration,
-    /// Upper bound on the exponential reconnect backoff.
-    pub reconnect_backoff_cap: SimDuration,
     /// Seed for worker selection.
     pub seed: u64,
 }
@@ -58,15 +47,22 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             fix_strategy: FixStrategy::ScanRead,
-            max_retries: 64,
             backoff: SimDuration::from_micros(5),
-            max_reconnects: 8,
-            reconnect_backoff: SimDuration::from_micros(50),
-            reconnect_backoff_cap: SimDuration::from_millis(1),
             seed: 0xC11E,
         }
     }
 }
+
+/// Attempts one read operation gets — first try included — before a torn,
+/// locked or moving object surfaces as an error.
+const MAX_ATTEMPTS: usize = 64;
+/// QP reconnects one operation gets (§3.5: a break is survivable but costs
+/// milliseconds — a persistently broken fabric must surface as an error).
+const MAX_RECONNECTS: usize = 8;
+/// Backoff before an operation's first reconnect; doubles with each
+/// further one, up to [`RECONNECT_BACKOFF_CAP`].
+const RECONNECT_BACKOFF: SimDuration = SimDuration::from_micros(50);
+const RECONNECT_BACKOFF_CAP: SimDuration = SimDuration::from_millis(1);
 
 /// The client's connection to the node: a dedicated reliable QP (the
 /// default, O(QP) host state per client), or one tenant slot on a
@@ -96,19 +92,6 @@ impl Conn {
         match self {
             Conn::Own(qp) => qp.read(rkey, va, buf, now),
             Conn::Mux(t) => t.read(rkey, va, buf, now),
-        }
-    }
-
-    fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        match self {
-            Conn::Own(qp) => qp.write(rkey, va, data, now),
-            Conn::Mux(t) => t.write(rkey, va, data, now),
         }
     }
 
@@ -142,15 +125,6 @@ impl Conn {
             Conn::Mux(t) => t.mux().qp(),
         }
     }
-
-    /// Host connection-state bytes attributable to *this* client: the
-    /// whole QP when dedicated, the per-tenant share when multiplexed.
-    fn state_bytes(&self) -> usize {
-        match self {
-            Conn::Own(qp) => qp.state_bytes(),
-            Conn::Mux(t) => t.mux().bytes_per_tenant(),
-        }
-    }
 }
 
 /// Result classification of a raw DirectRead attempt.
@@ -162,6 +136,55 @@ pub enum ReadOutcome {
     Invalid(ReadFailure),
 }
 
+/// The one-sided operation in flight, and all a recovery loop knows: what
+/// it has been charged so far and why its last attempt failed. Every
+/// one-sided entry point starts one with [`CormClient::begin`], charges
+/// it through [`CormClient::charge`] and closes it with
+/// [`CormClient::finish`]; the two recovery loops
+/// ([`CormClient::direct_read_with_recovery`], [`CormClient::read_batch`])
+/// add [`CormClient::backoff`], [`CormClient::recover`] and
+/// [`CormClient::exhausted`], and differ only in their wire path and
+/// their repair route.
+#[derive(Default)]
+struct OpState {
+    /// Monotone per-client op number; the op's own span and every leaf
+    /// charge carry it so exporters can reconcile leaf sums against op
+    /// totals. An op that errors out leaves its leaves without an op span;
+    /// the reconciler only audits ops that produced a total.
+    id: u64,
+    /// When the operation started.
+    start: SimTime,
+    /// `start` plus everything charged so far.
+    clock: SimTime,
+    /// Everything charged so far: the cost the caller is handed.
+    total: SimDuration,
+    /// QP reconnects spent.
+    reconnects: usize,
+    /// Whether the latest failed attempt found the object locked or torn
+    /// (it is there; retry later) rather than absent from its slot.
+    locked_last: bool,
+}
+
+/// The recycled buffers of [`CormClient::read_batch`], handed to a call as
+/// one value and taken back when it returns, so that a multi-get — retries
+/// and repairs included — allocates nothing but its result after warm-up.
+#[derive(Default)]
+struct BatchScratch {
+    /// The round's request records, one slot-image buffer per request,
+    /// the results, and the completion-order permutation.
+    reqs: Vec<ReadReq>,
+    out: Vec<Vec<u8>>,
+    results: Vec<ReadResult>,
+    order: Vec<usize>,
+    /// Entries this round posts, and those the next one will.
+    pending: Vec<usize>,
+    retry: Vec<usize>,
+    /// Entries routed to the repair RPC, and its pointer/buffer arguments.
+    repair: Vec<usize>,
+    repair_ptrs: Vec<GlobalPtr>,
+    repair_bufs: Vec<Vec<u8>>,
+}
+
 /// A connected CoRM client.
 pub struct CormClient {
     server: Arc<CormServer>,
@@ -170,36 +193,16 @@ pub struct CormClient {
     rng: DetRng,
     /// Trace recorder, shared with the server node (disabled by default).
     trace: TraceHandle,
-    /// Monotone per-client op counter; spans of one operation (the op
-    /// itself plus every leaf charge) share this id so exporters can
-    /// reconcile leaf sums against op totals.
-    op_seq: u64,
+    op: OpState,
     /// DirectReads that failed validation (Fig. 13's conflict counter).
     pub failed_direct_reads: u64,
     /// QP breaks this client recovered from by reconnecting (§3.5).
     pub qp_recoveries: u64,
-    /// Scratch for the batched read path, recycled across calls so the
-    /// hot loop posts, serves, and validates without allocating: the
-    /// request records, one slot-image buffer per request, the results,
-    /// and the completion-order permutation.
-    batch_reqs: Vec<ReadReq>,
-    batch_out: Vec<Vec<u8>>,
-    batch_results: Vec<ReadResult>,
-    batch_order: Vec<usize>,
-    /// Scratch for the batch retry/repair bookkeeping: the pending and
-    /// next-round index lists, the indices routed to the repair RPC, and
-    /// that RPC's pointer/buffer arguments. Recycled like the batch
-    /// scratch above so a retrying multi-get allocates nothing after
-    /// warm-up.
-    batch_pending: Vec<usize>,
-    batch_retry: Vec<usize>,
-    repair_idx: Vec<usize>,
-    repair_ptrs: Vec<GlobalPtr>,
-    repair_bufs: Vec<Vec<u8>>,
+    batch: BatchScratch,
     /// Recycled slot/block image for DirectRead and ScanRead: the DMA
     /// fully overwrites the fetched range and validation happens before
     /// any payload copy, so reuse is invisible to callers.
-    image_scratch: Vec<u8>,
+    image: Vec<u8>,
 }
 
 impl std::fmt::Debug for CormClient {
@@ -227,16 +230,7 @@ impl CormClient {
     /// [`corm_sim_rdma::MuxQp::attach`] on a mux connected to
     /// [`CormServer::rnic`].
     pub fn connect_mux(server: Arc<CormServer>, tenant: MuxTenant) -> Self {
-        Self::connect_mux_with(server, ClientConfig::default(), tenant)
-    }
-
-    /// [`Self::connect_mux`] with explicit client configuration.
-    pub fn connect_mux_with(
-        server: Arc<CormServer>,
-        config: ClientConfig,
-        tenant: MuxTenant,
-    ) -> Self {
-        Self::with_conn(server, config, Conn::Mux(tenant))
+        Self::with_conn(server, ClientConfig::default(), Conn::Mux(tenant))
     }
 
     fn with_conn(server: Arc<CormServer>, config: ClientConfig, conn: Conn) -> Self {
@@ -248,19 +242,11 @@ impl CormClient {
             config,
             rng,
             trace,
-            op_seq: 0,
+            op: OpState::default(),
             failed_direct_reads: 0,
             qp_recoveries: 0,
-            batch_reqs: Vec::new(),
-            batch_out: Vec::new(),
-            batch_results: Vec::new(),
-            batch_order: Vec::new(),
-            batch_pending: Vec::new(),
-            batch_retry: Vec::new(),
-            repair_idx: Vec::new(),
-            repair_ptrs: Vec::new(),
-            repair_bufs: Vec::new(),
-            image_scratch: Vec::new(),
+            batch: BatchScratch::default(),
+            image: Vec::new(),
         }
     }
 
@@ -275,29 +261,33 @@ impl CormClient {
         self.conn.qp()
     }
 
-    /// Whether this client rides a DCT-style shared connection.
-    pub fn is_mux(&self) -> bool {
-        matches!(self.conn, Conn::Mux(_))
-    }
-
-    /// Host connection-state bytes attributable to this client (the
-    /// Fig. 21 per-client memory curve): its whole QP when dedicated, its
-    /// share of the mux when multiplexed.
-    pub fn conn_state_bytes(&self) -> usize {
-        self.conn.state_bytes()
-    }
-
     fn pick_worker(&mut self) -> usize {
         let workers = self.server.config().workers;
         rand::Rng::gen_range(&mut self.rng, 0..workers)
     }
 
-    /// Allocates the next client-op id for trace spans. Ops that error out
-    /// simply leave their leaves without an op span; the reconciler only
-    /// audits ops that produced a total.
-    fn begin_op(&mut self) -> u64 {
-        self.op_seq += 1;
-        self.op_seq
+    // ------------------------------------------------------------------
+    // The operation state machine
+    // ------------------------------------------------------------------
+
+    /// Starts a one-sided operation at `now`.
+    fn begin(&mut self, now: SimTime) {
+        self.op = OpState { id: self.op.id + 1, start: now, clock: now, ..OpState::default() };
+    }
+
+    /// Charges `d` of `stage` to the operation: one leaf span at the
+    /// operation's clock, which advances past it.
+    fn charge(&mut self, stage: Stage, d: SimDuration) {
+        self.trace.span(Track::Client, stage, self.op.id, self.op.clock, d);
+        self.op.total += d;
+        self.op.clock += d;
+    }
+
+    /// The object is there but locked or torn: waits out the §3.2.3
+    /// backoff before the next attempt.
+    fn backoff(&mut self) {
+        self.op.locked_last = true;
+        self.charge(Stage::Backoff, self.config.backoff);
     }
 
     /// Whether an RDMA error is survivable by reconnecting the QP: the
@@ -307,34 +297,40 @@ impl CormClient {
         matches!(e, RdmaError::QpBroken | RdmaError::InjectedFault | RdmaError::RegionBusy(_))
     }
 
-    /// Reconnects the QP after a recoverable fault, charging an
-    /// exponentially-backed-off delay (doubling per consecutive attempt,
-    /// capped) plus the §3.5 reconnect cost to the operation. Errors out
-    /// once `max_reconnects` attempts are spent.
-    fn recover_qp(
-        &mut self,
-        op: u64,
-        attempt: &mut usize,
-        total: &mut SimDuration,
-        clock: &mut SimTime,
-    ) -> Result<(), CormError> {
-        if *attempt >= self.config.max_reconnects {
+    /// Reconnects the QP after a recoverable fault, charging the operation
+    /// a backoff that doubles with each of its reconnects up to the cap,
+    /// then the §3.5 reconnect cost. Errors out once the operation has
+    /// spent its [`MAX_RECONNECTS`].
+    fn recover(&mut self) -> Result<(), CormError> {
+        if self.op.reconnects >= MAX_RECONNECTS {
             return Err(CormError::Rdma(RdmaError::QpBroken));
         }
-        let shift = (*attempt).min(10) as u32;
-        let mut backoff = self.config.reconnect_backoff * (1u64 << shift);
-        if backoff > self.config.reconnect_backoff_cap {
-            backoff = self.config.reconnect_backoff_cap;
-        }
+        let backoff = RECONNECT_BACKOFF * (1u64 << self.op.reconnects);
         let reconnect = self.conn.reconnect();
-        self.trace.span(Track::Client, Stage::Backoff, op, *clock, backoff);
-        self.trace.span(Track::Client, Stage::Reconnect, op, *clock + backoff, reconnect);
-        let cost = backoff + reconnect;
-        *total += cost;
-        *clock += cost;
+        self.charge(Stage::Backoff, backoff.min(RECONNECT_BACKOFF_CAP));
+        self.charge(Stage::Reconnect, reconnect);
         self.qp_recoveries += 1;
-        *attempt += 1;
+        self.op.reconnects += 1;
         Ok(())
+    }
+
+    /// Closes the operation: its own span over everything charged, and
+    /// `value` at that cost.
+    fn finish<T>(&self, value: T) -> Timed<T> {
+        self.trace.span(Track::Client, Stage::ClientOp, self.op.id, self.op.start, self.op.total);
+        Timed::new(value, self.op.total)
+    }
+
+    /// The error of an operation out of attempts, after its *last*
+    /// observed state: [`CormError::ObjectLocked`] if the object was
+    /// transiently locked or torn (the caller should back off and try
+    /// again), never a spurious `ObjectNotFound`.
+    fn exhausted(&self) -> CormError {
+        if self.op.locked_last {
+            CormError::ObjectLocked
+        } else {
+            CormError::ObjectNotFound
+        }
     }
 
     fn rpc_wire(&self, payload: usize) -> SimDuration {
@@ -406,60 +402,31 @@ impl CormClient {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<Timed<ReadOutcome>, RdmaError> {
-        let op = self.begin_op();
-        let t = self.direct_read_at(ptr, buf, now, op)?;
-        self.trace.span(Track::Client, Stage::ClientOp, op, now, t.cost);
-        Ok(t)
+        self.begin(now);
+        let outcome = self.read_slot(ptr, buf)?;
+        Ok(self.finish(outcome))
     }
 
-    /// [`Self::direct_read`] body, tagging leaf spans with `op` so recovery
-    /// loops can charge attempts to their enclosing operation.
-    fn direct_read_at(
-        &mut self,
-        ptr: &GlobalPtr,
-        buf: &mut [u8],
-        now: SimTime,
-        op: u64,
-    ) -> Result<Timed<ReadOutcome>, RdmaError> {
-        let mut image = std::mem::take(&mut self.image_scratch);
-        let r = self.direct_read_inner(ptr, buf, now, op, &mut image);
-        self.image_scratch = image;
-        r
-    }
-
-    fn direct_read_inner(
-        &mut self,
-        ptr: &GlobalPtr,
-        buf: &mut [u8],
-        now: SimTime,
-        op: u64,
-        image: &mut Vec<u8>,
-    ) -> Result<Timed<ReadOutcome>, RdmaError> {
-        let slot_bytes = match self.slot_bytes(ptr) {
-            Ok(n) => n,
+    /// One DirectRead attempt within the operation in flight: the READ of
+    /// the slot at the pointer's hint and its validation, both charged.
+    fn read_slot(&mut self, ptr: &GlobalPtr, buf: &mut [u8]) -> Result<ReadOutcome, RdmaError> {
+        let Ok(slot_bytes) = self.slot_bytes(ptr) else {
             // Signal through the validation channel: a bad class byte can
             // never match a live object.
-            Err(_) => {
-                self.failed_direct_reads += 1;
-                return Ok(Timed::new(
-                    ReadOutcome::Invalid(ReadFailure::NotValid),
-                    SimDuration::ZERO,
-                ));
-            }
+            self.failed_direct_reads += 1;
+            return Ok(ReadOutcome::Invalid(ReadFailure::NotValid));
         };
-        image.resize(slot_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, ptr.vaddr, &mut image[..], now)?;
-        let check = self.server.model().version_check_cost(slot_bytes);
-        self.trace.span(Track::Client, Stage::Verb, op, now, verb.latency);
-        self.trace.span(Track::Client, Stage::VersionCheck, op, now + verb.latency, check);
-        let cost = verb.latency + check;
-        match consistency::gather_into(image, Some(ptr.obj_id), buf) {
-            Ok((_, n)) => Ok(Timed::new(ReadOutcome::Ok(n), cost)),
+        self.image.resize(slot_bytes, 0);
+        let verb = self.conn.read(ptr.rkey, ptr.vaddr, &mut self.image, self.op.clock)?;
+        self.charge(Stage::Verb, verb.latency);
+        self.charge(Stage::VersionCheck, self.server.model().version_check_cost(slot_bytes));
+        Ok(match consistency::gather_into(&self.image, Some(ptr.obj_id), buf) {
+            Ok((_, n)) => ReadOutcome::Ok(n),
             Err(failure) => {
                 self.failed_direct_reads += 1;
-                Ok(Timed::new(ReadOutcome::Invalid(failure), cost))
+                ReadOutcome::Invalid(failure)
             }
-        }
+        })
     }
 
     /// ScanRead (Table 2): RDMA-reads the whole block containing the
@@ -471,65 +438,39 @@ impl CormClient {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<Timed<usize>, CormError> {
-        let op = self.begin_op();
-        let t = self.scan_read_at(ptr, buf, now, op)?;
-        self.trace.span(Track::Client, Stage::ClientOp, op, now, t.cost);
-        Ok(t)
+        self.begin(now);
+        let n = self.scan_block(ptr, buf)?;
+        Ok(self.finish(n))
     }
 
-    /// [`Self::scan_read`] body, tagging leaf spans with `op`.
-    fn scan_read_at(
-        &mut self,
-        ptr: &mut GlobalPtr,
-        buf: &mut [u8],
-        now: SimTime,
-        op: u64,
-    ) -> Result<Timed<usize>, CormError> {
-        let mut image = std::mem::take(&mut self.image_scratch);
-        let r = self.scan_read_inner(ptr, buf, now, op, &mut image);
-        self.image_scratch = image;
-        r
-    }
-
-    fn scan_read_inner(
-        &mut self,
-        ptr: &mut GlobalPtr,
-        buf: &mut [u8],
-        now: SimTime,
-        op: u64,
-        image: &mut Vec<u8>,
-    ) -> Result<Timed<usize>, CormError> {
+    /// One ScanRead within the operation in flight. Only a scan that finds
+    /// the object is charged; a failed one leaves the operation as it was.
+    fn scan_block(&mut self, ptr: &mut GlobalPtr, buf: &mut [u8]) -> Result<usize, CormError> {
         let block_bytes = self.server.block_bytes();
         let slot_bytes = self.slot_bytes(ptr)?;
         let base = ptr.block_base(block_bytes);
-        image.resize(block_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, base, &mut image[..], now)?;
+        self.image.resize(block_bytes, 0);
+        let verb = self.conn.read(ptr.rkey, base, &mut self.image, self.op.clock)?;
         let model = self.server.model();
         let slots = block_bytes / slot_bytes;
-        let mut cost = verb.latency + model.scan_cost(slots);
+        // Everything past the wire: the header sweep plus each candidate's
+        // version check.
+        let mut scan = model.scan_cost(slots);
         for slot in 0..slots {
             let off = slot * slot_bytes;
-            let slice = &image[off..off + slot_bytes];
+            let slice = &self.image[off..off + slot_bytes];
             let header =
                 ObjectHeader::from_bytes(slice[..HEADER_BYTES].try_into().expect("header"));
             if !header.valid || header.obj_id != ptr.obj_id {
                 continue;
             }
-            cost += model.version_check_cost(slot_bytes);
+            scan += model.version_check_cost(slot_bytes);
             match consistency::gather_into(slice, Some(ptr.obj_id), buf) {
                 Ok((_, n)) => {
                     ptr.correct_offset(block_bytes, off);
-                    // One Scan leaf covers everything past the wire: the
-                    // header sweep plus each candidate's version check.
-                    self.trace.span(Track::Client, Stage::Verb, op, now, verb.latency);
-                    self.trace.span(
-                        Track::Client,
-                        Stage::Scan,
-                        op,
-                        now + verb.latency,
-                        cost.saturating_sub(verb.latency),
-                    );
-                    return Ok(Timed::new(n, cost));
+                    self.charge(Stage::Verb, verb.latency);
+                    self.charge(Stage::Scan, scan);
+                    return Ok(n);
                 }
                 Err(ReadFailure::Locked) | Err(ReadFailure::TornRead) => {
                     // Racing a write/compaction on the right object: the
@@ -550,104 +491,51 @@ impl CormClient {
     /// exponential backoff (§3.5). Every retry, backoff, and reconnect is
     /// charged to the returned [`Timed`] cost.
     ///
-    /// When retries run out the error reflects the *last* observed state:
-    /// [`CormError::ObjectLocked`] if the object was transiently locked or
-    /// torn (the caller should back off and try again), never a spurious
-    /// `ObjectNotFound`.
+    /// When the 64 attempts run out the error reflects the *last* observed
+    /// state: [`CormError::ObjectLocked`] if the object was transiently
+    /// locked or torn (the caller should back off and try again), never a
+    /// spurious `ObjectNotFound`.
     pub fn direct_read_with_recovery(
         &mut self,
         ptr: &mut GlobalPtr,
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<Timed<usize>, CormError> {
-        let op = self.begin_op();
-        let mut total = SimDuration::ZERO;
-        let mut clock = now;
-        let mut reconnects = 0usize;
-        let mut locked_last = false;
-        for _ in 0..self.config.max_retries {
-            let attempt = match self.direct_read_at(ptr, buf, clock, op) {
-                Ok(t) => t,
-                Err(e) if Self::recoverable(&e) => {
-                    self.recover_qp(op, &mut reconnects, &mut total, &mut clock)?;
-                    continue;
-                }
-                Err(e) => return Err(CormError::Rdma(e)),
-            };
-            total += attempt.cost;
-            clock += attempt.cost;
-            match attempt.value {
-                ReadOutcome::Ok(n) => {
-                    self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                    return Ok(Timed::new(n, total));
-                }
-                ReadOutcome::Invalid(ReadFailure::Locked)
-                | ReadOutcome::Invalid(ReadFailure::TornRead) => {
-                    locked_last = true;
-                    self.trace.span(Track::Client, Stage::Backoff, op, clock, self.config.backoff);
-                    total += self.config.backoff;
-                    clock += self.config.backoff;
+        self.begin(now);
+        for _ in 0..MAX_ATTEMPTS {
+            let read = match self.read_slot(ptr, buf) {
+                Ok(ReadOutcome::Ok(n)) => Ok(n),
+                Ok(ReadOutcome::Invalid(ReadFailure::Locked | ReadFailure::TornRead)) => {
+                    Err(CormError::ObjectLocked)
                 }
                 // A mismatching ID *or* a vacant slot both mean "the object
                 // is not at the hint" — it may have been relocated while
                 // its old slot was freed or reused. Only the repair path
-                // can distinguish relocated from truly gone.
-                ReadOutcome::Invalid(ReadFailure::IdMismatch { .. } | ReadFailure::NotValid) => {
-                    locked_last = false;
-                    // The object moved: repair per strategy (§3.2.2).
+                // can distinguish relocated from truly gone (§3.2.2).
+                Ok(ReadOutcome::Invalid(
+                    ReadFailure::IdMismatch { .. } | ReadFailure::NotValid,
+                )) => {
+                    self.op.locked_last = false;
                     match self.config.fix_strategy {
-                        FixStrategy::ScanRead => match self.scan_read_at(ptr, buf, clock, op) {
-                            Ok(t) => {
-                                total += t.cost;
-                                self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                                return Ok(Timed::new(t.value, total));
-                            }
-                            Err(CormError::ObjectLocked) => {
-                                locked_last = true;
-                                self.trace.span(
-                                    Track::Client,
-                                    Stage::Backoff,
-                                    op,
-                                    clock,
-                                    self.config.backoff,
-                                );
-                                total += self.config.backoff;
-                                clock += self.config.backoff;
-                            }
-                            Err(CormError::Rdma(e)) if Self::recoverable(&e) => {
-                                self.recover_qp(op, &mut reconnects, &mut total, &mut clock)?;
-                            }
-                            Err(e) => return Err(e),
-                        },
-                        FixStrategy::RpcRead => match self.read(ptr, buf) {
-                            Ok(t) => {
-                                // The RPC's virtual time counts toward the
-                                // op like every other repair cost.
-                                self.trace.span(Track::Client, Stage::RepairRpc, op, clock, t.cost);
-                                total += t.cost;
-                                clock += t.cost;
-                                self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                                return Ok(Timed::new(t.value, total));
-                            }
-                            Err(CormError::ObjectLocked) => {
-                                locked_last = true;
-                                self.trace.span(
-                                    Track::Client,
-                                    Stage::Backoff,
-                                    op,
-                                    clock,
-                                    self.config.backoff,
-                                );
-                                total += self.config.backoff;
-                                clock += self.config.backoff;
-                            }
-                            Err(e) => return Err(e),
-                        },
+                        FixStrategy::ScanRead => self.scan_block(ptr, buf),
+                        // The RPC's virtual time counts toward the op like
+                        // every other repair cost.
+                        FixStrategy::RpcRead => self.read(ptr, buf).map(|t| {
+                            self.charge(Stage::RepairRpc, t.cost);
+                            t.value
+                        }),
                     }
                 }
+                Err(e) => Err(CormError::Rdma(e)),
+            };
+            match read {
+                Ok(n) => return Ok(self.finish(n)),
+                Err(CormError::ObjectLocked) => self.backoff(),
+                Err(CormError::Rdma(e)) if Self::recoverable(&e) => self.recover()?,
+                Err(e) => return Err(e),
             }
         }
-        Err(if locked_last { CormError::ObjectLocked } else { CormError::ObjectNotFound })
+        Err(self.exhausted())
     }
 
     /// Batched DirectRead (multi-get, the FaRM-style client pattern CoRM
@@ -681,325 +569,168 @@ impl CormClient {
         now: SimTime,
     ) -> Result<Timed<Vec<usize>>, CormError> {
         assert_eq!(ptrs.len(), bufs.len(), "one buffer per pointer");
-        let n = ptrs.len();
-        let mut lens = vec![0usize; n];
-        if n == 0 {
+        let mut lens = vec![0usize; ptrs.len()];
+        if ptrs.is_empty() {
             return Ok(Timed::new(lens, SimDuration::ZERO));
         }
-        let op = self.begin_op();
-        // Clone the Arc, not the ~400-byte model: the reference must
-        // outlive mutable borrows of the batch scratch fields below.
-        let server = Arc::clone(&self.server);
-        let model = server.model();
-        let mut total = SimDuration::ZERO;
-        let mut clock = now;
-        let mut reconnects = 0usize;
-        let mut locked_last = false;
-        // The round-trip bookkeeping lives in recycled client scratch:
-        // taken out for the duration of the call (so the borrow checker
-        // sees plain locals) and restored before returning.
-        let mut pending = std::mem::take(&mut self.batch_pending);
-        let mut next_pending = std::mem::take(&mut self.batch_retry);
-        let mut repair = std::mem::take(&mut self.repair_idx);
-        pending.clear();
-        pending.extend(0..n);
-        let outcome = 'retry: {
-            for _ in 0..self.config.max_retries {
-                // A corrupt class byte can never match a live object: such
-                // entries skip the wire and go straight to the repair RPC,
-                // like the sequential path's NotValid route.
-                repair.clear();
-                next_pending.clear();
-                self.batch_reqs.clear();
-                for &i in pending.iter() {
-                    match self.slot_bytes(&ptrs[i]) {
-                        Ok(slot_bytes) => {
-                            // Multi-gets ride the latency class; on a shared
-                            // connection the mux re-tags the tenant itself.
-                            self.batch_reqs.push(ReadReq::new(
-                                i as u64,
-                                ptrs[i].rkey,
-                                ptrs[i].vaddr,
-                                slot_bytes,
-                            ));
-                        }
-                        Err(_) => {
-                            self.failed_direct_reads += 1;
-                            repair.push(i);
-                        }
+        self.begin(now);
+        let mut scratch = std::mem::take(&mut self.batch);
+        let done = self.read_batch_rounds(ptrs, bufs, &mut lens, &mut scratch);
+        self.batch = scratch;
+        done.map(|()| self.finish(lens))
+    }
+
+    /// [`Self::read_batch`]'s rounds: post what is pending under one
+    /// doorbell, validate, repair, and go round again with what is left.
+    fn read_batch_rounds(
+        &mut self,
+        ptrs: &mut [GlobalPtr],
+        bufs: &mut [Vec<u8>],
+        lens: &mut [usize],
+        s: &mut BatchScratch,
+    ) -> Result<(), CormError> {
+        s.pending.clear();
+        s.pending.extend(0..ptrs.len());
+        for _ in 0..MAX_ATTEMPTS {
+            // A corrupt class byte can never match a live object: such
+            // entries skip the wire and go straight to the repair RPC,
+            // like the sequential path's NotValid route.
+            s.repair.clear();
+            s.retry.clear();
+            s.reqs.clear();
+            for &i in s.pending.iter() {
+                match self.slot_bytes(&ptrs[i]) {
+                    // Multi-gets ride the latency class; on a shared
+                    // connection the mux re-tags the tenant itself.
+                    Ok(slot_bytes) => {
+                        s.reqs.push(ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes))
+                    }
+                    Err(_) => {
+                        self.failed_direct_reads += 1;
+                        s.repair.push(i);
                     }
                 }
-                let mut need_reconnect = false;
-                let mut locked_any = false;
-                let posted = self.batch_reqs.len();
-                if posted > 0 {
-                    // Slot images DMA straight into the client's recycled
-                    // scratch buffers — the synchronous path with identical
-                    // virtual-time and fault semantics to post/doorbell/poll.
-                    while self.batch_out.len() < posted {
-                        self.batch_out.push(Vec::new());
-                    }
-                    self.conn.read_batch_into(
-                        &self.batch_reqs,
-                        &mut self.batch_out[..posted],
-                        clock,
-                        &mut self.batch_results,
-                    );
-                    debug_assert_eq!(self.batch_results.len(), posted);
-                    // Walk results in virtual completion order — the order
-                    // poll_cq would have delivered them — so the repair and
-                    // retry lists keep their queued-path ordering.
-                    self.batch_order.clear();
-                    self.batch_order.extend(0..posted);
-                    let results = &self.batch_results;
-                    self.batch_order.sort_by_key(|&k| results[k].completed_at);
-                    let mut batch_end = clock;
-                    let mut checks = SimDuration::ZERO;
-                    for &k in self.batch_order.iter() {
-                        let r = &self.batch_results[k];
-                        batch_end = batch_end.max(r.completed_at);
-                        let i = r.wr_id as usize;
-                        match r.result {
-                            Err(ref e) if Self::recoverable(e) => {
-                                need_reconnect = true;
-                                next_pending.push(i);
-                            }
-                            Err(ref e) => break 'retry Err(CormError::Rdma(e.clone())),
-                            Ok(_) => {
-                                let image = &self.batch_out[k];
-                                checks += model.version_check_cost(image.len());
-                                match consistency::gather_into(
-                                    image,
-                                    Some(ptrs[i].obj_id),
-                                    &mut bufs[i],
-                                ) {
-                                    Ok((_, m)) => lens[i] = m,
-                                    Err(ReadFailure::Locked) | Err(ReadFailure::TornRead) => {
-                                        self.failed_direct_reads += 1;
-                                        locked_any = true;
-                                        next_pending.push(i);
-                                    }
-                                    Err(_) => {
-                                        self.failed_direct_reads += 1;
-                                        repair.push(i);
-                                    }
+            }
+            let mut broken = false;
+            // A round's failure class is that of its own entries.
+            self.op.locked_last = false;
+            let posted = s.reqs.len();
+            if posted > 0 {
+                // Slot images DMA straight into the recycled scratch
+                // buffers — the synchronous path with identical
+                // virtual-time and fault semantics to post/doorbell/poll.
+                if s.out.len() < posted {
+                    s.out.resize_with(posted, Vec::new);
+                }
+                self.conn.read_batch_into(
+                    &s.reqs,
+                    &mut s.out[..posted],
+                    self.op.clock,
+                    &mut s.results,
+                );
+                debug_assert_eq!(s.results.len(), posted);
+                // Walk results in virtual completion order — the order
+                // poll_cq would have delivered them — so the repair and
+                // retry lists keep their queued-path ordering.
+                s.order.clear();
+                s.order.extend(0..posted);
+                let results = &s.results;
+                s.order.sort_by_key(|&k| results[k].completed_at);
+                let mut batch_end = self.op.clock;
+                let mut checks = SimDuration::ZERO;
+                for &k in s.order.iter() {
+                    let r = &s.results[k];
+                    batch_end = batch_end.max(r.completed_at);
+                    let i = r.wr_id as usize;
+                    match r.result {
+                        Err(ref e) if Self::recoverable(e) => {
+                            broken = true;
+                            s.retry.push(i);
+                        }
+                        Err(ref e) => return Err(CormError::Rdma(e.clone())),
+                        Ok(_) => {
+                            let image = &s.out[k];
+                            checks += self.server.model().version_check_cost(image.len());
+                            match consistency::gather_into(
+                                image,
+                                Some(ptrs[i].obj_id),
+                                &mut bufs[i],
+                            ) {
+                                Ok((_, m)) => lens[i] = m,
+                                Err(ReadFailure::Locked) | Err(ReadFailure::TornRead) => {
+                                    self.failed_direct_reads += 1;
+                                    self.op.locked_last = true;
+                                    s.retry.push(i);
+                                }
+                                Err(_) => {
+                                    self.failed_direct_reads += 1;
+                                    s.repair.push(i);
                                 }
                             }
                         }
                     }
-                    // The client is blocked until the slowest completion
-                    // lands, then validates all images back-to-back on the
-                    // CPU.
-                    let makespan = batch_end.saturating_since(clock) + checks;
-                    self.trace.span(Track::Client, Stage::BatchWindow, op, clock, makespan);
-                    total += makespan;
-                    clock += makespan;
                 }
-                if !repair.is_empty() {
-                    let w = self.pick_worker();
-                    // The repair RPC's arguments come from recycled scratch
-                    // too: pointers are copied in, and each entry's staging
-                    // buffer is re-zeroed in place (no per-entry Vec).
-                    self.repair_ptrs.clear();
-                    self.repair_ptrs.extend(repair.iter().map(|&i| ptrs[i]));
-                    while self.repair_bufs.len() < repair.len() {
-                        self.repair_bufs.push(Vec::new());
-                    }
-                    for (k, &i) in repair.iter().enumerate() {
-                        let rb = &mut self.repair_bufs[k];
-                        rb.clear();
-                        rb.resize(bufs[i].len(), 0);
-                    }
-                    let t = server.read_many(
-                        w,
-                        &mut self.repair_ptrs,
-                        &mut self.repair_bufs[..repair.len()],
-                    );
-                    // One RPC carries the whole repair batch: a single wire
-                    // round trip amortized over every repaired entry.
-                    let repaired: usize = t.value.iter().map(|r| *r.as_ref().unwrap_or(&0)).sum();
-                    let wire = self.rpc_wire(repaired);
-                    self.trace.span(Track::Client, Stage::RepairRpc, op, clock, t.cost);
-                    self.trace.span(Track::Client, Stage::RpcWire, op, clock + t.cost, wire);
-                    let cost = t.cost + wire;
-                    total += cost;
-                    clock += cost;
-                    let mut fatal = None;
-                    for (k, &i) in repair.iter().enumerate() {
-                        ptrs[i] = self.repair_ptrs[k];
-                        match &t.value[k] {
-                            Ok(m) => {
-                                bufs[i][..*m].copy_from_slice(&self.repair_bufs[k][..*m]);
-                                lens[i] = *m;
-                            }
-                            Err(CormError::ObjectLocked) => {
-                                locked_any = true;
-                                next_pending.push(i);
-                            }
-                            Err(e) => {
-                                fatal = Some(e.clone());
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(e) = fatal {
-                        break 'retry Err(e);
-                    }
-                }
-                if need_reconnect {
-                    if let Err(e) = self.recover_qp(op, &mut reconnects, &mut total, &mut clock) {
-                        break 'retry Err(e);
-                    }
-                }
-                if next_pending.is_empty() {
-                    self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                    break 'retry Ok(total);
-                }
-                if locked_any && !need_reconnect {
-                    self.trace.span(Track::Client, Stage::Backoff, op, clock, self.config.backoff);
-                    total += self.config.backoff;
-                    clock += self.config.backoff;
-                }
-                locked_last = locked_any;
-                // Re-post in posting (index) order so retried WQEs draw
-                // from the fault stream exactly as the sequential loop
-                // would.
-                next_pending.sort_unstable();
-                std::mem::swap(&mut pending, &mut next_pending);
+                // The client is blocked until the slowest completion
+                // lands, then validates all images back-to-back on the
+                // CPU.
+                let makespan = batch_end.saturating_since(self.op.clock) + checks;
+                self.charge(Stage::BatchWindow, makespan);
             }
-            Err(if locked_last { CormError::ObjectLocked } else { CormError::ObjectNotFound })
-        };
-        self.batch_pending = pending;
-        self.batch_retry = next_pending;
-        self.repair_idx = repair;
-        outcome.map(|total| Timed::new(lens, total))
-    }
-
-    /// One-sided write with full recovery: fetches the slot image to learn
-    /// the current version, validates it, then writes back the re-scattered
-    /// image with a bumped version. Retries locked/torn images after a
-    /// backoff, falls back to an RPC write when the object was relocated
-    /// (which also corrects the pointer), and survives QP breaks by
-    /// reconnecting with capped exponential backoff — all charged to the
-    /// returned [`Timed`] cost.
-    ///
-    /// Like FaRM-style one-sided writes, this assumes the caller is the
-    /// object's single writer; concurrent writers to the *same object* must
-    /// coordinate through the RPC path.
-    pub fn write_with_recovery(
-        &mut self,
-        ptr: &mut GlobalPtr,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<Timed<()>, CormError> {
-        let mut image = std::mem::take(&mut self.image_scratch);
-        let r = self.write_with_recovery_inner(ptr, data, now, &mut image);
-        self.image_scratch = image;
-        r
-    }
-
-    /// [`Self::write_with_recovery`] body over the recycled slot image:
-    /// the read verb fully overwrites it and the write-back re-scatters it
-    /// in place, so one buffer serves every retry without allocating.
-    fn write_with_recovery_inner(
-        &mut self,
-        ptr: &mut GlobalPtr,
-        data: &[u8],
-        now: SimTime,
-        image: &mut Vec<u8>,
-    ) -> Result<Timed<()>, CormError> {
-        let slot_bytes = self.slot_bytes(ptr)?;
-        if data.len() > consistency::layout(slot_bytes).capacity {
-            return Err(CormError::PayloadTooLarge(data.len()));
-        }
-        let op = self.begin_op();
-        // Clone the Arc, not the ~400-byte model: the reference must
-        // outlive mutable borrows of the batch scratch fields below.
-        let server = Arc::clone(&self.server);
-        let model = server.model();
-        let mut total = SimDuration::ZERO;
-        let mut clock = now;
-        let mut reconnects = 0usize;
-        let mut locked_last = false;
-        for _ in 0..self.config.max_retries {
-            image.resize(slot_bytes, 0);
-            let verb = match self.conn.read(ptr.rkey, ptr.vaddr, &mut image[..], clock) {
-                Ok(v) => v,
-                Err(e) if Self::recoverable(&e) => {
-                    self.recover_qp(op, &mut reconnects, &mut total, &mut clock)?;
-                    continue;
+            if !s.repair.is_empty() {
+                let w = self.pick_worker();
+                // The repair RPC's arguments come from recycled scratch
+                // too: pointers are copied in, and each entry's staging
+                // buffer is re-zeroed in place (no per-entry Vec).
+                s.repair_ptrs.clear();
+                s.repair_ptrs.extend(s.repair.iter().map(|&i| ptrs[i]));
+                if s.repair_bufs.len() < s.repair.len() {
+                    s.repair_bufs.resize_with(s.repair.len(), Vec::new);
                 }
-                Err(e) => return Err(CormError::Rdma(e)),
-            };
-            let check = model.version_check_cost(slot_bytes);
-            self.trace.span(Track::Client, Stage::Verb, op, clock, verb.latency);
-            self.trace.span(Track::Client, Stage::VersionCheck, op, clock + verb.latency, check);
-            let cost = verb.latency + check;
-            total += cost;
-            clock += cost;
-            match consistency::gather_into(image, Some(ptr.obj_id), &mut []) {
-                Ok((header, _)) => {
-                    // Re-scatter in place: the validated image is dead
-                    // after the header is extracted.
-                    consistency::scatter_into(header.bump_version(), data, slot_bytes, image);
-                    match self.conn.write(ptr.rkey, ptr.vaddr, image, clock) {
-                        Ok(v) => {
-                            let copy = model.copy_cost(data.len());
-                            self.trace.span(Track::Client, Stage::Verb, op, clock, v.latency);
-                            self.trace.span(
-                                Track::Client,
-                                Stage::Copy,
-                                op,
-                                clock + v.latency,
-                                copy,
-                            );
-                            total += v.latency + copy;
-                            self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                            return Ok(Timed::new((), total));
-                        }
-                        Err(e) if Self::recoverable(&e) => {
-                            // The write never completed; loop back to
-                            // re-read so a retry stays idempotent.
-                            self.recover_qp(op, &mut reconnects, &mut total, &mut clock)?;
-                        }
-                        Err(e) => return Err(CormError::Rdma(e)),
-                    }
+                for (rb, &i) in s.repair_bufs.iter_mut().zip(&s.repair) {
+                    rb.clear();
+                    rb.resize(bufs[i].len(), 0);
                 }
-                Err(ReadFailure::Locked) | Err(ReadFailure::TornRead) => {
-                    locked_last = true;
-                    self.trace.span(Track::Client, Stage::Backoff, op, clock, self.config.backoff);
-                    total += self.config.backoff;
-                    clock += self.config.backoff;
-                }
-                Err(ReadFailure::IdMismatch { .. }) | Err(ReadFailure::NotValid) => {
-                    // Relocated: the RPC write finds the object server-side
-                    // and corrects the pointer.
-                    match self.write(ptr, data) {
-                        Ok(t) => {
-                            self.trace.span(Track::Client, Stage::RepairRpc, op, clock, t.cost);
-                            total += t.cost;
-                            clock += t.cost;
-                            self.trace.span(Track::Client, Stage::ClientOp, op, now, total);
-                            return Ok(Timed::new((), total));
+                let t = self.server.read_many(
+                    w,
+                    &mut s.repair_ptrs,
+                    &mut s.repair_bufs[..s.repair.len()],
+                );
+                // One RPC carries the whole repair batch: a single wire
+                // round trip amortized over every repaired entry.
+                let repaired: usize = t.value.iter().map(|r| *r.as_ref().unwrap_or(&0)).sum();
+                self.charge(Stage::RepairRpc, t.cost);
+                self.charge(Stage::RpcWire, self.rpc_wire(repaired));
+                for (k, &i) in s.repair.iter().enumerate() {
+                    ptrs[i] = s.repair_ptrs[k];
+                    match &t.value[k] {
+                        Ok(m) => {
+                            bufs[i][..*m].copy_from_slice(&s.repair_bufs[k][..*m]);
+                            lens[i] = *m;
                         }
                         Err(CormError::ObjectLocked) => {
-                            locked_last = true;
-                            self.trace.span(
-                                Track::Client,
-                                Stage::Backoff,
-                                op,
-                                clock,
-                                self.config.backoff,
-                            );
-                            total += self.config.backoff;
-                            clock += self.config.backoff;
+                            self.op.locked_last = true;
+                            s.retry.push(i);
                         }
-                        Err(e) => return Err(e),
+                        Err(e) => return Err(e.clone()),
                     }
                 }
             }
+            if broken {
+                self.recover()?;
+            }
+            if s.retry.is_empty() {
+                return Ok(());
+            }
+            if self.op.locked_last && !broken {
+                self.backoff();
+            }
+            // Re-post in posting (index) order so retried WQEs draw
+            // from the fault stream exactly as the sequential loop
+            // would.
+            s.retry.sort_unstable();
+            std::mem::swap(&mut s.pending, &mut s.retry);
         }
-        Err(if locked_last { CormError::ObjectLocked } else { CormError::ObjectNotFound })
+        Err(self.exhausted())
     }
 
     /// Local read through the CoRM API (Fig. 11's local path): same
@@ -1009,24 +740,11 @@ impl CormClient {
         ptr: &mut GlobalPtr,
         buf: &mut [u8],
     ) -> Result<Timed<usize>, CormError> {
-        let mut image = std::mem::take(&mut self.image_scratch);
-        let r = self.local_read_inner(ptr, buf, &mut image);
-        self.image_scratch = image;
-        r
-    }
-
-    /// [`Self::local_read`] body over the recycled slot image.
-    fn local_read_inner(
-        &mut self,
-        ptr: &mut GlobalPtr,
-        buf: &mut [u8],
-        image: &mut Vec<u8>,
-    ) -> Result<Timed<usize>, CormError> {
         let slot_bytes = self.slot_bytes(ptr)?;
-        image.resize(slot_bytes, 0);
-        self.server.aspace().read(ptr.vaddr, image)?;
+        self.image.resize(slot_bytes, 0);
+        self.server.aspace().read(ptr.vaddr, &mut self.image)?;
         let cost = self.server.model().local_read_cost(slot_bytes);
-        match consistency::gather_into(image, Some(ptr.obj_id), buf) {
+        match consistency::gather_into(&self.image, Some(ptr.obj_id), buf) {
             Ok((_, n)) => Ok(Timed::new(n, cost)),
             Err(ReadFailure::IdMismatch { .. } | ReadFailure::NotValid) => {
                 // Not at the hint (relocated, or its old slot was freed):

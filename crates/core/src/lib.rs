@@ -17,11 +17,6 @@
 //!   transparent pointer correction (§3.2.1), the two-stage compaction
 //!   leader (§3.1.4), RDMA-safe page remapping (§3.5), and virtual-address
 //!   lifecycle tracking (§3.3).
-//! - [`replication`]: write-all/read-one primary-backup replication with
-//!   failover — the fault tolerance the paper leaves as future work
-//!   (§3.2.4), composing with per-node compaction.
-//! - [`cluster`]: a multi-node DSM layer routing by pointer node tags
-//!   (the deployment shape the paper's introduction motivates).
 //! - [`client`]: the Table 2 API (`Alloc`/`Free`/`Read`/`Write`/
 //!   `DirectRead`/`ScanRead`/`ReleasePtr`) with client-side pointer
 //!   correction for one-sided reads (§3.2.2).
@@ -31,18 +26,14 @@
 //! event-driven reproduction of the paper's figures.
 
 pub mod client;
-pub mod cluster;
 pub mod consistency;
 pub mod header;
 pub mod ptr;
-pub mod replication;
 pub mod server;
 
 pub use client::{CormClient, ReadOutcome};
-pub use cluster::{Cluster, ClusterClient, NodeId};
 pub use header::ObjectHeader;
 pub use ptr::GlobalPtr;
-pub use replication::{ReplicatedClient, ReplicatedPtr};
 pub use server::{CompactionReport, CormError, CormServer, CorrectionStrategy, ServerConfig};
 
 use corm_sim_core::time::SimDuration;

@@ -41,6 +41,9 @@ use crate::header::{LockState, ObjectHeader, HEADER_BYTES};
 use super::plan::MergePlan;
 use super::{CormError, CormServer};
 
+/// Occupancy above which a block is not collected for compaction.
+const COLLECT_MAX_OCCUPANCY: f64 = 0.9;
+
 /// Outcome of one compaction pass over a size class.
 #[derive(Debug, Clone)]
 pub struct CompactionReport {
@@ -127,9 +130,7 @@ impl CormServer {
         let mut candidates: Vec<SharedBlock> = Vec::new();
         for w in &self.workers {
             let mut state = w.lock();
-            candidates.extend(
-                state.alloc.collect_for_compaction(class, self.config().collect_max_occupancy),
-            );
+            candidates.extend(state.alloc.collect_for_compaction(class, COLLECT_MAX_OCCUPANCY));
         }
         for block in &candidates {
             block.lock().set_owner(0); // the leader owns collected blocks

@@ -80,11 +80,6 @@ pub struct ServerConfig {
     /// Per-class fragmentation ratio beyond which compaction triggers
     /// (§3.1.3).
     pub frag_threshold: f64,
-    /// Maximum occupancy for a block to be collected for compaction.
-    pub collect_max_occupancy: f64,
-    /// Whether emptied blocks are immediately returned to the process-wide
-    /// allocator.
-    pub release_empty_blocks: bool,
     /// RNIC configuration (device model, translation-cache size).
     pub rnic: RnicConfig,
     /// Shards in the block registry; 1 reproduces the single-lock
@@ -140,8 +135,6 @@ impl Default for ServerConfig {
             correction: CorrectionStrategy::ThreadMessaging,
             mtt_strategy: MttUpdateStrategy::OdpPrefetch,
             frag_threshold: 1.5,
-            collect_max_occupancy: 0.9,
-            release_empty_blocks: true,
             rnic: RnicConfig::default(),
             registry_shards: registry::DEFAULT_REGISTRY_SHARDS,
             compaction_lanes: 1,
@@ -176,8 +169,6 @@ pub enum CormError {
     ObjectLocked,
     /// The payload exceeds every size class.
     PayloadTooLarge(usize),
-    /// The target cluster node is marked failed (replication layer).
-    NodeDown,
 }
 
 impl std::fmt::Display for CormError {
@@ -191,7 +182,6 @@ impl std::fmt::Display for CormError {
             CormError::ObjectNotFound => write!(f, "object not found"),
             CormError::ObjectLocked => write!(f, "object transiently locked; retry"),
             CormError::PayloadTooLarge(n) => write!(f, "payload too large: {n}"),
-            CormError::NodeDown => write!(f, "cluster node is down"),
         }
     }
 }
@@ -895,7 +885,7 @@ impl CormServer {
             if remaining == 0 {
                 self.try_release_vaddr(home_addr);
             }
-            if block_empty && self.config.release_empty_blocks {
+            if block_empty {
                 self.try_release_empty_block(&block, live_base);
             }
             self.stats.frees.fetch_add(1, Ordering::Relaxed);

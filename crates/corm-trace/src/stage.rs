@@ -32,8 +32,6 @@ pub enum Stage {
     VersionCheck,
     /// Block scan cost (alias repair via `BlockScan`, scan reads).
     Scan,
-    /// Client-side copy cost charged on the write path.
-    Copy,
     /// Exponential backoff between recovery attempts.
     Backoff,
     /// QP reconnect cost during recovery.
@@ -116,7 +114,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (sizes the recorder's counter arrays).
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 38;
 
     /// Every stage, in declaration order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -124,7 +122,6 @@ impl Stage {
         Stage::Verb,
         Stage::VersionCheck,
         Stage::Scan,
-        Stage::Copy,
         Stage::Backoff,
         Stage::Reconnect,
         Stage::RepairRpc,
@@ -173,7 +170,6 @@ impl Stage {
             Stage::Verb => "verb",
             Stage::VersionCheck => "version_check",
             Stage::Scan => "scan",
-            Stage::Copy => "copy",
             Stage::Backoff => "backoff",
             Stage::Reconnect => "reconnect",
             Stage::RepairRpc => "repair_rpc",
@@ -218,7 +214,6 @@ impl Stage {
             Stage::Verb
             | Stage::VersionCheck
             | Stage::Scan
-            | Stage::Copy
             | Stage::Backoff
             | Stage::Reconnect
             | Stage::RepairRpc
@@ -294,7 +289,6 @@ mod tests {
                 Stage::Verb,
                 Stage::VersionCheck,
                 Stage::Scan,
-                Stage::Copy,
                 Stage::Backoff,
                 Stage::Reconnect,
                 Stage::RepairRpc,

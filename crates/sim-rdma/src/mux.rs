@@ -147,17 +147,6 @@ impl MuxTenant {
         self.mux.qp.read(rkey, va, buf, now)
     }
 
-    /// One-sided WRITE through the shared QP.
-    pub fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        self.mux.qp.write(rkey, va, data, now)
-    }
-
     /// Synchronous READ batch through the shared QP, with DCT-style
     /// completion routing: requests are re-tagged with this tenant's slot
     /// (high `wr_id` bits + the QoS tenant field) on the way in, and

@@ -172,37 +172,15 @@ impl QueuePair {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<VerbOutcome, RdmaError> {
-        self.guarded(|| self.rnic.read(rkey, va, buf, now))
-    }
-
-    /// One-sided WRITE through this QP. On any access error the QP breaks.
-    pub fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        self.guarded(|| self.rnic.write(rkey, va, data, now))
-    }
-
-    fn guarded<T>(&self, f: impl FnOnce() -> Result<T, RdmaError>) -> Result<T, RdmaError> {
-        {
-            let state = self.state.lock();
-            if *state == QpState::Error {
-                return Err(RdmaError::QpBroken);
-            }
+        if *self.state.lock() == QpState::Error {
+            return Err(RdmaError::QpBroken);
         }
-        match f() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                // Access faults break the connection; memory-bounds errors
-                // from the simulated DMA do too (they model PCIe faults).
-                *self.state.lock() = QpState::Error;
-                self.breaks.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        // Access faults break the connection; memory-bounds errors from
+        // the simulated DMA do too (they model PCIe faults).
+        self.rnic.read(rkey, va, buf, now).inspect_err(|_| {
+            *self.state.lock() = QpState::Error;
+            self.breaks.fetch_add(1, Ordering::Relaxed);
+        })
     }
 
     /// Enqueues a READ WQE on the send queue as a latency-class request of
@@ -418,11 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn read_write_through_connected_qp() {
-        let (_aspace, rnic, va) = setup();
+    fn read_through_connected_qp() {
+        let (aspace, rnic, va) = setup();
         let (mr, _) = rnic.register(va, 1, false).unwrap();
         let qp = QueuePair::connect(rnic);
-        qp.write(mr.rkey, va, b"ping", SimTime::ZERO).unwrap();
+        aspace.write(va, b"ping").unwrap();
         let mut buf = [0u8; 4];
         qp.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(&buf, b"ping");

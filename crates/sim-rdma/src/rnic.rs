@@ -117,15 +117,11 @@ pub struct RnicConfig {
     /// Deterministic fault injection. `None` (the default) disables it
     /// entirely: the NIC behaves bit-identically to a fault-free build.
     pub faults: Option<FaultConfig>,
-    /// Number of parallel servers in the inbound verb engine that serves
-    /// doorbell-batched WQEs. Real ConnectX processing units pipeline, but
-    /// a single FIFO server calibrated to `nic_read_service` reproduces the
-    /// aggregate plateau; widen for hypothetical multi-engine devices.
-    pub engine_width: usize,
     /// Number of independent on-NIC processing units. Each unit owns its
-    /// own inbound FIFO engine (with `engine_width` servers) and WQEs are
-    /// dispatched round-robin across units, the NP-RDMA model of an
-    /// internally parallel RNIC.
+    /// own inbound FIFO engine — one server calibrated to
+    /// `nic_read_service`, which reproduces the aggregate plateau of a
+    /// pipelining ConnectX unit — and WQEs are dispatched round-robin
+    /// across units, the NP-RDMA model of an internally parallel RNIC.
     pub processing_units: usize,
     /// Number of MTT shards. Translations are sharded by page-aligned
     /// virtual address, so concurrent one-sided verbs from different QPs
@@ -166,7 +162,6 @@ impl Default for RnicConfig {
             model: LatencyModel::default(),
             cache_entries: 16 * 1024,
             faults: None,
-            engine_width: 1,
             processing_units: 1,
             mtt_shards: 8,
             trace: TraceHandle::disabled(),
@@ -270,8 +265,6 @@ pub struct VerbOutcome {
 pub struct RnicStats {
     /// One-sided reads served.
     pub reads: AtomicU64,
-    /// One-sided writes served.
-    pub writes: AtomicU64,
     /// Payload bytes read.
     pub bytes_read: AtomicU64,
     /// ODP misses taken.
@@ -343,7 +336,6 @@ impl Rnic {
         let sched = Mutex::new(QosScheduler::new(
             config.qos.clone().unwrap_or_else(QosConfig::equal_weights),
             config.processing_units,
-            config.engine_width,
         ));
         Rnic {
             aspace,
@@ -618,22 +610,9 @@ impl Rnic {
         now: SimTime,
     ) -> Result<VerbOutcome, RdmaError> {
         let len = buf.len();
-        let outcome = self.access(rkey, va, len, now, AccessDir::Read(buf))?;
+        let outcome = self.access(rkey, va, now, buf)?;
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(outcome)
-    }
-
-    /// One-sided RDMA WRITE of `data` at `(rkey, va)`.
-    pub fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        let outcome = self.access(rkey, va, data.len(), now, AccessDir::Write(data))?;
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }
 
@@ -690,9 +669,8 @@ impl Rnic {
                 &mut memo,
                 req.rkey,
                 req.va,
-                req.len,
                 arrival,
-                AccessDir::Read(sink.buffer(k, req.len)),
+                sink.buffer(k, req.len),
             ) {
                 Ok(verb) => {
                     bytes_read += req.len as u64;
@@ -789,14 +767,13 @@ impl Rnic {
         &self,
         rkey: u32,
         va: u64,
-        len: usize,
         now: SimTime,
-        dir: AccessDir<'_>,
+        buf: &mut [u8],
     ) -> Result<VerbOutcome, RdmaError> {
         let rt = self.regions.read();
         let dma = self.aspace.phys().dma();
         let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
-        self.access_locked(&rt, &dma, &mut fault, &mut None, &mut None, rkey, va, len, now, dir)
+        self.access_locked(&rt, &dma, &mut fault, &mut None, &mut None, rkey, va, now, buf)
     }
 
     /// The verb path proper, under a caller-held region-table snapshot,
@@ -804,8 +781,8 @@ impl Rnic {
     /// all three once per doorbell batch, plus batch-held shard guards in
     /// `held` and a one-entry region memo in `memo` (valid because the
     /// region snapshot is pinned and every WQE in a batch shares one
-    /// arrival time); the sequential [`Rnic::read`]/[`Rnic::write`]
-    /// wrappers pass `None` for both and acquire per verb.
+    /// arrival time); the sequential [`Rnic::read`] wrapper passes `None`
+    /// for both and acquires per verb. The READ is of `buf.len()` bytes.
     #[allow(clippy::too_many_arguments)]
     fn access_locked(
         &self,
@@ -816,10 +793,10 @@ impl Rnic {
         memo: &mut Option<(u32, MemoryRegion)>,
         rkey: u32,
         va: u64,
-        len: usize,
         now: SimTime,
-        mut dir: AccessDir<'_>,
+        buf: &mut [u8],
     ) -> Result<VerbOutcome, RdmaError> {
+        let len = buf.len();
         // Consult the fault layer first: injected failures model the NIC or
         // the fabric going wrong before the verb touches any state.
         let mut injected_delay = SimDuration::ZERO;
@@ -1004,14 +981,7 @@ impl Rnic {
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(len - done);
             let frame = frames[frame_idx];
-            match &mut dir {
-                AccessDir::Read(buf) => {
-                    dma.read(frame, off, &mut buf[done..done + n])?;
-                }
-                AccessDir::Write(data) => {
-                    dma.write(frame, off, &data[done..done + n])?;
-                }
-            }
+            dma.read(frame, off, &mut buf[done..done + n])?;
             done += n;
             addr += n as u64;
             frame_idx += 1;
@@ -1076,11 +1046,6 @@ impl Rnic {
     pub fn region(&self, rkey: u32) -> Option<MemoryRegion> {
         self.regions.read().get(rkey).ok().map(|slot| slot.mr)
     }
-}
-
-enum AccessDir<'a> {
-    Read(&'a mut [u8]),
-    Write(&'a [u8]),
 }
 
 /// Where one doorbell's payloads land and where its results go: all that
@@ -1402,16 +1367,6 @@ mod tests {
         let settled = rnic2.read(mr2.rkey, va2, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(settled.latency, warm2.latency);
         assert_eq!(pm2.residency(frames2[0]), Residency::Resident);
-    }
-
-    #[test]
-    fn write_verb_updates_memory() {
-        let (aspace, rnic, va, _) = setup(1);
-        let (mr, _) = rnic.register(va, 1, false).unwrap();
-        rnic.write(mr.rkey, va + 8, b"payload", SimTime::ZERO).unwrap();
-        let mut cpu = [0u8; 7];
-        aspace.read(va + 8, &mut cpu).unwrap();
-        assert_eq!(&cpu, b"payload");
     }
 
     #[test]

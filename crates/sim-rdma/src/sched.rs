@@ -174,8 +174,6 @@ enum Discipline {
         drain: BinaryHeap<Reverse<(SimTime, u64)>>,
         /// Sum of the weights of currently-backlogged flows.
         w_active: u64,
-        /// Aggregate engine capacity (units × width servers).
-        capacity: u64,
         /// Processing-order clamp, mirroring [`FifoResource`]: admissions
         /// stay causal even if a caller's clock lags.
         last_admit: SimTime,
@@ -207,19 +205,17 @@ fn flow_key(tenant: u32, class: TrafficClass) -> u64 {
 }
 
 impl QosScheduler {
-    /// Creates a scheduler rationing `units` engines of `width` servers
-    /// each (both clamped to ≥ 1).
-    pub fn new(config: QosConfig, units: usize, width: usize) -> Self {
+    /// Creates a scheduler rationing `units` single-server engines
+    /// (clamped to ≥ 1).
+    pub fn new(config: QosConfig, units: usize) -> Self {
         let units = units.max(1);
-        let width = width.max(1);
         let discipline = if config.is_uniform() {
-            Discipline::Uniform { engines: (0..units).map(|_| FifoResource::new(width)).collect() }
+            Discipline::Uniform { engines: (0..units).map(|_| FifoResource::new(1)).collect() }
         } else {
             Discipline::Weighted {
                 flows: FastHashMap::default(),
                 drain: BinaryHeap::new(),
                 w_active: 0,
-                capacity: (units * width) as u64,
                 last_admit: SimTime::ZERO,
             }
         };
@@ -246,13 +242,15 @@ impl QosScheduler {
     ) -> QosAdmission {
         let unit = self.next_unit;
         self.next_unit = if unit + 1 == self.units { 0 } else { unit + 1 };
+        // Aggregate engine capacity: one server per unit.
+        let capacity = self.units as u64;
         let adm = match &mut self.discipline {
             Discipline::Uniform { engines } => QosAdmission {
                 done: engines[unit].admit(now, service),
                 class_wait: SimDuration::ZERO,
                 unit,
             },
-            Discipline::Weighted { flows, drain, w_active, capacity, last_admit } => {
+            Discipline::Weighted { flows, drain, w_active, last_admit } => {
                 let now = now.max(*last_admit);
                 *last_admit = now;
                 // Deactivate flows whose clocks real time has caught up
@@ -284,7 +282,7 @@ impl QosScheduler {
                 let start = flow.next_start.max(now);
                 let done = start + service;
                 let spacing =
-                    service.as_nanos().saturating_mul(*w_active).div_ceil(flow.weight * *capacity);
+                    service.as_nanos().saturating_mul(*w_active).div_ceil(flow.weight * capacity);
                 flow.next_start = start + SimDuration::from_nanos(spacing);
                 drain.push(Reverse((flow.next_start, key)));
                 QosAdmission { done, class_wait: start.saturating_since(now), unit }
@@ -312,13 +310,8 @@ impl QosScheduler {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
-        let servers = match &self.discipline {
-            Discipline::Uniform { engines } => {
-                engines.iter().map(|e| e.servers()).sum::<usize>() as f64
-            }
-            Discipline::Weighted { capacity, .. } => *capacity as f64,
-        };
-        self.busy.as_secs_f64() / (horizon.as_secs_f64() * servers)
+        // One server per unit, under either discipline.
+        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.units as f64)
     }
 
     /// Per-class admitted counts, indexed by [`TrafficClass`].
@@ -356,11 +349,8 @@ mod tests {
     }
 
     impl LegacyDispatch {
-        fn new(units: usize, width: usize) -> Self {
-            LegacyDispatch {
-                engines: (0..units).map(|_| FifoResource::new(width)).collect(),
-                next: 0,
-            }
+        fn new(units: usize) -> Self {
+            LegacyDispatch { engines: (0..units).map(|_| FifoResource::new(1)).collect(), next: 0 }
         }
         fn admit(&mut self, now: SimTime, service: SimDuration) -> (SimTime, usize) {
             let unit = self.next % self.engines.len();
@@ -374,9 +364,9 @@ mod tests {
         // Determinism pin: a uniform scheduler must reproduce the legacy
         // round-robin event order byte for byte — any class mix, any unit
         // count, any (causal) arrival pattern.
-        for (units, width) in [(1, 1), (1, 2), (3, 1), (4, 2)] {
-            let mut qos = QosScheduler::new(QosConfig::equal_weights(), units, width);
-            let mut legacy = LegacyDispatch::new(units, width);
+        for units in [1, 3, 4] {
+            let mut qos = QosScheduler::new(QosConfig::equal_weights(), units);
+            let mut legacy = LegacyDispatch::new(units);
             let mut seed = 0x51EEDu64;
             let mut now = 0u64;
             for i in 0..500 {
@@ -387,7 +377,7 @@ mod tests {
                 let tenant = (seed >> 16) as u32 % 7;
                 let q = qos.admit(tenant, class, at(now), service);
                 let (done, unit) = legacy.admit(at(now), service);
-                assert_eq!((q.done, q.unit), (done, unit), "op {i} diverged at {units}x{width}");
+                assert_eq!((q.done, q.unit), (done, unit), "op {i} diverged at {units} units");
                 assert_eq!(q.class_wait, SimDuration::ZERO);
             }
         }
@@ -397,7 +387,7 @@ mod tests {
     fn saturating_bulk_does_not_delay_latency_class() {
         // Isolation: bulk backlogs its own clock far ahead; a latency verb
         // still starts at its arrival and completes in one service.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(10);
         for _ in 0..1000 {
             qos.admit(7, TrafficClass::Bulk, at(0), s);
@@ -418,7 +408,7 @@ mod tests {
             tenant_weights: vec![(1, 3), (2, 1)],
         };
         assert!(!cfg.is_uniform());
-        let mut qos = QosScheduler::new(cfg, 1, 1);
+        let mut qos = QosScheduler::new(cfg, 1);
         let s = us(1);
         let horizon = at(4_000);
         let (mut heavy, mut light) = (0u64, 0u64);
@@ -439,8 +429,8 @@ mod tests {
         // Work conservation, equal weights: an all-backlogged batch
         // finishes exactly at the FIFO makespan — no unit idles while any
         // class has runnable WQEs.
-        let mut qos = QosScheduler::new(QosConfig::equal_weights(), 2, 1);
-        let mut fifo = LegacyDispatch::new(2, 1);
+        let mut qos = QosScheduler::new(QosConfig::equal_weights(), 2);
+        let mut fifo = LegacyDispatch::new(2);
         let s = us(4);
         let mut qos_last = SimTime::ZERO;
         let mut fifo_last = SimTime::ZERO;
@@ -457,7 +447,7 @@ mod tests {
         // Work conservation, skewed weights: while every flow still has
         // runnable WQEs the engines complete work at full capacity — the
         // completed service in [0, T] tracks T with no idle gap.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(4);
         let mut dones = Vec::new();
         for i in 0..300 {
@@ -486,7 +476,7 @@ mod tests {
         // A flow that drains (real time passes its clock) stops diluting
         // others: after bulk's backlog is long gone, latency runs at full
         // rate again and bulk restarts cleanly.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(2);
         for _ in 0..10 {
             qos.admit(0, TrafficClass::Bulk, at(0), s);
@@ -522,7 +512,7 @@ mod tests {
 
     #[test]
     fn per_class_counters_accumulate() {
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         qos.admit(0, TrafficClass::Latency, at(0), us(1));
         qos.admit(0, TrafficClass::Bulk, at(0), us(2));
         qos.admit(0, TrafficClass::Bulk, at(0), us(2));

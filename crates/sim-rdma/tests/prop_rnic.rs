@@ -42,7 +42,6 @@ fn adapter_state(rnic: &Rnic, qp: &QueuePair) -> impl PartialEq + std::fmt::Debu
     let s = &rnic.stats;
     let counters = [
         &s.reads,
-        &s.writes,
         &s.bytes_read,
         &s.odp_misses,
         &s.injected_faults,
