@@ -15,15 +15,12 @@
 //!   workload's events/sec regressed by more than the tolerance (10% by
 //!   default; override with `CORM_SIMSPEED_TOL=0.25` for noisier hosts)
 //!   or any cell's fingerprint differs from the committed one.
-//! - `--profile` re-runs each cell once with a recording trace handle and
-//!   prints the merged per-stage breakdown (counts, virtual totals, and
-//!   wall totals) from the corm-trace stage registries.
 
-use corm_bench::report::{f2, write_json, Json, JsonObject, Table};
+use corm_bench::report::{f2, Table};
 use corm_bench::simspeed::{
     bench_json, committed_bench_path, host_cpus, parse_committed, parse_trajectory,
-    push_trajectory, run_fig12_cell, run_fig13_cell, run_fig21_cell, run_fig22_cell, stage_profile,
-    SpeedCell, TrajectoryEntry,
+    push_trajectory, run_fig12_cell, run_fig13_cell, run_fig21_cell, run_fig22_cell, SpeedCell,
+    TrajectoryEntry,
 };
 use corm_trace::TraceHandle;
 
@@ -53,56 +50,9 @@ fn env_f64(name: &str) -> Option<f64> {
     std::env::var(name).ok()?.parse().ok()
 }
 
-/// One `--profile` run: executes `run` against a recording handle, prints
-/// the merged per-stage totals table, and returns the totals as a JSON
-/// object for the machine-readable profile artifact.
-fn profile_cell(name: &str, run: impl FnOnce(&TraceHandle) -> SpeedCell) -> Json {
-    let trace = TraceHandle::recording();
-    let cell = run(&trace);
-    let mut t = Table::new(
-        format!(
-            "profile: {} ({:.1} ms best-of wall; totals over {} traced repeats)",
-            name,
-            cell.wall_secs * 1e3,
-            corm_bench::simspeed::REPEATS,
-        ),
-        &["stage", "count", "virt_ms", "wall_ms"],
-    );
-    for (stage, count, virt_ns, wall_ns) in stage_profile(&trace) {
-        t.row(&[
-            stage.to_string(),
-            count.to_string(),
-            f2(virt_ns as f64 / 1e6),
-            f2(wall_ns as f64 / 1e6),
-        ]);
-    }
-    t.print();
-    if trace.dropped() > 0 {
-        println!("note: {} span events dropped (totals above remain exact)", trace.dropped());
-    }
-    let mut stages = JsonObject::new();
-    for (stage, count, virt_ns, wall_ns) in stage_profile(&trace) {
-        stages = stages.field(
-            stage,
-            JsonObject::new()
-                .uint("count", count)
-                .uint("virt_ns", virt_ns)
-                .uint("wall_ns", wall_ns)
-                .build(),
-        );
-    }
-    JsonObject::new()
-        .str("workload", name)
-        .float("best_wall_secs", cell.wall_secs)
-        .uint("traced_repeats", corm_bench::simspeed::REPEATS as u64)
-        .field("stages", stages.build())
-        .build()
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let update = std::env::args().any(|a| a == "--update");
-    let profile = std::env::args().any(|a| a == "--profile");
     let trace = TraceHandle::disabled();
 
     let fig12 = run_fig12_cell(&trace);
@@ -255,21 +205,5 @@ fn main() {
         if pinned > 0 {
             println!("fingerprint gate passed: {pinned} serial cells match the committed snapshot");
         }
-    }
-
-    if profile {
-        let cells = vec![
-            profile_cell("fig12", run_fig12_cell),
-            profile_cell("fig13", run_fig13_cell),
-            profile_cell("fig21", run_fig21_cell),
-            profile_cell("fig22", run_fig22_cell),
-        ];
-        let doc = JsonObject::new()
-            .str("schema", "corm-simspeed-profile-v1")
-            .uint("host_cpus", host_cpus() as u64)
-            .field("cells", Json::Arr(cells))
-            .build();
-        let path = write_json("simspeed_profile", &doc).expect("write profile json");
-        println!("profile json: {}", path.display());
     }
 }

@@ -145,8 +145,6 @@ pub fn run_closed_loop(
     ptrs: &mut [GlobalPtr],
     spec: &ClosedLoopSpec,
 ) -> SimOutput {
-    use corm_trace::Stage;
-    let trace = server.trace().clone();
     let model = server.model().clone();
     let n_workers = server.config().workers;
     let mut ingress = FifoResource::new(1);
@@ -208,12 +206,7 @@ pub fn run_closed_loop(
         queue.schedule(SimTime::from_nanos(c as u64 * 100), Ev::Ready(c));
     }
 
-    // The `Hot*` wall samples feed the `simspeed --profile` per-stage
-    // breakdown; with a disabled handle `wall_start` returns `None` and the
-    // instrumentation is a no-op on the timing path.
-    loop {
-        let queue_wall = trace.wall_start();
-        let Some(next_at) = queue.peek_time() else { break };
+    while let Some(next_at) = queue.peek_time() {
         if next_at > end {
             break;
         }
@@ -244,24 +237,20 @@ pub fn run_closed_loop(
             }
         }
         let (now, ev) = queue.pop().expect("peeked");
-        trace.wall_since(Stage::HotQueue, queue_wall);
         out.events += 1;
         let (cid, retry_key) = match ev {
             Ev::Ready(c) => (c, None),
             Ev::Retry(c, k) => (c, Some(k)),
         };
-        let workload_wall = trace.wall_start();
         let op = match retry_key {
             Some(k) => Op::Read(k),
             None => spec.workload.next_op(&mut rngs[cid]),
         };
-        trace.wall_since(Stage::HotWorkload, workload_wall);
         let completion;
         let mut read_latency = None;
 
         match op {
             Op::Write(k) => {
-                let write_wall = trace.wall_start();
                 let ingress_done = ingress.admit(now, model.rpc_ingress_service);
                 // Two-sided traffic occupies the NIC's receive pipeline too.
                 nic.admit(now, model.rpc_nic_service);
@@ -281,12 +270,10 @@ pub fn run_closed_loop(
                 if now >= warmup_end && completion <= end {
                     out.writes += 1;
                 }
-                trace.wall_since(Stage::HotWrite, write_wall);
             }
             Op::Read(k) => {
                 match spec.read_path {
                     ReadPath::Rpc => {
-                        let rpc_wall = trace.wall_start();
                         let ingress_done = ingress.admit(now, model.rpc_ingress_service);
                         nic.admit(now, model.rpc_nic_service);
                         let mut ptr = ptrs[k as usize];
@@ -318,14 +305,11 @@ pub fn run_closed_loop(
                         let worker_done = workers.admit(start.max(ingress_done), cost);
                         completion = worker_done + wire_rpc(spec.value_len);
                         read_latency = Some(completion - now);
-                        trace.wall_since(Stage::HotRpcRead, rpc_wall);
                     }
                     ReadPath::Rdma => {
-                        let verb_wall = trace.wall_start();
                         let ptr = ptrs[k as usize];
                         let attempt =
                             client.direct_read(&ptr, &mut buf, now).expect("qp healthy in sim");
-                        trace.wall_since(Stage::HotDirectRead, verb_wall);
                         // A racing write to the same key within the fetch
                         // window tears the read.
                         let torn = match write_busy.get(&k) {
@@ -366,7 +350,6 @@ pub fn run_closed_loop(
                                 let mut ptr = ptrs[k as usize];
                                 match spec.fix_strategy {
                                     FixStrategy::ScanRead => {
-                                        let scan_wall = trace.wall_start();
                                         let block = server.block_bytes();
                                         let scan = client
                                             .scan_read(&mut ptr, &mut buf, now)
@@ -374,10 +357,8 @@ pub fn run_closed_loop(
                                         let service = model.rdma_read_service(block, true);
                                         let nic_done = nic.admit(now, service);
                                         completion = nic_done + scan.cost.saturating_sub(service);
-                                        trace.wall_since(Stage::HotDirectRead, scan_wall);
                                     }
                                     FixStrategy::RpcRead => {
-                                        let rpc_wall = trace.wall_start();
                                         let ingress_done =
                                             ingress.admit(now, model.rpc_ingress_service);
                                         let worker = next_worker % n_workers;
@@ -397,7 +378,6 @@ pub fn run_closed_loop(
                                         let worker_done =
                                             workers.admit(start.max(ingress_done), cost);
                                         completion = worker_done + wire_rpc(spec.value_len);
-                                        trace.wall_since(Stage::HotRpcRead, rpc_wall);
                                     }
                                 }
                                 ptrs[k as usize] = ptr;
@@ -422,7 +402,6 @@ pub fn run_closed_loop(
             }
         }
 
-        let book_wall = trace.wall_start();
         if now >= warmup_end && completion <= end {
             out.completed += 1;
             if let Some(l) = read_latency {
@@ -442,7 +421,6 @@ pub fn run_closed_loop(
         if completion <= end {
             queue.schedule(completion, Ev::Ready(cid));
         }
-        trace.wall_since(Stage::HotBookkeep, book_wall);
     }
 
     out.kreqs = out.completed as f64 / spec.duration.as_secs_f64() / 1_000.0;

@@ -352,31 +352,6 @@ pub fn run_fig22_cell(trace: &TraceHandle) -> SpeedCell {
     c
 }
 
-/// Merges a trace handle's counters, virtual-duration totals, and
-/// wall-clock totals into one per-stage profile: `(stage name, count,
-/// virtual ns, wall ns)`, in stage declaration order, stages with no
-/// activity omitted. `simspeed --profile` renders this as its breakdown
-/// table.
-pub fn stage_profile(trace: &TraceHandle) -> Vec<(&'static str, u64, u64, u64)> {
-    use corm_trace::Stage;
-    let counters = trace.counters();
-    let virt = trace.sample_totals();
-    let wall = trace.wall_totals();
-    let lookup = |rows: &[corm_trace::StageTotal], s: Stage| {
-        rows.iter().find(|t| t.stage == s).map_or((0, 0), |t| (t.count, t.total_ns))
-    };
-    Stage::ALL
-        .iter()
-        .filter_map(|&s| {
-            let n = counters.iter().find(|(cs, _)| *cs == s).map_or(0, |(_, n)| *n);
-            let (vc, v_ns) = lookup(&virt, s);
-            let (_, w_ns) = lookup(&wall, s);
-            let count = n.max(vc);
-            (count > 0 || v_ns > 0 || w_ns > 0).then_some((s.name(), count, v_ns, w_ns))
-        })
-        .collect()
-}
-
 /// One point of the bounded measurement history kept in
 /// `BENCH_simspeed.json`: the events/sec of every serial cell at one
 /// `--update`, keyed by the git commit and its date. The committed file

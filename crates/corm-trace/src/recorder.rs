@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
 
 use corm_sim_core::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -256,25 +255,6 @@ impl TraceHandle {
         }
     }
 
-    /// Starts a wall-clock measurement; `None` when disabled so the timer
-    /// itself costs nothing untraced.
-    #[inline]
-    pub fn wall_start(&self) -> Option<Instant> {
-        self.0.as_ref().map(|_| Instant::now())
-    }
-
-    /// Finishes a wall-clock measurement begun with [`wall_start`].
-    /// Wall time is the *secondary* clock: it feeds aggregate metrics only
-    /// and never appears in events, so it cannot perturb replay.
-    ///
-    /// [`wall_start`]: TraceHandle::wall_start
-    #[inline]
-    pub fn wall_since(&self, stage: Stage, started: Option<Instant>) {
-        if let (Some(inner), Some(t0)) = (&self.0, started) {
-            inner.wall[stage.index()].add(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// Records a pre-measured wall-clock duration in nanoseconds.
     #[inline]
     pub fn wall_ns(&self, stage: Stage, ns: u64) {
@@ -369,7 +349,6 @@ mod tests {
         assert!(tr.drain().is_empty());
         assert!(tr.counters().is_empty());
         assert!(tr.sample_totals().is_empty());
-        assert!(tr.wall_start().is_none());
     }
 
     #[test]

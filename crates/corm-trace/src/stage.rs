@@ -93,28 +93,11 @@ pub enum Stage {
     DynamicPin,
     /// The pin-budget manager evicting one block (all its frames spilled).
     Evict,
-    /// Closed-loop hot loop: event-queue schedule/pop/peek (wall-clock
-    /// sample; the `simspeed --profile` per-stage breakdown).
-    HotQueue,
-    /// Closed-loop hot loop: workload op draw + per-client RNG (wall).
-    HotWorkload,
-    /// Closed-loop hot loop: RPC write service — server.write plus the
-    /// ingress/NIC/worker admissions (wall).
-    HotWrite,
-    /// Closed-loop hot loop: RPC read service — server.read plus
-    /// admissions, including correction fallbacks (wall).
-    HotRpcRead,
-    /// Closed-loop hot loop: one-sided DirectRead verb — client post to
-    /// validated payload, plus NIC admission (wall).
-    HotDirectRead,
-    /// Closed-loop hot loop: completion bookkeeping — latency histograms,
-    /// write-busy tracking, completion scheduling (wall).
-    HotBookkeep,
 }
 
 impl Stage {
     /// Number of stages (sizes the recorder's counter arrays).
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 32;
 
     /// Every stage, in declaration order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -150,12 +133,6 @@ impl Stage {
         Stage::TierFetch,
         Stage::DynamicPin,
         Stage::Evict,
-        Stage::HotQueue,
-        Stage::HotWorkload,
-        Stage::HotWrite,
-        Stage::HotRpcRead,
-        Stage::HotDirectRead,
-        Stage::HotBookkeep,
     ];
 
     /// Dense index for counter arrays.
@@ -198,12 +175,6 @@ impl Stage {
             Stage::TierFetch => "tier_fetch",
             Stage::DynamicPin => "dynamic_pin",
             Stage::Evict => "evict",
-            Stage::HotQueue => "hot_queue",
-            Stage::HotWorkload => "hot_workload",
-            Stage::HotWrite => "hot_write",
-            Stage::HotRpcRead => "hot_rpc_read",
-            Stage::HotDirectRead => "hot_direct_read",
-            Stage::HotBookkeep => "hot_bookkeep",
         }
     }
 

@@ -15,12 +15,15 @@
 //!   series used by the benchmark harness.
 //! - [`hash`]: a fast deterministic hasher for the simulator's hot,
 //!   never-iterated lookup tables (MTT shards, translation cache, regions).
+//! - [`prefetch_read`]: the cache hint that lets a doorbell's requests miss
+//!   side by side.
 //!
 //! Everything here is deterministic: the same seed and the same sequence of
 //! calls produce bit-identical results, which the test suite relies on.
 
 pub mod arena;
 pub mod hash;
+mod hint;
 pub mod queue;
 pub mod resource;
 pub mod rng;
@@ -29,6 +32,7 @@ pub mod time;
 
 pub use arena::{SlabArena, SlabHandle};
 pub use hash::{FastBuildHasher, FastHashMap, FastHasher};
+pub use hint::prefetch_read;
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use stats::{Histogram, OnlineStats, TimeSeries};

@@ -8,6 +8,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
+use corm_sim_core::prefetch_read;
 use parking_lot::{Mutex, RwLock};
 
 /// Size of a physical frame / virtual page, matching the paper's 4 KiB
@@ -486,6 +487,19 @@ impl DmaSession<'_> {
         self.set_residency(id, Residency::Resident)?;
         Ok(())
     }
+
+    /// Hints that a read at `offset` within the frame is coming: starts
+    /// loading the line the read begins on. Reads no frame byte and checks
+    /// nothing — an id or offset out of range is ignored, a freed frame is
+    /// as good as a live one — so the read that follows behaves the same
+    /// with or without it.
+    #[inline]
+    pub fn prefetch(&self, id: FrameId, offset: usize) {
+        if let Some(word) = self.frames.get(id.0 as usize).and_then(|f| f.data.get(offset / 8)) {
+            prefetch_read(word);
+        }
+    }
+
     /// Reads `buf.len()` bytes at `offset` within the frame; semantics of
     /// [`PhysicalMemory::read`].
     pub fn read(&self, id: FrameId, offset: usize, buf: &mut [u8]) -> Result<(), MemError> {

@@ -26,8 +26,10 @@ struct MttSlot {
 
 const _: () = assert!(std::mem::size_of::<Option<MttSlot>>() == 16);
 
+/// One node of a shard's recency list. Opaque outside this module: the
+/// doorbell's resolve pass only hints the line it sits on.
 #[derive(Debug, Clone, Copy)]
-struct LruNode {
+pub(crate) struct LruNode {
     prev: u32,
     next: u32,
     /// The slot this node caches.
@@ -78,6 +80,15 @@ impl MttShard {
     pub(crate) fn get(&self, page: u64) -> Option<Translation> {
         let slot = self.slots.get(page)?;
         Some(Translation { frame: slot.frame, epoch: slot.epoch.get() })
+    }
+
+    /// The frame the MTT translates `page` to and, when the page is cached,
+    /// its node in the recency list. Read-only: promotes and counts nothing.
+    #[inline]
+    pub(crate) fn peek(&self, page: u64) -> Option<(FrameId, Option<&LruNode>)> {
+        let slot = self.slots.get(page)?;
+        // `NIL` indexes past any slab: an uncached page has no node.
+        Some((slot.frame, self.nodes.get(slot.node as usize)))
     }
 
     /// Installs or replaces `page`'s translation. Whether the page is
@@ -145,7 +156,7 @@ impl MttShard {
 
     /// Whether `page`'s translation is cached. Promotes and counts nothing.
     pub(crate) fn is_cached(&self, page: u64) -> bool {
-        self.slots.get(page).is_some_and(|slot| slot.node != NIL)
+        self.peek(page).is_some_and(|(_, node)| node.is_some())
     }
 
     /// Cache look-ups that hit, and that missed.
@@ -157,6 +168,13 @@ impl MttShard {
     #[cfg(test)]
     pub(crate) fn leaves(&self) -> usize {
         self.slots.leaves()
+    }
+
+    /// The cached pages, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn lru(&self) -> Vec<u64> {
+        let node = |n: u32| (n != NIL).then(|| self.nodes[n as usize]);
+        std::iter::successors(node(self.head), |n| node(n.next)).map(|n| n.page).collect()
     }
 
     /// Takes a cached page's node out of the list and frees it.
@@ -195,12 +213,6 @@ impl MttShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Pages in the shard's LRU list, most recently used first.
-    fn cached(s: &MttShard) -> Vec<u64> {
-        let node = |n: u32| (n != NIL).then(|| s.nodes[n as usize]);
-        std::iter::successors(node(s.head), |n| node(n.next)).map(|n| n.page).collect()
-    }
 
     /// A shard with pages `0..pages` translated.
     fn shard(capacity: usize, pages: u64) -> MttShard {
@@ -249,11 +261,11 @@ mod tests {
         s.touch(1);
         s.touch(2);
         s.remove(1);
-        assert_eq!((s.get(1), cached(&s)), (None, vec![2]));
+        assert_eq!((s.get(1), s.lru()), (None, vec![2]));
         s.touch(3);
         s.touch(4); // evicts 2
         assert!(!s.is_cached(2) && s.is_cached(3) && s.is_cached(4));
-        assert_eq!((cached(&s), s.nodes.len()), (vec![4, 3], 2));
+        assert_eq!((s.lru(), s.nodes.len()), (vec![4, 3], 2));
         s.uncache(3);
         s.uncache(3);
         assert!(!s.is_cached(3) && s.get(3).is_some());
@@ -268,7 +280,7 @@ mod tests {
         assert!(s.touch(2));
         assert!(!s.is_cached(1));
         s.uncache(2);
-        assert_eq!((s.head, s.tail, cached(&s)), (NIL, NIL, vec![]));
+        assert_eq!((s.head, s.tail, s.lru()), (NIL, NIL, vec![]));
     }
 
     #[test]
@@ -283,6 +295,6 @@ mod tests {
             }
             assert!(s.leaves() <= 1_000 / corm_sim_mem::paged::LEAF_SLOTS + 2);
         }
-        assert_eq!((s.slots.len(), cached(&s).len()), (1_000, 64));
+        assert_eq!((s.slots.len(), s.lru().len()), (1_000, 64));
     }
 }

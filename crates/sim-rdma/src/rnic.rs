@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
+use corm_sim_core::prefetch_read;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
     AddressSpace, DmaSession, FarTier, FrameId, MemError, PagedTable, Residency, Translation,
@@ -621,7 +622,9 @@ impl Rnic {
     /// only in the [`ReadSink`] they pass.
     ///
     /// The batch arrives at `now + doorbell_cost` — one doorbell pays for
-    /// the whole batch. Each WQE then runs the full verb path (fault draw,
+    /// the whole batch. A read-only [`Rnic::resolve`] pass first starts
+    /// every request's lines loading; the commit pass below then finds
+    /// them in cache. Each WQE then runs the full verb path (fault draw,
     /// region checks, per-page MTT/cache lookup, DMA into the sink's
     /// buffer) and is admitted into the engine scheduler for its service
     /// time; its completion lands at
@@ -654,6 +657,10 @@ impl Rnic {
         let mut sched = self.sched.lock();
         let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
         let mut held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
+        // A lone request has no other chain to overlap with.
+        if let (Some(held), true) = (&held, reqs.len() >= 2) {
+            self.resolve(&rt, &dma, held, reqs);
+        }
         let mut memo = None;
         let mut bytes_read = 0u64;
         // How many requests reached the NIC, and whether the last one failed.
@@ -715,6 +722,40 @@ impl Rnic {
             self.stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
         }
         failed
+    }
+
+    /// The resolve pass of a doorbell: per request, starts the loads that
+    /// the commit pass would otherwise wait for one after another — region
+    /// slot, the first page's MTT slot, that page's recency-list node, the
+    /// frame-table entry and the payload's first line. No request's loads
+    /// depend on another's, so the CPU keeps all of them in flight at once,
+    /// as a real RNIC overlaps the translations behind one doorbell.
+    ///
+    /// Strictly read-only under the guards the doorbell already holds: it
+    /// draws no fault, counts nothing, promotes, installs and evicts
+    /// nothing, traces nothing and charges no virtual time, so the commit
+    /// pass decides exactly what it would have decided without it. A
+    /// request that will fail its region checks resolves nothing.
+    fn resolve(
+        &self,
+        rt: &RegionTable,
+        dma: &DmaSession<'_>,
+        held: &ShardGuards<'_>,
+        reqs: &[ReadReq],
+    ) {
+        for req in reqs {
+            if !rt.get(req.rkey).is_ok_and(|slot| slot.mr.covers(req.va, req.len)) {
+                continue;
+            }
+            let (shard, page) = self.locate(req.va / PAGE_SIZE as u64);
+            let translated = held.guards[shard].as_ref().and_then(|shard| shard.peek(page));
+            if let Some((frame, node)) = translated {
+                if let Some(node) = node {
+                    prefetch_read(node);
+                }
+                dma.prefetch(frame, (req.va % PAGE_SIZE as u64) as usize);
+            }
+        }
     }
 
     /// Number of on-NIC processing units.
@@ -1025,7 +1066,7 @@ impl Rnic {
     /// hook: lets tests assert MTT-vs-page-table divergence).
     pub fn mtt_lookup(&self, va: u64) -> Option<FrameId> {
         let (shard, page) = self.locate(va / PAGE_SIZE as u64);
-        self.shards[shard].lock().get(page).map(|t| t.frame)
+        self.shards[shard].lock().peek(page).map(|(frame, _)| frame)
     }
 
     /// Whether the page's translation sits in the on-chip cache (test/
@@ -1540,6 +1581,101 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(rnic.stats.reads.load(Ordering::Relaxed), 800);
+    }
+
+    /// Everything a doorbell's commit pass reads or writes, the order of
+    /// every shard's recency list included.
+    fn doorbell_visible_state(rnic: &Rnic, va: u64, pages: usize) -> impl PartialEq + fmt::Debug {
+        let cached: Vec<bool> =
+            (0..pages as u64).map(|p| rnic.mtt_cached(va + p * PAGE_SIZE as u64)).collect();
+        let lru: Vec<Vec<u64>> = rnic.shards.iter().map(|shard| shard.lock().lru()).collect();
+        (
+            format!("{:?}", rnic.stats),
+            rnic.cache_stats(),
+            (cached, lru),
+            (rnic.fault_log(), rnic.fault_injector().unwrap().ops()),
+            (rnic.engine_admitted(), rnic.engine_busy()),
+        )
+    }
+
+    #[test]
+    fn resolve_pass_alone_changes_nothing_for_any_request_list() {
+        use rand::Rng;
+        const PAGES: usize = 24;
+        let page = PAGE_SIZE as u64;
+        let pm = Arc::new(PhysicalMemory::new());
+        let frames = pm.alloc_n(PAGES).unwrap();
+        let aspace = Arc::new(AddressSpace::new(pm));
+        let va = aspace.mmap(&frames).unwrap();
+        // Two cached translations per shard of three pages, so the lists
+        // are full, ordered and evicting; faults likely enough that a draw
+        // by the pass would show.
+        let faults = FaultConfig {
+            seed: 16,
+            delay_prob: 0.2,
+            cache_miss_prob: 0.2,
+            transient_prob: 0.05,
+            ..FaultConfig::default()
+        };
+        let rnic = Arc::new(Rnic::new(
+            aspace.clone(),
+            RnicConfig { cache_entries: 16, faults: Some(faults), ..RnicConfig::default() },
+        ));
+        let (pinned, _) = rnic.register(va, 16, false).unwrap();
+        let (odp, _) = rnic.register(va + 16 * page, 6, true).unwrap();
+        let (retired, _) = rnic.register(va + 22 * page, 2, false).unwrap();
+        rnic.deregister(retired.rkey).unwrap();
+        // Behind the NIC's back: one ODP page gone from the page table,
+        // one pinned page moved, so the MTT is stale on both.
+        aspace.munmap(odp.base + 2 * page, 1).unwrap();
+        aspace.remap(va + page, &[aspace.phys().alloc().unwrap()]).unwrap();
+
+        let qp = crate::QueuePair::connect(rnic.clone());
+        let mut rng = corm_sim_core::rng::stream_rng(16, 0);
+        let mut outs = vec![Vec::new(); 40];
+        let mut results = Vec::new();
+        for round in 0..300u64 {
+            let reqs: Vec<ReadReq> = (0..rng.gen_range(0..=40u64))
+                .map(|k| {
+                    let at = rng.gen_range(0..16 * page);
+                    let (rkey, va, len) = match rng.gen_range(0..30u32) {
+                        0 => (0xdead, va + at, 64),
+                        1 => (pinned.lkey, va + at, 64),
+                        2 => (retired.rkey, retired.base, 64),
+                        // Unmapped: past every region, and an ODP page the
+                        // page table no longer has.
+                        3 => (pinned.rkey, va + PAGES as u64 * page + at, 64),
+                        4 => (odp.rkey, odp.base + 2 * page + at % page, 8),
+                        // Off the region's end, from inside it.
+                        5 => (pinned.rkey, va + 16 * page - 5, 64),
+                        6 => (pinned.rkey, va + at, 0),
+                        // Page-crossing.
+                        7 => (pinned.rkey, va + at / page * page + page - 9, 64),
+                        // As many pages as there are shards, and more.
+                        8 => (pinned.rkey, va + at % (4 * page), 8 * PAGE_SIZE + 1),
+                        9 => (odp.rkey, odp.base + at % (2 * page), 16),
+                        _ => (pinned.rkey, va + at.min(16 * page - 64), 64),
+                    };
+                    ReadReq::new(k, rkey, va, len)
+                })
+                .collect();
+
+            let before = doorbell_visible_state(&rnic, va, PAGES);
+            {
+                let rt = rnic.regions.read();
+                let dma = rnic.aspace.phys().dma();
+                let held = rnic.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len))).unwrap();
+                rnic.resolve(&rt, &dma, &held, &reqs);
+            }
+            assert_eq!(doorbell_visible_state(&rnic, va, PAGES), before, "round {round}");
+
+            // Then the doorbell proper, so the next round finds the lists
+            // reordered, pages evicted and the QP broken or not.
+            qp.read_batch_into(&reqs, &mut outs, SimTime::from_micros(round), &mut results);
+            qp.reconnect();
+        }
+        let (hits, misses) = rnic.cache_stats();
+        assert!(hits > 200 && misses > 200, "both paths ran: {hits} hits, {misses} misses");
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //! a naive reference: a `HashMap` MTT and, per shard, a `Vec` of cached
 //! pages in recency order.
 //!
-//! Random register / deregister / rereg / advise / remap / unmap / read
-//! sequences (reads forced down the miss path now and then) run against
-//! both. Every verb must report the same `cache_hit` and `odp_misses` and
-//! return the bytes of the frame the reference translates to, and after
-//! every step the two must agree on each page's translation, on which
-//! pages are cached — so on every eviction victim — and on `cache_stats()`.
+//! Random register / deregister / rereg / advise / remap / unmap / read /
+//! doorbell sequences (reads forced down the miss path now and then) run
+//! against both. Every verb must report the same `cache_hit` and
+//! `odp_misses` and return the bytes of the frame the reference translates
+//! to, and after every step the two must agree on each page's translation,
+//! on which pages are cached — so on every eviction victim — and on
+//! `cache_stats()`.
+//!
+//! A doorbell step rings two to four reads through a queue pair, so the
+//! NIC's read-only resolve pass peeks at every request's translation before
+//! the first is served. The reference knows nothing of that pass and serves
+//! the requests one by one: whatever the pass counted, promoted or
+//! installed would show as a difference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +24,8 @@ use proptest::prelude::*;
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::{AddressSpace, FrameId, MemError, PhysicalMemory, Translation, PAGE_SIZE};
 use corm_sim_rdma::{
-    FaultConfig, FaultKind, MemoryRegion, RdmaError, Rnic, RnicConfig, ScheduledFault,
+    FaultConfig, FaultKind, MemoryRegion, QueuePair, RdmaError, ReadReq, Rnic, RnicConfig,
+    ScheduledFault, VerbOutcome,
 };
 
 /// Pages of virtual address space the sequences play on.
@@ -27,13 +35,28 @@ const PAGE: u64 = PAGE_SIZE as u64;
 /// One generated step: an operation selector and its raw operands.
 type Step = (u8, usize, usize, bool);
 
-fn is_read(step: &Step) -> bool {
-    step.0 >= 6
+/// How many verbs the step puts to the NIC: one for a read, the batch for
+/// a doorbell.
+fn verbs(step: &Step) -> usize {
+    match step.0 {
+        6..=9 => 1,
+        10.. => 2 + step.1 % 3,
+        _ => 0,
+    }
 }
 
-/// Every fifth read or so takes the injected MTT-cache-miss fault.
-fn is_forced(step: &Step) -> bool {
-    step.2.is_multiple_of(5)
+/// Every fifth verb or so takes the injected MTT-cache-miss fault.
+fn is_forced(step: &Step, verb: usize) -> bool {
+    (step.2 + verb).is_multiple_of(5)
+}
+
+/// The `[start, start + len)` that verb `verb` of a step reads from `mr`.
+fn target(mr: &MemoryRegion, step: &Step, verb: usize) -> (u64, usize) {
+    let (a, b) = (step.1 + 7919 * verb, step.2 + 4099 * verb);
+    let span = mr.pages * PAGE_SIZE;
+    let offset = b % span;
+    let len = if step.3 { 1 + a % 64 } else { 1 + a % (2 * PAGE_SIZE) }.min(span - offset);
+    (mr.base + offset as u64, len)
 }
 
 struct Reference {
@@ -142,20 +165,67 @@ fn tagged_frame(pm: &PhysicalMemory) -> FrameId {
     frame
 }
 
+/// Whether the reference has lost a translation of a pinned region's
+/// `[start, start + len)` — which the NIC treats as a bug in its caller.
+fn untranslated(model: &Reference, mr: &MemoryRegion, start: u64, len: usize) -> bool {
+    let (first, last) = (start / PAGE, (start + len as u64 - 1) / PAGE);
+    !mr.odp && (first..=last).any(|vpn| !model.mtt.contains_key(&vpn))
+}
+
+/// Puts `n` verbs that fail on their key to the NIC: each takes its fault
+/// draw and nothing else.
+fn spend_verbs(rnic: &Rnic, n: usize) -> Result<(), TestCaseError> {
+    for _ in 0..n {
+        let bad = rnic.read(0xdead, 0, &mut [0u8; 8], SimTime::ZERO);
+        prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+    }
+    Ok(())
+}
+
+/// One read's outcome against the reference's: the same cache and ODP
+/// verdict and the bytes of the frames the reference translated to, or the
+/// same error.
+fn settle_read(
+    step: usize,
+    start: u64,
+    buf: &[u8],
+    got: Result<VerbOutcome, RdmaError>,
+    want: Result<(Vec<FrameId>, bool, u32), RdmaError>,
+) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (Ok(out), Ok((frames, all_hit, odp_misses))) => {
+            prop_assert_eq!(
+                (out.cache_hit, out.odp_misses),
+                (all_hit, odp_misses),
+                "step {}",
+                step
+            );
+            for (k, byte) in buf.iter().enumerate() {
+                let frame = frames[((start + k as u64) / PAGE - start / PAGE) as usize];
+                prop_assert_eq!(*byte, frame.0 as u8, "step {} byte {}", step, k);
+            }
+        }
+        (Err(got), Err(want)) => prop_assert_eq!(got, want, "step {}", step),
+        (got, want) => prop_assert!(false, "step {step}: read {got:?} vs {want:?}"),
+    }
+    Ok(())
+}
+
 fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
     let pm = Arc::new(PhysicalMemory::new());
     let aspace = Arc::new(AddressSpace::new(pm.clone()));
     let frames: Vec<FrameId> = (0..PAGES).map(|_| tagged_frame(&pm)).collect();
     let va = aspace.mmap(&frames).unwrap();
-    // The k-th read of the sequence is the NIC's k-th verb.
+    // Every step puts exactly `verbs(step)` verbs to the NIC, so the k-th
+    // verb of the sequence is the NIC's k-th fault draw.
     let schedule = steps
         .iter()
-        .filter(|s| is_read(s))
+        .flat_map(|s| (0..verbs(s)).map(move |verb| is_forced(s, verb)))
         .enumerate()
-        .filter(|(_, s)| is_forced(s))
+        .filter(|&(_, forced)| forced)
         .map(|(k, _)| ScheduledFault { at_op: k as u64, kind: FaultKind::CacheMiss })
         .collect();
-    let rnic = Rnic::new(
+    let rnic = Arc::new(Rnic::new(
         aspace.clone(),
         RnicConfig {
             mtt_shards: n_shards,
@@ -163,7 +233,8 @@ fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseE
             faults: Some(FaultConfig::scripted(schedule)),
             ..RnicConfig::default()
         },
-    );
+    ));
+    let qp = QueuePair::connect(rnic.clone());
     let mut model = Reference {
         n_shards: n_shards as u64,
         per_shard: capacity.div_ceil(n_shards).max(1),
@@ -244,45 +315,59 @@ fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseE
                     aspace.mmap_fixed(page_va, &[tagged_frame(&pm)]).unwrap();
                 }
             }
-            (_, Some(mr)) if is_read(step) => {
-                let span = mr.pages * PAGE_SIZE;
-                let offset = b % span;
-                let len =
-                    if flag { 1 + a % 64 } else { 1 + a % (2 * PAGE_SIZE) }.min(span - offset);
-                let (start, end) = (mr.base + offset as u64, mr.base + (offset + len) as u64 - 1);
-                let (first, last) = (start / PAGE, end / PAGE);
+            (6..=9, Some(mr)) => {
+                let (start, len) = target(&mr, step, 0);
                 let mut buf = vec![0u8; len];
-                if !mr.odp && (first..=last).any(|vpn| !model.mtt.contains_key(&vpn)) {
+                if untranslated(&model, &mr, start, len) {
                     // An overlapping region's deregistration took this
                     // one's translations with it: no such read is issued
                     // (the verb still has to happen, to keep the count).
-                    let bad = rnic.read(0xdead, start, &mut buf, now);
-                    prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+                    spend_verbs(&rnic, 1)?;
                 } else {
-                    let want = model.read(&aspace, mr.odp, first, last, is_forced(step));
+                    let (first, last) = (start / PAGE, (start + len as u64 - 1) / PAGE);
+                    let want = model.read(&aspace, mr.odp, first, last, is_forced(step, 0));
                     let got = rnic.read(mr.rkey, start, &mut buf, now);
-                    match (got, want) {
-                        (Ok(out), Ok((frames, all_hit, odp_misses))) => {
-                            prop_assert_eq!(
-                                (out.cache_hit, out.odp_misses),
-                                (all_hit, odp_misses),
-                                "step {}",
-                                i
-                            );
-                            for (k, byte) in buf.iter().enumerate() {
-                                let frame = frames[((start + k as u64) / PAGE - first) as usize];
-                                prop_assert_eq!(*byte, frame.0 as u8, "step {} byte {}", i, k);
-                            }
-                        }
-                        (Err(got), Err(want)) => prop_assert_eq!(got, want, "step {}", i),
-                        (got, want) => prop_assert!(false, "step {i}: read {got:?} vs {want:?}"),
-                    }
+                    settle_read(i, start, &buf, got, want)?;
                 }
             }
-            _ if is_read(step) => {
-                let bad = rnic.read(0xdead, va, &mut [0u8; 8], now);
-                prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+            (10.., Some(mr)) => {
+                let reqs: Vec<ReadReq> = (0..verbs(step))
+                    .map(|verb| {
+                        let (start, len) = target(&mr, step, verb);
+                        // See above: in a doorbell, the read that cannot
+                        // be issued is one with a bad key.
+                        let rkey =
+                            if untranslated(&model, &mr, start, len) { 0xdead } else { mr.rkey };
+                        ReadReq::new(verb as u64, rkey, start, len)
+                    })
+                    .collect();
+                let mut outs = vec![Vec::new(); reqs.len()];
+                let mut results = Vec::new();
+                qp.read_batch_into(&reqs, &mut outs, now, &mut results);
+                // The reference serves them one by one, up to the first
+                // that fails; the NIC flushes the rest without a draw.
+                let mut served = 0;
+                let mut broken = false;
+                for (verb, (req, got)) in reqs.iter().zip(&results).enumerate() {
+                    let got = got.result.clone();
+                    if broken {
+                        prop_assert_eq!(got, Err(RdmaError::QpBroken), "step {}", i);
+                        continue;
+                    }
+                    served += 1;
+                    broken = got.is_err();
+                    if req.rkey != mr.rkey {
+                        prop_assert_eq!(got, Err(RdmaError::InvalidKey(req.rkey)), "step {}", i);
+                        continue;
+                    }
+                    let (first, last) = (req.va / PAGE, (req.va + req.len as u64 - 1) / PAGE);
+                    let want = model.read(&aspace, mr.odp, first, last, is_forced(step, verb));
+                    settle_read(i, req.va, &outs[verb], got, want)?;
+                }
+                spend_verbs(&rnic, reqs.len() - served)?;
+                qp.reconnect();
             }
+            (6.., None) => spend_verbs(&rnic, verbs(step))?,
             _ => {}
         }
         for p in 0..PAGES as u64 {
@@ -314,7 +399,7 @@ proptest! {
     fn mtt_and_cache_match_the_reference(
         shards in 0usize..3,
         capacity in 1usize..=64,
-        steps in prop::collection::vec((0u8..10, 0usize..10_000, 0usize..10_000, any::<bool>()), 1..=2_000),
+        steps in prop::collection::vec((0u8..12, 0usize..10_000, 0usize..10_000, any::<bool>()), 1..=2_000),
     ) {
         run([1, 3, 8][shards], capacity, &steps)?;
     }
