@@ -12,18 +12,20 @@
 
 use std::sync::Arc;
 
-use corm_bench::report::{f2, write_csv, Table};
+use corm_bench::report::{f2, Sheet};
 use corm_bench::setup::fill_pattern;
 use corm_compact::tuning::{recommend, ClassUsage, TunerPolicy};
 use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_sim_core::time::SimTime;
 
+use crate::run::Run;
+
 const OBJECTS: usize = 8_192;
 const PAYLOAD: usize = 24; // 40-byte class → 102 slots per 4 KiB block
 const DEALLOC: f64 = 0.75;
 
-fn run(id_bits: u32) -> (usize, usize, usize, f64) {
+fn compact_at(id_bits: u32) -> (usize, usize, usize, f64) {
     let mut config = ServerConfig { workers: 1, ..ServerConfig::default() };
     config.alloc.id_bits = id_bits;
     let server = Arc::new(CormServer::new(config));
@@ -63,26 +65,29 @@ fn run(id_bits: u32) -> (usize, usize, usize, f64) {
     (before, after, report.objects_relocated, occupancy)
 }
 
-fn main() {
-    let mut t = Table::new(
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Ablation: ID width on the real data path (8192 x 24 B, 75% freed, 4 KiB blocks)",
         &["id_bits", "blocks_before", "blocks_after", "reduction", "objects_relocated"],
     );
     let mut occupancy = 0.0;
     for id_bits in [8u32, 12, 16] {
-        let (before, after, relocated, occ) = run(id_bits);
+        let (before, after, relocated, occ) = compact_at(id_bits);
         occupancy = occ;
         t.row(&[
-            id_bits.to_string(),
-            before.to_string(),
-            after.to_string(),
-            format!("{:.2}x", before as f64 / after as f64),
-            relocated.to_string(),
+            u64::from(id_bits).into(),
+            before.into(),
+            after.into(),
+            format!("{:.2}x", before as f64 / after as f64).into(),
+            relocated.into(),
         ]);
     }
-    t.print();
-    let path = write_csv("ablation_id_bits", &t).expect("csv");
-    println!("\ncsv: {}", path.display());
+    run.emit("ablation_id_bits", &t);
+    let after: Vec<f64> = t.rows().map(|r| r.num("blocks_after")).collect();
+    run.gate(
+        after[0] > after[1] && after[1] > after[2] && after[2] == 16.0,
+        "wider IDs recover more blocks, and 16 bits reach the 4x ceiling of a 75%-freed store",
+    );
 
     // What would the auto-tuner have chosen for this class?
     let usage = ClassUsage { slots: 102, mean_occupancy: occupancy, churn: 0.0 };

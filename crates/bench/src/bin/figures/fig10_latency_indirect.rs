@@ -11,12 +11,14 @@
 use std::sync::Arc;
 
 use corm_baselines::RpcEcho;
-use corm_bench::report::{f2, median_us, write_csv, Table};
+use corm_bench::report::{f2, median_us, Sheet};
 use corm_core::client::{ClientConfig, CormClient, FixStrategy};
 use corm_core::server::{CormServer, CorrectionStrategy, ServerConfig};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
+
+use crate::run::Run;
 
 const SIZES: [usize; 9] = [8, 16, 32, 64, 128, 256, 512, 1024, 2000];
 
@@ -69,8 +71,8 @@ fn relocated_population(size: usize) -> (Arc<CormServer>, Vec<(GlobalPtr, Global
     (server, moved)
 }
 
-fn main() {
-    let mut t = Table::new(
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Fig. 10: median latency with indirect pointers (us)",
         &[
             "size",
@@ -82,6 +84,7 @@ fn main() {
             "rpc_base",
         ],
     );
+    let mut indirect_vs_direct = Vec::new();
     for size in SIZES {
         let (server, moved) = relocated_population(size);
         if moved.is_empty() {
@@ -93,9 +96,10 @@ fn main() {
         let mut h_fix_rpc = Histogram::new();
         let mut h_fix_scan = Histogram::new();
         let mut h_release = Histogram::new();
+        let mut h_direct = Histogram::new();
         let payload = vec![0xCDu8; size];
         let mut buf = vec![0u8; size];
-        let (stale, _fixed) = moved[0];
+        let (stale, fixed) = moved[0];
 
         // Start past the compaction's rereg window, then advance the
         // virtual clock with every measured op.
@@ -112,6 +116,10 @@ fn main() {
             let write_cost = c.write(&mut p, &payload).expect("write").cost;
             h_write.record_duration(write_cost);
             clock += write_cost;
+            // The same read through the corrected pointer, off the clock:
+            // the yardstick for "correction is transparent".
+            let mut p = fixed;
+            h_direct.record_duration(c.read(&mut p, &mut buf).expect("direct read").cost);
 
             // DirectRead + RPC-read recovery.
             let mut c = CormClient::connect_with(
@@ -147,8 +155,9 @@ fn main() {
             h_release.record_duration(c.release_ptr(&mut p).expect("release").cost);
         }
 
+        indirect_vs_direct.push((median_us(&h_read), median_us(&h_direct)));
         t.row(&[
-            size.to_string(),
+            size.into(),
             f2(median_us(&h_read)),
             f2(median_us(&h_write)),
             f2(median_us(&h_fix_rpc)),
@@ -157,12 +166,19 @@ fn main() {
             f2(echo.round_trip(size).as_micros_f64()),
         ]);
     }
-    t.print();
-    let path = write_csv("fig10_latency_indirect", &t).expect("write csv");
-    println!("\ncsv: {}", path.display());
-    println!(
-        "\nShape checks: indirect RPC read/write ≈ direct (Fig. 9); with 4 KiB\n\
-         blocks ScanRead recovery < RPC recovery; ReleasePtr ≈ RPC + 0.3 us,\n\
-         independent of object size."
+    run.emit("fig10_latency_indirect", &t);
+
+    run.gate(
+        t.rows().all(|r| r.num("rpc_read") == r.num("rpc_write"))
+            && indirect_vs_direct.iter().all(|(stale, direct)| (stale / direct - 1.0).abs() < 0.01),
+        "an RPC read or write through a stale pointer costs what it costs through the corrected one",
+    );
+    run.gate(
+        t.rows().all(|r| r.num("direct+scan_read") < r.num("direct+rpc_read")),
+        "with 4 KiB blocks ScanRead recovery is cheaper than RPC recovery at every size",
+    );
+    run.gate(
+        t.rows().all(|r| (r.num("release_ptr") - 2.8).abs() < 0.005),
+        "ReleasePtr is RPC + 0.3 us = 2.80 us, independent of object size",
     );
 }

@@ -12,7 +12,7 @@
 //! 1.33× slower than memcpy for small objects, converging for large.
 
 use corm_baselines::{FarmServer, LocalMemcpy, RawRdmaClient};
-use corm_bench::report::{f1, f2, kreqs_from_median, mreqs_from_median, write_csv, Table};
+use corm_bench::report::{f1, f2, kreqs_from_median, mreqs_from_median, Sheet};
 use corm_bench::setup::populate_server;
 use corm_core::client::CormClient;
 use corm_core::server::ServerConfig;
@@ -20,6 +20,8 @@ use corm_core::ReadOutcome;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
 use corm_sim_rdma::RnicConfig;
+
+use crate::run::Run;
 
 const SIZES: [usize; 9] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 /// Scaled working set: 16 MiB per class (paper: 8 GiB), with the
@@ -29,8 +31,8 @@ const WORKING_SET_BYTES: usize = 16 << 20;
 const CACHE_ENTRIES: usize = 512;
 const OPS: usize = 4_000;
 
-fn main() {
-    let mut t = Table::new(
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Fig. 11: single-client read throughput",
         &[
             "size",
@@ -109,7 +111,7 @@ fn main() {
         }
 
         t.row(&[
-            size.to_string(),
+            size.into(),
             f1(kreqs_from_median(&h_corm)),
             f1(kreqs_from_median(&h_farm)),
             f1(kreqs_from_median(&h_raw)),
@@ -118,11 +120,9 @@ fn main() {
             f2(1.0 / memcpy.cost(size).as_micros_f64()),
         ]);
     }
-    t.print();
-    let path = write_csv("fig11_read_throughput", &t).expect("write csv");
-    println!("\ncsv: {}", path.display());
+    run.emit("fig11_read_throughput", &t);
     println!(
-        "\nScale: {} MiB/class working set, {}-entry translation cache\n\
+        "Scale: {} MiB/class working set, {}-entry translation cache\n\
          (paper: 8 GiB and 16 K — same pages:cache ratio).",
         WORKING_SET_BYTES >> 20,
         CACHE_ENTRIES

@@ -8,7 +8,7 @@
 //! for moderate skew, converging at θ=0.99 where the hot set fits the
 //! cache either way.
 
-use corm_bench::report::{f1, f2, write_csv, Table};
+use corm_bench::report::{f1, f2, Sheet};
 use corm_bench::setup::populate_server;
 use corm_bench::sim::{run_closed_loop, ClosedLoopSpec, ReadPath};
 use corm_core::server::ServerConfig;
@@ -17,11 +17,13 @@ use corm_sim_core::time::SimDuration;
 use corm_sim_rdma::RnicConfig;
 use corm_workloads::ycsb::{KeyDist, Mix, Workload};
 
+use crate::run::Run;
+
 const LIVE_OBJECTS: usize = 256 * 1024;
 const THETAS: [f64; 5] = [0.6, 0.7, 0.8, 0.9, 0.99];
 const CLIENTS: usize = 8;
 
-fn run(
+fn throughput(
     store_ptrs: &mut [GlobalPtr],
     server: &std::sync::Arc<corm_core::CormServer>,
     theta: f64,
@@ -36,7 +38,7 @@ fn run(
     run_closed_loop(server, store_ptrs, &spec).kreqs
 }
 
-fn main() {
+pub fn run(run: &mut Run) {
     let config = ServerConfig {
         rnic: RnicConfig { cache_entries: 3072, ..RnicConfig::default() },
         ..ServerConfig::default()
@@ -49,24 +51,33 @@ fn main() {
     let survivors = frag.fragment(0.5, 7);
     let mut frag_ptrs: Vec<GlobalPtr> = survivors.into_iter().map(|(_, p)| p).collect();
 
-    let mut t = Table::new(
+    let mut t = Sheet::new(
         "Fig. 14: DirectRead throughput (Kreq/s), 100:0 mix, 8 clients",
         &["theta", "no_fragmentation", "high_fragmentation", "speedup"],
     );
     let mut nofrag_ptrs = nofrag.ptrs.clone();
     for &theta in &THETAS {
-        let a = run(&mut nofrag_ptrs, &nofrag.server, theta);
-        let b = run(&mut frag_ptrs, &frag.server, theta);
-        t.row(&[theta.to_string(), f1(a), f1(b), f2(a / b)]);
+        let a = throughput(&mut nofrag_ptrs, &nofrag.server, theta);
+        let b = throughput(&mut frag_ptrs, &frag.server, theta);
+        t.row(&[theta.into(), f1(a), f1(b), f2(a / b)]);
     }
-    t.print();
-    let path = write_csv("fig14_fragmentation", &t).expect("write csv");
-    println!("\ncsv: {}", path.display());
-    println!(
-        "\nShape checks: the unfragmented store wins for every θ, with the\n\
-         gap largest at moderate skew and closing toward θ = 0.99 (hot keys\n\
-         fit the translation cache either way). The paper reports up to\n\
-         1.25×; our LRU cache model yields a smaller but same-shaped gap —\n\
-         see EXPERIMENTS.md."
+    run.emit("fig14_fragmentation", &t);
+
+    let gaps: Vec<f64> = t.rows().map(|r| r.num("speedup")).collect();
+    run.gate(gaps.iter().all(|&g| g > 1.0), "the unfragmented store wins at every theta");
+    run.gate(
+        gaps.windows(2).all(|w| w[0] > w[1]),
+        "the gap is largest at moderate skew and closes toward theta = 0.99",
+    );
+    // Deviation 2 of EXPERIMENTS.md, asserted as measured: the paper's gap
+    // reaches 1.25x. Ours peaks at ~1.08x: the NIC model has an LRU
+    // translation cache but no MTT-swap cliff. ROADMAP item 8 raises this
+    // band when `mtt.rs` models the spill cost.
+    run.gate(
+        (1.05..=1.12).contains(&gaps[0]),
+        format!(
+            "known deviation: the gap peaks at ~1.08x, measured {:.3}x (paper: 1.25x)",
+            gaps[0]
+        ),
     );
 }

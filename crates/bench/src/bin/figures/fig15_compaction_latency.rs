@@ -17,12 +17,14 @@
 
 use std::sync::Arc;
 
-use corm_bench::report::{compaction_metrics, f1, write_csv, write_json, Json, JsonObject, Table};
+use corm_bench::report::{compaction_metrics, f1, Cell, Json, JsonObject, Sheet};
 use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::CompactionReport;
-use corm_sim_core::time::SimTime;
+use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_rdma::{LatencyModel, MttUpdateStrategy, RnicConfig};
+
+use crate::run::Run;
 
 /// Builds a server where each of `blocks` blocks holds exactly one 32-byte
 /// object (always compactable), then runs one compaction pass.
@@ -138,95 +140,82 @@ fn pass_json(coord: &str, value: usize, variant: &str, report: &CompactionReport
         .build()
 }
 
-fn main() {
-    let mut left_passes: Vec<Json> = Vec::new();
-    let mut center_passes: Vec<Json> = Vec::new();
-    let mut right_passes: Vec<Json> = Vec::new();
+/// A device/CPU variant of a panel: its column name and how its server
+/// is configured.
+type Variant = (&'static str, LatencyModel, MttUpdateStrategy);
 
-    // --- Left panel: collection time vs threads -------------------------
-    let mut left =
-        Table::new("Fig. 15 (left): collection time vs threads (us)", &["threads", "intel", "amd"]);
-    for threads in [2usize, 4, 8, 16] {
-        let intel = run_compaction(
-            threads,
-            threads,
-            4096,
-            LatencyModel::connectx5(),
-            MttUpdateStrategy::OdpPrefetch,
-        );
-        let amd = run_compaction(
-            threads,
-            threads,
-            4096,
-            LatencyModel::connectx5_amd(),
-            MttUpdateStrategy::OdpPrefetch,
-        );
-        left.row(&[
-            threads.to_string(),
-            f1(intel.collection_cost.as_micros_f64()),
-            f1(amd.collection_cost.as_micros_f64()),
-        ]);
-        left_passes.push(pass_json("threads", threads, "intel", &intel));
-        left_passes.push(pass_json("threads", threads, "amd", &amd));
+/// The three NIC variants of the center and right panels.
+fn nics() -> [Variant; 3] {
+    [
+        ("connectx3", LatencyModel::connectx3(), MttUpdateStrategy::Rereg),
+        ("connectx5", LatencyModel::connectx5(), MttUpdateStrategy::Rereg),
+        ("connectx5_odp", LatencyModel::connectx5(), MttUpdateStrategy::OdpPrefetch),
+    ]
+}
+
+/// One panel: a row per value of `coord` in `xs`, a column per variant
+/// holding `cost` of the pass `pass` runs for it. Returns the sheet and
+/// every pass's report as JSON.
+fn panel(
+    title: &str,
+    coord: &str,
+    xs: &[usize],
+    variants: &[Variant],
+    pass: impl Fn(usize, LatencyModel, MttUpdateStrategy) -> CompactionReport,
+    cost: impl Fn(&CompactionReport) -> SimDuration,
+) -> (Sheet, Vec<Json>) {
+    let header: Vec<&str> = [coord].into_iter().chain(variants.iter().map(|v| v.0)).collect();
+    let mut sheet = Sheet::new(title, &header);
+    let mut passes = Vec::new();
+    for &x in xs {
+        let mut row: Vec<Cell> = vec![x.into()];
+        for (variant, model, strategy) in variants {
+            let report = pass(x, model.clone(), *strategy);
+            row.push(f1(cost(&report).as_micros_f64()));
+            passes.push(pass_json(coord, x, variant, &report));
+        }
+        sheet.row(&row);
     }
-    left.print();
-    write_csv("fig15_collection", &left).expect("csv");
+    (sheet, passes)
+}
 
-    // --- Center panel: compaction time vs number of 4 KiB blocks --------
-    let mut center = Table::new(
+pub fn run(run: &mut Run) {
+    let (left, left_passes) = panel(
+        "Fig. 15 (left): collection time vs threads (us)",
+        "threads",
+        &[2, 4, 8, 16],
+        &[
+            ("intel", LatencyModel::connectx5(), MttUpdateStrategy::OdpPrefetch),
+            ("amd", LatencyModel::connectx5_amd(), MttUpdateStrategy::OdpPrefetch),
+        ],
+        |threads, model, strategy| run_compaction(threads, threads, 4096, model, strategy),
+        |report| report.collection_cost,
+    );
+    run.emit("fig15_collection", &left);
+
+    let (center, center_passes) = panel(
         "Fig. 15 (center): compaction time of 4 KiB blocks (us)",
-        &["blocks", "connectx3", "connectx5", "connectx5_odp"],
+        "blocks",
+        &[2, 4, 8, 16],
+        &nics(),
+        |blocks, model, strategy| {
+            let report = run_compaction(1, blocks, 4096, model, strategy);
+            assert_eq!(report.merges, blocks - 1, "all blocks must merge into one");
+            report
+        },
+        |report| report.compaction_cost,
     );
-    for blocks in [2usize, 4, 8, 16] {
-        let cx3 =
-            run_compaction(1, blocks, 4096, LatencyModel::connectx3(), MttUpdateStrategy::Rereg);
-        let cx5 =
-            run_compaction(1, blocks, 4096, LatencyModel::connectx5(), MttUpdateStrategy::Rereg);
-        let odp = run_compaction(
-            1,
-            blocks,
-            4096,
-            LatencyModel::connectx5(),
-            MttUpdateStrategy::OdpPrefetch,
-        );
-        assert_eq!(cx3.merges, blocks - 1, "all blocks must merge into one");
-        center.row(&[
-            blocks.to_string(),
-            f1(cx3.compaction_cost.as_micros_f64()),
-            f1(cx5.compaction_cost.as_micros_f64()),
-            f1(odp.compaction_cost.as_micros_f64()),
-        ]);
-        center_passes.push(pass_json("blocks", blocks, "connectx3", &cx3));
-        center_passes.push(pass_json("blocks", blocks, "connectx5", &cx5));
-        center_passes.push(pass_json("blocks", blocks, "connectx5_odp", &odp));
-    }
-    center.print();
-    write_csv("fig15_compaction_blocks", &center).expect("csv");
+    run.emit("fig15_compaction_blocks", &center);
 
-    // --- Right panel: compaction time of one block vs block size --------
-    let mut right = Table::new(
+    let (right, right_passes) = panel(
         "Fig. 15 (right): compaction time of one block vs size (us)",
-        &["pages", "connectx3", "connectx5", "connectx5_odp"],
+        "pages",
+        &[1, 4, 16, 64, 256],
+        &nics(),
+        |pages, model, strategy| run_compaction(1, 2, pages * 4096, model, strategy),
+        |report| report.compaction_cost,
     );
-    for pages in [1usize, 4, 16, 64, 256] {
-        let bytes = pages * 4096;
-        let cx3 = run_compaction(1, 2, bytes, LatencyModel::connectx3(), MttUpdateStrategy::Rereg);
-        let cx5 = run_compaction(1, 2, bytes, LatencyModel::connectx5(), MttUpdateStrategy::Rereg);
-        let odp =
-            run_compaction(1, 2, bytes, LatencyModel::connectx5(), MttUpdateStrategy::OdpPrefetch);
-        right.row(&[
-            pages.to_string(),
-            f1(cx3.compaction_cost.as_micros_f64()),
-            f1(cx5.compaction_cost.as_micros_f64()),
-            f1(odp.compaction_cost.as_micros_f64()),
-        ]);
-        right_passes.push(pass_json("pages", pages, "connectx3", &cx3));
-        right_passes.push(pass_json("pages", pages, "connectx5", &cx5));
-        right_passes.push(pass_json("pages", pages, "connectx5_odp", &odp));
-    }
-    right.print();
-    let path = write_csv("fig15_compaction_block_size", &right).expect("csv");
-    println!("\ncsv: {} (+ fig15_collection, fig15_compaction_blocks)", path.display());
+    run.emit("fig15_compaction_block_size", &right);
 
     // --- Alias-chain panel: batched vs per-target MTT sync --------------
     // Pass 2 of the alias-heavy store remaps the survivor's whole alias
@@ -234,7 +223,7 @@ fn main() {
     // the chain rides the primary target's transition, so the saving is
     // exactly `extra_remaps × (mmap + mtt_update)` — asserted below.
     let mut alias_passes: Vec<Json> = Vec::new();
-    let mut alias = Table::new(
+    let mut alias = Sheet::new(
         "Fig. 15 (alias chain): pass cost, per-target vs batched MTT sync (us)",
         &["strategy", "extra_remaps", "unbatched", "batched", "saved"],
     );
@@ -255,8 +244,8 @@ fn main() {
             "batching must save exactly the per-target mmap + MTT term ({name})"
         );
         alias.row(&[
-            name.to_string(),
-            unbatched.extra_remaps.to_string(),
+            name.into(),
+            unbatched.extra_remaps.into(),
             f1(unbatched.compaction_cost.as_micros_f64()),
             f1(batched.compaction_cost.as_micros_f64()),
             f1(saved.as_micros_f64()),
@@ -274,10 +263,9 @@ fn main() {
             &batched,
         ));
     }
-    alias.print();
-    write_csv("fig15_alias_chain_batching", &alias).expect("csv");
+    run.emit("fig15_alias_chain_batching", &alias);
 
-    let json = write_json(
+    run.json(
         "fig15_compaction_latency",
         &JsonObject::new()
             .field("collection_vs_threads", Json::Arr(left_passes))
@@ -285,7 +273,5 @@ fn main() {
             .field("compaction_vs_block_size", Json::Arr(right_passes))
             .field("alias_chain_batching", Json::Arr(alias_passes))
             .build(),
-    )
-    .expect("write json");
-    println!("json: {}", json.display());
+    );
 }

@@ -18,11 +18,14 @@
 //!
 //! Scaled to 256 K objects; the same qualitative regimes appear.
 //!
-//! `--smoke` runs a reduced-scale gate for CI: (a) with a pause budget,
-//! p99 read latency during the pass stays under budget + one merge + one
-//! op; (b) four merge lanes strictly beat one lane on the same store.
+//! Two gates on the overlapped compaction engine run on a smaller store,
+//! the size their bounds are calibrated for: (a) with a pause budget, p99
+//! read latency during the pass stays under budget + one merge + one op;
+//! (b) four merge lanes strictly beat one lane on the same store.
 
-use corm_bench::report::{f1, write_csv, Table};
+use std::collections::BTreeMap;
+
+use corm_bench::report::{f1, Sheet};
 use corm_bench::setup::populate_server;
 use corm_bench::sim::{run_closed_loop, ClosedLoopSpec, ReadPath, SimOutput};
 use corm_core::client::FixStrategy;
@@ -33,10 +36,13 @@ use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_rdma::RnicConfig;
 use corm_workloads::ycsb::{KeyDist, Mix, Workload};
 
+use crate::run::Run;
+
 const OBJECTS: usize = 256 * 1024;
-const SMOKE_OBJECTS: usize = 48 * 1024;
+/// Store size of the two engine gates.
+const GATE_OBJECTS: usize = 48 * 1024;
 const TRIGGER: SimTime = SimTime::from_millis(2_000);
-/// Pause budget for the budgeted panel and the smoke gate.
+/// Pause budget for the budgeted panel and the pause gate.
 const BUDGET: SimDuration = SimDuration::from_micros(200);
 
 struct Panel {
@@ -113,7 +119,7 @@ fn compact_with_lanes(lanes: usize, objects: usize) -> CompactionReport {
     store.server.compact_class(class, SimTime::ZERO).expect("compaction").value
 }
 
-fn smoke() {
+fn engine_gates(run: &mut Run) {
     // (a) Pause-bounded pass: during the pass, a corrected read stalls at
     // most to the end of the running chunk (budget + the merge that
     // overran it), then costs one op. Bound the merge overshoot by a
@@ -123,10 +129,10 @@ fn smoke() {
         ReadPath::Rpc,
         FixStrategy::ScanRead,
         Some(BUDGET),
-        SMOKE_OBJECTS,
+        GATE_OBJECTS,
     );
     let report = p.report();
-    assert!(report.yields >= 1, "smoke pass must actually yield, got {} yields", report.yields);
+    run.gate(report.yields >= 1, format!("the budgeted pass yields ({} yields)", report.yields));
     let model = corm_sim_rdma::LatencyModel::default();
     let class = corm_core::consistency::class_for_payload(&corm_alloc::SizeClasses::standard(), 32)
         .unwrap();
@@ -137,39 +143,32 @@ fn smoke() {
     let during = p.out.read_latency_during.p99().expect("reads during the pass");
     let outside = p.out.read_latency_outside.p99().expect("reads outside the pass");
     let bound = BUDGET.as_micros_f64() + merge_us + outside;
-    println!(
-        "smoke (a): p99 during pass {during:.1}µs vs bound {bound:.1}µs \
-         (budget {:.0} + merge {merge_us:.1} + op {outside:.1})",
-        BUDGET.as_micros_f64()
-    );
-    assert!(
+    run.gate(
         during < bound,
-        "pause-bounded pass must bound serve latency: p99 during {during:.1}µs >= {bound:.1}µs"
+        format!(
+            "a pause-bounded pass bounds serve latency: p99 during the pass {during:.1} us < \
+             {bound:.1} us (budget {:.0} + merge {merge_us:.1} + op {outside:.1})",
+            BUDGET.as_micros_f64()
+        ),
     );
 
     // (b) Lanes overlap: same plan, strictly smaller makespan.
-    let serial = compact_with_lanes(1, SMOKE_OBJECTS);
-    let wide = compact_with_lanes(4, SMOKE_OBJECTS);
-    assert_eq!(wide.merges, serial.merges, "lane count must not change the plan");
-    assert_eq!(wide.objects_copied, serial.objects_copied);
-    println!(
-        "smoke (b): compaction cost {:?} at 1 lane -> {:?} at 4 lanes ({} merges)",
-        serial.compaction_cost, wide.compaction_cost, wide.merges
+    let serial = compact_with_lanes(1, GATE_OBJECTS);
+    let wide = compact_with_lanes(4, GATE_OBJECTS);
+    run.gate(
+        (wide.merges, wide.objects_copied) == (serial.merges, serial.objects_copied),
+        "the lane count does not change the merge plan",
     );
-    assert!(
+    run.gate(
         wide.compaction_cost < serial.compaction_cost,
-        "4 lanes must strictly beat 1: {:?} vs {:?}",
-        wide.compaction_cost,
-        serial.compaction_cost
+        format!(
+            "4 merge lanes beat 1: {:?} vs {:?} ({} merges)",
+            wide.compaction_cost, serial.compaction_cost, wide.merges
+        ),
     );
-    println!("smoke ok");
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
+pub fn run(run: &mut Run) {
     type PanelSpec = (&'static str, CorrectionStrategy, ReadPath, FixStrategy, Option<SimDuration>);
     let panels: [PanelSpec; 5] = [
         (
@@ -208,11 +207,14 @@ fn main() {
             Some(BUDGET),
         ),
     ];
-    let mut t = Table::new(
+    let mut t = Sheet::new(
         "Fig. 16: read throughput timeline around compaction (Kreq/s per 100 ms bucket)",
         &["panel", "t_sec", "kreqs"],
     );
-    let mut pause_rows = Vec::new();
+    let mut pauses = Sheet::new(
+        "Per-panel compaction pause and read p99 (us)",
+        &["panel", "pause_p50", "pause_p99", "p99_during", "p99_outside"],
+    );
     for (name, correction, path, fix, budget) in panels {
         let p = run_panel(correction, path, fix, budget, OBJECTS);
         println!(
@@ -223,66 +225,77 @@ fn main() {
             p.report().yields
         );
         for (t_sec, rate) in p.out.timeline.as_ref().expect("timeline").rates() {
-            t.row(&[name.into(), format!("{t_sec:.1}"), f1(rate / 1e3)]);
+            t.row(&[name.into(), f1(t_sec), f1(rate / 1e3)]);
         }
         let (p50, p99) = p.pause_us();
-        pause_rows.push((
-            name,
-            p50,
-            p99,
-            p.out.read_latency_during.p99().unwrap_or(0.0),
-            p.out.read_latency_outside.p99().unwrap_or(0.0),
-        ));
+        pauses.row(&[
+            name.into(),
+            f1(p50),
+            f1(p99),
+            f1(p.out.read_latency_during.p99().unwrap_or(0.0)),
+            f1(p.out.read_latency_outside.p99().unwrap_or(0.0)),
+        ]);
     }
-    let path = write_csv("fig16_compaction_timeline", &t).expect("csv");
-    // The full table is long; print a summary instead: per-panel
+    // The full sheet is long; print a summary instead: per-panel
     // throughput before/during/after the trigger.
-    println!("\nPer-panel mean throughput (Kreq/s):");
-    summarize(&t);
-    println!("\nPer-panel compaction pause and read p99 (µs):");
-    println!(
-        "{:<28} {:>10} {:>10} {:>11} {:>12}",
-        "panel", "pause_p50", "pause_p99", "p99_during", "p99_outside"
+    run.csv("fig16_compaction_timeline", &t);
+    let means = summarize(&t);
+    means.print();
+    pauses.print();
+
+    let panel =
+        |sheet: &Sheet, name: &str, column: &str| sheet.find(&[("panel", name)]).num(column);
+    let dip = |name: &str| 1.0 - panel(&means, name, "2-3s") / panel(&means, name, "before");
+    run.gate(
+        dip("messaging/rpc-client") > 0.15,
+        format!(
+            "thread messaging stalls the RPC client: its 2-3 s window dips {:.0}% below before",
+            100.0 * dip("messaging/rpc-client")
+        ),
     );
-    for (name, p50, p99, during, outside) in pause_rows {
-        println!("{name:<28} {p50:>10.1} {p99:>10.1} {during:>11.1} {outside:>12.1}");
-    }
-    println!("\nfull series csv: {}", path.display());
+    run.gate(
+        ["messaging/rdma-client+scan", "scan/rpc-client", "scan/rdma-client+rpcfix"]
+            .iter()
+            .all(|p| dip(p) < 0.03),
+        "an RDMA client and block-scan correction each keep the dip under 3%",
+    );
+    let stalled = panel(&pauses, "messaging/rpc-client", "p99_during");
+    let budgeted = panel(&pauses, "messaging/rpc+budget", "p99_during");
+    run.gate(
+        budgeted < 2.0 * BUDGET.as_micros_f64() && stalled > 100.0 * budgeted,
+        format!(
+            "the pause budget collapses the RPC client's stall: read p99 during the pass \
+             {stalled:.0} us -> {budgeted:.0} us"
+        ),
+    );
+    run.gate(
+        means.rows().all(|r| (r.num("after") / r.num("before") - 1.0).abs() < 0.01),
+        "every panel returns to its pre-compaction throughput",
+    );
+    engine_gates(run);
 }
 
-fn summarize(t: &Table) {
-    let csv = t.to_csv();
-    type PanelSeries = (Vec<f64>, Vec<f64>, Vec<f64>);
-    let mut per: std::collections::BTreeMap<String, PanelSeries> = Default::default();
-    for line in csv.lines().skip(1) {
-        let mut parts = line.splitn(3, ',');
-        let (Some(panel), Some(t_sec), Some(rate)) = (parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        let t_sec: f64 = t_sec.parse().unwrap_or(0.0);
-        let rate: f64 = rate.parse().unwrap_or(0.0);
-        if rate == 0.0 && t_sec < 1.0 {
+/// Mean Kreq/s per panel before the trigger, in the 2-3 s window that
+/// holds the pass, and after it.
+fn summarize(t: &Sheet) -> Sheet {
+    let mut per: BTreeMap<String, [Vec<f64>; 3]> = BTreeMap::new();
+    for r in t.rows() {
+        let (bucket, rate) = ((r.num("t_sec") * 10.0).round() as u32, r.num("kreqs"));
+        if rate == 0.0 && bucket < 10 {
             continue; // warmup buckets carry no samples
         }
-        let entry = per.entry(panel.to_string()).or_default();
-        if t_sec < 2.0 {
-            entry.0.push(rate);
-        } else if t_sec < 3.0 {
-            entry.1.push(rate);
-        } else {
-            entry.2.push(rate);
-        }
+        let window = match bucket {
+            0..20 => 0,
+            20..30 => 1,
+            _ => 2,
+        };
+        per.entry(r.text("panel")).or_default()[window].push(rate);
     }
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-    println!("{:<28} {:>8} {:>8} {:>8}", "panel", "before", "2-3s", "after");
-    for (panel, (b, d, a)) in per {
-        println!("{:<28} {:>8.0} {:>8.0} {:>8.0}", panel, mean(&b), mean(&d), mean(&a));
+    let mut means =
+        Sheet::new("Per-panel mean throughput (Kreq/s)", &["panel", "before", "2-3s", "after"]);
+    for (panel, windows) in per {
+        let [before, during, after] = windows.map(|v| f1(v.iter().sum::<f64>() / v.len() as f64));
+        means.row(&[panel.into(), before, during, after]);
     }
+    means
 }

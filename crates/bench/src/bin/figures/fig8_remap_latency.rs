@@ -11,10 +11,12 @@
 
 use std::sync::Arc;
 
-use corm_bench::report::{f2, write_csv, Table};
+use corm_bench::report::{f2, Sheet};
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::{AddressSpace, PhysicalMemory};
 use corm_sim_rdma::{QueuePair, Rnic, RnicConfig};
+
+use crate::run::Run;
 
 struct Setup {
     aspace: Arc<AddressSpace>,
@@ -36,51 +38,55 @@ fn setup(odp: bool) -> Setup {
     Setup { aspace, rnic, va, rkey: mr.rkey, new_frame }
 }
 
-fn main() {
-    let mut t = Table::new(
+/// Appends one strategy's steps, `(step, cost in us, note)`, with the
+/// running total in the cumulative column.
+fn steps(t: &mut Sheet, strategy: &str, steps: &[(&str, f64, &str)]) {
+    let mut cumulative = 0.0;
+    for &(step, cost, note) in steps {
+        cumulative += cost;
+        t.row(&[strategy.into(), step.into(), f2(cost), f2(cumulative), note.into()]);
+    }
+}
+
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Fig. 8: remapping strategies (ConnectX-5)",
         &["strategy", "step", "cost_us", "cumulative_us", "note"],
     );
     let model = corm_sim_rdma::LatencyModel::connectx5();
+    let mmap = model.mmap_cost(1).as_micros_f64();
 
     // --- Strategy 1: mmap + ibv_rereg_mr ------------------------------
     {
         let s = setup(false);
-        let mut cum = 0.0;
-        let mmap = model.mmap_cost(1).as_micros_f64();
-        cum += mmap;
         s.aspace.remap(s.va, &[s.new_frame]).unwrap();
         s.aspace.write(s.va, b"after-remap.....").unwrap();
         let t0 = SimTime::from_micros(100);
         let rereg = s.rnic.rereg(s.rkey, t0).unwrap().as_micros_f64();
-        cum += rereg;
         // Read during the window breaks the QP.
         let qp = QueuePair::connect(s.rnic.clone());
         let mut buf = [0u8; 16];
         let during = qp.read(s.rkey, s.va, &mut buf, t0);
         assert!(during.is_err(), "access in rereg window must break the QP");
-        let note_break = "QP broken if accessed in window";
         // After the window the read is fast and sees fresh data.
         qp.reconnect();
         let after = t0 + corm_sim_core::time::SimDuration::from_micros(50);
         let read = qp.read(s.rkey, s.va, &mut buf, after).unwrap();
         assert_eq!(&buf, b"after-remap.....");
-        let read_us = read.latency.as_micros_f64();
-        t.row(&["rereg_mr".into(), "mmap".into(), f2(mmap), f2(mmap), String::new()]);
-        t.row(&["rereg_mr".into(), "ibv_rereg_mr".into(), f2(rereg), f2(cum), note_break.into()]);
-        t.row(&[
-            "rereg_mr".into(),
-            "RDMA read".into(),
-            f2(read_us),
-            f2(cum + read_us),
-            String::new(),
-        ]);
+        steps(
+            &mut t,
+            "rereg_mr",
+            &[
+                ("mmap", mmap, ""),
+                ("ibv_rereg_mr", rereg, "QP broken if accessed in window"),
+                ("RDMA read", read.latency.as_micros_f64(), ""),
+            ],
+        );
     }
 
     // --- Strategy 2: mmap + ODP ----------------------------------------
     {
         let s = setup(true);
-        let mmap = model.mmap_cost(1).as_micros_f64();
         s.aspace.remap(s.va, &[s.new_frame]).unwrap();
         s.aspace.write(s.va, b"after-remap.....").unwrap();
         let qp = QueuePair::connect(s.rnic.clone());
@@ -89,28 +95,20 @@ fn main() {
         assert_eq!(&buf, b"after-remap.....");
         assert_eq!(first.odp_misses, 1);
         let second = qp.read(s.rkey, s.va, &mut buf, SimTime::ZERO).unwrap();
-        let (f_us, s_us) = (first.latency.as_micros_f64(), second.latency.as_micros_f64());
-        t.row(&["odp".into(), "mmap".into(), f2(mmap), f2(mmap), String::new()]);
-        t.row(&[
-            "odp".into(),
-            "RDMA read (ODP miss)".into(),
-            f2(f_us),
-            f2(mmap + f_us),
-            "connection survives".into(),
-        ]);
-        t.row(&[
-            "odp".into(),
-            "RDMA read (warm)".into(),
-            f2(s_us),
-            f2(mmap + f_us + s_us),
-            String::new(),
-        ]);
+        steps(
+            &mut t,
+            "odp",
+            &[
+                ("mmap", mmap, ""),
+                ("RDMA read (ODP miss)", first.latency.as_micros_f64(), "connection survives"),
+                ("RDMA read (warm)", second.latency.as_micros_f64(), ""),
+            ],
+        );
     }
 
     // --- Strategy 3: mmap + ibv_advise_mr prefetch ----------------------
     {
         let s = setup(true);
-        let mmap = model.mmap_cost(1).as_micros_f64();
         s.aspace.remap(s.va, &[s.new_frame]).unwrap();
         s.aspace.write(s.va, b"after-remap.....").unwrap();
         let advise = s.rnic.advise(s.rkey, s.va, 1).unwrap().as_micros_f64();
@@ -119,25 +117,16 @@ fn main() {
         let read = qp.read(s.rkey, s.va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(&buf, b"after-remap.....");
         assert_eq!(read.odp_misses, 0, "prefetch must absorb the miss");
-        let r_us = read.latency.as_micros_f64();
-        t.row(&["odp+prefetch".into(), "mmap".into(), f2(mmap), f2(mmap), String::new()]);
-        t.row(&[
-            "odp+prefetch".into(),
-            "ibv_advise_mr".into(),
-            f2(advise),
-            f2(mmap + advise),
-            "CoRM's default".into(),
-        ]);
-        t.row(&[
-            "odp+prefetch".into(),
-            "RDMA read".into(),
-            f2(r_us),
-            f2(mmap + advise + r_us),
-            "no ODP miss".into(),
-        ]);
+        steps(
+            &mut t,
+            "odp+prefetch",
+            &[
+                ("mmap", mmap, ""),
+                ("ibv_advise_mr", advise, "CoRM's default"),
+                ("RDMA read", read.latency.as_micros_f64(), "no ODP miss"),
+            ],
+        );
     }
 
-    t.print();
-    let path = write_csv("fig8_remap_latency", &t).expect("write csv");
-    println!("\ncsv: {}", path.display());
+    run.emit("fig8_remap_latency", &t);
 }

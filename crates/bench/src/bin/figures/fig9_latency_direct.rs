@@ -7,7 +7,7 @@
 //! DirectRead ≈ raw RDMA for objects < 256 B.
 
 use corm_baselines::{RawRdmaClient, RpcEcho};
-use corm_bench::report::{f2, median_us, write_csv, Table};
+use corm_bench::report::{f2, median_us, Sheet};
 use corm_bench::setup::populate_server;
 use corm_core::client::CormClient;
 use corm_core::server::ServerConfig;
@@ -15,12 +15,14 @@ use corm_core::ReadOutcome;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
 
+use crate::run::Run;
+
 const SIZES: [usize; 9] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 const PRELOAD_PER_SIZE: usize = 2_000; // paper: 10,000 (scaled; same shape)
 const OPS: usize = 500;
 
-fn main() {
-    let mut t = Table::new(
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Fig. 9: median operation latency with direct pointers (us)",
         &["size", "alloc", "free", "rpc_read", "rpc_write", "direct_read", "rpc_base", "rdma_base"],
     );
@@ -82,7 +84,7 @@ fn main() {
 
         // Client-API costs are already end-to-end round trips.
         t.row(&[
-            size.to_string(),
+            size.into(),
             f2(median_us(&h_alloc)),
             f2(median_us(&h_free)),
             f2(median_us(&h_read)),
@@ -92,11 +94,9 @@ fn main() {
             f2(median_us(&h_raw)),
         ]);
     }
-    t.print();
+    run.emit("fig9_latency_direct", &t);
     println!(
-        "\n(the paper's IPoIB reference on the same link: {:.1} us)",
+        "(the paper's IPoIB reference on the same link: {:.1} us)",
         RpcEcho::new(corm_sim_rdma::LatencyModel::connectx5()).ipoib_round_trip().as_micros_f64()
     );
-    let path = write_csv("fig9_latency_direct", &t).expect("write csv");
-    println!("csv: {}", path.display());
 }

@@ -4,11 +4,13 @@
 //! CoRM-16 28+16. The 28 bits are the home-block virtual address (48-bit
 //! pointers, 20-bit-aligned 1 MiB blocks, §3.3).
 
-use corm_bench::report::{write_csv, Table};
+use corm_bench::report::Sheet;
 use corm_compact::header_bits;
 
-fn main() {
-    let mut t = Table::new(
+use crate::run::Run;
+
+pub fn run(run: &mut Run) {
+    let mut t = Sheet::new(
         "Table 3: per-object memory overhead (1 MiB blocks)",
         &["Scheme", "Bits/object", "Breakdown"],
     );
@@ -20,15 +22,18 @@ fn main() {
         ("CoRM-16", Some(16)),
     ];
     for (name, id_bits) in schemes {
-        let bits = header_bits(id_bits);
         let breakdown = match id_bits {
             None => "none".to_string(),
             Some(0) => "28 (home vaddr)".to_string(),
             Some(n) => format!("28 (home vaddr) + {n} (object ID)"),
         };
-        t.row(&[name.into(), bits.to_string(), breakdown]);
+        t.row(&[name.into(), u64::from(header_bits(id_bits)).into(), breakdown.into()]);
     }
-    t.print();
-    let path = write_csv("table3_overheads", &t).expect("write csv");
-    println!("\ncsv: {}", path.display());
+    run.emit("table3_overheads", &t);
+
+    let bits: Vec<f64> = t.rows().map(|r| r.num("Bits/object")).collect();
+    run.gate(
+        bits == [0.0, 28.0, 36.0, 40.0, 44.0],
+        "bits per object are the paper's 0 / 28 / 36 / 40 / 44",
+    );
 }

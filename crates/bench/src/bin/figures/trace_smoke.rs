@@ -1,4 +1,4 @@
-//! CI smoke gate for the `corm-trace` subsystem.
+//! Gate on the `corm-trace` subsystem.
 //!
 //! Runs one deterministic workload touching every traced layer — a
 //! workers=1 `ThreadedServer` RPC phase (worker track), sequential
@@ -15,25 +15,26 @@
 //! 4. **Export validity**: the emitted Perfetto JSON parses, is
 //!    non-empty, and carries the expected per-layer tracks.
 //! 5. **Overhead**: recorder overhead is ≤5% wall-clock on the paced
-//!    closed-loop RPC workload (fig13's cell shape — ops take their
-//!    virtual cost in wall time, so this is the figure benches' notion of
+//!    closed-loop RPC workload (`ext_scalability`'s cell — ops take their
+//!    virtual cost in wall time, so this is the figures' notion of
 //!    wall-clock), and ≤50% on a maximally adversarial spawn-free hot
 //!    loop where each op is pure simulation arithmetic with zero host
 //!    work to amortize a single buffered event against.
 //!
-//! Any violated property panics (non-zero exit), so CI can run this
-//! binary directly.
+//! It records with handles of its own, whatever `--trace` says, and always
+//! writes `results/trace_smoke.events` and `.trace.json`.
 
 use std::time::Instant;
 
-use corm_bench::report::write_trace_artifacts;
-use corm_bench::setup::populate_server;
+use corm_bench::setup::{populate_server, read_stream};
 use corm_core::client::CormClient;
-use corm_core::server::threaded::{Pacing, Request, Response, ThreadedServer};
+use corm_core::server::threaded::{Request, Response, ThreadedServer};
 use corm_core::server::ServerConfig;
-use corm_core::GlobalPtr;
 use corm_sim_core::time::SimTime;
 use corm_trace::{diff_events, Event, TraceHandle};
+
+use crate::ext_scalability::run_rpc_cell;
+use crate::run::Run;
 
 const SIZE: usize = 64;
 const OBJECTS: usize = 512;
@@ -45,7 +46,7 @@ const SEED: u64 = 0x7_74CE;
 
 /// One deterministic pass over every traced layer. Returns the virtual
 /// per-op costs in nanoseconds — the replay fingerprint the gates compare.
-fn run(trace: &TraceHandle) -> Vec<u64> {
+fn pass(trace: &TraceHandle) -> Vec<u64> {
     let config = ServerConfig { workers: 1, trace: trace.clone(), ..ServerConfig::default() };
     let mut store = populate_server(config, OBJECTS, SIZE);
     let mut fingerprint = Vec::new();
@@ -80,16 +81,12 @@ fn run(trace: &TraceHandle) -> Vec<u64> {
 
     // Phase 3: engine-unit tracks via batched multi-gets.
     let mut rng = corm_sim_core::rng::stream_rng(SEED, 3);
-    for _ in 0..BATCHES {
-        let mut bptrs: Vec<GlobalPtr> = (0..BATCH_DEPTH)
-            .map(|_| store.ptrs[rand::Rng::gen_range(&mut rng, 0..OBJECTS)])
-            .collect();
-        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; SIZE]; BATCH_DEPTH];
-        let tb = client.read_batch(&mut bptrs, &mut bufs, clock).expect("batch");
-        assert!(tb.value.iter().all(|&n| n == SIZE));
-        fingerprint.push(tb.cost.as_nanos());
-        clock += tb.cost;
-    }
+    let keys: Vec<usize> =
+        (0..BATCHES * BATCH_DEPTH).map(|_| rand::Rng::gen_range(&mut rng, 0..OBJECTS)).collect();
+    let turn = std::slice::from_mut(&mut client);
+    read_stream(turn, &store.ptrs, &keys, BATCH_DEPTH, SIZE, &mut clock, |batch| {
+        fingerprint.push(batch.cost.as_nanos());
+    });
 
     // Phase 4: compaction track. Fragment, then compact the class.
     store.fragment(0.75, SEED);
@@ -102,80 +99,46 @@ fn run(trace: &TraceHandle) -> Vec<u64> {
     fingerprint
 }
 
-/// Asserts the event stream carries every per-layer track the taxonomy
+/// Whether the event stream carries every per-layer track the taxonomy
 /// promises.
-fn check_tracks(events: &[Event]) {
-    for label in ["client", "nic", "worker-0", "engine-unit-0", "compaction"] {
-        assert!(
-            events.iter().any(|e| e.track.label() == label),
-            "expected a `{label}` track in the trace"
-        );
-    }
+fn has_every_track(events: &[Event]) -> bool {
+    ["client", "nic", "worker-0", "engine-unit-0", "compaction"]
+        .iter()
+        .all(|label| events.iter().any(|e| e.track.label() == *label))
 }
 
-fn main() {
-    // Gate 2 + 3 + 4: two traced runs, identical streams, clean
-    // reconciliation, valid artifacts.
+pub fn run(run: &mut Run) {
+    // Gates 2 + 3 + 4: two traced runs, identical streams, clean
+    // reconciliation (gated by `write_trace`), valid artifacts.
     let t1 = TraceHandle::recording();
-    let r1 = run(&t1);
-    let events1 = write_trace_artifacts("trace_smoke", &t1).expect("artifacts");
-    assert!(!events1.is_empty(), "traced run must produce events");
-    check_tracks(&events1);
+    let r1 = pass(&t1);
+    let events1 = run.write_trace("trace_smoke", &t1);
+    run.gate(
+        has_every_track(&events1),
+        "the trace carries client, nic, worker, engine-unit and compaction tracks",
+    );
 
     let t2 = TraceHandle::recording();
-    let r2 = run(&t2);
-    let events2 = t2.drain();
-    assert_eq!(r1, r2, "same-seed traced runs must produce identical results");
-    let d = diff_events(&events1, &events2);
-    assert!(d.is_clean(), "same-seed traced runs must not diverge:\n{}", d.describe());
-    println!("determinism gate passed: {} events, zero divergence", events1.len());
+    let r2 = pass(&t2);
+    let d = diff_events(&events1, &t2.drain());
+    run.gate(
+        r1 == r2 && d.is_clean(),
+        format!("same-seed traced runs agree in results and event order: {}", d.describe()),
+    );
 
-    // Gate 1: tracing is observational — the untraced run's virtual
-    // results are identical.
-    let untraced = run(&TraceHandle::disabled());
-    assert_eq!(r1, untraced, "tracing must not perturb virtual-time results");
-    println!("replay-transparency gate passed: traced == untraced results");
+    // Gate 1: tracing is observational.
+    run.gate(
+        r1 == pass(&TraceHandle::disabled()),
+        "tracing does not perturb virtual-time results: traced == untraced",
+    );
 
     // Gate 5a: the ≤5% wall-clock budget, measured on the workload class
-    // the budget is written for — a paced closed-loop RPC cell (fig13's
-    // shape), where a worker is wall-clock occupied for each op's virtual
-    // cost. Interleaved best-of-N so host noise hits both arms alike.
+    // the budget is written for — a paced closed-loop RPC cell, where a
+    // worker is wall-clock occupied for each op's virtual cost.
+    // Interleaved best-of-N so host noise hits both arms alike.
     const PACED_ROUNDS: usize = 3;
-    const PACED_CLIENTS: usize = 2;
-    const PACED_WORKERS: usize = 2;
     const PACED_OPS: usize = 12_000;
-    let paced_cell = |trace: &TraceHandle| {
-        let config = ServerConfig {
-            workers: PACED_WORKERS,
-            trace: trace.clone(),
-            ..ServerConfig::default()
-        };
-        let store = populate_server(config, OBJECTS, SIZE);
-        let ptrs = std::sync::Arc::new(store.ptrs.clone());
-        let ts = ThreadedServer::start_with_pacing(store.server.clone(), Pacing::Virtual);
-        let w = Instant::now();
-        let mut threads = Vec::with_capacity(PACED_CLIENTS);
-        for tid in 0..PACED_CLIENTS {
-            let client = ts.rpc_client();
-            let ptrs = ptrs.clone();
-            threads.push(std::thread::spawn(move || {
-                let mut rng = corm_sim_core::rng::stream_rng(SEED, 16 + tid as u64);
-                for _ in 0..PACED_OPS {
-                    let key = rand::Rng::gen_range(&mut rng, 0..ptrs.len());
-                    match client.call(Request::Read { ptr: ptrs[key], len: SIZE }) {
-                        Ok(Response::Data { data, .. }) => assert_eq!(data.len(), SIZE),
-                        other => panic!("paced rpc failed: {other:?}"),
-                    }
-                }
-            }));
-        }
-        for t in threads {
-            t.join().expect("paced client");
-        }
-        let elapsed = w.elapsed().as_secs_f64();
-        ts.shutdown();
-        elapsed
-    };
+    let paced_cell = |trace: &TraceHandle| run_rpc_cell(2, 2, PACED_OPS, trace).0.as_secs_f64();
     let mut paced_on = f64::INFINITY;
     let mut paced_off = f64::INFINITY;
     for _ in 0..PACED_ROUNDS {
@@ -184,18 +147,15 @@ fn main() {
         drop(t.drain());
         paced_off = paced_off.min(paced_cell(&TraceHandle::disabled()));
     }
-    let paced_ratio = paced_on / paced_off;
-    assert!(
-        paced_ratio <= 1.05,
-        "tracing overhead gate (paced): best-of-{PACED_ROUNDS} traced {paced_on:.4}s vs \
-         untraced {paced_off:.4}s = {paced_ratio:.3}x (budget 1.05x)"
-    );
-    println!(
-        "overhead gate passed (paced rpc): traced {:.1} ms vs untraced {:.1} ms \
-         ({:.3}x, budget 1.05x)",
-        paced_on * 1e3,
-        paced_off * 1e3,
-        paced_ratio
+    run.gate(
+        paced_on / paced_off <= 1.05,
+        format!(
+            "recorder overhead on the paced RPC cell is within 5%: best-of-{PACED_ROUNDS} traced \
+             {:.1} ms vs untraced {:.1} ms ({:.3}x)",
+            paced_on * 1e3,
+            paced_off * 1e3,
+            paced_on / paced_off
+        ),
     );
 
     // Gate 5b: adversarial backstop. A spawn-free synchronous-read loop is
@@ -237,17 +197,14 @@ fn main() {
         drop(traced.drain());
         best_off = best_off.min(hot_loop(&store_off));
     }
-    let ratio = best_on / best_off;
-    assert!(
-        ratio <= 1.5,
-        "tracing overhead backstop: best-of-{ROUNDS} traced {best_on:.4}s vs untraced \
-         {best_off:.4}s = {ratio:.3}x (budget 1.5x)"
-    );
-    println!(
-        "overhead backstop passed (adversarial hot loop): traced {:.2} ms vs untraced \
-         {:.2} ms ({:.3}x, budget 1.5x)",
-        best_on * 1e3,
-        best_off * 1e3,
-        ratio
+    run.gate(
+        best_on / best_off <= 1.5,
+        format!(
+            "recorder overhead on the adversarial hot loop is within 50%: best-of-{ROUNDS} traced \
+             {:.2} ms vs untraced {:.2} ms ({:.3}x)",
+            best_on * 1e3,
+            best_off * 1e3,
+            best_on / best_off
+        ),
     );
 }

@@ -1,66 +1,177 @@
-//! Result presentation: aligned text tables, CSV files, and JSON metrics.
+//! Result presentation: the typed row sheet every figure fills, and JSON
+//! metrics snapshots.
 //!
-//! Every figure binary prints a human-readable table mirroring the paper's
-//! rows/series and writes the same data as CSV into `results/` so the
-//! series can be plotted or diffed. Fault-injection runs additionally
-//! export their counters as JSON (hand-rolled — the workspace builds
-//! offline, without serde).
+//! A figure fills a [`Sheet`] once; the aligned text it prints, the CSV
+//! under `results/` and the JSON rows next to it are three renderings of
+//! those rows, so they cannot disagree. JSON is hand-rolled — the
+//! workspace builds offline, without serde.
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::fmt::{self, Write as _};
+use std::path::PathBuf;
 
 use corm_core::CompactionReport;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
 use corm_sim_rdma::{FaultKind, QueuePair, Rnic};
-use corm_trace::{canonical_lines, perfetto_json, validate_perfetto, Event, TraceHandle};
+use corm_trace::TraceHandle;
 
-/// A simple column-aligned table.
-#[derive(Debug, Clone)]
-pub struct Table {
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// One cell of a [`Sheet`]: text, or a number that remembers how it
+/// prints while keeping its full value for JSON and for gates.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A label.
+    Text(String),
+    /// An unsigned count.
+    Int(u64),
+    /// A float printed with `decimals` places, or in the shortest form
+    /// that round-trips when `None`.
+    Float {
+        /// The unrounded value.
+        value: f64,
+        /// Decimal places in text and CSV.
+        decimals: Option<usize>,
+    },
 }
 
-impl Table {
-    /// Creates a table with a title and column headers.
+impl Cell {
+    /// The numeric value. Panics on a text cell: a gate that reads a label
+    /// as a number is a bug in the figure.
+    pub fn num(&self) -> f64 {
+        match self {
+            Cell::Int(n) => *n as f64,
+            Cell::Float { value, .. } => *value,
+            Cell::Text(s) => panic!("cell {s:?} is not numeric"),
+        }
+    }
+
+    fn json(&self) -> Json {
+        match self {
+            Cell::Text(s) => Json::Str(s.clone()),
+            Cell::Int(n) => Json::UInt(*n),
+            Cell::Float { value, .. } => Json::Float(*value),
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(s) => f.write_str(s),
+            Cell::Int(n) => write!(f, "{n}"),
+            Cell::Float { value, decimals: Some(d) } => write!(f, "{value:.d$}"),
+            Cell::Float { value, decimals: None } => write!(f, "{value}"),
+        }
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Self {
+        Cell::Text(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Self {
+        Cell::Text(s)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Self {
+        Cell::Int(n)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Self {
+        Cell::Int(n as u64)
+    }
+}
+
+impl From<f64> for Cell {
+    fn from(value: f64) -> Self {
+        Cell::Float { value, decimals: None }
+    }
+}
+
+/// One row of a [`Sheet`], addressed by column name.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    header: &'a [String],
+    cells: &'a [Cell],
+}
+
+impl Row<'_> {
+    fn cell(&self, column: &str) -> &Cell {
+        let at = self.header.iter().position(|h| h == column);
+        &self.cells[at.unwrap_or_else(|| panic!("no column {column:?} in {:?}", self.header))]
+    }
+
+    /// The numeric value under `column`.
+    pub fn num(&self, column: &str) -> f64 {
+        self.cell(column).num()
+    }
+
+    /// The text under `column`, as the CSV shows it.
+    pub fn text(&self, column: &str) -> String {
+        self.cell(column).to_string()
+    }
+}
+
+/// A titled sheet of typed rows.
+#[derive(Debug, Clone)]
+pub struct Sheet {
+    title: String,
+    header: Vec<String>,
+    rows: Vec<Vec<Cell>>,
+}
+
+impl Sheet {
+    /// Creates a sheet with a title and column headers.
     pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
-        Table {
+        Sheet {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
     }
 
-    /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    /// Appends a row.
+    pub fn row(&mut self, cells: &[Cell]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "column count mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn push_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
+    /// The rows, in insertion order.
+    pub fn rows(&self) -> impl Iterator<Item = Row<'_>> + Clone {
+        self.rows.iter().map(|cells| Row { header: &self.header, cells })
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The rows whose `column` reads `value`.
+    pub fn rows_where<'a>(
+        &'a self,
+        column: &'a str,
+        value: &'a str,
+    ) -> impl Iterator<Item = Row<'a>> + Clone {
+        self.rows().filter(move |r| r.text(column) == value)
     }
 
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// The first row whose columns read as `keys` say. Panics when there
+    /// is none: a gate that looks up a cell the figure did not sweep is a
+    /// bug in the figure.
+    pub fn find(&self, keys: &[(&str, &str)]) -> Row<'_> {
+        self.rows()
+            .find(|r| keys.iter().all(|(column, value)| r.text(column) == *value))
+            .unwrap_or_else(|| panic!("no row with {keys:?} in {:?}", self.title))
     }
 
     /// Renders the aligned text form.
     pub fn render(&self) -> String {
+        let text: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.iter().map(Cell::to_string).collect()).collect();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in &text {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
             }
@@ -77,55 +188,60 @@ impl Table {
         let _ = writeln!(out, "{}", line(&self.header, &widths));
         let total: usize = widths.iter().map(|w| w + 2).sum();
         let _ = writeln!(out, "{}", "-".repeat(total.saturating_sub(2)));
-        for row in &self.rows {
+        for row in &text {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
         out
     }
 
-    /// Prints the table to stdout.
+    /// Prints the aligned text form to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
     }
 
     /// CSV form (header + rows).
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
+        let esc = |s: String| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
-                s.to_string()
+                s
             }
         };
-        let _ =
-            writeln!(out, "{}", self.header.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{}",
+            self.header.iter().map(|h| esc(h.clone())).collect::<Vec<_>>().join(",")
+        );
         for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            let _ = writeln!(
+                out,
+                "{}",
+                row.iter().map(|c| esc(c.to_string())).collect::<Vec<_>>().join(",")
+            );
         }
         out
     }
-}
 
-/// Directory the harness writes CSVs to (created on demand): `results/`
-/// next to the workspace root, or the current directory as a fallback.
-pub fn results_dir() -> PathBuf {
-    let candidates = [Path::new("results"), Path::new("../results"), Path::new("../../results")];
-    for c in candidates {
-        if c.parent().map(|p| p.exists()).unwrap_or(true) && c.exists() {
-            return c.to_path_buf();
-        }
+    /// The rows as a JSON array of objects keyed by the column headers;
+    /// numeric cells carry their unrounded value.
+    pub fn to_json(&self) -> Json {
+        Json::Arr(
+            self.rows
+                .iter()
+                .map(|row| {
+                    Json::Obj(self.header.iter().cloned().zip(row.iter().map(Cell::json)).collect())
+                })
+                .collect(),
+        )
     }
-    PathBuf::from("results")
 }
 
-/// Writes a table's CSV under `results/<name>.csv` and returns the path.
-pub fn write_csv(name: &str, table: &Table) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, table.to_csv())?;
-    Ok(path)
+/// Directory figures write to: `results/` at the workspace root, wherever
+/// the process was started from.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
 }
 
 /// A JSON value (the subset the metrics exports need).
@@ -379,15 +495,6 @@ pub fn tier_metrics(server: &corm_core::CormServer) -> Json {
         .build()
 }
 
-/// Writes a JSON document under `results/<name>.json` and returns the path.
-pub fn write_json(name: &str, json: &Json) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    fs::write(&path, json.render())?;
-    Ok(path)
-}
-
 /// Median of a latency histogram, `0.0` when empty. The figure binaries
 /// record latencies in microseconds, so this is the paper's "median µs"
 /// column; it is the one shared quantile helper the binaries use instead
@@ -476,65 +583,24 @@ pub fn trace_counters(trace: &TraceHandle) -> Json {
         .build()
 }
 
-/// Drains a recording trace handle and writes its artifacts under
-/// `results/`: `<name>.trace.json` (Perfetto/chrome-tracing JSON, checked
-/// with [`validate_perfetto`]) and `<name>.events` (canonical event lines
-/// for `trace_diff`). Prints the per-stage latency breakdown and asserts
-/// that per-op leaf spans reconcile with op totals. Returns the drained
-/// events so callers can run further checks on them.
-pub fn write_trace_artifacts(name: &str, trace: &TraceHandle) -> std::io::Result<Vec<Event>> {
-    let events = trace.drain();
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
-
-    let perfetto = perfetto_json(&events);
-    let n = validate_perfetto(&perfetto)
-        .unwrap_or_else(|e| panic!("emitted Perfetto JSON for {name} is invalid: {e}"));
-    let trace_path = dir.join(format!("{name}.trace.json"));
-    fs::write(&trace_path, &perfetto)?;
-    let events_path = dir.join(format!("{name}.events"));
-    fs::write(&events_path, canonical_lines(&events))?;
-
-    let recon = corm_trace::reconcile(&events);
-    assert!(
-        recon.is_clean(),
-        "{name}: {}/{} traced ops do not reconcile (max error {} ns)",
-        recon.mismatched,
-        recon.ops,
-        recon.max_error_ns
-    );
-    if trace.dropped() > 0 {
-        eprintln!("warning: {name} dropped {} trace events (buffers full)", trace.dropped());
-    }
-    print!("{}", corm_trace::render_breakdown(&corm_trace::breakdown(&events)));
-    println!(
-        "trace: {} events -> {} ({} Perfetto spans), {}",
-        events.len(),
-        trace_path.display(),
-        n,
-        events_path.display()
-    );
-    Ok(events)
+/// A float cell printed with 1 decimal.
+pub fn f1(value: f64) -> Cell {
+    Cell::Float { value, decimals: Some(1) }
 }
 
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
+/// A float cell printed with 2 decimals.
+pub fn f2(value: f64) -> Cell {
+    Cell::Float { value, decimals: Some(2) }
 }
 
-/// Formats a float with 2 decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
+/// A float cell printed with 3 decimals.
+pub fn f3(value: f64) -> Cell {
+    Cell::Float { value, decimals: Some(3) }
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Formats bytes as GiB with 3 decimals.
-pub fn gib(bytes: u64) -> String {
-    format!("{:.3}", bytes as f64 / (1u64 << 30) as f64)
+/// Bytes as a GiB cell printed with 3 decimals.
+pub fn gib(bytes: u64) -> Cell {
+    f3(bytes as f64 / (1u64 << 30) as f64)
 }
 
 #[cfg(test)]
@@ -543,39 +609,103 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut t = Table::new("demo", &["name", "value"]);
-        t.row(&["a".into(), "1".into()]);
-        t.row(&["long-name".into(), "22".into()]);
+        let mut t = Sheet::new("demo", &["name", "value"]);
+        t.row(&["a".into(), 1u64.into()]);
+        t.row(&["long-name".into(), 22u64.into()]);
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("long-name"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5); // title, header, rule, 2 rows
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows().count(), 2);
     }
 
+    /// The CSV of a sheet fed strings is byte for byte what the string
+    /// table it replaced (`Table::to_csv`, through PR 16) wrote.
     #[test]
     fn csv_escapes() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Sheet::new("x", &["a", "b,c"]);
         t.row(&["he,llo".into(), "quo\"te".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"he,llo\""));
-        assert!(csv.contains("\"quo\"\"te\""));
+        t.row(&["plain".into(), "".into()]);
+        assert_eq!(t.to_csv(), "a,\"b,c\"\n\"he,llo\",\"quo\"\"te\"\nplain,\n");
     }
 
     #[test]
     #[should_panic(expected = "column count mismatch")]
     fn row_width_checked() {
-        Table::new("x", &["a"]).row(&["1".into(), "2".into()]);
+        Sheet::new("x", &["a"]).row(&["1".into(), "2".into()]);
     }
 
     #[test]
     fn formatters() {
-        assert_eq!(f1(1.25), "1.2");
-        assert_eq!(f2(1.256), "1.26");
-        assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(gib(1 << 30), "1.000");
+        assert_eq!(f1(1.25).to_string(), "1.2");
+        assert_eq!(f2(1.256).to_string(), "1.26");
+        assert_eq!(f3(0.12345).to_string(), "0.123");
+        assert_eq!(gib(1 << 30).to_string(), "1.000");
+        assert_eq!(Cell::from(0.99).to_string(), "0.99");
+        assert_eq!(Cell::from(7usize).to_string(), "7");
+    }
+
+    /// One sheet, three renderings: the JSON rows are keyed by the CSV
+    /// header, and every numeric CSV cell is the JSON number rounded to
+    /// the cell's decimals.
+    #[test]
+    fn json_rows_and_csv_are_renderings_of_the_same_cells() {
+        let mut t = Sheet::new("x", &["name", "count", "one", "two", "three", "free"]);
+        let values = [(3u64, 1.25, 2.0 / 3.0), (40, 1234.5678, 0.0004)];
+        for (n, a, b) in values {
+            t.row(&["r,\"".into(), n.into(), f1(a), f2(a), f3(b), b.into()]);
+        }
+        let csv = t.to_csv();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some("name,count,one,two,three,free"));
+        let Json::Arr(rows) = t.to_json() else { panic!("rows render as an array") };
+        assert_eq!(rows.len(), values.len());
+        for ((json, line), (n, a, b)) in rows.iter().zip(lines).zip(values) {
+            let Json::Obj(fields) = json else { panic!("a row renders as an object") };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["name", "count", "one", "two", "three", "free"]);
+            let number = |at: usize| match fields[at].1 {
+                Json::UInt(v) => v as f64,
+                Json::Float(v) => v,
+                ref other => panic!("column {at} is not a number: {other:?}"),
+            };
+            assert!(matches!(&fields[0].1, Json::Str(s) if s == "r,\""));
+            assert_eq!(
+                (number(1), number(2), number(3), number(4), number(5)),
+                (n as f64, a, a, b, b)
+            );
+            let want = format!(
+                "\"r,\"\"\",{n},{:.1},{:.2},{:.3},{}",
+                number(2),
+                number(3),
+                number(4),
+                number(5)
+            );
+            assert_eq!(line, want);
+        }
+    }
+
+    #[test]
+    fn rows_are_addressed_by_column_name() {
+        let mut t = Sheet::new("x", &["dist", "kreqs"]);
+        t.row(&["uniform".into(), f1(1396.74)]);
+        t.row(&["zipf".into(), f1(1395.12)]);
+        let zipf: Vec<f64> = t.rows_where("dist", "zipf").map(|r| r.num("kreqs")).collect();
+        assert_eq!(zipf, [1395.12]);
+        assert_eq!(t.rows().next().unwrap().text("kreqs"), "1396.7");
+        assert_eq!(t.find(&[("dist", "zipf"), ("kreqs", "1395.1")]).num("kreqs"), 1395.12);
+    }
+
+    /// `results/` is anchored at the workspace root, not found by probing
+    /// from the working directory.
+    #[test]
+    fn results_dir_is_the_workspace_roots() {
+        let dir = results_dir();
+        assert!(dir.ends_with("results"), "{}", dir.display());
+        let manifest = dir.parent().expect("results has a parent").join("Cargo.toml");
+        let text = std::fs::read_to_string(&manifest).expect("workspace manifest beside results/");
+        assert!(text.contains("[workspace]"), "{} is not the workspace root", manifest.display());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Common experiment setup: server population and fragmentation.
+//! Common experiment setup: server population, fragmentation, and the
+//! batched-read stream the multi-get figures share.
 
 use std::sync::Arc;
 
@@ -8,6 +9,7 @@ use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::GlobalPtr;
 use corm_sim_core::rng::stream_rng;
+use corm_sim_core::time::{SimDuration, SimTime};
 
 /// A populated server plus the pointers clients hold.
 pub struct PopulatedStore {
@@ -42,6 +44,52 @@ pub fn populate_server(config: ServerConfig, objects: usize, size: usize) -> Pop
 pub fn fill_pattern(buf: &mut [u8], key: u64) {
     for (i, b) in buf.iter_mut().enumerate() {
         *b = (key as usize).wrapping_mul(31).wrapping_add(i) as u8;
+    }
+}
+
+/// One doorbell batch of a [`read_stream`], as the stream's hook sees it.
+pub struct Batch<'a> {
+    /// Position of the batch in the stream.
+    pub index: usize,
+    /// The keys it read.
+    pub keys: &'a [usize],
+    /// One payload per key.
+    pub payloads: &'a [Vec<u8>],
+    /// What `read_batch` charged: makespan plus validation and repair.
+    pub cost: SimDuration,
+    /// The stream's clock after the batch.
+    pub done: SimTime,
+}
+
+/// Reads `keys` in order as multi-gets of `depth` through
+/// [`CormClient::read_batch`], `clients` taking turns batch by batch, each
+/// batch issued when the previous one completed: `clock` advances by every
+/// batch's cost, and `each` runs after every batch. Every entry must
+/// return `size` payload bytes. Pointers are copied out of `ptrs` per
+/// batch, so a correction never outlives its batch; the pointer and
+/// payload buffers are allocated once.
+pub fn read_stream(
+    clients: &mut [CormClient],
+    ptrs: &[GlobalPtr],
+    keys: &[usize],
+    depth: usize,
+    size: usize,
+    clock: &mut SimTime,
+    mut each: impl FnMut(Batch<'_>),
+) {
+    let mut batch_ptrs: Vec<GlobalPtr> = Vec::with_capacity(depth);
+    let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; size]; depth];
+    let turns = clients.len();
+    for (index, chunk) in keys.chunks(depth).enumerate() {
+        batch_ptrs.clear();
+        batch_ptrs.extend(chunk.iter().map(|&k| ptrs[k]));
+        let payloads = &mut bufs[..chunk.len()];
+        let timed = clients[index % turns]
+            .read_batch(&mut batch_ptrs, payloads, *clock)
+            .unwrap_or_else(|e| panic!("batch {index} of the read stream failed: {e}"));
+        assert!(timed.value.iter().all(|&n| n == size), "short read in batch {index}");
+        *clock += timed.cost;
+        each(Batch { index, keys: chunk, payloads, cost: timed.cost, done: *clock });
     }
 }
 

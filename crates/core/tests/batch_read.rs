@@ -201,7 +201,7 @@ fn fault_replay_identical_batched_vs_sequential() {
     assert!(client_b.qp_recoveries > 0, "the batched client must have survived breaks");
 }
 
-/// The acceptance criterion for the batched path: on the fig11 workload
+/// The acceptance bar for the batched path: on the fig11 workload
 /// shape (uniform keys, miss-dominated, 512-entry translation cache),
 /// multi-get with depth 16 must deliver at least 3× the Kreq/s of
 /// single-outstanding-request DirectReads.
