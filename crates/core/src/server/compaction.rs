@@ -39,7 +39,7 @@ use corm_trace::{Stage, Track};
 use crate::header::{LockState, ObjectHeader, HEADER_BYTES};
 
 use super::plan::MergePlan;
-use super::{CormError, CormServer};
+use super::{block_span, CormError, CormServer};
 
 /// Occupancy above which a block is not collected for compaction.
 const COLLECT_MAX_OCCUPANCY: f64 = 0.9;
@@ -144,12 +144,11 @@ impl CormServer {
         // hot blocks survive as destinations and stay pinned while cold
         // blocks drain away — packing the working set under the budget.
         let lanes = self.config().compaction_lanes.max(1);
-        let plan = if let Some(t) = &self.tiering {
-            MergePlan::build_heat_aware(&mut candidates, lanes, |base| t.heat_of(base))
-        } else {
-            candidates.sort_by_key(|b| b.lock().live());
-            MergePlan::build(&candidates, lanes)
-        };
+        candidates.sort_by_cached_key(|b| {
+            let b = b.lock();
+            (b.live(), self.tiering.as_ref().map_or(0, |t| t.heat_of(b.vaddr())))
+        });
+        let plan = MergePlan::build(&candidates, lanes);
         let start = now + collection_cost;
         self.trace().span(Track::Compaction, Stage::CompactionPlan, pass, start, SimDuration::ZERO);
 
@@ -269,9 +268,16 @@ impl CormServer {
     }
 
     /// Merges `src` into `dst`: lock, copy (offset-preserving where
-    /// possible), remap, update the MTT, release the source's physical
-    /// pages, and demote the source's vaddr to an alias. `scratch` is the
+    /// possible), demote the source's vaddr to an alias, remap, update the
+    /// MTT, and release the source's physical pages. `scratch` is the
     /// lane's reusable copy buffer.
+    ///
+    /// Both blocks stay locked until the last remap and MTT update have
+    /// landed and the source is retired (DESIGN §8, lock extents of a
+    /// merge): a handler waiting on either lock then finds the source
+    /// retired or the destination complete, and no `free` releases an
+    /// alias between the directory naming it a remap target and the MTT
+    /// sync that uses its key.
     fn merge_blocks(
         &self,
         src: &SharedBlock,
@@ -283,7 +289,7 @@ impl CormServer {
         // Lock both blocks in address order (the only two-block lock site).
         let (src_base, dst_base) = (src.lock().vaddr(), dst.lock().vaddr());
         assert_ne!(src_base, dst_base);
-        let (s, mut d) = if src_base < dst_base {
+        let (mut s, mut d) = if src_base < dst_base {
             let s = src.lock();
             let d = dst.lock();
             (s, d)
@@ -303,13 +309,16 @@ impl CormServer {
 
         // Phase 1: lock every object under migration (§3.2.3), so
         // lock-free readers of the source observe invalid objects and back
-        // off instead of reading half-copied state.
+        // off instead of reading half-copied state. One DMA session and
+        // the two blocks' own frame lists serve this phase and the next.
+        let dma = self.phys().dma();
+        let (s_span, d_span) = (block_span(&s)?, block_span(&d)?);
         for &(_, slot) in &objects {
             let va = s.slot_vaddr(slot);
             let mut hdr = [0u8; HEADER_BYTES];
-            self.aspace().read(va, &mut hdr)?;
+            s_span.read(&dma, va, &mut hdr)?;
             let h = ObjectHeader::from_bytes(hdr).with_lock(LockState::CompactionLocked);
-            self.aspace().write(va, &h.to_bytes())?;
+            s_span.write(&dma, va, &h.to_bytes())?;
         }
 
         // Phase 2: copy. Preserve offsets when free in the destination;
@@ -323,7 +332,7 @@ impl CormServer {
         let mut relocated = 0;
         let mut bytes_copied = 0;
         for &(id, slot) in &objects {
-            self.aspace().read(s.slot_vaddr(slot), image)?;
+            s_span.read(&dma, s.slot_vaddr(slot), image)?;
             // The copy lands unlocked and otherwise bit-identical.
             let mut header =
                 ObjectHeader::from_bytes(image[..HEADER_BYTES].try_into().expect("header"));
@@ -339,9 +348,11 @@ impl CormServer {
                 relocated += 1;
                 hint
             };
-            self.aspace().write(d.slot_vaddr(dst_slot), image)?;
+            d_span.write(&dma, d.slot_vaddr(dst_slot), image)?;
             bytes_copied += slot_bytes;
         }
+        // Remapping takes the frame table for writing.
+        drop(dma);
 
         // Phase 3: remap the source vaddr — and every alias vaddr that was
         // pointing at the source's frames — onto the destination frames,
@@ -351,8 +362,6 @@ impl CormServer {
         let dst_frames = d.frames().to_vec();
         let (file, page) = s.phys_identity();
         let old_frames = s.frames().to_vec();
-        drop(s);
-        drop(d);
         let repointed = self.registry.demote_to_alias(src_base, dst_base, src_rkey, pages);
         let mut remap_targets: Vec<(u64, u32)> = vec![(src_base, src_rkey)];
         remap_targets.extend(repointed.iter().map(|(base, info)| (*base, info.rkey)));
@@ -398,6 +407,8 @@ impl CormServer {
             }
         }
         let mtt_calls = remap_targets.len() as u64;
+        s.retire();
+        drop((s, d));
 
         // Phase 4: release the source's physical pages back to the
         // process-wide allocator.
@@ -496,6 +507,40 @@ mod tests {
             let owned = server.workers[w].lock().alloc.blocks_in_class(class).len();
             assert_eq!(owned, 1, "worker {w} must adopt one survivor (round-robin), not pile on 0");
         }
+    }
+
+    /// What a handler that resolved a block just before it was merged away
+    /// wakes up to once the merge lets go of the block's lock: the handle
+    /// it holds says retired, and the same base now resolves to the
+    /// destination, which holds the object.
+    #[test]
+    fn merged_away_block_is_retired_and_its_base_resolves_to_the_destination() {
+        let server = server_with(1, 1, None);
+        let class = crate::consistency::class_for_payload(server.classes(), PAYLOAD).unwrap();
+        let slots = server.block_bytes() / server.classes().size_of(class);
+        let mut ptrs: Vec<_> =
+            (0..2 * slots).map(|_| server.alloc(0, PAYLOAD).expect("alloc").value).collect();
+        let bases = [ptrs[0], ptrs[slots]].map(|p| p.block_base(server.block_bytes()));
+        for (i, p) in ptrs.iter_mut().enumerate() {
+            // Two of five stay, each block's first object among them.
+            if i % slots % 5 >= 2 {
+                server.free(0, p).expect("free");
+            }
+        }
+        let before = bases.map(|b| server.registry.resolve(b).expect("live"));
+        assert!(before.iter().all(|b| !b.lock().is_retired()));
+
+        let report = server.compact_class(class, SimTime::ZERO).expect("pass").value;
+        assert_eq!(report.merges, 1);
+        let src = before.iter().position(|b| b.lock().is_retired()).expect("one block retired");
+        let dst = &before[1 - src];
+        assert!(!dst.lock().is_retired());
+        assert!(Arc::ptr_eq(&server.registry.resolve(bases[src]).expect("alias"), dst));
+        assert_eq!(server.registry.alias_info(bases[src]).map(|i| i.target), Some(bases[1 - src]));
+        // The handler's next attempt finds the object there.
+        let mut buf = [0u8; PAYLOAD];
+        let moved = &mut ptrs[src * slots];
+        assert_eq!(server.read(0, moved, &mut buf).expect("read").value, PAYLOAD);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A [`CormServer`] owns the whole §3 machinery: the two-level allocator
 //! with per-worker thread allocators, the simulated RNIC the blocks are
-//! registered with, the block registry (including post-compaction aliases),
-//! the home-vaddr tracker for virtual-address reuse, and the RPC handlers
-//! with transparent pointer correction. Compaction lives in
+//! registered with, the block directory (live blocks, post-compaction
+//! aliases and the home counts that gate virtual-address reuse), and the
+//! RPC handlers with transparent pointer correction. Compaction lives in
 //! [`compaction`]; the threaded execution mode in [`threaded`].
 //!
 //! Every handler returns a [`Timed`] result carrying the *server-side*
@@ -16,14 +16,13 @@ pub mod plan;
 pub mod registry;
 pub mod threaded;
 pub mod tiering;
-pub mod vaddrs;
 
 pub use compaction::CompactionReport;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::Rng;
 
 use corm_alloc::process::SharedBlock;
@@ -46,7 +45,6 @@ use crate::Timed;
 
 use registry::BlockRegistry;
 use tiering::TierDirector;
-use vaddrs::VaddrTracker;
 
 /// How many times an RPC handler re-attempts an object that is transiently
 /// locked, torn, or mid-migration before giving up with
@@ -82,9 +80,6 @@ pub struct ServerConfig {
     pub frag_threshold: f64,
     /// RNIC configuration (device model, translation-cache size).
     pub rnic: RnicConfig,
-    /// Shards in the block registry; 1 reproduces the single-lock
-    /// registry for determinism-sensitive runs.
-    pub registry_shards: usize,
     /// Parallel merge lanes in a compaction pass. Disjoint merge
     /// components overlap in virtual time across lanes (the merge phase
     /// costs the per-lane makespan); 1 reproduces the historical serial
@@ -136,7 +131,6 @@ impl Default for ServerConfig {
             mtt_strategy: MttUpdateStrategy::OdpPrefetch,
             frag_threshold: 1.5,
             rnic: RnicConfig::default(),
-            registry_shards: registry::DEFAULT_REGISTRY_SHARDS,
             compaction_lanes: 1,
             compaction_budget: None,
             batch_mtt_sync: false,
@@ -261,6 +255,13 @@ fn slot_span(b: &Block, slot: u32) -> Result<(u64, PageSpan), CormError> {
         .ok_or(CormError::BadPointer)
 }
 
+/// The pages of the whole locked block `b`, translated the same way: a
+/// merge touches every live slot of two blocks and builds one span each.
+fn block_span(b: &Block) -> Result<PageSpan, CormError> {
+    PageSpan::from_frames(b.vaddr(), b.len_bytes(), b.vaddr(), b.frames())
+        .ok_or(CormError::BadPointer)
+}
+
 /// Reads the header of the slot a mutating handler is about to touch.
 /// `Ok(None)` means the slot is mid-migration — locked, or its image lags
 /// the block metadata until the remap lands — and the caller must back off
@@ -289,7 +290,6 @@ pub struct CormServer {
     proc: ProcessAllocator,
     pub(crate) workers: Vec<Mutex<WorkerState>>,
     pub(crate) registry: BlockRegistry,
-    pub(crate) vaddrs: Mutex<VaddrTracker>,
     /// Pin-budget manager, present iff `ServerConfig::pin_budget_frames`.
     pub(crate) tiering: Option<TierDirector>,
     /// Lifetime counters.
@@ -355,7 +355,6 @@ impl CormServer {
                 })
             })
             .collect();
-        let registry = BlockRegistry::with_shards(config.registry_shards);
         CormServer {
             config,
             phys,
@@ -363,8 +362,7 @@ impl CormServer {
             rnic,
             proc,
             workers,
-            registry,
-            vaddrs: Mutex::new(VaddrTracker::new()),
+            registry: BlockRegistry::new(),
             tiering,
             stats: ServerStats::default(),
         }
@@ -635,7 +633,7 @@ impl CormServer {
             span.write(&self.phys.dma(), slot_vaddr, &image)
         })?;
         let rkey = b.rkey().expect("registered above or earlier");
-        self.vaddrs.lock().inc(base);
+        self.registry.home_inc(base);
         drop((b, w));
         self.stats.allocs.fetch_add(1, Ordering::Relaxed);
 
@@ -651,15 +649,33 @@ impl CormServer {
         ))
     }
 
-    /// The live block a pointer's base resolves to, through at most one
-    /// alias hop.
+    /// The live block a pointer's base resolves to: the block mapped there
+    /// or, for an alias, the block it was merged into.
     fn resolve(&self, ptr: &GlobalPtr) -> Result<SharedBlock, CormError> {
         let base = ptr.block_base(self.block_bytes());
         // Registry resolution is host work with no virtual-time charge.
         // Counting it (rather than wall-timing it) keeps this — the hottest
         // server-side call — at one relaxed fetch_add when tracing.
         self.config.trace.count(Stage::RegistryResolve);
-        Ok(self.registry.resolve(base).ok_or(CormError::UnknownBlock(base))?.block)
+        self.registry.resolve(base).ok_or(CormError::UnknownBlock(base))
+    }
+
+    /// Locks a block [`Self::resolve`] returned. `None` means compaction
+    /// merged it away in between — its base now resolves to the
+    /// destination, which holds its objects — and, like a locked slot, has
+    /// been answered with a back-off: the caller resolves again.
+    fn lock_live<'a>(
+        &self,
+        block: &'a SharedBlock,
+        attempt: usize,
+    ) -> Option<MutexGuard<'a, Block>> {
+        let b = block.lock();
+        if b.is_retired() {
+            drop(b);
+            self.rpc_backoff(attempt);
+            return None;
+        }
+        Some(b)
     }
 
     /// Locates the slot a pointer refers to within its locked live block
@@ -722,7 +738,7 @@ impl CormServer {
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
             let block = self.resolve(ptr)?;
-            let b = block.lock();
+            let Some(b) = self.lock_live(&block, attempt) else { continue };
             let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
             corr_total += corr_cost;
             // The slot image lands in the per-thread scratch buffer and
@@ -813,7 +829,7 @@ impl CormServer {
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
             let block = self.resolve(ptr)?;
-            let b = block.lock();
+            let Some(b) = self.lock_live(&block, attempt) else { continue };
             let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
             corr_total += corr_cost;
             let slot_bytes = b.obj_size();
@@ -860,7 +876,7 @@ impl CormServer {
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
             let block = self.resolve(ptr)?;
-            let mut b = block.lock();
+            let Some(mut b) = self.lock_live(&block, attempt) else { continue };
             let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
             corr_total += corr_cost;
             let (slot_vaddr, span) = slot_span(&b, slot)?;
@@ -876,15 +892,18 @@ impl CormServer {
             span.write(&dma, slot_vaddr, &header.invalidated().to_bytes())?;
             drop(dma);
             b.free_slot(slot);
-            // Counted under the block lock, like the slot itself: whoever
-            // finds the block empty finds its objects' homes settled too.
+            // The home is counted down, and an alias that this leaves
+            // homing nothing is released, under the block lock like the
+            // slot itself: whoever finds the block empty finds its objects'
+            // homes settled too, and a merge of this block, which needs
+            // this lock, finds each alias of it gone or still homing
+            // something.
             let home_addr = home_base(header.home_block, self.mmap_base(), self.block_bytes());
-            let remaining = self.vaddrs.lock().dec(home_addr);
-            let (block_empty, live_base) = (b.is_empty(), b.vaddr());
-            drop(b);
-            if remaining == 0 {
+            if self.registry.home_dec(home_addr) == 0 {
                 self.try_release_vaddr(home_addr);
             }
+            let (block_empty, live_base) = (b.is_empty(), b.vaddr());
+            drop(b);
             if block_empty {
                 self.try_release_empty_block(&block, live_base);
             }
@@ -907,7 +926,7 @@ impl CormServer {
         let mut corr_total = SimDuration::ZERO;
         for attempt in 0..RPC_BACKOFF_ATTEMPTS {
             let block = self.resolve(ptr)?;
-            let b = block.lock();
+            let Some(b) = self.lock_live(&block, attempt) else { continue };
             let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
             corr_total += corr_cost;
             let (slot_vaddr, span) = slot_span(&b, slot)?;
@@ -923,16 +942,15 @@ impl CormServer {
             header.home_block = home_index(new_base, self.mmap_base(), self.block_bytes());
             span.write(&dma, slot_vaddr, &header.to_bytes())?;
             let rkey = b.rkey().expect("live block is registered");
-            drop((dma, b));
+            drop(dma);
+            // Under the block lock, for the reasons `free` gives.
             if new_base != old_base {
-                let mut v = self.vaddrs.lock();
-                v.inc(new_base);
-                let remaining = v.dec(old_base);
-                drop(v);
-                if remaining == 0 {
+                self.registry.home_inc(new_base);
+                if self.registry.home_dec(old_base) == 0 {
                     self.try_release_vaddr(old_base);
                 }
             }
+            drop(b);
             self.stats.releases.fetch_add(1, Ordering::Relaxed);
             let cost = self.model().release_ptr_extra + corr_total;
             let new_ptr = GlobalPtr {
@@ -951,22 +969,18 @@ impl CormServer {
     // vaddr + block lifecycle
     // ------------------------------------------------------------------
 
-    /// Releases a home vaddr whose live count reached zero, if it is safe:
-    /// the base must be an alias (its physical block was compacted away).
-    /// Live blocks are handled by [`Self::try_release_empty_block`].
+    /// Releases the vaddr of an alias (a base whose physical block was
+    /// compacted away) that homes no live object; does nothing for any
+    /// other base. Live blocks are handled by
+    /// [`Self::try_release_empty_block`].
     pub(crate) fn try_release_vaddr(&self, base: u64) {
-        let Some(info) = self.registry.alias_info(base) else {
+        let Some(info) = self.registry.take_unhomed_alias(base) else {
             return;
         };
-        if !self.vaddrs.lock().releasable(base) {
-            return;
-        }
-        self.registry.remove(base);
         // The alias region is gone for good: deregister its keys and unmap
         // its pages, making the vaddr reusable (§3.3).
         let _ = self.rnic.deregister(info.rkey);
         self.aspace.munmap(base, info.pages).expect("alias vaddr must be mapped");
-        self.vaddrs.lock().note_released();
         self.stats.vaddrs_released.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -994,8 +1008,7 @@ impl CormServer {
             return; // someone else released it first
         }
         drop(w);
-        debug_assert!(self.vaddrs.lock().releasable(base), "empty live block with homed objects");
-        self.registry.remove(base);
+        self.registry.remove_live(base);
         if let Some(t) = &self.tiering {
             t.forget(base);
         }

@@ -3,10 +3,10 @@
 //! The leader used to interleave pairing decisions with merge execution:
 //! one serial loop picked the next `(src, dst)` pair and immediately merged
 //! it. [`MergePlan::build`] lifts the *same greedy pairing* out into an
-//! up-front plan — it replays the pairing on [`BlockModel`]s built from the
-//! candidates ([`corm_alloc::Block::to_model`]), so the
-//! planned sequence is byte-identical to what the old loop would have
-//! executed — and then partitions the merges into **disjoint lanes**:
+//! up-front plan — [`corm_compact::greedy_pass`] over [`BlockModel`]s built
+//! from the candidates ([`corm_alloc::Block::to_model`]), so the planned
+//! sequence is byte-identical to what the old loop would have executed —
+//! and then partitions the merges into **disjoint lanes**:
 //! merges that share no block (directly or transitively through a shared
 //! destination or a chain) land on different lanes and can overlap in
 //! virtual time, mirroring the RNIC's parallel processing units. With one
@@ -16,7 +16,7 @@
 //! access, no RNG draws) and is charged zero virtual time.
 
 use corm_alloc::process::SharedBlock;
-use corm_compact::BlockModel;
+use corm_compact::{greedy_pass, BlockModel, ConflictRule};
 
 /// One planned merge: `src` is merged away into `dst` on lane `lane`.
 pub struct PlannedMerge {
@@ -47,40 +47,18 @@ pub struct MergePlan {
 }
 
 impl MergePlan {
-    /// Computes the greedy pairing over `candidates` (already sorted by
-    /// ascending live count, as the collection stage produces them) and
-    /// lays it out on `lanes` disjoint lanes.
+    /// Computes the greedy pairing over `candidates` — already sorted by
+    /// ascending live count, ties broken as the caller sees fit (by heat,
+    /// under a pin budget): sources ascend from the front, destinations
+    /// are tried from the back — and lays it out on `lanes` disjoint lanes.
     ///
-    /// The pairing replays the historical serial loop: sources ascend from
-    /// the least-utilized end; each source scans for the most-utilized
-    /// compatible destination; a successful merge updates the
-    /// destination's (cloned) occupancy model so later compatibility
-    /// checks see it — exactly as the old code observed the real blocks
-    /// mid-pass.
+    /// A planned merge updates the destination's occupancy *model*, so
+    /// later compatibility checks see what the block will hold by then.
     pub fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
         let lanes = lanes.max(1);
         let n = candidates.len();
         let mut models: Vec<BlockModel> = candidates.iter().map(|b| b.lock().to_model()).collect();
-        let mut gone = vec![false; n];
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for s in 0..n {
-            if gone[s] {
-                continue;
-            }
-            for d in (0..n).rev() {
-                if d == s || gone[d] {
-                    continue;
-                }
-                if !models[d].corm_compactable(&models[s]) {
-                    continue;
-                }
-                let src_model = models[s].clone();
-                models[d].merge_corm(&src_model);
-                gone[s] = true;
-                pairs.push((s, d));
-                break;
-            }
-        }
+        let pass = greedy_pass(&mut models, ConflictRule::Ids);
 
         // Union-find over block indices: merges sharing any block
         // (transitively) must serialize on one lane.
@@ -92,7 +70,7 @@ impl MergePlan {
             }
             x
         }
-        for &(s, d) in &pairs {
+        for &(s, d) in &pass.pairs {
             let (rs, rd) = (find(&mut parent, s), find(&mut parent, d));
             if rs != rd {
                 parent[rs] = rd;
@@ -104,9 +82,10 @@ impl MergePlan {
         // with one lane everything lands on lane 0.
         let mut component_lane: Vec<Option<usize>> = vec![None; n];
         let mut components = 0usize;
-        let merges = pairs
-            .into_iter()
-            .map(|(s, d)| {
+        let merges = pass
+            .pairs
+            .iter()
+            .map(|&(s, d)| {
                 let root = find(&mut parent, s);
                 let lane = *component_lane[root].get_or_insert_with(|| {
                     let lane = components % lanes;
@@ -116,32 +95,8 @@ impl MergePlan {
                 PlannedMerge { src: candidates[s].clone(), dst: candidates[d].clone(), lane }
             })
             .collect();
-        let survivors = (0..n).filter(|&i| !gone[i]).collect();
+        let survivors = (0..n).filter(|&i| !pass.gone[i]).collect();
         MergePlan { merges, lanes, components, survivors }
-    }
-
-    /// Heat-aware variant used when a pin budget is active: re-sorts the
-    /// candidates by `(live, heat)` ascending before running the identical
-    /// greedy pairing. Among equally-utilized blocks the *cold* ones sort
-    /// first (becoming merge sources) and the *hot* ones last — and since
-    /// the pairing picks destinations from the tail, hot survivors absorb
-    /// the live objects. The result: surviving blocks concentrate heat, so
-    /// the pin-budget manager's `(heat, base)` eviction ranking keeps them
-    /// DRAM-resident while the drained cold blocks are freed or spilled.
-    ///
-    /// Without a heat signal (`heat_of` returning a constant) the sort is
-    /// stable, so the plan is byte-identical to [`MergePlan::build`] on
-    /// live-sorted input.
-    pub fn build_heat_aware(
-        candidates: &mut [SharedBlock],
-        lanes: usize,
-        heat_of: impl Fn(u64) -> u64,
-    ) -> MergePlan {
-        candidates.sort_by_cached_key(|b| {
-            let b = b.lock();
-            (b.live(), heat_of(b.vaddr()))
-        });
-        Self::build(candidates, lanes)
     }
 }
 
@@ -222,11 +177,20 @@ mod tests {
         assert_eq!(plan.survivors.len(), 1);
     }
 
+    /// The order `compact_class_with` plans under a pin budget: `(live,
+    /// heat)` ascending, stable.
+    fn sort_by_live_then_heat(candidates: &mut [SharedBlock], heat_of: impl Fn(u64) -> u64) {
+        candidates.sort_by_cached_key(|b| {
+            let b = b.lock();
+            (b.live(), heat_of(b.vaddr()))
+        });
+    }
+
     #[test]
     fn heat_aware_plan_keeps_hot_blocks_as_survivors() {
-        // Four equally-utilized blocks with distinct heats: the heat-aware
-        // sort sends the cold blocks in as sources, so the two hottest
-        // blocks survive (and receive the merged objects).
+        // Four equally-utilized blocks with distinct heats: sorted by heat
+        // within equal live counts, the cold blocks go in as sources, so
+        // the two hottest blocks survive (and receive the merged objects).
         let mut candidates: Vec<SharedBlock> = (0..4)
             .map(|i| {
                 let objs: Vec<(u32, u32)> = (0..4).map(|k| (i * 10 + k, k)).collect();
@@ -239,7 +203,8 @@ mod tests {
             let idx = vaddrs.iter().position(|&v| v == base).unwrap();
             heats[idx]
         };
-        let plan = MergePlan::build_heat_aware(&mut candidates, 1, heat_of);
+        sort_by_live_then_heat(&mut candidates, heat_of);
+        let plan = MergePlan::build(&candidates, 1);
         let pairs: Vec<(u64, u64)> =
             plan.merges.iter().map(|m| (m.src.lock().vaddr(), m.dst.lock().vaddr())).collect();
         // Sorted candidate order by heat ascending: [3, 1, 2, 0]. Sources
@@ -258,8 +223,9 @@ mod tests {
                 block(i, &objs)
             })
             .collect();
-        let baseline = MergePlan::build(&flat.clone(), 1);
-        let flat_plan = MergePlan::build_heat_aware(&mut flat, 1, |_| 0);
+        let baseline = MergePlan::build(&flat, 1);
+        sort_by_live_then_heat(&mut flat, |_| 0);
+        let flat_plan = MergePlan::build(&flat, 1);
         let key = |p: &MergePlan| -> Vec<(u64, u64)> {
             p.merges.iter().map(|m| (m.src.lock().vaddr(), m.dst.lock().vaddr())).collect()
         };

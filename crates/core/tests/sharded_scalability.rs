@@ -1,7 +1,7 @@
 //! Coverage for the sharded hot path: compaction racing a fleet of
-//! hammering RPC clients against the sharded registry and per-worker
+//! hammering RPC clients against the block directory and per-worker
 //! queues, plus determinism regressions pinning the single-shard,
-//! single-unit configuration to byte-identical seeded replay.
+//! single-unit RNIC configuration to byte-identical seeded replay.
 
 use std::sync::Arc;
 
@@ -182,8 +182,8 @@ fn seeded_fault_run(config: ServerConfig) -> (Vec<(u64, corm_sim_rdma::FaultKind
     (server.rnic().fault_log(), bufs)
 }
 
-/// Determinism regression: with `processing_units = 1` and every shard
-/// count pinned to 1, the seeded fault schedule replays byte-for-byte —
+/// Determinism regression: with `processing_units = 1` and `mtt_shards = 1`
+/// the seeded fault schedule replays byte-for-byte —
 /// and the sharded default configuration fires the identical schedule,
 /// because fault draws precede every translation and engine dispatch is
 /// round-robin over one unit.
@@ -204,7 +204,6 @@ fn seeded_replay_is_byte_identical_at_single_shard_single_unit() {
             faults: Some(faults.clone()),
             ..RnicConfig::default()
         },
-        registry_shards: 1,
         ..ServerConfig::default()
     };
     let sharded = ServerConfig {
@@ -223,12 +222,11 @@ fn seeded_replay_is_byte_identical_at_single_shard_single_unit() {
     assert_eq!(bufs_a, bufs_c, "sharding must not perturb payloads");
 }
 
-/// The single-shard registry still enforces the flat-alias protocol end
-/// to end (compaction + reads), so determinism-pinned runs exercise the
-/// exact pre-sharding semantics.
+/// A single worker drives the flat-alias protocol end to end (compaction
+/// + reads) with no second thread anywhere near the directory.
 #[test]
-fn single_shard_registry_survives_compaction_end_to_end() {
-    let config = ServerConfig { workers: 1, registry_shards: 1, ..ServerConfig::default() };
+fn single_worker_directory_survives_compaction_end_to_end() {
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
     let class = corm_core::consistency::class_for_payload(&config.alloc.classes, SIZE).unwrap();
     let (server, mut ptrs) = populate(config, 256);
     let mut client = CormClient::connect(server.clone());
@@ -247,8 +245,7 @@ fn single_shard_registry_survives_compaction_end_to_end() {
         fill_pattern(&mut expect, i as u64);
         assert_eq!(&buf[..n], &expect[..n]);
     }
-    // Reading a freed object still errors cleanly through the single
-    // shard.
+    // Reading a freed object still errors cleanly.
     let mut gone = ptrs[1];
     let mut buf = vec![0u8; SIZE];
     match client.read(&mut gone, &mut buf) {

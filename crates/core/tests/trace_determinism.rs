@@ -162,7 +162,6 @@ fn client_track(events: &[Event]) -> Vec<Event> {
 fn pinned_and_sharded_configs_trace_identically() {
     let pin = |trace: TraceHandle| {
         let mut c = faulty_config(trace);
-        c.registry_shards = 1;
         c.rnic.processing_units = 1;
         c.rnic.mtt_shards = 1;
         c

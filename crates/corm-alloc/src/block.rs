@@ -66,6 +66,9 @@ pub struct Block {
     /// whenever the block turns full or gets room again. Frees come from
     /// any thread holding the block's lock, never through the allocator.
     bin: Option<(Arc<BinRoom>, usize)>,
+    /// Set once compaction has merged the block away: its objects live in
+    /// the destination and its frames are no longer its own.
+    retired: bool,
 }
 
 impl Block {
@@ -106,6 +109,7 @@ impl Block {
             keys: None,
             owner,
             bin: None,
+            retired: false,
         }
     }
 
@@ -214,6 +218,18 @@ impl Block {
     /// Reassigns ownership (blocks move to the compaction leader).
     pub fn set_owner(&mut self, owner: u16) {
         self.owner = owner;
+    }
+
+    /// Marks the block merged away. A handle taken before the merge still
+    /// reaches it; whoever locks it afterwards must look the address up
+    /// again instead of touching its slots.
+    pub fn retire(&mut self) {
+        self.retired = true;
+    }
+
+    /// Whether compaction has merged the block away.
+    pub fn is_retired(&self) -> bool {
+        self.retired
     }
 
     /// Moves the block to position `bin.1` of an allocator's bin, or out of

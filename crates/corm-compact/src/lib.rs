@@ -30,7 +30,7 @@ pub mod tuning;
 pub use bitset::BitSet;
 pub use model::BlockModel;
 pub use overhead::{header_bits, header_bytes, HOME_VADDR_BITS};
-pub use pairing::{compact_blocks, CompactionOutcome, ConflictRule};
+pub use pairing::{compact_blocks, greedy_pass, CompactionOutcome, ConflictRule, GreedyPass};
 pub use probability::{compaction_probability, corm_probability, mesh_probability};
 pub use strategy::{CompactorKind, StrategyReport};
 pub use tuning::{recommend, ClassUsage, Recommendation, TunerPolicy};

@@ -39,6 +39,61 @@ pub struct CompactionOutcome {
     pub pairs_tested: usize,
 }
 
+/// What [`greedy_pass`] decided.
+#[derive(Debug)]
+pub struct GreedyPass {
+    /// `(source, destination)` index pairs, in the order the merges happen.
+    pub pairs: Vec<(usize, usize)>,
+    /// Per block, whether it was merged away as a source.
+    pub gone: Vec<bool>,
+    /// Objects relocated to a new offset (their pointers become indirect).
+    pub objects_moved: usize,
+    /// Candidate pairs tested.
+    pub pairs_tested: usize,
+}
+
+/// The greedy pass itself, over `blocks` in ascending-live order: each block
+/// in turn is tried as a source against every surviving block from the
+/// most-occupied end (best fit), and on the first compatible one is merged
+/// into that destination's model, so later checks see the merged occupancy.
+/// A merged-away source keeps its model as it was.
+pub fn greedy_pass(blocks: &mut [BlockModel], rule: ConflictRule) -> GreedyPass {
+    let n = blocks.len();
+    let mut pass =
+        GreedyPass { pairs: Vec::new(), gone: vec![false; n], objects_moved: 0, pairs_tested: 0 };
+    for s in 0..n {
+        // The source itself sits at `s`; everything after it is ≥ its
+        // occupancy.
+        for d in (0..n).rev() {
+            if d == s || pass.gone[d] {
+                continue;
+            }
+            let (src, dst) = if s < d {
+                let (lo, hi) = blocks.split_at_mut(d);
+                (&lo[s], &mut hi[0])
+            } else {
+                let (lo, hi) = blocks.split_at_mut(s);
+                (&hi[0], &mut lo[d])
+            };
+            pass.pairs_tested += 1;
+            let ok = match rule {
+                ConflictRule::Offsets => dst.mesh_compactable(src),
+                ConflictRule::Ids => dst.corm_compactable(src),
+            };
+            if ok {
+                match rule {
+                    ConflictRule::Offsets => dst.merge_mesh(src),
+                    ConflictRule::Ids => pass.objects_moved += dst.merge_corm(src),
+                }
+                pass.gone[s] = true;
+                pass.pairs.push((s, d));
+                break;
+            }
+        }
+    }
+    pass
+}
+
 /// Runs one greedy compaction pass over `blocks` under `rule`.
 pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> CompactionOutcome {
     let before = blocks.len();
@@ -46,53 +101,14 @@ pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> Compaction
     let mut live: Vec<BlockModel> = blocks.into_iter().filter(|b| !b.is_empty()).collect();
     // Ascending occupancy: least-utilized blocks are tried as sources first.
     live.sort_by_key(|b| b.live());
-    let n = live.len();
-    let mut alive: Vec<Option<BlockModel>> = live.into_iter().map(Some).collect();
-
-    let mut merges = 0;
-    let mut objects_moved = 0;
-    let mut pairs_tested = 0;
-
-    for src_idx in 0..n {
-        let Some(src) = alive[src_idx].take() else {
-            continue;
-        };
-        // Destinations from most- to least-occupied (best fit). The source
-        // itself sits at src_idx; everything after it is ≥ its occupancy.
-        let mut merged = false;
-        for dst_idx in (0..n).rev() {
-            if dst_idx == src_idx {
-                continue;
-            }
-            let Some(dst) = alive[dst_idx].as_mut() else {
-                continue;
-            };
-            pairs_tested += 1;
-            let ok = match rule {
-                ConflictRule::Offsets => dst.mesh_compactable(&src),
-                ConflictRule::Ids => dst.corm_compactable(&src),
-            };
-            if ok {
-                match rule {
-                    ConflictRule::Offsets => dst.merge_mesh(&src),
-                    ConflictRule::Ids => objects_moved += dst.merge_corm(&src),
-                }
-                merges += 1;
-                merged = true;
-                break;
-            }
-        }
-        if !merged {
-            alive[src_idx] = Some(src);
-        }
-    }
-
-    let blocks: Vec<BlockModel> = alive.into_iter().flatten().collect();
+    let pass = greedy_pass(&mut live, rule);
+    let blocks: Vec<BlockModel> =
+        live.into_iter().zip(&pass.gone).filter(|&(_, &gone)| !gone).map(|(b, _)| b).collect();
     CompactionOutcome {
         blocks_freed: before - blocks.len(),
-        merges,
-        objects_moved,
-        pairs_tested,
+        merges: pass.pairs.len(),
+        objects_moved: pass.objects_moved,
+        pairs_tested: pass.pairs_tested,
         blocks,
     }
 }
