@@ -202,8 +202,12 @@ pub fn run_closed_loop(
             .saturating_sub(model.rpc_worker_service)
     };
 
+    // Closed loop, one outstanding request per client: the queue never
+    // holds more than one event per client. `EventQueue` is sized for that
+    // (sim-core's `queue.rs`; DESIGN §12), so it is asserted at each schedule.
     for c in 0..spec.clients {
         queue.schedule(SimTime::from_nanos(c as u64 * 100), Ev::Ready(c));
+        debug_assert!(queue.len() <= spec.clients);
     }
 
     while let Some(next_at) = queue.peek_time() {
@@ -391,6 +395,7 @@ pub fn run_closed_loop(
                                 }
                                 queue
                                     .schedule(now + attempt.cost + spec.backoff, Ev::Retry(cid, k));
+                                debug_assert!(queue.len() <= spec.clients);
                                 continue;
                             }
                         }
@@ -420,6 +425,7 @@ pub fn run_closed_loop(
         }
         if completion <= end {
             queue.schedule(completion, Ev::Ready(cid));
+            debug_assert!(queue.len() <= spec.clients);
         }
     }
 

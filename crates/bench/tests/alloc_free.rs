@@ -2,7 +2,7 @@
 //! cycle, are allocation-free.
 //!
 //! The whole test binary runs under a counting `#[global_allocator]`: after
-//! a warm-up phase fills every scratch buffer, slab arena, translation
+//! a warm-up phase fills every scratch buffer, the event heap, translation
 //! cache, and histogram bucket, the measured phase replays the fig12 hot
 //! loop's op pipeline — workload draw, event-queue schedule/pop, one-sided
 //! `direct_read`, RPC-path `server.write`, FIFO-station admits, torn-read
@@ -212,7 +212,7 @@ fn steady_state_fig12_op_allocates_nothing() {
         }
     };
 
-    // Warm-up: fill scratch vectors, slab free lists, the RNIC translation
+    // Warm-up: fill scratch vectors, the event heap, the RNIC translation
     // cache (4096 objects × 32 B spans a bounded page set), the histogram's
     // bucket vector, and the write-busy map to its steady-state capacity.
     run(

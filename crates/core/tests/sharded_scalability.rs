@@ -182,13 +182,12 @@ fn seeded_fault_run(config: ServerConfig) -> (Vec<(u64, corm_sim_rdma::FaultKind
     (server.rnic().fault_log(), bufs)
 }
 
-/// Determinism regression: with `processing_units = 1` and `mtt_shards = 1`
-/// the seeded fault schedule replays byte-for-byte —
-/// and the sharded default configuration fires the identical schedule,
-/// because fault draws precede every translation and engine dispatch is
-/// round-robin over one unit.
+/// Determinism regression: with `processing_units = 1` the seeded fault
+/// schedule replays byte-for-byte — and a four-unit NIC fires the identical
+/// schedule, because fault draws precede every translation and every engine
+/// dispatch.
 #[test]
-fn seeded_replay_is_byte_identical_at_single_shard_single_unit() {
+fn seeded_replay_is_byte_identical_at_single_unit() {
     let faults = FaultConfig {
         seed: 0xBEEF,
         transient_prob: 0.02,
@@ -200,14 +199,13 @@ fn seeded_replay_is_byte_identical_at_single_shard_single_unit() {
     let pinned = ServerConfig {
         rnic: RnicConfig {
             processing_units: 1,
-            mtt_shards: 1,
             faults: Some(faults.clone()),
             ..RnicConfig::default()
         },
         ..ServerConfig::default()
     };
-    let sharded = ServerConfig {
-        rnic: RnicConfig { faults: Some(faults), ..RnicConfig::default() },
+    let four_units = ServerConfig {
+        rnic: RnicConfig { processing_units: 4, faults: Some(faults), ..RnicConfig::default() },
         ..ServerConfig::default()
     };
 
@@ -217,9 +215,9 @@ fn seeded_replay_is_byte_identical_at_single_shard_single_unit() {
     assert_eq!(log_a, log_b, "same seed and config must replay byte-for-byte");
     assert_eq!(bufs_a, bufs_b, "payloads must replay byte-for-byte");
 
-    let (log_c, bufs_c) = seeded_fault_run(sharded);
-    assert_eq!(log_a, log_c, "sharding must not perturb the fault draw order");
-    assert_eq!(bufs_a, bufs_c, "sharding must not perturb payloads");
+    let (log_c, bufs_c) = seeded_fault_run(four_units);
+    assert_eq!(log_a, log_c, "the unit count must not perturb the fault draw order");
+    assert_eq!(bufs_a, bufs_c, "the unit count must not perturb payloads");
 }
 
 /// A single worker drives the flat-alias protocol end to end (compaction

@@ -5,9 +5,9 @@
 //!   disabled;
 //! - two traced same-seed runs produce identical event orders (zero
 //!   `trace diff` divergence) and reconcile per-op;
-//! - the determinism-pinned configuration (`processing_units = 1`, every
-//!   shard count 1) and the sharded defaults produce identical results
-//!   and identical client-track event orders, traced or not.
+//! - the determinism-pinned configuration (`processing_units = 1`) and a
+//!   four-unit NIC produce identical results and identical client-track
+//!   event orders, traced or not.
 //!
 //! The workloads mirror the fig11 (sequential DirectRead under faults)
 //! and fig12 (batched multi-get depth sweep) smoke shapes.
@@ -163,7 +163,6 @@ fn pinned_and_sharded_configs_trace_identically() {
     let pin = |trace: TraceHandle| {
         let mut c = faulty_config(trace);
         c.rnic.processing_units = 1;
-        c.rnic.mtt_shards = 1;
         c
     };
     let shard = |trace: TraceHandle| {
@@ -176,7 +175,7 @@ fn pinned_and_sharded_configs_trace_identically() {
     let rp = run_fig11_shape(pin(tp.clone()));
     let ts = TraceHandle::recording();
     let rs = run_fig11_shape(shard(ts.clone()));
-    assert_eq!(rp, rs, "sharding must not perturb seeded results");
+    assert_eq!(rp, rs, "the unit count must not perturb seeded results");
 
     let (ep, es) = (tp.drain(), ts.drain());
     assert!(!ep.is_empty());

@@ -21,7 +21,6 @@
 //! Everything here is deterministic: the same seed and the same sequence of
 //! calls produce bit-identical results, which the test suite relies on.
 
-pub mod arena;
 pub mod hash;
 mod hint;
 pub mod queue;
@@ -30,7 +29,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{SlabArena, SlabHandle};
 pub use hash::{FastBuildHasher, FastHashMap, FastHasher};
 pub use hint::prefetch_read;
 pub use queue::EventQueue;

@@ -4,49 +4,17 @@
 //! order (FIFO). Popping an event advances the queue's notion of "now"; the
 //! queue refuses to schedule events in the past so simulations stay causal.
 //!
-//! Internally this is a *calendar queue* (a bucketed future-event list):
-//! events hash into `buckets.len()` fixed-width "days" by timestamp, so
-//! schedule is O(1) and pop scans only the handful of events sharing the
-//! current day, instead of paying a `BinaryHeap`'s log-n sift on every
-//! operation. The pop order is the exact total order `(at, key)` — the same
-//! order the heap produced — so seeded simulations replay byte-identically
-//! across the swap. Two structural refinements keep every operation
-//! O(current-day occupancy):
-//!
-//! - the cached minimum remembers its bucket *and slot*, so pop extracts it
-//!   with one `swap_remove` instead of a linear rescan of its bucket;
-//! - events more than a full bucket cycle ahead live in a separate
-//!   min-heap (`far`) rather than wrapping around the calendar, so the
-//!   sparse-calendar fallback is a heap peek, never a full-calendar scan.
-//!   Because a far event's day is at least a cycle past `now`, every near
-//!   event precedes every far event, and far events migrate into the
-//!   calendar as `now` advances toward them.
-//!
-//! Payloads do not ride in the buckets: they live in a generation-tagged
-//! [`SlabArena`], and buckets (and the far heap) carry only 24-byte POD
-//! [`Entry`] records — `(SimTime, ordering key, slab handle)`. The calendar
-//! swap loop and growth rehash therefore move `Copy` records regardless of
-//! how large the event enum is, and steady-state schedule/pop churn recycles
-//! slab slots through the arena's free list without touching the allocator.
+//! It is one [`BinaryHeap`] whose entries own their payloads. The one caller
+//! outside tests, `corm_bench::sim::run_closed_loop`, keeps one event per
+//! closed-loop client pending — 1 to 32 in every figure and workload — so a
+//! sift is a handful of compares, and steady-state schedule/pop churn reuses
+//! the heap's retained capacity without touching the allocator. DESIGN §12
+//! records the calendar queue this replaced and what would bring it back.
 
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::arena::{SlabArena, SlabHandle};
 use crate::time::SimTime;
-
-/// Bucket width is `1 << WIDTH_SHIFT` nanoseconds: 512 ns, on the order of
-/// the inter-event spacing of a closed-loop run with a handful of clients,
-/// so the current day holds only a few events.
-const WIDTH_SHIFT: u32 = 9;
-
-/// Initial number of buckets (one cycle spans `64 * 512 ns = 32.8 µs`,
-/// comfortably past the per-op latencies events are scheduled ahead by).
-const INITIAL_BUCKETS: usize = 64;
-
-/// Bucket-count cap: growth is for occupancy, and a million-bucket calendar
-/// would cost more to cycle over than it saves.
-const MAX_BUCKETS: usize = 1 << 20;
 
 /// A monotonic future-event list.
 ///
@@ -55,74 +23,40 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// same instant are served in the order they were enqueued.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Events within one bucket cycle of `now` ("near"), hashed by day.
-    /// Buckets hold only POD ordering records; payloads live in `arena`.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`; the length is always a power of two.
-    mask: usize,
-    /// Number of events resident in `buckets`.
-    near_len: usize,
-    /// Events at least one full bucket cycle ahead of `now`, as a min-heap
-    /// on `(at, key)`. Strictly later than every near event.
-    far: BinaryHeap<Far>,
-    /// Payload storage; entries reference it by generation-tagged handle.
-    arena: SlabArena<E>,
+    heap: BinaryHeap<Entry<E>>,
+    /// The insertion counter [`EventQueue::schedule`] breaks ties with.
     seq: u64,
     now: SimTime,
-    /// Location of the pending minimum — maintained eagerly so
-    /// [`EventQueue::peek_time`] stays O(1) and pop extracts the entry
-    /// without a fresh search.
-    next: Option<NextRef>,
 }
 
-/// POD ordering record: when the event fires, how ties break, and where the
-/// payload lives. 24 bytes, `Copy` — bucket swaps and rehashes are memmoves.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
+/// One pending event: when it fires, how ties break, and the payload.
+#[derive(Debug)]
+struct Entry<E> {
     at: SimTime,
     key: u64,
-    handle: SlabHandle,
+    event: E,
 }
 
-/// Where the pending minimum lives.
-#[derive(Debug, Clone, Copy)]
-enum NextRef {
-    /// In `buckets[bucket][slot]`, with ordering key `(at, key)`.
-    Near { at: SimTime, key: u64, bucket: usize, slot: usize },
-    /// At the top of the `far` heap (only when no near event pends).
-    Far,
-}
-
-/// Max-heap adapter: reversed `(at, key)` order turns `BinaryHeap` into the
-/// min-heap the far set needs. Only the ordering fields participate in
-/// comparisons.
-#[derive(Debug, Clone, Copy)]
-struct Far(Entry);
-
-impl PartialEq for Far {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.key == other.0.key
+        (self.at, self.key) == (other.at, other.key)
     }
 }
 
-impl Eq for Far {}
+impl<E> Eq for Entry<E> {}
 
-impl PartialOrd for Far {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Far {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        (other.0.at, other.0.key).cmp(&(self.0.at, self.0.key))
+/// Reversed `(at, key)` order: `BinaryHeap` is a max-heap, the event list
+/// pops its minimum. The payload takes no part in comparisons.
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.key).cmp(&(self.at, self.key))
     }
-}
-
-/// The day (bucket-cycle index) a timestamp falls in.
-#[inline]
-fn day(at: SimTime) -> u64 {
-    at.as_nanos() >> WIDTH_SHIFT
 }
 
 impl<E> Default for EventQueue<E> {
@@ -134,16 +68,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: INITIAL_BUCKETS - 1,
-            near_len: 0,
-            far: BinaryHeap::new(),
-            arena: SlabArena::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            next: None,
-        }
+        EventQueue { heap: BinaryHeap::new(), seq: 0, now: SimTime::ZERO }
     }
 
     /// The timestamp of the most recently popped event (time zero initially).
@@ -155,13 +80,13 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` to fire at `at`.
@@ -172,20 +97,19 @@ impl<E> EventQueue<E> {
     /// would break causality.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "cannot schedule event in the past: at={at} now={}", self.now);
         let key = self.seq;
         self.seq += 1;
-        self.insert(at, key, event);
+        self.schedule_keyed(at, key, event);
     }
 
     /// Schedules `event` at `at` with an explicit tie-breaking `key` in
     /// place of the internal insertion counter: equal-timestamp events pop
     /// in ascending key order regardless of insertion order. This makes
     /// the tie-break sequence an input: a schedule explorer permutes it to
-    /// enumerate the orders equal-time events can take. Callers own key
-    /// uniqueness per timestamp; mixing with [`EventQueue::schedule`] on one
-    /// queue compares caller keys against internal counters and is almost
-    /// never what you want.
+    /// enumerate the orders equal-time events can take. Nothing calls it
+    /// yet besides [`EventQueue::schedule`], which is built from it; it is
+    /// public because ROADMAP item 2's explorer names it as its reorder
+    /// point. Callers own key uniqueness per timestamp.
     ///
     /// # Panics
     ///
@@ -193,145 +117,21 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         assert!(at >= self.now, "cannot schedule event in the past: at={at} now={}", self.now);
-        self.insert(at, key, event);
-    }
-
-    #[inline]
-    fn insert(&mut self, at: SimTime, key: u64, event: E) {
-        if self.near_len > self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.grow();
-        }
-        let handle = self.arena.insert(event);
-        let entry = Entry { at, key, handle };
-        let cycle = self.buckets.len() as u64;
-        if day(at) >= day(self.now) + cycle {
-            self.far.push(Far(entry));
-            if self.next.is_none() {
-                self.next = Some(NextRef::Far);
-            }
-        } else {
-            let b = (day(at) as usize) & self.mask;
-            let slot = self.buckets[b].len();
-            self.buckets[b].push(entry);
-            self.near_len += 1;
-            let replace = match self.next {
-                None | Some(NextRef::Far) => true,
-                Some(NextRef::Near { at: nat, key: nkey, .. }) => (at, key) < (nat, nkey),
-            };
-            if replace {
-                self.next = Some(NextRef::Near { at, key, bucket: b, slot });
-            }
-        }
+        self.heap.push(Entry { at, key, event });
     }
 
     /// Pops the earliest pending event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self.next? {
-            NextRef::Near { at, key, bucket, slot } => {
-                let e = self.buckets[bucket].swap_remove(slot);
-                debug_assert!(e.at == at && e.key == key, "cached minimum out of place");
-                self.near_len -= 1;
-                self.now = at;
-                self.migrate_far();
-                self.recompute_next();
-                Some((at, self.arena.take(e.handle)))
-            }
-            NextRef::Far => {
-                let Far(e) = self.far.pop().expect("NextRef::Far with empty far heap");
-                self.now = e.at;
-                self.migrate_far();
-                self.recompute_next();
-                Some((e.at, self.arena.take(e.handle)))
-            }
-        }
-    }
-
-    /// Pops the earliest pending event only if it fires strictly before
-    /// `horizon`: drains the window `[now, horizon)` and no further.
-    #[inline]
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? >= horizon {
-            return None;
-        }
-        self.pop()
+        let Entry { at, event, .. } = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
     }
 
     /// The timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match self.next? {
-            NextRef::Near { at, .. } => Some(at),
-            NextRef::Far => self.far.peek().map(|f| f.0.at),
-        }
-    }
-
-    /// Moves far-heap events that `now` has come within a bucket cycle of
-    /// into the calendar, preserving the invariant that every far event is
-    /// later than every near event.
-    fn migrate_far(&mut self) {
-        let cycle = self.buckets.len() as u64;
-        let limit = day(self.now) + cycle;
-        while self.far.peek().is_some_and(|f| day(f.0.at) < limit) {
-            let Far(e) = self.far.pop().expect("peeked entry present");
-            let b = (day(e.at) as usize) & self.mask;
-            self.buckets[b].push(e);
-            self.near_len += 1;
-        }
-    }
-
-    /// Re-establishes the cached minimum after a pop: walk day-indexed
-    /// buckets from the current day (nothing pends earlier — `schedule`
-    /// refuses the past) and take the `(at, key)` minimum of the first day
-    /// holding one. Near events always precede far ones, so when the
-    /// calendar is empty the minimum is the far heap's top.
-    fn recompute_next(&mut self) {
-        self.next = None;
-        if self.near_len == 0 {
-            if !self.far.is_empty() {
-                self.next = Some(NextRef::Far);
-            }
-            return;
-        }
-        let start = day(self.now);
-        let cycle = self.buckets.len() as u64;
-        for d in start..start + cycle {
-            let b = (d as usize) & self.mask;
-            let mut best: Option<(SimTime, u64, usize)> = None;
-            for (slot, e) in self.buckets[b].iter().enumerate() {
-                if day(e.at) == d {
-                    let cand = (e.at, e.key, slot);
-                    if best.is_none_or(|(bat, bkey, _)| (cand.0, cand.1) < (bat, bkey)) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some((at, key, slot)) = best {
-                self.next = Some(NextRef::Near { at, key, bucket: b, slot });
-                return;
-            }
-        }
-        unreachable!("near_len > 0 but no event within one bucket cycle of now");
-    }
-
-    /// Doubles the bucket count and redistributes. Order is untouched —
-    /// bucketing is pure routing; `(at, key)` decides everything. The wider
-    /// cycle may make far events near, and the rehash moves slots, so both
-    /// the far boundary and the cached minimum are re-established. Only the
-    /// 24-byte ordering records move; payloads stay put in the arena.
-    fn grow(&mut self) {
-        let new_n = self.buckets.len() * 2;
-        let mut new_buckets: Vec<Vec<Entry>> = (0..new_n).map(|_| Vec::new()).collect();
-        let new_mask = new_n - 1;
-        for bucket in self.buckets.drain(..) {
-            for e in bucket {
-                new_buckets[(day(e.at) as usize) & new_mask].push(e);
-            }
-        }
-        self.buckets = new_buckets;
-        self.mask = new_mask;
-        self.migrate_far();
-        self.recompute_next();
+        self.heap.peek().map(|e| e.at)
     }
 }
 
@@ -395,9 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_survive_sparse_calendars() {
-        // More than a full bucket cycle ahead (and several cycles apart):
-        // exercises the far-heap path end to end.
+    fn far_future_events_pop_in_order() {
+        // Seconds, milliseconds and nanoseconds ahead on one queue.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(30), "z");
         q.schedule(SimTime::from_millis(500), "y");
@@ -410,16 +209,15 @@ mod tests {
     }
 
     #[test]
-    fn sparse_calendar_stress() {
-        // Clustered bursts separated by gaps of many empty bucket cycles,
-        // scheduled in a scrambled order, with interleaved pops: far events
-        // must migrate into the calendar exactly once and in order, and
-        // `len` must account for both sets throughout.
+    fn sparse_cluster_stress() {
+        // Clustered bursts separated by long gaps, scheduled in a scrambled
+        // order: every event must pop exactly once and in order, and `len`
+        // must account for all of them throughout.
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new(); // (at_ns, id)
         let mut id = 0u64;
         for cluster in 0u64..40 {
-            // ~1 ms apart: dozens of 32.8 µs cycles of dead air between.
+            // ~1 ms apart, against 37 ns inside a cluster.
             let base = cluster * 1_000_000;
             for j in 0u64..5 {
                 expect.push((base + j * 37, id));
@@ -427,8 +225,7 @@ mod tests {
             }
         }
         // Scramble deterministically: schedule clusters back-to-front but
-        // events within a cluster in insertion order, so far/near routing
-        // and FIFO ties both get exercised.
+        // events within a cluster in insertion order.
         for chunk in expect.chunks(5).rev() {
             for &(at, i) in chunk {
                 q.schedule(SimTime::from_nanos(at), i);
@@ -461,30 +258,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), 1);
-        q.schedule(SimTime::from_nanos(200), 2);
-        q.schedule(SimTime::from_nanos(300), 3);
-        // Horizon is exclusive: an event exactly at it must wait.
-        assert_eq!(q.pop_before(SimTime::from_nanos(100)), None);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)).unwrap().1, 1);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)).unwrap().1, 2);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_before(SimTime::MAX).unwrap().1, 3);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn growth_rehash_preserves_order() {
-        // Push far past the initial bucket count so the calendar doubles
-        // several times mid-stream.
+    fn descending_times_pop_in_order() {
+        // Far more events than any figure keeps pending, so the heap's
+        // storage reallocates several times mid-stream.
         let mut q = EventQueue::new();
         let n = 4_096u64;
         for i in 0..n {
-            // Deliberately colliding buckets: timestamps descend as seq
-            // ascends, so every (time, fifo) edge is exercised.
+            // Timestamps descend as seq ascends, so every push sifts to
+            // the top.
             q.schedule(SimTime::from_nanos((n - i) * 100), i);
         }
         let mut popped: Vec<(SimTime, u64)> = Vec::new();
@@ -501,9 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_churn_recycles_arena_slots() {
+    fn steady_state_churn_keeps_heap_capacity() {
         // A closed-loop workload keeps a bounded number of events in
-        // flight; after warm-up the arena must stop growing — the
+        // flight; after warm-up the heap must stop growing — the
         // zero-allocation invariant the hot loop relies on.
         let mut q = EventQueue::new();
         for i in 0u64..8 {
@@ -514,19 +295,43 @@ mod tests {
             let (t, e) = q.pop().unwrap();
             q.schedule(t + crate::SimDuration::from_nanos(512 + (e % 7) * 64), e);
             if round == 100 {
-                warm_cap = q.arena.capacity();
+                warm_cap = q.heap.capacity();
             }
         }
         assert_eq!(q.len(), 8);
         assert_eq!(
-            q.arena.capacity(),
+            q.heap.capacity(),
             warm_cap,
-            "steady-state schedule/pop churn must recycle slab slots, not grow the arena"
+            "steady-state schedule/pop churn must reuse the heap's capacity, not grow it"
         );
     }
 
+    #[test]
+    fn payloads_are_owned_by_their_entries() {
+        // An entry owns its event: a popped payload comes back by value, a
+        // pending one is dropped with the queue, and nothing else holds
+        // either.
+        use std::rc::Rc;
+        let token = Rc::new(());
+        let mut q = EventQueue::new();
+        for i in 0u64..6 {
+            q.schedule(SimTime::from_nanos(i * 10), (i, Rc::clone(&token)));
+        }
+        assert_eq!(Rc::strong_count(&token), 7);
+        for i in 0u64..3 {
+            let (_, (id, payload)) = q.pop().unwrap();
+            assert_eq!(id, i);
+            assert!(Rc::ptr_eq(&payload, &token));
+            drop(payload);
+            assert_eq!(Rc::strong_count(&token), 6 - i as usize);
+        }
+        assert_eq!(q.len(), 3);
+        drop(q);
+        assert_eq!(Rc::strong_count(&token), 1);
+    }
+
     /// S2 property test: against randomized interleavings of schedules and
-    /// pops, the calendar queue pops in exactly the `(at, seq)` order of a
+    /// pops, the queue pops in exactly the `(at, seq)` order of a
     /// straightforward reference model — equal timestamps in insertion
     /// order, times monotone, `now` monotone.
     #[test]
@@ -553,7 +358,7 @@ mod tests {
                     last_now = q.now();
                 } else {
                     // Mostly near-future, occasionally same-instant (tie)
-                    // or far-future (sparse-calendar) schedules.
+                    // or far-future schedules.
                     let offset = match rng.gen_range(0..10u32) {
                         0 => 0,
                         1 => rng.gen_range(0..4u64) * 512,

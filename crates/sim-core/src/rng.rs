@@ -5,7 +5,7 @@
 //! module so experiments are replayable from a single root seed.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The deterministic RNG used throughout the workspace.
 pub type DetRng = StdRng;
@@ -30,11 +30,6 @@ pub fn split_mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Samples an index in `[0, n)` uniformly.
-pub fn uniform_index(rng: &mut impl Rng, n: u64) -> u64 {
-    rng.gen_range(0..n)
 }
 
 #[cfg(test)]
@@ -67,13 +62,5 @@ mod tests {
         assert_ne!(a, b);
         // Adjacent inputs should differ in many bits.
         assert!((a ^ b).count_ones() > 16);
-    }
-
-    #[test]
-    fn uniform_index_in_range() {
-        let mut rng = root_rng(7);
-        for _ in 0..1000 {
-            assert!(uniform_index(&mut rng, 10) < 10);
-        }
     }
 }

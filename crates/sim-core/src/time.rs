@@ -22,10 +22,6 @@ impl SimTime {
     /// The origin of the simulation timeline.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The far end of the timeline — later than every reachable instant:
-    /// the "unbounded" horizon of [`crate::EventQueue::pop_before`].
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant `ns` nanoseconds after the origin.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)

@@ -124,12 +124,6 @@ pub struct RnicConfig {
     /// pipelining ConnectX unit — and WQEs are dispatched round-robin
     /// across units, the NP-RDMA model of an internally parallel RNIC.
     pub processing_units: usize,
-    /// Number of MTT shards. Translations are sharded by page-aligned
-    /// virtual address, so concurrent one-sided verbs from different QPs
-    /// touching different pages never contend on the same translation
-    /// lock. The translation cache splits its capacity evenly across
-    /// shards; `1` reproduces the monolithic MTT exactly.
-    pub mtt_shards: usize,
     /// Trace recorder for NIC-side spans (doorbells, engine service, MTT
     /// and fault events). The default is disabled; recording is purely
     /// observational, so it never changes virtual time or fault draws.
@@ -164,7 +158,6 @@ impl Default for RnicConfig {
             cache_entries: 16 * 1024,
             faults: None,
             processing_units: 1,
-            mtt_shards: 8,
             trace: TraceHandle::disabled(),
             qos: None,
             tier: None,
@@ -172,6 +165,12 @@ impl Default for RnicConfig {
         }
     }
 }
+
+/// Number of MTT shards. Translations are sharded by page-aligned virtual
+/// address, so concurrent one-sided verbs from different QPs touching
+/// different pages never contend on the same translation lock. The
+/// translation cache splits its capacity evenly across shards.
+const MTT_SHARDS: usize = 8;
 
 /// The first key issued. Keys go out in pairs — `lkey` even, `rkey` the odd
 /// number after it — and are never reissued.
@@ -226,11 +225,8 @@ impl RegionTable {
 /// batch-at-a-time instead of page-at-a-time, and virtual time never
 /// depends on lock timing.
 struct ShardGuards<'a> {
-    guards: [Option<MutexGuard<'a, MttShard>>; MAX_HELD_SHARDS],
+    guards: [Option<MutexGuard<'a, MttShard>>; MTT_SHARDS],
 }
-
-/// As many shards as the prescan's 64-bit mask can name.
-const MAX_HELD_SHARDS: usize = 64;
 
 impl<'a> ShardGuards<'a> {
     /// The held guard for shard `idx`.
@@ -306,7 +302,7 @@ pub struct Rnic {
     aspace: Arc<AddressSpace>,
     regions: RwLock<RegionTable>,
     /// MTT + translation-cache shards; see [`Rnic::locate`].
-    shards: Box<[Mutex<MttShard>]>,
+    shards: [Mutex<MttShard>; MTT_SHARDS],
     config: RnicConfig,
     /// The fault injector, when `RnicConfig::faults` configured one.
     faults: Option<FaultInjector>,
@@ -329,11 +325,10 @@ impl Rnic {
     /// Creates a NIC attached to `aspace`.
     pub fn new(aspace: Arc<AddressSpace>, config: RnicConfig) -> Self {
         let faults = config.faults.clone().map(FaultInjector::new);
-        let n_shards = config.mtt_shards.max(1);
         // Split the cache budget evenly; every shard keeps at least one
         // entry so small caches still cache.
-        let per_shard = config.cache_entries.div_ceil(n_shards).max(1);
-        let shards = (0..n_shards).map(|_| Mutex::new(MttShard::new(per_shard))).collect();
+        let per_shard = config.cache_entries.div_ceil(MTT_SHARDS).max(1);
+        let shards = std::array::from_fn(|_| Mutex::new(MttShard::new(per_shard)));
         let sched = Mutex::new(QosScheduler::new(
             config.qos.clone().unwrap_or_else(QosConfig::equal_weights),
             config.processing_units,
@@ -358,30 +353,22 @@ impl Rnic {
     /// as dense as the vpns themselves.
     #[inline]
     fn locate(&self, vpn: u64) -> (usize, u64) {
-        let n = self.shards.len() as u64;
+        let n = MTT_SHARDS as u64;
         ((vpn % n) as usize, vpn / n)
     }
 
     /// Locks the MTT shards a doorbell batch will touch, once, in
     /// ascending index order. `accesses` yields each WQE's `(va, len)`;
     /// pages of requests that later fail region checks are harmlessly
-    /// over-approximated into the mask. Returns `None` when the NIC has
-    /// more shards than the 64-bit mask can name — callers then fall back
-    /// to per-page locking, the exact pre-batch behaviour.
-    fn lock_batch_shards(
-        &self,
-        accesses: impl Iterator<Item = (u64, usize)>,
-    ) -> Option<ShardGuards<'_>> {
-        let n = self.shards.len();
-        if n > MAX_HELD_SHARDS {
-            return None;
-        }
-        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut mask = 0u64;
+    /// over-approximated into the mask.
+    fn lock_batch_shards(&self, accesses: impl Iterator<Item = (u64, usize)>) -> ShardGuards<'_> {
+        const _: () = assert!(MTT_SHARDS <= u8::BITS as usize);
+        let full = u8::MAX >> (u8::BITS as usize - MTT_SHARDS);
+        let mut mask = 0u8;
         for (va, len) in accesses {
             let first = va / PAGE_SIZE as u64;
             let last = (va + len.max(1) as u64 - 1) / PAGE_SIZE as u64;
-            if last - first + 1 >= n as u64 {
+            if last - first + 1 >= MTT_SHARDS as u64 {
                 mask = full;
             } else {
                 for vpn in first..=last {
@@ -394,7 +381,7 @@ impl Rnic {
         }
         // `from_fn` walks the indexes forward: ascending lock order.
         let guards = std::array::from_fn(|i| ((mask >> i) & 1 == 1).then(|| self.shards[i].lock()));
-        Some(ShardGuards { guards })
+        ShardGuards { guards }
     }
 
     /// The fault injector, if fault injection is enabled.
@@ -656,11 +643,12 @@ impl Rnic {
         let dma = self.aspace.phys().dma();
         let mut sched = self.sched.lock();
         let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
-        let mut held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
+        let held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
         // A lone request has no other chain to overlap with.
-        if let (Some(held), true) = (&held, reqs.len() >= 2) {
-            self.resolve(&rt, &dma, held, reqs);
+        if reqs.len() >= 2 {
+            self.resolve(&rt, &dma, &held, reqs);
         }
+        let mut held = Some(held);
         let mut memo = None;
         let mut bytes_read = 0u64;
         // How many requests reached the NIC, and whether the last one failed.
@@ -1055,11 +1043,6 @@ impl Rnic {
             let (h, m) = shard.lock().stats();
             (hits + h, misses + m)
         })
-    }
-
-    /// Number of MTT shards.
-    pub fn mtt_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The MTT's current translation for a page, if any (test/diagnostic
@@ -1523,43 +1506,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_virtual_time() {
-        // MTT sharding is a lock-granularity change only: with the same
-        // verb sequence the latencies, cache outcomes, and completion
-        // times are identical for any shard count (as long as the cache
-        // split takes no extra evictions).
-        let run = |shards: usize| {
-            let pm = Arc::new(PhysicalMemory::new());
-            let frames = pm.alloc_n(4).unwrap();
-            let aspace = Arc::new(AddressSpace::new(pm));
-            let va = aspace.mmap(&frames).unwrap();
-            let rnic =
-                Rnic::new(aspace, RnicConfig { mtt_shards: shards, ..RnicConfig::default() });
-            let (mr, _) = rnic.register(va, 4, false).unwrap();
-            let mut out = Vec::new();
-            let mut buf = [0u8; 64];
-            for i in 0..16u64 {
-                let addr = va + (i % 4) * PAGE_SIZE as u64;
-                let v = rnic.read(mr.rkey, addr, &mut buf, SimTime::ZERO).unwrap();
-                out.push((v.latency, v.cache_hit));
-            }
-            assert_eq!(rnic.mtt_shards(), shards);
-            (out, rnic.cache_stats())
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     fn concurrent_reads_across_shards_stay_correct() {
         use std::thread;
         let pm = Arc::new(PhysicalMemory::new());
         let frames = pm.alloc_n(8).unwrap();
         let aspace = Arc::new(AddressSpace::new(pm));
         let va = aspace.mmap(&frames).unwrap();
-        let rnic = Arc::new(Rnic::new(
-            aspace.clone(),
-            RnicConfig { mtt_shards: 8, ..RnicConfig::default() },
-        ));
+        let rnic = Arc::new(Rnic::new(aspace.clone(), RnicConfig::default()));
         let (mr, _) = rnic.register(va, 8, false).unwrap();
         for p in 0..8u64 {
             aspace.write(va + p * PAGE_SIZE as u64, &[p as u8; 32]).unwrap();
@@ -1664,7 +1617,7 @@ mod tests {
             {
                 let rt = rnic.regions.read();
                 let dma = rnic.aspace.phys().dma();
-                let held = rnic.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len))).unwrap();
+                let held = rnic.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
                 rnic.resolve(&rt, &dma, &held, &reqs);
             }
             assert_eq!(doorbell_visible_state(&rnic, va, PAGES), before, "round {round}");

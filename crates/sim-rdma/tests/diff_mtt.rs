@@ -31,6 +31,9 @@ use corm_sim_rdma::{
 /// Pages of virtual address space the sequences play on.
 const PAGES: usize = 96;
 const PAGE: u64 = PAGE_SIZE as u64;
+/// The NIC's shard count (`MTT_SHARDS` in `rnic.rs`), which the reference
+/// has to deal pages and split the cache budget by.
+const SHARDS: usize = 8;
 
 /// One generated step: an operation selector and its raw operands.
 type Step = (u8, usize, usize, bool);
@@ -60,7 +63,6 @@ fn target(mr: &MemoryRegion, step: &Step, verb: usize) -> (u64, usize) {
 }
 
 struct Reference {
-    n_shards: u64,
     per_shard: usize,
     mtt: HashMap<u64, Translation>,
     /// Cached pages per shard, most recently used first.
@@ -71,7 +73,7 @@ struct Reference {
 
 impl Reference {
     fn uncache(&mut self, vpn: u64) {
-        self.cached[(vpn % self.n_shards) as usize].retain(|&v| v != vpn);
+        self.cached[vpn as usize % SHARDS].retain(|&v| v != vpn);
     }
 
     /// Installs fresh translations of the pages from `base` on.
@@ -87,7 +89,7 @@ impl Reference {
 
     /// One cache look-up; returns whether it hit.
     fn touch(&mut self, vpn: u64) -> bool {
-        let lru = &mut self.cached[(vpn % self.n_shards) as usize];
+        let lru = &mut self.cached[vpn as usize % SHARDS];
         match lru.iter().position(|&v| v == vpn) {
             Some(pos) => {
                 lru.remove(pos);
@@ -211,7 +213,7 @@ fn settle_read(
     Ok(())
 }
 
-fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
+fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
     let pm = Arc::new(PhysicalMemory::new());
     let aspace = Arc::new(AddressSpace::new(pm.clone()));
     let frames: Vec<FrameId> = (0..PAGES).map(|_| tagged_frame(&pm)).collect();
@@ -228,7 +230,6 @@ fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseE
     let rnic = Arc::new(Rnic::new(
         aspace.clone(),
         RnicConfig {
-            mtt_shards: n_shards,
             cache_entries: capacity,
             faults: Some(FaultConfig::scripted(schedule)),
             ..RnicConfig::default()
@@ -236,10 +237,9 @@ fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseE
     ));
     let qp = QueuePair::connect(rnic.clone());
     let mut model = Reference {
-        n_shards: n_shards as u64,
-        per_shard: capacity.div_ceil(n_shards).max(1),
+        per_shard: capacity.div_ceil(SHARDS).max(1),
         mtt: HashMap::new(),
-        cached: vec![Vec::new(); n_shards],
+        cached: vec![Vec::new(); SHARDS],
         hits: 0,
         misses: 0,
     };
@@ -381,7 +381,7 @@ fn run(n_shards: usize, capacity: usize, steps: &[Step]) -> Result<(), TestCaseE
             );
             prop_assert_eq!(
                 rnic.mtt_cached(page_va),
-                model.cached[(vpn % model.n_shards) as usize].contains(&vpn),
+                model.cached[vpn as usize % SHARDS].contains(&vpn),
                 "step {} page {}: cached",
                 i,
                 p
@@ -397,10 +397,9 @@ proptest! {
 
     #[test]
     fn mtt_and_cache_match_the_reference(
-        shards in 0usize..3,
         capacity in 1usize..=64,
         steps in prop::collection::vec((0u8..12, 0usize..10_000, 0usize..10_000, any::<bool>()), 1..=2_000),
     ) {
-        run([1, 3, 8][shards], capacity, &steps)?;
+        run(capacity, &steps)?;
     }
 }
