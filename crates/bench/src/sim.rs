@@ -26,6 +26,7 @@ use corm_core::client::{CormClient, FixStrategy};
 use corm_core::server::{CormServer, CorrectionStrategy};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
+use corm_sim_core::prefetch_read;
 use corm_sim_core::queue::EventQueue;
 use corm_sim_core::resource::FifoResource;
 use corm_sim_core::rng::{stream_rng, DetRng};
@@ -132,11 +133,45 @@ impl SimOutput {
     }
 }
 
-enum Ev {
-    /// Client `id` is ready to issue its next op.
-    Ready(usize),
-    /// Client `id` retries a conflicted DirectRead on `key`.
-    Retry(usize, u64),
+/// A pending event: the client, and the op it issues when the event fires —
+/// its next draw, or the conflicted DirectRead it retries.
+type Ev = (usize, Op);
+
+/// Stages of [`CormServer::hint`], and the depth of the ring that walks
+/// them: an op enters when its event is scheduled and takes one stage per
+/// loop iteration, so it is through all of them by the time a fourth op
+/// has followed it in.
+const HINT_STAGES: usize = 4;
+
+/// The last [`HINT_STAGES`] scheduled ops a server handler will serve, each
+/// as its key and the stage it is due next.
+struct Lookahead {
+    ring: [(u64, u8); HINT_STAGES],
+    pushed: usize,
+}
+
+impl Lookahead {
+    fn new() -> Self {
+        Lookahead { ring: [(0, HINT_STAGES as u8); HINT_STAGES], pushed: 0 }
+    }
+
+    fn push(&mut self, key: u64) {
+        self.ring[self.pushed % HINT_STAGES] = (key, 0);
+        self.pushed += 1;
+    }
+
+    /// Takes every op in the ring one stage further. Stage by stage and
+    /// not a whole chain per call, because a stage's lines are named by
+    /// the lines of the one before: hinted in one call, each would stall
+    /// on its predecessor, here it finds it loaded an iteration ago.
+    fn advance(&mut self, server: &CormServer, ptrs: &[GlobalPtr]) {
+        for (key, stage) in &mut self.ring {
+            if (*stage as usize) < HINT_STAGES {
+                server.hint(&ptrs[*key as usize], *stage);
+                *stage += 1;
+            }
+        }
+    }
 }
 
 /// Runs the closed-loop simulation over a populated server.
@@ -202,11 +237,29 @@ pub fn run_closed_loop(
             .saturating_sub(model.rpc_worker_service)
     };
 
+    // A client's next op is drawn when its event is scheduled, not when it
+    // fires: the same draws from the same per-client stream in the same
+    // order, so nothing simulated moves, but the op is known for as many
+    // iterations as there are events ahead of it. Its pointer is hinted at
+    // once, and a server handler's chain of dependent lines behind the
+    // pointer stage by stage from then on (DESIGN §12). One-sided reads
+    // stop at the pointer: walking the handler's chain for them costs more
+    // than their own path saves.
+    let mut ahead = Lookahead::new();
+    let mut draw = |cid: usize, ptrs: &[GlobalPtr], ahead: &mut Lookahead| {
+        let op = spec.workload.next_op(&mut rngs[cid]);
+        prefetch_read(&ptrs[op.key() as usize]);
+        if matches!(op, Op::Write(_)) || spec.read_path == ReadPath::Rpc {
+            ahead.push(op.key());
+        }
+        op
+    };
+
     // Closed loop, one outstanding request per client: the queue never
     // holds more than one event per client. `EventQueue` is sized for that
     // (sim-core's `queue.rs`; DESIGN §12), so it is asserted at each schedule.
     for c in 0..spec.clients {
-        queue.schedule(SimTime::from_nanos(c as u64 * 100), Ev::Ready(c));
+        queue.schedule(SimTime::from_nanos(c as u64 * 100), (c, draw(c, ptrs, &mut ahead)));
         debug_assert!(queue.len() <= spec.clients);
     }
 
@@ -240,16 +293,9 @@ pub fn run_closed_loop(
                 compaction_pending = None;
             }
         }
-        let (now, ev) = queue.pop().expect("peeked");
+        let (now, (cid, op)) = queue.pop().expect("peeked");
         out.events += 1;
-        let (cid, retry_key) = match ev {
-            Ev::Ready(c) => (c, None),
-            Ev::Retry(c, k) => (c, Some(k)),
-        };
-        let op = match retry_key {
-            Some(k) => Op::Read(k),
-            None => spec.workload.next_op(&mut rngs[cid]),
-        };
+        ahead.advance(server, ptrs);
         let completion;
         let mut read_latency = None;
 
@@ -393,8 +439,7 @@ pub fn run_closed_loop(
                                 if now >= warmup_end {
                                     out.conflicts += 1;
                                 }
-                                queue
-                                    .schedule(now + attempt.cost + spec.backoff, Ev::Retry(cid, k));
+                                queue.schedule(now + attempt.cost + spec.backoff, (cid, op));
                                 debug_assert!(queue.len() <= spec.clients);
                                 continue;
                             }
@@ -424,7 +469,7 @@ pub fn run_closed_loop(
             }
         }
         if completion <= end {
-            queue.schedule(completion, Ev::Ready(cid));
+            queue.schedule(completion, (cid, draw(cid, ptrs, &mut ahead)));
             debug_assert!(queue.len() <= spec.clients);
         }
     }
@@ -618,6 +663,143 @@ mod tests {
         assert!(out.reads > 0 && out.writes > 0);
         let frac = out.reads as f64 / (out.reads + out.writes) as f64;
         assert!((frac - 0.5).abs() < 0.05, "read fraction {frac}");
+    }
+
+    /// Every field of a [`SimOutput`] as a named integer (times in whole
+    /// nanoseconds, the timeline folded), so two runs compare field by
+    /// field and a mismatch names the field.
+    fn fields(out: &SimOutput) -> Vec<(&'static str, u64)> {
+        let ns = |us: f64| (us * 1_000.0).round() as u64;
+        let hist = |h: &Histogram| (h.len() as u64, ns(h.mean()), ns(h.p99().unwrap_or(0.0)));
+        let (window_start, window_end) =
+            out.compaction_window.map_or((0, 0), |(a, b)| (a.as_nanos(), b.as_nanos()));
+        let report = out.compaction_report.as_ref();
+        let (all, during, outside) = (
+            hist(&out.read_latency),
+            hist(&out.read_latency_during),
+            hist(&out.read_latency_outside),
+        );
+        vec![
+            ("completed", out.completed),
+            ("reads", out.reads),
+            ("writes", out.writes),
+            ("conflicts", out.conflicts),
+            ("corrections", out.corrections),
+            ("events", out.events),
+            ("req_per_s", (out.kreqs * 1_000.0).round() as u64),
+            ("read_n", all.0),
+            ("read_mean_ns", all.1),
+            ("read_median_ns", ns(out.median_read_us())),
+            ("read_p99_ns", all.2),
+            ("during_n", during.0),
+            ("during_mean_ns", during.1),
+            ("during_p99_ns", during.2),
+            ("outside_n", outside.0),
+            ("outside_mean_ns", outside.1),
+            ("outside_p99_ns", outside.2),
+            (
+                "timeline_fold",
+                out.timeline
+                    .as_ref()
+                    .map_or(0, |t| t.counts().iter().fold(0, |h, &c| crate::simspeed::mix(h, c))),
+            ),
+            ("window_start_ns", window_start),
+            ("window_end_ns", window_end),
+            ("chunks", out.compaction_chunks.len() as u64),
+            ("merges", report.map_or(0, |r| r.merges as u64)),
+            ("objects_copied", report.map_or(0, |r| r.objects_copied as u64)),
+            ("objects_relocated", report.map_or(0, |r| r.objects_relocated as u64)),
+        ]
+    }
+
+    /// A fig16-shaped run at test size: a fragmented store, four clients
+    /// on a balanced mix, and a compaction pass of the whole class in the
+    /// middle of the window — so ops drawn and hinted before the pass run
+    /// after it, on pointers whose blocks were merged away in between.
+    fn compaction_panel(
+        correction: CorrectionStrategy,
+        read_path: ReadPath,
+        fix_strategy: FixStrategy,
+    ) -> SimOutput {
+        let config = ServerConfig { correction, ..ServerConfig::default() };
+        let mut store = populate_server(config, 8_192, 32);
+        let mut ptrs: Vec<GlobalPtr> =
+            store.fragment(0.75, 13).into_iter().map(|(_, p)| p).collect();
+        let class = corm_core::consistency::class_for_payload(store.server.classes(), 32).unwrap();
+        let workload = Workload::new(ptrs.len() as u64, KeyDist::Uniform, Mix::BALANCED);
+        let spec = ClosedLoopSpec {
+            duration: SimDuration::from_millis(30),
+            warmup: SimDuration::from_millis(2),
+            read_path,
+            fix_strategy,
+            timeline_bucket: Some(SimDuration::from_millis(1)),
+            compaction_at: Some((SimTime::from_millis(8), class)),
+            ..ClosedLoopSpec::new(workload, 4)
+        };
+        run_closed_loop(&store.server, &mut ptrs, &spec)
+    }
+
+    /// What the parent commit — ops drawn at the pop, nothing hinted —
+    /// produced for the same spec, in [`fields`] order.
+    fn assert_fields(out: &SimOutput, parent: [u64; 24], what: &str) {
+        let got = fields(out);
+        assert_eq!(got.len(), parent.len());
+        for ((name, got), want) in got.into_iter().zip(parent) {
+            assert_eq!(got, want, "{what}: {name}");
+        }
+    }
+
+    #[test]
+    fn hinted_pointers_going_stale_mid_flight_change_no_simulated_value() {
+        use CorrectionStrategy::{BlockScan, ThreadMessaging};
+        #[rustfmt::skip]
+        let panels = [
+            ((ThreadMessaging, ReadPath::Rpc, FixStrategy::ScanRead), [
+                19133, 9586, 9547, 0, 340, 20538, 637767, 9586, 6508, 5720, 15720, 4, 1825076,
+                2442958, 9582, 5749, 15720, 206991125639354811, 8000000, 10438098, 1, 72, 1312, 691,
+            ]),
+            ((ThreadMessaging, ReadPath::Rdma, FixStrategy::ScanRead), [
+                39264, 19619, 19645, 10, 335, 41931, 1308800, 19619, 1934, 1861, 2701, 1335, 2063,
+                3270, 18284, 1924, 2615, 546266455192388200, 8000000, 10438098, 1, 72, 1312, 691,
+            ]),
+            ((BlockScan, ReadPath::Rpc, FixStrategy::ScanRead), [
+                20975, 10516, 10459, 0, 338, 22380, 699167, 10516, 5720, 5720, 5890, 839, 5722,
+                5890, 9677, 5720, 5890, 13473049161570297593, 8000000, 10438098, 1, 72, 1312, 691,
+            ]),
+            ((BlockScan, ReadPath::Rdma, FixStrategy::RpcRead), [
+                39437, 19699, 19738, 13, 333, 42107, 1314567, 19699, 1955, 1845, 4290, 1417, 2328,
+                5890, 18282, 1926, 2615, 135087201156588785, 8000000, 10438098, 1, 72, 1312, 691,
+            ]),
+        ];
+        for ((correction, path, fix), parent) in panels {
+            let out = compaction_panel(correction, path, fix);
+            assert!(out.corrections > 0, "the pass must leave stale pointers behind");
+            assert_fields(&out, parent, &format!("{correction:?}/{path:?}/{fix:?}"));
+        }
+    }
+
+    #[test]
+    fn one_client_loop_without_lookahead_distance_changes_no_simulated_value() {
+        // One client: its next op is drawn when the only event is
+        // scheduled and runs at the very next pop, before any hint stage
+        // past the first has had an iteration to run in.
+        #[rustfmt::skip]
+        let parents = [
+            (ReadPath::Rpc, [
+                19935, 9850, 10085, 0, 0, 23924, 398700, 9850, 2508, 2508, 2508, 0, 0, 0, 9850,
+                2508, 2508, 0, 0, 0, 0, 0, 0, 0,
+            ]),
+            (ReadPath::Rdma, [
+                23670, 11709, 11961, 0, 0, 28411, 473400, 11709, 1708, 1708, 1708, 0, 0, 0, 11709,
+                1708, 1708, 0, 0, 0, 0, 0, 0, 0,
+            ]),
+        ];
+        for (path, parent) in parents {
+            let mut store = populate_server(ServerConfig::default(), 2_000, 32);
+            let spec = quick_spec(path, Mix::BALANCED, 1);
+            let out = run_closed_loop(&store.server, &mut store.ptrs, &spec);
+            assert_fields(&out, parent, &format!("one client, {path:?}"));
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! The whole test binary runs under a counting `#[global_allocator]`: after
 //! a warm-up phase fills every scratch buffer, the event heap, translation
 //! cache, and histogram bucket, the measured phase replays the fig12 hot
-//! loop's op pipeline — workload draw, event-queue schedule/pop, one-sided
-//! `direct_read`, RPC-path `server.write`, FIFO-station admits, torn-read
-//! bookkeeping, latency recording — and asserts the allocation counter does
-//! not move. Any `vec![..]`/`Box::new`/map-growth regression on the hot
-//! path fails this test with the exact allocation count. The second test
+//! loop's op pipeline — workload draw, event-queue schedule/pop, the four
+//! stages of `CormServer::hint`, one-sided `direct_read`, RPC-path
+//! `server.write`, FIFO-station admits, torn-read bookkeeping, latency
+//! recording — and asserts the allocation counter does not move. Any
+//! `vec![..]`/`Box::new`/map-growth regression on the hot path fails this
+//! test with the exact allocation count. The second test
 //! holds `CormServer::{alloc, write, free}` to the same standard while no
 //! block is fetched or released, and the third holds a steady
 //! `CormClient::read_batch` to exactly one allocation per call, the vector
@@ -125,6 +126,10 @@ fn one_op(
     hist: &mut Histogram,
 ) -> SimTime {
     let service = SimDuration::from_nanos(500);
+    // The loop's lookahead: all four stages of the handler-chain hint.
+    for stage in 0..4 {
+        server.hint(&ptrs[op.key() as usize], stage);
+    }
     match op {
         Op::Write(k) => {
             let ingress_done = ingress.admit(now, service);

@@ -34,6 +34,7 @@ use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
     AddressSpace, DmaSession, FarTier, MemError, PageSpan, PhysicalMemory, Residency, TierConfig,
+    PAGE_SIZE,
 };
 use corm_sim_rdma::{LatencyModel, MttUpdateStrategy, QosConfig, RdmaError, Rnic, RnicConfig};
 use corm_trace::{Stage, TraceHandle, Track};
@@ -768,6 +769,54 @@ impl CormServer {
         Err(CormError::ObjectLocked)
     }
 
+    /// Hints the lines [`Self::read`] and [`Self::write`] will walk for
+    /// `ptr`, one step of their chain per `stage`, for a caller that knows
+    /// its coming requests some calls ahead (the closed loop, DESIGN §12)
+    /// and wants their misses to overlap instead of queueing:
+    ///
+    /// 0. the directory entry of the pointer's base, and every line of the
+    ///    block it resolves to;
+    /// 1. the block's `slot_id` entry for the pointer's slot, and the frame
+    ///    of the slot's page;
+    /// 2. that frame's entry in the frame table;
+    /// 3. the first and the last line of the slot's bytes.
+    ///
+    /// Each stage walks the earlier stages' lines again — cached by then —
+    /// and keeps nothing between calls, so a block freed, merged away or
+    /// remapped in between wastes a hint and nothing else. A hint is inert:
+    /// it never waits for a block's lock (a held one ends the hint), and it
+    /// counts nothing, feeds no heat, fetches no far frame, corrects no
+    /// pointer and charges no virtual time. Any pointer and any stage are
+    /// accepted; what cannot be followed is ignored.
+    pub fn hint(&self, ptr: &GlobalPtr, stage: u8) {
+        let block_bytes = self.block_bytes();
+        let base = ptr.block_base(block_bytes);
+        if stage == 0 {
+            return self.registry.hint(base);
+        }
+        // Not `self.resolve`: that one counts `Stage::RegistryResolve`.
+        let Some(block) = self.registry.resolve(base) else { return };
+        let Some(b) = block.try_lock() else { return };
+        let Some(slot) = b.slot_of_offset(ptr.block_offset(block_bytes)) else { return };
+        if stage == 1 {
+            return b.hint_slot(slot);
+        }
+        let first = b.slot_offset(slot);
+        let frame_of = |offset: usize| b.frames().get(offset / PAGE_SIZE).copied();
+        let dma = self.phys.dma();
+        if stage == 2 {
+            if let Some(frame) = frame_of(first) {
+                dma.prefetch_entry(frame);
+            }
+            return;
+        }
+        for offset in [first, first + b.obj_size() - 1] {
+            if let Some(frame) = frame_of(offset) {
+                dma.prefetch(frame, offset % PAGE_SIZE);
+            }
+        }
+    }
+
     /// Batched RPC read (multi-get): one request carries many pointers, so
     /// the wire/ingress overhead is paid once by the caller while each
     /// entry still pays the per-object handler work. Outcomes are
@@ -1028,5 +1077,41 @@ impl CormServer {
     /// paper's trace replays).
     pub fn pick_worker(&self, rng: &mut impl Rng) -> usize {
         rng.gen_range(0..self.config.workers)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A hint that waited for the lock would never return here: the holder
+    /// lets go only once every stage has.
+    #[test]
+    fn hint_returns_at_once_while_another_thread_holds_the_block() {
+        let server = CormServer::new(ServerConfig::default());
+        let ptr = server.alloc(0, 32).expect("alloc").value;
+        let block = server.registry.resolve(ptr.block_base(server.block_bytes())).expect("live");
+        let (locked, is_locked) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let block = &block;
+            s.spawn(move || {
+                let _held = block.lock();
+                locked.send(()).expect("main thread waits");
+                released.recv().expect("main thread releases");
+            });
+            is_locked.recv().expect("holder locks");
+            for stage in 0..=4 {
+                server.hint(&ptr, stage);
+            }
+            assert!(block.try_lock().is_none(), "held throughout");
+            release.send(()).expect("holder waits");
+        });
+        // Free again, every stage gets through to its end.
+        for stage in 0..=4 {
+            server.hint(&ptr, stage);
+        }
+        assert!(block.try_lock().is_some(), "no hint kept the lock");
     }
 }

@@ -36,6 +36,7 @@ use parking_lot::{RwLock, RwLockWriteGuard};
 
 use corm_alloc::process::SharedBlock;
 use corm_sim_core::hash::FastHashMap;
+use corm_sim_core::prefetch_lines;
 
 /// Shard count: enough to spread 8 workers plus the compaction leader with
 /// negligible collision probability.
@@ -115,6 +116,16 @@ impl BlockRegistry {
     pub fn resolve(&self, base: u64) -> Option<SharedBlock> {
         match &self.shard(base).read().get(&base)?.slot {
             Slot::Live { block, .. } | Slot::Alias { block, .. } => Some(block.clone()),
+        }
+    }
+
+    /// Hints every line of the block [`Self::resolve`] would return for
+    /// `base` — the lock word, the fields and the table headers a handler
+    /// reads once it has the lock — without taking a handle to it.
+    pub(crate) fn hint(&self, base: u64) {
+        if let Some(entry) = self.shard(base).read().get(&base) {
+            let (Slot::Live { block, .. } | Slot::Alias { block, .. }) = &entry.slot;
+            prefetch_lines(&**block);
         }
     }
 

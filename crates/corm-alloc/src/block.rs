@@ -18,6 +18,7 @@ use rand::Rng;
 
 use corm_compact::BlockModel;
 use corm_sim_core::hash::FastHashMap;
+use corm_sim_core::prefetch_read;
 use corm_sim_mem::{FileId, FrameId};
 
 use crate::classes::ClassId;
@@ -321,6 +322,20 @@ impl Block {
         self.slot_id.get(slot as usize).copied().filter(|&id| id != VACANT)
     }
 
+    /// Hints the two lines a handler reads to reach `slot`'s bytes: the
+    /// slot's `slot_id` entry and the frame of the page the slot starts
+    /// in. Reads neither and checks nothing — a slot past the end is
+    /// ignored — so the handler that follows behaves the same with or
+    /// without it.
+    pub fn hint_slot(&self, slot: ObjectSlot) {
+        if let Some(id) = self.slot_id.get(slot as usize) {
+            prefetch_read(id);
+        }
+        if let Some(frame) = self.frames.get(self.slot_offset(slot) / corm_sim_mem::PAGE_SIZE) {
+            prefetch_read(frame);
+        }
+    }
+
     /// The first free slot, if any.
     pub fn free_slot_hint(&self) -> Option<ObjectSlot> {
         (!self.is_full()).then_some(self.first_free)
@@ -463,6 +478,19 @@ mod tests {
         let b = mk_block(4096, 4);
         assert_eq!(b.slots(), 4);
         assert_eq!(b.len_bytes(), 16384);
+    }
+
+    #[test]
+    fn hinting_a_slot_changes_nothing_and_takes_any_slot() {
+        let mut b = mk_block(1024, 2);
+        b.insert_object(1, 0);
+        b.insert_object(2, 5);
+        for slot in [0, 5, 7, 8, u32::MAX] {
+            b.hint_slot(slot);
+        }
+        assert_eq!(b.live_objects().collect::<Vec<_>>(), vec![(1, 0), (2, 5)]);
+        assert_eq!(b.free_slot_hint(), Some(1));
+        assert_eq!(b.frames(), &[FrameId(0), FrameId(1)]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   series used by the benchmark harness.
 //! - [`hash`]: a fast deterministic hasher for the simulator's hot,
 //!   never-iterated lookup tables (MTT shards, translation cache, regions).
-//! - [`prefetch_read`]: the cache hint that lets a doorbell's requests miss
-//!   side by side.
+//! - [`prefetch_read`], [`prefetch_lines`]: the cache hint that lets a
+//!   doorbell's requests, and the closed loop's queued ops, miss side by
+//!   side.
 //!
 //! Everything here is deterministic: the same seed and the same sequence of
 //! calls produce bit-identical results, which the test suite relies on.
@@ -30,7 +31,7 @@ pub mod stats;
 pub mod time;
 
 pub use hash::{FastBuildHasher, FastHashMap, FastHasher};
-pub use hint::prefetch_read;
+pub use hint::{prefetch_lines, prefetch_read};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use stats::{Histogram, OnlineStats, TimeSeries};

@@ -500,6 +500,17 @@ impl DmaSession<'_> {
         }
     }
 
+    /// Hints that an access to the frame is coming: starts loading its
+    /// frame-table entry, the line [`Self::prefetch`] and every read and
+    /// write load before they can name a data line. As inert as
+    /// [`Self::prefetch`]: an id out of range is ignored.
+    #[inline]
+    pub fn prefetch_entry(&self, id: FrameId) {
+        if let Some(frame) = self.frames.get(id.0 as usize) {
+            prefetch_read(frame);
+        }
+    }
+
     /// Reads `buf.len()` bytes at `offset` within the frame; semantics of
     /// [`PhysicalMemory::read`].
     pub fn read(&self, id: FrameId, offset: usize, buf: &mut [u8]) -> Result<(), MemError> {
@@ -678,6 +689,31 @@ mod tests {
         let mut buf = [0u8; 8];
         assert!(matches!(pm.read(f, PAGE_SIZE - 4, &mut buf), Err(MemError::FrameBounds { .. })));
         assert!(matches!(pm.write(f, PAGE_SIZE, b"x"), Err(MemError::FrameBounds { .. })));
+    }
+
+    #[test]
+    fn hints_take_live_freed_and_unknown_frames_and_change_nothing() {
+        let pm = PhysicalMemory::new();
+        let live = pm.alloc().unwrap();
+        let freed = pm.alloc().unwrap();
+        pm.write(live, 0, b"payload").unwrap();
+        pm.set_residency(live, Residency::Resident).unwrap();
+        pm.release(freed);
+        let before = (pm.residency_counts(), pm.live_frames(), pm.total_allocs());
+        let dma = pm.dma();
+        for id in [live, freed, FrameId(2), FrameId(u32::MAX)] {
+            dma.prefetch_entry(id);
+            for offset in [0, 7, PAGE_SIZE - 1, PAGE_SIZE, usize::MAX] {
+                dma.prefetch(id, offset);
+            }
+        }
+        drop(dma);
+        assert_eq!((pm.residency_counts(), pm.live_frames(), pm.total_allocs()), before);
+        let mut buf = [0u8; 7];
+        pm.read(live, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"payload");
+        pm.read(freed, 0, &mut buf).unwrap();
+        assert_eq!(buf, [POISON_BYTE; 7]);
     }
 
     #[test]
