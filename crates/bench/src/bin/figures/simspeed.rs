@@ -1,26 +1,24 @@
 //! The simulator's determinism gate (`corm_bench::simspeed`): the four
-//! seeded cells must fold to their pinned fingerprints. Their events/sec
-//! are printed for orientation and gate nothing — the host-time
-//! instrument is `benchmark/`.
+//! seeded cells, run once each, must fold to their pinned fingerprints.
+//! No wall clock is read: the host-time instrument is `benchmark/`.
 
-use corm_bench::report::{f2, Cell, Sheet};
-use corm_bench::simspeed::{host_cpus, run_cells};
+use corm_bench::report::{f2, Sheet};
+use corm_bench::simspeed::run_cells;
 
 use crate::run::Run;
 
 pub fn run(run: &mut Run) {
     let cells = run_cells(run.trace());
     let mut t = Sheet::new(
-        format!("simspeed: simulator wall-clock speed (host_cpus={})", host_cpus()),
-        &["workload", "events", "wall_ms", "events_per_sec", "wall_per_virt_sec"],
+        "simspeed: the four seeded cells",
+        &["workload", "events", "virtual_ms", "fingerprint"],
     );
     for c in &cells {
         t.row(&[
             c.workload.into(),
             c.events.into(),
-            f2(c.wall_secs * 1e3),
-            Cell::Float { value: c.events_per_sec(), decimals: Some(0) },
-            f2(c.wall_per_virtual_sec()),
+            f2(c.virt.as_secs_f64() * 1e3),
+            c.fingerprint.into(),
         ]);
     }
     t.print();

@@ -1,9 +1,9 @@
 //! The simulator's determinism gate: four fixed, seeded cells whose
 //! virtual-time results fold into fingerprints pinned here as constants.
 //! Perf work may make the cells faster, never different — a fingerprint
-//! that moves means seeded behaviour changed. The `simspeed` figure also
-//! prints each cell's events/sec, ungated: the host-time instrument is
-//! `benchmark/` (DESIGN §12 records why the speed floor went).
+//! that moves means seeded behaviour changed. Nothing here reads the wall
+//! clock: the host-time instrument is `benchmark/` (DESIGN §12 records why
+//! the speed floor and the events/sec table went).
 //!
 //! - **fig12 cell** — the closed-loop event-driven simulator
 //!   ([`run_closed_loop`]) under a Zipf read/write mix: exercises the
@@ -23,12 +23,8 @@
 //!   budget enforced every [`FIG22_ENFORCE_EVERY`] batches, so residency
 //!   checks, the NIC fault path and heat-ranked eviction are on the hot
 //!   path. The fingerprint also folds the eviction order.
-//!
-//! Wall-clock numbers are the best of [`REPEATS`] runs, whose results
-//! must agree.
 
 use std::sync::atomic::Ordering::Relaxed;
-use std::time::Instant;
 
 use corm_core::client::CormClient;
 use corm_core::server::ServerConfig;
@@ -41,8 +37,6 @@ use crate::sim::{run_closed_loop, ClosedLoopSpec, ReadPath};
 
 /// Seed shared by every cell.
 pub const SEED: u64 = 0x51EED;
-/// Wall-clock measurements take the best of this many runs.
-pub const REPEATS: usize = 3;
 
 /// fig12 cell: closed-loop clients.
 pub const FIG12_CLIENTS: usize = 8;
@@ -85,11 +79,6 @@ pub const FINGERPRINTS: [u64; 4] = [
     16_331_014_339_256_421_756,
 ];
 
-/// Logical CPUs on this host, printed as provenance next to the cells.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-}
-
 /// One cell's run.
 #[derive(Debug, Clone)]
 pub struct SpeedCell {
@@ -97,26 +86,12 @@ pub struct SpeedCell {
     pub workload: &'static str,
     /// Discrete events processed (queue pops / WQEs).
     pub events: u64,
-    /// Best-of-[`REPEATS`] wall-clock seconds for one run.
-    pub wall_secs: f64,
     /// Virtual time the run covered.
     pub virt: SimDuration,
     /// Order-sensitive digest of the run's virtual-time results.
     pub fingerprint: u64,
     /// What [`FINGERPRINTS`] says the digest must be.
     pub pinned: u64,
-}
-
-impl SpeedCell {
-    /// Events processed per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs
-    }
-
-    /// Wall-clock seconds burned per virtual second simulated.
-    pub fn wall_per_virtual_sec(&self) -> f64 {
-        self.wall_secs / self.virt.as_secs_f64()
-    }
 }
 
 /// Start value of a [`mix`] fold.
@@ -129,8 +104,8 @@ pub fn mix(h: u64, v: u64) -> u64 {
 }
 
 /// What one run of a cell yields: events, virtual time covered,
-/// fingerprint, wall seconds.
-type Once = (u64, SimDuration, u64, f64);
+/// fingerprint.
+type Once = (u64, SimDuration, u64);
 
 fn fig12_once(trace: &TraceHandle) -> Once {
     let config = ServerConfig { trace: trace.clone(), ..ServerConfig::default() };
@@ -145,9 +120,7 @@ fn fig12_once(trace: &TraceHandle) -> Once {
             FIG12_CLIENTS,
         )
     };
-    let wall = Instant::now();
     let out = run_closed_loop(&store.server, &mut store.ptrs, &spec);
-    let wall_secs = wall.elapsed().as_secs_f64();
     let results = [
         out.completed,
         out.reads,
@@ -156,12 +129,7 @@ fn fig12_once(trace: &TraceHandle) -> Once {
         out.corrections,
         out.median_read_us().to_bits(),
     ];
-    (
-        out.events,
-        FIG12_WARMUP + FIG12_DURATION,
-        results.into_iter().fold(FNV_OFFSET, mix),
-        wall_secs,
-    )
+    (out.events, FIG12_WARMUP + FIG12_DURATION, results.into_iter().fold(FNV_OFFSET, mix))
 }
 
 /// The batched cells' common run: `ops` uniform keys from [`SEED`] as
@@ -180,14 +148,12 @@ fn stream_once(
     let wqes0 = rnic.stats.wqes.load(Relaxed);
     let mut clock = SimTime::ZERO;
     let mut fp = FNV_OFFSET;
-    let wall = Instant::now();
     read_stream(clients, &store.ptrs, &keys, FIG13_BATCH_DEPTH, FIG13_SIZE, &mut clock, |batch| {
         fp = mix(fp, batch.done.as_nanos());
         each(&batch);
     });
-    let wall_secs = wall.elapsed().as_secs_f64();
     let events = rnic.stats.wqes.load(Relaxed) - wqes0;
-    (events, clock.saturating_since(SimTime::ZERO), fp, wall_secs)
+    (events, clock.saturating_since(SimTime::ZERO), fp)
 }
 
 fn fig13_once(ops: usize, trace: &TraceHandle) -> Once {
@@ -198,10 +164,10 @@ fn fig13_once(ops: usize, trace: &TraceHandle) -> Once {
 }
 
 fn fig21_once(ops: usize, trace: &TraceHandle) -> Once {
-    use corm_sim_rdma::{MuxQp, QosConfig};
+    use corm_sim_rdma::{MuxQp, QosConfig, RnicConfig};
     let config = ServerConfig {
         workers: 1,
-        qos: Some(QosConfig::default()),
+        rnic: RnicConfig { qos: Some(QosConfig::default()), ..RnicConfig::default() },
         trace: trace.clone(),
         ..ServerConfig::default()
     };
@@ -233,7 +199,7 @@ fn fig22_once(ops: usize, trace: &TraceHandle) -> Once {
 
     let mut client = CormClient::connect(server.clone());
     let turn = std::slice::from_mut(&mut client);
-    let (events, virt, mut fp, wall_secs) = stream_once(&store, turn, ops, |batch| {
+    let (events, virt, mut fp) = stream_once(&store, turn, ops, |batch| {
         for &k in batch.keys {
             server.note_access(&store.ptrs[k]);
         }
@@ -244,30 +210,25 @@ fn fig22_once(ops: usize, trace: &TraceHandle) -> Once {
     if let Some(t) = server.tiering() {
         fp = t.eviction_log().into_iter().fold(fp, mix);
     }
-    (events, virt, fp, wall_secs)
+    (events, virt, fp)
 }
 
-fn best_of(workload: &'static str, pinned: u64, run: impl Fn() -> Once) -> SpeedCell {
-    let mut best = run();
-    for _ in 1..REPEATS {
-        let r = run();
-        assert_eq!((r.0, r.1, r.2), (best.0, best.1, best.2), "same-seed repeats must agree");
-        if r.3 < best.3 {
-            best = r;
-        }
-    }
-    let (events, virt, fingerprint, wall_secs) = best;
-    SpeedCell { workload, events, wall_secs, virt, fingerprint, pinned }
-}
-
-/// Runs the four cells, best-of-[`REPEATS`] wall clock each.
+/// Runs the four cells, once each (the `*_replays_from_seed` tests hold
+/// repeats to agree).
 pub fn run_cells(trace: &TraceHandle) -> [SpeedCell; 4] {
+    let cell = |workload, (events, virt, fingerprint): Once, pinned| SpeedCell {
+        workload,
+        events,
+        virt,
+        fingerprint,
+        pinned,
+    };
     let [fig12, fig13, fig21, fig22] = FINGERPRINTS;
     [
-        best_of("fig12", fig12, || fig12_once(trace)),
-        best_of("fig13", fig13, || fig13_once(FIG13_OPS, trace)),
-        best_of("fig21", fig21, || fig21_once(FIG21_OPS, trace)),
-        best_of("fig22", fig22, || fig22_once(FIG22_OPS, trace)),
+        cell("fig12", fig12_once(trace), fig12),
+        cell("fig13", fig13_once(FIG13_OPS, trace), fig13),
+        cell("fig21", fig21_once(FIG21_OPS, trace), fig21),
+        cell("fig22", fig22_once(FIG22_OPS, trace), fig22),
     ]
 }
 
@@ -283,7 +244,7 @@ mod tests {
     fn simspeed_cells_are_deterministic_and_trace_diffable() {
         let run = || {
             let trace = TraceHandle::recording();
-            let (events, virt, fp, _) = fig13_once(512, &trace);
+            let (events, virt, fp) = fig13_once(512, &trace);
             (events, virt, fp, canonical_lines(&trace.drain()))
         };
         let (ea, va, fa, ta) = run();
@@ -296,10 +257,9 @@ mod tests {
     #[test]
     fn fig21_mux_cell_replays_from_seed() {
         let t = TraceHandle::disabled();
-        let (ea, va, fa, _) = fig21_once(512, &t);
-        let (eb, vb, fb, _) = fig21_once(512, &t);
-        assert_eq!((ea, va, fa), (eb, vb, fb), "mux-mode cell must replay from its seed");
-        assert_eq!(ea, 512, "every key becomes exactly one WQE");
+        let (a, b) = (fig21_once(512, &t), fig21_once(512, &t));
+        assert_eq!(a, b, "mux-mode cell must replay from its seed");
+        assert_eq!(a.0, 512, "every key becomes exactly one WQE");
     }
 
     /// The tiered pinless cell is seeded-deterministic end to end: costs,
@@ -307,19 +267,17 @@ mod tests {
     #[test]
     fn fig22_tiered_cell_replays_from_seed() {
         let t = TraceHandle::disabled();
-        let (ea, va, fa, _) = fig22_once(2048, &t);
-        let (eb, vb, fb, _) = fig22_once(2048, &t);
-        assert_eq!((ea, va, fa), (eb, vb, fb), "tiered cell must replay from its seed");
-        assert_eq!(ea, 2048, "every key becomes exactly one WQE");
+        let (a, b) = (fig22_once(2048, &t), fig22_once(2048, &t));
+        assert_eq!(a, b, "tiered cell must replay from its seed");
+        assert_eq!(a.0, 2048, "every key becomes exactly one WQE");
     }
 
     #[test]
     fn fig12_cell_replays_from_seed() {
         let t = TraceHandle::disabled();
-        let (ea, va, fa, _) = fig12_once(&t);
-        let (eb, vb, fb, _) = fig12_once(&t);
-        assert_eq!((ea, va, fa), (eb, vb, fb));
-        assert!(ea > 0, "closed loop must process events");
+        let (a, b) = (fig12_once(&t), fig12_once(&t));
+        assert_eq!(a, b);
+        assert!(a.0 > 0, "closed loop must process events");
     }
 
     /// [`read_stream`] allocates its pointer and payload buffers once; the

@@ -36,23 +36,19 @@ pub enum FixStrategy {
 pub struct ClientConfig {
     /// Recovery strategy for relocated objects.
     pub fix_strategy: FixStrategy,
-    /// Backoff between retries (§3.2.3: "the read is repeated after a
-    /// backoff period").
-    pub backoff: SimDuration,
     /// Seed for worker selection.
     pub seed: u64,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig {
-            fix_strategy: FixStrategy::ScanRead,
-            backoff: SimDuration::from_micros(5),
-            seed: 0xC11E,
-        }
+        ClientConfig { fix_strategy: FixStrategy::ScanRead, seed: 0xC11E }
     }
 }
 
+/// Backoff before a torn or locked read is repeated (§3.2.3: "the read is
+/// repeated after a backoff period").
+pub const READ_BACKOFF: SimDuration = SimDuration::from_micros(5);
 /// Attempts one read operation gets — first try included — before a torn,
 /// locked or moving object surfaces as an error.
 const MAX_ATTEMPTS: usize = 64;
@@ -287,7 +283,7 @@ impl CormClient {
     /// backoff before the next attempt.
     fn backoff(&mut self) {
         self.op.locked_last = true;
-        self.charge(Stage::Backoff, self.config.backoff);
+        self.charge(Stage::Backoff, READ_BACKOFF);
     }
 
     /// Whether an RDMA error is survivable by reconnecting the QP: the

@@ -286,7 +286,8 @@ impl CormServer {
         scratch: &mut Vec<u8>,
     ) -> Result<MergeStats, CormError> {
         let model = self.model();
-        // Lock both blocks in address order (the only two-block lock site).
+        // Lock both blocks in address order. Two block locks are only ever
+        // held together by the leader: here and in the planner's pair check.
         let (src_base, dst_base) = (src.lock().vaddr(), dst.lock().vaddr());
         assert_ne!(src_base, dst_base);
         let (mut s, mut d) = if src_base < dst_base {
@@ -310,9 +311,13 @@ impl CormServer {
         // Phase 1: lock every object under migration (§3.2.3), so
         // lock-free readers of the source observe invalid objects and back
         // off instead of reading half-copied state. One DMA session and
-        // the two blocks' own frame lists serve this phase and the next.
+        // the two blocks' own frame lists serve this phase and the next —
+        // the destination's as the copy phase 3 needs anyway, so that
+        // phase 2 can insert into the destination while its span is held.
         let dma = self.phys().dma();
-        let (s_span, d_span) = (block_span(&s)?, block_span(&d)?);
+        let dst_frames = d.frames().to_vec();
+        let s_span = block_span(src_base, s.frames())?;
+        let d_span = block_span(dst_base, &dst_frames)?;
         for &(_, slot) in &objects {
             let va = s.slot_vaddr(slot);
             let mut hdr = [0u8; HEADER_BYTES];
@@ -359,7 +364,6 @@ impl CormServer {
         // repairing the MTT per the §3.5 strategy. Every region keeps its
         // original r_key, so clients' pointers stay valid.
         let src_rkey = s.rkey().expect("collected blocks are registered");
-        let dst_frames = d.frames().to_vec();
         let (file, page) = s.phys_identity();
         let old_frames = s.frames().to_vec();
         let repointed = self.registry.demote_to_alias(src_base, dst_base, src_rkey, pages);

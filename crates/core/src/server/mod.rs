@@ -33,10 +33,10 @@ use corm_alloc::{
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
-    AddressSpace, DmaSession, FarTier, MemError, PageSpan, PhysicalMemory, Residency, TierConfig,
-    PAGE_SIZE,
+    AddressSpace, DmaSession, FarTier, FrameId, MemError, PageSpan, PhysicalMemory, Residency,
+    TierConfig, PAGE_SIZE,
 };
-use corm_sim_rdma::{LatencyModel, MttUpdateStrategy, QosConfig, RdmaError, Rnic, RnicConfig};
+use corm_sim_rdma::{LatencyModel, MttUpdateStrategy, RdmaError, Rnic, RnicConfig};
 use corm_trace::{Stage, TraceHandle, Track};
 
 use crate::consistency::{self, ReadFailure};
@@ -95,13 +95,6 @@ pub struct ServerConfig {
     /// target. The batch rides the primary target's transition, so alias
     /// targets stop paying the per-target `mmap + mtt_update` cost.
     pub batch_mtt_sync: bool,
-    /// QoS scheduling for the node: SLO-class/tenant weights applied to
-    /// the RNIC's batched-verb dispatch *and* to the threaded server's
-    /// per-worker RPC queues (deficit-weighted class selection). `None` —
-    /// the default — runs both uniformly (round-robin engines, equal class
-    /// shares). Propagated into the RNIC's config unless that config
-    /// carries its own `qos`.
-    pub qos: Option<QosConfig>,
     /// Pin budget: maximum DRAM-resident frames before the server starts
     /// spilling cold blocks to the far tier. `None` (the default) disables
     /// tiering entirely — residency is never consulted, no far tier is
@@ -135,7 +128,6 @@ impl Default for ServerConfig {
             compaction_lanes: 1,
             compaction_budget: None,
             batch_mtt_sync: false,
-            qos: None,
             pin_budget_frames: None,
             tier: None,
             seed: 0xC0_4D,
@@ -249,18 +241,18 @@ thread_local! {
 /// The address and pages of `slot` in the locked block `b`, translated
 /// through the block's own frame list — which the held block lock keeps in
 /// sync with the page table — instead of a page-table walk per access.
-fn slot_span(b: &Block, slot: u32) -> Result<(u64, PageSpan), CormError> {
+fn slot_span(b: &Block, slot: u32) -> Result<(u64, PageSpan<'_>), CormError> {
     let vaddr = b.slot_vaddr(slot);
     PageSpan::from_frames(vaddr, b.obj_size(), b.vaddr(), b.frames())
         .map(|span| (vaddr, span))
         .ok_or(CormError::BadPointer)
 }
 
-/// The pages of the whole locked block `b`, translated the same way: a
-/// merge touches every live slot of two blocks and builds one span each.
-fn block_span(b: &Block) -> Result<PageSpan, CormError> {
-    PageSpan::from_frames(b.vaddr(), b.len_bytes(), b.vaddr(), b.frames())
-        .ok_or(CormError::BadPointer)
+/// The pages of a whole locked block mapped at `base`, translated the same
+/// way: a merge touches every live slot of two blocks and builds one span
+/// each.
+fn block_span(base: u64, frames: &[FrameId]) -> Result<PageSpan<'_>, CormError> {
+    PageSpan::from_frames(base, frames.len() * PAGE_SIZE, base, frames).ok_or(CormError::BadPointer)
 }
 
 /// Reads the header of the slot a mutating handler is about to touch.
@@ -268,7 +260,7 @@ fn block_span(b: &Block) -> Result<PageSpan, CormError> {
 /// the block metadata until the remap lands — and the caller must back off
 /// and re-locate; an invalid slot is `ObjectNotFound`.
 fn live_header(
-    span: &PageSpan,
+    span: &PageSpan<'_>,
     dma: &DmaSession<'_>,
     slot_vaddr: u64,
     obj_id: u16,
@@ -324,9 +316,6 @@ impl CormServer {
         let mut rnic_config = config.rnic.clone();
         if !rnic_config.trace.is_enabled() {
             rnic_config.trace = config.trace.clone();
-        }
-        if rnic_config.qos.is_none() {
-            rnic_config.qos = config.qos.clone();
         }
         // A pin budget brings a far tier with it. The director and the RNIC
         // share one tier instance so NIC-side fetches and server-side

@@ -3,20 +3,21 @@
 //! The leader used to interleave pairing decisions with merge execution:
 //! one serial loop picked the next `(src, dst)` pair and immediately merged
 //! it. [`MergePlan::build`] lifts the *same greedy pairing* out into an
-//! up-front plan — [`corm_compact::greedy_pass`] over [`BlockModel`]s built
-//! from the candidates ([`corm_alloc::Block::to_model`]), so the planned
-//! sequence is byte-identical to what the old loop would have executed —
-//! and then partitions the merges into **disjoint lanes**:
+//! up-front plan — [`corm_compact::greedy_pass`], the one copy of the
+//! §3.1.4 loop, asking the candidates' own ID tables whether a pair is
+//! compatible, so the planned sequence is byte-identical to what the old
+//! loop would have executed — and then partitions the merges into
+//! **disjoint lanes**:
 //! merges that share no block (directly or transitively through a shared
 //! destination or a chain) land on different lanes and can overlap in
 //! virtual time, mirroring the RNIC's parallel processing units. With one
 //! lane the plan degenerates to the old serial schedule exactly.
 //!
-//! Planning itself is pure metadata work on snapshots (no data-plane
-//! access, no RNG draws) and is charged zero virtual time.
+//! Planning itself is pure metadata work (no data-plane access, no RNG
+//! draws) and is charged zero virtual time.
 
 use corm_alloc::process::SharedBlock;
-use corm_compact::{greedy_pass, BlockModel, ConflictRule};
+use corm_compact::greedy_pass;
 
 /// One planned merge: `src` is merged away into `dst` on lane `lane`.
 pub struct PlannedMerge {
@@ -52,13 +53,44 @@ impl MergePlan {
     /// under a pin budget): sources ascend from the front, destinations
     /// are tried from the back — and lays it out on `lanes` disjoint lanes.
     ///
-    /// A planned merge updates the destination's occupancy *model*, so
-    /// later compatibility checks see what the block will hold by then.
+    /// Nothing is merged while planning, so what a block *will* hold by
+    /// the time a pair is tried is kept beside the blocks: its live count
+    /// after the merges planned so far, and the chain of candidates whose
+    /// objects it will hold (itself, then the sources planned into it).
+    /// A pair is compatible when the counts fit the destination and no
+    /// block of one chain shares an ID with a block of the other — asked
+    /// of the blocks' own ID tables, two locked at a time. Handlers can
+    /// only free objects in collected blocks meanwhile, which keeps a
+    /// planned pair compatible.
     pub fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
         let lanes = lanes.max(1);
         let n = candidates.len();
-        let mut models: Vec<BlockModel> = candidates.iter().map(|b| b.lock().to_model()).collect();
-        let pass = greedy_pass(&mut models, ConflictRule::Ids);
+        let (mut live, slots): (Vec<usize>, Vec<usize>) = candidates
+            .iter()
+            .map(|b| {
+                let b = b.lock();
+                (b.live(), b.slots())
+            })
+            .unzip();
+        // The chains, as lists threaded through the candidate indices.
+        let mut next: Vec<Option<usize>> = vec![None; n];
+        let mut tail: Vec<usize> = (0..n).collect();
+        let pass = greedy_pass(n, |s, d| {
+            if live[s] + live[d] > slots[d] {
+                return false;
+            }
+            let chain = |head: usize| std::iter::successors(Some(head), |&i| next[i]);
+            let disjoint = chain(s).all(|x| {
+                let x = candidates[x].lock();
+                chain(d).all(|y| candidates[y].lock().corm_compactable(&x))
+            });
+            if disjoint {
+                live[d] += live[s];
+                next[tail[d]] = Some(s);
+                tail[d] = tail[s];
+            }
+            disjoint
+        });
 
         // Union-find over block indices: merges sharing any block
         // (transitively) must serialize on one lane.
@@ -230,6 +262,78 @@ mod tests {
             p.merges.iter().map(|m| (m.src.lock().vaddr(), m.dst.lock().vaddr())).collect()
         };
         assert_eq!(key(&baseline), key(&flat_plan));
+    }
+
+    /// `MergePlan::build` asks the blocks' own ID tables; the reference is
+    /// the same §3.1.4 loop over [`BlockModel`]s with their ID bitsets,
+    /// which is what the plan was built from before. Small ID space, so
+    /// shared IDs are common; live counts up to full.
+    #[test]
+    fn plan_matches_greedy_pass_over_block_models() {
+        use corm_compact::{greedy_pass, BlockModel};
+        use rand::Rng;
+
+        const SLOTS: u32 = 8; // 512-byte objects in the helper's one page
+        let mut rng = corm_sim_core::rng::root_rng(0x91A2);
+        let (mut merges, mut rejected_ids, mut funnelled) = (0, 0, 0);
+        for case in 0..400 {
+            let mut sets: Vec<Vec<(u32, u32)>> = (0..rng.gen_range(2..=10))
+                .map(|_| {
+                    let mut objects: Vec<(u32, u32)> = Vec::new();
+                    for _ in 0..rng.gen_range(1..=SLOTS) {
+                        let (id, slot) = (rng.gen_range(0..40), rng.gen_range(0..SLOTS));
+                        if objects.iter().all(|&(i, s)| i != id && s != slot) {
+                            objects.push((id, slot));
+                        }
+                    }
+                    objects
+                })
+                .collect();
+            sets.sort_by_key(|objects| objects.len());
+
+            let candidates: Vec<SharedBlock> =
+                sets.iter().enumerate().map(|(i, objects)| block(i as u32, objects)).collect();
+            let plan = MergePlan::build(&candidates, 1);
+            let index_of = |b: &SharedBlock| {
+                candidates.iter().position(|c| Arc::ptr_eq(c, b)).expect("a candidate")
+            };
+            let pairs: Vec<(usize, usize)> =
+                plan.merges.iter().map(|m| (index_of(&m.src), index_of(&m.dst))).collect();
+
+            let mut models: Vec<BlockModel> = sets
+                .iter()
+                .map(|objects| {
+                    let mut m = BlockModel::new(SLOTS as usize, 1 << 16);
+                    for &(id, slot) in objects {
+                        assert!(m.insert(id as usize, slot as usize));
+                    }
+                    m
+                })
+                .collect();
+            let reference = greedy_pass(models.len(), |s, d| {
+                let src = models[s].clone();
+                let ok = models[d].corm_compactable(&src);
+                if ok {
+                    models[d].merge_corm(&src);
+                } else if models[d].live() + src.live() <= SLOTS as usize {
+                    rejected_ids += 1;
+                }
+                ok
+            });
+
+            assert_eq!(pairs, reference.pairs, "case {case}: {sets:?}");
+            let survivors: Vec<usize> = (0..sets.len()).filter(|&i| !reference.gone[i]).collect();
+            assert_eq!(plan.survivors, survivors, "case {case}: {sets:?}");
+            merges += pairs.len();
+            funnelled += pairs.iter().filter(|&&(s, d)| pairs.contains(&(s + 1, d))).count();
+        }
+        // The cases reach what they are for: merges, pairs refused for a
+        // shared ID alone, and destinations that took several sources, so
+        // later checks ran against what was planned into them.
+        assert!(
+            merges > 400 && rejected_ids > 100 && funnelled > 50,
+            "{merges} merges, {rejected_ids} ID refusals, {funnelled} funnelled"
+        );
     }
 
     #[test]

@@ -6,21 +6,13 @@
 //! one-sided "NIC" readers (client threads calling into the simulated RNIC)
 //! genuinely race, so the consistency machinery is exercised for real.
 //!
-//! Each worker owns one queue *per traffic class*; clients spray requests
-//! round-robin across their class's queues, and a worker whose own queues
-//! run dry steals from its siblings before blocking. This keeps workers
-//! off a single shared channel lock (throughput scales with `workers`)
-//! without ever stranding a request behind a busy worker.
-//!
-//! When several classes have work queued at one worker, the worker picks
-//! by **deficit-weighted virtual time**: the non-empty class with the
-//! least `served_ns / weight` serves next, with weights from the node's
-//! [`QosConfig`] (`ServerConfig::qos`). A latency-only workload — every
-//! workload predating the classes — always finds exactly one non-empty
-//! class, so its serve order is the legacy order regardless of weights.
-//! Stealing is priority-aware: a worker steals only when *all* of its own
-//! queues are dry (so it is provably idle, never backlogged), and scans
-//! sibling queues latency class first.
+//! Each worker owns one queue; clients spray requests round-robin across
+//! the queues, and a worker whose own queue runs dry steals from its
+//! siblings before blocking. This keeps workers off a single shared
+//! channel lock (throughput scales with `workers`) without ever stranding
+//! a request behind a busy worker. RPCs carry no traffic class: the paper
+//! never arbitrates between them, and SLO-class arbitration between
+//! *verbs* lives in the RNIC's scheduler (DESIGN §13).
 //!
 //! Virtual time is kept by a shared Lamport-style clock that advances with
 //! each operation's cost, so `rereg_mr` busy windows behave sensibly even
@@ -33,7 +25,6 @@ use std::time::Duration;
 
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_rdma::rpc::{sharded_rpc_channel, Envelope, RpcClient, RpcQueue};
-use corm_sim_rdma::TrafficClass;
 use corm_trace::{Stage, Track};
 
 use crate::ptr::GlobalPtr;
@@ -116,15 +107,14 @@ pub enum Pacing {
 /// the pass never stalls behind an unbounded backlog.
 const YIELD_SERVE_BURST: usize = 32;
 
-/// Per-worker queue sets, one per traffic class: `queues[class][worker]`.
-type ClassedQueues = Vec<Arc<[RpcQueue<Request, Response>]>>;
+/// The workers' queues, indexed by worker.
+type Queues = Arc<[RpcQueue<Request, Response>]>;
 
 /// A running threaded CoRM node.
 pub struct ThreadedServer {
     server: Arc<CormServer>,
-    /// One spraying client per traffic class; index = `TrafficClass`.
-    clients: Vec<RpcClient<Request, Response>>,
-    queues: ClassedQueues,
+    client: RpcClient<Request, Response>,
+    queues: Queues,
     shutdown: Arc<AtomicBool>,
     clock_ns: Arc<AtomicU64>,
     handles: Vec<JoinHandle<u64>>,
@@ -132,7 +122,7 @@ pub struct ThreadedServer {
 
 impl ThreadedServer {
     /// Starts `config.workers` worker threads, each polling its own RPC
-    /// queues and stealing from siblings when idle.
+    /// queue and stealing from siblings when idle.
     pub fn start(server: Arc<CormServer>) -> Self {
         Self::start_with_pacing(server, Pacing::None)
     }
@@ -140,19 +130,8 @@ impl ThreadedServer {
     /// Starts the workers with an explicit [`Pacing`] mode.
     pub fn start_with_pacing(server: Arc<CormServer>, pacing: Pacing) -> Self {
         let workers = server.config().workers;
-        let mut clients = Vec::with_capacity(TrafficClass::COUNT);
-        let mut queues: ClassedQueues = Vec::with_capacity(TrafficClass::COUNT);
-        for _ in TrafficClass::ALL {
-            let (client, qs) = sharded_rpc_channel::<Request, Response>(workers);
-            clients.push(client);
-            queues.push(qs.into());
-        }
-        let weights = server
-            .config()
-            .qos
-            .as_ref()
-            .map(|q| q.class_weights.map(|w| w.max(1)))
-            .unwrap_or([1; TrafficClass::COUNT]);
+        let (client, queues) = sharded_rpc_channel::<Request, Response>(workers);
+        let queues: Queues = queues.into();
         let shutdown = Arc::new(AtomicBool::new(false));
         let clock_ns = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(workers);
@@ -162,24 +141,15 @@ impl ThreadedServer {
             let shutdown = shutdown.clone();
             let clock = clock_ns.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(w, server, queues, weights, shutdown, clock, pacing)
+                worker_loop(w, server, queues, shutdown, clock, pacing)
             }));
         }
-        ThreadedServer { server, clients, queues, shutdown, clock_ns, handles }
+        ThreadedServer { server, client, queues, shutdown, clock_ns, handles }
     }
 
-    /// A handle clients use to issue RPCs. Requests ride the latency
-    /// class — the semantics every caller predating traffic classes gets.
+    /// A handle clients use to issue RPCs.
     pub fn rpc_client(&self) -> RpcClient<Request, Response> {
-        self.clients[TrafficClass::Latency.index()].clone()
-    }
-
-    /// A handle issuing RPCs under an explicit traffic class: bulk-scan
-    /// tenants and compaction MTT-sync traffic tag themselves so the
-    /// deficit-weighted worker schedule can keep them from crowding out
-    /// latency-sensitive gets.
-    pub fn rpc_client_class(&self, class: TrafficClass) -> RpcClient<Request, Response> {
-        self.clients[class.index()].clone()
+        self.client.clone()
     }
 
     /// The underlying server (for DirectReads via its RNIC and for
@@ -216,21 +186,10 @@ impl ThreadedServer {
                 clock.fetch_add(chunk.as_nanos(), Ordering::Relaxed);
                 advanced += chunk;
                 for _ in 0..YIELD_SERVE_BURST {
-                    // Latency-class work drains first at a yield: the
-                    // pause-bounded pass exists to bound exactly that
-                    // class's wait.
-                    let Some(envelope) = TrafficClass::ALL
-                        .iter()
-                        .find_map(|c| queues[c.index()].iter().find_map(|q| q.try_poll()))
-                    else {
+                    let Some(envelope) = queues.iter().find_map(|q| q.try_poll()) else {
                         break;
                     };
-                    server
-                        .trace()
-                        .wall_ns(Stage::RpcQueueWait, envelope.queue_wait().as_nanos() as u64);
-                    let (request, reply) = envelope.into_parts();
-                    let (response, _cost) = serve(0, server, clock, request);
-                    reply.send(response);
+                    serve(0, server, clock, Pacing::None, envelope);
                 }
             };
             server.compact_class_with(class, start, &mut on_yield)?
@@ -249,186 +208,101 @@ impl ThreadedServer {
     /// Drop all clones before (or treat timeouts as disconnection).
     pub fn shutdown(self) -> Vec<u64> {
         self.shutdown.store(true, Ordering::Relaxed);
-        drop(self.clients);
+        drop(self.client);
         self.handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     }
-}
-
-/// Among this worker's own class queues with work, the one owed service:
-/// minimal `served_ns / weight`, compared exactly by cross-multiplication,
-/// ties to the higher-priority (lower-index) class. `None` when all own
-/// queues are dry.
-fn pick_class(
-    queues: &ClassedQueues,
-    home: usize,
-    served_ns: &[u64; TrafficClass::COUNT],
-    weights: &[u64; TrafficClass::COUNT],
-) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for c in 0..TrafficClass::COUNT {
-        if queues[c][home].is_empty() {
-            continue;
-        }
-        best = Some(match best {
-            None => c,
-            Some(b) => {
-                // served_ns[c]/weights[c] < served_ns[b]/weights[b] ?
-                if (served_ns[c] as u128) * (weights[b] as u128)
-                    < (served_ns[b] as u128) * (weights[c] as u128)
-                {
-                    c
-                } else {
-                    b
-                }
-            }
-        });
-    }
-    best
 }
 
 fn worker_loop(
     worker: usize,
     server: Arc<CormServer>,
-    queues: ClassedQueues,
-    weights: [u64; TrafficClass::COUNT],
+    queues: Queues,
     shutdown: Arc<AtomicBool>,
     clock: Arc<AtomicU64>,
     pacing: Pacing,
 ) -> u64 {
-    let n = queues[0].len();
-    let home = worker % n;
+    let n = queues.len();
     let mut served = 0u64;
-    // Virtual service time this worker has granted each class — the
-    // deficit-weighted schedule's state.
-    let mut served_ns = [0u64; TrafficClass::COUNT];
-    let handle = |envelope: Envelope<Request, Response>| {
-        // Queue wait is host-scheduling time with no virtual meaning: it
-        // feeds the secondary (wall) aggregate only, never the event stream.
-        server.trace().wall_ns(Stage::RpcQueueWait, envelope.queue_wait().as_nanos() as u64);
-        let (request, reply) = envelope.into_parts();
-        let (response, cost) = serve(worker, &server, &clock, request);
-        if let Pacing::Virtual = pacing {
-            // Model this worker as a real service station: it stays
-            // occupied for the op's virtual cost before the reply goes
-            // out, so wall-clock throughput reflects overlapped worker
-            // occupancy rather than host scheduling artifacts.
-            if cost > SimDuration::ZERO {
-                std::thread::sleep(Duration::from_nanos(cost.as_nanos()));
-            }
-        }
-        reply.send(response);
-        cost
+    let mut handle = |envelope| {
+        serve(worker, &server, &clock, pacing, envelope);
+        served += 1;
     };
+    let steal = |from: usize| (from..n).find_map(|k| queues[(worker + k) % n].try_poll());
     while !shutdown.load(Ordering::Relaxed) {
-        // Own queues first, deficit-weighted across classes; steal from
-        // siblings only when every own queue is dry.
-        if let Some(c) = pick_class(&queues, home, &served_ns, &weights) {
-            if let Some(envelope) = queues[c][home].try_poll() {
-                // Charge at least 1ns so zero-cost error replies still
-                // rotate the schedule instead of pinning their class.
-                served_ns[c] += handle(envelope).as_nanos().max(1);
-                served += 1;
-            }
-            // A dry poll means a sibling stole the entry between the
-            // emptiness check and the poll; re-evaluate either way.
-            continue;
-        }
-        // All own queues dry, so this worker is provably idle — stealing
-        // latency-class work can never pull it into a backlog. Scan
-        // latency first so the highest-priority class migrates first.
-        let stolen = TrafficClass::ALL.iter().find_map(|class| {
-            let c = class.index();
-            (1..n).find_map(|k| queues[c][(home + k) % n].try_poll().map(|e| (c, e)))
-        });
-        if let Some((c, envelope)) = stolen {
-            server.trace().count(Stage::QosSteal);
-            served_ns[c] += handle(envelope).as_nanos().max(1);
-            served += 1;
-            continue;
-        }
-        // Block briefly on the home latency queue so an idle fleet parks
-        // on its own condvars instead of spinning. Bulk and sync arrivals
-        // at a fully idle node are picked up within the poll timeout by
-        // the next loop iteration.
-        let c = TrafficClass::Latency.index();
-        if let Some(envelope) = queues[c][home].poll(Duration::from_millis(5)) {
-            served_ns[c] += handle(envelope).as_nanos().max(1);
-            served += 1;
+        // Own queue first; a worker steals only when it is dry, so it is
+        // provably idle and stealing can never pull it into a backlog.
+        if let Some(envelope) = queues[worker].try_poll() {
+            handle(envelope);
+        } else if let Some(envelope) = steal(1) {
+            server.trace().count(Stage::RpcSteal);
+            handle(envelope);
+        } else if let Some(envelope) = queues[worker].poll(Duration::from_millis(5)) {
+            // Blocked briefly on the own queue, so an idle fleet parks on
+            // its condvars instead of spinning.
+            handle(envelope);
         }
     }
-    // Drain every queue (all classes, latency first) so no accepted
-    // request loses its reply on shutdown, even if its home worker
-    // already exited.
-    loop {
-        let mut drained = false;
-        for class in TrafficClass::ALL {
-            let c = class.index();
-            for k in 0..n {
-                while let Some(envelope) = queues[c][(home + k) % n].try_poll() {
-                    handle(envelope);
-                    served += 1;
-                    drained = true;
-                }
-            }
-        }
-        if !drained {
-            break;
-        }
+    // Drain every queue so no accepted request loses its reply on
+    // shutdown, even if its home worker already exited.
+    while let Some(envelope) = steal(0) {
+        handle(envelope);
     }
     served
 }
 
-/// Serves one request, advancing the shared virtual clock by the op's
-/// cost. Returns the response and that cost (so a paced worker can model
-/// its occupancy).
+/// Serves one queued request as `worker`: runs its handler, advances the
+/// shared virtual clock by the op's cost, and sends the reply.
 fn serve(
     worker: usize,
     server: &CormServer,
     clock: &AtomicU64,
-    request: Request,
-) -> (Response, SimDuration) {
-    let advance = |cost: SimDuration| {
-        // fetch_add returns the clock *before* this op, which is exactly
-        // the span's start on the worker's Lamport timeline.
-        let before = clock.fetch_add(cost.as_nanos(), Ordering::Relaxed);
-        server.trace().span(
-            Track::Worker(worker as u32),
-            Stage::WorkerServe,
-            0,
-            SimTime::from_nanos(before),
-            cost,
-        );
-        cost
-    };
-    match request {
-        Request::Alloc { len } => match server.alloc(worker, len) {
-            Ok(t) => (Response::Ptr(t.value), advance(t.cost)),
-            Err(e) => (Response::Err(e), SimDuration::ZERO),
-        },
-        Request::Free { mut ptr } => match server.free(worker, &mut ptr) {
-            Ok(t) => (Response::Done(ptr), advance(t.cost)),
-            Err(e) => (Response::Err(e), SimDuration::ZERO),
-        },
+    pacing: Pacing,
+    envelope: Envelope<Request, Response>,
+) {
+    // Queue wait is host-scheduling time with no virtual meaning: it
+    // feeds the secondary (wall) aggregate only, never the event stream.
+    server.trace().wall_ns(Stage::RpcQueueWait, envelope.queue_wait().as_nanos() as u64);
+    let (request, reply) = envelope.into_parts();
+    let served = match request {
+        Request::Alloc { len } => {
+            server.alloc(worker, len).map(|t| (Response::Ptr(t.value), t.cost))
+        }
+        Request::Free { mut ptr } => {
+            server.free(worker, &mut ptr).map(|t| (Response::Done(ptr), t.cost))
+        }
         Request::Read { mut ptr, len } => {
             let mut buf = vec![0u8; len];
-            match server.read(worker, &mut ptr, &mut buf) {
-                Ok(t) => {
-                    let cost = advance(t.cost);
-                    buf.truncate(t.value);
-                    (Response::Data { ptr, data: buf }, cost)
-                }
-                Err(e) => (Response::Err(e), SimDuration::ZERO),
-            }
+            server.read(worker, &mut ptr, &mut buf).map(|t| {
+                buf.truncate(t.value);
+                (Response::Data { ptr, data: buf }, t.cost)
+            })
         }
-        Request::Write { mut ptr, data } => match server.write(worker, &mut ptr, &data) {
-            Ok(t) => (Response::Done(ptr), advance(t.cost)),
-            Err(e) => (Response::Err(e), SimDuration::ZERO),
-        },
-        Request::ReleasePtr { mut ptr } => match server.release_ptr(worker, &mut ptr) {
-            Ok(t) => (Response::Ptr(t.value), advance(t.cost)),
-            Err(e) => (Response::Err(e), SimDuration::ZERO),
-        },
-    }
+        Request::Write { mut ptr, data } => {
+            server.write(worker, &mut ptr, &data).map(|t| (Response::Done(ptr), t.cost))
+        }
+        Request::ReleasePtr { mut ptr } => {
+            server.release_ptr(worker, &mut ptr).map(|t| (Response::Ptr(t.value), t.cost))
+        }
+    };
+    let response = match served {
+        Ok((response, cost)) => {
+            // fetch_add returns the clock *before* this op, which is exactly
+            // the span's start on the worker's Lamport timeline.
+            let before = clock.fetch_add(cost.as_nanos(), Ordering::Relaxed);
+            let start = SimTime::from_nanos(before);
+            server.trace().span(Track::Worker(worker as u32), Stage::WorkerServe, 0, start, cost);
+            if pacing == Pacing::Virtual && cost > SimDuration::ZERO {
+                // Model this worker as a real service station: it stays
+                // occupied for the op's virtual cost before the reply goes
+                // out, so wall-clock throughput reflects overlapped worker
+                // occupancy rather than host scheduling artifacts.
+                std::thread::sleep(Duration::from_nanos(cost.as_nanos()));
+            }
+            response
+        }
+        Err(e) => Response::Err(e),
+    };
+    reply.send(response);
 }
 
 #[cfg(test)]
@@ -558,58 +432,57 @@ mod tests {
     }
 
     #[test]
-    fn classed_clients_all_complete_under_one_worker() {
-        // One worker, all three classes live at once: the deficit-weighted
-        // schedule must stay work-conserving (every request served exactly
-        // once) no matter how the weights skew the interleaving.
+    fn dry_worker_steals_from_a_sibling_and_shutdown_drains_every_queue() {
+        // Two queues, and at most one worker alive at a time, so which
+        // worker serves what is forced, not scheduled.
+        let trace = corm_trace::TraceHandle::recording();
         let server = Arc::new(CormServer::new(ServerConfig {
-            workers: 1,
-            qos: Some(corm_sim_rdma::QosConfig::default()),
+            workers: 2,
+            trace: trace.clone(),
             ..ServerConfig::default()
         }));
-        let ts = ThreadedServer::start(server);
-        let mut threads = Vec::new();
-        for class in
-            [TrafficClass::Bulk, TrafficClass::Bulk, TrafficClass::Sync, TrafficClass::Latency]
-        {
-            let client = ts.rpc_client_class(class);
-            threads.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    match client.call(Request::Alloc { len: 16 }).unwrap() {
-                        Response::Ptr(_) => {}
-                        other => panic!("{other:?}"),
-                    }
-                }
-            }));
-        }
-        for t in threads {
-            t.join().unwrap();
-        }
-        let served: u64 = ts.shutdown().iter().sum();
-        assert_eq!(served, 200);
-    }
-
-    #[test]
-    fn bulk_and_sync_classes_round_trip_without_qos_config() {
-        // Classed clients work on a node with no QoS config at all: the
-        // schedule falls back to equal weights.
-        let ts = start();
-        let bulk = ts.rpc_client_class(TrafficClass::Bulk);
-        let ptr = match bulk.call(Request::Alloc { len: 24 }).unwrap() {
-            Response::Ptr(p) => p,
-            other => panic!("{other:?}"),
+        let (client, queues) = sharded_rpc_channel::<Request, Response>(2);
+        let queues: Queues = queues.into();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let clock = Arc::new(AtomicU64::new(0));
+        let worker0 = {
+            let (server, queues, shutdown, clock) =
+                (server.clone(), queues.clone(), shutdown.clone(), clock.clone());
+            std::thread::spawn(move || {
+                worker_loop(0, server, queues, shutdown, clock, Pacing::None)
+            })
         };
-        let sync = ts.rpc_client_class(TrafficClass::Sync);
-        match sync.call(Request::Write { ptr, data: b"classed".to_vec() }).unwrap() {
-            Response::Done(_) => {}
-            other => panic!("{other:?}"),
+        // The client rotates 0, 1, 0, 1: every second call parks on queue
+        // 1, whose worker does not exist. Worker 0 can only reach it by
+        // stealing, and the caller is synchronous, so its own queue is dry
+        // whenever it does.
+        for _ in 0..4 {
+            match client.call(Request::Alloc { len: 16 }).unwrap() {
+                Response::Ptr(_) => {}
+                other => panic!("{other:?}"),
+            }
         }
-        match bulk.call(Request::Read { ptr, len: 7 }).unwrap() {
-            Response::Data { data, .. } => assert_eq!(&data, b"classed"),
-            other => panic!("{other:?}"),
+        assert_eq!(trace.counter(Stage::RpcSteal), 2);
+        shutdown.store(true, Ordering::Relaxed);
+        assert_eq!(worker0.join().unwrap(), 4);
+
+        // No worker is left: four blocked callers park two requests on
+        // each queue. A worker that starts after `shutdown` was raised
+        // skips its serving loop, so only the drain can answer them.
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                let client = client.clone();
+                std::thread::spawn(move || client.call(Request::Alloc { len: 16 }))
+            })
+            .collect();
+        while queues.iter().map(|q| q.len()).sum::<usize>() < 4 {
+            std::thread::yield_now();
         }
-        let served: u64 = ts.shutdown().iter().sum();
-        assert_eq!(served, 3);
+        assert_eq!((queues[0].len(), queues[1].len()), (2, 2));
+        assert_eq!(worker_loop(1, server, queues, shutdown, clock, Pacing::None), 4);
+        for caller in callers {
+            assert!(matches!(caller.join().unwrap(), Ok(Response::Ptr(_))));
+        }
     }
 
     #[test]

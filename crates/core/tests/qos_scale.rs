@@ -51,8 +51,7 @@ fn faulty_config(trace: TraceHandle, qos: Option<QosConfig>) -> ServerConfig {
         ..FaultConfig::default()
     };
     ServerConfig {
-        rnic: RnicConfig { faults: Some(faults), ..RnicConfig::default() },
-        qos,
+        rnic: RnicConfig { faults: Some(faults), qos, ..RnicConfig::default() },
         trace,
         ..ServerConfig::default()
     }

@@ -9,14 +9,12 @@
 //! - its *occupancy metadata* — one dense slot→ID array and the ID→slot
 //!   hash table the paper keeps "for fast pointer correction" (§3.1.4).
 //!   Everything else (live count, lowest free slot, compactability) is
-//!   derived from those two; a [`BlockModel`] with its ID bitset is built
-//!   only on demand, for merge planning.
+//!   derived from those two, merge planning included.
 
 use std::sync::Arc;
 
 use rand::Rng;
 
-use corm_compact::BlockModel;
 use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::prefetch_read;
 use corm_sim_mem::{FileId, FrameId};
@@ -154,13 +152,6 @@ impl Block {
         &self.frames
     }
 
-    /// Replaces the backing frames (after the server remaps the vaddr onto
-    /// a destination block during compaction).
-    pub fn set_frames(&mut self, frames: Vec<FrameId>) {
-        assert_eq!(frames.len(), self.pages);
-        self.frames = frames;
-    }
-
     /// Total object slots.
     pub fn slots(&self) -> usize {
         self.slot_id.len()
@@ -184,16 +175,6 @@ impl Block {
     /// Whether every slot is taken.
     pub fn is_full(&self) -> bool {
         self.first_free as usize == self.slots()
-    }
-
-    /// The occupancy as a [`BlockModel`] — the ID and offset bitsets merge
-    /// planning runs its conflict checks on. Built afresh on every call.
-    pub fn to_model(&self) -> BlockModel {
-        let mut model = BlockModel::new(self.slots(), self.id_space);
-        for (id, slot) in self.live_objects() {
-            model.insert(id as usize, slot as usize);
-        }
-        model
     }
 
     /// Registered RDMA keys, if any.

@@ -46,21 +46,18 @@ pub struct GreedyPass {
     pub pairs: Vec<(usize, usize)>,
     /// Per block, whether it was merged away as a source.
     pub gone: Vec<bool>,
-    /// Objects relocated to a new offset (their pointers become indirect).
-    pub objects_moved: usize,
     /// Candidate pairs tested.
     pub pairs_tested: usize,
 }
 
-/// The greedy pass itself, over `blocks` in ascending-live order: each block
-/// in turn is tried as a source against every surviving block from the
-/// most-occupied end (best fit), and on the first compatible one is merged
-/// into that destination's model, so later checks see the merged occupancy.
-/// A merged-away source keeps its model as it was.
-pub fn greedy_pass(blocks: &mut [BlockModel], rule: ConflictRule) -> GreedyPass {
-    let n = blocks.len();
-    let mut pass =
-        GreedyPass { pairs: Vec::new(), gone: vec![false; n], objects_moved: 0, pairs_tested: 0 };
+/// The greedy pass itself, over `n` blocks in ascending-live order: each
+/// block in turn is tried as a source against every surviving block from
+/// the most-occupied end (best fit), and merged into the first one that
+/// takes it. `try_merge(src, dst)` owns the occupancy: it answers whether
+/// `dst` as it stands *after the merges already granted* can take `src`,
+/// and if so records the merge, so later calls see the merged occupancy.
+pub fn greedy_pass(n: usize, mut try_merge: impl FnMut(usize, usize) -> bool) -> GreedyPass {
+    let mut pass = GreedyPass { pairs: Vec::new(), gone: vec![false; n], pairs_tested: 0 };
     for s in 0..n {
         // The source itself sits at `s`; everything after it is ≥ its
         // occupancy.
@@ -68,23 +65,8 @@ pub fn greedy_pass(blocks: &mut [BlockModel], rule: ConflictRule) -> GreedyPass 
             if d == s || pass.gone[d] {
                 continue;
             }
-            let (src, dst) = if s < d {
-                let (lo, hi) = blocks.split_at_mut(d);
-                (&lo[s], &mut hi[0])
-            } else {
-                let (lo, hi) = blocks.split_at_mut(s);
-                (&hi[0], &mut lo[d])
-            };
             pass.pairs_tested += 1;
-            let ok = match rule {
-                ConflictRule::Offsets => dst.mesh_compactable(src),
-                ConflictRule::Ids => dst.corm_compactable(src),
-            };
-            if ok {
-                match rule {
-                    ConflictRule::Offsets => dst.merge_mesh(src),
-                    ConflictRule::Ids => pass.objects_moved += dst.merge_corm(src),
-                }
+            if try_merge(s, d) {
                 pass.gone[s] = true;
                 pass.pairs.push((s, d));
                 break;
@@ -101,13 +83,34 @@ pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> Compaction
     let mut live: Vec<BlockModel> = blocks.into_iter().filter(|b| !b.is_empty()).collect();
     // Ascending occupancy: least-utilized blocks are tried as sources first.
     live.sort_by_key(|b| b.live());
-    let pass = greedy_pass(&mut live, rule);
+    let mut objects_moved = 0;
+    // A merged-away source keeps its model as it was.
+    let pass = greedy_pass(live.len(), |s, d| {
+        let (src, dst) = if s < d {
+            let (lo, hi) = live.split_at_mut(d);
+            (&lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = live.split_at_mut(s);
+            (&hi[0], &mut lo[d])
+        };
+        let ok = match rule {
+            ConflictRule::Offsets => dst.mesh_compactable(src),
+            ConflictRule::Ids => dst.corm_compactable(src),
+        };
+        if ok {
+            match rule {
+                ConflictRule::Offsets => dst.merge_mesh(src),
+                ConflictRule::Ids => objects_moved += dst.merge_corm(src),
+            }
+        }
+        ok
+    });
     let blocks: Vec<BlockModel> =
         live.into_iter().zip(&pass.gone).filter(|&(_, &gone)| !gone).map(|(b, _)| b).collect();
     CompactionOutcome {
         blocks_freed: before - blocks.len(),
         merges: pass.pairs.len(),
-        objects_moved: pass.objects_moved,
+        objects_moved,
         pairs_tested: pass.pairs_tested,
         blocks,
     }

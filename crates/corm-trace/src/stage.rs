@@ -77,12 +77,12 @@ pub enum Stage {
     CompactionPlan,
     /// A pause-bounded pass yielding so queued RPCs can interleave.
     CompactionYield,
-    /// Scheduler-imposed wait: a WQE or RPC held back by its traffic
-    /// class's share while other classes used the capacity.
+    /// Scheduler-imposed wait: a WQE held back by its traffic class's
+    /// share while other classes used the RNIC's capacity.
     QosClassWait,
-    /// A worker stealing queued work from a sibling's class queue
-    /// (counter; stealing itself is free).
-    QosSteal,
+    /// A worker whose own queue is dry stealing a queued RPC from a
+    /// sibling's queue (counter; stealing itself is free).
+    RpcSteal,
     /// One page spilled out of DRAM to the far tier (duration = transfer
     /// completion including channel queueing).
     TierSpill,
@@ -128,7 +128,7 @@ impl Stage {
         Stage::CompactionPlan,
         Stage::CompactionYield,
         Stage::QosClassWait,
-        Stage::QosSteal,
+        Stage::RpcSteal,
         Stage::TierSpill,
         Stage::TierFetch,
         Stage::DynamicPin,
@@ -170,7 +170,7 @@ impl Stage {
             Stage::CompactionPlan => "compaction_plan",
             Stage::CompactionYield => "compaction_yield",
             Stage::QosClassWait => "qos_class_wait",
-            Stage::QosSteal => "qos_steal",
+            Stage::RpcSteal => "rpc_steal",
             Stage::TierSpill => "tier_spill",
             Stage::TierFetch => "tier_fetch",
             Stage::DynamicPin => "dynamic_pin",

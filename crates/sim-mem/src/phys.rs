@@ -406,11 +406,6 @@ impl PhysicalMemory {
         self.live.load(Ordering::Relaxed) as usize
     }
 
-    /// Live frames expressed in bytes.
-    pub fn live_bytes(&self) -> usize {
-        self.live_frames() * PAGE_SIZE
-    }
-
     /// High-water mark of live frames.
     pub fn peak_frames(&self) -> usize {
         self.peak.load(Ordering::Relaxed) as usize

@@ -20,79 +20,41 @@ use parking_lot::RwLock;
 use crate::paged::PagedTable;
 use crate::phys::{DmaSession, FrameId, MemError, PhysicalMemory, PAGE_SIZE};
 
-/// Pages a [`PageSpan`] holds inline before spilling to the heap. Slot- and
-/// header-sized spans (the hot RPC paths) always fit; only block-sized
-/// spans spill.
-const SPAN_INLINE_PAGES: usize = 8;
-
-/// A resolved run of contiguous virtual pages: the frames backing
-/// `[va, va + len)`, captured in one page-table pass by
-/// [`AddressSpace::resolve_span`].
+/// A window `[va, va + len)` onto a run of contiguous virtual pages whose
+/// backing frames the caller already holds: `frames[i]` backs the page at
+/// `base_va + i * PAGE_SIZE`. The span borrows that list, so it lives no
+/// longer than whatever keeps the list in sync with the page table (a CoRM
+/// block's lock, for the block's own frame list).
 ///
 /// Reads and writes through the span cost zero translations; they bounds-
-/// check against the resolved range and go straight to physical frames
-/// through a caller-held [`DmaSession`].
-#[derive(Debug)]
-pub struct PageSpan {
+/// check against the window and go straight to physical frames through a
+/// caller-held [`DmaSession`].
+#[derive(Debug, Clone, Copy)]
+pub struct PageSpan<'a> {
     va: u64,
     len: usize,
-    first_vpn: u64,
-    n_pages: usize,
-    inline: [FrameId; SPAN_INLINE_PAGES],
-    spill: Vec<FrameId>,
+    base_va: u64,
+    frames: &'a [FrameId],
 }
 
-impl PageSpan {
-    /// Builds a span directly from a contiguous region's backing frames,
-    /// bypassing the page table: `frames[i]` backs the page at `base_va +
-    /// i * PAGE_SIZE`. For callers that already hold an authoritative
-    /// frame list kept in sync with the table under their own lock (e.g.
-    /// a CoRM block under its block lock), this turns per-access
-    /// translation into slice indexing. Returns `None` when `[va, va +
-    /// len)` is not covered by the frames, or `base_va` is not
-    /// page-aligned.
+impl<'a> PageSpan<'a> {
+    /// A span over `[va, va + len)` of the region `frames` backs from
+    /// `base_va` on. Returns `None` when the frames do not cover the
+    /// window, or `base_va` is not page-aligned.
     #[inline]
-    pub fn from_frames(va: u64, len: usize, base_va: u64, frames: &[FrameId]) -> Option<PageSpan> {
+    pub fn from_frames(
+        va: u64,
+        len: usize,
+        base_va: u64,
+        frames: &'a [FrameId],
+    ) -> Option<PageSpan<'a>> {
         if !base_va.is_multiple_of(PAGE_SIZE as u64)
             || va < base_va
             || va + len as u64 > base_va + (frames.len() * PAGE_SIZE) as u64
         {
             return None;
         }
-        let first_vpn = va / PAGE_SIZE as u64;
-        let last_vpn = (va + len.max(1) as u64 - 1) / PAGE_SIZE as u64;
-        let n_pages = (last_vpn - first_vpn + 1) as usize;
-        let skip = (first_vpn - base_va / PAGE_SIZE as u64) as usize;
-        let src = &frames[skip..skip + n_pages];
-        let mut inline = [FrameId(0); SPAN_INLINE_PAGES];
-        let mut spill = Vec::new();
-        if n_pages <= SPAN_INLINE_PAGES {
-            inline[..n_pages].copy_from_slice(src);
-        } else {
-            spill.extend_from_slice(src);
-        }
-        Some(PageSpan { va, len, first_vpn, n_pages, inline, spill })
-    }
-
-    #[inline]
-    fn frames(&self) -> &[FrameId] {
-        if self.n_pages <= SPAN_INLINE_PAGES {
-            &self.inline[..self.n_pages]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// The frame backing one page of the span, by span-relative index.
-    #[inline]
-    pub fn frame(&self, page: usize) -> FrameId {
-        self.frames()[page]
-    }
-
-    /// Number of pages resolved.
-    #[inline]
-    pub fn pages(&self) -> usize {
-        self.n_pages
+        Some(PageSpan { va, len, base_va, frames })
     }
 
     #[inline]
@@ -108,13 +70,12 @@ impl PageSpan {
     #[inline]
     pub fn read(&self, dma: &DmaSession<'_>, va: u64, buf: &mut [u8]) -> Result<(), MemError> {
         self.check(va, buf.len())?;
-        let frames = self.frames();
         let mut done = 0;
         let mut addr = va;
         while done < buf.len() {
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(buf.len() - done);
-            let frame = frames[(addr / PAGE_SIZE as u64 - self.first_vpn) as usize];
+            let frame = self.frames[((addr - self.base_va) / PAGE_SIZE as u64) as usize];
             dma.read(frame, off, &mut buf[done..done + n])?;
             done += n;
             addr += n as u64;
@@ -127,13 +88,12 @@ impl PageSpan {
     #[inline]
     pub fn write(&self, dma: &DmaSession<'_>, va: u64, data: &[u8]) -> Result<(), MemError> {
         self.check(va, data.len())?;
-        let frames = self.frames();
         let mut done = 0;
         let mut addr = va;
         while done < data.len() {
             let off = (addr % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - off).min(data.len() - done);
-            let frame = frames[(addr / PAGE_SIZE as u64 - self.first_vpn) as usize];
+            let frame = self.frames[((addr - self.base_va) / PAGE_SIZE as u64) as usize];
             dma.write(frame, off, &data[done..done + n])?;
             done += n;
             addr += n as u64;
@@ -364,7 +324,8 @@ impl AddressSpace {
             };
             return self.phys.read(frame, (va % PAGE_SIZE as u64) as usize, buf);
         }
-        let span = self.resolve_span(va, buf.len())?;
+        let (base, frames) = self.resolve_pages(va, buf.len())?;
+        let span = PageSpan::from_frames(va, buf.len(), base, &frames).expect("pages resolved");
         span.read(&self.phys.dma(), va, buf)
     }
 
@@ -386,50 +347,29 @@ impl AddressSpace {
             };
             return self.phys.write(frame, (va % PAGE_SIZE as u64) as usize, buf);
         }
-        let span = self.resolve_span(va, buf.len())?;
+        let (base, frames) = self.resolve_pages(va, buf.len())?;
+        let span = PageSpan::from_frames(va, buf.len(), base, &frames).expect("pages resolved");
         span.write(&self.phys.dma(), va, buf)
     }
 
-    /// Resolves every page backing `[va, va + len)` in one page-table lock
-    /// acquisition. The returned [`PageSpan`] serves repeated reads and
-    /// writes anywhere inside the range with zero further translations —
-    /// the server's RPC handlers resolve a slot's span once per operation
-    /// instead of re-walking the table for each of their header/payload
-    /// accesses.
-    ///
-    /// The span snapshots the translation: a concurrent [`remap`] of these
-    /// pages is not observed, exactly like the stale-MTT hazard the RNIC
-    /// models. Callers already serialize CPU slot access against remaps via
-    /// block locks, so the snapshot is safe where it is used.
-    ///
-    /// [`remap`]: AddressSpace::remap
-    pub fn resolve_span(&self, va: u64, len: usize) -> Result<PageSpan, MemError> {
-        let first_vpn = Self::page_of(va);
-        let last_vpn = Self::page_of(va + len.max(1) as u64 - 1);
-        let n_pages = (last_vpn - first_vpn + 1) as usize;
-        let mut span = PageSpan {
-            va,
-            len,
-            first_vpn,
-            n_pages,
-            inline: [FrameId(0); SPAN_INLINE_PAGES],
-            spill: Vec::new(),
-        };
-        if n_pages > SPAN_INLINE_PAGES {
-            span.spill.resize(n_pages, FrameId(0));
-        }
-        {
-            let table = self.table.read();
-            let frames =
-                if n_pages <= SPAN_INLINE_PAGES { &mut span.inline[..] } else { &mut span.spill };
-            for (i, vpn) in (first_vpn..=last_vpn).enumerate() {
-                // Report the same address the per-page walk used to: the
+    /// The frames backing every page of the non-empty `[va, va + len)`,
+    /// with the address of the first page, resolved in one page-table lock
+    /// acquisition: the page-crossing [`Self::read`] and [`Self::write`]
+    /// validate the whole range before any byte moves. The list is a
+    /// snapshot — a concurrent [`Self::remap`] of these pages is not
+    /// observed, like the stale-MTT hazard the RNIC models.
+    fn resolve_pages(&self, va: u64, len: usize) -> Result<(u64, Vec<FrameId>), MemError> {
+        let (first_vpn, last_vpn) = (Self::page_of(va), Self::page_of(va + len as u64 - 1));
+        let table = self.table.read();
+        let frames = (first_vpn..=last_vpn)
+            .map(|vpn| {
+                // Report the same address a per-page walk would: the
                 // requested va for the first page, the page base after.
-                let page_va = if i == 0 { va } else { vpn * PAGE_SIZE as u64 };
-                frames[i] = table.get(vpn).ok_or(MemError::Unmapped(page_va))?.frame;
-            }
-        }
-        Ok(span)
+                let page_va = if vpn == first_vpn { va } else { vpn * PAGE_SIZE as u64 };
+                table.get(vpn).map(|pte| pte.frame).ok_or(MemError::Unmapped(page_va))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((first_vpn * PAGE_SIZE as u64, frames))
     }
 
     /// Number of mapped pages.

@@ -87,52 +87,33 @@ impl TrafficClass {
     }
 }
 
-/// Configuration of the weighted class/tenant scheduler.
+/// Configuration of the weighted scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QosConfig {
-    /// Per-class weights, indexed by [`TrafficClass`]. A flow's weight is
-    /// `class_weights[class] × tenant weight`. The defaults prioritize
-    /// gets over scans over maintenance sync.
+    /// Per-class weights, indexed by [`TrafficClass`]: the weight of every
+    /// `(tenant, class)` flow of that class, so tenants of one class share
+    /// equally. The defaults prioritize gets over scans over maintenance
+    /// sync.
     pub class_weights: [u64; TrafficClass::COUNT],
-    /// Weight of tenants without an explicit entry.
-    pub default_tenant_weight: u64,
-    /// Per-tenant weight overrides.
-    pub tenant_weights: Vec<(u32, u64)>,
 }
 
 impl Default for QosConfig {
     fn default() -> Self {
-        QosConfig { class_weights: [8, 2, 1], default_tenant_weight: 1, tenant_weights: Vec::new() }
+        QosConfig { class_weights: [8, 2, 1] }
     }
 }
 
 impl QosConfig {
-    /// A configuration with every class and tenant weighted equally: the
-    /// uniform discipline a NIC without a QoS config runs.
+    /// A configuration with every class weighted equally: the uniform
+    /// discipline a NIC without a QoS config runs.
     pub fn equal_weights() -> Self {
-        QosConfig {
-            class_weights: [1; TrafficClass::COUNT],
-            default_tenant_weight: 1,
-            tenant_weights: Vec::new(),
-        }
+        QosConfig { class_weights: [1; TrafficClass::COUNT] }
     }
 
     /// Whether every flow ends up with the same weight, which selects the
     /// round-robin FIFO dispatch.
     pub fn is_uniform(&self) -> bool {
         self.class_weights.iter().all(|&w| w == self.class_weights[0])
-            && self.tenant_weights.iter().all(|&(_, w)| w == self.default_tenant_weight)
-    }
-
-    /// The weight of one `(tenant, class)` flow.
-    pub fn flow_weight(&self, tenant: u32, class: TrafficClass) -> u64 {
-        let tw = self
-            .tenant_weights
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, w)| *w)
-            .unwrap_or(self.default_tenant_weight);
-        (self.class_weights[class.index()].max(1)) * tw.max(1)
     }
 }
 
@@ -141,7 +122,7 @@ impl QosConfig {
 struct FlowState {
     /// Earliest virtual time the flow's next verb may start service.
     next_start: SimTime,
-    /// Cached flow weight (`class_weight × tenant_weight`).
+    /// The flow's weight: its class's.
     weight: u64,
     /// Whether the flow is currently counted in the active weight sum.
     active: bool,
@@ -269,7 +250,7 @@ impl QosScheduler {
                     }
                 }
                 let key = flow_key(tenant, class);
-                let weight = self.config.flow_weight(tenant, class);
+                let weight = self.config.class_weights[class.index()].max(1);
                 let flow = flows.entry(key).or_insert(FlowState {
                     next_start: SimTime::ZERO,
                     weight,
@@ -399,15 +380,12 @@ mod tests {
 
     #[test]
     fn backlogged_flows_split_capacity_by_weight() {
-        // Two backlogged flows with weights 3:1 — over a long window the
-        // heavier flow completes ~3x the verbs of the lighter one at equal
-        // service times.
-        let cfg = QosConfig {
-            class_weights: [1, 1, 1],
-            default_tenant_weight: 1,
-            tenant_weights: vec![(1, 3), (2, 1)],
-        };
+        // Two backlogged flows with class weights 3:1 — over a long window
+        // the heavier flow completes ~3x the verbs of the lighter one at
+        // equal service times.
+        let cfg = QosConfig { class_weights: [3, 1, 1] };
         assert!(!cfg.is_uniform());
+        assert!(QosConfig::equal_weights().is_uniform());
         let mut qos = QosScheduler::new(cfg, 1);
         let s = us(1);
         let horizon = at(4_000);
@@ -416,12 +394,35 @@ mod tests {
             if qos.admit(1, TrafficClass::Latency, at(0), s).done <= horizon {
                 heavy += 1;
             }
-            if qos.admit(2, TrafficClass::Latency, at(0), s).done <= horizon {
+            if qos.admit(2, TrafficClass::Bulk, at(0), s).done <= horizon {
                 light += 1;
             }
         }
         let ratio = heavy as f64 / light as f64;
         assert!((2.5..=3.5).contains(&ratio), "weights 3:1 must yield ~3x: {ratio}");
+    }
+
+    #[test]
+    fn tenants_of_one_class_are_separate_flows_with_equal_shares() {
+        // Flows are keyed by (tenant, class): a tenant that backlogs its
+        // own bulk clock does not hold back another tenant's bulk verbs,
+        // and two backlogged tenants of one class split its share evenly.
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
+        let s = us(1);
+        for _ in 0..1000 {
+            qos.admit(1, TrafficClass::Bulk, at(0), s);
+        }
+        let other = qos.admit(2, TrafficClass::Bulk, at(50), s);
+        assert_eq!(other.class_wait, SimDuration::ZERO, "tenant 2 queued behind tenant 1");
+
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
+        let horizon = at(2_000);
+        let (mut a, mut b) = (0u64, 0u64);
+        for _ in 0..2000 {
+            a += u64::from(qos.admit(1, TrafficClass::Bulk, at(0), s).done <= horizon);
+            b += u64::from(qos.admit(2, TrafficClass::Bulk, at(0), s).done <= horizon);
+        }
+        assert!(a.abs_diff(b) <= 1, "equal-weight tenants must split evenly: {a} vs {b}");
     }
 
     #[test]
@@ -487,20 +488,6 @@ mod tests {
         let b = qos.admit(1, TrafficClass::Latency, at(10_000), s);
         assert_eq!(a.done, at(10_002));
         assert_eq!(b.done, at(10_004), "drained bulk flow must not dilute latency");
-    }
-
-    #[test]
-    fn flow_weight_composes_class_and_tenant() {
-        let cfg = QosConfig {
-            class_weights: [8, 2, 1],
-            default_tenant_weight: 2,
-            tenant_weights: vec![(9, 5)],
-        };
-        assert_eq!(cfg.flow_weight(9, TrafficClass::Latency), 40);
-        assert_eq!(cfg.flow_weight(9, TrafficClass::Sync), 5);
-        assert_eq!(cfg.flow_weight(3, TrafficClass::Bulk), 4);
-        assert!(!cfg.is_uniform());
-        assert!(QosConfig::equal_weights().is_uniform());
     }
 
     #[test]

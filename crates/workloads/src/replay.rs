@@ -94,13 +94,6 @@ pub struct ReplayOutcome {
     pub per_class: Vec<StrategyReport>,
 }
 
-impl ReplayOutcome {
-    /// Active memory in GiB (the figures' y axis).
-    pub fn active_gib(&self) -> f64 {
-        self.active_bytes as f64 / (1u64 << 30) as f64
-    }
-}
-
 /// The model-level two-level allocator.
 pub struct ModelHeap {
     kind: CompactorKind,
