@@ -43,31 +43,6 @@ impl RawRdmaClient {
         self.read(ptr.rkey, ptr.vaddr, buf, now)
     }
 
-    /// Batched raw reads — the hardware floor of multi-get: one READ WQE
-    /// per `(rkey, vaddr, len)` request, a single doorbell, no validation.
-    /// Returns the fetched payloads in request order; the cost is the
-    /// batch makespan (the instant the last completion lands).
-    pub fn read_batch(
-        &self,
-        reqs: &[(u32, u64, usize)],
-        now: SimTime,
-    ) -> Result<Timed<Vec<Vec<u8>>>, RdmaError> {
-        for (k, &(rkey, vaddr, len)) in reqs.iter().enumerate() {
-            self.qp.post_read(rkey, vaddr, len, k as u64);
-        }
-        self.qp.ring_doorbell(now);
-        let mut out = vec![Vec::new(); reqs.len()];
-        let mut end = now;
-        for c in self.qp.poll_cq(usize::MAX) {
-            end = end.max(c.completed_at);
-            match c.result {
-                Ok(_) => out[c.wr_id as usize] = c.data.to_vec(),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Timed::new(out, end.saturating_since(now)))
-    }
-
     /// The QP, for failure-semantics experiments.
     pub fn qp(&self) -> &QueuePair {
         &self.qp
@@ -147,29 +122,6 @@ mod tests {
         let warm = client.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert!(warm.cost < t.cost);
         assert!((warm.cost.as_micros_f64() - 1.7).abs() < 0.2);
-    }
-
-    #[test]
-    fn raw_batch_returns_payloads_and_amortizes() {
-        let pm = Arc::new(PhysicalMemory::new());
-        let frames = pm.alloc_n(4).unwrap();
-        let aspace = Arc::new(AddressSpace::new(pm));
-        let va = aspace.mmap(&frames).unwrap();
-        let rnic = Arc::new(Rnic::new(aspace.clone(), RnicConfig::default()));
-        let (mr, _) = rnic.register(va, 4, false).unwrap();
-        for i in 0..16u64 {
-            aspace.write(va + i * 64, &[i as u8; 64]).unwrap();
-        }
-        let client = RawRdmaClient::connect(rnic);
-        let reqs: Vec<(u32, u64, usize)> = (0..16u64).map(|i| (mr.rkey, va + i * 64, 64)).collect();
-        let t = client.read_batch(&reqs, SimTime::ZERO).unwrap();
-        for (i, payload) in t.value.iter().enumerate() {
-            assert_eq!(payload, &vec![i as u8; 64]);
-        }
-        // Makespan must be well under 16 sequential round trips.
-        let mut buf = [0u8; 64];
-        let single = client.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap().cost;
-        assert!(t.cost.as_nanos() < single.as_nanos() * 16 / 2, "batch {} vs 16x{single}", t.cost);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use corm_core::server::ServerConfig;
 use corm_sim_core::rng::stream_rng;
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::TierConfig;
-use corm_sim_rdma::{MttUpdateStrategy, QueuePair, RnicConfig};
+use corm_sim_rdma::{MttUpdateStrategy, RnicConfig};
 use corm_workloads::ycsb::{KeyDist, Mix, Workload};
 
 use crate::run::Run;
@@ -92,15 +92,14 @@ impl Mode {
 /// Runs one (mode, ratio) cell: boot + populate, size the budget from the
 /// *measured* live footprint, then serve the Zipf stream with periodic
 /// background enforcement. Returns the cell's row, what the row does not
-/// hold (budget, fingerprint, the engine and tier snapshots), and the
-/// fingerprint.
-fn run_cell(mode: Mode, ratio: f64) -> (Vec<Cell>, Json, u64) {
+/// hold (budget, fingerprint, the engine and tier snapshots), the
+/// fingerprint, and the WQEs the client's QP posted.
+fn run_cell(mode: Mode, ratio: f64) -> (Vec<Cell>, Json, u64, u64) {
     let config = ServerConfig {
         mtt_strategy: mode.strategy(),
         // The budget is sized after population (the logical footprint is
-        // not known up front); usize::MAX keeps enforcement inert until
-        // then while still creating the tier director.
-        pin_budget_frames: Some(usize::MAX),
+        // not known up front); until then the director's budget is
+        // unbounded and enforcement inert.
         tier: Some(TierConfig::nvme()),
         rnic: RnicConfig { dynamic_pin: mode == Mode::Pinless, ..RnicConfig::default() },
         ..ServerConfig::default()
@@ -152,24 +151,23 @@ fn run_cell(mode: Mode, ratio: f64) -> (Vec<Cell>, Json, u64) {
     let elapsed = clock.saturating_since(SimTime::ZERO);
     let kreqs = if elapsed.as_nanos() > 0 { OPS as f64 / elapsed.as_secs_f64() / 1e3 } else { 0.0 };
     let tier = rnic.tier().expect("tier attached").stats();
-    let qp = QueuePair::connect(rnic.clone());
     let detail = JsonObject::new()
         .uint("budget_frames", budget as u64)
         .uint("fingerprint", fp)
-        .field("engine", engine_metrics(&rnic, &qp, clock))
+        .field("engine", engine_metrics(&rnic, client.qp(), clock))
         .field("tier", tier_metrics(server))
         .build();
     let row = vec![
         mode.name().into(),
         f1(ratio),
         f1(kreqs),
-        rnic.stats.hard_misses.load(Relaxed).into(),
-        rnic.stats.pin_faults.load(Relaxed).into(),
+        tier.hard_misses.into(),
+        tier.pin_faults.into(),
         rnic.stats.odp_misses.load(Relaxed).into(),
         server.tiering().map_or(0, |t| t.evictions()).into(),
         tier.fetches.into(),
     ];
-    (row, detail, fp)
+    (row, detail, fp, client.qp().depth_stats().posted)
 }
 
 pub fn run(run: &mut Run) {
@@ -188,11 +186,13 @@ pub fn run(run: &mut Run) {
     );
     let mut details: Vec<Json> = Vec::new();
     let mut pinless_2x = 0;
+    let mut min_posted = u64::MAX;
     for ratio in RATIOS {
         for mode in Mode::ALL {
-            let (row, detail, fingerprint) = run_cell(mode, ratio);
+            let (row, detail, fingerprint, posted) = run_cell(mode, ratio);
             t.row(&row);
             details.push(detail);
+            min_posted = min_posted.min(posted);
             if mode == Mode::Pinless && ratio == 2.0 {
                 pinless_2x = fingerprint;
             }
@@ -202,6 +202,11 @@ pub fn run(run: &mut Run) {
     // `detail[i]` belongs to `rows[i]`.
     let doc = JsonObject::new().field("rows", t.to_json()).field("detail", Json::Arr(details));
     run.json("fig22_memory_pressure", &doc.build());
+
+    run.gate(
+        min_posted >= OPS as u64,
+        format!("every cell's engine snapshot reads the QP that posted its reads ({min_posted})"),
+    );
 
     let at = |mode: Mode, ratio: &str| t.find(&[("mode", mode.name()), ("ratio", ratio)]);
     run.gate(

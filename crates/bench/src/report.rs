@@ -376,29 +376,30 @@ pub fn fault_kind_name(kind: FaultKind) -> &'static str {
     }
 }
 
-/// Snapshot of a NIC's fault-injection counters and the client's recovery
-/// counters as a JSON object, including the replayable fault log.
+/// Snapshot of a NIC's injected faults — counted by kind from its fault
+/// log — and the client's recovery counters as a JSON object, including
+/// the replayable fault log.
 pub fn fault_metrics(
     rnic: &Rnic,
     qp_breaks: u64,
     qp_reconnects: u64,
     client_recoveries: u64,
 ) -> Json {
-    use std::sync::atomic::Ordering::Relaxed;
-    let s = &rnic.stats;
-    let log: Vec<Json> = rnic
-        .fault_log()
-        .into_iter()
-        .map(|(op, kind)| {
+    let fired = rnic.fault_log();
+    let count = |kind| fired.iter().filter(|&&(_, k)| k == kind).count() as u64;
+    let spike = rnic.fault_injector().map_or(0, |f| f.delay_spike().as_nanos());
+    let log: Vec<Json> = fired
+        .iter()
+        .map(|&(op, kind)| {
             JsonObject::new().uint("op", op).str("kind", fault_kind_name(kind)).build()
         })
         .collect();
     JsonObject::new()
-        .uint("injected_faults", s.injected_faults.load(Relaxed))
-        .uint("injected_qp_breaks", s.injected_qp_breaks.load(Relaxed))
-        .uint("injected_delays", s.injected_delays.load(Relaxed))
-        .uint("injected_delay_ns", s.injected_delay_ns.load(Relaxed))
-        .uint("forced_cache_misses", s.forced_cache_misses.load(Relaxed))
+        .uint("injected_faults", count(FaultKind::Transient))
+        .uint("injected_qp_breaks", count(FaultKind::QpBreak))
+        .uint("injected_delays", count(FaultKind::DelaySpike))
+        .uint("injected_delay_ns", count(FaultKind::DelaySpike) * spike)
+        .uint("forced_cache_misses", count(FaultKind::CacheMiss))
         .uint("qp_breaks", qp_breaks)
         .uint("qp_reconnects", qp_reconnects)
         .uint("client_recoveries", client_recoveries)
@@ -414,29 +415,9 @@ pub fn fault_metrics(
 /// minus its starting clock); utilization is engine busy time over that
 /// window.
 pub fn engine_metrics(rnic: &Rnic, qp: &QueuePair, elapsed: SimTime) -> Json {
-    use corm_sim_rdma::TrafficClass;
     use std::sync::atomic::Ordering::Relaxed;
     let s = &rnic.stats;
     let d = qp.depth_stats();
-    let qos_admitted = rnic.qos_class_admitted();
-    let qos_wait = rnic.qos_class_wait_ns();
-    // One row per traffic class: queue depth and postings seen by this QP
-    // plus the scheduler's admissions/imposed wait on the NIC side (zeros
-    // with QoS off).
-    let classes = Json::Arr(
-        TrafficClass::ALL
-            .iter()
-            .map(|c| {
-                JsonObject::new()
-                    .str("class", c.name())
-                    .uint("posted", d.class_posted[c.index()])
-                    .uint("sq_depth_max", d.class_sq_depth_max[c.index()])
-                    .uint("qos_admitted", qos_admitted[c.index()])
-                    .uint("qos_wait_ns", qos_wait[c.index()])
-                    .build()
-            })
-            .collect(),
-    );
     let mut obj = JsonObject::new()
         .uint("doorbells", s.doorbells.load(Relaxed))
         .uint("wqes", s.wqes.load(Relaxed))
@@ -448,13 +429,11 @@ pub fn engine_metrics(rnic: &Rnic, qp: &QueuePair, elapsed: SimTime) -> Json {
         .uint("qp_doorbells", d.doorbells)
         .uint("sq_depth_max", d.sq_depth_max)
         .uint("cq_depth_max", d.cq_depth_max)
-        .field("qos_enabled", Json::Bool(rnic.qos_enabled()))
-        .field("classes", classes)
         .uint("qp_state_bytes", qp.state_bytes() as u64);
     // With a far tier attached, append residency gauges and the tier's
-    // traffic counters so oversubscription runs export both sides of the
-    // fault path: what the NIC saw (pin faults, hard misses) and what the
-    // tier moved (spills/fetches with byte volumes).
+    // counters so oversubscription runs export the fault path: the pin
+    // faults and hard misses the NIC took and what the tier moved
+    // (spills/fetches with byte volumes).
     if let Some(tier) = rnic.tier() {
         let res = rnic.aspace().phys().residency_counts();
         let t = tier.stats();
@@ -470,9 +449,7 @@ pub fn engine_metrics(rnic: &Rnic, qp: &QueuePair, elapsed: SimTime) -> Json {
                 .uint("hard_misses", t.hard_misses)
                 .uint("bytes_spilled", t.bytes_spilled)
                 .uint("bytes_fetched", t.bytes_fetched)
-                .uint("nic_pin_faults", s.pin_faults.load(Relaxed))
                 .uint("nic_tier_fetches", s.tier_fetches.load(Relaxed))
-                .uint("nic_hard_misses", s.hard_misses.load(Relaxed))
                 .build(),
         );
     }
@@ -761,13 +738,57 @@ mod tests {
         assert!(j.contains("\"qp_posted\":4"), "{j}");
         assert!(j.contains("\"sq_depth_max\":4"), "{j}");
         assert!(j.contains("\"engine_utilization\":0."), "{j}");
-        // Per-class breakdown: the 4 untagged posts ride the latency class;
-        // QoS is off so scheduler admissions/waits are zero.
-        assert!(j.contains("\"qos_enabled\":false"), "{j}");
-        assert!(j.contains(r#"{"class":"latency","posted":4,"sq_depth_max":4"#), "{j}");
-        assert!(j.contains(r#"{"class":"bulk","posted":0"#), "{j}");
-        assert!(j.contains(r#"{"class":"sync","posted":0"#), "{j}");
+        assert!(j.contains("\"qp_completed\":4,\"qp_doorbells\":1"), "{j}");
         assert!(j.contains("\"qp_state_bytes\":"), "{j}");
+        // No per-class rows, and no tier block without a far tier.
+        assert!(!j.contains("classes") && !j.contains("tiering"), "{j}");
+    }
+
+    #[test]
+    fn fault_metrics_counts_the_fault_log_by_kind() {
+        use std::sync::Arc;
+
+        use corm_sim_core::time::SimDuration;
+        use corm_sim_mem::{AddressSpace, PhysicalMemory};
+        use corm_sim_rdma::{FaultConfig, RnicConfig, ScheduledFault};
+
+        let pm = Arc::new(PhysicalMemory::new());
+        let frames = pm.alloc_n(1).unwrap();
+        let aspace = Arc::new(AddressSpace::new(pm));
+        let va = aspace.mmap(&frames).unwrap();
+        let kinds =
+            [FaultKind::Transient, FaultKind::QpBreak, FaultKind::DelaySpike, FaultKind::CacheMiss];
+        let schedule = kinds
+            .iter()
+            .enumerate()
+            .map(|(op, &kind)| ScheduledFault { at_op: 2 * op as u64 + 1, kind })
+            .collect();
+        let faults = FaultConfig {
+            delay_spike: SimDuration::from_micros(7),
+            ..FaultConfig::scripted(schedule)
+        };
+        let rnic = Rnic::new(aspace, RnicConfig { faults: Some(faults), ..RnicConfig::default() });
+        let (mr, _) = rnic.register(va, 1, false).unwrap();
+        let mut buf = [0u8; 8];
+        for _ in 0..10 {
+            let _ = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO);
+        }
+
+        let j = fault_metrics(&rnic, 2, 1, 3).render();
+        assert!(
+            j.starts_with(
+                "{\"injected_faults\":1,\"injected_qp_breaks\":1,\"injected_delays\":1,\
+                 \"injected_delay_ns\":7000,\"forced_cache_misses\":1,\"qp_breaks\":2,\
+                 \"qp_reconnects\":1,\"client_recoveries\":3,"
+            ),
+            "{j}"
+        );
+        assert!(
+            j.ends_with(
+                r#""fault_log":[{"op":1,"kind":"transient"},{"op":3,"kind":"qp_break"},{"op":5,"kind":"delay_spike"},{"op":7,"kind":"cache_miss"}]}"#
+            ),
+            "{j}"
+        );
     }
 
     #[test]

@@ -185,7 +185,6 @@ fn fig22_once(ops: usize, trace: &TraceHandle) -> Once {
     let config = ServerConfig {
         workers: 1,
         mtt_strategy: MttUpdateStrategy::Rereg,
-        pin_budget_frames: Some(usize::MAX),
         tier: Some(TierConfig::nvme()),
         rnic: RnicConfig { dynamic_pin: true, ..RnicConfig::default() },
         trace: trace.clone(),

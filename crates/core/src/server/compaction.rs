@@ -216,11 +216,6 @@ impl CormServer {
 
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
         self.stats.compaction_blocks_freed.fetch_add(merges as u64, Ordering::Relaxed);
-        // Counter semantics: `objects_moved` counts only offset-changing
-        // relocations (pointers became indirect); `objects_copied` counts
-        // every copy including offset-preserving ones. They deliberately
-        // mirror `CompactionReport::{objects_relocated, objects_copied}`.
-        self.stats.objects_moved.fetch_add(relocated as u64, Ordering::Relaxed);
         self.stats.objects_copied.fetch_add(copied as u64, Ordering::Relaxed);
 
         let report = CompactionReport {

@@ -95,17 +95,14 @@ pub struct ServerConfig {
     /// target. The batch rides the primary target's transition, so alias
     /// targets stop paying the per-target `mmap + mtt_update` cost.
     pub batch_mtt_sync: bool,
-    /// Pin budget: maximum DRAM-resident frames before the server starts
-    /// spilling cold blocks to the far tier. `None` (the default) disables
-    /// tiering entirely — residency is never consulted, no far tier is
-    /// attached to the RNIC, and seeded replays are byte-identical to
-    /// pre-tiering builds. Enforcement is explicit: callers invoke
-    /// [`CormServer::enforce_pin_budget`] from the same maintenance context
-    /// that drives compaction.
-    pub pin_budget_frames: Option<usize>,
-    /// Far-tier cost model used when a pin budget is set; defaults to
-    /// [`TierConfig::cxl`]. Ignored when `pin_budget_frames` is `None` or
-    /// when the RNIC config already carries its own tier.
+    /// The far tier's cost model: tiering is on iff this is `Some`. The
+    /// server then attaches the tier to its RNIC and runs a pin-budget
+    /// manager whose budget starts unbounded; [`CormServer::set_pin_budget`]
+    /// sizes it and [`CormServer::enforce_pin_budget`], invoked from the
+    /// same maintenance context that drives compaction, spills cold blocks
+    /// down to it. `None` (the default) disables tiering entirely —
+    /// residency is never consulted and seeded replays are byte-identical
+    /// to pre-tiering builds.
     pub tier: Option<TierConfig>,
     /// Root seed for object-ID generation.
     pub seed: u64,
@@ -128,7 +125,6 @@ impl Default for ServerConfig {
             compaction_lanes: 1,
             compaction_budget: None,
             batch_mtt_sync: false,
-            pin_budget_frames: None,
             tier: None,
             seed: 0xC0_4D,
             trace: TraceHandle::disabled(),
@@ -202,8 +198,6 @@ pub struct ServerStats {
     pub reads: AtomicU64,
     /// RPC writes served.
     pub writes: AtomicU64,
-    /// ReleasePtr calls served.
-    pub releases: AtomicU64,
     /// Pointer corrections performed (indirect accesses).
     pub corrections: AtomicU64,
     /// Thread-local allocator refills.
@@ -212,13 +206,9 @@ pub struct ServerStats {
     pub compactions: AtomicU64,
     /// Blocks freed by compaction.
     pub compaction_blocks_freed: AtomicU64,
-    /// Objects relocated to *new offsets* by compaction — the subset of
-    /// [`Self::objects_copied`] whose pointers became indirect. Matches
-    /// `CompactionReport::objects_relocated` summed over passes.
-    pub objects_moved: AtomicU64,
     /// Total objects copied between blocks by compaction, offset-preserving
     /// copies included. Matches `CompactionReport::objects_copied` summed
-    /// over passes; always ≥ [`Self::objects_moved`].
+    /// over passes.
     pub objects_copied: AtomicU64,
     /// Virtual addresses released for reuse.
     pub vaddrs_released: AtomicU64,
@@ -283,7 +273,7 @@ pub struct CormServer {
     proc: ProcessAllocator,
     pub(crate) workers: Vec<Mutex<WorkerState>>,
     pub(crate) registry: BlockRegistry,
-    /// Pin-budget manager, present iff `ServerConfig::pin_budget_frames`.
+    /// Pin-budget manager, present iff `ServerConfig::tier`.
     pub(crate) tiering: Option<TierDirector>,
     /// Lifetime counters.
     pub stats: ServerStats,
@@ -317,20 +307,12 @@ impl CormServer {
         if !rnic_config.trace.is_enabled() {
             rnic_config.trace = config.trace.clone();
         }
-        // A pin budget brings a far tier with it. The director and the RNIC
-        // share one tier instance so NIC-side fetches and server-side
-        // spills contend for the same virtual-time channels.
-        let tiering = config.pin_budget_frames.map(|budget| {
-            let tier = rnic_config.tier.clone().unwrap_or_else(|| {
-                Arc::new(FarTier::new(config.tier.clone().unwrap_or_else(TierConfig::cxl)))
-            });
-            TierDirector::new(tier, budget)
-        });
-        if let Some(t) = &tiering {
-            if rnic_config.tier.is_none() {
-                rnic_config.tier = Some(t.tier().clone());
-            }
-        }
+        // The director and the RNIC share one tier instance so NIC-side
+        // fetches and server-side spills contend for the same virtual-time
+        // channels.
+        let tiering =
+            config.tier.clone().map(|tier| TierDirector::new(Arc::new(FarTier::new(tier))));
+        rnic_config.tier = tiering.as_ref().map(|t| t.tier().clone());
         let rnic = Arc::new(Rnic::new(aspace.clone(), rnic_config));
         if config.mtt_strategy.needs_odp() {
             assert!(rnic.model().odp_miss.is_some(), "ODP strategy requires an ODP-capable device");
@@ -989,7 +971,6 @@ impl CormServer {
                 }
             }
             drop(b);
-            self.stats.releases.fetch_add(1, Ordering::Relaxed);
             let cost = self.model().release_ptr_extra + corr_total;
             let new_ptr = GlobalPtr {
                 vaddr: slot_vaddr,

@@ -2,7 +2,7 @@
 //! the server's handle on the far tier.
 //!
 //! CoRM pins every block for its lifetime; with a far tier attached
-//! (`ServerConfig::pin_budget_frames`), the server instead keeps at most
+//! (`ServerConfig::tier`), the server instead keeps at most
 //! *budget* frames DRAM-resident and spills the coldest blocks. Policy
 //! lives here; mechanism (byte movement, residency flips, cost charging)
 //! lives in [`corm_sim_mem::tier`] and the RNIC's fault path.
@@ -37,11 +37,12 @@ pub struct TierDirector {
 }
 
 impl TierDirector {
-    /// Creates a director over `tier` with the given frame budget.
-    pub fn new(tier: Arc<FarTier>, budget: usize) -> Self {
+    /// Creates a director over `tier` with an unbounded frame budget, which
+    /// [`TierDirector::set_budget`] sizes.
+    pub fn new(tier: Arc<FarTier>) -> Self {
         TierDirector {
             tier,
-            budget: AtomicUsize::new(budget),
+            budget: AtomicUsize::new(usize::MAX),
             heat: Mutex::new(FastHashMap::default()),
             evictions: AtomicU64::new(0),
             evict_log: Mutex::new(Vec::new()),
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn heat_accumulates_merges_and_decays() {
-        let d = TierDirector::new(Arc::new(FarTier::new(TierConfig::cxl())), 128);
+        let d = TierDirector::new(Arc::new(FarTier::new(TierConfig::cxl())));
         for _ in 0..6 {
             d.touch(0x1000);
         }
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_length() {
-        let d = TierDirector::new(Arc::new(FarTier::new(TierConfig::cxl())), 128);
+        let d = TierDirector::new(Arc::new(FarTier::new(TierConfig::cxl())));
         d.touch(0xA000); // heat 1 → bucket 1
         for _ in 0..5 {
             d.touch(0xB000); // heat 5 → bucket 3

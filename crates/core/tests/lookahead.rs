@@ -51,9 +51,9 @@ fn build() -> Store {
     let trace = TraceHandle::recording();
     let server = Arc::new(CormServer::new(ServerConfig {
         workers: 2,
-        // Inert until the footprint is known; the director must exist from
-        // boot so heat accumulates from the first allocation.
-        pin_budget_frames: Some(usize::MAX),
+        // The director exists from boot, its budget unbounded until the
+        // footprint is known, so heat accumulates from the first
+        // allocation.
         tier: Some(TierConfig::cxl()),
         trace: trace.clone(),
         ..ServerConfig::default()

@@ -27,9 +27,9 @@ fn boot(strategy: MttUpdateStrategy, dynamic_pin: bool) -> Arc<CormServer> {
     Arc::new(CormServer::new(ServerConfig {
         workers: 1,
         mtt_strategy: strategy,
-        // Inert until the footprint is measured; the director must exist
-        // from boot so heat accumulates from the first allocation.
-        pin_budget_frames: Some(usize::MAX),
+        // The director exists from boot, its budget unbounded until the
+        // footprint is measured, so heat accumulates from the first
+        // allocation.
         tier: Some(TierConfig::nvme()),
         alloc: corm_alloc::AllocConfig {
             block_bytes: 4096,

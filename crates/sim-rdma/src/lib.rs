@@ -25,12 +25,12 @@
 //!   one-sided READ/WRITE verbs executed against physical frames.
 //! - [`QueuePair`]: reliable connection semantics — invalid accesses move
 //!   the QP to the error state and reconnecting costs milliseconds. QPs
-//!   also expose the batched READ path, one doorbell behind two adapters:
-//!   `post` enqueues [`ReadReq`]s, `ring_doorbell` admits the batch into
-//!   the RNIC's engine scheduler for one doorbell cost plus per-WQE
-//!   service, and `poll_cq` drains [`Completion`]s in virtual-time order;
-//!   `read_batch_into` rings the same doorbell over a caller-held batch
-//!   and lands the payloads in the caller's buffers.
+//!   also expose the batched READ path, one synchronous doorbell:
+//!   `read_batch_into` admits a caller-held batch of [`ReadReq`]s into the
+//!   RNIC's engine scheduler for one doorbell cost plus per-WQE service and
+//!   lands the payloads in the caller's buffers. `post`, `ring_doorbell`
+//!   and `poll_cq` are a façade over the same doorbell that queues the
+//!   WQEs and hands back [`Completion`]s in virtual-time order.
 //! - [`rpc`]: a two-sided SEND/RECV fabric (crossbeam channels) used by the
 //!   threaded CoRM server.
 
@@ -38,7 +38,6 @@ pub mod fault;
 pub mod latency;
 mod mtt;
 pub mod mux;
-pub mod pool;
 pub mod qp;
 pub mod rnic;
 pub mod rpc;
@@ -48,7 +47,6 @@ pub mod wq;
 pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};
-pub use pool::{BufPool, PooledBuf};
 pub use qp::{QpDepthStats, QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
 pub use sched::{QosAdmission, QosConfig, QosScheduler, TrafficClass};

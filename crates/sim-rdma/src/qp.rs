@@ -15,9 +15,7 @@ use parking_lot::Mutex;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_trace::Stage;
 
-use crate::pool::{BufPool, PooledBuf};
-use crate::rnic::{RdmaError, ReadSink, Rnic, VerbOutcome};
-use crate::sched::TrafficClass;
+use crate::rnic::{RdmaError, Rnic, VerbOutcome};
 use crate::wq::{Completion, ReadReq, ReadResult};
 
 /// Connection state of a queue pair.
@@ -44,19 +42,6 @@ pub struct QpDepthStats {
     pub sq_depth_max: u64,
     /// High-water mark of the completion-queue depth.
     pub cq_depth_max: u64,
-    /// WQEs posted per traffic class, indexed by [`TrafficClass`].
-    pub class_posted: [u64; TrafficClass::COUNT],
-    /// Per-class high-water mark of the send-queue depth, indexed by
-    /// [`TrafficClass`].
-    pub class_sq_depth_max: [u64; TrafficClass::COUNT],
-}
-
-/// Send queue: WQEs posted but not yet admitted by a doorbell.
-#[derive(Default)]
-struct SendQueue {
-    wqes: Vec<ReadReq>,
-    /// How many of `wqes` ride each class.
-    class_depth: [u64; TrafficClass::COUNT],
 }
 
 /// A reliable connected queue pair bound to a remote NIC.
@@ -65,7 +50,8 @@ pub struct QueuePair {
     state: Mutex<QpState>,
     reconnects: AtomicU64,
     breaks: AtomicU64,
-    sq: Mutex<SendQueue>,
+    /// Send queue: WQEs posted but not yet admitted by a doorbell.
+    sq: Mutex<Vec<ReadReq>>,
     /// Completion queue: executed/flushed WQEs awaiting `poll_cq`.
     cq: Mutex<VecDeque<Completion>>,
     posted: AtomicU64,
@@ -73,64 +59,11 @@ pub struct QueuePair {
     doorbells: AtomicU64,
     sq_depth_max: AtomicU64,
     cq_depth_max: AtomicU64,
-    class_posted: [AtomicU64; TrafficClass::COUNT],
-    class_sq_depth_max: [AtomicU64; TrafficClass::COUNT],
 }
 
 impl std::fmt::Debug for QueuePair {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueuePair").field("state", &*self.state.lock()).finish()
-    }
-}
-
-/// The queued adapter's sink: payloads stage through the NIC's buffer pool
-/// and ride their [`Completion`] onto the completion queue.
-struct Queued<'a> {
-    pool: &'a Arc<BufPool>,
-    /// The buffer of the request being served.
-    staged: PooledBuf,
-    cq: &'a mut VecDeque<Completion>,
-}
-
-impl ReadSink for Queued<'_> {
-    fn buffer(&mut self, _k: usize, len: usize) -> &mut [u8] {
-        self.staged = self.pool.take(len);
-        &mut self.staged
-    }
-
-    fn complete(
-        &mut self,
-        req: &ReadReq,
-        completed_at: SimTime,
-        result: Result<VerbOutcome, RdmaError>,
-    ) {
-        let staged = std::mem::take(&mut self.staged);
-        let data = if result.is_ok() { staged } else { PooledBuf::empty() };
-        self.cq.push_back(Completion { wr_id: req.wr_id, completed_at, result, data });
-    }
-}
-
-/// The synchronous adapter's sink: payloads land in the caller's buffers,
-/// results in the caller's vector.
-struct Direct<'a> {
-    outs: &'a mut [Vec<u8>],
-    results: &'a mut Vec<ReadResult>,
-}
-
-impl ReadSink for Direct<'_> {
-    fn buffer(&mut self, k: usize, len: usize) -> &mut [u8] {
-        let out = &mut self.outs[k];
-        out.resize(len, 0);
-        out
-    }
-
-    fn complete(
-        &mut self,
-        req: &ReadReq,
-        completed_at: SimTime,
-        result: Result<VerbOutcome, RdmaError>,
-    ) {
-        self.results.push(ReadResult { wr_id: req.wr_id, completed_at, result });
     }
 }
 
@@ -149,8 +82,6 @@ impl QueuePair {
             doorbells: AtomicU64::new(0),
             sq_depth_max: AtomicU64::new(0),
             cq_depth_max: AtomicU64::new(0),
-            class_posted: Default::default(),
-            class_sq_depth_max: Default::default(),
         }
     }
 
@@ -193,49 +124,37 @@ impl QueuePair {
     /// [`QueuePair::ring_doorbell`]; `wr_id` is echoed in the completion.
     pub fn post(&self, req: ReadReq) {
         let mut sq = self.sq.lock();
-        self.count_posted(std::slice::from_ref(&req), sq.wqes.len(), &sq.class_depth);
-        sq.wqes.push(req);
-        sq.class_depth[req.class.index()] += 1;
+        self.count_posted(1, sq.len());
+        sq.push(req);
     }
 
-    /// Counts `reqs` as posted onto a send queue holding `depth` WQEs,
-    /// `class_depth[c]` of them of class `c`. Posting is free in virtual
-    /// time (the doorbell pays); the trace counter lets the metrics
-    /// registry report posted-vs-served divergence.
-    fn count_posted(
+    /// Counts `n` WQEs as posted onto a send queue holding `depth`. Posting
+    /// is free in virtual time (the doorbell pays); the trace counter lets
+    /// the metrics registry report posted-vs-served divergence.
+    fn count_posted(&self, n: usize, depth: usize) {
+        self.posted.fetch_add(n as u64, Ordering::Relaxed);
+        self.sq_depth_max.fetch_max((depth + n) as u64, Ordering::Relaxed);
+        self.rnic.trace().add(Stage::WqePost, n as u64);
+    }
+
+    /// One doorbell over `reqs`: the NIC lands request `k`'s payload in
+    /// `outs[k]` and appends one result per request to `results`, in
+    /// posting order, and a failed WQE moves the QP to the error state; if
+    /// the QP is *already* broken, every WQE completes flushed at `now`
+    /// without reaching the NIC. `cq_depth` is how many completions were
+    /// already waiting to be polled.
+    fn doorbell(
         &self,
         reqs: &[ReadReq],
-        depth: usize,
-        class_depth: &[u64; TrafficClass::COUNT],
+        now: SimTime,
+        cq_depth: usize,
+        outs: &mut [Vec<u8>],
+        results: &mut Vec<ReadResult>,
     ) {
-        let n = reqs.len() as u64;
-        self.posted.fetch_add(n, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max(depth as u64 + n, Ordering::Relaxed);
-        let mut per_class = [0u64; TrafficClass::COUNT];
-        for r in reqs {
-            per_class[r.class.index()] += 1;
-        }
-        for (i, &count) in per_class.iter().enumerate() {
-            if count > 0 {
-                self.class_posted[i].fetch_add(count, Ordering::Relaxed);
-                self.class_sq_depth_max[i].fetch_max(class_depth[i] + count, Ordering::Relaxed);
-            }
-        }
-        self.rnic.trace().add(Stage::WqePost, n);
-    }
-
-    /// One doorbell over `reqs`, whichever adapter rang it: the NIC serves
-    /// the batch into `sink`, and a failed WQE moves the QP to the error
-    /// state; if the QP is *already* broken, every WQE completes flushed at
-    /// `now` without reaching the NIC. `cq_depth` is how many completions
-    /// were already waiting to be polled.
-    fn doorbell(&self, reqs: &[ReadReq], now: SimTime, cq_depth: usize, sink: &mut impl ReadSink) {
         self.doorbells.fetch_add(1, Ordering::Relaxed);
         if *self.state.lock() == QpState::Error {
-            for req in reqs {
-                sink.complete(req, now, Err(RdmaError::QpBroken));
-            }
-        } else if self.rnic.serve_doorbell(reqs, now, sink) {
+            results.extend(reqs.iter().map(|req| ReadResult::flushed(req, now)));
+        } else if self.rnic.serve_doorbell(reqs, now, outs, results) {
             *self.state.lock() = QpState::Error;
             self.breaks.fetch_add(1, Ordering::Relaxed);
         }
@@ -245,49 +164,43 @@ impl QueuePair {
 
     /// Rings the doorbell: the entire send queue is handed to the NIC as
     /// one batch, paying a single doorbell cost plus per-WQE engine
-    /// service. Completions are appended to the completion queue for
+    /// service. A façade over [`QueuePair::read_batch_into`]'s doorbell:
+    /// each payload lands in a fresh buffer that its [`Completion`] then
+    /// owns, and completions are appended to the completion queue for
     /// [`QueuePair::poll_cq`] sorted by completion time (stable, so ties
     /// keep posting order). If any WQE fails the QP moves to the error
     /// state and the rest of the batch is flushed; if the QP is *already*
     /// broken, every WQE completes flushed without reaching the NIC.
     /// Returns the number of completions produced.
     pub fn ring_doorbell(&self, now: SimTime) -> usize {
-        let mut wqes = {
-            let mut sq = self.sq.lock();
-            sq.class_depth = Default::default();
-            std::mem::take(&mut sq.wqes)
-        };
+        let wqes = std::mem::take(&mut *self.sq.lock());
         let n = wqes.len();
         if n == 0 {
             return 0;
         }
-        {
-            let mut cq = self.cq.lock();
-            let waiting = cq.len();
-            let mut sink =
-                Queued { pool: self.rnic.staging(), staged: PooledBuf::empty(), cq: &mut cq };
-            self.doorbell(&wqes, now, waiting, &mut sink);
-            cq.make_contiguous()[waiting..].sort_by_key(|c| c.completed_at);
-        }
-        // Hand the drained vector's capacity back to the send queue so
-        // steady-state batches re-post without reallocating.
-        wqes.clear();
-        let mut sq = self.sq.lock();
-        if sq.wqes.is_empty() && sq.wqes.capacity() < wqes.capacity() {
-            sq.wqes = wqes;
-        }
+        let mut outs = vec![Vec::new(); n];
+        let mut results = Vec::with_capacity(n);
+        let mut cq = self.cq.lock();
+        let waiting = cq.len();
+        self.doorbell(&wqes, now, waiting, &mut outs, &mut results);
+        cq.extend(results.into_iter().zip(outs).map(|(r, data)| Completion {
+            wr_id: r.wr_id,
+            completed_at: r.completed_at,
+            data: if r.result.is_ok() { data } else { Vec::new() },
+            result: r.result,
+        }));
+        cq.make_contiguous()[waiting..].sort_by_key(|c| c.completed_at);
         n
     }
 
     /// Synchronously executes a batch, landing each payload directly in
     /// `outs[k]` (resized to the request's length): [`QueuePair::post`]×n +
     /// [`QueuePair::ring_doorbell`] + [`QueuePair::poll_cq`] without the
-    /// queue traffic and the staging copies. Depth statistics, break/flush
-    /// behaviour, fault draws, and virtual completion times are those of
-    /// the queued path — both run the same doorbell. `results` is cleared
-    /// and refilled **in posting order**; callers needing
-    /// virtual-completion order (what `poll_cq` returns) sort stably by
-    /// `completed_at`.
+    /// queue traffic. Both run the one doorbell, so depth statistics,
+    /// break/flush behaviour, fault draws, and virtual completion times
+    /// are the same. `results` is cleared and refilled **in posting
+    /// order**; callers needing virtual-completion order (what `poll_cq`
+    /// returns) sort stably by `completed_at`.
     pub fn read_batch_into(
         &self,
         reqs: &[ReadReq],
@@ -302,8 +215,8 @@ impl QueuePair {
         assert!(outs.len() >= reqs.len(), "one output buffer per request");
         // The batch bypasses the queues: it is posted onto, and completes
         // into, empty ones.
-        self.count_posted(reqs, 0, &[0; TrafficClass::COUNT]);
-        self.doorbell(reqs, now, 0, &mut Direct { outs, results });
+        self.count_posted(reqs.len(), 0);
+        self.doorbell(reqs, now, 0, outs, results);
     }
 
     /// Drains up to `max` completions from the completion queue, oldest
@@ -316,7 +229,7 @@ impl QueuePair {
 
     /// Current send-queue depth (posted WQEs awaiting a doorbell).
     pub fn sq_depth(&self) -> usize {
-        self.sq.lock().wqes.len()
+        self.sq.lock().len()
     }
 
     /// Current completion-queue depth (completions awaiting `poll_cq`).
@@ -332,11 +245,6 @@ impl QueuePair {
             doorbells: self.doorbells.load(Ordering::Relaxed),
             sq_depth_max: self.sq_depth_max.load(Ordering::Relaxed),
             cq_depth_max: self.cq_depth_max.load(Ordering::Relaxed),
-            class_posted: self.class_posted.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            class_sq_depth_max: self
-                .class_sq_depth_max
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
         }
     }
 
@@ -353,7 +261,7 @@ impl QueuePair {
     /// the per-client cost the [`crate::MuxQp`] shared-connection mode
     /// amortizes across tenants.
     pub fn state_bytes(&self) -> usize {
-        let sq = self.sq.lock().wqes.capacity().max(Self::PROVISIONED_DEPTH);
+        let sq = self.sq.lock().capacity().max(Self::PROVISIONED_DEPTH);
         let cq = self.cq.lock().capacity().max(Self::PROVISIONED_DEPTH);
         std::mem::size_of::<Self>()
             + sq * std::mem::size_of::<ReadReq>()

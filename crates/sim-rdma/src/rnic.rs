@@ -25,9 +25,8 @@ use corm_trace::{Stage, TraceHandle, Track};
 use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind};
 use crate::latency::LatencyModel;
 use crate::mtt::MttShard;
-use crate::pool::BufPool;
-use crate::sched::{QosConfig, QosScheduler, TrafficClass};
-use crate::wq::ReadReq;
+use crate::sched::{QosConfig, QosScheduler};
+use crate::wq::{ReadReq, ReadResult};
 
 /// Errors surfaced by RNIC verbs. Any error on a one-sided access breaks
 /// the issuing queue pair, per reliable-connection semantics.
@@ -130,15 +129,15 @@ pub struct RnicConfig {
     pub trace: TraceHandle,
     /// SLO-class-aware engine scheduling for the batched verb path. `None`
     /// (the default) and any equal-weight config run the scheduler's
-    /// uniform discipline — round-robin over per-unit FIFO engines — and
-    /// `None` additionally reports no per-class counters; skewed weights
-    /// buy latency-class isolation — see [`crate::sched`].
+    /// uniform discipline — round-robin over per-unit FIFO engines; skewed
+    /// weights buy latency-class isolation — see [`crate::sched`].
     pub qos: Option<QosConfig>,
     /// The far tier behind unpinned memory, when the host runs a pin
     /// budget. `None` (the default) disables tiering entirely: residency
     /// is never consulted and the NIC is byte-identical to the pre-tiering
     /// build. When set, an access resolving to a non-pinned frame pays the
-    /// tier's fault-path charge (see [`RnicConfig::dynamic_pin`]).
+    /// tier's fault-path charge (see [`RnicConfig::dynamic_pin`]). A CoRM
+    /// server overwrites it with the tier of its own pin-budget manager.
     pub tier: Option<Arc<FarTier>>,
     /// Whether the NIC supports NP-RDMA-style dynamic pinning: an MTT
     /// lookup that resolves to an unpinned or far frame triggers a
@@ -257,44 +256,26 @@ pub struct VerbOutcome {
     pub pin_faults: u32,
 }
 
-/// Counters exposed for the benchmark harness.
+/// Counters exposed for the benchmark harness. Injected faults are counted
+/// by the fault log ([`Rnic::fault_log`]), pin faults and hard misses by
+/// the far tier ([`FarTier::stats`]).
 #[derive(Debug, Default)]
 pub struct RnicStats {
     /// One-sided reads served.
     pub reads: AtomicU64,
-    /// Payload bytes read.
-    pub bytes_read: AtomicU64,
     /// ODP misses taken.
     pub odp_misses: AtomicU64,
     /// `rereg_mr` calls.
     pub reregs: AtomicU64,
     /// `advise_mr` calls.
     pub advises: AtomicU64,
-    /// Batched `rereg_mr` verbs (each covers every region in its batch).
-    pub rereg_batches: AtomicU64,
-    /// Batched `advise_mr` verbs (each covers every target in its batch).
-    pub advise_batches: AtomicU64,
-    /// Injected transient NIC/PCIe faults (verbs failed).
-    pub injected_faults: AtomicU64,
-    /// Injected QP breaks (verbs failed with `QpBroken`).
-    pub injected_qp_breaks: AtomicU64,
-    /// Injected latency spikes (verbs delayed).
-    pub injected_delays: AtomicU64,
-    /// Virtual time added by injected latency spikes, in nanoseconds.
-    pub injected_delay_ns: AtomicU64,
-    /// Verbs forced down the MTT-cache-miss path.
-    pub forced_cache_misses: AtomicU64,
     /// Doorbells rung (each admits one posted batch).
     pub doorbells: AtomicU64,
     /// WQEs executed through the batched path (including failed, excluding
     /// flushed ones, which never reach the NIC).
     pub wqes: AtomicU64,
-    /// Dynamic-pin faults taken (tiering with [`RnicConfig::dynamic_pin`]).
-    pub pin_faults: AtomicU64,
     /// Pages fetched from the far tier on the NIC fault path.
     pub tier_fetches: AtomicU64,
-    /// Pinned-only hard misses taken (tiering without dynamic pin or ODP).
-    pub hard_misses: AtomicU64,
 }
 
 /// The simulated RDMA-capable NIC.
@@ -309,8 +290,6 @@ pub struct Rnic {
     /// The inbound verb engines behind their one admission path: every
     /// doorbell-batched WQE is admitted here.
     sched: Mutex<QosScheduler>,
-    /// Recycled DMA staging buffers for queued READ completions.
-    staging: Arc<BufPool>,
     /// Public counters.
     pub stats: RnicStats,
 }
@@ -343,7 +322,6 @@ impl Rnic {
             config,
             faults,
             sched,
-            staging: Arc::new(BufPool::new()),
             stats: RnicStats::default(),
         }
     }
@@ -392,12 +370,6 @@ impl Rnic {
     /// The replay log of injected faults (empty when injection is off).
     pub fn fault_log(&self) -> Vec<(u64, FaultKind)> {
         self.faults.as_ref().map(|f| f.fired()).unwrap_or_default()
-    }
-
-    /// The staging pool queued READ completions borrow their payload
-    /// buffers from.
-    pub(crate) fn staging(&self) -> &Arc<BufPool> {
-        &self.staging
     }
 
     /// The latency model in force.
@@ -531,9 +503,7 @@ impl Rnic {
         if rkeys.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        let cost = self.rereg_regions(rkeys, now)?;
-        self.stats.rereg_batches.fetch_add(1, Ordering::Relaxed);
-        Ok(cost)
+        self.rereg_regions(rkeys, now)
     }
 
     /// Prefetches the translations of every `(rkey, va, pages)` target,
@@ -573,9 +543,7 @@ impl Rnic {
         if targets.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        let cost = self.advise_targets(targets)?;
-        self.stats.advise_batches.fetch_add(1, Ordering::Relaxed);
-        Ok(cost)
+        self.advise_targets(targets)
     }
 
     /// `ibv_advise_mr` prefetch: refreshes translations of an ODP region's
@@ -597,24 +565,22 @@ impl Rnic {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<VerbOutcome, RdmaError> {
-        let len = buf.len();
         let outcome = self.access(rkey, va, now, buf)?;
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
         Ok(outcome)
     }
 
-    /// Serves one doorbell of READs through the inbound engine: the core
-    /// under both [`crate::QueuePair`] batch entry points, which differ
-    /// only in the [`ReadSink`] they pass.
+    /// Serves one doorbell of READs through the inbound engine: the one
+    /// core under [`crate::QueuePair::read_batch_into`] and the
+    /// post/ring/poll façade over it.
     ///
     /// The batch arrives at `now + doorbell_cost` — one doorbell pays for
     /// the whole batch. A read-only [`Rnic::resolve`] pass first starts
     /// every request's lines loading; the commit pass below then finds
     /// them in cache. Each WQE then runs the full verb path (fault draw,
-    /// region checks, per-page MTT/cache lookup, DMA into the sink's
-    /// buffer) and is admitted into the engine scheduler for its service
-    /// time; its completion lands at
+    /// region checks, per-page MTT/cache lookup, DMA into `outs[k]`,
+    /// resized to the request's length) and is admitted into the engine
+    /// scheduler for its service time; its completion lands at
     /// `engine_done + (end_to_end_latency − service)`, the same composition
     /// the closed-loop simulations use. The first failing WQE stops
     /// execution and completes at the batch's arrival; the remaining WQEs
@@ -622,13 +588,15 @@ impl Rnic {
     /// fault draws, mirroring the sequential path where a broken QP rejects
     /// follow-up verbs before they reach the NIC.
     ///
-    /// The sink sees every request once, in posting order. Returns whether
-    /// a WQE failed; the caller moves its QP to the error state then.
+    /// Appends one result per request to `results`, in posting order; a
+    /// failed request's buffer holds nothing meaningful. Returns whether a
+    /// WQE failed; the caller moves its QP to the error state then.
     pub(crate) fn serve_doorbell(
         &self,
         reqs: &[ReadReq],
         now: SimTime,
-        sink: &mut impl ReadSink,
+        outs: &mut [Vec<u8>],
+        results: &mut Vec<ReadResult>,
     ) -> bool {
         let model = &self.config.model;
         let trace = &self.config.trace;
@@ -650,25 +618,16 @@ impl Rnic {
         }
         let mut held = Some(held);
         let mut memo = None;
-        let mut bytes_read = 0u64;
         // How many requests reached the NIC, and whether the last one failed.
         let mut executed = 0usize;
         let mut failed = false;
-        for (k, req) in reqs.iter().enumerate() {
+        for (req, out) in reqs.iter().zip(outs.iter_mut()) {
             executed += 1;
-            match self.access_locked(
-                &rt,
-                &dma,
-                &mut fault,
-                &mut held,
-                &mut memo,
-                req.rkey,
-                req.va,
-                arrival,
-                sink.buffer(k, req.len),
+            out.resize(req.len, 0);
+            let (completed_at, result) = match self.access_locked(
+                &rt, &dma, &mut fault, &mut held, &mut memo, req.rkey, req.va, arrival, out,
             ) {
                 Ok(verb) => {
-                    bytes_read += req.len as u64;
                     let mut service = model.rdma_read_service(req.len, verb.cache_hit);
                     if verb.odp_misses > 0 {
                         service +=
@@ -691,23 +650,23 @@ impl Rnic {
                         SimTime::from_nanos(adm.done.as_nanos() - service.as_nanos()),
                         service,
                     );
-                    sink.complete(req, adm.done + verb.latency.saturating_sub(service), Ok(verb));
+                    (adm.done + verb.latency.saturating_sub(service), Ok(verb))
                 }
                 Err(e) => {
-                    sink.complete(req, arrival, Err(e));
                     failed = true;
-                    break;
+                    (arrival, Err(e))
                 }
+            };
+            results.push(ReadResult { wr_id: req.wr_id, completed_at, result });
+            if failed {
+                break;
             }
         }
-        for req in &reqs[executed..] {
-            sink.complete(req, arrival, Err(RdmaError::QpBroken));
-        }
+        results.extend(reqs[executed..].iter().map(|req| ReadResult::flushed(req, arrival)));
         self.stats.wqes.fetch_add(executed as u64, Ordering::Relaxed);
         let reads = (executed - failed as usize) as u64;
         if reads > 0 {
             self.stats.reads.fetch_add(reads, Ordering::Relaxed);
-            self.stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
         }
         failed
     }
@@ -771,27 +730,6 @@ impl Rnic {
         self.sched.lock().utilization(horizon)
     }
 
-    /// Whether `RnicConfig::qos` asked for SLO-class scheduling.
-    pub fn qos_enabled(&self) -> bool {
-        self.config.qos.is_some()
-    }
-
-    /// WQEs admitted per traffic class (all zero when QoS is off, which
-    /// does not report classes).
-    pub fn qos_class_admitted(&self) -> [u64; TrafficClass::COUNT] {
-        if self.qos_enabled() {
-            self.sched.lock().class_admitted()
-        } else {
-            [0; TrafficClass::COUNT]
-        }
-    }
-
-    /// Scheduler-imposed wait per traffic class, in nanoseconds (all zero
-    /// when QoS is off or uniform).
-    pub fn qos_class_wait_ns(&self) -> [u64; TrafficClass::COUNT] {
-        self.sched.lock().class_wait_ns()
-    }
-
     fn access(
         &self,
         rkey: u32,
@@ -840,26 +778,13 @@ impl Rnic {
                 trace.event(Track::Nic, Stage::FaultDraw, 0, now);
             }
             match decision {
-                Some(FaultKind::QpBreak) => {
-                    self.stats.injected_qp_breaks.fetch_add(1, Ordering::Relaxed);
-                    return Err(RdmaError::QpBroken);
-                }
-                Some(FaultKind::Transient) => {
-                    self.stats.injected_faults.fetch_add(1, Ordering::Relaxed);
-                    return Err(RdmaError::InjectedFault);
-                }
+                Some(FaultKind::QpBreak) => return Err(RdmaError::QpBroken),
+                Some(FaultKind::Transient) => return Err(RdmaError::InjectedFault),
                 Some(FaultKind::DelaySpike) => {
                     injected_delay = inj.delay_spike();
-                    self.stats.injected_delays.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .injected_delay_ns
-                        .fetch_add(injected_delay.as_nanos(), Ordering::Relaxed);
                     trace.sample(Stage::FaultDelay, injected_delay);
                 }
-                Some(FaultKind::CacheMiss) => {
-                    forced_miss = true;
-                    self.stats.forced_cache_misses.fetch_add(1, Ordering::Relaxed);
-                }
+                Some(FaultKind::CacheMiss) => forced_miss = true,
                 None => {}
             }
         }
@@ -969,7 +894,6 @@ impl Rnic {
                                 // then proceeds against pinned memory.
                                 dma.set_residency(frame, Residency::Pinned)?;
                                 tier.note_pin_fault();
-                                self.stats.pin_faults.fetch_add(1, Ordering::Relaxed);
                                 pin_faults += 1;
                                 trace.span(Track::Nic, Stage::DynamicPin, 0, now, tcfg.dynamic_pin);
                                 tier_delay += fetch + tcfg.dynamic_pin;
@@ -995,7 +919,6 @@ impl Rnic {
                                 trace.span(Track::Nic, Stage::TierFetch, 0, now, d);
                             }
                             dma.set_residency(frame, Residency::Pinned)?;
-                            self.stats.hard_misses.fetch_add(1, Ordering::Relaxed);
                             tier_delay += d;
                         }
                     }
@@ -1070,22 +993,6 @@ impl Rnic {
     pub fn region(&self, rkey: u32) -> Option<MemoryRegion> {
         self.regions.read().get(rkey).ok().map(|slot| slot.mr)
     }
-}
-
-/// Where one doorbell's payloads land and where its results go: all that
-/// the queued and the synchronous [`crate::QueuePair`] adapter over
-/// [`Rnic::serve_doorbell`] differ in.
-pub(crate) trait ReadSink {
-    /// The `len`-byte buffer that request `k` of the batch DMAs into.
-    fn buffer(&mut self, k: usize, len: usize) -> &mut [u8];
-
-    /// Records `req`'s outcome; an `Err` discards whatever its buffer holds.
-    fn complete(
-        &mut self,
-        req: &ReadReq,
-        completed_at: SimTime,
-        result: Result<VerbOutcome, RdmaError>,
-    );
 }
 
 #[cfg(test)]
@@ -1336,7 +1243,7 @@ mod tests {
         // Once pinned, the fault path is off again.
         let again = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!((again.pin_faults, again.latency), (0, warm.latency));
-        assert_eq!(rnic.stats.pin_faults.load(Ordering::Relaxed), 1);
+        assert_eq!(tier.stats().pin_faults, 1);
         assert_eq!(rnic.stats.tier_fetches.load(Ordering::Relaxed), 1);
     }
 
@@ -1367,7 +1274,7 @@ mod tests {
         );
         assert_eq!(hard.pin_faults, 0);
         assert_eq!(pm.residency(frames[0]), Residency::Pinned);
-        assert_eq!(rnic.stats.hard_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(tier.stats().hard_misses, 1);
 
         // ODP region: the far page degenerates to the existing lazy fault
         // (odp_miss charge) and stays unpinned afterwards.
@@ -1454,12 +1361,15 @@ mod tests {
         assert!(!missed.cache_hit, "forced miss must evict the translation");
         assert!(missed.latency > warm.latency);
 
-        assert_eq!(rnic.stats.injected_qp_breaks.load(Ordering::Relaxed), 1);
-        assert_eq!(rnic.stats.injected_faults.load(Ordering::Relaxed), 1);
-        assert_eq!(rnic.stats.injected_delays.load(Ordering::Relaxed), 1);
-        assert_eq!(rnic.stats.forced_cache_misses.load(Ordering::Relaxed), 1);
-        assert_eq!(rnic.stats.injected_delay_ns.load(Ordering::Relaxed), spike.as_nanos());
-        assert_eq!(rnic.fault_log().len(), 4);
+        assert_eq!(
+            rnic.fault_log(),
+            vec![
+                (0, FaultKind::QpBreak),
+                (1, FaultKind::Transient),
+                (4, FaultKind::DelaySpike),
+                (6, FaultKind::CacheMiss)
+            ]
+        );
     }
 
     #[test]

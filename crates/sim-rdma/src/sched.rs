@@ -64,14 +64,14 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
-    /// Number of classes (sizes per-class counter arrays).
+    /// Number of classes (sizes per-class arrays).
     pub const COUNT: usize = 3;
 
     /// Every class, in priority order (latency first).
     pub const ALL: [TrafficClass; TrafficClass::COUNT] =
         [TrafficClass::Latency, TrafficClass::Bulk, TrafficClass::Sync];
 
-    /// Dense index for counter arrays.
+    /// Dense index for per-class arrays.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -174,10 +174,6 @@ pub struct QosScheduler {
     admitted: u64,
     /// Aggregate service time admitted (for utilization metrics).
     busy: SimDuration,
-    /// Per-class admitted counts.
-    class_admitted: [u64; TrafficClass::COUNT],
-    /// Per-class scheduler-imposed wait, summed (ns).
-    class_wait_ns: [u64; TrafficClass::COUNT],
 }
 
 #[inline]
@@ -207,8 +203,6 @@ impl QosScheduler {
             units,
             admitted: 0,
             busy: SimDuration::ZERO,
-            class_admitted: [0; TrafficClass::COUNT],
-            class_wait_ns: [0; TrafficClass::COUNT],
         }
     }
 
@@ -271,8 +265,6 @@ impl QosScheduler {
         };
         self.admitted += 1;
         self.busy += service;
-        self.class_admitted[class.index()] += 1;
-        self.class_wait_ns[class.index()] += adm.class_wait.as_nanos();
         adm
     }
 
@@ -293,16 +285,6 @@ impl QosScheduler {
         }
         // One server per unit, under either discipline.
         self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.units as f64)
-    }
-
-    /// Per-class admitted counts, indexed by [`TrafficClass`].
-    pub fn class_admitted(&self) -> [u64; TrafficClass::COUNT] {
-        self.class_admitted
-    }
-
-    /// Per-class scheduler-imposed wait (ns), indexed by [`TrafficClass`].
-    pub fn class_wait_ns(&self) -> [u64; TrafficClass::COUNT] {
-        self.class_wait_ns
     }
 
     /// The configuration in force.
@@ -500,14 +482,13 @@ mod tests {
     #[test]
     fn per_class_counters_accumulate() {
         let mut qos = QosScheduler::new(QosConfig::default(), 1);
-        qos.admit(0, TrafficClass::Latency, at(0), us(1));
+        let get = qos.admit(0, TrafficClass::Latency, at(0), us(1));
         qos.admit(0, TrafficClass::Bulk, at(0), us(2));
-        qos.admit(0, TrafficClass::Bulk, at(0), us(2));
-        assert_eq!(qos.class_admitted(), [1, 2, 0]);
+        let second_bulk = qos.admit(0, TrafficClass::Bulk, at(0), us(2));
         assert_eq!(qos.admitted(), 3);
         assert_eq!(qos.busy(), us(5));
         // The second bulk verb waited behind bulk's own clock.
-        assert!(qos.class_wait_ns()[TrafficClass::Bulk.index()] > 0);
-        assert_eq!(qos.class_wait_ns()[TrafficClass::Latency.index()], 0);
+        assert!(second_bulk.class_wait > SimDuration::ZERO);
+        assert_eq!(get.class_wait, SimDuration::ZERO);
     }
 }

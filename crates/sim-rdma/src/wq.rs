@@ -7,15 +7,16 @@
 //! in flight so the per-verb doorbell/fetch overhead is amortized and the
 //! inbound engine never idles — the effect behind CoRM's Fig. 11/12
 //! plateaus. CoRM's clients post one-sided READs only (writes travel by
-//! RPC, §3.2), so a WQE is a [`ReadReq`]: [`crate::QueuePair::post`]
-//! enqueues one, [`crate::QueuePair::ring_doorbell`] executes the queue,
-//! and [`crate::QueuePair::poll_cq`] drains [`Completion`]s in
-//! virtual-time order. [`crate::QueuePair::read_batch_into`] runs the same
-//! doorbell on a caller-held batch and hands back [`ReadResult`]s.
+//! RPC, §3.2), so a WQE is a [`ReadReq`].
+//! [`crate::QueuePair::read_batch_into`] rings one doorbell over a
+//! caller-held batch and hands back [`ReadResult`]s;
+//! [`crate::QueuePair::post`] enqueues one WQE,
+//! [`crate::QueuePair::ring_doorbell`] runs the same doorbell over the
+//! queue, and [`crate::QueuePair::poll_cq`] drains [`Completion`]s in
+//! virtual-time order.
 
 use corm_sim_core::time::SimTime;
 
-use crate::pool::PooledBuf;
 use crate::rnic::{RdmaError, VerbOutcome};
 use crate::sched::TrafficClass;
 
@@ -36,10 +37,8 @@ pub struct Completion {
     pub completed_at: SimTime,
     /// Verb outcome, or the error that failed/flushed the WQE.
     pub result: Result<VerbOutcome, RdmaError>,
-    /// Payload read by the WQE (empty for failures). The
-    /// buffer is borrowed from the RNIC's staging pool and returns there
-    /// when the completion is dropped.
-    pub data: PooledBuf,
+    /// Payload read by the WQE (empty for failures), owned by the caller.
+    pub data: Vec<u8>,
 }
 
 impl Completion {
@@ -88,4 +87,12 @@ pub struct ReadResult {
     pub completed_at: SimTime,
     /// Verb outcome, or the error that failed/flushed the request.
     pub result: Result<VerbOutcome, RdmaError>,
+}
+
+impl ReadResult {
+    /// `req` flushed at `at` with [`RdmaError::QpBroken`], never having
+    /// reached the NIC.
+    pub(crate) fn flushed(req: &ReadReq, at: SimTime) -> Self {
+        ReadResult { wr_id: req.wr_id, completed_at: at, result: Err(RdmaError::QpBroken) }
+    }
 }
