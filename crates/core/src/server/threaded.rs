@@ -9,22 +9,29 @@
 //! Each worker owns one queue; clients spray requests round-robin across
 //! the queues, and a worker whose own queue runs dry steals from its
 //! siblings before blocking. This keeps workers off a single shared
-//! channel lock (throughput scales with `workers`) without ever stranding
+//! queue lock (throughput scales with `workers`) without ever stranding
 //! a request behind a busy worker. RPCs carry no traffic class: the paper
 //! never arbitrates between them, and SLO-class arbitration between
 //! *verbs* lives in the RNIC's scheduler (DESIGN §13).
+//!
+//! Each call carries its own one-slot reply channel, so a call whose
+//! request is dropped unserved learns so at once instead of waiting out its
+//! deadline. The event-driven figure harness does not come through here —
+//! it calls the handlers directly and charges virtual time — so the queues
+//! carry no latency model of their own.
 //!
 //! Virtual time is kept by a shared Lamport-style clock that advances with
 //! each operation's cost, so `rereg_mr` busy windows behave sensibly even
 //! without an event loop.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::rpc::{sharded_rpc_channel, Envelope, RpcClient, RpcQueue};
 use corm_trace::{Stage, Track};
 
 use crate::ptr::GlobalPtr;
@@ -107,14 +114,135 @@ pub enum Pacing {
 /// the pass never stalls behind an unbounded backlog.
 const YIELD_SERVE_BURST: usize = 32;
 
+/// How long [`RpcClient::call`] waits for a reply to a queued request.
+const CALL_DEADLINE: Duration = Duration::from_secs(30);
+
+/// A queued request and where its reply goes.
+struct Call {
+    request: Request,
+    /// Wall-clock enqueue time. Queue wait is a host-scheduling quantity
+    /// with no virtual-time meaning, so it feeds the secondary (wall)
+    /// aggregate only, never events.
+    enqueued: Instant,
+    reply: SyncSender<Response>,
+}
+
+/// One worker's queue. `None` once closed: the shutdown drain takes the
+/// deque under the lock, so a push either lands before the drain (and is
+/// served by it) or finds the queue closed.
+struct Queue {
+    calls: Mutex<Option<VecDeque<Call>>>,
+    ready: Condvar,
+}
+
+impl Queue {
+    fn open() -> Self {
+        Queue { calls: Mutex::new(Some(VecDeque::new())), ready: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<VecDeque<Call>>> {
+        // Every critical section is one push, pop or take, each of which
+        // leaves the deque valid even if it panics: poisoning is ignored.
+        self.calls.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `call`; `false` (and the call dropped) if the queue is closed.
+    fn push(&self, call: Call) -> bool {
+        let mut calls = self.lock();
+        let Some(queue) = calls.as_mut() else {
+            return false;
+        };
+        queue.push_back(call);
+        drop(calls);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Non-blocking pop (also the steal primitive for sibling workers).
+    fn try_pop(&self) -> Option<Call> {
+        self.lock().as_mut()?.pop_front()
+    }
+
+    /// Pops, waiting up to `timeout` for a call to arrive.
+    fn pop_timeout(&self, timeout: Duration) -> Option<Call> {
+        let (mut calls, _) = self
+            .ready
+            .wait_timeout_while(self.lock(), timeout, |calls| {
+                calls.as_ref().is_some_and(VecDeque::is_empty)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        calls.as_mut()?.pop_front()
+    }
+
+    /// Closes the queue and returns what it held.
+    fn close(&self) -> VecDeque<Call> {
+        self.lock().take().unwrap_or_default()
+    }
+}
+
 /// The workers' queues, indexed by worker.
-type Queues = Arc<[RpcQueue<Request, Response>]>;
+type Queues = Arc<[Queue]>;
+
+/// Errors from a blocking RPC call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RpcError {
+    /// The server shut down, or dropped the request unserved.
+    Disconnected,
+    /// No reply within the deadline.
+    Timeout,
+}
+
+impl std::fmt::Display for RpcError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RpcError::Disconnected => write!(f, "rpc server disconnected"),
+            RpcError::Timeout => write!(f, "rpc call timed out"),
+        }
+    }
+}
+
+impl std::error::Error for RpcError {}
+
+/// Client side of the RPC queues. Requests are sprayed round-robin across
+/// the workers' queues; clones share the rotation counter so concurrent
+/// clients spread load rather than marching in step.
+#[derive(Clone)]
+pub struct RpcClient {
+    queues: Queues,
+    next: Arc<AtomicUsize>,
+}
+
+impl RpcClient {
+    /// A client over `workers` fresh queues (at least one).
+    fn connect(workers: usize) -> Self {
+        let queues = (0..workers.max(1)).map(|_| Queue::open()).collect();
+        RpcClient { queues, next: Arc::default() }
+    }
+
+    /// Issues a blocking call and waits up to 30 s for the reply.
+    pub fn call(&self, request: Request) -> Result<Response, RpcError> {
+        self.call_within(request, CALL_DEADLINE)
+    }
+
+    fn call_within(&self, request: Request, deadline: Duration) -> Result<Response, RpcError> {
+        let (reply, response) = sync_channel(1);
+        let queue = &self.queues[self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len()];
+        if !queue.push(Call { request, enqueued: Instant::now(), reply }) {
+            return Err(RpcError::Disconnected);
+        }
+        // The worker holds the only sender: a call dropped unserved
+        // disconnects the channel rather than leaving it to time out.
+        response.recv_timeout(deadline).map_err(|e| match e {
+            RecvTimeoutError::Timeout => RpcError::Timeout,
+            RecvTimeoutError::Disconnected => RpcError::Disconnected,
+        })
+    }
+}
 
 /// A running threaded CoRM node.
 pub struct ThreadedServer {
     server: Arc<CormServer>,
-    client: RpcClient<Request, Response>,
-    queues: Queues,
+    client: RpcClient,
     shutdown: Arc<AtomicBool>,
     clock_ns: Arc<AtomicU64>,
     handles: Vec<JoinHandle<u64>>,
@@ -130,13 +258,12 @@ impl ThreadedServer {
     /// Starts the workers with an explicit [`Pacing`] mode.
     pub fn start_with_pacing(server: Arc<CormServer>, pacing: Pacing) -> Self {
         let workers = server.config().workers;
-        let (client, queues) = sharded_rpc_channel::<Request, Response>(workers);
-        let queues: Queues = queues.into();
+        let client = RpcClient::connect(workers);
         let shutdown = Arc::new(AtomicBool::new(false));
         let clock_ns = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let queues = queues.clone();
+            let queues = client.queues.clone();
             let server = server.clone();
             let shutdown = shutdown.clone();
             let clock = clock_ns.clone();
@@ -144,11 +271,11 @@ impl ThreadedServer {
                 worker_loop(w, server, queues, shutdown, clock, pacing)
             }));
         }
-        ThreadedServer { server, client, queues, shutdown, clock_ns, handles }
+        ThreadedServer { server, client, shutdown, clock_ns, handles }
     }
 
     /// A handle clients use to issue RPCs.
-    pub fn rpc_client(&self) -> RpcClient<Request, Response> {
+    pub fn rpc_client(&self) -> RpcClient {
         self.client.clone()
     }
 
@@ -180,16 +307,16 @@ impl ThreadedServer {
         let mut advanced = SimDuration::ZERO;
         let timed = {
             let server = &self.server;
-            let queues = &self.queues;
+            let queues = &self.client.queues;
             let clock = &self.clock_ns;
             let mut on_yield = |chunk: SimDuration| {
                 clock.fetch_add(chunk.as_nanos(), Ordering::Relaxed);
                 advanced += chunk;
                 for _ in 0..YIELD_SERVE_BURST {
-                    let Some(envelope) = queues.iter().find_map(|q| q.try_poll()) else {
+                    let Some(call) = queues.iter().find_map(Queue::try_pop) else {
                         break;
                     };
-                    serve(0, server, clock, Pacing::None, envelope);
+                    serve(0, server, clock, Pacing::None, call);
                 }
             };
             server.compact_class_with(class, start, &mut on_yield)?
@@ -202,13 +329,11 @@ impl ThreadedServer {
 
     /// Stops the workers and returns the number of requests each served.
     ///
-    /// Only this handle's RPC sender is dropped; calls issued through
-    /// still-live [`Self::rpc_client`] clones after shutdown are not
-    /// served and time out with [`corm_sim_rdma::rpc::RpcError::Timeout`].
-    /// Drop all clones before (or treat timeouts as disconnection).
+    /// Every call queued before the workers close the queues is answered;
+    /// a call issued through a still-live [`Self::rpc_client`] clone after
+    /// that returns [`RpcError::Disconnected`] at once.
     pub fn shutdown(self) -> Vec<u64> {
         self.shutdown.store(true, Ordering::Relaxed);
-        drop(self.client);
         self.handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     }
 }
@@ -223,47 +348,41 @@ fn worker_loop(
 ) -> u64 {
     let n = queues.len();
     let mut served = 0u64;
-    let mut handle = |envelope| {
-        serve(worker, &server, &clock, pacing, envelope);
+    let mut handle = |call| {
+        serve(worker, &server, &clock, pacing, call);
         served += 1;
     };
-    let steal = |from: usize| (from..n).find_map(|k| queues[(worker + k) % n].try_poll());
+    let sibling = |k: usize| &queues[(worker + k) % n];
     while !shutdown.load(Ordering::Relaxed) {
         // Own queue first; a worker steals only when it is dry, so it is
         // provably idle and stealing can never pull it into a backlog.
-        if let Some(envelope) = queues[worker].try_poll() {
-            handle(envelope);
-        } else if let Some(envelope) = steal(1) {
+        if let Some(call) = queues[worker].try_pop() {
+            handle(call);
+        } else if let Some(call) = (1..n).find_map(|k| sibling(k).try_pop()) {
             server.trace().count(Stage::RpcSteal);
-            handle(envelope);
-        } else if let Some(envelope) = queues[worker].poll(Duration::from_millis(5)) {
+            handle(call);
+        } else if let Some(call) = queues[worker].pop_timeout(Duration::from_millis(5)) {
             // Blocked briefly on the own queue, so an idle fleet parks on
             // its condvars instead of spinning.
-            handle(envelope);
+            handle(call);
         }
     }
-    // Drain every queue so no accepted request loses its reply on
-    // shutdown, even if its home worker already exited.
-    while let Some(envelope) = steal(0) {
-        handle(envelope);
+    // Close every queue and serve what it held, so no accepted request
+    // loses its reply on shutdown, even if its home worker already exited;
+    // a queue another worker closed first comes back empty.
+    for k in 0..n {
+        for call in sibling(k).close() {
+            handle(call);
+        }
     }
     served
 }
 
 /// Serves one queued request as `worker`: runs its handler, advances the
 /// shared virtual clock by the op's cost, and sends the reply.
-fn serve(
-    worker: usize,
-    server: &CormServer,
-    clock: &AtomicU64,
-    pacing: Pacing,
-    envelope: Envelope<Request, Response>,
-) {
-    // Queue wait is host-scheduling time with no virtual meaning: it
-    // feeds the secondary (wall) aggregate only, never the event stream.
-    server.trace().wall_ns(Stage::RpcQueueWait, envelope.queue_wait().as_nanos() as u64);
-    let (request, reply) = envelope.into_parts();
-    let served = match request {
+fn serve(worker: usize, server: &CormServer, clock: &AtomicU64, pacing: Pacing, call: Call) {
+    server.trace().wall_ns(Stage::RpcQueueWait, call.enqueued.elapsed().as_nanos() as u64);
+    let served = match call.request {
         Request::Alloc { len } => {
             server.alloc(worker, len).map(|t| (Response::Ptr(t.value), t.cost))
         }
@@ -302,7 +421,8 @@ fn serve(
         }
         Err(e) => Response::Err(e),
     };
-    reply.send(response);
+    // A caller whose deadline passed has gone; its reply dies here.
+    let _ = call.reply.send(response);
 }
 
 #[cfg(test)]
@@ -401,23 +521,19 @@ mod tests {
         }));
         let class = crate::consistency::class_for_payload(server.classes(), 32).unwrap();
         let slots = server.block_bytes() / server.classes().size_of(class);
-        let ts = ThreadedServer::start(server);
-        let client = ts.rpc_client();
+        let ts = ThreadedServer::start(server.clone());
         // Fill four blocks, then thin them to 2/5 so the pass has several
-        // merges — a 1µs budget yields at every merge boundary.
+        // merges — a 1µs budget yields at every merge boundary. The fill
+        // runs on one worker's allocator, not through the queues: which
+        // worker serves an RPC is scheduled, and a fill split unevenly
+        // between the two can leave a single merge.
         let mut ptrs = Vec::new();
         for _ in 0..4 * slots {
-            match client.call(Request::Alloc { len: 32 }).unwrap() {
-                Response::Ptr(p) => ptrs.push(p),
-                other => panic!("{other:?}"),
-            }
+            ptrs.push(server.alloc(0, 32).unwrap().value);
         }
-        for (i, ptr) in ptrs.into_iter().enumerate() {
+        for (i, mut ptr) in ptrs.into_iter().enumerate() {
             if i % 5 >= 2 {
-                match client.call(Request::Free { ptr }).unwrap() {
-                    Response::Done(_) => {}
-                    other => panic!("{other:?}"),
-                }
+                server.free(0, &mut ptr).unwrap();
             }
         }
         let before = ts.now();
@@ -441,13 +557,12 @@ mod tests {
             trace: trace.clone(),
             ..ServerConfig::default()
         }));
-        let (client, queues) = sharded_rpc_channel::<Request, Response>(2);
-        let queues: Queues = queues.into();
+        let client = RpcClient::connect(2);
         let shutdown = Arc::new(AtomicBool::new(false));
         let clock = Arc::new(AtomicU64::new(0));
         let worker0 = {
             let (server, queues, shutdown, clock) =
-                (server.clone(), queues.clone(), shutdown.clone(), clock.clone());
+                (server.clone(), client.queues.clone(), shutdown.clone(), clock.clone());
             std::thread::spawn(move || {
                 worker_loop(0, server, queues, shutdown, clock, Pacing::None)
             })
@@ -465,24 +580,93 @@ mod tests {
         assert_eq!(trace.counter(Stage::RpcSteal), 2);
         shutdown.store(true, Ordering::Relaxed);
         assert_eq!(worker0.join().unwrap(), 4);
+        // Worker 0's drain closed both queues, so a later call is refused.
+        assert!(matches!(client.call(Request::Alloc { len: 16 }), Err(RpcError::Disconnected)));
 
-        // No worker is left: four blocked callers park two requests on
-        // each queue. A worker that starts after `shutdown` was raised
-        // skips its serving loop, so only the drain can answer them.
-        let callers: Vec<_> = (0..4)
+        // No worker is left on four fresh queues: eight blocked callers
+        // park two requests on each, because clones share the rotation. A
+        // worker that starts after `shutdown` was raised skips its serving
+        // loop, so only the drain can answer them.
+        let client = RpcClient::connect(4);
+        let callers: Vec<_> = (0..8)
             .map(|_| {
                 let client = client.clone();
                 std::thread::spawn(move || client.call(Request::Alloc { len: 16 }))
             })
             .collect();
-        while queues.iter().map(|q| q.len()).sum::<usize>() < 4 {
+        let queued = |q: &Queue| q.lock().as_ref().map_or(0, VecDeque::len);
+        while client.queues.iter().map(queued).sum::<usize>() < 8 {
             std::thread::yield_now();
         }
-        assert_eq!((queues[0].len(), queues[1].len()), (2, 2));
-        assert_eq!(worker_loop(1, server, queues, shutdown, clock, Pacing::None), 4);
+        assert_eq!(client.queues.iter().map(queued).collect::<Vec<_>>(), [2, 2, 2, 2]);
+        let queues = client.queues.clone();
+        assert_eq!(worker_loop(1, server, queues, shutdown, clock, Pacing::None), 8);
         for caller in callers {
             assert!(matches!(caller.join().unwrap(), Ok(Response::Ptr(_))));
         }
+    }
+
+    #[test]
+    fn a_call_dropped_unserved_is_disconnected_at_once() {
+        let client = RpcClient::connect(1);
+        let caller = {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                (client.call(Request::Alloc { len: 16 }), start.elapsed())
+            })
+        };
+        let call = loop {
+            if let Some(call) = client.queues[0].try_pop() {
+                break call;
+            }
+            std::thread::yield_now();
+        };
+        assert!(matches!(call.request, Request::Alloc { len: 16 }));
+        drop(call);
+        let (result, waited) = caller.join().unwrap();
+        assert!(matches!(result, Err(RpcError::Disconnected)), "{result:?}");
+        assert!(waited < Duration::from_secs(1), "waited {waited:?} for a dropped call");
+    }
+
+    #[test]
+    fn a_call_nobody_serves_times_out() {
+        // The queue keeps the call, and with it the reply's sender.
+        let client = RpcClient::connect(1);
+        let result = client.call_within(Request::Alloc { len: 16 }, Duration::from_millis(50));
+        assert!(matches!(result, Err(RpcError::Timeout)), "{result:?}");
+    }
+
+    #[test]
+    fn calls_racing_shutdown_are_answered_or_refused_at_once() {
+        let ts = start();
+        let go = Arc::new(std::sync::Barrier::new(5));
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                let (client, go) = (ts.rpc_client(), go.clone());
+                std::thread::spawn(move || {
+                    go.wait();
+                    let mut answered = 0u64;
+                    loop {
+                        let start = Instant::now();
+                        let result = client.call(Request::Alloc { len: 16 });
+                        let waited = start.elapsed();
+                        assert!(waited < Duration::from_secs(1), "a call waited {waited:?}");
+                        match result {
+                            Ok(_) => answered += 1,
+                            Err(RpcError::Disconnected) => return answered,
+                            Err(e) => panic!("{e}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        go.wait();
+        let served: u64 = ts.shutdown().iter().sum();
+        let answered: u64 = callers.into_iter().map(|c| c.join().unwrap()).sum();
+        // Every call the workers served reached its caller, and every other
+        // call was refused: none was left to time out.
+        assert_eq!(answered, served);
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //!   lands the payloads in the caller's buffers. `post`, `ring_doorbell`
 //!   and `poll_cq` are a façade over the same doorbell that queues the
 //!   WQEs and hands back [`Completion`]s in virtual-time order.
-//! - [`rpc`]: a two-sided SEND/RECV fabric (crossbeam channels) used by the
-//!   threaded CoRM server.
+//!
+//! The two-sided RPC path has no fabric here: the event-driven harness calls
+//! the server's handlers directly, and the threaded CoRM server owns its
+//! per-worker queues (`corm_core::server::threaded`).
 
 pub mod fault;
 pub mod latency;
@@ -40,7 +42,6 @@ mod mtt;
 pub mod mux;
 pub mod qp;
 pub mod rnic;
-pub mod rpc;
 pub mod sched;
 pub mod wq;
 

@@ -251,9 +251,6 @@ pub struct VerbOutcome {
     pub cache_hit: bool,
     /// Number of ODP misses taken.
     pub odp_misses: u32,
-    /// Number of dynamic-pin faults taken (tiering only; always zero when
-    /// no far tier is attached).
-    pub pin_faults: u32,
 }
 
 /// Counters exposed for the benchmark harness. Injected faults are counted
@@ -868,7 +865,6 @@ impl Rnic {
         // and translation above and *before* the DMA below: residency is a
         // deterministic check that consumes no RNG, so seeded fault-draw
         // order is byte-identical with and without a tier attached.
-        let mut pin_faults = 0u32;
         let mut tier_delay = SimDuration::ZERO;
         if let Some(tier) = &self.config.tier {
             for &frame in frames.iter() {
@@ -894,7 +890,6 @@ impl Rnic {
                                 // then proceeds against pinned memory.
                                 dma.set_residency(frame, Residency::Pinned)?;
                                 tier.note_pin_fault();
-                                pin_faults += 1;
                                 trace.span(Track::Nic, Stage::DynamicPin, 0, now, tcfg.dynamic_pin);
                                 tier_delay += fetch + tcfg.dynamic_pin;
                             } else if res == Residency::Far {
@@ -951,7 +946,7 @@ impl Rnic {
             latency += model.odp_miss.unwrap_or(SimDuration::ZERO) * odp_misses as u64;
         }
         latency += injected_delay + tier_delay;
-        Ok(VerbOutcome { latency, cache_hit: all_hit, odp_misses, pin_faults })
+        Ok(VerbOutcome { latency, cache_hit: all_hit, odp_misses })
     }
 
     /// The far tier attached to this NIC, if the host runs a pin budget.
@@ -1228,12 +1223,12 @@ mod tests {
         let mut buf = [0u8; 6];
         rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         let warm = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-        assert_eq!(warm.pin_faults, 0);
+        assert_eq!(tier.stats().pin_faults, 0);
 
         tier.spill(&pm, frames[0], SimTime::ZERO).unwrap();
         let faulted = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(&buf, b"tiered", "fetch must restore the page byte-exactly");
-        assert_eq!(faulted.pin_faults, 1);
+        assert_eq!(tier.stats().pin_faults, 1);
         assert_eq!(
             faulted.latency,
             warm.latency + tier.config().fetch_cost() + tier.config().dynamic_pin
@@ -1242,7 +1237,7 @@ mod tests {
 
         // Once pinned, the fault path is off again.
         let again = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-        assert_eq!((again.pin_faults, again.latency), (0, warm.latency));
+        assert_eq!(again.latency, warm.latency);
         assert_eq!(tier.stats().pin_faults, 1);
         assert_eq!(rnic.stats.tier_fetches.load(Ordering::Relaxed), 1);
     }
@@ -1272,7 +1267,7 @@ mod tests {
             hard.latency,
             warm.latency + tier.config().fetch_cost() + tier.config().hard_miss_extra
         );
-        assert_eq!(hard.pin_faults, 0);
+        assert_eq!(tier.stats().pin_faults, 0);
         assert_eq!(pm.residency(frames[0]), Residency::Pinned);
         assert_eq!(tier.stats().hard_misses, 1);
 

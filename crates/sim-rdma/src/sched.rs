@@ -286,11 +286,6 @@ impl QosScheduler {
         // One server per unit, under either discipline.
         self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.units as f64)
     }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &QosConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]

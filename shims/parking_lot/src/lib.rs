@@ -2,13 +2,12 @@
 //!
 //! Implements `parking_lot`'s non-poisoning API (`lock()`/`read()`/
 //! `write()` return guards directly instead of `Result`s) over raw atomic
-//! word locks rather than wrapping `std::sync`. The std primitives go
-//! through a futex syscall-shaped slow path and cost 15–19 ns per
-//! uncontended acquire on the simulator's hot verbs; the word locks here
-//! take one compare-exchange (~5 ns). Contended acquires spin briefly with
-//! exponential backoff, then yield to the scheduler — critical sections in
-//! this workspace are short (a map lookup, a frame copy), so parking
-//! infrastructure would buy nothing.
+//! word locks rather than wrapping `std::sync`: an uncontended acquire is
+//! one compare-exchange. The same API over `std::sync` ran the `ycsb_rdma`
+//! benchmark workload 13–17 % slower on a 2-vCPU host (DESIGN §12).
+//! Contended acquires spin briefly with exponential backoff, then yield to
+//! the scheduler — critical sections in this workspace are short (a map
+//! lookup, a frame copy), so parking infrastructure would buy nothing.
 //!
 //! Like real `parking_lot`, these locks do not poison: a panic while a
 //! guard is live simply releases the lock on unwind.
