@@ -4,9 +4,9 @@
 //! cacheline consistency check) following the publicly available
 //! information." We do the same, reusing the CoRM substrate with
 //! compaction disabled: the same two-level allocator, the same cacheline
-//! versioning for lock-free one-sided reads, 1 MiB blocks by default
-//! (FaRM's block size, §4.4.1), and no way to reclaim fragmented blocks —
-//! which is exactly the deficiency Figs. 14 and 17 quantify.
+//! versioning for lock-free one-sided reads, the block size the caller's
+//! config gives (FaRM's is 1 MiB, §4.4.1), and no way to reclaim fragmented
+//! blocks — which is exactly the deficiency Figs. 14 and 17 quantify.
 
 use std::sync::Arc;
 
@@ -28,13 +28,6 @@ impl FarmServer {
         // machinery inert, so the data path matches FaRM's.
         config.frag_threshold = f64::INFINITY;
         FarmServer { inner: Arc::new(CormServer::new(config)) }
-    }
-
-    /// A FaRM configuration: 1 MiB blocks, 8 workers.
-    pub fn default_config() -> ServerConfig {
-        let mut config = ServerConfig::default();
-        config.alloc.block_bytes = 1 << 20;
-        config
     }
 
     /// The underlying server (shares the CoRM data path).
@@ -121,10 +114,5 @@ mod tests {
         let reports = farm.server().compact_if_fragmented(SimTime::ZERO).unwrap();
         assert!(reports.is_empty(), "FaRM must never compact");
         assert_eq!(farm.server().stats.compactions.load(std::sync::atomic::Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn default_config_uses_1mib_blocks() {
-        assert_eq!(FarmServer::default_config().alloc.block_bytes, 1 << 20);
     }
 }

@@ -7,11 +7,12 @@
 //!   reads, but *no compaction*. [`farm::FarmServer`] does exactly that on
 //!   top of the `corm-core` machinery.
 //! - **Raw RDMA** reads (no consistency check) and **raw RPC** round trips
-//!   — the hardware floors in Figs. 9–11. See [`raw`].
+//!   — the hardware floors in Figs. 9–11. See [`RawRdmaClient`] and
+//!   [`RpcEcho`].
 //! - **Local `memcpy`** — the local-access floor in Fig. 11.
 
 pub mod farm;
-pub mod raw;
+mod raw;
 
 pub use farm::FarmServer;
 pub use raw::{LocalMemcpy, RawRdmaClient, RpcEcho};

@@ -65,7 +65,7 @@ fn compact_at(id_bits: u32) -> (usize, usize, usize, f64) {
     (before, after, report.objects_relocated, occupancy)
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Ablation: ID width on the real data path (8192 x 24 B, 75% freed, 4 KiB blocks)",
         &["id_bits", "blocks_before", "blocks_after", "reduction", "objects_relocated"],

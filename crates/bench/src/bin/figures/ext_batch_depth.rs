@@ -34,7 +34,7 @@ const DEPTHS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 const WORKING_SET: usize = 16 << 20;
 const OPS: usize = 4_096;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let trace = run.trace().clone();
     let mut t = Sheet::new(
         "Batch-depth sweep: batched DirectRead throughput",

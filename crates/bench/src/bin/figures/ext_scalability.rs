@@ -60,7 +60,7 @@ const NIC_OPS: usize = 4_096;
 /// Runs one closed-loop RPC cell: `clients` threads each issue
 /// `ops_per_client` Read RPCs against a `workers`-worker ThreadedServer.
 /// Returns the wall-clock and the virtual time the cell took.
-pub fn run_rpc_cell(
+pub(crate) fn run_rpc_cell(
     clients: usize,
     workers: usize,
     ops_per_client: usize,
@@ -122,7 +122,7 @@ fn run_nic_cell(units: usize, trace: &TraceHandle) -> f64 {
     NIC_OPS as f64 / clock.saturating_since(SimTime::ZERO).as_secs_f64() / 1e3
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let trace = run.trace().clone();
     let mut t = Sheet::new(
         "Hot-path scalability (sharded queues, registry, MTT, NIC units)",

@@ -31,7 +31,7 @@ fn spec_for(rate: f64) -> FaultSweepSpec {
     }
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fault sweep: DirectRead recovery under injected faults",
         &["fault_rate", "ops", "qp_breaks", "reconnects", "corrupted", "vtime_ms"],

@@ -71,7 +71,7 @@ fn relocated_population(size: usize) -> (Arc<CormServer>, Vec<(GlobalPtr, Global
     (server, moved)
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 10: median latency with indirect pointers (us)",
         &[

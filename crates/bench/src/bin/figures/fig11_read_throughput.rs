@@ -31,7 +31,7 @@ const WORKING_SET_BYTES: usize = 16 << 20;
 const CACHE_ENTRIES: usize = 512;
 const OPS: usize = 4_000;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 11: single-client read throughput",
         &[

@@ -25,7 +25,7 @@ const OBJECTS: usize = 256 * 1024;
 const CACHE_ENTRIES: usize = 512;
 const CLIENTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let config = ServerConfig {
         rnic: RnicConfig { cache_entries: CACHE_ENTRIES, ..RnicConfig::default() },
         ..ServerConfig::default()

@@ -20,7 +20,7 @@ const OBJECTS: usize = 256 * 1024;
 const THETAS: [f64; 5] = [0.6, 0.7, 0.8, 0.9, 0.99];
 const CLIENTS: [usize; 3] = [8, 16, 32];
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let config = ServerConfig {
         rnic: RnicConfig { cache_entries: 512, ..RnicConfig::default() },
         ..ServerConfig::default()

@@ -38,7 +38,7 @@ fn throughput(
     run_closed_loop(server, store_ptrs, &spec).kreqs
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let config = ServerConfig {
         rnic: RnicConfig { cache_entries: 3072, ..RnicConfig::default() },
         ..ServerConfig::default()

@@ -179,7 +179,7 @@ fn panel(
     (sheet, passes)
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let (left, left_passes) = panel(
         "Fig. 15 (left): collection time vs threads (us)",
         "threads",

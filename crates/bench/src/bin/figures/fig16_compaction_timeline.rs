@@ -168,7 +168,7 @@ fn engine_gates(run: &mut Run) {
     );
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     type PanelSpec = (&'static str, CorrectionStrategy, ReadPath, FixStrategy, Option<SimDuration>);
     let panels: [PanelSpec; 5] = [
         (

@@ -26,7 +26,7 @@ const RATES: [f64; 6] = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
 const BLOCK: usize = 1 << 20;
 
 /// The strategies of Figs. 17 and 18, in column order.
-pub const VANILLA_KINDS: [CompactorKind; 6] = [
+pub(crate) const VANILLA_KINDS: [CompactorKind; 6] = [
     CompactorKind::NoCompaction,
     CompactorKind::Ideal,
     CompactorKind::Mesh,
@@ -35,7 +35,7 @@ pub const VANILLA_KINDS: [CompactorKind; 6] = [
     CompactorKind::Corm { id_bits: 16 },
 ];
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 17: active memory (GiB) under synthetic workloads, 1 MiB blocks",
         &["size", "dealloc", "No", "Ideal", "Mesh", "CoRM-8", "CoRM-12", "CoRM-16"],

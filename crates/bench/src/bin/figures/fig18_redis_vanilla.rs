@@ -21,7 +21,7 @@ const THREADS: [usize; 4] = [1, 8, 16, 32];
 
 /// Replays the three Redis traces at every thread count under each of
 /// `kinds`, one column per kind (Figs. 18 and 19 differ in the kinds).
-pub fn redis_sheet(title: &str, header: &[&str], kinds: [CompactorKind; 6]) -> Sheet {
+pub(crate) fn redis_sheet(title: &str, header: &[&str], kinds: [CompactorKind; 6]) -> Sheet {
     let mut t = Sheet::new(title, header);
     for trace_kind in [RedisTrace::T1, RedisTrace::T2, RedisTrace::T3] {
         let ops = redis_trace(trace_kind, 0x12ED);
@@ -38,7 +38,7 @@ pub fn redis_sheet(title: &str, header: &[&str], kinds: [CompactorKind; 6]) -> S
     t
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let t = redis_sheet(
         "Fig. 18: active memory (GiB), Redis traces, vanilla CoRM, 1 MiB blocks",
         &["trace", "threads", "No", "Ideal", "Mesh", "CoRM-8", "CoRM-12", "CoRM-16"],

@@ -10,7 +10,7 @@ use corm_compact::strategy::CompactorKind;
 use crate::fig18_redis_vanilla::redis_sheet;
 use crate::run::Run;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let t = redis_sheet(
         "Fig. 19: active memory (GiB), Redis traces, hybrid CoRM, 1 MiB blocks",
         &["trace", "threads", "No", "Ideal", "Mesh", "CoRM-0+8", "CoRM-0+12", "CoRM-0+16"],

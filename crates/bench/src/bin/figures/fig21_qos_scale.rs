@@ -232,7 +232,7 @@ fn run_sample_traffic(
     (q[0], q[1])
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     // Panel A: three deterministic cells.
     let cells = [
         ("unloaded", run_isolation_cell(Some(QosConfig::default()), false)),

@@ -170,7 +170,7 @@ fn run_cell(mode: Mode, ratio: f64) -> (Vec<Cell>, Json, u64, u64) {
     (row, detail, fp, client.qp().depth_stats().posted)
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 22: throughput under memory oversubscription (Kreq/s)",
         &[

@@ -38,7 +38,7 @@ fn monte_carlo(rule_ids: bool, s: usize, id_space: usize, b: usize, trials: u32)
     ok as f64 / trials as f64
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 7: compaction probability (4 KiB blocks)",
         &["occupancy", "obj_size", "corm16", "corm8", "mesh", "corm16_mc", "mesh_mc"],

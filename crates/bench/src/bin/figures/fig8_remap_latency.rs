@@ -48,7 +48,7 @@ fn steps(t: &mut Sheet, strategy: &str, steps: &[(&str, f64, &str)]) {
     }
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 8: remapping strategies (ConnectX-5)",
         &["strategy", "step", "cost_us", "cumulative_us", "note"],

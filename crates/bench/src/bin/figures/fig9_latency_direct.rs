@@ -21,7 +21,7 @@ const SIZES: [usize; 9] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 const PRELOAD_PER_SIZE: usize = 2_000; // paper: 10,000 (scaled; same shape)
 const OPS: usize = 500;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Fig. 9: median operation latency with direct pointers (us)",
         &["size", "alloc", "free", "rpc_read", "rpc_write", "direct_read", "rpc_base", "rdma_base"],

@@ -11,7 +11,7 @@ use corm_trace::{canonical_lines, perfetto_json, validate_perfetto, Event, Trace
 use crate::Figure;
 
 /// One figure's run.
-pub struct Run {
+pub(crate) struct Run {
     figure: &'static Figure,
     trace: TraceHandle,
     dir: PathBuf,
@@ -21,7 +21,7 @@ pub struct Run {
 impl Run {
     /// A run of `figure`, recording `corm-trace` events when `record` is
     /// set.
-    pub fn new(figure: &'static Figure, record: bool) -> Self {
+    pub(crate) fn new(figure: &'static Figure, record: bool) -> Self {
         let dir = results_dir();
         fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
         let trace = if record { TraceHandle::recording() } else { TraceHandle::disabled() };
@@ -29,14 +29,14 @@ impl Run {
     }
 
     /// The figure's trace handle: recording under `--trace`.
-    pub fn trace(&self) -> &TraceHandle {
+    pub(crate) fn trace(&self) -> &TraceHandle {
         &self.trace
     }
 
     /// Records `claim` as failed under the figure's name unless it `holds`.
     /// The driver runs the remaining figures and then exits non-zero, so
     /// one invocation reports every broken shape.
-    pub fn gate(&mut self, holds: bool, claim: impl Display) {
+    pub(crate) fn gate(&mut self, holds: bool, claim: impl Display) {
         if holds {
             println!("gate ok: {claim}");
         } else {
@@ -46,7 +46,7 @@ impl Run {
     }
 
     /// Every failed gate, as `figure: claim`.
-    pub fn into_failures(self) -> Vec<String> {
+    pub(crate) fn into_failures(self) -> Vec<String> {
         self.failures
     }
 
@@ -67,25 +67,25 @@ impl Run {
     }
 
     /// Writes the sheet as `results/<name>.csv`.
-    pub fn csv(&self, name: &str, sheet: &Sheet) {
+    pub(crate) fn csv(&self, name: &str, sheet: &Sheet) {
         self.write_output(format!("{name}.csv"), sheet.to_csv());
     }
 
     /// Prints the sheet and writes it as `results/<name>.csv`.
-    pub fn emit(&self, name: &str, sheet: &Sheet) {
+    pub(crate) fn emit(&self, name: &str, sheet: &Sheet) {
         sheet.print();
         self.csv(name, sheet);
     }
 
     /// Writes `results/<name>.json`.
-    pub fn json(&self, name: &str, doc: &Json) {
+    pub(crate) fn json(&self, name: &str, doc: &Json) {
         self.write_output(format!("{name}.json"), doc.render());
     }
 
     /// [`Self::json`] for a figure that passes [`Self::trace`] to its
     /// servers: a traced run's document also carries the trace counters,
     /// and its events are written by [`Self::write_trace`].
-    pub fn json_traced(&mut self, name: &str, mut doc: JsonObject) {
+    pub(crate) fn json_traced(&mut self, name: &str, mut doc: JsonObject) {
         let trace = self.trace.clone();
         if trace.is_enabled() {
             doc = doc.field("trace_metrics", trace_counters(&trace));
@@ -102,7 +102,7 @@ impl Run {
     /// `trace_diff`); both are git-ignored. Prints the per-stage latency
     /// breakdown, gates that per-op leaf spans reconcile with op totals,
     /// and returns the drained events.
-    pub fn write_trace(&mut self, name: &str, trace: &TraceHandle) -> Vec<Event> {
+    pub(crate) fn write_trace(&mut self, name: &str, trace: &TraceHandle) -> Vec<Event> {
         let events = trace.drain();
         let perfetto = perfetto_json(&events);
         let spans = validate_perfetto(&perfetto)

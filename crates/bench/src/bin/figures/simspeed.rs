@@ -7,7 +7,7 @@ use corm_bench::simspeed::run_cells;
 
 use crate::run::Run;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let cells = run_cells(run.trace());
     let mut t = Sheet::new(
         "simspeed: the four seeded cells",

@@ -9,7 +9,7 @@ use corm_bench::report::Sheet;
 
 use crate::run::Run;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Table 1: Comparison of FaRM, CoRM, and Mesh",
         &["System", "Type", "RDMA", "Mem. Compaction", "Vaddr Reuse"],

@@ -9,7 +9,7 @@ use corm_compact::header_bits;
 
 use crate::run::Run;
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     let mut t = Sheet::new(
         "Table 3: per-object memory overhead (1 MiB blocks)",
         &["Scheme", "Bits/object", "Breakdown"],

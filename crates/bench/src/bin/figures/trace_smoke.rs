@@ -107,7 +107,7 @@ fn has_every_track(events: &[Event]) -> bool {
         .all(|label| events.iter().any(|e| e.track.label() == *label))
 }
 
-pub fn run(run: &mut Run) {
+pub(crate) fn run(run: &mut Run) {
     // Gates 2 + 3 + 4: two traced runs, identical streams, clean
     // reconciliation (gated by `write_trace`), valid artifacts.
     let t1 = TraceHandle::recording();

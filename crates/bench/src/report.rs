@@ -533,8 +533,9 @@ pub fn compaction_metrics(report: &CompactionReport) -> Json {
 
 /// Snapshot of a trace handle's aggregate metrics — counters, virtual
 /// duration totals, and wall-clock totals per stage — as one JSON object.
-/// This is the single schema that subsumes the ad-hoc per-binary metric
-/// exports: binaries attach it next to `engine_metrics`/`fault_metrics`.
+/// It is one of five metric exports, beside `fault_metrics`,
+/// `engine_metrics`, `tier_metrics` and `compaction_metrics`; `figures
+/// --trace` adds it to an entry's JSON as `trace_metrics`.
 pub fn trace_counters(trace: &TraceHandle) -> Json {
     let counters = Json::Obj(
         trace.counters().into_iter().map(|(s, n)| (s.name().to_string(), Json::UInt(n))).collect(),

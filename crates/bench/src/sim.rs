@@ -110,7 +110,7 @@ pub struct SimOutput {
     /// Busy intervals of the pass, chunked by the pause budget. Without a
     /// budget this is the single whole-pass window; the intervals tile
     /// `compaction_window` back to back.
-    pub compaction_chunks: Vec<(SimTime, SimTime)>,
+    compaction_chunks: Vec<(SimTime, SimTime)>,
     /// The pass's report, if one ran (lanes, yields, pause chunks, remap
     /// batching counters).
     pub compaction_report: Option<corm_core::server::CompactionReport>,
@@ -126,7 +126,7 @@ pub struct SimOutput {
 
 impl SimOutput {
     /// Median read latency in µs.
-    pub fn median_read_us(&self) -> f64 {
+    pub(crate) fn median_read_us(&self) -> f64 {
         self.read_latency.median().unwrap_or(0.0)
     }
 }
@@ -541,8 +541,6 @@ pub struct FaultSweepOutput {
     pub qp_breaks: u64,
     /// QP reconnects performed.
     pub qp_reconnects: u64,
-    /// Recoveries the client charged to operations.
-    pub client_recoveries: u64,
     /// Total virtual time of all reads.
     pub virtual_time: SimDuration,
     /// The NIC's replayable fault log.
@@ -576,7 +574,6 @@ pub fn run_fault_sweep(spec: &FaultSweepSpec) -> FaultSweepOutput {
         corrupted: 0,
         qp_breaks: 0,
         qp_reconnects: 0,
-        client_recoveries: 0,
         virtual_time: SimDuration::ZERO,
         fault_log: Vec::new(),
     };
@@ -598,7 +595,6 @@ pub fn run_fault_sweep(spec: &FaultSweepSpec) -> FaultSweepOutput {
     }
     out.qp_breaks = client.qp().breaks();
     out.qp_reconnects = client.qp().reconnects();
-    out.client_recoveries = client.qp_recoveries;
     out.fault_log = store.server.rnic().fault_log();
     out
 }
@@ -896,7 +892,6 @@ mod tests {
         assert!(!out.fault_log.is_empty(), "these rates must fire in 1k ops");
         assert!(out.qp_breaks > 0, "transients and breaks must break the QP");
         assert_eq!(out.qp_breaks, out.qp_reconnects, "every break recovered");
-        assert_eq!(out.client_recoveries, out.qp_reconnects);
     }
 
     #[test]
@@ -921,7 +916,6 @@ mod tests {
     fn fault_sweep_disabled_faults_cost_nothing_extra() {
         let clean = run_fault_sweep(&FaultSweepSpec::default());
         assert_eq!(clean.qp_breaks, 0);
-        assert_eq!(clean.client_recoveries, 0);
         assert!(clean.fault_log.is_empty());
         let faulty = run_fault_sweep(&FaultSweepSpec {
             fault: corm_sim_rdma::FaultConfig {

@@ -20,9 +20,9 @@
 //!   deficit-weighted admission are on the hot path.
 //! - **fig22 cell** — the same stream against a 2×-oversubscribed pinless
 //!   server (NP-RDMA dynamic pinning over an NVMe-ish far tier), the pin
-//!   budget enforced every [`FIG22_ENFORCE_EVERY`] batches, so residency
-//!   checks, the NIC fault path and heat-ranked eviction are on the hot
-//!   path. The fingerprint also folds the eviction order.
+//!   budget enforced every 64 batches, so residency checks, the NIC fault
+//!   path and heat-ranked eviction are on the hot path. The fingerprint
+//!   also folds the eviction order.
 
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -39,36 +39,36 @@ use crate::sim::{run_closed_loop, ClosedLoopSpec, ReadPath};
 pub const SEED: u64 = 0x51EED;
 
 /// fig12 cell: closed-loop clients.
-pub const FIG12_CLIENTS: usize = 8;
+const FIG12_CLIENTS: usize = 8;
 /// fig12 cell: key population.
 pub const FIG12_OBJECTS: usize = 4_096;
 /// fig12 cell: payload bytes.
 pub const FIG12_SIZE: usize = 32;
 /// fig12 cell: measurement window (virtual).
-pub const FIG12_DURATION: SimDuration = SimDuration::from_millis(120);
+const FIG12_DURATION: SimDuration = SimDuration::from_millis(120);
 /// fig12 cell: warmup (virtual).
-pub const FIG12_WARMUP: SimDuration = SimDuration::from_millis(30);
+const FIG12_WARMUP: SimDuration = SimDuration::from_millis(30);
 
 /// Batched cells: key population.
-pub const FIG13_OBJECTS: usize = 4_096;
+const FIG13_OBJECTS: usize = 4_096;
 /// Batched cells: payload bytes.
-pub const FIG13_SIZE: usize = 64;
+const FIG13_SIZE: usize = 64;
 /// Batched cells: WQEs per doorbell.
-pub const FIG13_BATCH_DEPTH: usize = 16;
+const FIG13_BATCH_DEPTH: usize = 16;
 /// fig13 cell: DirectReads issued.
-pub const FIG13_OPS: usize = 131_072;
+const FIG13_OPS: usize = 131_072;
 
 /// fig21 cell: tenants sharing the one mux'd QP.
-pub const FIG21_TENANTS: usize = 4;
+const FIG21_TENANTS: usize = 4;
 /// fig21 cell: DirectReads issued (across all tenants).
-pub const FIG21_OPS: usize = 65_536;
+const FIG21_OPS: usize = 65_536;
 
 /// fig22 cell: DirectReads issued against the tiered pinless server.
-pub const FIG22_OPS: usize = 32_768;
+const FIG22_OPS: usize = 32_768;
 /// fig22 cell: oversubscription ratio (logical footprint / DRAM budget).
-pub const FIG22_RATIO: u64 = 2;
+const FIG22_RATIO: u64 = 2;
 /// fig22 cell: budget enforcement period, in doorbell batches.
-pub const FIG22_ENFORCE_EVERY: usize = 64;
+const FIG22_ENFORCE_EVERY: usize = 64;
 
 /// The pinned fingerprints, in [`run_cells`] order. An intentional
 /// semantic change republishes them here, in the PR that says why.

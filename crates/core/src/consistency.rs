@@ -28,7 +28,7 @@
 use crate::header::{ObjectHeader, HEADER_BYTES};
 
 /// Cacheline size the versioning scheme assumes (cache-coherent DMA).
-pub const CACHELINE: usize = 64;
+const CACHELINE: usize = 64;
 
 /// Why a lock-free read of a slot image was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +62,9 @@ impl std::fmt::Display for ReadFailure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotLayout {
     /// Gross slot size in bytes.
-    pub slot_bytes: usize,
+    pub(crate) slot_bytes: usize,
     /// Number of cachelines the slot spans (last may be partial).
-    pub lines: usize,
+    pub(crate) lines: usize,
     /// Usable payload bytes.
     pub capacity: usize,
 }

@@ -23,7 +23,7 @@
 //! ```
 
 /// Size of the header in bytes.
-pub const HEADER_BYTES: usize = 8;
+pub(crate) const HEADER_BYTES: usize = 8;
 
 /// Lock states stored in the 2-bit lock field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,12 +60,12 @@ pub struct ObjectHeader {
     /// Whether the slot holds a live object.
     pub valid: bool,
     /// Index of the home block (block-size units above the mmap base).
-    pub home_block: u32,
+    pub(crate) home_block: u32,
 }
 
 impl ObjectHeader {
     /// Maximum representable home-block index (28 bits).
-    pub const MAX_HOME_BLOCK: u32 = (1 << 28) - 1;
+    const MAX_HOME_BLOCK: u32 = (1 << 28) - 1;
 
     /// Creates a fresh, unlocked, valid header.
     pub fn new(obj_id: u16, version: u8, home_block: u32) -> Self {
@@ -109,7 +109,7 @@ impl ObjectHeader {
     }
 
     /// Returns the header with the version bumped (wrapping).
-    pub fn bump_version(mut self) -> Self {
+    pub(crate) fn bump_version(mut self) -> Self {
         self.version = self.version.wrapping_add(1);
         self
     }
@@ -129,7 +129,7 @@ impl ObjectHeader {
 
 /// Converts a block base vaddr to a home-block index, given the mmap base
 /// and block size.
-pub fn home_index(block_base: u64, mmap_base: u64, block_bytes: usize) -> u32 {
+pub(crate) fn home_index(block_base: u64, mmap_base: u64, block_bytes: usize) -> u32 {
     debug_assert!(block_base >= mmap_base);
     let idx = (block_base - mmap_base) / block_bytes as u64;
     debug_assert!(idx <= ObjectHeader::MAX_HOME_BLOCK as u64, "vaddr space overflow");
@@ -137,7 +137,7 @@ pub fn home_index(block_base: u64, mmap_base: u64, block_bytes: usize) -> u32 {
 }
 
 /// Converts a home-block index back to the block base vaddr.
-pub fn home_base(index: u32, mmap_base: u64, block_bytes: usize) -> u64 {
+pub(crate) fn home_base(index: u32, mmap_base: u64, block_bytes: usize) -> u64 {
     mmap_base + index as u64 * block_bytes as u64
 }
 

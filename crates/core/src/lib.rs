@@ -59,7 +59,7 @@ impl<T> Timed<T> {
     }
 
     /// Adds extra cost.
-    pub fn add_cost(mut self, extra: SimDuration) -> Self {
+    pub(crate) fn add_cost(mut self, extra: SimDuration) -> Self {
         self.cost += extra;
         self
     }

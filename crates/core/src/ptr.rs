@@ -37,7 +37,7 @@ pub struct GlobalPtr {
 impl GlobalPtr {
     /// Flag: the pointer was corrected after its object moved (it still
     /// references the old block address; see §3.3 on releasing it).
-    pub const FLAG_OLD_BLOCK: u8 = 0b1;
+    const FLAG_OLD_BLOCK: u8 = 0b1;
 
     /// Packs the pointer into its 128-bit wire form.
     pub fn encode(self) -> u128 {

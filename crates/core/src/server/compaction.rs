@@ -111,7 +111,7 @@ impl CormServer {
     /// called with the finished chunk's duration so the caller can
     /// interleave queued RPCs before the pass resumes. The final chunk is
     /// not reported through the hook (it is in the report's `chunks`).
-    pub fn compact_class_with(
+    pub(crate) fn compact_class_with(
         &self,
         class: ClassId,
         now: SimTime,

@@ -4,15 +4,16 @@
 //! with per-worker thread allocators, the simulated RNIC the blocks are
 //! registered with, the block directory (live blocks, post-compaction
 //! aliases and the home counts that gate virtual-address reuse), and the
-//! RPC handlers with transparent pointer correction. Compaction lives in
-//! [`compaction`]; the threaded execution mode in [`threaded`].
+//! RPC handlers with transparent pointer correction. Compaction is
+//! [`CormServer::compact_class`], reported as a [`CompactionReport`]; the
+//! threaded execution mode is in [`threaded`].
 //!
 //! Every handler returns a [`Timed`] result carrying the *server-side*
 //! virtual-time cost; clients add wire latency, and the event-driven
 //! harness uses the same costs as queueing service times.
 
-pub mod compaction;
-pub mod plan;
+mod compaction;
+mod plan;
 pub mod registry;
 pub mod threaded;
 pub mod tiering;
@@ -23,7 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
-use rand::Rng;
 
 use corm_alloc::process::SharedBlock;
 use corm_alloc::{
@@ -1041,12 +1041,6 @@ impl CormServer {
         drop(b);
         self.aspace.munmap(base, pages).expect("block vaddr mapped");
         self.proc.release_block_phys(file, page, frames);
-    }
-
-    /// Picks a worker for a client request (uniformly random, like the
-    /// paper's trace replays).
-    pub fn pick_worker(&self, rng: &mut impl Rng) -> usize {
-        rng.gen_range(0..self.config.workers)
     }
 }
 

@@ -20,31 +20,26 @@ use corm_alloc::process::SharedBlock;
 use corm_compact::greedy_pass;
 
 /// One planned merge: `src` is merged away into `dst` on lane `lane`.
-pub struct PlannedMerge {
+pub(crate) struct PlannedMerge {
     /// The source block (merged away; its vaddr becomes an alias).
-    pub src: SharedBlock,
+    pub(crate) src: SharedBlock,
     /// The destination block (receives the source's live objects).
-    pub dst: SharedBlock,
+    pub(crate) dst: SharedBlock,
     /// The lane this merge executes on. Merges on different lanes touch
     /// disjoint block sets and may overlap in virtual time.
-    pub lane: usize,
+    pub(crate) lane: usize,
 }
 
 /// The up-front plan of one compaction pass's merge phase.
-pub struct MergePlan {
+pub(crate) struct MergePlan {
     /// Planned merges in the exact order the serial greedy loop would have
     /// executed them. Execution preserves this global order (so side
     /// effects on shared structures are identical at any lane count); only
     /// the virtual-time charging differs per lane.
-    pub merges: Vec<PlannedMerge>,
-    /// Number of lanes merges were distributed over.
-    pub lanes: usize,
-    /// Number of disjoint merge components found (an upper bound on
-    /// useful parallelism; `min(components, lanes)` lanes carry work).
-    pub components: usize,
+    pub(crate) merges: Vec<PlannedMerge>,
     /// Indices (into the candidate vector) of blocks that were not merged
     /// away — the survivors, in candidate order.
-    pub survivors: Vec<usize>,
+    pub(crate) survivors: Vec<usize>,
 }
 
 impl MergePlan {
@@ -62,7 +57,7 @@ impl MergePlan {
     /// of the blocks' own ID tables, two locked at a time. Handlers can
     /// only free objects in collected blocks meanwhile, which keeps a
     /// planned pair compatible.
-    pub fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
+    pub(crate) fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
         let lanes = lanes.max(1);
         let n = candidates.len();
         let (mut live, slots): (Vec<usize>, Vec<usize>) = candidates
@@ -128,7 +123,7 @@ impl MergePlan {
             })
             .collect();
         let survivors = (0..n).filter(|&i| !pass.gone[i]).collect();
-        MergePlan { merges, lanes, components, survivors }
+        MergePlan { merges, survivors }
     }
 }
 
@@ -178,7 +173,6 @@ mod tests {
         let va = |i: usize| candidates[i].lock().vaddr();
         assert_eq!(pairs, vec![(va(0), va(3)), (va(1), va(2))]);
         assert_eq!(plan.survivors, vec![2, 3]);
-        assert_eq!(plan.components, 2);
         assert!(plan.merges.iter().all(|m| m.lane == 0));
     }
 
@@ -192,7 +186,6 @@ mod tests {
             .collect();
         let plan = MergePlan::build(&candidates, 4);
         assert_eq!(plan.merges.len(), 4);
-        assert_eq!(plan.components, 4);
         let lanes: Vec<usize> = plan.merges.iter().map(|m| m.lane).collect();
         assert_eq!(lanes, vec![0, 1, 2, 3]);
     }
@@ -204,7 +197,6 @@ mod tests {
         let candidates: Vec<SharedBlock> = (0..4).map(|i| block(i, &[(i * 10, 0)])).collect();
         let plan = MergePlan::build(&candidates, 4);
         assert_eq!(plan.merges.len(), 3);
-        assert_eq!(plan.components, 1);
         assert!(plan.merges.iter().all(|m| m.lane == 0));
         assert_eq!(plan.survivors.len(), 1);
     }

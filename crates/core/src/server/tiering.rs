@@ -38,7 +38,8 @@ pub struct TierDirector {
 
 impl TierDirector {
     /// Creates a director over `tier` with an unbounded frame budget, which
-    /// [`TierDirector::set_budget`] sizes.
+    /// [`CormServer::set_pin_budget`](crate::CormServer::set_pin_budget)
+    /// sizes.
     pub fn new(tier: Arc<FarTier>) -> Self {
         TierDirector {
             tier,
@@ -61,7 +62,7 @@ impl TierDirector {
 
     /// Adjusts the pin budget (benches size it after populating, once the
     /// logical footprint is known). Takes effect at the next enforcement.
-    pub fn set_budget(&self, frames: usize) {
+    pub(crate) fn set_budget(&self, frames: usize) {
         self.budget.store(frames, Ordering::Relaxed);
     }
 
@@ -77,7 +78,7 @@ impl TierDirector {
 
     /// Folds a merged-away source block's heat into its destination, so
     /// compaction does not reset the survivors' standing.
-    pub fn merge_heat(&self, src: u64, dst: u64) {
+    pub(crate) fn merge_heat(&self, src: u64, dst: u64) {
         let mut heat = self.heat.lock();
         if let Some(h) = heat.remove(&src) {
             *heat.entry(dst).or_insert(0) += h;
@@ -85,7 +86,7 @@ impl TierDirector {
     }
 
     /// Drops a released block's heat entry.
-    pub fn forget(&self, base: u64) {
+    pub(crate) fn forget(&self, base: u64) {
         self.heat.lock().remove(&base);
     }
 

@@ -27,7 +27,7 @@ use crate::room::BinRoom;
 pub struct BlockId(pub u64);
 
 /// A slot within a block: `byte_offset = slot * gross_object_size`.
-pub type ObjectSlot = u32;
+pub(crate) type ObjectSlot = u32;
 
 /// `slot_id` entry of a free slot; no ID reaches it (IDs are ≤ 20 bits).
 const VACANT: u32 = u32::MAX;
@@ -238,7 +238,7 @@ impl Block {
     /// uniformly from the unused identifiers (§3.1.2: IDs are random;
     /// collisions within a block are re-drawn). Returns `(id, slot)`, or
     /// `None` when full.
-    pub fn alloc_object(&mut self, rng: &mut impl Rng) -> Option<(u32, ObjectSlot)> {
+    pub(crate) fn alloc_object(&mut self, rng: &mut impl Rng) -> Option<(u32, ObjectSlot)> {
         let slot = self.free_slot_hint()?;
         // The ID space is at least the slot count, so at worst half the
         // draws reject; with 16-bit IDs collisions are rare.

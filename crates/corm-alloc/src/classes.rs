@@ -10,7 +10,7 @@
 /// Bytes of the on-object header the CoRM data plane prepends to every
 /// object (object ID, version, lock bits, home-block address — see
 /// `corm-core`'s header layout).
-pub const OBJECT_HEADER_BYTES: usize = 8;
+const OBJECT_HEADER_BYTES: usize = 8;
 
 /// Index of a size class in a [`SizeClasses`] table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,7 +41,7 @@ impl SizeClasses {
     }
 
     /// Builds a custom table. Sizes must be ascending, distinct, 8-byte
-    /// aligned, and at least [`OBJECT_HEADER_BYTES`] + 8.
+    /// aligned, and at least 16: the 8-byte object header plus 8.
     pub fn new(sizes: Vec<usize>) -> Self {
         assert!(!sizes.is_empty(), "empty class table");
         let mut prev = 0;
@@ -77,21 +77,9 @@ impl SizeClasses {
         (idx < self.sizes.len()).then_some(ClassId(idx as u16))
     }
 
-    /// Largest payload a class can hold.
-    pub fn max_payload(&self, class: ClassId) -> usize {
-        self.size_of(class) - OBJECT_HEADER_BYTES
-    }
-
     /// Iterates `(ClassId, gross size)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ClassId, usize)> + '_ {
         self.sizes.iter().enumerate().map(|(i, &s)| (ClassId(i as u16), s))
-    }
-
-    /// Internal fragmentation of storing `payload` bytes: wasted bytes due
-    /// to rounding up to the class size (header excluded from waste).
-    pub fn internal_waste(&self, payload: usize) -> Option<usize> {
-        let class = self.class_for_payload(payload)?;
-        Some(self.max_payload(class) - payload)
     }
 }
 
@@ -132,12 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn max_payload_round_trips() {
+    fn largest_payload_of_each_class_maps_back_to_it() {
         let t = SizeClasses::standard();
         for (class, size) in t.iter() {
-            let p = t.max_payload(class);
-            assert_eq!(t.class_for_payload(p), Some(class));
-            assert_eq!(p + OBJECT_HEADER_BYTES, size);
+            assert_eq!(t.class_for_payload(size - OBJECT_HEADER_BYTES), Some(class));
         }
     }
 
@@ -146,7 +132,8 @@ mod tests {
         let t = SizeClasses::standard();
         // The table's growth factor keeps waste under ~34% of the payload.
         for payload in (8..16000).step_by(97) {
-            let waste = t.internal_waste(payload).unwrap();
+            let class = t.class_for_payload(payload).unwrap();
+            let waste = t.size_of(class) - OBJECT_HEADER_BYTES - payload;
             assert!(
                 (waste as f64) <= 0.34 * payload as f64 + 16.0,
                 "payload {payload} wastes {waste}"

@@ -17,15 +17,15 @@
 //! are attached to blocks by the CoRM server (`corm-core`), which owns the
 //! simulated RNIC.
 
-pub mod block;
-pub mod classes;
+mod block;
+mod classes;
 pub mod process;
 mod room;
-pub mod stats;
+mod stats;
 pub mod thread_alloc;
 
-pub use block::{Block, BlockId, ObjectSlot};
-pub use classes::{ClassId, SizeClasses, OBJECT_HEADER_BYTES};
+pub use block::{Block, BlockId};
+pub use classes::{ClassId, SizeClasses};
 pub use process::{AllocConfig, AllocError, PhysBlock, ProcessAllocator};
 pub use stats::{ClassStats, FragmentationReport};
 pub use thread_alloc::ThreadAllocator;

@@ -49,7 +49,7 @@ impl Default for AllocConfig {
 
 impl AllocConfig {
     /// Pages per block.
-    pub fn block_pages(&self) -> usize {
+    fn block_pages(&self) -> usize {
         self.block_bytes / PAGE_SIZE
     }
 
@@ -108,11 +108,11 @@ impl From<MemError> for AllocError {
 #[derive(Debug)]
 pub struct PhysBlock {
     /// Owning file.
-    pub file: FileId,
+    pub(crate) file: FileId,
     /// First page within the file.
-    pub page: usize,
+    pub(crate) page: usize,
     /// The frames backing the run.
-    pub frames: Vec<FrameId>,
+    pub(crate) frames: Vec<FrameId>,
 }
 
 #[derive(Debug, Default)]
@@ -255,11 +255,6 @@ impl ProcessAllocator {
         let inner = self.inner.lock();
         inner.files.iter().map(|f| f.len_bytes() as u64).sum()
     }
-
-    /// Free blocks sitting in the pool.
-    pub fn free_blocks(&self) -> usize {
-        self.inner.lock().free.len()
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +299,6 @@ mod tests {
         let (file, page) = (a.file, a.page);
         pa.release_phys_block(a);
         assert_eq!(pa.blocks_in_use(), 0);
-        assert_eq!(pa.free_blocks(), 1);
         let b = pa.alloc_phys_block().unwrap();
         assert_eq!((b.file, b.page), (file, page));
     }

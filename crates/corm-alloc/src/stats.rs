@@ -13,25 +13,25 @@ use crate::classes::ClassId;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassStats {
     /// The class.
-    pub class: ClassId,
+    pub(crate) class: ClassId,
     /// Gross object size.
-    pub obj_size: usize,
+    pub(crate) obj_size: usize,
     /// Blocks held by thread allocators for this class.
-    pub blocks: usize,
+    pub(crate) blocks: usize,
     /// Total slots across those blocks.
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Live objects.
     pub live: usize,
     /// Bytes granted (blocks × block size).
-    pub granted_bytes: u64,
+    pub(crate) granted_bytes: u64,
     /// Bytes effectively used (live × object size).
-    pub used_bytes: u64,
+    used_bytes: u64,
 }
 
 impl ClassStats {
     /// Granted/used ratio; `f64::INFINITY` when blocks exist but nothing is
     /// used, 1.0 when the class holds no blocks.
-    pub fn fragmentation_ratio(&self) -> f64 {
+    fn fragmentation_ratio(&self) -> f64 {
         if self.granted_bytes == 0 {
             return 1.0;
         }
@@ -70,30 +70,6 @@ impl FragmentationReport {
             entry.used_bytes += (b.live() * b.obj_size()) as u64;
         }
         FragmentationReport { classes: map.into_values().collect() }
-    }
-
-    /// Total granted bytes.
-    pub fn total_granted(&self) -> u64 {
-        self.classes.iter().map(|c| c.granted_bytes).sum()
-    }
-
-    /// Total used bytes.
-    pub fn total_used(&self) -> u64 {
-        self.classes.iter().map(|c| c.used_bytes).sum()
-    }
-
-    /// Overall granted/used ratio.
-    pub fn overall_ratio(&self) -> f64 {
-        let used = self.total_used();
-        if used == 0 {
-            if self.total_granted() == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.total_granted() as f64 / used as f64
-        }
     }
 
     /// Classes whose fragmentation ratio exceeds `threshold` — the
@@ -159,14 +135,12 @@ mod tests {
         assert!((rep.class(ClassId(0)).unwrap().fragmentation_ratio() - 1.0).abs() < 1e-9);
         let exceeding = rep.classes_exceeding(2.0);
         assert_eq!(exceeding, vec![ClassId(3)]);
-        assert!(rep.overall_ratio() > 1.0);
     }
 
     #[test]
     fn empty_report() {
         let rep = FragmentationReport::from_blocks(std::iter::empty(), 4096);
-        assert_eq!(rep.total_granted(), 0);
-        assert_eq!(rep.overall_ratio(), 1.0);
+        assert!(rep.classes.is_empty());
         assert!(rep.classes_exceeding(1.0).is_empty());
     }
 
@@ -175,6 +149,5 @@ mod tests {
         let blocks = [mk_block(0, 16, 0)];
         let rep = FragmentationReport::from_blocks(blocks.iter(), 4096);
         assert!(rep.class(ClassId(0)).unwrap().fragmentation_ratio().is_infinite());
-        assert!(rep.overall_ratio().is_infinite());
     }
 }

@@ -99,7 +99,7 @@ impl ThreadAllocator {
     }
 
     /// Total blocks currently owned.
-    pub fn block_count(&self) -> usize {
+    fn block_count(&self) -> usize {
         self.bins.iter().map(|bin| bin.blocks.len()).sum()
     }
 
@@ -187,20 +187,6 @@ impl ThreadAllocator {
         bin.swap_remove(pos);
         true
     }
-
-    /// Live objects across all blocks of a class.
-    pub fn live_in_class(&self, class: ClassId) -> usize {
-        self.blocks_in_class(class).iter().map(|b| b.lock().live()).sum()
-    }
-}
-
-/// Finds the block of a thread allocator holding `vaddr`, if any.
-pub fn find_block_by_vaddr(alloc: &ThreadAllocator, vaddr: u64) -> Option<SharedBlock> {
-    alloc.bins.iter().flat_map(|bin| &bin.blocks).find_map(|block| {
-        let b = block.lock();
-        let base = b.vaddr();
-        (vaddr >= base && vaddr < base + b.len_bytes() as u64).then(|| block.clone())
-    })
 }
 
 #[cfg(test)]
@@ -303,24 +289,5 @@ mod tests {
 
     fn size_classes_len() -> usize {
         crate::classes::SizeClasses::standard().len()
-    }
-
-    #[test]
-    fn find_block_by_vaddr_hits_and_misses() {
-        let (proc, mut ta, mut rng) = setup();
-        let out = ta.alloc(ClassId(4), &proc, &mut rng).unwrap();
-        let found = find_block_by_vaddr(&ta, out.vaddr).unwrap();
-        assert!(Arc::ptr_eq(&found, &out.block));
-        assert!(find_block_by_vaddr(&ta, 0xdead_0000).is_none());
-    }
-
-    #[test]
-    fn live_in_class_counts() {
-        let (proc, mut ta, mut rng) = setup();
-        for _ in 0..10 {
-            ta.alloc(ClassId(2), &proc, &mut rng).unwrap();
-        }
-        assert_eq!(ta.live_in_class(ClassId(2)), 10);
-        assert_eq!(ta.live_in_class(ClassId(3)), 0);
     }
 }

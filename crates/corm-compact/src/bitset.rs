@@ -19,11 +19,6 @@ impl BitSet {
         BitSet { words: vec![0; len.div_ceil(64)], len, count: 0 }
     }
 
-    /// Universe size.
-    pub fn universe(&self) -> usize {
-        self.len
-    }
-
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.count
@@ -72,19 +67,19 @@ impl BitSet {
 
     /// Whether the two sets share any element. Both must have the same
     /// universe.
-    pub fn intersects(&self, other: &BitSet) -> bool {
+    pub(crate) fn intersects(&self, other: &BitSet) -> bool {
         assert_eq!(self.len, other.len, "universe mismatch");
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Number of shared elements.
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
+    pub(crate) fn intersection_count(&self, other: &BitSet) -> usize {
         assert_eq!(self.len, other.len, "universe mismatch");
         self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones() as usize).sum()
     }
 
     /// Adds every element of `other` to `self`.
-    pub fn union_with(&mut self, other: &BitSet) {
+    pub(crate) fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "universe mismatch");
         let mut count = 0;
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -117,7 +112,7 @@ impl BitSet {
 
     /// The lowest `n` unset bits, in ascending order (fewer if fewer are
     /// unset).
-    pub fn lowest_clear(&self, n: usize) -> Vec<usize> {
+    pub(crate) fn lowest_clear(&self, n: usize) -> Vec<usize> {
         self.iter_clear().take(n).collect()
     }
 }

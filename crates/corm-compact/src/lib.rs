@@ -4,8 +4,8 @@
 //! This crate is the pure-algorithmic heart of the paper's contribution,
 //! independent of the RDMA data path:
 //!
-//! - [`bitset`]: fast fixed-size bitsets for conflict checks.
-//! - [`model`]: an abstract view of a memory block — which object IDs and
+//! - [`BitSet`]: fast fixed-size bitsets for conflict checks.
+//! - [`BlockModel`]: an abstract view of a memory block — which object IDs and
 //!   which slot offsets are occupied — sufficient to decide compactability.
 //! - [`pairing`]: the greedy lowest-occupancy-first merge pass CoRM's
 //!   compaction leader runs over collected blocks.
@@ -13,23 +13,23 @@
 //!   no-compaction, ideal, Mesh (offset conflicts), CoRM-n (random-ID
 //!   conflicts), CoRM-0 (offset conflicts with CoRM's header), and the
 //!   hybrid CoRM-0+CoRM-n scheme of §4.4.1.
-//! - [`probability`]: the closed-form compaction probability
+//! - [`compaction_probability`]: the closed-form compaction probability
 //!   `p(B1,B2) = C(n-b1, b2) / C(n, b2)` behind Fig. 7.
-//! - [`overhead`]: per-object metadata accounting behind Table 3.
+//! - [`header_bits`]: per-object metadata accounting behind Table 3.
 //! - [`tuning`]: automatic per-class ID-width selection — the auto-labeling
 //!   strategy the paper leaves as future work (§4.4.3).
 
-pub mod bitset;
-pub mod model;
-pub mod overhead;
+mod bitset;
+mod model;
+mod overhead;
 pub mod pairing;
-pub mod probability;
+mod probability;
 pub mod strategy;
 pub mod tuning;
 
 pub use bitset::BitSet;
 pub use model::BlockModel;
-pub use overhead::{header_bits, header_bytes, HOME_VADDR_BITS};
+pub use overhead::{header_bits, header_bytes};
 pub use pairing::{compact_blocks, greedy_pass, CompactionOutcome, ConflictRule, GreedyPass};
 pub use probability::{compaction_probability, corm_probability, mesh_probability};
 pub use strategy::{CompactorKind, StrategyReport};

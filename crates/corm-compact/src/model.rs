@@ -168,7 +168,7 @@ impl BlockModel {
     /// # Panics
     ///
     /// Panics if offsets conflict.
-    pub fn merge_mesh(&mut self, other: &BlockModel) {
+    pub(crate) fn merge_mesh(&mut self, other: &BlockModel) {
         assert!(self.mesh_compactable(other), "merge of conflicting blocks");
         self.offsets.union_with(&other.offsets);
         // IDs are irrelevant for Mesh, but keep the invariant

@@ -8,7 +8,7 @@
 
 /// Bits needed to store the home-block virtual address: 48-bit virtual
 /// pointers minus 20 bits of 1 MiB block alignment.
-pub const HOME_VADDR_BITS: u32 = 28;
+const HOME_VADDR_BITS: u32 = 28;
 
 /// Per-object header bits for a compaction scheme with `id_bits`-bit object
 /// IDs (Table 3). `None` models Mesh, which stores no per-object metadata.
@@ -23,12 +23,6 @@ pub fn header_bits(id_bits: Option<u32>) -> u32 {
 /// lands in an actual allocation.
 pub fn header_bytes(id_bits: Option<u32>) -> usize {
     (header_bits(id_bits) as usize).div_ceil(8)
-}
-
-/// Gross (stored) size of a `payload`-byte object under a scheme with the
-/// given header, rounded up to CoRM's 8-byte size-class alignment (§3.1.1).
-pub fn gross_object_size(payload: usize, id_bits: Option<u32>) -> usize {
-    (payload + header_bytes(id_bits)).div_ceil(8) * 8
 }
 
 #[cfg(test)]
@@ -52,19 +46,5 @@ mod tests {
         assert_eq!(header_bytes(Some(8)), 5); // 36 bits → 5 bytes
         assert_eq!(header_bytes(Some(16)), 6); // 44 bits → 6 bytes
         assert_eq!(header_bytes(Some(20)), 6); // 48 bits → 6 bytes
-    }
-
-    #[test]
-    fn gross_size_is_8_aligned_and_monotonic() {
-        assert_eq!(gross_object_size(8, None), 8);
-        assert_eq!(gross_object_size(8, Some(16)), 16); // 8+6 → 16
-        assert_eq!(gross_object_size(256, Some(16)), 264);
-        for bits in [0u32, 8, 12, 16, 20] {
-            for payload in [1usize, 8, 150, 2048] {
-                let g = gross_object_size(payload, Some(bits));
-                assert_eq!(g % 8, 0);
-                assert!(g >= payload);
-            }
-        }
     }
 }

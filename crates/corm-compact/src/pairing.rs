@@ -31,12 +31,8 @@ pub struct CompactionOutcome {
     /// Blocks released back to the process-wide allocator (includes blocks
     /// that were already empty).
     pub blocks_freed: usize,
-    /// Merge operations performed.
-    pub merges: usize,
     /// Objects relocated to a new offset (their pointers become indirect).
     pub objects_moved: usize,
-    /// Candidate pairs tested.
-    pub pairs_tested: usize,
 }
 
 /// What [`greedy_pass`] decided.
@@ -46,8 +42,6 @@ pub struct GreedyPass {
     pub pairs: Vec<(usize, usize)>,
     /// Per block, whether it was merged away as a source.
     pub gone: Vec<bool>,
-    /// Candidate pairs tested.
-    pub pairs_tested: usize,
 }
 
 /// The greedy pass itself, over `n` blocks in ascending-live order: each
@@ -57,7 +51,7 @@ pub struct GreedyPass {
 /// `dst` as it stands *after the merges already granted* can take `src`,
 /// and if so records the merge, so later calls see the merged occupancy.
 pub fn greedy_pass(n: usize, mut try_merge: impl FnMut(usize, usize) -> bool) -> GreedyPass {
-    let mut pass = GreedyPass { pairs: Vec::new(), gone: vec![false; n], pairs_tested: 0 };
+    let mut pass = GreedyPass { pairs: Vec::new(), gone: vec![false; n] };
     for s in 0..n {
         // The source itself sits at `s`; everything after it is ≥ its
         // occupancy.
@@ -65,7 +59,6 @@ pub fn greedy_pass(n: usize, mut try_merge: impl FnMut(usize, usize) -> bool) ->
             if d == s || pass.gone[d] {
                 continue;
             }
-            pass.pairs_tested += 1;
             if try_merge(s, d) {
                 pass.gone[s] = true;
                 pass.pairs.push((s, d));
@@ -107,13 +100,7 @@ pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> Compaction
     });
     let blocks: Vec<BlockModel> =
         live.into_iter().zip(&pass.gone).filter(|&(_, &gone)| !gone).map(|(b, _)| b).collect();
-    CompactionOutcome {
-        blocks_freed: before - blocks.len(),
-        merges: pass.pairs.len(),
-        objects_moved,
-        pairs_tested: pass.pairs_tested,
-        blocks,
-    }
+    CompactionOutcome { blocks_freed: before - blocks.len(), objects_moved, blocks }
 }
 
 #[cfg(test)]
@@ -136,7 +123,6 @@ mod tests {
         let out = compact_blocks(blocks, ConflictRule::Ids);
         assert_eq!(out.blocks_freed, 1);
         assert_eq!(out.blocks.len(), 1);
-        assert_eq!(out.merges, 0);
     }
 
     #[test]
@@ -146,13 +132,11 @@ mod tests {
         let a = block_with(8, 256, &[(1, 0), (2, 1)]);
         let b = block_with(8, 256, &[(3, 0), (4, 2)]);
         let corm = compact_blocks(vec![a.clone(), b.clone()], ConflictRule::Ids);
-        assert_eq!(corm.merges, 1);
         assert_eq!(corm.blocks.len(), 1);
         assert_eq!(corm.blocks[0].live(), 4);
         assert_eq!(corm.objects_moved, 1, "one offset conflict relocated");
 
         let mesh = compact_blocks(vec![a, b], ConflictRule::Offsets);
-        assert_eq!(mesh.merges, 0);
         assert_eq!(mesh.blocks.len(), 2);
     }
 
@@ -161,9 +145,7 @@ mod tests {
         let a = block_with(8, 256, &[(1, 0)]);
         let b = block_with(8, 256, &[(1, 5)]);
         let out = compact_blocks(vec![a, b], ConflictRule::Ids);
-        assert_eq!(out.merges, 0);
         assert_eq!(out.blocks.len(), 2);
-        assert!(out.pairs_tested >= 1);
     }
 
     #[test]
@@ -171,7 +153,6 @@ mod tests {
         // Three blocks of 2 objects each, 4 slots: at most two can merge.
         let mk = |base: usize| block_with(4, 256, &[(base, 0), (base + 1, 1)]);
         let out = compact_blocks(vec![mk(10), mk(20), mk(30)], ConflictRule::Ids);
-        assert_eq!(out.merges, 1);
         assert_eq!(out.blocks.len(), 2);
         let total: usize = out.blocks.iter().map(|b| b.live()).sum();
         assert_eq!(total, 6, "no objects lost");
@@ -225,7 +206,6 @@ mod tests {
         }
         let partial = block_with(4, 256, &[(99, 0)]);
         let out = compact_blocks(vec![full, partial], ConflictRule::Ids);
-        assert_eq!(out.merges, 0, "nothing fits into a full block");
-        assert_eq!(out.blocks.len(), 2);
+        assert_eq!(out.blocks.len(), 2, "nothing fits into a full block");
     }
 }

@@ -7,8 +7,7 @@
 //! falls back to CoRM-0 for them, §4.4.1).
 
 use crate::model::BlockModel;
-use crate::overhead::gross_object_size;
-use crate::pairing::{compact_blocks, CompactionOutcome, ConflictRule};
+use crate::pairing::{compact_blocks, ConflictRule};
 
 /// A compaction strategy, as named in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,12 +88,6 @@ impl CompactorKind {
         }
     }
 
-    /// Gross stored size of a `payload`-byte object under this strategy,
-    /// for a class of `slots` objects per block.
-    pub fn gross_size(&self, payload: usize, slots: usize) -> usize {
-        gross_object_size(payload, self.class_id_bits(slots))
-    }
-
     /// Identifier-space size for blocks of a class with `slots` slots under
     /// this strategy's conflict rule.
     pub fn id_space(&self, slots: usize) -> usize {
@@ -113,22 +106,10 @@ impl CompactorKind {
 /// Result of applying a strategy to one size class worth of blocks.
 #[derive(Debug, Clone)]
 pub struct StrategyReport {
-    /// Strategy applied.
-    pub kind: CompactorKind,
-    /// Block size in bytes.
-    pub block_bytes: usize,
-    /// Blocks before compaction (non-empty or not).
-    pub blocks_before: usize,
     /// Blocks after compaction.
     pub blocks_after: usize,
-    /// Live objects.
-    pub live_objects: usize,
     /// Physical bytes still held (blocks_after × block size).
     pub active_bytes: u64,
-    /// Objects whose offsets changed (indirect pointers created).
-    pub objects_moved: usize,
-    /// Merge operations performed.
-    pub merges: usize,
 }
 
 /// Applies `kind` to one size class: `blocks` built with slot count `slots`
@@ -139,35 +120,24 @@ pub fn apply_strategy(
     slots: usize,
     blocks: Vec<BlockModel>,
 ) -> StrategyReport {
-    let blocks_before = blocks.len();
-    let live_objects: usize = blocks.iter().map(|b| b.live()).sum();
-    let (blocks_after, objects_moved, merges) = match kind {
-        CompactorKind::Ideal => (live_objects.div_ceil(slots.max(1)), 0, 0),
-        CompactorKind::NoCompaction => (blocks.iter().filter(|b| !b.is_empty()).count(), 0, 0),
+    let blocks_after = match kind {
+        CompactorKind::Ideal => {
+            let live_objects: usize = blocks.iter().map(|b| b.live()).sum();
+            live_objects.div_ceil(slots.max(1))
+        }
+        CompactorKind::NoCompaction => blocks.iter().filter(|b| !b.is_empty()).count(),
         _ => match kind.class_rule(slots) {
-            None => (blocks.iter().filter(|b| !b.is_empty()).count(), 0, 0),
-            Some(rule) => {
-                let CompactionOutcome { blocks: surviving, objects_moved, merges, .. } =
-                    compact_blocks(blocks, rule);
-                (surviving.len(), objects_moved, merges)
-            }
+            None => blocks.iter().filter(|b| !b.is_empty()).count(),
+            Some(rule) => compact_blocks(blocks, rule).blocks.len(),
         },
     };
-    StrategyReport {
-        kind,
-        block_bytes,
-        blocks_before,
-        blocks_after,
-        live_objects,
-        active_bytes: blocks_after as u64 * block_bytes as u64,
-        objects_moved,
-        merges,
-    }
+    StrategyReport { blocks_after, active_bytes: blocks_after as u64 * block_bytes as u64 }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overhead::header_bytes;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -199,7 +169,8 @@ mod tests {
         let corm0 = CompactorKind::Corm { id_bits: 0 };
         assert_eq!(corm0.class_rule(1024), Some(ConflictRule::Offsets));
         assert_eq!(corm0.class_id_bits(1024), Some(0));
-        assert!(corm0.gross_size(256, 1024) > CompactorKind::Mesh.gross_size(256, 1024));
+        assert!(header_bytes(corm0.class_id_bits(1024)) > 0);
+        assert_eq!(header_bytes(CompactorKind::Mesh.class_id_bits(1024)), 0);
     }
 
     #[test]
@@ -216,7 +187,6 @@ mod tests {
         let blocks: Vec<BlockModel> =
             (0..10).map(|_| BlockModel::random(&mut rng, 16, 256, 4)).collect();
         let rep = apply_strategy(CompactorKind::Ideal, 4096, 16, blocks);
-        assert_eq!(rep.live_objects, 40);
         assert_eq!(rep.blocks_after, 3); // ceil(40/16)
         assert_eq!(rep.active_bytes, 3 * 4096);
     }
@@ -229,7 +199,6 @@ mod tests {
         blocks.push(BlockModel::new(16, 256)); // empty → droppable
         let rep = apply_strategy(CompactorKind::NoCompaction, 4096, 16, blocks);
         assert_eq!(rep.blocks_after, 5);
-        assert_eq!(rep.blocks_before, 6);
     }
 
     #[test]

@@ -37,11 +37,11 @@ pub struct ClassUsage {
 #[derive(Debug, Clone, Copy)]
 pub struct TunerPolicy {
     /// Target probability that two typical blocks of the class merge.
-    pub target_merge_probability: f64,
+    target_merge_probability: f64,
     /// Churn above which a class is considered "hot" (no IDs).
-    pub hot_churn_threshold: f64,
+    hot_churn_threshold: f64,
     /// Largest ID width the deployment supports.
-    pub max_bits: u32,
+    max_bits: u32,
 }
 
 impl Default for TunerPolicy {
@@ -95,11 +95,6 @@ pub fn recommend(usage: ClassUsage, policy: TunerPolicy) -> Recommendation {
     }
 }
 
-/// Tunes a whole class table at once.
-pub fn recommend_all(usages: &[ClassUsage], policy: TunerPolicy) -> Vec<Recommendation> {
-    usages.iter().map(|&u| recommend(u, policy)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,14 +142,6 @@ mod tests {
         // 4096 slots: widths under 12 bits cannot label a block.
         let r = recommend(usage(4096, 0.1, 0.1), TunerPolicy::default());
         assert!(r.id_bits.unwrap() >= 12);
-    }
-
-    #[test]
-    fn recommend_all_matches_per_class() {
-        let usages = [usage(64, 0.2, 0.1), usage(64, 0.2, 9.0)];
-        let rs = recommend_all(&usages, TunerPolicy::default());
-        assert_eq!(rs[0], recommend(usages[0], TunerPolicy::default()));
-        assert_eq!(rs[1].id_bits, None);
     }
 
     #[test]

@@ -14,24 +14,24 @@ use crate::recorder::Event;
 
 /// First point where two event streams disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence {
+struct Divergence {
     /// Zero-based line (event) index of the first disagreement.
-    pub index: usize,
+    index: usize,
     /// The left run's line, if it has one at `index`.
-    pub left: Option<String>,
+    left: Option<String>,
     /// The right run's line, if it has one at `index`.
-    pub right: Option<String>,
+    right: Option<String>,
 }
 
 /// Outcome of diffing two runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDiff {
     /// Events in the left run.
-    pub left_events: usize,
+    left_events: usize,
     /// Events in the right run.
-    pub right_events: usize,
+    right_events: usize,
     /// First divergence, or `None` when the runs are identical.
-    pub divergence: Option<Divergence>,
+    divergence: Option<Divergence>,
 }
 
 impl TraceDiff {

@@ -96,17 +96,17 @@ pub fn canonical_lines(events: &[Event]) -> String {
 #[derive(Debug, Clone)]
 pub struct StageRow {
     /// The stage.
-    pub stage: Stage,
+    stage: Stage,
     /// Number of spans recorded for the stage.
-    pub count: u64,
+    count: u64,
     /// Sum of span durations.
-    pub total: SimDuration,
+    total: SimDuration,
     /// Median span duration in microseconds.
-    pub p50_us: f64,
+    p50_us: f64,
     /// 99th-percentile span duration in microseconds.
-    pub p99_us: f64,
+    p99_us: f64,
     /// 99.9th-percentile span duration in microseconds.
-    pub p999_us: f64,
+    p999_us: f64,
 }
 
 /// Aggregates events into per-stage count/total/p50/p99/p999 rows, in

@@ -25,15 +25,15 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
-pub mod export;
-pub mod recorder;
-pub mod stage;
+mod diff;
+mod export;
+mod recorder;
+mod stage;
 
-pub use diff::{diff_canonical, diff_events, Divergence, TraceDiff};
+pub use diff::{diff_canonical, diff_events, TraceDiff};
 pub use export::{
     breakdown, canonical_lines, perfetto_json, reconcile, render_breakdown, validate_perfetto,
     Reconciliation, StageRow,
 };
 pub use recorder::{Event, StageTotal, TraceHandle};
-pub use stage::{Stage, StageClass, Track};
+pub use stage::{Stage, Track};

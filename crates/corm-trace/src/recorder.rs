@@ -31,11 +31,11 @@ use parking_lot::Mutex;
 use crate::stage::{Stage, Track};
 
 /// Events buffered per thread before a flush to the shared sink.
-pub const THREAD_BUF_CAP: usize = 8_192;
+const THREAD_BUF_CAP: usize = 8_192;
 
 /// Maximum events retained in the shared sink; extra events are dropped
 /// (and counted in [`TraceHandle::dropped`]).
-pub const SINK_CAP: usize = 1 << 21;
+const SINK_CAP: usize = 1 << 21;
 
 /// One recorded span. `dur == 0` encodes an instantaneous event.
 ///
@@ -316,7 +316,7 @@ impl TraceHandle {
         Stage::ALL.iter().map(|&s| get(inner, s)).filter(|t| t.count > 0).collect()
     }
 
-    /// Events dropped because the shared sink hit [`SINK_CAP`].
+    /// Events dropped because the shared sink hit its cap of 2²¹ events.
     pub fn dropped(&self) -> u64 {
         match &self.0 {
             Some(inner) => inner.dropped.load(Ordering::Relaxed),

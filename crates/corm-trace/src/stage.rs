@@ -12,7 +12,7 @@
 
 /// Where a stage sits in the per-op cost accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum StageClass {
+pub(crate) enum StageClass {
     /// A whole client operation; its duration is the op's total virtual cost.
     Op,
     /// A client-side charge site; leaf durations partition the op total.
@@ -179,7 +179,7 @@ impl Stage {
     }
 
     /// The stage's role in per-op reconciliation.
-    pub fn class(self) -> StageClass {
+    pub(crate) fn class(self) -> StageClass {
         match self {
             Stage::ClientOp => StageClass::Op,
             Stage::Verb

@@ -76,7 +76,7 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`].
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;

@@ -11,8 +11,8 @@
 //! - [`FifoResource`]: a multi-server FIFO queueing resource used to model
 //!   server worker pools and the RNIC inbound engine.
 //! - [`rng`]: seeded, reproducible random number utilities.
-//! - [`stats`]: online statistics, percentile estimation, and time-bucketed
-//!   series used by the benchmark harness.
+//! - [`stats`]: percentile estimation and time-bucketed series used by the
+//!   benchmark harness.
 //! - [`hash`]: a fast deterministic hasher for the simulator's hot,
 //!   never-iterated lookup tables (MTT shards, translation cache, regions).
 //! - [`prefetch_read`], [`prefetch_lines`]: the cache hint that lets a
@@ -30,9 +30,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use hash::{FastBuildHasher, FastHashMap, FastHasher};
+pub use hash::{FastHashMap, FastHasher};
 pub use hint::{prefetch_lines, prefetch_read};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
-pub use stats::{Histogram, OnlineStats, TimeSeries};
+pub use stats::{Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -71,7 +71,7 @@ impl FifoResource {
     }
 
     /// The instant at which a request arriving now would start service.
-    pub fn earliest_start(&self, now: SimTime) -> SimTime {
+    fn earliest_start(&self, now: SimTime) -> SimTime {
         let free = *self.free_at.iter().min().expect("at least one server");
         free.max(now)
     }

@@ -1,66 +1,12 @@
 //! Measurement collection for the benchmark harness.
 //!
-//! Three collectors cover everything the paper reports:
-//! - [`OnlineStats`]: count/mean/min/max without storing samples.
+//! Two collectors cover everything the paper reports:
 //! - [`Histogram`]: stored-sample percentile estimation (the paper reports
 //!   *median* latencies).
 //! - [`TimeSeries`]: fixed-width time buckets for throughput timelines
 //!   (Fig. 16 plots throughput before/during/after compaction).
 
 use crate::time::{SimDuration, SimTime};
-
-/// Streaming count/mean/min/max accumulator.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of the samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
 
 /// Stored-sample distribution for percentile queries.
 ///
@@ -214,21 +160,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [3.0, 1.0, 2.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-        assert_eq!(s.sum(), 6.0);
-    }
 
     #[test]
     fn histogram_median_and_quantiles() {

@@ -26,9 +26,6 @@ pub struct MemFile {
 }
 
 impl MemFile {
-    /// Default file size used by CoRM's process-wide allocator (16 MiB).
-    pub const DEFAULT_PAGES: usize = 16 * 1024 * 1024 / PAGE_SIZE;
-
     /// Creates an anonymous file of `pages` pages backed by fresh frames.
     pub fn create(phys: &PhysicalMemory, pages: usize) -> Result<Self, MemError> {
         let frames = phys.alloc_n(pages)?;
@@ -48,11 +45,6 @@ impl MemFile {
     /// File length in bytes.
     pub fn len_bytes(&self) -> usize {
         self.frames.len() * PAGE_SIZE
-    }
-
-    /// The frame backing page `page` of the file.
-    pub fn frame_at(&self, page: usize) -> Option<FrameId> {
-        self.frames.get(page).copied()
     }
 
     /// The frames backing pages `[page, page + n)`.
@@ -82,8 +74,8 @@ mod tests {
         assert_eq!(a.pages(), 4);
         assert_eq!(a.len_bytes(), 4 * PAGE_SIZE);
         assert_eq!(pm.live_frames(), 6);
-        assert!(a.frame_at(3).is_some());
-        assert!(a.frame_at(4).is_none());
+        assert!(a.frames_at(3, 1).is_some());
+        assert!(a.frames_at(4, 1).is_none());
     }
 
     #[test]
@@ -98,18 +90,13 @@ mod tests {
     fn close_releases_unmapped_frames() {
         let pm = PhysicalMemory::new();
         let f = MemFile::create(&pm, 4).unwrap();
-        let kept = f.frame_at(0).unwrap();
+        let kept = f.frames_at(0, 1).unwrap()[0];
         pm.add_ref(kept).unwrap(); // simulate a live mapping
         f.close(&pm);
         assert_eq!(pm.live_frames(), 1);
         assert_eq!(pm.ref_count(kept), 1);
         pm.release(kept);
         assert_eq!(pm.live_frames(), 0);
-    }
-
-    #[test]
-    fn default_pages_matches_16_mib() {
-        assert_eq!(MemFile::DEFAULT_PAGES * PAGE_SIZE, 16 * 1024 * 1024);
     }
 
     #[test]

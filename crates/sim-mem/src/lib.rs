@@ -24,17 +24,16 @@
 //! DMA reads race by design, so torn reads across cachelines are observable
 //! — that is exactly what FaRM/CoRM cacheline versioning exists to detect.
 
-pub mod file;
+mod file;
 pub mod paged;
-pub mod phys;
+mod phys;
 pub mod tier;
-pub mod vspace;
+mod vspace;
 
 pub use file::{FileId, MemFile};
 pub use paged::PagedTable;
 pub use phys::{
     DmaSession, FrameId, MemError, PhysicalMemory, Residency, ResidencySnapshot, PAGE_SIZE,
-    POISON_BYTE,
 };
 pub use tier::{FarTier, TierConfig, TierStats};
 pub use vspace::{AddressSpace, PageSpan, Translation};

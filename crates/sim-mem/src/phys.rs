@@ -17,7 +17,7 @@ pub const PAGE_SIZE: usize = 4096;
 
 /// Byte pattern written over freed frames. Reads through stale translations
 /// surface this pattern, making use-after-remap bugs observable in tests.
-pub const POISON_BYTE: u8 = 0xDF;
+pub(crate) const POISON_BYTE: u8 = 0xDF;
 
 /// Index of a physical frame in the frame table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,8 +214,6 @@ pub struct PhysicalMemory {
     free_list: Mutex<Vec<u32>>,
     capacity: Option<usize>,
     live: AtomicU64,
-    peak: AtomicU64,
-    total_allocs: AtomicU64,
     res: ResidencyCounts,
 }
 
@@ -242,8 +240,6 @@ impl PhysicalMemory {
             free_list: Mutex::new(Vec::new()),
             capacity: None,
             live: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            total_allocs: AtomicU64::new(0),
             res: ResidencyCounts::default(),
         }
     }
@@ -277,9 +273,7 @@ impl PhysicalMemory {
             FrameId((frames.len() - 1) as u32)
         };
         self.res.pinned.fetch_add(1, Ordering::Relaxed);
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(live, Ordering::Relaxed);
-        self.total_allocs.fetch_add(1, Ordering::Relaxed);
+        self.live.fetch_add(1, Ordering::Relaxed);
         Ok(id)
     }
 
@@ -301,7 +295,7 @@ impl PhysicalMemory {
     }
 
     /// Adds a reference to a live frame (a new virtual page now aliases it).
-    pub fn add_ref(&self, id: FrameId) -> Result<(), MemError> {
+    pub(crate) fn add_ref(&self, id: FrameId) -> Result<(), MemError> {
         let mut frames = self.frames.write();
         let frame = frames.get_mut(id.0 as usize).ok_or(MemError::DeadFrame(id))?;
         if frame.refs == 0 {
@@ -355,10 +349,12 @@ impl PhysicalMemory {
     }
 
     /// Moves a live frame to `to` in the residency lattice, returning the
-    /// previous state. Data movement is the caller's job (see
-    /// [`DmaSession::spill_out`] / [`DmaSession::fetch_in`] for the
-    /// byte-preserving transitions); this is the bookkeeping-only flip used
-    /// for pin/unpin, which never touches the frame's bytes.
+    /// previous state. Data movement is the caller's job ([`FarTier`]'s
+    /// spill and fetch are the byte-preserving transitions); this is the
+    /// bookkeeping-only flip used for pin/unpin, which never touches the
+    /// frame's bytes.
+    ///
+    /// [`FarTier`]: crate::FarTier
     pub fn set_residency(&self, id: FrameId, to: Residency) -> Result<Residency, MemError> {
         self.dma().set_residency(id, to)
     }
@@ -376,7 +372,7 @@ impl PhysicalMemory {
     ///
     /// Deliberately permitted on freed frames: a stale RNIC translation
     /// *does* read recycled memory on real hardware. Freed-but-not-reused
-    /// frames return [`POISON_BYTE`]s.
+    /// frames return poison bytes (`0xDF`).
     pub fn read(&self, id: FrameId, offset: usize, buf: &mut [u8]) -> Result<(), MemError> {
         self.dma().read(id, offset, buf)
     }
@@ -386,34 +382,9 @@ impl PhysicalMemory {
         self.dma().write(id, offset, buf)
     }
 
-    /// Copies a whole frame's contents onto another frame, word by word —
-    /// no staging buffer.
-    pub fn copy_frame(&self, src: FrameId, dst: FrameId) -> Result<(), MemError> {
-        let frames = self.frames.read();
-        let s = frames.get(src.0 as usize).ok_or(MemError::DeadFrame(src))?;
-        let d = frames.get(dst.0 as usize).ok_or(MemError::DeadFrame(dst))?;
-        if d.refs == 0 {
-            return Err(MemError::DeadFrame(dst));
-        }
-        for (sw, dw) in s.data.iter().zip(d.data.iter()) {
-            dw.store(sw.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
     /// Number of live (referenced) frames.
     pub fn live_frames(&self) -> usize {
         self.live.load(Ordering::Relaxed) as usize
-    }
-
-    /// High-water mark of live frames.
-    pub fn peak_frames(&self) -> usize {
-        self.peak.load(Ordering::Relaxed) as usize
-    }
-
-    /// Total allocations performed over the lifetime.
-    pub fn total_allocs(&self) -> u64 {
-        self.total_allocs.load(Ordering::Relaxed)
     }
 }
 
@@ -449,7 +420,7 @@ impl DmaSession<'_> {
     /// fetch path observably reads garbage), and marks it [`Residency::Far`].
     /// The caller owns the bytes — handing them to a far-tier store and
     /// restoring them via [`Self::fetch_in`] round-trips byte-exactly.
-    pub fn spill_out(&self, id: FrameId) -> Result<Box<[u8]>, MemError> {
+    pub(crate) fn spill_out(&self, id: FrameId) -> Result<Box<[u8]>, MemError> {
         let frame = self.frames.get(id.0 as usize).ok_or(MemError::DeadFrame(id))?;
         if frame.refs == 0 {
             return Err(MemError::DeadFrame(id));
@@ -467,7 +438,7 @@ impl DmaSession<'_> {
     /// Restores a far frame's bytes into DRAM and marks it
     /// [`Residency::Resident`] (unpinned — pinning is a separate,
     /// bookkeeping-only step charged by the caller's cost model).
-    pub fn fetch_in(&self, id: FrameId, bytes: &[u8]) -> Result<(), MemError> {
+    pub(crate) fn fetch_in(&self, id: FrameId, bytes: &[u8]) -> Result<(), MemError> {
         if bytes.len() != PAGE_SIZE {
             return Err(MemError::FrameBounds { offset: 0, len: bytes.len() });
         }
@@ -526,7 +497,7 @@ impl DmaSession<'_> {
             pos += n;
             out = &mut out[n..];
         }
-        // Word-at-a-time so a concurrent `copy_frame` tears at u64
+        // Word-at-a-time so a concurrent write tears at u64
         // granularity at most (the torn-read model); zipping aligned
         // words against 8-byte output chunks hoists every bounds check
         // out of the loop.
@@ -694,7 +665,7 @@ mod tests {
         pm.write(live, 0, b"payload").unwrap();
         pm.set_residency(live, Residency::Resident).unwrap();
         pm.release(freed);
-        let before = (pm.residency_counts(), pm.live_frames(), pm.total_allocs());
+        let before = (pm.residency_counts(), pm.live_frames());
         let dma = pm.dma();
         for id in [live, freed, FrameId(2), FrameId(u32::MAX)] {
             dma.prefetch_entry(id);
@@ -703,37 +674,12 @@ mod tests {
             }
         }
         drop(dma);
-        assert_eq!((pm.residency_counts(), pm.live_frames(), pm.total_allocs()), before);
+        assert_eq!((pm.residency_counts(), pm.live_frames()), before);
         let mut buf = [0u8; 7];
         pm.read(live, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"payload");
         pm.read(freed, 0, &mut buf).unwrap();
         assert_eq!(buf, [POISON_BYTE; 7]);
-    }
-
-    #[test]
-    fn copy_frame_copies_all_bytes() {
-        let pm = PhysicalMemory::new();
-        let a = pm.alloc().unwrap();
-        let b = pm.alloc().unwrap();
-        let pattern: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
-        pm.write(a, 0, &pattern).unwrap();
-        pm.copy_frame(a, b).unwrap();
-        let mut out = vec![0u8; PAGE_SIZE];
-        pm.read(b, 0, &mut out).unwrap();
-        assert_eq!(out, pattern);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let pm = PhysicalMemory::new();
-        let frames = pm.alloc_n(5).unwrap();
-        for f in &frames {
-            pm.release(*f);
-        }
-        assert_eq!(pm.live_frames(), 0);
-        assert_eq!(pm.peak_frames(), 5);
-        assert_eq!(pm.total_allocs(), 5);
     }
 
     #[test]

@@ -37,9 +37,9 @@ use crate::phys::{DmaSession, FrameId, MemError, PhysicalMemory, Residency, PAGE
 #[derive(Debug, Clone)]
 pub struct TierConfig {
     /// Device latency to fetch one page, before bandwidth and queueing.
-    pub fetch_base: SimDuration,
+    fetch_base: SimDuration,
     /// Device latency to spill one page, before bandwidth and queueing.
-    pub spill_base: SimDuration,
+    spill_base: SimDuration,
     /// Inverse bandwidth of one channel (transfer time per byte, in ns).
     pub ns_per_byte: f64,
     /// Independent transfer channels (servers of the [`FifoResource`]).
@@ -82,7 +82,7 @@ impl TierConfig {
     }
 
     /// Channel occupancy of one page transfer (bandwidth term only).
-    pub fn transfer_time(&self) -> SimDuration {
+    fn transfer_time(&self) -> SimDuration {
         SimDuration::from_nanos((PAGE_SIZE as f64 * self.ns_per_byte).round() as u64)
     }
 
@@ -92,7 +92,7 @@ impl TierConfig {
     }
 
     /// Full service time of one page spill (latency + bandwidth).
-    pub fn spill_cost(&self) -> SimDuration {
+    fn spill_cost(&self) -> SimDuration {
         self.spill_base + self.transfer_time()
     }
 }

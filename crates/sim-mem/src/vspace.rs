@@ -373,7 +373,7 @@ impl AddressSpace {
     }
 
     /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
+    fn mapped_pages(&self) -> usize {
         self.table.read().len()
     }
 

@@ -155,7 +155,7 @@ impl FaultInjector {
     /// pre-draw of the whole block could not honor it: a mid-batch
     /// `InvalidKey` aborts the batch after consuming draws only up to the
     /// failing verb.)
-    pub fn begin_block(&self) -> FaultBlock<'_> {
+    pub(crate) fn begin_block(&self) -> FaultBlock<'_> {
         FaultBlock { config: &self.config, state: self.state.lock() }
     }
 
@@ -219,7 +219,7 @@ impl FaultInjector {
 /// A block-drawing session over a [`FaultInjector`], from
 /// [`FaultInjector::begin_block`]: holds the injector lock for a whole
 /// doorbell batch while keeping draws per-verb and on demand.
-pub struct FaultBlock<'a> {
+pub(crate) struct FaultBlock<'a> {
     config: &'a FaultConfig,
     state: parking_lot::MutexGuard<'a, FaultState>,
 }
@@ -227,12 +227,12 @@ pub struct FaultBlock<'a> {
 impl FaultBlock<'_> {
     /// Decides the fate of the next one-sided verb; exactly the stream
     /// semantics of [`FaultInjector::decide`], without relocking.
-    pub fn decide(&mut self) -> Option<FaultKind> {
+    pub(crate) fn decide(&mut self) -> Option<FaultKind> {
         FaultInjector::decide_locked(self.config, &mut self.state)
     }
 
     /// The latency added by a delay-spike fault.
-    pub fn delay_spike(&self) -> SimDuration {
+    pub(crate) fn delay_spike(&self) -> SimDuration {
         self.config.delay_spike
     }
 }

@@ -23,20 +23,11 @@ use corm_sim_core::time::SimDuration;
 /// RNIC device generation. ConnectX-3 lacks ODP support and has a much more
 /// expensive `rereg_mr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
+pub(crate) enum DeviceKind {
     /// ConnectX-3: no ODP, `rereg_mr` ≈ 70 µs per page batch.
     ConnectX3,
     /// ConnectX-5: ODP-capable, `rereg_mr` ≈ 9 µs.
     ConnectX5,
-}
-
-/// Host CPU used for the inter-thread collection phase (Fig. 15 left).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CpuKind {
-    /// Intel Xeon E5-2630 v3 (the paper's main cluster).
-    IntelXeon,
-    /// AMD EPYC 7742 (the paper's comparison point).
-    AmdEpyc,
 }
 
 /// How the RNIC's MTT is brought back in sync after a compaction remap
@@ -61,29 +52,27 @@ impl MttUpdateStrategy {
     }
 }
 
-/// Per-primitive virtual-time costs. All public so experiments can ablate
-/// individual parameters.
+/// Per-primitive virtual-time costs. The three presets are the only
+/// constructors; the fields other code reads are public.
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// RNIC device generation.
-    pub device: DeviceKind,
-    /// Host CPU (affects inter-thread messaging).
-    pub cpu: CpuKind,
+    pub(crate) device: DeviceKind,
 
     // --- network / one-sided path -------------------------------------
     /// Round-trip wire + NIC-processing time excluding translation.
-    pub wire_rtt: SimDuration,
+    wire_rtt: SimDuration,
     /// Per-byte serialization cost, counted once per direction carrying
     /// payload (ns/byte).
-    pub wire_per_byte_ns: f64,
+    wire_per_byte_ns: f64,
     /// Translation cost when the MTT entry is in the RNIC cache.
-    pub mtt_hit: SimDuration,
+    mtt_hit: SimDuration,
     /// Extra end-to-end latency when the translation misses the cache.
-    pub mtt_miss_extra: SimDuration,
+    mtt_miss_extra: SimDuration,
     /// RNIC inbound-engine occupancy per one-sided read (cache hit).
-    pub nic_read_service: SimDuration,
+    nic_read_service: SimDuration,
     /// Extra engine occupancy on a cache miss.
-    pub nic_miss_service_extra: SimDuration,
+    nic_miss_service_extra: SimDuration,
     /// Cost of ringing the doorbell once for a posted batch: the MMIO write
     /// plus the WQE-fetch DMA the NIC issues in response. Paid once per
     /// `ring_doorbell`, regardless of how many WQEs the batch carries —
@@ -94,7 +83,7 @@ pub struct LatencyModel {
 
     // --- RPC path -------------------------------------------------------
     /// Send/Recv round trip including request handling (small messages).
-    pub rpc_rtt: SimDuration,
+    rpc_rtt: SimDuration,
     /// Occupancy of the shared RPC ingress (queue + receive path) per
     /// request; this is what caps aggregate RPC throughput.
     pub rpc_ingress_service: SimDuration,
@@ -117,33 +106,33 @@ pub struct LatencyModel {
 
     // --- CPU-side data costs ---------------------------------------------
     /// Client-side consistency check per cacheline of a DirectRead.
-    pub version_check_per_cacheline: SimDuration,
+    version_check_per_cacheline: SimDuration,
     /// Cost to compare one object header while scanning a block.
-    pub scan_per_object: SimDuration,
+    scan_per_object: SimDuration,
     /// DRAM copy cost (ns/byte).
-    pub copy_per_byte_ns: f64,
+    copy_per_byte_ns: f64,
     /// Fixed overhead of a local CoRM/FaRM API read (§4.2.1: ≈1.33× memcpy).
-    pub local_read_base: SimDuration,
+    local_read_base: SimDuration,
     /// Fixed overhead of a bare local memcpy.
-    pub memcpy_base: SimDuration,
+    memcpy_base: SimDuration,
 
     // --- OS / verbs memory management -----------------------------------
     /// `mmap` fixed cost.
     pub mmap_base: SimDuration,
     /// `mmap` per-page cost.
-    pub mmap_per_page: SimDuration,
+    mmap_per_page: SimDuration,
     /// `munmap` cost.
     pub munmap: SimDuration,
     /// `ibv_rereg_mr` fixed cost.
-    pub rereg_base: SimDuration,
+    rereg_base: SimDuration,
     /// `ibv_rereg_mr` per-page cost.
-    pub rereg_per_page: SimDuration,
+    rereg_per_page: SimDuration,
     /// ODP first-access miss cost (None when the device lacks ODP).
     pub odp_miss: Option<SimDuration>,
     /// `ibv_advise_mr` prefetch fixed cost.
-    pub advise_base: SimDuration,
+    advise_base: SimDuration,
     /// `ibv_advise_mr` per-page cost.
-    pub advise_per_page: SimDuration,
+    advise_per_page: SimDuration,
     /// Cost to re-establish a broken QP ("a few milliseconds").
     pub qp_reconnect: SimDuration,
 
@@ -151,12 +140,12 @@ pub struct LatencyModel {
     /// Collection-phase latency with two threads (leader + one).
     pub collection_pair: SimDuration,
     /// Additional collection latency per extra thread beyond two.
-    pub collection_per_thread: SimDuration,
+    collection_per_thread: SimDuration,
     /// Fixed per-block compaction bookkeeping (conflict checks, locking,
     /// metadata merge setup) excluding copies and remapping.
-    pub compaction_block_overhead: SimDuration,
+    compaction_block_overhead: SimDuration,
     /// Metadata-merge cost per moved object.
-    pub metadata_per_object: SimDuration,
+    metadata_per_object: SimDuration,
 }
 
 impl LatencyModel {
@@ -175,7 +164,6 @@ impl LatencyModel {
     pub fn connectx5() -> Self {
         LatencyModel {
             device: DeviceKind::ConnectX5,
-            cpu: CpuKind::IntelXeon,
             wire_rtt: SimDuration::from_micros_f64(1.55),
             wire_per_byte_ns: 0.15, // FDR ≈ 6.8 GB/s ≈ 0.147 ns/B
             mtt_hit: SimDuration::from_micros_f64(0.15),
@@ -215,7 +203,6 @@ impl LatencyModel {
     /// ConnectX-5 on the AMD EPYC host (Fig. 15's CPU comparison).
     pub fn connectx5_amd() -> Self {
         LatencyModel {
-            cpu: CpuKind::AmdEpyc,
             collection_pair: SimDuration::from_micros_f64(2.0),
             collection_per_thread: SimDuration::from_micros_f64(2.0),
             ..Self::connectx5()
@@ -282,12 +269,12 @@ impl LatencyModel {
     }
 
     /// `ibv_rereg_mr` over `pages` pages.
-    pub fn rereg_cost(&self, pages: usize) -> SimDuration {
+    pub(crate) fn rereg_cost(&self, pages: usize) -> SimDuration {
         self.rereg_base + self.rereg_per_page * pages as u64
     }
 
     /// `ibv_advise_mr` prefetch over `pages` pages.
-    pub fn advise_cost(&self, pages: usize) -> SimDuration {
+    pub(crate) fn advise_cost(&self, pages: usize) -> SimDuration {
         self.advise_base + self.advise_per_page * pages as u64
     }
 

@@ -36,19 +36,19 @@
 //! the server's handlers directly, and the threaded CoRM server owns its
 //! per-worker queues (`corm_core::server::threaded`).
 
-pub mod fault;
-pub mod latency;
+mod fault;
+mod latency;
 mod mtt;
-pub mod mux;
-pub mod qp;
+mod mux;
+mod qp;
 pub mod rnic;
-pub mod sched;
-pub mod wq;
+mod sched;
+mod wq;
 
-pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
-pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};
+pub use fault::{FaultConfig, FaultInjector, FaultKind, ScheduledFault};
+pub use latency::{LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};
 pub use qp::{QpDepthStats, QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
-pub use sched::{QosAdmission, QosConfig, QosScheduler, TrafficClass};
+pub use sched::{QosConfig, TrafficClass};
 pub use wq::{Completion, ReadReq, ReadResult};

@@ -86,11 +86,6 @@ impl MuxQp {
         self.tenants.lock().len()
     }
 
-    /// Maximum tenants this connection admits.
-    pub fn max_tenants(&self) -> usize {
-        self.max_tenants
-    }
-
     /// The underlying shared queue pair (diagnostics: depth stats, breaks,
     /// reconnects).
     pub fn qp(&self) -> &QueuePair {
@@ -106,12 +101,6 @@ impl MuxQp {
             + self.qp.state_bytes()
             + self.tenants.lock().capacity() * std::mem::size_of::<TenantSlot>()
             + self.scratch.lock().capacity() * std::mem::size_of::<ReadReq>()
-    }
-
-    /// Bytes of connection state per attached tenant (the fig21 curve).
-    pub fn bytes_per_tenant(&self) -> usize {
-        let n = self.tenants().max(1);
-        self.state_bytes().div_ceil(n)
     }
 }
 
@@ -288,10 +277,10 @@ mod tests {
         for t in tenants.iter().take(4) {
             t.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
         }
+        let per_tenant = mux.state_bytes().div_ceil(mux.tenants());
         assert!(
-            mux.bytes_per_tenant() * 50 <= own.state_bytes(),
-            "per-tenant state {} must be ≤ 1/50 of a dedicated QP {}",
-            mux.bytes_per_tenant(),
+            per_tenant * 50 <= own.state_bytes(),
+            "per-tenant state {per_tenant} must be ≤ 1/50 of a dedicated QP {}",
             own.state_bytes()
         );
     }

@@ -129,8 +129,8 @@ impl QueuePair {
     }
 
     /// Counts `n` WQEs as posted onto a send queue holding `depth`. Posting
-    /// is free in virtual time (the doorbell pays); the trace counter lets
-    /// the metrics registry report posted-vs-served divergence.
+    /// is free in virtual time (the doorbell pays); the trace counts the
+    /// WQEs under `Stage::WqePost`.
     fn count_posted(&self, n: usize, depth: usize) {
         self.posted.fetch_add(n as u64, Ordering::Relaxed);
         self.sq_depth_max.fetch_max((depth + n) as u64, Ordering::Relaxed);
@@ -227,16 +227,6 @@ impl QueuePair {
         cq.drain(..k).collect()
     }
 
-    /// Current send-queue depth (posted WQEs awaiting a doorbell).
-    pub fn sq_depth(&self) -> usize {
-        self.sq.lock().len()
-    }
-
-    /// Current completion-queue depth (completions awaiting `poll_cq`).
-    pub fn cq_depth(&self) -> usize {
-        self.cq.lock().len()
-    }
-
     /// Work-queue depth statistics accumulated over the QP's lifetime.
     pub fn depth_stats(&self) -> QpDepthStats {
         QpDepthStats {
@@ -253,7 +243,7 @@ impl QueuePair {
     /// `max_send_wr` at `ibv_create_qp`, before any traffic flows, so the
     /// host footprint of an RC connection is charged at this depth even
     /// while the simulator's lazily-grown vectors are still small.
-    pub const PROVISIONED_DEPTH: usize = 128;
+    const PROVISIONED_DEPTH: usize = 128;
 
     /// Bytes of connection state this QP pins on the host: the fixed
     /// struct plus the send/completion rings at provisioned depth (or the
@@ -354,10 +344,11 @@ mod tests {
             aspace.write(va + i * 4096, &[i as u8; 16]).unwrap();
             qp.post_read(mr.rkey, va + i * 4096, 16, i);
         }
-        assert_eq!(qp.sq_depth(), 8);
+        assert_eq!(qp.depth_stats().sq_depth_max, 8);
         let now = SimTime::from_micros(5);
         assert_eq!(qp.ring_doorbell(now), 8);
-        assert_eq!(qp.sq_depth(), 0);
+        // The doorbell took the whole send queue.
+        assert_eq!(qp.ring_doorbell(now), 0);
         let comps = qp.poll_cq(usize::MAX);
         assert_eq!(comps.len(), 8);
         let mut last = SimTime::ZERO;
@@ -491,7 +482,6 @@ mod tests {
         }
         qp.ring_doorbell(SimTime::ZERO);
         assert_eq!(qp.poll_cq(3).len(), 3);
-        assert_eq!(qp.cq_depth(), 1);
         assert_eq!(qp.poll_cq(3).len(), 1);
         assert_eq!(qp.poll_cq(3).len(), 0);
     }

@@ -130,7 +130,7 @@ pub struct RnicConfig {
     /// SLO-class-aware engine scheduling for the batched verb path. `None`
     /// (the default) and any equal-weight config run the scheduler's
     /// uniform discipline — round-robin over per-unit FIFO engines; skewed
-    /// weights buy latency-class isolation — see [`crate::sched`].
+    /// weights buy latency-class isolation — see [`QosConfig`].
     pub qos: Option<QosConfig>,
     /// The far tier behind unpinned memory, when the host runs a pin
     /// budget. `None` (the default) disables tiering entirely: residency

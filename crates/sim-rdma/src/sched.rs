@@ -94,7 +94,7 @@ pub struct QosConfig {
     /// `(tenant, class)` flow of that class, so tenants of one class share
     /// equally. The defaults prioritize gets over scans over maintenance
     /// sync.
-    pub class_weights: [u64; TrafficClass::COUNT],
+    class_weights: [u64; TrafficClass::COUNT],
 }
 
 impl Default for QosConfig {
@@ -112,7 +112,7 @@ impl QosConfig {
 
     /// Whether every flow ends up with the same weight, which selects the
     /// round-robin FIFO dispatch.
-    pub fn is_uniform(&self) -> bool {
+    fn is_uniform(&self) -> bool {
         self.class_weights.iter().all(|&w| w == self.class_weights[0])
     }
 }
@@ -130,15 +130,15 @@ struct FlowState {
 
 /// Admission result for one verb.
 #[derive(Debug, Clone, Copy)]
-pub struct QosAdmission {
+pub(crate) struct QosAdmission {
     /// Instant the verb's engine service completes.
-    pub done: SimTime,
+    pub(crate) done: SimTime,
     /// Scheduler-imposed wait between arrival and service start — time the
     /// verb spent held back by its flow's share, not by engine backlog.
     /// Always zero in the uniform discipline.
-    pub class_wait: SimDuration,
+    pub(crate) class_wait: SimDuration,
     /// Processing unit charged with the service (names the trace track).
-    pub unit: usize,
+    pub(crate) unit: usize,
 }
 
 #[derive(Debug)]
@@ -164,7 +164,7 @@ enum Discipline {
 /// The RNIC's inbound engines behind their scheduler. See the module docs
 /// for the two disciplines it runs.
 #[derive(Debug)]
-pub struct QosScheduler {
+pub(crate) struct QosScheduler {
     config: QosConfig,
     discipline: Discipline,
     /// Round-robin cursor over the units.
@@ -184,7 +184,7 @@ fn flow_key(tenant: u32, class: TrafficClass) -> u64 {
 impl QosScheduler {
     /// Creates a scheduler rationing `units` single-server engines
     /// (clamped to ≥ 1).
-    pub fn new(config: QosConfig, units: usize) -> Self {
+    pub(crate) fn new(config: QosConfig, units: usize) -> Self {
         let units = units.max(1);
         let discipline = if config.is_uniform() {
             Discipline::Uniform { engines: (0..units).map(|_| FifoResource::new(1)).collect() }
@@ -208,7 +208,7 @@ impl QosScheduler {
 
     /// Admits one verb of `(tenant, class)` arriving at `now` needing
     /// `service` time, and returns when it completes.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         tenant: u32,
         class: TrafficClass,
@@ -269,17 +269,17 @@ impl QosScheduler {
     }
 
     /// Verbs admitted so far.
-    pub fn admitted(&self) -> u64 {
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted
     }
 
     /// Aggregate service time admitted (the engines' busy time).
-    pub fn busy(&self) -> SimDuration {
+    pub(crate) fn busy(&self) -> SimDuration {
         self.busy
     }
 
     /// Mean utilization of the engines over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
+    pub(crate) fn utilization(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             return 0.0;
         }

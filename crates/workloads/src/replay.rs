@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use corm_compact::pairing::ConflictRule;
-use corm_compact::strategy::{apply_strategy, CompactorKind, StrategyReport};
+use corm_compact::strategy::{apply_strategy, CompactorKind};
 use corm_compact::BlockModel;
 
 /// One trace operation.
@@ -59,7 +59,7 @@ pub enum ClassPolicy {
 /// The size-class table used under [`ClassPolicy::Table`]: 8-byte-aligned,
 /// ~1.3× spacing, up to the block size (Redis t3 allocates 160 KiB
 /// structures, so classes extend well past the data-path table).
-pub fn model_classes(block_bytes: usize) -> Vec<usize> {
+fn model_classes(block_bytes: usize) -> Vec<usize> {
     let base = [
         16usize, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096,
         6144, 8192, 12288, 16384, 24576, 32768, 49152, 65536, 98304, 131072, 196608, 262144,
@@ -80,18 +80,8 @@ struct Placement {
 /// Result of replaying a trace under one strategy.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// Strategy applied.
-    pub kind: CompactorKind,
     /// Active bytes after compaction (blocks held × block size).
     pub active_bytes: u64,
-    /// Active bytes before compaction (non-empty blocks × block size).
-    pub active_bytes_before: u64,
-    /// Live objects at the end of the trace.
-    pub live_objects: usize,
-    /// Live payload bytes (excluding headers and slack).
-    pub live_payload_bytes: u64,
-    /// Per-class strategy reports.
-    pub per_class: Vec<StrategyReport>,
 }
 
 /// The model-level two-level allocator.
@@ -103,8 +93,6 @@ pub struct ModelHeap {
     /// `bins[thread][gross]` → blocks owned by that thread for that class.
     bins: Vec<HashMap<usize, Vec<BlockModel>>>,
     placements: HashMap<u64, Placement>,
-    payload_sizes: HashMap<u64, u64>,
-    live_payload: u64,
     rng: StdRng,
 }
 
@@ -132,8 +120,6 @@ impl ModelHeap {
             table: model_classes(block_bytes),
             bins: (0..threads).map(|_| HashMap::new()).collect(),
             placements: HashMap::new(),
-            payload_sizes: HashMap::new(),
-            live_payload: 0,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -170,7 +156,7 @@ impl ModelHeap {
     }
 
     /// Replays one operation.
-    pub fn apply(&mut self, op: TraceOp) {
+    fn apply(&mut self, op: TraceOp) {
         match op {
             TraceOp::Alloc { key, size } => self.alloc(key, size),
             TraceOp::Free { key } => self.free(key),
@@ -228,8 +214,6 @@ impl ModelHeap {
             },
         );
         assert!(prev.is_none(), "key {key} allocated twice");
-        self.live_payload += size as u64;
-        self.payload_sizes.insert(key, size as u64);
     }
 
     fn free(&mut self, key: u64) {
@@ -240,8 +224,6 @@ impl ModelHeap {
             .expect("class exists")[p.block_idx as usize];
         let removed = block.free(p.id as usize, p.offset as usize);
         assert!(removed, "placement out of sync for key {key}");
-        let size = self.payload_sizes.remove(&key).expect("tracked");
-        self.live_payload -= size;
     }
 
     /// Live objects currently placed.
@@ -257,8 +239,7 @@ impl ModelHeap {
     /// Finishes the replay: applies the strategy per class and reports
     /// active memory.
     pub fn finish(self) -> ReplayOutcome {
-        let ModelHeap { kind, block_bytes, bins, placements, live_payload, .. } = self;
-        let live_objects = placements.len();
+        let ModelHeap { kind, block_bytes, bins, .. } = self;
         // Gather classes across threads.
         let mut by_class: std::collections::BTreeMap<usize, Vec<BlockModel>> = Default::default();
         for thread_bins in &bins {
@@ -266,25 +247,12 @@ impl ModelHeap {
                 by_class.entry(gross).or_default().extend(blocks.iter().cloned());
             }
         }
-        let mut per_class = Vec::new();
         let mut active = 0u64;
-        let mut active_before = 0u64;
         for (gross, blocks) in by_class {
             let slots = (block_bytes / gross).max(1);
-            active_before +=
-                blocks.iter().filter(|b| !b.is_empty()).count() as u64 * block_bytes as u64;
-            let report = apply_strategy(kind, block_bytes, slots, blocks);
-            active += report.active_bytes;
-            per_class.push(report);
+            active += apply_strategy(kind, block_bytes, slots, blocks).active_bytes;
         }
-        ReplayOutcome {
-            kind,
-            active_bytes: active,
-            active_bytes_before: active_before,
-            live_objects,
-            live_payload_bytes: live_payload,
-            per_class,
-        }
+        ReplayOutcome { active_bytes: active }
     }
 }
 
@@ -303,11 +271,10 @@ mod tests {
         let mut heap = ModelHeap::new(CompactorKind::Corm { id_bits: 16 }, 1 << 20, 1, 1);
         heap.replay(&trace_alloc_free(1000, 100, 2));
         assert_eq!(heap.live_objects(), 500);
+        let before = heap.blocks_in_use() as u64 * (1 << 20);
         let out = heap.finish();
-        assert_eq!(out.live_objects, 500);
-        assert_eq!(out.live_payload_bytes, 500 * 100);
         assert!(out.active_bytes > 0);
-        assert!(out.active_bytes <= out.active_bytes_before);
+        assert!(out.active_bytes <= before);
     }
 
     #[test]
@@ -400,8 +367,9 @@ mod tests {
     fn offset_identified_strategies_mirror_ids() {
         let mut heap = ModelHeap::new(CompactorKind::Mesh, 1 << 20, 1, 1);
         heap.replay(&trace_alloc_free(100, 64, 3));
+        let before = heap.blocks_in_use() as u64 * (1 << 20);
         let out = heap.finish();
         // Mesh compaction must be applicable (ids mirror offsets).
-        assert!(out.active_bytes <= out.active_bytes_before);
+        assert!(out.active_bytes <= before);
     }
 }

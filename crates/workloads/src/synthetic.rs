@@ -99,8 +99,7 @@ mod tests {
         let ops = synthetic_trace(&spec);
         let mut heap = ModelHeap::new(CompactorKind::NoCompaction, 1 << 20, 2, 1);
         heap.replay(&ops);
-        let out = heap.finish();
-        assert_eq!(out.live_objects, 0);
-        assert_eq!(out.active_bytes, 0);
+        assert_eq!(heap.live_objects(), 0);
+        assert_eq!(heap.finish().active_bytes, 0);
     }
 }

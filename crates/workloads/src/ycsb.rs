@@ -28,7 +28,7 @@ pub enum KeyDist {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mix {
     /// Fraction of reads in `[0, 1]`.
-    pub read_fraction: f64,
+    read_fraction: f64,
 }
 
 impl Mix {
@@ -38,12 +38,6 @@ impl Mix {
     pub const READ_HEAVY: Mix = Mix { read_fraction: 0.95 };
     /// The paper's 50:50 mix.
     pub const BALANCED: Mix = Mix { read_fraction: 0.5 };
-
-    /// Parses "R:W" notation (e.g. "95:5").
-    pub fn from_ratio(read: u32, write: u32) -> Mix {
-        assert!(read + write > 0);
-        Mix { read_fraction: read as f64 / (read + write) as f64 }
-    }
 
     /// Display label matching the paper's legends.
     pub fn label(&self) -> String {
@@ -68,18 +62,12 @@ impl Op {
             Op::Read(k) | Op::Write(k) => k,
         }
     }
-
-    /// Whether this is a read.
-    pub fn is_read(&self) -> bool {
-        matches!(self, Op::Read(_))
-    }
 }
 
 /// A YCSB workload: keyspace + distribution + mix.
 #[derive(Debug, Clone)]
 pub struct Workload {
     records: u64,
-    dist: KeyDist,
     mix: Mix,
     zipf: Option<Zipfian>,
 }
@@ -93,7 +81,7 @@ impl Workload {
             KeyDist::ZipfScrambled(theta) => Some(Zipfian::new(records, theta).scrambled()),
             KeyDist::Uniform => None,
         };
-        Workload { records, dist, mix, zipf }
+        Workload { records, mix, zipf }
     }
 
     /// Keyspace size.
@@ -104,15 +92,6 @@ impl Workload {
     /// The mix in force.
     pub fn mix(&self) -> Mix {
         self.mix
-    }
-
-    /// The distribution label for reports ("uniform" / "zipf-0.99").
-    pub fn dist_label(&self) -> String {
-        match &self.dist {
-            KeyDist::Uniform => "uniform".into(),
-            KeyDist::Zipf(theta) => format!("zipf-{theta}"),
-            KeyDist::ZipfScrambled(theta) => format!("zipf-scrambled-{theta}"),
-        }
     }
 
     /// Draws the next key.
@@ -145,14 +124,13 @@ mod tests {
         assert_eq!(Mix::READ_ONLY.label(), "100:0");
         assert_eq!(Mix::READ_HEAVY.label(), "95:5");
         assert_eq!(Mix::BALANCED.label(), "50:50");
-        assert_eq!(Mix::from_ratio(95, 5), Mix::READ_HEAVY);
     }
 
     #[test]
     fn mix_fraction_respected() {
         let w = Workload::new(1000, KeyDist::Uniform, Mix::READ_HEAVY);
         let mut rng = StdRng::seed_from_u64(2);
-        let reads = (0..20_000).filter(|_| w.next_op(&mut rng).is_read()).count();
+        let reads = (0..20_000).filter(|_| matches!(w.next_op(&mut rng), Op::Read(_))).count();
         let frac = reads as f64 / 20_000.0;
         assert!((frac - 0.95).abs() < 0.01, "read fraction {frac}");
     }
@@ -185,11 +163,5 @@ mod tests {
         let zipf = hot_mass(KeyDist::Zipf(0.99));
         assert!(zipf > 0.1, "zipf top-10 mass {zipf}");
         assert!(uni < 0.01, "uniform top-10 mass {uni}");
-    }
-
-    #[test]
-    fn dist_labels() {
-        assert_eq!(Workload::new(10, KeyDist::Uniform, Mix::BALANCED).dist_label(), "uniform");
-        assert_eq!(Workload::new(10, KeyDist::Zipf(0.99), Mix::BALANCED).dist_label(), "zipf-0.99");
     }
 }

@@ -20,7 +20,6 @@ pub struct Zipfian {
     alpha: f64,
     zeta_n: f64,
     eta: f64,
-    zeta2: f64,
     scrambled: bool,
 }
 
@@ -33,7 +32,7 @@ impl Zipfian {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zeta_n);
-        Zipfian { n, theta, alpha, zeta_n, eta, zeta2, scrambled: false }
+        Zipfian { n, theta, alpha, zeta_n, eta, scrambled: false }
     }
 
     /// Enables rank scrambling (YCSB's `ScrambledZipfian`).
@@ -74,21 +73,10 @@ impl Zipfian {
             rank
         }
     }
-
-    /// Probability mass of rank `k` (diagnostics/tests).
-    pub fn pmf(&self, k: u64) -> f64 {
-        assert!(k < self.n);
-        1.0 / ((k + 1) as f64).powf(self.theta) / self.zeta_n
-    }
-
-    /// `zeta(2, θ)` (exposed for tests of the YCSB constants).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
 /// FNV-1a 64-bit hash, the scrambler YCSB uses.
-pub fn fnv1a(x: u64) -> u64 {
+fn fnv1a(x: u64) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..8 {
@@ -103,6 +91,12 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Probability mass of rank `k`: the sampler test's expected frequency.
+    fn pmf(z: &Zipfian, k: u64) -> f64 {
+        assert!(k < z.n);
+        1.0 / ((k + 1) as f64).powf(z.theta) / z.zeta_n
+    }
 
     #[test]
     fn samples_stay_in_range() {
@@ -134,7 +128,7 @@ mod tests {
         // exactly and approximates the body; check the two hottest ranks
         // tightly and monotonic decay over the rest.
         for k in 0..2u64 {
-            let expect = z.pmf(k);
+            let expect = pmf(&z, k);
             let got = counts[k as usize] as f64 / trials as f64;
             assert!((got - expect).abs() / expect < 0.1, "rank {k}: got {got}, expect {expect}");
         }

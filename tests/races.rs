@@ -19,7 +19,8 @@ use corm::sim_core::time::SimTime;
 fn direct_reads_never_observe_torn_writes() {
     let server = Arc::new(CormServer::new(ServerConfig { workers: 2, ..ServerConfig::default() }));
     let mut setup = CormClient::connect(server.clone());
-    // 192-byte payload spans several cachelines — plenty of torn windows.
+    // A 180-byte payload in a 192-byte slot spans three cachelines —
+    // plenty of torn windows.
     let size = 180;
     let mut ptr = setup.alloc(size).unwrap().value;
     setup.write(&mut ptr, &vec![0u8; size]).unwrap();
@@ -83,7 +84,8 @@ fn direct_reads_never_observe_torn_writes() {
     assert!(writes > 0, "writer starved");
     assert!(
         (aba_wraps as f64) <= (accepted as f64 * 0.001).max(2.0),
-        "{aba_wraps} mixed-generation reads in {accepted} accepted — more          than version-wrap ABA can explain"
+        "{aba_wraps} mixed-generation reads in {accepted} accepted — more than version-wrap \
+         ABA can explain"
     );
     // With a hot writer the race window is real: expect some rejections
     // (this asserts the detection machinery actually fires).
