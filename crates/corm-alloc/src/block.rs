@@ -7,15 +7,14 @@
 //! - its *virtual identity* — the vaddr it is mapped at and (once the
 //!   server registers it) the RDMA keys;
 //! - its *occupancy metadata* — one dense slot→ID array and the ID→slot
-//!   hash table the paper keeps "for fast pointer correction" (§3.1.4).
-//!   Everything else (live count, lowest free slot, compactability) is
+//!   table the paper keeps "for fast pointer correction" (§3.1.4), plus a
+//!   live count. Everything else (lowest free slot, compactability) is
 //!   derived from those two, merge planning included.
 
 use std::sync::Arc;
 
 use rand::Rng;
 
-use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::prefetch_read;
 use corm_sim_mem::{FileId, FrameId};
 
@@ -29,8 +28,13 @@ pub struct BlockId(pub u64);
 /// A slot within a block: `byte_offset = slot * gross_object_size`.
 pub(crate) type ObjectSlot = u32;
 
-/// `slot_id` entry of a free slot; no ID reaches it (IDs are ≤ 20 bits).
+/// `slot_id` entry of a free slot and `id_slot` entry of an empty one; no
+/// ID or slot index reaches it (IDs are ≤ 20 bits).
 const VACANT: u32 = u32::MAX;
+
+/// `2^32 / φ`: multiplying by it spreads nearby IDs over the high bits,
+/// which pick an ID's home entry in `id_slot`.
+const FIBONACCI: u32 = 0x9e37_79b9;
 
 /// A memory block holding objects of a single size class.
 #[derive(Debug)]
@@ -52,9 +56,13 @@ pub struct Block {
     id_space: usize,
     /// Slot → ID, [`VACANT`] where free.
     slot_id: Vec<u32>,
-    /// ID → slot: the per-block metadata table for pointer correction. Its
-    /// length is the live count.
-    id_slot: FastHashMap<u32, ObjectSlot>,
+    /// ID → slot: the per-block metadata table for pointer correction.
+    /// Open addressing over a power of two of at least twice the slots,
+    /// linear probing, backward-shift deletion; an entry is a slot index
+    /// or [`VACANT`], and its key is that slot's `slot_id`.
+    id_slot: Box<[ObjectSlot]>,
+    /// Live objects: the occupied entries of either table.
+    live: u32,
     /// The lowest free slot; the slot count when full.
     first_free: ObjectSlot,
     /// RDMA keys once the server registers the block (lkey, rkey).
@@ -101,9 +109,9 @@ impl Block {
             frames,
             id_space: id_space.max(slots),
             slot_id: vec![VACANT; slots],
-            // Twice the slots: the table then clears the tombstones that
-            // removals leave by rehashing in place, and never reallocates.
-            id_slot: FastHashMap::with_capacity_and_hasher(2 * slots, Default::default()),
+            // At most half full, so every probe ends at a vacant entry.
+            id_slot: vec![VACANT; (2 * slots).next_power_of_two()].into(),
+            live: 0,
             first_free: 0,
             keys: None,
             owner,
@@ -159,7 +167,7 @@ impl Block {
 
     /// Live objects.
     pub fn live(&self) -> usize {
-        self.id_slot.len()
+        self.live as usize
     }
 
     /// Occupancy in `[0, 1]`.
@@ -169,7 +177,7 @@ impl Block {
 
     /// Whether no objects are live.
     pub fn is_empty(&self) -> bool {
-        self.id_slot.is_empty()
+        self.live == 0
     }
 
     /// Whether every slot is taken.
@@ -240,33 +248,37 @@ impl Block {
     /// `None` when full.
     pub(crate) fn alloc_object(&mut self, rng: &mut impl Rng) -> Option<(u32, ObjectSlot)> {
         let slot = self.free_slot_hint()?;
-        // The ID space is at least the slot count, so at worst half the
-        // draws reject; with 16-bit IDs collisions are rare.
-        let id = loop {
+        // A draw hits a taken ID with probability live / id_space, so the
+        // expected number of draws is id_space / (id_space − live): about
+        // one with 16-bit IDs, up to the slot count when the two are equal.
+        let (id, entry) = loop {
             let cand = rng.gen_range(0..self.id_space) as u32;
-            if !self.id_slot.contains_key(&cand) {
-                break cand;
+            if let Err(entry) = self.find(cand) {
+                break (cand, entry);
             }
         };
-        self.place(id, slot);
+        self.place(id, slot, entry);
         Some((id, slot))
     }
 
     /// Inserts an object with an explicit ID at an explicit slot (used when
     /// compaction moves objects in). Returns `false` on conflict.
     pub fn insert_object(&mut self, id: u32, slot: ObjectSlot) -> bool {
-        if self.slot_id[slot as usize] != VACANT || self.id_slot.contains_key(&id) {
+        if self.slot_id[slot as usize] != VACANT {
             return false;
         }
-        self.place(id, slot);
+        let Err(entry) = self.find(id) else { return false };
+        self.place(id, slot, entry);
         true
     }
 
-    /// Records `id` in the vacant `slot`.
-    fn place(&mut self, id: u32, slot: ObjectSlot) {
+    /// Records `id` in the vacant `slot` and in the vacant `id_slot[entry]`
+    /// that [`Self::find`] returned for it.
+    fn place(&mut self, id: u32, slot: ObjectSlot, entry: usize) {
         debug_assert!(id != VACANT && (id as usize) < self.id_space);
         self.slot_id[slot as usize] = id;
-        self.id_slot.insert(id, slot);
+        self.id_slot[entry] = slot;
+        self.live += 1;
         if slot == self.first_free {
             let above = &self.slot_id[slot as usize + 1..];
             let skip = above.iter().position(|&id| id == VACANT).unwrap_or(above.len());
@@ -279,12 +291,17 @@ impl Block {
 
     /// Frees the object in `slot`; returns its ID, or `None` if vacant.
     pub fn free_slot(&mut self, slot: ObjectSlot) -> Option<u32> {
-        let id = std::mem::replace(&mut self.slot_id[slot as usize], VACANT);
+        let id = self.slot_id[slot as usize];
         if id == VACANT {
             return None;
         }
-        let removed = self.id_slot.remove(&id);
-        debug_assert_eq!(removed, Some(slot));
+        // Unlinked while `slot_id[slot]` still names `id`: finding the
+        // entry reads it.
+        let entry = self.find(id).expect("a live ID has an entry");
+        debug_assert_eq!(self.id_slot[entry], slot);
+        self.unlink(entry);
+        self.slot_id[slot as usize] = VACANT;
+        self.live -= 1;
         if self.is_full() {
             self.tell_bin(true);
         }
@@ -295,7 +312,54 @@ impl Block {
     /// The slot currently holding object `id` — the metadata lookup used
     /// for pointer correction (§3.2.1).
     pub fn slot_of_id(&self, id: u32) -> Option<ObjectSlot> {
-        self.id_slot.get(&id).copied()
+        self.find(id).ok().map(|entry| self.id_slot[entry])
+    }
+
+    /// `id`'s home entry in `id_slot`: the top log2(len) bits of its
+    /// Fibonacci product.
+    fn home(&self, id: u32) -> usize {
+        let bits = self.id_slot.len().trailing_zeros();
+        (id.wrapping_mul(FIBONACCI) >> (32 - bits)) as usize
+    }
+
+    /// `Ok` with the `id_slot` index whose slot holds `id`, or `Err` with
+    /// the vacant index that ends `id`'s probe, where it would go. Each
+    /// step reads one table entry and, for an occupied one, that slot's
+    /// `slot_id`.
+    fn find(&self, id: u32) -> Result<usize, usize> {
+        let mask = self.id_slot.len() - 1;
+        let mut entry = self.home(id);
+        loop {
+            match self.id_slot[entry] {
+                VACANT => return Err(entry),
+                slot if self.slot_id[slot as usize] == id => return Ok(entry),
+                _ => entry = (entry + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties `id_slot[hole]` by backward shift: each later entry of the
+    /// cluster whose home does not lie after the hole moves into it, and
+    /// its old place becomes the hole. No tombstone is left, so a probe
+    /// stops at the first vacant entry and the table is never rebuilt.
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.id_slot.len() - 1;
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let slot = self.id_slot[next];
+            if slot == VACANT {
+                break;
+            }
+            let home = self.home(self.slot_id[slot as usize]);
+            // Distances back from `next`: the entry may move iff the hole
+            // is no further from it than its home is.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.id_slot[hole] = slot;
+                hole = next;
+            }
+        }
+        self.id_slot[hole] = VACANT;
     }
 
     /// The ID of the object in `slot`, if any.
@@ -357,7 +421,7 @@ impl Block {
         self.class == other.class
             && self.obj_size == other.obj_size
             && self.live() + other.live() <= self.slots()
-            && other.id_slot.keys().all(|id| !self.id_slot.contains_key(id))
+            && other.live_objects().all(|(id, _)| self.find(id).is_err())
     }
 }
 
@@ -366,8 +430,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{BTreeMap, HashMap};
 
     fn mk_block(obj_size: usize, pages: usize) -> Block {
+        mk_block_ids(obj_size, pages, 1 << 16)
+    }
+
+    fn mk_block_ids(obj_size: usize, pages: usize, id_space: usize) -> Block {
         let frames = (0..pages as u32).map(FrameId).collect();
         Block::new(
             BlockId(1),
@@ -378,9 +447,131 @@ mod tests {
             FileId(1),
             0,
             frames,
-            1 << 16,
+            id_space,
             0,
         )
+    }
+
+    #[test]
+    fn benchmark_block_table_is_one_kib() {
+        let b = mk_block(48, 1);
+        assert_eq!(b.slots(), 85);
+        assert_eq!(b.id_slot.len(), 256);
+        assert_eq!(std::mem::size_of_val(&*b.id_slot), 1024);
+    }
+
+    /// Holds every answer of `b` to a `HashMap` ID → slot, and `b`'s
+    /// compactability with `other` (whose IDs are `other_ids`) both ways.
+    fn check_against(
+        b: &Block,
+        refr: &HashMap<u32, ObjectSlot>,
+        absent: &[u32],
+        other: &Block,
+        other_ids: &[u32],
+    ) {
+        for (&id, &slot) in refr {
+            assert_eq!(b.slot_of_id(id), Some(slot), "live id {id}");
+        }
+        for &id in absent.iter().filter(|id| !refr.contains_key(id)) {
+            assert_eq!(b.slot_of_id(id), None, "absent id {id}");
+        }
+        assert_eq!(b.live(), refr.len());
+        assert_eq!(b.id_slot.iter().filter(|&&e| e != VACANT).count(), refr.len());
+        assert_eq!(b.is_empty(), refr.is_empty());
+        let by_slot: BTreeMap<ObjectSlot, u32> = refr.iter().map(|(&id, &s)| (s, id)).collect();
+        let lowest_free = (0..b.slots() as ObjectSlot).find(|s| !by_slot.contains_key(s));
+        assert_eq!(b.free_slot_hint(), lowest_free);
+        assert_eq!(b.is_full(), lowest_free.is_none());
+        let want: Vec<_> = by_slot.iter().map(|(&s, &id)| (id, s)).collect();
+        assert_eq!(b.live_objects().collect::<Vec<_>>(), want);
+        let fits = refr.len() + other_ids.len() <= b.slots();
+        let merges = fits && other_ids.iter().all(|id| !refr.contains_key(id));
+        assert_eq!(b.corm_compactable(other), merges);
+        assert_eq!(other.corm_compactable(b), merges);
+    }
+
+    /// Seeded random `alloc_object` / `insert_object` / `free_slot`
+    /// sequences against a `HashMap` reference. Explicit inserts favour
+    /// IDs sharing one home entry (one long cluster) and IDs homed in the
+    /// table's last entries (clusters that wrap to index 0), so frees
+    /// exercise backward shift across both.
+    #[test]
+    fn id_table_matches_a_hashmap_reference() {
+        // (object size, pages, ID space): 1 slot, the benchmark's 85, 256
+        // slots on 8-bit IDs (every ID in use when full), 3 pages.
+        for (obj_size, pages, id_space) in
+            [(4096, 1, 1 << 16), (48, 1, 1 << 16), (16, 1, 256), (40, 3, 1 << 20)]
+        {
+            let probe = mk_block_ids(obj_size, pages, id_space);
+            let len = probe.id_slot.len();
+            let mut by_home: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+            for id in 0..id_space as u32 {
+                by_home.entry(probe.home(id)).or_default().push(id);
+            }
+            let mut shared = by_home.values().max_by_key(|ids| ids.len()).unwrap().clone();
+            shared.truncate(48);
+            let wrapping: Vec<u32> = by_home
+                .range(len - len.min(4)..)
+                .flat_map(|(_, ids)| ids.iter().copied())
+                .take(48)
+                .collect();
+            assert!(shared.len() >= 2 && !wrapping.is_empty());
+
+            let mut other = mk_block_ids(obj_size, pages, id_space);
+            let other_ids = [shared[0], wrapping[0]];
+            let other_ids = &other_ids[..other.slots().min(2)];
+            for (slot, &id) in other_ids.iter().enumerate() {
+                assert!(other.insert_object(id, slot as ObjectSlot));
+            }
+
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut b = mk_block_ids(obj_size, pages, id_space);
+                let mut refr: HashMap<u32, ObjectSlot> = HashMap::new();
+                let mut pools = [shared.as_slice(), wrapping.as_slice()].concat();
+                pools.extend([VACANT, id_space as u32]);
+                let slots = b.slots() as ObjectSlot;
+                for step in 0..1_500 {
+                    // Fill for 200 steps, drain for 200, and so on.
+                    let free_odds = if step / 200 % 2 == 0 { 3 } else { 7 };
+                    let roll = rng.gen_range(0..10);
+                    if roll < free_odds {
+                        let slot = rng.gen_range(0..slots);
+                        let want = refr.iter().find(|&(_, &s)| s == slot).map(|(&id, _)| id);
+                        assert_eq!(b.free_slot(slot), want);
+                        if let Some(id) = want {
+                            refr.remove(&id);
+                        }
+                    } else if roll % 2 == 0 {
+                        let got = b.alloc_object(&mut rng);
+                        let lowest = (0..slots).find(|s| !refr.values().any(|v| v == s));
+                        match got {
+                            Some((id, slot)) => {
+                                assert_eq!(Some(slot), lowest);
+                                assert!((id as usize) < id_space);
+                                assert!(refr.insert(id, slot).is_none(), "drew live id {id}");
+                            }
+                            None => assert_eq!(lowest, None),
+                        }
+                    } else {
+                        let id = match rng.gen_range(0..10) {
+                            0..=3 => shared[rng.gen_range(0..shared.len())],
+                            4..=6 => wrapping[rng.gen_range(0..wrapping.len())],
+                            _ => rng.gen_range(0..id_space) as u32,
+                        };
+                        let slot = rng.gen_range(0..slots);
+                        let fits = !refr.contains_key(&id) && !refr.values().any(|&s| s == slot);
+                        assert_eq!(b.insert_object(id, slot), fits);
+                        if fits {
+                            refr.insert(id, slot);
+                        }
+                    }
+                    let mut absent = pools.clone();
+                    absent.extend((0..8).map(|_| rng.gen_range(0..id_space) as u32));
+                    check_against(&b, &refr, &absent, &other, other_ids);
+                }
+            }
+        }
     }
 
     #[test]

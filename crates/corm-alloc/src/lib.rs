@@ -10,8 +10,8 @@
 //! Blocks store objects of exactly one size class. Classes are 8-byte
 //! aligned and chosen to bound internal fragmentation (§3.1.1). Every block
 //! keeps the metadata CoRM's compaction needs: a slot→ID array and the
-//! ID→slot hash table used for fast pointer correction (§3.1.4), which is
-//! also what merges are planned on.
+//! open-addressed ID→slot table used for fast pointer correction
+//! (§3.1.4), which are also what merges are planned on.
 //!
 //! Layering note: this crate knows nothing about RDMA. Registration keys
 //! are attached to blocks by the CoRM server (`corm-core`), which owns the

@@ -1,18 +1,21 @@
 //! A fast, deterministic hasher for simulator-internal maps.
 //!
-//! The RNIC data path performs half a dozen hash-map probes per verb (MTT
-//! shard, translation cache, region table); the default SipHash keying is
-//! built for HashDoS resistance the simulator does not need, and its setup
-//! cost dominates small-key lookups. [`FastHasher`] is a multiply-xor hash
-//! in the FxHash family: a single round per 8-byte word, good diffusion
-//! for the dense `u64`/`u32` keys the simulator uses, no per-process
-//! random state.
+//! Its hot users are the directories of `sim_mem::PagedTable` (page table,
+//! MTT, region table: one directory probe per look-up) and the server's
+//! block directory; every key is the simulator's own. The default SipHash
+//! keying is built for HashDoS resistance the simulator does not need, and
+//! its setup cost dominates small-key lookups. [`FastHasher`] is a
+//! multiply-xor hash in the FxHash family: a single round per 8-byte word,
+//! good diffusion for the dense `u64`/`u32` keys the simulator uses, no
+//! per-process random state.
 //!
-//! Determinism note: none of the hot maps using this hasher are iterated —
-//! lookups and removals only — so hash order can never leak into virtual
-//! time or trace streams. The hasher is still fully deterministic across
-//! processes (no random seed), which keeps even accidental iteration-order
-//! dependence replayable rather than run-to-run random.
+//! Determinism note: where a map using this hasher is iterated — the block
+//! directory's `live_blocks` and `alias_count`, the tiering heat map's
+//! decay and histogram — the caller sorts, sums or aggregates what it
+//! reads, so hash order never reaches virtual time, a result or a trace
+//! stream. The hasher is still fully deterministic across processes (no
+//! random seed), which keeps even accidental iteration-order dependence
+//! replayable rather than run-to-run random.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
