@@ -58,7 +58,7 @@ fn compact_at(id_bits: u32) -> (usize, usize, usize, f64) {
             .unwrap()
             .value;
         fill_pattern(&mut expect, i as u64);
-        assert_eq!(&buf[..n], &expect[..n], "id_bits={id_bits} object {i}");
+        assert_eq!(&buf[..n], &expect[..], "id_bits={id_bits} object {i}");
     }
     let occupancy = (OBJECTS as f64 * (1.0 - DEALLOC))
         / (before as f64 * (server.block_bytes() / server.classes().size_of(class)) as f64);

@@ -535,7 +535,8 @@ impl Default for FaultSweepSpec {
 pub struct FaultSweepOutput {
     /// Reads that completed (every op must).
     pub completed: u64,
-    /// Reads whose payload did not match the expected pattern (must be 0).
+    /// Reads whose payload was short or did not match the expected pattern
+    /// (must be 0).
     pub corrupted: u64,
     /// QP breaks observed by the client.
     pub qp_breaks: u64,
@@ -586,7 +587,7 @@ pub fn run_fault_sweep(spec: &FaultSweepSpec) -> FaultSweepOutput {
             .unwrap_or_else(|e| panic!("read of key {key} must survive faults: {e}"));
         store.ptrs[key as usize] = ptr;
         fill_pattern(&mut expect, key);
-        if buf[..t.value] != expect[..t.value] {
+        if buf[..t.value] != expect[..] {
             out.corrupted += 1;
         }
         out.completed += 1;

@@ -3,7 +3,7 @@
 //!
 //! The whole test binary runs under a counting `#[global_allocator]`: after
 //! a warm-up phase fills every scratch buffer, the event heap, translation
-//! cache, and histogram bucket, the measured phase replays the fig12 hot
+//! cache, and latency histogram, the measured phase replays the fig12 hot
 //! loop's op pipeline — workload draw, event-queue schedule/pop, the four
 //! stages of `CormServer::hint`, one-sided `direct_read`, RPC-path
 //! `server.write`, FIFO-station admits, torn-read bookkeeping, latency
@@ -177,10 +177,12 @@ fn steady_state_fig12_op_allocates_nothing() {
     let mut nic = FifoResource::new(1);
     let mut write_busy: FastHashMap<u64, (SimTime, SimTime)> = FastHashMap::default();
     let mut hist = Histogram::new();
-    // The latency vector and the write-window map (whose population of
-    // written-but-not-yet-reread keys keeps drifting to new highs) are the
-    // amortized growers in the loop's bookkeeping; reserve them up front so
-    // the measured window stays at exactly zero allocator round trips.
+    // The latency histogram (one entry per distinct latency, and a rare
+    // queueing delay is a new one) and the write-window map (whose
+    // population of written-but-not-yet-reread keys keeps drifting to new
+    // highs) are the growers in the loop's bookkeeping; reserve them up
+    // front so the measured window stays at exactly zero allocator round
+    // trips.
     hist.reserve(64 * 1024);
     write_busy.reserve(2 * FIG12_OBJECTS);
     let mut buf = vec![0u8; FIG12_SIZE];
@@ -219,7 +221,7 @@ fn steady_state_fig12_op_allocates_nothing() {
 
     // Warm-up: fill scratch vectors, the event heap, the RNIC translation
     // cache (4096 objects × 32 B spans a bounded page set), the histogram's
-    // bucket vector, and the write-busy map to its steady-state capacity.
+    // common latencies, and the write-busy map to its steady-state capacity.
     run(
         20_000,
         &mut clock,

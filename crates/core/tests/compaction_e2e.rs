@@ -66,14 +66,14 @@ fn compaction_frees_blocks_and_preserves_every_object() {
         let (ref mut ptr, ref data) = objs[i];
         let mut buf = vec![0u8; data.len()];
         let n = client.read(ptr, &mut buf).unwrap().value;
-        assert_eq!(&buf[..n], &data[..n], "RPC read of object {i}");
+        assert_eq!(&buf[..n], &data[..], "RPC read of object {i}");
 
         let mut buf2 = vec![0u8; data.len()];
         let n2 = client
             .direct_read_with_recovery(ptr, &mut buf2, SimTime::from_millis(10))
             .unwrap()
             .value;
-        assert_eq!(&buf2[..n2], &data[..n2], "DirectRead of object {i}");
+        assert_eq!(&buf2[..n2], &data[..], "DirectRead of object {i}");
     }
     assert_eq!(client.qp().breaks(), 0, "ODP strategies never break QPs");
 }
@@ -119,7 +119,7 @@ fn direct_read_detects_relocation_and_scan_read_recovers() {
             saw_indirect = true;
             let fixed =
                 client.direct_read_with_recovery(ptr, &mut buf, SimTime::from_millis(1)).unwrap();
-            assert_eq!(&buf[..fixed.value], &data[..fixed.value]);
+            assert_eq!(&buf[..fixed.value], &data[..]);
             assert!(ptr.references_old_block(), "corrected ptr flagged");
             // After correction, a raw DirectRead succeeds directly.
             let again = client.direct_read(ptr, &mut buf, SimTime::from_millis(2)).unwrap();
@@ -151,7 +151,7 @@ fn rpc_reads_correct_pointers_transparently() {
             let (ref mut ptr, ref data) = objs[i];
             let mut buf = vec![0u8; data.len()];
             let n = client.read(ptr, &mut buf).unwrap().value;
-            assert_eq!(&buf[..n], &data[..n], "strategy {correction:?}");
+            assert_eq!(&buf[..n], &data[..], "strategy {correction:?}");
         }
         // Write through a (possibly corrected) pointer still works.
         let (ref mut ptr, _) = objs[0];
@@ -203,7 +203,7 @@ fn rereg_strategy_breaks_qp_during_window_and_recovers() {
     let late = t0 + corm_sim_core::time::SimDuration::from_millis(50);
     let mut ptr0 = objs[0].0;
     let n = client.direct_read_with_recovery(&mut ptr0, &mut buf, late).unwrap().value;
-    assert_eq!(&buf[..n], &objs[0].1[..n]);
+    assert_eq!(&buf[..n], &objs[0].1[..]);
 }
 
 #[test]
@@ -273,7 +273,7 @@ fn release_ptr_rehomes_and_returns_fresh_pointer() {
             .direct_read_with_recovery(&mut fresh_mut, &mut buf, SimTime::from_millis(1))
             .unwrap()
             .value;
-        assert_eq!(&buf[..n], &data[..n]);
+        assert_eq!(&buf[..n], &data[..]);
     }
     let released = server.stats.vaddrs_released.load(std::sync::atomic::Ordering::Relaxed);
     assert!(released > alias_count_before, "old vaddr released via ReleasePtr");

@@ -114,7 +114,6 @@ mod store_model {
     use corm_core::client::CormClient;
     use corm_core::server::{CormServer, ServerConfig};
     use corm_sim_core::time::SimTime;
-    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// Random alloc/free/write/compact sequences: a model-based test that
@@ -152,8 +151,6 @@ mod store_model {
             let mut client = CormClient::connect(server.clone());
             let mut live: Vec<(corm_core::GlobalPtr, Vec<u8>)> = Vec::new();
             let mut now = SimTime::ZERO;
-            let mut model: HashMap<u64, ()> = HashMap::new();
-            let _ = &mut model;
 
             for action in actions {
                 match action {
@@ -182,7 +179,7 @@ mod store_model {
                             .direct_read_with_recovery(&mut live[idx].0, &mut buf, now)
                             .unwrap()
                             .value;
-                        prop_assert_eq!(&buf[..n], &expect[..n]);
+                        prop_assert_eq!(&buf[..n], &expect[..]);
                     }
                     Action::Compact => {
                         let reports = server.compact_if_fragmented(now).unwrap();
@@ -199,13 +196,13 @@ mod store_model {
                 let mut p = *ptr;
                 let mut buf = vec![0u8; expect.len()];
                 let n = client.read(&mut p, &mut buf).unwrap().value;
-                prop_assert_eq!(&buf[..n], &expect[..n]);
+                prop_assert_eq!(&buf[..n], &expect[..]);
                 let mut p2 = *ptr;
                 let n2 = client
                     .direct_read_with_recovery(&mut p2, &mut buf, now)
                     .unwrap()
                     .value;
-                prop_assert_eq!(&buf[..n2], &expect[..n2]);
+                prop_assert_eq!(&buf[..n2], &expect[..]);
             }
         }
     }

@@ -11,11 +11,12 @@
 //!
 //! Determinism note: where a map using this hasher is iterated — the block
 //! directory's `live_blocks` and `alias_count`, the tiering heat map's
-//! decay and histogram — the caller sorts, sums or aggregates what it
-//! reads, so hash order never reaches virtual time, a result or a trace
-//! stream. The hasher is still fully deterministic across processes (no
-//! random seed), which keeps even accidental iteration-order dependence
-//! replayable rather than run-to-run random.
+//! decay and histogram, `stats::Histogram`'s quantiles — the caller
+//! sorts, sums or aggregates what it reads, so hash order never reaches
+//! virtual time, a result or a trace stream. The hasher is still fully
+//! deterministic across processes (no random seed), which keeps even
+//! accidental iteration-order dependence replayable rather than
+//! run-to-run random.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -13,8 +13,8 @@
 //! - [`rng`]: seeded, reproducible random number utilities.
 //! - [`stats`]: percentile estimation and time-bucketed series used by the
 //!   benchmark harness.
-//! - [`hash`]: a fast deterministic hasher for the simulator's hot,
-//!   never-iterated lookup tables (MTT shards, translation cache, regions).
+//! - [`hash`]: a fast deterministic hasher for the simulator's hot lookup
+//!   tables (`PagedTable` directories, the block directory, histograms).
 //! - [`prefetch_read`], [`prefetch_lines`]: the cache hint that lets a
 //!   doorbell's requests, and the closed loop's queued ops, miss side by
 //!   side.

@@ -19,7 +19,7 @@
 # - every `pub` line of a binary target (crates/*/src/bin), which nothing
 #   outside it can name.
 # The census always exits 0.
-ceiling=1014
+ceiling=1013
 cd "$(dirname "$0")/.." || exit 1
 if [ "$1" = "--census" ]; then
     find crates src tests examples benchmark/src shims -name '*.rs' -not -path '*/target/*' |
