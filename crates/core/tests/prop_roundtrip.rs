@@ -139,71 +139,111 @@ mod store_model {
         ]
     }
 
+    /// Runs `actions` against a fresh two-worker server, checking every
+    /// read against the latest bytes written, then reads every live
+    /// object back via RPC and via RDMA.
+    fn check_actions(actions: Vec<Action>) -> Result<(), TestCaseError> {
+        let server =
+            Arc::new(CormServer::new(ServerConfig { workers: 2, ..ServerConfig::default() }));
+        let mut client = CormClient::connect(server.clone());
+        let mut live: Vec<(corm_core::GlobalPtr, Vec<u8>)> = Vec::new();
+        let mut now = SimTime::ZERO;
+
+        for action in actions {
+            match action {
+                Action::Alloc { size } => {
+                    let mut ptr = client.alloc(size).unwrap().value;
+                    let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+                    client.write(&mut ptr, &data).unwrap();
+                    live.push((ptr, data));
+                }
+                Action::Free { pick } if !live.is_empty() => {
+                    let (mut ptr, _) = live.swap_remove(pick % live.len());
+                    client.free(&mut ptr).unwrap();
+                }
+                Action::Write { pick, byte } if !live.is_empty() => {
+                    let idx = pick % live.len();
+                    let len = live[idx].1.len();
+                    let data = vec![byte; len];
+                    client.write(&mut live[idx].0, &data).unwrap();
+                    live[idx].1 = data;
+                }
+                Action::ReadCheck { pick } if !live.is_empty() => {
+                    let idx = pick % live.len();
+                    let expect = live[idx].1.clone();
+                    let mut buf = vec![0u8; expect.len()];
+                    let n = client
+                        .direct_read_with_recovery(&mut live[idx].0, &mut buf, now)
+                        .unwrap()
+                        .value;
+                    prop_assert_eq!(&buf[..n], &expect[..]);
+                }
+                Action::Compact => {
+                    let reports = server.compact_if_fragmented(now).unwrap();
+                    for r in &reports {
+                        now += r.total_cost();
+                    }
+                    now += corm_sim_core::time::SimDuration::from_millis(1);
+                }
+                _ => {}
+            }
+        }
+        // Final sweep: every live object recoverable via RPC *and* RDMA.
+        for (ptr, expect) in &live {
+            let mut p = *ptr;
+            let mut buf = vec![0u8; expect.len()];
+            let n = client.read(&mut p, &mut buf).unwrap().value;
+            prop_assert_eq!(&buf[..n], &expect[..]);
+            let mut p2 = *ptr;
+            let n2 = client.direct_read_with_recovery(&mut p2, &mut buf, now).unwrap().value;
+            prop_assert_eq!(&buf[..n2], &expect[..]);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn live_objects_always_recoverable(actions in prop::collection::vec(arb_action(), 1..120)) {
-            let server = Arc::new(CormServer::new(ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            }));
-            let mut client = CormClient::connect(server.clone());
-            let mut live: Vec<(corm_core::GlobalPtr, Vec<u8>)> = Vec::new();
-            let mut now = SimTime::ZERO;
+            check_actions(actions)?;
+        }
+    }
 
-            for action in actions {
-                match action {
-                    Action::Alloc { size } => {
-                        let mut ptr = client.alloc(size).unwrap().value;
-                        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-                        client.write(&mut ptr, &data).unwrap();
-                        live.push((ptr, data));
-                    }
-                    Action::Free { pick } if !live.is_empty() => {
-                        let (mut ptr, _) = live.swap_remove(pick % live.len());
-                        client.free(&mut ptr).unwrap();
-                    }
-                    Action::Write { pick, byte } if !live.is_empty() => {
-                        let idx = pick % live.len();
-                        let len = live[idx].1.len();
-                        let data = vec![byte; len];
-                        client.write(&mut live[idx].0, &data).unwrap();
-                        live[idx].1 = data;
-                    }
-                    Action::ReadCheck { pick } if !live.is_empty() => {
-                        let idx = pick % live.len();
-                        let expect = live[idx].1.clone();
-                        let mut buf = vec![0u8; expect.len()];
-                        let n = client
-                            .direct_read_with_recovery(&mut live[idx].0, &mut buf, now)
-                            .unwrap()
-                            .value;
-                        prop_assert_eq!(&buf[..n], &expect[..]);
-                    }
-                    Action::Compact => {
-                        let reports = server.compact_if_fragmented(now).unwrap();
-                        for r in &reports {
-                            now += r.total_cost();
-                        }
-                        now += corm_sim_core::time::SimDuration::from_millis(1);
-                    }
-                    _ => {}
-                }
-            }
-            // Final sweep: every live object recoverable via RPC *and* RDMA.
-            for (ptr, expect) in &live {
-                let mut p = *ptr;
-                let mut buf = vec![0u8; expect.len()];
-                let n = client.read(&mut p, &mut buf).unwrap().value;
-                prop_assert_eq!(&buf[..n], &expect[..]);
-                let mut p2 = *ptr;
-                let n2 = client
-                    .direct_read_with_recovery(&mut p2, &mut buf, now)
-                    .unwrap()
-                    .value;
-                prop_assert_eq!(&buf[..n2], &expect[..]);
-            }
+    /// The case real proptest once shrank a failure to: two frees after a
+    /// compaction, then a recovery read of a survivor.
+    #[test]
+    fn recorded_case_frees_after_compaction_then_reads() {
+        use Action::*;
+        let actions = vec![
+            Alloc { size: 8 },
+            Alloc { size: 177 },
+            Write { pick: 8312816757527036457, byte: 209 },
+            Free { pick: 9636221048100202093 },
+            Alloc { size: 97 },
+            Free { pick: 6097808193488304063 },
+            Alloc { size: 288 },
+            Alloc { size: 177 },
+            Alloc { size: 53 },
+            Alloc { size: 98 },
+            Free { pick: 275638545270586565 },
+            Write { pick: 18401664357791139864, byte: 152 },
+            Alloc { size: 227 },
+            Free { pick: 14286289601205731485 },
+            Free { pick: 14812121599893524178 },
+            Free { pick: 2519663095915398008 },
+            Alloc { size: 220 },
+            Alloc { size: 201 },
+            Alloc { size: 180 },
+            Free { pick: 7265413437649010524 },
+            Compact,
+            Free { pick: 13376633823957880649 },
+            Free { pick: 7633166062949578607 },
+            Free { pick: 8981618003801982203 },
+            ReadCheck { pick: 11066302010622354872 },
+        ];
+        if let Err(e) = check_actions(actions) {
+            panic!("{e}");
         }
     }
 }

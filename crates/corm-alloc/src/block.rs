@@ -32,6 +32,10 @@ pub(crate) type ObjectSlot = u32;
 /// ID or slot index reaches it (IDs are ≤ 20 bits).
 const VACANT: u32 = u32::MAX;
 
+/// [`VACANT`] in a one-byte `id_slot` entry, so the largest block with
+/// such entries has this many slots (indices up to one below it).
+const NARROW_VACANT: u8 = u8::MAX;
+
 /// `2^32 / φ`: multiplying by it spreads nearby IDs over the high bits,
 /// which pick an ID's home entry in `id_slot`.
 const FIBONACCI: u32 = 0x9e37_79b9;
@@ -60,7 +64,7 @@ pub struct Block {
     /// Open addressing over a power of two of at least twice the slots,
     /// linear probing, backward-shift deletion; an entry is a slot index
     /// or [`VACANT`], and its key is that slot's `slot_id`.
-    id_slot: Box<[ObjectSlot]>,
+    id_slot: IdTable,
     /// Live objects: the occupied entries of either table.
     live: u32,
     /// The lowest free slot; the slot count when full.
@@ -109,8 +113,7 @@ impl Block {
             frames,
             id_space: id_space.max(slots),
             slot_id: vec![VACANT; slots],
-            // At most half full, so every probe ends at a vacant entry.
-            id_slot: vec![VACANT; (2 * slots).next_power_of_two()].into(),
+            id_slot: IdTable::new(slots),
             live: 0,
             first_free: 0,
             keys: None,
@@ -277,7 +280,7 @@ impl Block {
     fn place(&mut self, id: u32, slot: ObjectSlot, entry: usize) {
         debug_assert!(id != VACANT && (id as usize) < self.id_space);
         self.slot_id[slot as usize] = id;
-        self.id_slot[entry] = slot;
+        self.id_slot.set(entry, slot);
         self.live += 1;
         if slot == self.first_free {
             let above = &self.slot_id[slot as usize + 1..];
@@ -298,7 +301,7 @@ impl Block {
         // Unlinked while `slot_id[slot]` still names `id`: finding the
         // entry reads it.
         let entry = self.find(id).expect("a live ID has an entry");
-        debug_assert_eq!(self.id_slot[entry], slot);
+        debug_assert_eq!(self.id_slot.get(entry), slot);
         self.unlink(entry);
         self.slot_id[slot as usize] = VACANT;
         self.live -= 1;
@@ -312,7 +315,7 @@ impl Block {
     /// The slot currently holding object `id` — the metadata lookup used
     /// for pointer correction (§3.2.1).
     pub fn slot_of_id(&self, id: u32) -> Option<ObjectSlot> {
-        self.find(id).ok().map(|entry| self.id_slot[entry])
+        self.find(id).ok().map(|entry| self.id_slot.get(entry))
     }
 
     /// `id`'s home entry in `id_slot`: the top log2(len) bits of its
@@ -330,7 +333,7 @@ impl Block {
         let mask = self.id_slot.len() - 1;
         let mut entry = self.home(id);
         loop {
-            match self.id_slot[entry] {
+            match self.id_slot.get(entry) {
                 VACANT => return Err(entry),
                 slot if self.slot_id[slot as usize] == id => return Ok(entry),
                 _ => entry = (entry + 1) & mask,
@@ -347,7 +350,7 @@ impl Block {
         let mut next = hole;
         loop {
             next = (next + 1) & mask;
-            let slot = self.id_slot[next];
+            let slot = self.id_slot.get(next);
             if slot == VACANT {
                 break;
             }
@@ -355,11 +358,11 @@ impl Block {
             // Distances back from `next`: the entry may move iff the hole
             // is no further from it than its home is.
             if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
-                self.id_slot[hole] = slot;
+                self.id_slot.set(hole, slot);
                 hole = next;
             }
         }
-        self.id_slot[hole] = VACANT;
+        self.id_slot.set(hole, VACANT);
     }
 
     /// The ID of the object in `slot`, if any.
@@ -425,6 +428,59 @@ impl Block {
     }
 }
 
+/// The entries of `Block::id_slot`: one byte each when every slot index
+/// and the vacant marker fit in one, four otherwise. Only the width
+/// differs, so a block answers every look-up alike in either.
+#[derive(Debug)]
+enum IdTable {
+    /// At most [`NARROW_VACANT`] slots.
+    Narrow(Box<[u8]>),
+    Wide(Box<[u32]>),
+}
+
+impl IdTable {
+    /// An empty table for `slots` slots. At most half full, so every probe
+    /// ends at a vacant entry.
+    fn new(slots: usize) -> Self {
+        let len = (2 * slots).next_power_of_two();
+        if slots <= NARROW_VACANT as usize {
+            IdTable::Narrow(vec![NARROW_VACANT; len].into())
+        } else {
+            IdTable::Wide(vec![VACANT; len].into())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            IdTable::Narrow(t) => t.len(),
+            IdTable::Wide(t) => t.len(),
+        }
+    }
+
+    /// Entry `i`: a slot index or [`VACANT`].
+    #[inline]
+    fn get(&self, i: usize) -> ObjectSlot {
+        match self {
+            IdTable::Narrow(t) => match t[i] {
+                NARROW_VACANT => VACANT,
+                slot => slot.into(),
+            },
+            IdTable::Wide(t) => t[i],
+        }
+    }
+
+    /// Sets entry `i` to a slot index or [`VACANT`].
+    #[inline]
+    fn set(&mut self, i: usize, slot: ObjectSlot) {
+        match self {
+            // A narrow table's slot indices are all below `NARROW_VACANT`,
+            // so the clamp changes only `VACANT`, into `NARROW_VACANT`.
+            IdTable::Narrow(t) => t[i] = slot.min(NARROW_VACANT.into()) as u8,
+            IdTable::Wide(t) => t[i] = slot,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,11 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_block_table_is_one_kib() {
+    fn benchmark_block_table_is_256_bytes() {
         let b = mk_block(48, 1);
         assert_eq!(b.slots(), 85);
-        assert_eq!(b.id_slot.len(), 256);
-        assert_eq!(std::mem::size_of_val(&*b.id_slot), 1024);
+        let IdTable::Narrow(table) = &b.id_slot else { panic!("85 slots take one-byte entries") };
+        assert_eq!(std::mem::size_of_val(&**table), 256);
     }
 
     /// Holds every answer of `b` to a `HashMap` ID → slot, and `b`'s
@@ -476,7 +532,8 @@ mod tests {
             assert_eq!(b.slot_of_id(id), None, "absent id {id}");
         }
         assert_eq!(b.live(), refr.len());
-        assert_eq!(b.id_slot.iter().filter(|&&e| e != VACANT).count(), refr.len());
+        let occupied = (0..b.id_slot.len()).filter(|&e| b.id_slot.get(e) != VACANT).count();
+        assert_eq!(occupied, refr.len());
         assert_eq!(b.is_empty(), refr.is_empty());
         let by_slot: BTreeMap<ObjectSlot, u32> = refr.iter().map(|(&id, &s)| (s, id)).collect();
         let lowest_free = (0..b.slots() as ObjectSlot).find(|s| !by_slot.contains_key(s));
@@ -494,15 +551,26 @@ mod tests {
     /// sequences against a `HashMap` reference. Explicit inserts favour
     /// IDs sharing one home entry (one long cluster) and IDs homed in the
     /// table's last entries (clusters that wrap to index 0), so frees
-    /// exercise backward shift across both.
+    /// exercise backward shift across both. A vacant byte equal to a
+    /// valid slot index, or one-byte entries chosen for 256 slots, fails
+    /// it.
     #[test]
     fn id_table_matches_a_hashmap_reference() {
         // (object size, pages, ID space): 1 slot, the benchmark's 85, 256
-        // slots on 8-bit IDs (every ID in use when full), 3 pages.
-        for (obj_size, pages, id_space) in
-            [(4096, 1, 1 << 16), (48, 1, 1 << 16), (16, 1, 256), (40, 3, 1 << 20)]
-        {
+        // slots on 8-bit IDs (every ID in use when full), 3 pages, and 255
+        // and 256 slots, the last block with one-byte entries and the
+        // first without.
+        for (obj_size, pages, id_space) in [
+            (4096, 1, 1 << 16),
+            (48, 1, 1 << 16),
+            (16, 1, 256),
+            (40, 3, 1 << 20),
+            (273, 17, 1 << 16),
+            (272, 17, 1 << 16),
+        ] {
             let probe = mk_block_ids(obj_size, pages, id_space);
+            let narrow = matches!(probe.id_slot, IdTable::Narrow(_));
+            assert_eq!(narrow, probe.slots() <= 255, "{} slots", probe.slots());
             let len = probe.id_slot.len();
             let mut by_home: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
             for id in 0..id_space as u32 {

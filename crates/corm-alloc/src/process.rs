@@ -120,8 +120,6 @@ struct PoolInner {
     files: Vec<MemFile>,
     /// Free blocks, LIFO for locality.
     free: Vec<PhysBlock>,
-    /// Pages already carved from the newest file.
-    carve_cursor: usize,
 }
 
 /// The process-wide allocator.
@@ -173,8 +171,10 @@ impl ProcessAllocator {
     }
 
     /// Acquires a physical block: recycled from the free list or carved
-    /// from a memfd file (creating a new 16 MiB file when the current one
-    /// is exhausted).
+    /// from a memfd file by populating its next pages (creating a new
+    /// 16 MiB file when the current one is exhausted). Only carving
+    /// allocates frames, so a capped memory runs out at the first block
+    /// that does not fit.
     pub fn alloc_phys_block(&self) -> Result<PhysBlock, AllocError> {
         let mut inner = self.inner.lock();
         if let Some(pb) = inner.free.pop() {
@@ -182,19 +182,13 @@ impl ProcessAllocator {
             return Ok(pb);
         }
         let pages_per_block = self.config.block_pages();
-        let pages_per_file = self.config.file_bytes / PAGE_SIZE;
-        let need_new_file =
-            inner.files.is_empty() || inner.carve_cursor + pages_per_block > pages_per_file;
-        if need_new_file {
-            let file = MemFile::create(&self.phys, pages_per_file)?;
-            inner.files.push(file);
-            inner.carve_cursor = 0;
+        if inner.files.last().is_none_or(|f| f.populated() + pages_per_block > f.pages()) {
+            inner.files.push(MemFile::create(self.config.file_bytes / PAGE_SIZE));
         }
-        let file = inner.files.last().expect("file just ensured");
-        let page = inner.carve_cursor;
-        let frames = file.frames_at(page, pages_per_block).expect("cursor within file").to_vec();
+        let file = inner.files.last_mut().expect("file just ensured");
+        let page = file.populated();
+        let frames = file.populate(&self.phys, pages_per_block)?.to_vec();
         let file_id = file.id();
-        inner.carve_cursor += pages_per_block;
         self.blocks_in_use.fetch_add(1, Ordering::Relaxed);
         Ok(PhysBlock { file: file_id, page, frames })
     }
@@ -314,9 +308,14 @@ mod tests {
 
     #[test]
     fn out_of_memory_surfaces() {
-        // Capacity of 8 frames; files are 16 pages → file creation fails.
+        // Capacity of 8 frames; files are 16 pages, backed block by block →
+        // 8 one-page blocks fit, the ninth does not.
         let pa = mk(4096, Some(8));
+        for page in 0..8 {
+            assert_eq!(pa.alloc_phys_block().unwrap().page, page);
+        }
         assert_eq!(pa.alloc_phys_block().unwrap_err(), AllocError::OutOfMemory);
+        assert_eq!((pa.phys().live_frames(), pa.blocks_in_use()), (8, 8));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use corm_alloc::{AllocConfig, ClassId, FragmentationReport, ProcessAllocator, ThreadAllocator};
-use corm_sim_mem::{AddressSpace, PhysicalMemory};
+use corm_sim_mem::{AddressSpace, PhysicalMemory, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,8 +72,8 @@ proptest! {
     }
 
     /// The process-wide allocator recycles every released block: after N
-    /// alloc/release rounds, live frames never exceed the high-water mark
-    /// of simultaneously-held blocks.
+    /// alloc/release rounds, live frames are exactly the high-water mark
+    /// of simultaneously-held blocks (files are backed block by block).
     #[test]
     fn phys_blocks_recycled(rounds in 1usize..20, held in 1usize..8) {
         let phys = Arc::new(PhysicalMemory::new());
@@ -87,6 +87,7 @@ proptest! {
             }
         }
         prop_assert_eq!(pa.blocks_in_use(), 0);
+        prop_assert_eq!(pa.phys().live_frames(), held * pa.config().block_bytes / PAGE_SIZE);
         // Everything came from at most ceil(held/16) files of 16 blocks.
         let files_needed = held.div_ceil(16) as u64;
         prop_assert!(pa.granted_bytes() <= files_needed * 64 * 1024);

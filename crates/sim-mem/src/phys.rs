@@ -6,7 +6,7 @@
 //! of silently looking valid.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use corm_sim_core::prefetch_read;
 use parking_lot::{Mutex, RwLock};
@@ -125,6 +125,8 @@ pub enum MemError {
     AlreadyMapped(u64),
     /// A virtual address that is not page aligned was supplied.
     Unaligned(u64),
+    /// A memfd file has fewer unpopulated pages left than were asked for.
+    FileFull,
 }
 
 impl fmt::Display for MemError {
@@ -138,6 +140,7 @@ impl fmt::Display for MemError {
             MemError::Unmapped(va) => write!(f, "unmapped virtual address {va:#x}"),
             MemError::AlreadyMapped(va) => write!(f, "virtual address already mapped {va:#x}"),
             MemError::Unaligned(va) => write!(f, "virtual address not page aligned {va:#x}"),
+            MemError::FileFull => write!(f, "memfd file has no pages left to populate"),
         }
     }
 }
@@ -155,6 +158,9 @@ const FRAME_WORDS: usize = PAGE_SIZE / 8;
 /// [`POISON_BYTE`] replicated across one word.
 const POISON_WORD: u64 = 0x0101010101010101u64.wrapping_mul(POISON_BYTE as u64);
 
+/// 32 bytes, aligned so that no entry of the frame table straddles a
+/// cacheline: the line a hint loads for an entry holds its sequence word.
+#[repr(align(32))]
 struct Frame {
     data: Box<[AtomicU64]>,
     /// Number of virtual pages (or other owners, e.g. a memfd file) holding
@@ -165,12 +171,122 @@ struct Frame {
     /// already holds — taking the write lock there would deadlock a DMA
     /// session against itself.
     residency: AtomicU8,
+    /// Sequence word of the frame's data-plane writes: odd while a write
+    /// stores into one line, bumped by two per line written. A read copies
+    /// again if the word moved meanwhile, so it never sees part of a write
+    /// inside a line, as a DMA engine reads a whole cacheline.
+    seq: AtomicU32,
 }
+
+const _: () = assert!(std::mem::size_of::<Frame>() == 32);
 
 impl Frame {
     fn new() -> Self {
         let data = (0..FRAME_WORDS).map(|_| AtomicU64::new(0)).collect();
-        Frame { data, refs: 1, residency: AtomicU8::new(Residency::Pinned as u8) }
+        Frame {
+            data,
+            refs: 1,
+            residency: AtomicU8::new(Residency::Pinned as u8),
+            seq: AtomicU32::new(0),
+        }
+    }
+
+    /// Runs `copy` once; whether no line write overlapped it (a seqlock
+    /// read).
+    #[inline]
+    fn try_read(&self, copy: impl FnOnce()) -> bool {
+        // Pairs with `write_line`'s closing Release store: a copy that
+        // starts after a write sees all of it.
+        let seq = self.seq.load(Ordering::Acquire);
+        seq & 1 == 0 && {
+            copy();
+            // Pairs with `write_line`'s Release fence: a copy that saw any
+            // store of a write also sees the word that write made odd.
+            fence(Ordering::Acquire);
+            self.seq.load(Ordering::Relaxed) == seq
+        }
+    }
+
+    /// Runs `copy` until no line write overlapped it. Spins first, then
+    /// yields, so a writer descheduled mid-line gets the CPU back.
+    fn read_line(&self, mut copy: impl FnMut()) {
+        let mut spins = 0;
+        while !self.try_read(&mut copy) {
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Runs `store` with the sequence word odd. The writes to one frame
+    /// are serialized by the lock of the block that owns it, so the word
+    /// only tells readers to retry; it excludes no writer.
+    #[inline]
+    fn write_line(&self, store: impl FnOnce()) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        debug_assert!(seq & 1 == 0, "two writes to one frame at once");
+        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        // Orders the odd word before the data stores for a reader whose
+        // loads see any of them.
+        fence(Ordering::Release);
+        store();
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Copies the bytes at `pos..pos + out.len()` a word at a time.
+    fn load(&self, mut pos: usize, mut out: &mut [u8]) {
+        let head = pos % 8;
+        if head != 0 && !out.is_empty() {
+            let w = self.data[pos / 8].load(Ordering::Relaxed).to_le_bytes();
+            let n = (8 - head).min(out.len());
+            out[..n].copy_from_slice(&w[head..head + n]);
+            pos += n;
+            out = &mut out[n..];
+        }
+        // Zipping aligned words against 8-byte output chunks hoists every
+        // bounds check out of the loop.
+        let whole = out.len() / 8;
+        if whole > 0 {
+            let words = &self.data[pos / 8..pos / 8 + whole];
+            let (chunks, _) = out.as_chunks_mut::<8>();
+            for (w, dst) in words.iter().zip(chunks.iter_mut()) {
+                *dst = w.load(Ordering::Relaxed).to_le_bytes();
+            }
+            pos += whole * 8;
+            out = &mut out[whole * 8..];
+        }
+        if !out.is_empty() {
+            let w = self.data[pos / 8].load(Ordering::Relaxed).to_le_bytes();
+            let n = out.len();
+            out.copy_from_slice(&w[..n]);
+        }
+    }
+
+    /// Stores `src` at `pos` a word at a time.
+    fn store(&self, mut pos: usize, mut src: &[u8]) {
+        let head = pos % 8;
+        if head != 0 && !src.is_empty() {
+            let n = (8 - head).min(src.len());
+            store_partial(&self.data[pos / 8], head, &src[..n]);
+            pos += n;
+            src = &src[n..];
+        }
+        let whole = src.len() / 8;
+        if whole > 0 {
+            let words = &self.data[pos / 8..pos / 8 + whole];
+            let (chunks, _) = src.as_chunks::<8>();
+            for (w, s) in words.iter().zip(chunks.iter()) {
+                w.store(u64::from_le_bytes(*s), Ordering::Relaxed);
+            }
+            pos += whole * 8;
+            src = &src[whole * 8..];
+        }
+        if !src.is_empty() {
+            store_partial(&self.data[pos / 8], 0, src);
+        }
     }
 
     fn fill(&self, word: u64) {
@@ -182,6 +298,15 @@ impl Frame {
     fn residency(&self) -> Residency {
         Residency::from_u8(self.residency.load(Ordering::Relaxed))
     }
+}
+
+/// The unit a DMA read sees whole: a 64-byte line of a frame.
+const LINE: usize = 64;
+
+/// Bytes of a `len`-byte access at frame offset `pos` up to the end of its
+/// first line.
+fn line_part(pos: usize, len: usize) -> usize {
+    len.min(LINE - pos % LINE)
 }
 
 /// Read-modify-writes `bytes` into `word` at byte offset `byte_off`,
@@ -207,8 +332,10 @@ fn store_partial(word: &AtomicU64, byte_off: usize, bytes: &[u8]) {
 /// The machine's physical memory: a growable, optionally capped frame table.
 ///
 /// All bookkeeping (refcounts, free list) is behind locks; the data plane
-/// (reads/writes of frame bytes) is lock-free relaxed atomics so that the
-/// simulated RNIC can race with CPU writers exactly like real DMA does.
+/// (reads/writes of frame bytes) is relaxed atomics under a per-frame
+/// sequence word, so that the simulated RNIC races with CPU writers like
+/// real DMA does: a read sees each 64-byte line whole, while the lines of
+/// a longer read may come from different writes.
 pub struct PhysicalMemory {
     frames: RwLock<Vec<Frame>>,
     free_list: Mutex<Vec<u32>>,
@@ -487,34 +614,16 @@ impl DmaSession<'_> {
         if end > PAGE_SIZE {
             return Err(MemError::FrameBounds { offset, len: buf.len() });
         }
-        let mut pos = offset;
-        let mut out = &mut buf[..];
-        let head = pos % 8;
-        if head != 0 && !out.is_empty() {
-            let w = frame.data[pos / 8].load(Ordering::Relaxed).to_le_bytes();
-            let n = (8 - head).min(out.len());
-            out[..n].copy_from_slice(&w[head..head + n]);
-            pos += n;
-            out = &mut out[n..];
+        // Whole when no write landed meanwhile, else line by line.
+        if frame.try_read(|| frame.load(offset, buf)) {
+            return Ok(());
         }
-        // Word-at-a-time so a concurrent write tears at u64
-        // granularity at most (the torn-read model); zipping aligned
-        // words against 8-byte output chunks hoists every bounds check
-        // out of the loop.
-        let whole = out.len() / 8;
-        if whole > 0 {
-            let words = &frame.data[pos / 8..pos / 8 + whole];
-            let (chunks, _) = out.as_chunks_mut::<8>();
-            for (w, dst) in words.iter().zip(chunks.iter_mut()) {
-                *dst = w.load(Ordering::Relaxed).to_le_bytes();
-            }
-            pos += whole * 8;
-            out = &mut out[whole * 8..];
-        }
-        if !out.is_empty() {
-            let w = frame.data[pos / 8].load(Ordering::Relaxed).to_le_bytes();
-            let n = out.len();
-            out.copy_from_slice(&w[..n]);
+        let (mut pos, mut rest) = (offset, buf);
+        while !rest.is_empty() {
+            let n = line_part(pos, rest.len());
+            let (line, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            frame.read_line(|| frame.load(pos, line));
+            (pos, rest) = (pos + line.len(), tail);
         }
         Ok(())
     }
@@ -532,27 +641,11 @@ impl DmaSession<'_> {
         if end > PAGE_SIZE {
             return Err(MemError::FrameBounds { offset, len: buf.len() });
         }
-        let mut pos = offset;
-        let mut src = buf;
-        let head = pos % 8;
-        if head != 0 && !src.is_empty() {
-            let n = (8 - head).min(src.len());
-            store_partial(&frame.data[pos / 8], head, &src[..n]);
-            pos += n;
-            src = &src[n..];
-        }
-        let whole = src.len() / 8;
-        if whole > 0 {
-            let words = &frame.data[pos / 8..pos / 8 + whole];
-            let (chunks, _) = src.as_chunks::<8>();
-            for (w, s) in words.iter().zip(chunks.iter()) {
-                w.store(u64::from_le_bytes(*s), Ordering::Relaxed);
-            }
-            pos += whole * 8;
-            src = &src[whole * 8..];
-        }
-        if !src.is_empty() {
-            store_partial(&frame.data[pos / 8], 0, src);
+        let (mut pos, mut rest) = (offset, buf);
+        while !rest.is_empty() {
+            let (line, tail) = rest.split_at(line_part(pos, rest.len()));
+            frame.write_line(|| frame.store(pos, line));
+            (pos, rest) = (pos + line.len(), tail);
         }
         Ok(())
     }
@@ -646,6 +739,36 @@ mod tests {
                 pm.write(f, offset, &backdrop[offset..offset + len]).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn a_read_never_sees_part_of_a_line_write() {
+        use std::sync::atomic::AtomicBool;
+        let pm = PhysicalMemory::new();
+        let f = pm.alloc().unwrap();
+        let stop = AtomicBool::new(false);
+        let torn = std::thread::scope(|s| {
+            s.spawn(|| {
+                for gen in (0..=u8::MAX).cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // Lines 1 and 2 whole, then the halves either side of
+                    // their boundary.
+                    pm.write(f, 64, &[gen; 128]).unwrap();
+                    pm.write(f, 96, &[gen; 64]).unwrap();
+                }
+            });
+            let mut buf = [0u8; 64];
+            let mut torn = 0;
+            for offset in [64, 128].repeat(10_000) {
+                pm.read(f, offset, &mut buf).unwrap();
+                torn += usize::from(buf.iter().any(|&b| b != buf[0]));
+            }
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
+        assert_eq!(torn, 0, "reads of one line saw two writes");
     }
 
     #[test]
