@@ -38,7 +38,7 @@ pub(crate) fn run(run: &mut Run) {
     let trace = run.trace().clone();
     let mut t = Sheet::new(
         "Batch-depth sweep: batched DirectRead throughput",
-        &["dist", "depth", "kreqs", "speedup", "engine_util", "sq_max", "cq_max"],
+        &["dist", "depth", "kreqs", "speedup", "engine_util"],
     );
     let mut final_json = None;
 
@@ -87,19 +87,11 @@ pub(crate) fn run(run: &mut Run) {
             clock += d.cost;
         }
         let seq_kreqs = OPS as f64 / clock.saturating_since(start).as_secs_f64() / 1e3;
-        t.row(&[
-            dist.into(),
-            "seq".into(),
-            f2(seq_kreqs),
-            f2(1.0),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
+        t.row(&[dist.into(), "seq".into(), f2(seq_kreqs), f2(1.0), "-".into()]);
 
         for depth in DEPTHS {
-            // A fresh client per cell keeps the QP depth maxima and
-            // doorbell counts attributable to this cell alone.
+            // A fresh client per cell keeps its QP's breaks, reconnects
+            // and recoveries attributable to this cell alone.
             let mut client = CormClient::connect(server.clone());
             let start = clock;
             let busy0 = rnic.engine_busy();
@@ -108,22 +100,13 @@ pub(crate) fn run(run: &mut Run) {
             let elapsed = clock.saturating_since(start);
             let kreqs = OPS as f64 / elapsed.as_secs_f64() / 1e3;
             let util = (rnic.engine_busy() - busy0).as_secs_f64() / elapsed.as_secs_f64();
-            let d = client.qp().depth_stats();
-            t.row(&[
-                dist.into(),
-                depth.into(),
-                f2(kreqs),
-                f2(kreqs / seq_kreqs),
-                f3(util),
-                d.sq_depth_max.into(),
-                d.cq_depth_max.into(),
-            ]);
+            t.row(&[dist.into(), depth.into(), f2(kreqs), f2(kreqs / seq_kreqs), f3(util)]);
             if dist == "zipf" && depth == *DEPTHS.last().unwrap() {
                 // Full engine + fault snapshot from the final cell, so the
                 // JSON carries both counter families side by side.
                 final_json = Some(
                     JsonObject::new()
-                        .field("engine_metrics", engine_metrics(&rnic, client.qp(), clock))
+                        .field("engine_metrics", engine_metrics(&rnic, clock))
                         .field(
                             "fault_metrics",
                             fault_metrics(

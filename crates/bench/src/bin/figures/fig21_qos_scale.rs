@@ -96,33 +96,44 @@ fn run_isolation_cell(qos: Option<QosConfig>, loaded: bool) -> [Histogram; Traff
     let mut hists: [Histogram; TrafficClass::COUNT] =
         [Histogram::new(), Histogram::new(), Histogram::new()];
     let mut clock = SimTime::ZERO;
+    // One request batch, payload buffers and results, recycled across
+    // rounds.
+    let mut reqs = Vec::new();
+    let mut outs: Vec<Vec<u8>> = Vec::new();
+    let mut results = Vec::new();
     // Warm the NIC's translation cache over the whole working set before
     // measuring: otherwise the unloaded baseline's p99 is just the
     // first-round cold misses and the isolation gate compares against an
     // inflated yardstick.
-    for (i, p) in lat_ptrs.iter().chain(bulk_ptrs.iter()).enumerate() {
-        qp.post_read(p.rkey, p.vaddr, LAT_SIZE, i as u64);
-    }
-    qp.ring_doorbell(clock);
-    for c in qp.poll_cq(usize::MAX) {
-        assert!(c.is_ok(), "warmup verbs must succeed: {:?}", c.result);
-        clock = clock.max(c.completed_at);
+    reqs.extend(
+        lat_ptrs
+            .iter()
+            .chain(bulk_ptrs.iter())
+            .enumerate()
+            .map(|(i, p)| ReadReq::new(i as u64, p.rkey, p.vaddr, LAT_SIZE)),
+    );
+    outs.resize(reqs.len(), Vec::new());
+    qp.read_batch_into(&reqs, &mut outs, clock, &mut results);
+    for r in &results {
+        assert!(r.result.is_ok(), "warmup verbs must succeed: {:?}", r.result);
+        clock = clock.max(r.completed_at);
     }
     clock += SimDuration::from_micros(1);
     for _ in 0..ROUNDS {
+        reqs.clear();
         // The saturator posts first: worst case for FIFO, the case the
         // weighted scheduler exists to absorb.
         if loaded {
             for i in 0..BULK_PER_ROUND {
                 let p = bulk_ptrs[rand::Rng::gen_range(&mut rng, 0..BULK_OBJECTS)];
-                qp.post(ReadReq {
+                reqs.push(ReadReq {
                     class: TrafficClass::Bulk,
                     ..ReadReq::new(BULK_BAND | i as u64, p.rkey, p.vaddr, BULK_SIZE)
                 });
             }
             for i in 0..SYNC_PER_ROUND {
                 let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
-                qp.post(ReadReq {
+                reqs.push(ReadReq {
                     class: TrafficClass::Sync,
                     ..ReadReq::new(SYNC_BAND | i as u64, p.rkey, p.vaddr, LAT_SIZE)
                 });
@@ -131,20 +142,20 @@ fn run_isolation_cell(qos: Option<QosConfig>, loaded: bool) -> [Histogram; Traff
         for i in 0..LAT_PER_ROUND {
             let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
             let tenant = 1 + rand::Rng::gen_range(&mut rng, 0..CLIENTS as u32);
-            qp.post(ReadReq { tenant, ..ReadReq::new(i as u64, p.rkey, p.vaddr, LAT_SIZE) });
+            reqs.push(ReadReq { tenant, ..ReadReq::new(i as u64, p.rkey, p.vaddr, LAT_SIZE) });
         }
-        qp.ring_doorbell(clock);
+        qp.read_batch_into(&reqs, &mut outs, clock, &mut results);
         let mut makespan = SimDuration::ZERO;
-        for c in qp.poll_cq(usize::MAX) {
-            assert!(c.is_ok(), "isolation cell verbs must succeed: {:?}", c.result);
-            let class = if c.wr_id & BULK_BAND != 0 {
+        for r in &results {
+            assert!(r.result.is_ok(), "isolation cell verbs must succeed: {:?}", r.result);
+            let class = if r.wr_id & BULK_BAND != 0 {
                 TrafficClass::Bulk
-            } else if c.wr_id & SYNC_BAND != 0 {
+            } else if r.wr_id & SYNC_BAND != 0 {
                 TrafficClass::Sync
             } else {
                 TrafficClass::Latency
             };
-            let wait = c.completed_at.saturating_since(clock);
+            let wait = r.completed_at.saturating_since(clock);
             hists[class.index()].record_duration(wait);
             makespan = makespan.max(wait);
         }

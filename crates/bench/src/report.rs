@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use corm_core::CompactionReport;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::{FaultKind, QueuePair, Rnic};
+use corm_sim_rdma::{FaultKind, Rnic};
 use corm_trace::TraceHandle;
 
 /// One cell of a [`Sheet`]: text, or a number that remembers how it
@@ -407,29 +407,22 @@ pub fn fault_metrics(
         .build()
 }
 
-/// Snapshot of the NIC inbound verb engine and a QP's queue-depth
-/// counters as a JSON object — exported next to `fault_metrics` so runs
-/// can correlate batching behaviour with fault/recovery activity.
+/// Snapshot of the NIC's doorbell counters and inbound verb engine as a
+/// JSON object — exported next to `fault_metrics` so runs can correlate
+/// batching behaviour with fault/recovery activity.
 ///
 /// `elapsed` is the virtual-time horizon the run covered (its final clock
 /// minus its starting clock); utilization is engine busy time over that
 /// window.
-pub fn engine_metrics(rnic: &Rnic, qp: &QueuePair, elapsed: SimTime) -> Json {
+pub fn engine_metrics(rnic: &Rnic, elapsed: SimTime) -> Json {
     use std::sync::atomic::Ordering::Relaxed;
     let s = &rnic.stats;
-    let d = qp.depth_stats();
     let mut obj = JsonObject::new()
         .uint("doorbells", s.doorbells.load(Relaxed))
         .uint("wqes", s.wqes.load(Relaxed))
         .uint("engine_admitted", rnic.engine_admitted())
         .uint("engine_busy_ns", rnic.engine_busy().as_nanos())
-        .float("engine_utilization", rnic.engine_utilization(elapsed))
-        .uint("qp_posted", d.posted)
-        .uint("qp_completed", d.completed)
-        .uint("qp_doorbells", d.doorbells)
-        .uint("sq_depth_max", d.sq_depth_max)
-        .uint("cq_depth_max", d.cq_depth_max)
-        .uint("qp_state_bytes", qp.state_bytes() as u64);
+        .float("engine_utilization", rnic.engine_utilization(elapsed));
     // With a far tier attached, append residency gauges and the tier's
     // counters so oversubscription runs export the fault path: the pin
     // faults and hard misses the NIC took and what the tier moved
@@ -715,7 +708,7 @@ mod tests {
         use std::sync::Arc;
 
         use corm_sim_mem::{AddressSpace, PhysicalMemory};
-        use corm_sim_rdma::RnicConfig;
+        use corm_sim_rdma::{QueuePair, ReadReq, RnicConfig};
 
         let pm = Arc::new(PhysicalMemory::new());
         let frames = pm.alloc_n(1).unwrap();
@@ -726,21 +719,18 @@ mod tests {
         aspace.write(va, &[9u8; 128]).unwrap();
 
         let qp = QueuePair::connect(rnic.clone());
-        for i in 0..4u64 {
-            qp.post_read(mr.rkey, va + i * 32, 32, i);
-        }
-        qp.ring_doorbell(SimTime::ZERO);
-        let end = qp.poll_cq(usize::MAX).last().unwrap().completed_at;
+        let reqs: Vec<ReadReq> =
+            (0..4u64).map(|i| ReadReq::new(i, mr.rkey, va + i * 32, 32)).collect();
+        let mut outs = vec![Vec::new(); 4];
+        let mut results = Vec::new();
+        qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+        let end = results.iter().map(|r| r.completed_at).max().unwrap();
 
-        let j = engine_metrics(&rnic, &qp, end).render();
+        let j = engine_metrics(&rnic, end).render();
         assert!(j.contains("\"doorbells\":1"), "{j}");
         assert!(j.contains("\"wqes\":4"), "{j}");
         assert!(j.contains("\"engine_admitted\":4"), "{j}");
-        assert!(j.contains("\"qp_posted\":4"), "{j}");
-        assert!(j.contains("\"sq_depth_max\":4"), "{j}");
         assert!(j.contains("\"engine_utilization\":0."), "{j}");
-        assert!(j.contains("\"qp_completed\":4,\"qp_doorbells\":1"), "{j}");
-        assert!(j.contains("\"qp_state_bytes\":"), "{j}");
         // No per-class rows, and no tier block without a far tier.
         assert!(!j.contains("classes") && !j.contains("tiering"), "{j}");
     }

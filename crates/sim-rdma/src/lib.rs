@@ -28,9 +28,11 @@
 //!   also expose the batched READ path, one synchronous doorbell:
 //!   `read_batch_into` admits a caller-held batch of [`ReadReq`]s into the
 //!   RNIC's engine scheduler for one doorbell cost plus per-WQE service and
-//!   lands the payloads in the caller's buffers. `post`, `ring_doorbell`
-//!   and `poll_cq` are a façade over the same doorbell that queues the
-//!   WQEs and hands back [`Completion`]s in virtual-time order.
+//!   lands the payloads in the caller's buffers, one [`ReadResult`] per
+//!   request. Every client, server path and figure uses it. `post`,
+//!   `ring_doorbell` and `poll_cq` are a queued façade over the same
+//!   doorbell, handing back [`Completion`]s; only the benchmark's
+//!   `sim_rdma.batch_queued_ns_per_wqe` cell still calls it.
 //!
 //! The two-sided RPC path has no fabric here: the event-driven harness calls
 //! the server's handlers directly, and the threaded CoRM server owns its
@@ -48,7 +50,7 @@ mod wq;
 pub use fault::{FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};
-pub use qp::{QpDepthStats, QpState, QueuePair};
+pub use qp::{QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
 pub use sched::{QosConfig, TrafficClass};
 pub use wq::{Completion, ReadReq, ReadResult};

@@ -28,37 +28,18 @@ pub enum QpState {
     Error,
 }
 
-/// Work-queue depth statistics for the batched verb path, exported to the
-/// benchmark report next to the fault/recovery metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QpDepthStats {
-    /// WQEs posted to the send queue.
-    pub posted: u64,
-    /// Completions pushed to the completion queue (executed + flushed).
-    pub completed: u64,
-    /// Doorbells rung with a non-empty send queue.
-    pub doorbells: u64,
-    /// High-water mark of the send-queue depth.
-    pub sq_depth_max: u64,
-    /// High-water mark of the completion-queue depth.
-    pub cq_depth_max: u64,
-}
-
 /// A reliable connected queue pair bound to a remote NIC.
 pub struct QueuePair {
     rnic: Arc<Rnic>,
     state: Mutex<QpState>,
     reconnects: AtomicU64,
     breaks: AtomicU64,
-    /// Send queue: WQEs posted but not yet admitted by a doorbell.
+    /// Send queue of the façade: WQEs posted but not yet admitted by a
+    /// doorbell.
     sq: Mutex<Vec<ReadReq>>,
-    /// Completion queue: executed/flushed WQEs awaiting `poll_cq`.
+    /// Completion queue of the façade: executed/flushed WQEs awaiting
+    /// `poll_cq`.
     cq: Mutex<VecDeque<Completion>>,
-    posted: AtomicU64,
-    completed: AtomicU64,
-    doorbells: AtomicU64,
-    sq_depth_max: AtomicU64,
-    cq_depth_max: AtomicU64,
 }
 
 impl std::fmt::Debug for QueuePair {
@@ -77,11 +58,6 @@ impl QueuePair {
             breaks: AtomicU64::new(0),
             sq: Mutex::default(),
             cq: Mutex::new(VecDeque::new()),
-            posted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            doorbells: AtomicU64::new(0),
-            sq_depth_max: AtomicU64::new(0),
-            cq_depth_max: AtomicU64::new(0),
         }
     }
 
@@ -122,18 +98,20 @@ impl QueuePair {
 
     /// Enqueues a WQE on the send queue. Nothing executes until
     /// [`QueuePair::ring_doorbell`]; `wr_id` is echoed in the completion.
+    ///
+    /// `post`, [`QueuePair::post_read`], [`QueuePair::ring_doorbell`] and
+    /// [`QueuePair::poll_cq`] are a queued façade over
+    /// [`QueuePair::read_batch_into`]'s doorbell. They stay only because
+    /// the benchmark's `sim_rdma.batch_queued_ns_per_wqe` cell calls them,
+    /// and go with that cell.
     pub fn post(&self, req: ReadReq) {
-        let mut sq = self.sq.lock();
-        self.count_posted(1, sq.len());
-        sq.push(req);
+        self.count_posted(1);
+        self.sq.lock().push(req);
     }
 
-    /// Counts `n` WQEs as posted onto a send queue holding `depth`. Posting
-    /// is free in virtual time (the doorbell pays); the trace counts the
-    /// WQEs under `Stage::WqePost`.
-    fn count_posted(&self, n: usize, depth: usize) {
-        self.posted.fetch_add(n as u64, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max((depth + n) as u64, Ordering::Relaxed);
+    /// Counts `n` WQEs as posted. Posting is free in virtual time (the
+    /// doorbell pays); the trace counts the WQEs under `Stage::WqePost`.
+    fn count_posted(&self, n: usize) {
         self.rnic.trace().add(Stage::WqePost, n as u64);
     }
 
@@ -141,37 +119,29 @@ impl QueuePair {
     /// `outs[k]` and appends one result per request to `results`, in
     /// posting order, and a failed WQE moves the QP to the error state; if
     /// the QP is *already* broken, every WQE completes flushed at `now`
-    /// without reaching the NIC. `cq_depth` is how many completions were
-    /// already waiting to be polled.
+    /// without reaching the NIC.
     fn doorbell(
         &self,
         reqs: &[ReadReq],
         now: SimTime,
-        cq_depth: usize,
         outs: &mut [Vec<u8>],
         results: &mut Vec<ReadResult>,
     ) {
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
         if *self.state.lock() == QpState::Error {
             results.extend(reqs.iter().map(|req| ReadResult::flushed(req, now)));
         } else if self.rnic.serve_doorbell(reqs, now, outs, results) {
             *self.state.lock() = QpState::Error;
             self.breaks.fetch_add(1, Ordering::Relaxed);
         }
-        self.completed.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        self.cq_depth_max.fetch_max((cq_depth + reqs.len()) as u64, Ordering::Relaxed);
     }
 
-    /// Rings the doorbell: the entire send queue is handed to the NIC as
-    /// one batch, paying a single doorbell cost plus per-WQE engine
-    /// service. A façade over [`QueuePair::read_batch_into`]'s doorbell:
-    /// each payload lands in a fresh buffer that its [`Completion`] then
-    /// owns, and completions are appended to the completion queue for
+    /// Rings the doorbell over the façade's send queue (see
+    /// [`QueuePair::post`]): the entire queue is handed to the NIC as one
+    /// batch through [`QueuePair::read_batch_into`]'s doorbell. Each
+    /// payload lands in a fresh buffer that its [`Completion`] then owns,
+    /// and completions are appended to the completion queue for
     /// [`QueuePair::poll_cq`] sorted by completion time (stable, so ties
-    /// keep posting order). If any WQE fails the QP moves to the error
-    /// state and the rest of the batch is flushed; if the QP is *already*
-    /// broken, every WQE completes flushed without reaching the NIC.
-    /// Returns the number of completions produced.
+    /// keep posting order). Returns the number of completions produced.
     pub fn ring_doorbell(&self, now: SimTime) -> usize {
         let wqes = std::mem::take(&mut *self.sq.lock());
         let n = wqes.len();
@@ -182,7 +152,7 @@ impl QueuePair {
         let mut results = Vec::with_capacity(n);
         let mut cq = self.cq.lock();
         let waiting = cq.len();
-        self.doorbell(&wqes, now, waiting, &mut outs, &mut results);
+        self.doorbell(&wqes, now, &mut outs, &mut results);
         cq.extend(results.into_iter().zip(outs).map(|(r, data)| Completion {
             wr_id: r.wr_id,
             completed_at: r.completed_at,
@@ -193,14 +163,14 @@ impl QueuePair {
         n
     }
 
-    /// Synchronously executes a batch, landing each payload directly in
-    /// `outs[k]` (resized to the request's length): [`QueuePair::post`]×n +
-    /// [`QueuePair::ring_doorbell`] + [`QueuePair::poll_cq`] without the
-    /// queue traffic. Both run the one doorbell, so depth statistics,
-    /// break/flush behaviour, fault draws, and virtual completion times
-    /// are the same. `results` is cleared and refilled **in posting
-    /// order**; callers needing virtual-completion order (what `poll_cq`
-    /// returns) sort stably by `completed_at`.
+    /// One doorbell over a caller-held batch, landing each payload
+    /// directly in `outs[k]` (resized to the request's length). The batch
+    /// pays a single doorbell cost plus per-WQE engine service. If any WQE
+    /// fails the QP moves to the error state and the rest of the batch is
+    /// flushed; if the QP is *already* broken, every WQE completes flushed
+    /// without reaching the NIC. `results` is cleared and refilled **in
+    /// posting order**; callers needing virtual-completion order sort
+    /// stably by `completed_at`.
     pub fn read_batch_into(
         &self,
         reqs: &[ReadReq],
@@ -213,29 +183,17 @@ impl QueuePair {
             return;
         }
         assert!(outs.len() >= reqs.len(), "one output buffer per request");
-        // The batch bypasses the queues: it is posted onto, and completes
-        // into, empty ones.
-        self.count_posted(reqs.len(), 0);
-        self.doorbell(reqs, now, 0, outs, results);
+        self.count_posted(reqs.len());
+        self.doorbell(reqs, now, outs, results);
     }
 
-    /// Drains up to `max` completions from the completion queue, oldest
-    /// (earliest virtual completion time) first.
+    /// Drains up to `max` completions from the façade's completion queue
+    /// (see [`QueuePair::post`]), oldest (earliest virtual completion
+    /// time) first.
     pub fn poll_cq(&self, max: usize) -> Vec<Completion> {
         let mut cq = self.cq.lock();
         let k = max.min(cq.len());
         cq.drain(..k).collect()
-    }
-
-    /// Work-queue depth statistics accumulated over the QP's lifetime.
-    pub fn depth_stats(&self) -> QpDepthStats {
-        QpDepthStats {
-            posted: self.posted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            doorbells: self.doorbells.load(Ordering::Relaxed),
-            sq_depth_max: self.sq_depth_max.load(Ordering::Relaxed),
-            cq_depth_max: self.cq_depth_max.load(Ordering::Relaxed),
-        }
     }
 
     /// Queue depth a reliable connection provisions at creation time:
@@ -344,7 +302,6 @@ mod tests {
             aspace.write(va + i * 4096, &[i as u8; 16]).unwrap();
             qp.post_read(mr.rkey, va + i * 4096, 16, i);
         }
-        assert_eq!(qp.depth_stats().sq_depth_max, 8);
         let now = SimTime::from_micros(5);
         assert_eq!(qp.ring_doorbell(now), 8);
         // The doorbell took the whole send queue.
@@ -359,12 +316,8 @@ mod tests {
             assert!(c.completed_at > now);
             last = c.completed_at;
         }
-        let stats = qp.depth_stats();
-        assert_eq!(stats.posted, 8);
-        assert_eq!(stats.completed, 8);
-        assert_eq!(stats.doorbells, 1);
-        assert_eq!(stats.sq_depth_max, 8);
-        assert_eq!(stats.cq_depth_max, 8);
+        assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 8);
+        assert_eq!(rnic.stats.doorbells.load(Ordering::Relaxed), 1);
         assert_eq!(rnic.engine_admitted(), 8);
         assert!(rnic.engine_busy() > SimDuration::ZERO);
     }
@@ -377,11 +330,11 @@ mod tests {
         let (_a1, rnic_b, va_b) = batch_setup(1);
         let (mr_b, _) = rnic_b.register(va_b, 1, false).unwrap();
         let qp_b = QueuePair::connect(rnic_b.clone());
-        for i in 0..8u64 {
-            qp_b.post_read(mr_b.rkey, va_b, 32, i);
-        }
-        qp_b.ring_doorbell(SimTime::ZERO);
-        let batch_end = qp_b.poll_cq(usize::MAX).iter().map(|c| c.completed_at).max().unwrap();
+        let reqs: Vec<ReadReq> = (0..8u64).map(|i| ReadReq::new(i, mr_b.rkey, va_b, 32)).collect();
+        let mut outs = vec![Vec::new(); 8];
+        let mut results = Vec::new();
+        qp_b.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+        let batch_end = results.iter().map(|r| r.completed_at).max().unwrap();
 
         let (_a2, rnic_s, va_s) = batch_setup(1);
         let (mr_s, _) = rnic_s.register(va_s, 1, false).unwrap();
@@ -419,37 +372,34 @@ mod tests {
         let rnic = Arc::new(Rnic::new(aspace, cfg));
         let (mr, _) = rnic.register(va, 1, false).unwrap();
         let qp = QueuePair::connect(rnic.clone());
-        for i in 0..5u64 {
-            qp.post_read(mr.rkey, va, 8, i);
-        }
-        qp.ring_doorbell(SimTime::ZERO);
-        let comps = qp.poll_cq(usize::MAX);
-        assert_eq!(comps.len(), 5);
-        // Failures surface at batch arrival, i.e. before the successes.
-        // (Among the successes, op 1 may overtake op 0: op 0 eats the
-        // cold-cache latency while op 1 rides the warmed translation.)
-        let mut ok: Vec<u64> = comps.iter().filter(|c| c.is_ok()).map(|c| c.wr_id).collect();
-        ok.sort_unstable();
+        let reqs: Vec<ReadReq> = (0..5u64).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
+        let mut outs = vec![Vec::new(); 5];
+        let mut results = Vec::new();
+        qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+        assert_eq!(results.len(), 5);
+        let ok: Vec<u64> = results.iter().filter(|r| r.result.is_ok()).map(|r| r.wr_id).collect();
         assert_eq!(ok, vec![0, 1]);
-        let failed: Vec<_> =
-            comps.iter().filter(|c| !c.is_ok()).map(|c| (c.wr_id, c.result.clone())).collect();
+        let failed: Vec<_> = results
+            .iter()
+            .filter(|r| r.result.is_err())
+            .map(|r| (r.wr_id, r.result.clone()))
+            .collect();
         assert_eq!(failed[0], (2, Err(RdmaError::InjectedFault)));
         assert_eq!(failed[1], (3, Err(RdmaError::QpBroken)));
         assert_eq!(failed[2], (4, Err(RdmaError::QpBroken)));
+        // Failures surface at batch arrival, i.e. before the successes.
+        let arrival = results[2].completed_at;
+        assert!(results[2..].iter().all(|r| r.completed_at == arrival));
+        assert!(results[..2].iter().all(|r| r.completed_at > arrival));
         assert_eq!(qp.state(), QpState::Error);
         assert_eq!(qp.breaks(), 1);
         // Flushed WQEs never reached the NIC: only ops 0..=2 drew from the
         // fault stream, so a reconnect-and-repost lands on draw index 3.
         assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
         qp.reconnect();
-        for (w, i) in [(2u64, 0u64), (3, 1), (4, 2)] {
-            qp.post_read(mr.rkey, va, 8, w);
-            let _ = i;
-        }
-        qp.ring_doorbell(SimTime::from_micros(50));
-        let retry = qp.poll_cq(usize::MAX);
-        assert_eq!(retry.len(), 3);
-        assert!(retry.iter().all(|c| c.is_ok()));
+        qp.read_batch_into(&reqs[2..], &mut outs, SimTime::from_micros(50), &mut results);
+        assert_eq!(results.len(), 3);
+        assert!(results.iter().all(|r| r.result.is_ok()));
         assert_eq!(rnic.fault_log(), vec![(2, FaultKind::Transient)]);
     }
 
@@ -461,11 +411,12 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(qp.read(0xbad, va, &mut buf, SimTime::ZERO).is_err());
         assert_eq!(qp.state(), QpState::Error);
-        qp.post_read(mr.rkey, va, 4, 7);
-        qp.post_read(mr.rkey, va, 4, 8);
-        assert_eq!(qp.ring_doorbell(SimTime::ZERO), 2);
-        let comps = qp.poll_cq(usize::MAX);
-        assert!(comps.iter().all(|c| c.result == Err(RdmaError::QpBroken)));
+        let reqs = [ReadReq::new(7, mr.rkey, va, 4), ReadReq::new(8, mr.rkey, va, 4)];
+        let mut outs = vec![Vec::new(); 2];
+        let mut results = Vec::new();
+        qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| r.result == Err(RdmaError::QpBroken)));
         // The batch never reached the NIC.
         assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 0);
         assert_eq!(rnic.stats.doorbells.load(Ordering::Relaxed), 0);

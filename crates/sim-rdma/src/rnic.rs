@@ -1397,13 +1397,13 @@ mod tests {
             ));
             let (mr, _) = rnic.register(va, 1, false).unwrap();
             let qp = crate::QueuePair::connect(rnic.clone());
-            for i in 0..8u64 {
-                qp.post_read(mr.rkey, va, 64, i);
-            }
-            qp.ring_doorbell(SimTime::ZERO);
+            let reqs: Vec<ReadReq> = (0..8u64).map(|i| ReadReq::new(i, mr.rkey, va, 64)).collect();
+            let mut outs = vec![Vec::new(); 8];
+            let mut results = Vec::new();
+            qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
             assert_eq!(rnic.processing_units(), units);
             assert_eq!(rnic.engine_admitted(), 8);
-            qp.poll_cq(usize::MAX).iter().map(|c| c.completed_at).max().unwrap()
+            results.iter().map(|r| r.completed_at).max().unwrap()
         };
         let one = makespan(1);
         let two = makespan(2);

@@ -9,18 +9,19 @@
 //! plateaus. CoRM's clients post one-sided READs only (writes travel by
 //! RPC, §3.2), so a WQE is a [`ReadReq`].
 //! [`crate::QueuePair::read_batch_into`] rings one doorbell over a
-//! caller-held batch and hands back [`ReadResult`]s;
-//! [`crate::QueuePair::post`] enqueues one WQE,
-//! [`crate::QueuePair::ring_doorbell`] runs the same doorbell over the
-//! queue, and [`crate::QueuePair::poll_cq`] drains [`Completion`]s in
-//! virtual-time order.
+//! caller-held batch and hands back [`ReadResult`]s. [`Completion`] belongs
+//! to the queued façade over that doorbell ([`crate::QueuePair::post`],
+//! [`crate::QueuePair::ring_doorbell`], [`crate::QueuePair::poll_cq`]),
+//! which only the benchmark's `sim_rdma.batch_queued_ns_per_wqe` cell
+//! still calls.
 
 use corm_sim_core::time::SimTime;
 
 use crate::rnic::{RdmaError, VerbOutcome};
 use crate::sched::TrafficClass;
 
-/// A completion-queue entry: the outcome of one executed (or flushed) WQE.
+/// A completion-queue entry of the queued façade: the outcome of one
+/// executed (or flushed) WQE, with its payload.
 ///
 /// Per reliable-connection semantics, the first failing WQE moves the QP to
 /// the error state and every later WQE of the batch completes *flushed*

@@ -45,7 +45,6 @@ fn adapter_state(rnic: &Rnic, qp: &QueuePair) -> impl PartialEq + std::fmt::Debu
         .map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
     (
         counters,
-        qp.depth_stats(),
         (qp.state(), qp.breaks()),
         (rnic.engine_busy(), rnic.engine_admitted()),
         rnic.cache_stats(),
