@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use corm_baselines::RpcEcho;
 use corm_bench::report::{f2, median_us, Sheet};
 use corm_core::client::{ClientConfig, CormClient, FixStrategy};
 use corm_core::server::{CormServer, CorrectionStrategy, ServerConfig};
@@ -90,7 +89,6 @@ pub(crate) fn run(run: &mut Run) {
         if moved.is_empty() {
             continue;
         }
-        let echo = RpcEcho::new(server.model().clone());
         let mut h_read = Histogram::new();
         let mut h_write = Histogram::new();
         let mut h_fix_rpc = Histogram::new();
@@ -163,7 +161,7 @@ pub(crate) fn run(run: &mut Run) {
             f2(median_us(&h_fix_rpc)),
             f2(median_us(&h_fix_scan)),
             f2(median_us(&h_release)),
-            f2(echo.round_trip(size).as_micros_f64()),
+            f2(server.model().rpc_latency(size).as_micros_f64()),
         ]);
     }
     run.emit("fig10_latency_indirect", &t);

@@ -11,15 +11,16 @@
 //! check), within ~2% of raw for small objects; locally, CoRM ≈ FaRM ≈
 //! 1.33× slower than memcpy for small objects, converging for large.
 
-use corm_baselines::{FarmServer, LocalMemcpy, RawRdmaClient};
+use std::sync::Arc;
+
 use corm_bench::report::{f1, f2, kreqs_from_median, mreqs_from_median, Sheet};
 use corm_bench::setup::populate_server;
 use corm_core::client::CormClient;
-use corm_core::server::ServerConfig;
+use corm_core::server::{CormServer, ServerConfig};
 use corm_core::ReadOutcome;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::RnicConfig;
+use corm_sim_rdma::{QueuePair, RnicConfig};
 
 use crate::run::Run;
 
@@ -59,15 +60,16 @@ pub(crate) fn run(run: &mut Run) {
         let store = populate_server(config.clone(), objects, size);
         let server = &store.server;
         let mut client = CormClient::connect(server.clone());
-        let raw = RawRdmaClient::connect(server.rnic().clone());
-        let memcpy = LocalMemcpy::new(server.model().clone());
+        let raw = QueuePair::connect(server.rnic().clone());
 
-        // FaRM over the same scaled working set (1 MiB blocks).
-        let farm = FarmServer::new(ServerConfig {
+        // FaRM over the same scaled working set (1 MiB blocks), emulated as
+        // CoRM with compaction off (§4.2, footnote 2).
+        let farm = Arc::new(CormServer::new(ServerConfig {
             alloc: corm_alloc::AllocConfig { block_bytes: 1 << 20, ..config.alloc.clone() },
+            frag_threshold: f64::INFINITY,
             ..config.clone()
-        });
-        let mut farm_client = farm.connect();
+        }));
+        let mut farm_client = CormClient::connect(farm);
         let mut farm_ptrs = Vec::with_capacity(objects);
         for _ in 0..objects {
             farm_ptrs.push(farm_client.alloc(size).expect("farm alloc").value);
@@ -96,11 +98,14 @@ pub(crate) fn run(run: &mut Run) {
             // Raw reads draw their own keys so the CoRM read has not just
             // warmed the page's translation.
             let raw_key = rand::Rng::gen_range(&mut rng, 0..objects);
-            let raw_cost = raw.read_ptr(&store.ptrs[raw_key], &mut buf, clock).expect("raw").cost;
+            let raw_ptr = store.ptrs[raw_key];
+            let raw_cost =
+                raw.read(raw_ptr.rkey, raw_ptr.vaddr, &mut buf, clock).expect("raw").latency;
             h_raw.record_duration(raw_cost);
             clock += raw_cost;
             let mut fp = farm_ptrs[key];
-            let farm_cost = farm_client.read(&mut fp, &mut buf, clock).expect("farm").cost;
+            let farm_cost =
+                farm_client.direct_read_with_recovery(&mut fp, &mut buf, clock).expect("farm").cost;
             h_farm.record_duration(farm_cost);
             clock += farm_cost;
             let mut lp = store.ptrs[key];
@@ -117,7 +122,7 @@ pub(crate) fn run(run: &mut Run) {
             f1(kreqs_from_median(&h_raw)),
             f2(mreqs_from_median(&h_local)),
             f2(mreqs_from_median(&h_farm_local)),
-            f2(1.0 / memcpy.cost(size).as_micros_f64()),
+            f2(1.0 / server.model().memcpy_cost(size).as_micros_f64()),
         ]);
     }
     run.emit("fig11_read_throughput", &t);

@@ -6,7 +6,6 @@
 //! RDMA ≥ 1.7 µs and < 4 µs at 2 KiB; Alloc/Free ≈ RPC + 0.5 µs;
 //! DirectRead ≈ raw RDMA for objects < 256 B.
 
-use corm_baselines::{RawRdmaClient, RpcEcho};
 use corm_bench::report::{f2, median_us, Sheet};
 use corm_bench::setup::populate_server;
 use corm_core::client::CormClient;
@@ -14,6 +13,7 @@ use corm_core::server::ServerConfig;
 use corm_core::ReadOutcome;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
+use corm_sim_rdma::QueuePair;
 
 use crate::run::Run;
 
@@ -32,8 +32,7 @@ pub(crate) fn run(run: &mut Run) {
         let store = populate_server(ServerConfig::default(), PRELOAD_PER_SIZE, size);
         let server = store.server.clone();
         let mut client = CormClient::connect(server.clone());
-        let echo = RpcEcho::new(server.model().clone());
-        let raw = RawRdmaClient::connect(server.rnic().clone());
+        let raw = QueuePair::connect(server.rnic().clone());
 
         let mut h_alloc = Histogram::new();
         let mut h_free = Histogram::new();
@@ -50,8 +49,8 @@ pub(crate) fn run(run: &mut Run) {
 
         // Prime the NIC translation cache like the paper's warmup phase.
         for ptr in store.ptrs.iter().take(256) {
-            if let Ok(t) = raw.read_ptr(ptr, &mut buf, clock) {
-                clock += t.cost;
+            if let Ok(out) = raw.read(ptr.rkey, ptr.vaddr, &mut buf, clock) {
+                clock += out.latency;
             }
         }
 
@@ -77,7 +76,7 @@ pub(crate) fn run(run: &mut Run) {
             assert!(matches!(d.value, ReadOutcome::Ok(_)), "direct pointers only");
             h_direct.record_duration(d.cost);
             clock += d.cost;
-            let raw_cost = raw.read_ptr(&ptr, &mut buf, clock).expect("raw").cost;
+            let raw_cost = raw.read(ptr.rkey, ptr.vaddr, &mut buf, clock).expect("raw").latency;
             h_raw.record_duration(raw_cost);
             clock += raw_cost;
         }
@@ -90,13 +89,13 @@ pub(crate) fn run(run: &mut Run) {
             f2(median_us(&h_read)),
             f2(median_us(&h_write)),
             f2(median_us(&h_direct)),
-            f2(echo.round_trip(size).as_micros_f64()),
+            f2(server.model().rpc_latency(size).as_micros_f64()),
             f2(median_us(&h_raw)),
         ]);
     }
     run.emit("fig9_latency_direct", &t);
     println!(
         "(the paper's IPoIB reference on the same link: {:.1} us)",
-        RpcEcho::new(corm_sim_rdma::LatencyModel::connectx5()).ipoib_round_trip().as_micros_f64()
+        corm_sim_rdma::LatencyModel::connectx5().ipoib_rtt.as_micros_f64()
     );
 }

@@ -1,9 +1,10 @@
 //! Table 1: comparison of FaRM, CoRM, and Mesh.
 //!
 //! The matrix is the paper's; what backs each cell in this repository:
-//! Mesh's strategy (`corm-compact`) has no RDMA path, FaRM
-//! (`corm-baselines`) runs CoRM's data path with compaction disabled, and
-//! CoRM reuses virtual addresses via the tracker in `corm-core`.
+//! Mesh's strategy (`corm-compact`) has no RDMA path, FaRM is emulated as
+//! a `CormServer` with `frag_threshold = ∞` (CoRM's data path, compaction
+//! never triggered; §4.2, footnote 2), and CoRM reuses virtual addresses
+//! via the tracker in `corm-core`.
 
 use corm_bench::report::Sheet;
 

@@ -119,8 +119,7 @@ pub struct SimOutput {
     /// Read latency samples issued outside the pass (µs).
     pub read_latency_outside: Histogram,
     /// Discrete events processed (queue pops), including warmup — the
-    /// denominator-free work count the `simspeed` bench divides by wall
-    /// clock.
+    /// work count `simspeed` prints for its fig12 cell.
     pub events: u64,
 }
 
@@ -497,109 +496,6 @@ fn correction_stall_end(now: SimTime, out: &SimOutput) -> Option<SimTime> {
         .or(Some(w1))
 }
 
-// ---------------------------------------------------------------------
-// Fault sweep: client survival under injected NIC faults
-// ---------------------------------------------------------------------
-
-/// Specification of a fault-injection run: one client loops DirectReads
-/// with full recovery over a populated store while the NIC injects faults
-/// per `fault`.
-#[derive(Debug, Clone)]
-pub struct FaultSweepSpec {
-    /// Objects populated (keys).
-    pub objects: usize,
-    /// Payload bytes per object.
-    pub value_len: usize,
-    /// Reads issued.
-    pub ops: u64,
-    /// Fault-injection configuration installed on the server's NIC.
-    pub fault: corm_sim_rdma::FaultConfig,
-    /// Seed for key selection.
-    pub seed: u64,
-}
-
-impl Default for FaultSweepSpec {
-    fn default() -> Self {
-        FaultSweepSpec {
-            objects: 512,
-            value_len: 32,
-            ops: 1_000,
-            fault: corm_sim_rdma::FaultConfig::default(),
-            seed: 0xFA17,
-        }
-    }
-}
-
-/// Results of a fault-injection run.
-#[derive(Debug, Clone)]
-pub struct FaultSweepOutput {
-    /// Reads that completed (every op must).
-    pub completed: u64,
-    /// Reads whose payload was short or did not match the expected pattern
-    /// (must be 0).
-    pub corrupted: u64,
-    /// QP breaks observed by the client.
-    pub qp_breaks: u64,
-    /// QP reconnects performed.
-    pub qp_reconnects: u64,
-    /// Total virtual time of all reads.
-    pub virtual_time: SimDuration,
-    /// The NIC's replayable fault log.
-    pub fault_log: Vec<(u64, corm_sim_rdma::FaultKind)>,
-}
-
-/// Runs the fault sweep: populates a store with the fault injector
-/// installed, then loops `ops` DirectReads with recovery, verifying every
-/// payload against the deterministic per-key pattern.
-///
-/// Panics if any read fails outright — the whole point is that recovery
-/// absorbs every injected fault.
-pub fn run_fault_sweep(spec: &FaultSweepSpec) -> FaultSweepOutput {
-    use crate::setup::{fill_pattern, populate_server};
-    use corm_core::server::ServerConfig;
-    use corm_sim_rdma::RnicConfig;
-
-    let config = ServerConfig {
-        rnic: RnicConfig { faults: Some(spec.fault.clone()), ..RnicConfig::default() },
-        ..ServerConfig::default()
-    };
-    // Population runs over RPC, so it consumes no one-sided verbs and the
-    // fault stream starts exactly at the first DirectRead.
-    let mut store = populate_server(config, spec.objects, spec.value_len);
-    let mut client = CormClient::connect(store.server.clone());
-    let mut rng = stream_rng(spec.seed, 7);
-    let mut buf = vec![0u8; spec.value_len];
-    let mut expect = vec![0u8; spec.value_len];
-    let mut out = FaultSweepOutput {
-        completed: 0,
-        corrupted: 0,
-        qp_breaks: 0,
-        qp_reconnects: 0,
-        virtual_time: SimDuration::ZERO,
-        fault_log: Vec::new(),
-    };
-    let mut clock = SimTime::ZERO;
-    for _ in 0..spec.ops {
-        let key = rand::Rng::gen_range(&mut rng, 0..spec.objects as u64);
-        let mut ptr = store.ptrs[key as usize];
-        let t = client
-            .direct_read_with_recovery(&mut ptr, &mut buf, clock)
-            .unwrap_or_else(|e| panic!("read of key {key} must survive faults: {e}"));
-        store.ptrs[key as usize] = ptr;
-        fill_pattern(&mut expect, key);
-        if buf[..t.value] != expect[..] {
-            out.corrupted += 1;
-        }
-        out.completed += 1;
-        out.virtual_time += t.cost;
-        clock += t.cost;
-    }
-    out.qp_breaks = client.qp().breaks();
-    out.qp_reconnects = client.qp().reconnects();
-    out.fault_log = store.server.rnic().fault_log();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,66 +768,6 @@ mod tests {
             let out = run_closed_loop(&store.server, &mut store.ptrs, &spec);
             assert_fields(&out, parent, &format!("one client, {path:?}"));
         }
-    }
-
-    #[test]
-    fn fault_sweep_survives_injected_faults_without_corruption() {
-        let spec = FaultSweepSpec {
-            fault: corm_sim_rdma::FaultConfig {
-                seed: 11,
-                transient_prob: 0.01,
-                delay_prob: 0.01,
-                cache_miss_prob: 0.02,
-                qp_break_prob: 0.005,
-                ..corm_sim_rdma::FaultConfig::default()
-            },
-            ..FaultSweepSpec::default()
-        };
-        let out = run_fault_sweep(&spec);
-        assert_eq!(out.completed, spec.ops);
-        assert_eq!(out.corrupted, 0, "no injected fault may corrupt data");
-        assert!(!out.fault_log.is_empty(), "these rates must fire in 1k ops");
-        assert!(out.qp_breaks > 0, "transients and breaks must break the QP");
-        assert_eq!(out.qp_breaks, out.qp_reconnects, "every break recovered");
-    }
-
-    #[test]
-    fn fault_sweep_replays_byte_for_byte_from_seed() {
-        let spec = FaultSweepSpec {
-            fault: corm_sim_rdma::FaultConfig {
-                seed: 99,
-                transient_prob: 0.02,
-                qp_break_prob: 0.01,
-                ..corm_sim_rdma::FaultConfig::default()
-            },
-            ..FaultSweepSpec::default()
-        };
-        let a = run_fault_sweep(&spec);
-        let b = run_fault_sweep(&spec);
-        assert_eq!(a.fault_log, b.fault_log, "same seed, same fault schedule");
-        assert_eq!(a.virtual_time, b.virtual_time, "recovery costs replay too");
-        assert_eq!(a.qp_reconnects, b.qp_reconnects);
-    }
-
-    #[test]
-    fn fault_sweep_disabled_faults_cost_nothing_extra() {
-        let clean = run_fault_sweep(&FaultSweepSpec::default());
-        assert_eq!(clean.qp_breaks, 0);
-        assert!(clean.fault_log.is_empty());
-        let faulty = run_fault_sweep(&FaultSweepSpec {
-            fault: corm_sim_rdma::FaultConfig {
-                seed: 3,
-                qp_break_prob: 0.01,
-                ..corm_sim_rdma::FaultConfig::default()
-            },
-            ..FaultSweepSpec::default()
-        });
-        assert!(
-            faulty.virtual_time > clean.virtual_time,
-            "reconnects must cost virtual time: {} vs {}",
-            faulty.virtual_time,
-            clean.virtual_time
-        );
     }
 
     #[test]

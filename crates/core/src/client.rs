@@ -548,7 +548,7 @@ impl CormClient {
     /// - torn/locked entries are re-posted after the §3.2.3 backoff;
     /// - relocated entries (ID mismatch / vacant slot, including corrupt
     ///   class bytes) are repaired through **one batched RPC**
-    ///   ([`CormServer::read_many`]) that corrects their pointers in place;
+    ///   (`CormServer::read_many`) that corrects their pointers in place;
     /// - verb failures reconnect the QP once and re-post every failed and
     ///   flushed WQE in posting order — flushed WQEs never reached the NIC,
     ///   so the fault-injector draw sequence is byte-identical to the

@@ -121,7 +121,7 @@ impl ObjectHeader {
     }
 
     /// Returns the header marked invalid (freed slot).
-    pub fn invalidated(mut self) -> Self {
+    pub(crate) fn invalidated(mut self) -> Self {
         self.valid = false;
         self
     }

@@ -362,50 +362,38 @@ impl CormServer {
         let (file, page) = s.phys_identity();
         let old_frames = s.frames().to_vec();
         let repointed = self.registry.demote_to_alias(src_base, dst_base, src_rkey, pages);
-        let mut remap_targets: Vec<(u64, u32)> = vec![(src_base, src_rkey)];
-        remap_targets.extend(repointed.iter().map(|(base, info)| (*base, info.rkey)));
+        // Each target as the `(rkey, vaddr, pages)` an advise takes.
+        let mut targets = vec![(src_rkey, src_base, pages)];
+        targets.extend(repointed.iter().map(|(base, info)| (info.rkey, *base, pages)));
+        // Remap every target, then sync the MTT: all targets in one posted
+        // verb when batched (they alias the same frames, so the batch rides
+        // the primary's transition), one verb per target otherwise. A rereg
+        // or advise reads only its own region's pages, so syncing after
+        // every remap matches syncing after each.
+        for &(_, base, _) in &targets {
+            self.aspace().remap(base, &dst_frames)?;
+        }
         let batched = self.config().batch_mtt_sync;
-        let mut mtt_batches = 0u64;
-        if batched {
-            // Batched sync: every target rides one posted verb (and the
-            // primary's mmap transition — the targets alias the same
-            // frames), so alias targets add no marginal virtual cost.
-            for &(base, _) in &remap_targets {
-                self.aspace().remap(base, &dst_frames)?;
-            }
-            match self.config().mtt_strategy {
-                MttUpdateStrategy::Rereg => {
-                    let keys: Vec<u32> = remap_targets.iter().map(|&(_, rkey)| rkey).collect();
-                    self.rnic().rereg_batch(&keys, now)?;
-                    self.trace().add(Stage::MttSync, keys.len() as u64);
-                    mtt_batches = 1;
-                }
-                MttUpdateStrategy::Odp => {}
-                MttUpdateStrategy::OdpPrefetch => {
-                    let targets: Vec<(u32, u64, usize)> =
-                        remap_targets.iter().map(|&(base, rkey)| (rkey, base, pages)).collect();
-                    self.rnic().advise_batch(&targets)?;
-                    self.trace().add(Stage::MttSync, targets.len() as u64);
-                    mtt_batches = 1;
+        let per_verb = if batched { targets.len() } else { 1 };
+        let strategy = self.config().mtt_strategy;
+        match strategy {
+            MttUpdateStrategy::Rereg => {
+                let keys: Vec<u32> = targets.iter().map(|&(rkey, _, _)| rkey).collect();
+                for verb in keys.chunks(per_verb) {
+                    self.rnic().rereg(verb, now)?;
+                    self.trace().add(Stage::MttSync, verb.len() as u64);
                 }
             }
-        } else {
-            for &(base, rkey) in &remap_targets {
-                self.aspace().remap(base, &dst_frames)?;
-                match self.config().mtt_strategy {
-                    MttUpdateStrategy::Rereg => {
-                        self.rnic().rereg(rkey, now)?;
-                        self.trace().count(Stage::MttSync);
-                    }
-                    MttUpdateStrategy::Odp => {}
-                    MttUpdateStrategy::OdpPrefetch => {
-                        self.rnic().advise(rkey, base, pages)?;
-                        self.trace().count(Stage::MttSync);
-                    }
+            MttUpdateStrategy::Odp => {}
+            MttUpdateStrategy::OdpPrefetch => {
+                for verb in targets.chunks(per_verb) {
+                    self.rnic().advise(verb)?;
+                    self.trace().add(Stage::MttSync, verb.len() as u64);
                 }
             }
         }
-        let mtt_calls = remap_targets.len() as u64;
+        let mtt_batches = u64::from(batched && strategy != MttUpdateStrategy::Odp);
+        let mtt_calls = targets.len() as u64;
         s.retire();
         drop((s, d));
 
@@ -427,21 +415,14 @@ impl CormServer {
         // One block_compaction_cost covers bookkeeping + copies + the
         // primary remap; extra alias remaps each add an mmap + MTT update —
         // unless the batched verb covers them, in which case they ride the
-        // primary's transition for free (`mtt_batch_sync_cost`).
+        // primary's transition for free.
         let extra_remaps = mtt_calls.saturating_sub(1);
-        let base_cost = model.block_compaction_cost(
-            self.config().mtt_strategy,
-            pages,
-            bytes_copied,
-            objects.len(),
-        );
+        let base_cost = model.block_compaction_cost(strategy, pages, bytes_copied, objects.len());
         let cost = if batched {
             base_cost
         } else {
             base_cost
-                + (model.mmap_cost(pages)
-                    + model.mtt_update_cost(self.config().mtt_strategy, pages))
-                    * extra_remaps
+                + (model.mmap_cost(pages) + model.mtt_update_cost(strategy, pages)) * extra_remaps
         };
         let cost = cost + tier_cost;
         Ok(MergeStats { relocated, copied: objects.len(), cost, extra_remaps, mtt_batches })

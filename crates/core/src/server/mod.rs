@@ -203,7 +203,7 @@ pub struct ServerStats {
     /// Thread-local allocator refills.
     pub refills: AtomicU64,
     /// Compaction passes run.
-    pub compactions: AtomicU64,
+    pub(crate) compactions: AtomicU64,
     /// Blocks freed by compaction.
     pub compaction_blocks_freed: AtomicU64,
     /// Total objects copied between blocks by compaction, offset-preserving
@@ -796,7 +796,7 @@ impl CormServer {
     /// DirectRead client repair only its failed entries. Pointers are
     /// corrected in place; the cost is the summed handler time of the
     /// entries that produced an outcome.
-    pub fn read_many(
+    pub(crate) fn read_many(
         &self,
         worker: usize,
         ptrs: &mut [GlobalPtr],

@@ -92,7 +92,7 @@ impl TierDirector {
 
     /// Halves every heat counter — called once per enforcement pass, aging
     /// frequency into recency so stale hot blocks become evictable.
-    pub fn decay(&self) {
+    pub(crate) fn decay(&self) {
         let mut heat = self.heat.lock();
         heat.retain(|_, h| {
             *h /= 2;

@@ -42,11 +42,6 @@ impl FifoResource {
         }
     }
 
-    /// Number of servers in the station.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Admits a request arriving at `now` that needs `service` time.
     /// Returns the instant the request completes.
     ///
@@ -70,17 +65,6 @@ impl FifoResource {
         done
     }
 
-    /// The instant at which a request arriving now would start service.
-    fn earliest_start(&self, now: SimTime) -> SimTime {
-        let free = *self.free_at.iter().min().expect("at least one server");
-        free.max(now)
-    }
-
-    /// Queueing delay a request arriving at `now` would experience.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.earliest_start(now).saturating_since(now)
-    }
-
     /// Total number of admitted requests.
     pub fn admitted(&self) -> u64 {
         self.admitted
@@ -98,7 +82,7 @@ impl FifoResource {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
-        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.servers() as f64)
+        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.free_at.len() as f64)
     }
 }
 
@@ -136,8 +120,9 @@ mod tests {
     fn backlog_reports_queueing_delay() {
         let mut r = FifoResource::new(1);
         r.admit(at(0), us(30));
-        assert_eq!(r.backlog(at(10)), us(20));
-        assert_eq!(r.backlog(at(40)), SimDuration::ZERO);
+        // Arriving at 10, a request waits out the first one's last 20 us.
+        assert_eq!(r.admit(at(10), SimDuration::ZERO), at(30));
+        assert_eq!(r.admit(at(40), SimDuration::ZERO), at(40));
     }
 
     #[test]

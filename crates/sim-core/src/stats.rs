@@ -116,11 +116,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th-percentile sample; `None` when empty.
-    pub fn p999(&self) -> Option<f64> {
-        self.quantile(0.999)
-    }
-
     /// Mean of the samples; 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.is_empty() {
@@ -231,7 +226,7 @@ mod tests {
         let empty = Histogram::new();
         assert_eq!(empty.quantile(0.0), None);
         assert_eq!(empty.quantile(1.0), None);
-        assert_eq!(empty.p999(), None);
+        assert_eq!(empty.quantile(0.999), None);
         assert_eq!(empty.quantiles(&[0.5, 0.99]), None);
 
         // One sample: every quantile answers that sample.
@@ -262,7 +257,7 @@ mod tests {
             assert_eq!(Some(batch[i]), h.quantile(q));
         }
         assert_eq!(h.p99(), Some(990.0));
-        assert_eq!(h.p999(), Some(999.0));
+        assert_eq!(h.quantile(0.999), Some(999.0));
         assert_eq!(h.quantiles(&[]), Some(vec![]));
     }
 

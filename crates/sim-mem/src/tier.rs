@@ -43,7 +43,7 @@ pub struct TierConfig {
     /// Inverse bandwidth of one channel (transfer time per byte, in ns).
     pub ns_per_byte: f64,
     /// Independent transfer channels (servers of the [`FifoResource`]).
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// NIC-side dynamic-pin fault: the MTT-miss-triggered host round trip
     /// that pins a resident page so DMA may proceed (NP-RDMA's fault path;
     /// a few microseconds on commodity hardware).

@@ -135,26 +135,16 @@ impl FaultInjector {
         }
     }
 
-    /// Decides the fate of the next one-sided verb.
-    ///
-    /// Exactly four random draws are consumed per call regardless of the
-    /// outcome, so editing probabilities or the script never shifts the
-    /// stream for unrelated verbs.
-    pub fn decide(&self) -> Option<FaultKind> {
-        Self::decide_locked(&self.config, &mut self.state.lock())
-    }
-
     /// Opens a block-drawing session for a doorbell batch: the injector
     /// lock is taken once for the whole batch instead of once per verb.
     ///
     /// Draws remain strictly per-verb and on demand — a verb the batch
     /// never serves (flushed after an earlier failure, injected *or not*)
-    /// consumes no draws. That makes block drawing byte-for-byte
-    /// stream-identical to calling [`FaultInjector::decide`] once per verb,
-    /// which is the invariant seeded replays depend on. (An eager
-    /// pre-draw of the whole block could not honor it: a mid-batch
-    /// `InvalidKey` aborts the batch after consuming draws only up to the
-    /// failing verb.)
+    /// consumes no draws. That makes a batch's draws byte-for-byte those
+    /// of one single-verb block per verb it serves, which is the invariant
+    /// seeded replays depend on. (An eager pre-draw of the whole block
+    /// could not honor it: a mid-batch `InvalidKey` aborts the batch after
+    /// consuming draws only up to the failing verb.)
     pub(crate) fn begin_block(&self) -> FaultBlock<'_> {
         FaultBlock { config: &self.config, state: self.state.lock() }
     }
@@ -225,8 +215,11 @@ pub(crate) struct FaultBlock<'a> {
 }
 
 impl FaultBlock<'_> {
-    /// Decides the fate of the next one-sided verb; exactly the stream
-    /// semantics of [`FaultInjector::decide`], without relocking.
+    /// Decides the fate of the next one-sided verb.
+    ///
+    /// Exactly four random draws are consumed per call regardless of the
+    /// outcome, so editing probabilities or the script never shifts the
+    /// stream for unrelated verbs.
     pub(crate) fn decide(&mut self) -> Option<FaultKind> {
         FaultInjector::decide_locked(self.config, &mut self.state)
     }
@@ -243,7 +236,7 @@ mod tests {
 
     fn drain(inj: &FaultInjector, ops: u64) -> Vec<(u64, FaultKind)> {
         for _ in 0..ops {
-            inj.decide();
+            inj.begin_block().decide();
         }
         inj.fired()
     }
@@ -324,14 +317,14 @@ mod tests {
         let blk = FaultInjector::new(cfg);
         // Irregular batch sizes, with every third batch cut short mid-way
         // (a flushed tail, which must not consume draws): the sequential
-        // twin mirrors each truncation with plain decide() calls.
+        // twin mirrors each truncation with one single-verb block per verb.
         let sizes = [1usize, 16, 7, 1, 64, 3, 16, 16, 100, 5];
         let mut seq_decisions = Vec::new();
         let mut blk_decisions = Vec::new();
         for (round, &size) in sizes.iter().enumerate() {
             let served = if round % 3 == 2 { size / 2 } else { size };
             for _ in 0..served {
-                seq_decisions.push(seq.decide());
+                seq_decisions.push(seq.begin_block().decide());
             }
             let mut block = blk.begin_block();
             for _ in 0..served {
@@ -354,6 +347,6 @@ mod tests {
             qp_break_prob: 1.0,
             ..FaultConfig::default()
         });
-        assert_eq!(inj.decide(), Some(FaultKind::QpBreak));
+        assert_eq!(inj.begin_block().decide(), Some(FaultKind::QpBreak));
     }
 }

@@ -297,30 +297,6 @@ impl LatencyModel {
         }
     }
 
-    /// Batched MTT-sync cost for `targets` regions that all map the *same*
-    /// `pages` destination frames (a compaction remap's primary vaddr plus
-    /// its alias chain).
-    ///
-    /// The batch is posted as one verb and rides a single
-    /// doorbell/transition: the per-region fixed cost (`rereg_base` /
-    /// `advise_base`) and the per-target `mmap` install are paid once for
-    /// the whole batch rather than per target, because every target aliases
-    /// the identical frame set the primary sync already walks. The cost is
-    /// therefore that of syncing one `pages`-page region, independent of
-    /// the target count — exactly the `extra_remaps × (mmap + mtt_update)`
-    /// term the unbatched path pays on top.
-    pub fn mtt_batch_sync_cost(
-        &self,
-        strategy: MttUpdateStrategy,
-        pages: usize,
-        targets: usize,
-    ) -> SimDuration {
-        if targets == 0 {
-            return SimDuration::ZERO;
-        }
-        self.mtt_update_cost(strategy, pages)
-    }
-
     /// Full cost of compacting one source block into a destination:
     /// bookkeeping, object copies, metadata merge, vaddr remap, MTT update.
     pub fn block_compaction_cost(
@@ -417,27 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_mtt_sync_amortizes_per_target_costs() {
-        let m = LatencyModel::connectx5();
-        for strategy in
-            [MttUpdateStrategy::Rereg, MttUpdateStrategy::Odp, MttUpdateStrategy::OdpPrefetch]
-        {
-            // One transition covers the whole batch: cost is independent of
-            // the target count and equals a single region's sync.
-            let single = m.mtt_update_cost(strategy, 4);
-            assert_eq!(m.mtt_batch_sync_cost(strategy, 4, 1), single);
-            assert_eq!(m.mtt_batch_sync_cost(strategy, 4, 8), single);
-            assert_eq!(m.mtt_batch_sync_cost(strategy, 4, 0), SimDuration::ZERO);
-            // The unbatched path pays per target; batching saves the full
-            // extra term for every alias beyond the first.
-            let unbatched = (m.mmap_cost(4) + single) * 8;
-            let batched = m.mmap_cost(4) + m.mtt_batch_sync_cost(strategy, 4, 8);
-            let saved = (m.mmap_cost(4) + single) * 7;
-            assert_eq!(unbatched - batched, saved);
-        }
-    }
-
-    #[test]
     fn per_block_compaction_near_100us_on_cx3() {
         let m = LatencyModel::connectx3();
         let c = m.block_compaction_cost(MttUpdateStrategy::Rereg, 1, 32, 1).as_micros_f64();
@@ -454,6 +409,18 @@ mod tests {
         let large_ratio =
             m.local_read_cost(8192).as_micros_f64() / m.memcpy_cost(8192).as_micros_f64();
         assert!(large_ratio < small_ratio);
+        assert!(m.memcpy_cost(2048) > m.memcpy_cost(8));
+    }
+
+    #[test]
+    fn rpc_echo_and_ipoib_latencies() {
+        let m = LatencyModel::connectx5();
+        assert_eq!(m.ipoib_rtt.as_micros_f64(), 17.0);
+        // An RPC round trip grows with size, is slower than a warm raw RDMA
+        // read, and far faster than IPoIB.
+        assert!(m.rpc_latency(8) < m.rpc_latency(2048));
+        assert!(m.rpc_latency(8) > m.rdma_read_latency(8, true));
+        assert!(m.rpc_latency(8) < m.ipoib_rtt);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub struct MemoryRegion {
 
 impl MemoryRegion {
     /// Whether `[va, va+len)` lies inside the region.
-    pub fn covers(&self, va: u64, len: usize) -> bool {
+    pub(crate) fn covers(&self, va: u64, len: usize) -> bool {
         let end = self.base + (self.pages * PAGE_SIZE) as u64;
         va >= self.base && va.checked_add(len as u64).is_some_and(|e| e <= end)
     }
@@ -449,10 +449,19 @@ impl Rnic {
         Ok(())
     }
 
-    /// Re-snapshots every region in `rkeys` under one busy window. Every
-    /// key and every page is checked first, read-only, so a failure leaves
-    /// no window open and the MTT as it was.
-    fn rereg_regions(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
+    /// `ibv_rereg_mr` over every region in `rkeys` as one posted verb:
+    /// re-snapshots their translations, preserving keys. All of them share
+    /// one busy window `[now, now + cost)`, and the cost is that of
+    /// re-registering the largest (the batch rides one doorbell/transition;
+    /// compaction's regions all alias the same destination frames).
+    /// One-sided accesses inside the window break the QP. Every key and
+    /// every page is checked first, read-only, so an unknown key or an
+    /// unmapped page fails the verb with no window opened and the MTT as it
+    /// was. An empty list costs nothing.
+    pub fn rereg(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
+        if rkeys.is_empty() {
+            return Ok(SimDuration::ZERO);
+        }
         let (fresh, cost) = {
             let mut rt = self.regions.write();
             let mut fresh = Vec::with_capacity(rkeys.len());
@@ -478,34 +487,16 @@ impl Rnic {
         Ok(cost)
     }
 
-    /// `ibv_rereg_mr`: re-snapshots the region's translations, preserving
-    /// keys. The region is unavailable for `[now, now+cost)`; one-sided
-    /// accesses inside the window break the QP. A region with an unmapped
-    /// page fails the verb and stays as it was, window closed.
-    pub fn rereg(&self, rkey: u32, now: SimTime) -> Result<SimDuration, RdmaError> {
-        self.rereg_regions(&[rkey], now)
-    }
-
-    /// Batched `ibv_rereg_mr`: re-snapshots every region in `rkeys` with a
-    /// single posted verb, preserving keys. All regions in the batch share
-    /// one busy window `[now, now + cost)` — the batch rides one
-    /// doorbell/transition, so the cost is that of re-registering the
-    /// largest region in the batch rather than the per-region sum (the
-    /// compaction batch's regions all alias the same destination frames).
-    ///
-    /// The whole batch is validated before any region is touched: an
-    /// unknown key or an unmapped page fails the batch with no busy window
-    /// opened.
-    pub fn rereg_batch(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
-        if rkeys.is_empty() {
+    /// `ibv_advise_mr` prefetch over every `(rkey, va, pages)` target of
+    /// ODP regions as one posted verb: refreshes their translations ahead
+    /// of the first access. Costs one advise over the largest target (the
+    /// batch shares a doorbell/transition; compaction's targets all map the
+    /// same frames). Every target is checked before any translation is
+    /// installed. An empty list costs nothing.
+    pub fn advise(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
+        if targets.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        self.rereg_regions(rkeys, now)
-    }
-
-    /// Prefetches the translations of every `(rkey, va, pages)` target,
-    /// after checking all of them. Costs one advise over the largest.
-    fn advise_targets(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
         let mut max_pages = 0usize;
         {
             let rt = self.regions.read();
@@ -528,25 +519,6 @@ impl Rnic {
         }
         self.stats.advises.fetch_add(targets.len() as u64, Ordering::Relaxed);
         Ok(self.config.model.advise_cost(max_pages))
-    }
-
-    /// Batched `ibv_advise_mr`: prefetches translations for every
-    /// `(rkey, va, pages)` target with a single posted verb. Costs one
-    /// advise over the largest target (the batch shares a
-    /// doorbell/transition; compaction's targets all map the same frames).
-    ///
-    /// The whole batch is validated before any translation is installed.
-    pub fn advise_batch(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
-        if targets.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        self.advise_targets(targets)
-    }
-
-    /// `ibv_advise_mr` prefetch: refreshes translations of an ODP region's
-    /// pages ahead of the first access.
-    pub fn advise(&self, rkey: u32, va: u64, pages: usize) -> Result<SimDuration, RdmaError> {
-        self.advise_targets(&[(rkey, va, pages)])
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at `(rkey, va)`.
@@ -1014,6 +986,10 @@ mod tests {
         assert_eq!(&buf, b"remote");
         assert!(out.latency > SimDuration::ZERO);
         assert_eq!(rnic.stats.reads.load(Ordering::Relaxed), 1);
+        // Warm, a small raw read costs the paper's floor, ≈ 1.7 µs.
+        let warm = rnic.read(mr.rkey, va + 100, &mut buf, SimTime::ZERO).unwrap();
+        assert!(warm.latency < out.latency);
+        assert!((warm.latency.as_micros_f64() - 1.7).abs() < 0.2, "{}", warm.latency);
     }
 
     #[test]
@@ -1081,7 +1057,7 @@ mod tests {
         aspace.write(va, b"new!").unwrap();
 
         let t0 = SimTime::from_micros(100);
-        let cost = rnic.rereg(mr.rkey, t0).unwrap();
+        let cost = rnic.rereg(&[mr.rkey], t0).unwrap();
         // Access inside the window breaks (RegionBusy).
         let mut buf = [0u8; 4];
         assert_eq!(rnic.read(mr.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(mr.rkey)));
@@ -1103,9 +1079,12 @@ mod tests {
         aspace.munmap(va + 3 * page, 1).unwrap();
         let t0 = SimTime::from_micros(100);
         let unmapped = RdmaError::Mem(MemError::Unmapped(va + 3 * page));
-        assert_eq!(rnic.rereg(b.rkey, t0), Err(unmapped.clone()));
-        assert_eq!(rnic.rereg_batch(&[a.rkey, b.rkey], t0), Err(unmapped));
-        assert_eq!(rnic.rereg_batch(&[a.rkey, 0xdead], t0), Err(RdmaError::InvalidKey(0xdead)));
+        assert_eq!(rnic.rereg(&[b.rkey], t0), Err(unmapped.clone()));
+        assert_eq!(rnic.rereg(&[a.rkey, b.rkey], t0), Err(unmapped));
+        assert_eq!(rnic.rereg(&[a.rkey, 0xdead], t0), Err(RdmaError::InvalidKey(0xdead)));
+        // An empty verb costs nothing and touches nothing.
+        assert_eq!(rnic.rereg(&[], t0), Ok(SimDuration::ZERO));
+        assert_eq!(rnic.advise(&[]), Ok(SimDuration::ZERO));
         // No window opened, no translation moved, nothing counted.
         let mut buf = [0u8; 4];
         rnic.read(a.rkey, va, &mut buf, t0).unwrap();
@@ -1114,7 +1093,7 @@ mod tests {
         assert_eq!(rnic.mtt_lookup(va + 2 * page), Some(frames[2]));
         assert_eq!(rnic.stats.reregs.load(Ordering::Relaxed), 0);
         // The mapped region still re-registers.
-        let cost = rnic.rereg(a.rkey, t0).unwrap();
+        let cost = rnic.rereg(&[a.rkey], t0).unwrap();
         assert_eq!(rnic.mtt_lookup(va), Some(spare));
         assert_eq!(rnic.read(a.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(a.rkey)));
         rnic.read(a.rkey, va, &mut buf, t0 + cost).unwrap();
@@ -1183,7 +1162,7 @@ mod tests {
         aspace.remap(va, &[f_new]).unwrap();
         aspace.write(va, b"new!").unwrap();
 
-        let advise_cost = rnic.advise(mr.rkey, va, 1).unwrap();
+        let advise_cost = rnic.advise(&[(mr.rkey, va, 1)]).unwrap();
         assert!((4.4..=4.7).contains(&advise_cost.as_micros_f64()));
         let mut buf = [0u8; 4];
         let out = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
@@ -1203,7 +1182,7 @@ mod tests {
         );
         assert_eq!(rnic.register(va, 1, true).unwrap_err(), RdmaError::OdpUnsupported);
         let (mr, _) = rnic.register(va, 1, false).unwrap();
-        assert_eq!(rnic.advise(mr.rkey, va, 1).unwrap_err(), RdmaError::OdpUnsupported);
+        assert_eq!(rnic.advise(&[(mr.rkey, va, 1)]).unwrap_err(), RdmaError::OdpUnsupported);
     }
 
     #[test]

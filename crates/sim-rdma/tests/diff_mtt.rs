@@ -274,7 +274,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(rnic.deregister(mr.rkey), Err(RdmaError::InvalidKey(mr.rkey)));
             }
             (2, Some(mr)) => {
-                let got = rnic.rereg(mr.rkey, now);
+                let got = rnic.rereg(&[mr.rkey], now);
                 if let Some((_, fresh)) = settled(got, translate_all(mr.base, mr.pages))? {
                     model.install(mr.base, fresh, true);
                 }
@@ -282,7 +282,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
             (3, Some(mr)) => {
                 let skip = b % mr.pages;
                 let (base, pages) = (mr.base + skip as u64 * PAGE, mr.pages - skip);
-                let got = rnic.advise(mr.rkey, base, pages);
+                let got = rnic.advise(&[(mr.rkey, base, pages)]);
                 if !mr.odp {
                     prop_assert_eq!(got, Err(RdmaError::OdpUnsupported));
                 } else {

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use corm::baselines::FarmServer;
 use corm::core::client::{ClientConfig, CormClient, FixStrategy};
 use corm::core::server::{CormServer, CorrectionStrategy, ServerConfig};
 use corm::sim_core::time::{SimDuration, SimTime};
@@ -63,9 +62,11 @@ fn corm_beats_farm_on_active_memory_after_spike() {
     // The paper's headline: same workload, FaRM cannot reclaim fragmented
     // blocks, CoRM can.
     let corm = Arc::new(CormServer::new(config()));
-    let farm = FarmServer::new(config());
+    // FaRM is CoRM with compaction off (§4.2, footnote 2).
+    let farm =
+        Arc::new(CormServer::new(ServerConfig { frag_threshold: f64::INFINITY, ..config() }));
     let mut cc = CormClient::connect(corm.clone());
-    let mut fc = farm.connect();
+    let mut fc = CormClient::connect(farm.clone());
 
     let mut corm_ptrs = Vec::new();
     let mut farm_ptrs = Vec::new();
@@ -81,8 +82,9 @@ fn corm_beats_farm_on_active_memory_after_spike() {
         }
     }
     corm.compact_if_fragmented(SimTime::ZERO).unwrap();
+    assert!(farm.compact_if_fragmented(SimTime::ZERO).unwrap().is_empty(), "FaRM never compacts");
     let corm_active = corm.active_bytes();
-    let farm_active = farm.server().active_bytes();
+    let farm_active = farm.active_bytes();
     assert!(
         corm_active * 3 < farm_active,
         "CoRM {corm_active} should be ≳3x below FaRM {farm_active}"
@@ -90,7 +92,7 @@ fn corm_beats_farm_on_active_memory_after_spike() {
     // And the surviving FaRM/CoRM objects both still read fine.
     let mut buf = [0u8; 8];
     cc.direct_read_with_recovery(&mut corm_ptrs[0], &mut buf, SimTime::from_millis(1)).unwrap();
-    fc.read(&mut farm_ptrs[0], &mut buf, SimTime::from_millis(1)).unwrap();
+    fc.direct_read_with_recovery(&mut farm_ptrs[0], &mut buf, SimTime::from_millis(1)).unwrap();
 }
 
 #[test]

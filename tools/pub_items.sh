@@ -15,11 +15,12 @@
 #   .rs file outside that crate's library sources (other crates, the
 #   crate's tests/ and examples/, its binaries, the root src/, tests/ and
 #   examples/, and benchmark/src are all outside). A `pub use` is judged
-#   where the names it re-exports are defined;
+#   where the names it re-exports are defined. Comments are not read: a
+#   name only a `//`, `///` or `//!` line mentions counts as unread;
 # - every `pub` line of a binary target (crates/*/src/bin), which nothing
 #   outside it can name.
 # The census always exits 0.
-ceiling=1006
+ceiling=952
 cd "$(dirname "$0")/.." || exit 1
 if [ "$1" = "--census" ]; then
     find crates src tests examples benchmark/src shims -name '*.rs' -not -path '*/target/*' |
@@ -44,7 +45,9 @@ if [ "$1" = "--census" ]; then
             else if (tok[i] != "use") { ++items; crate[items] = owner; at[items] = FILENAME ":" FNR; id[items] = name }
         }
         {
+            # A name only a comment mentions is not read.
             line = $0
+            sub(/\/\/.*/, "", line)
             gsub(/[^A-Za-z0-9_]+/, " ", line)
             nw = split(line, w, " ")
             for (k = 1; k <= nw; k++) {
