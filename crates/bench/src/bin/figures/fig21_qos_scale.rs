@@ -20,17 +20,19 @@
 //!
 //! **Panel B — connection scale.** `clients` connections are provisioned
 //! twice: one reliable QP per client (the paper's setup) versus DCT-style
-//! [`MuxQp`] groups of `K` tenants sharing one QP's rings. Host bytes of
-//! connection state per client are censused via `state_bytes`, and a
-//! sample of mux tenants runs real multi-gets through [`CormClient`] to
-//! show the shared-connection data path works with the full population
-//! attached.
+//! groups of `K` clients sharing one `Arc<QueuePair>`, each client holding
+//! the QP and its tenant index within the group. Host bytes of connection
+//! state per client are censused via `state_bytes` (once per shared QP)
+//! plus the handle each client holds, and a sample of shared-QP clients
+//! runs real multi-gets through [`CormClient`] to show the
+//! shared-connection data path works with the full population
+//! connected.
 //!
 //! Gates (both panels are virtual-time deterministic):
 //! - latency-class p99 under the saturating bulk tenant ≤ 2× unloaded,
 //!   and strictly better than the legacy FIFO cell;
-//! - per-client connection state in mux mode ≤ 1/50 of per-client-QP
-//!   mode.
+//! - per-client connection state in shared (`mux`) mode ≤ 1/50 of
+//!   per-client-QP mode.
 
 use std::sync::Arc;
 
@@ -41,7 +43,7 @@ use corm_core::server::ServerConfig;
 use corm_core::GlobalPtr;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{MuxQp, QosConfig, QueuePair, ReadReq, RnicConfig, TrafficClass};
+use corm_sim_rdma::{QosConfig, QueuePair, ReadReq, RnicConfig, TrafficClass};
 use corm_trace::TraceHandle;
 
 use crate::run::Run;
@@ -168,8 +170,9 @@ fn run_isolation_cell(qos: Option<QosConfig>, loaded: bool) -> [Histogram; Traff
 }
 
 /// Panel B: census [`CLIENTS`] connections' host state in both modes and
-/// run sample traffic through the mux path with the full population
-/// attached. One row per mode; returns own-QP over mux bytes per client.
+/// run sample traffic through the shared path with the full population
+/// connected. One row per mode; returns own-QP over shared bytes per
+/// client.
 fn run_scale(t: &mut Sheet) -> f64 {
     let store = populate_server(ServerConfig::default(), LAT_OBJECTS, LAT_SIZE);
     let rnic = store.server.rnic().clone();
@@ -197,40 +200,40 @@ fn run_scale(t: &mut Sheet) -> f64 {
     let own = mode("own-qp", 1, own_bytes, run_sample_traffic(&store, None, &mut clock));
     drop(own_qps);
 
-    // Mux mode: ceil(clients / group) shared connections, every tenant
-    // attached before any traffic flows.
+    // Shared mode: ceil(clients / group) shared QPs, every client's handle
+    // taken before any traffic flows. Each QP is charged once, each
+    // handle once per client.
     let groups = CLIENTS.div_ceil(MUX_GROUP);
-    let mut muxes = Vec::with_capacity(groups);
-    let mut tenants = Vec::with_capacity(CLIENTS);
+    let mut handles: Vec<(Arc<QueuePair>, u32)> = Vec::with_capacity(CLIENTS);
+    let mut shared_bytes = 0;
     for g in 0..groups {
-        let cap = MUX_GROUP.min(CLIENTS - g * MUX_GROUP);
-        let mux = MuxQp::connect(rnic.clone(), cap);
-        for _ in 0..cap {
-            tenants.push(mux.attach().expect("attach under capacity"));
-        }
-        muxes.push(mux);
+        let qp = Arc::new(QueuePair::connect(rnic.clone()));
+        shared_bytes += qp.state_bytes();
+        let size = MUX_GROUP.min(CLIENTS - g * MUX_GROUP);
+        handles.extend((0..size as u32).map(|t| (qp.clone(), t)));
     }
-    let mux_bytes: usize = muxes.iter().map(|m| m.state_bytes()).sum();
-    let sample = run_sample_traffic(&store, Some(&tenants), &mut clock);
-    let mux = mode("mux", MUX_GROUP, mux_bytes, sample);
+    shared_bytes += handles.len() * std::mem::size_of::<(Arc<QueuePair>, u32)>();
+    let sample = run_sample_traffic(&store, Some(&handles), &mut clock);
+    let mux = mode("mux", MUX_GROUP, shared_bytes, sample);
     own as f64 / mux.max(1) as f64
 }
 
 /// Multi-get latency (p50, p99 in µs) for [`SAMPLE`] clients, four depth-8
-/// batches each; mux tenants are drawn striding across the attached
-/// population when provided.
+/// batches each; shared-QP clients are drawn striding across the
+/// connected population when provided.
 fn run_sample_traffic(
     store: &corm_bench::setup::PopulatedStore,
-    tenants: Option<&[corm_sim_rdma::MuxTenant]>,
+    handles: Option<&[(Arc<QueuePair>, u32)]>,
     clock: &mut SimTime,
 ) -> (f64, f64) {
     let mut h = Histogram::new();
     let mut rng = corm_sim_core::rng::stream_rng(0xF21, 7);
     for s in 0..SAMPLE {
-        let mut client = match tenants {
-            Some(ts) => {
-                let stride = (ts.len() / SAMPLE).max(1);
-                CormClient::connect_mux(store.server.clone(), ts[(s * stride) % ts.len()].clone())
+        let mut client = match handles {
+            Some(hs) => {
+                let stride = (hs.len() / SAMPLE).max(1);
+                let (qp, tenant) = &hs[(s * stride) % hs.len()];
+                CormClient::connect_shared(store.server.clone(), qp.clone(), *tenant)
             }
             None => CormClient::connect(store.server.clone()),
         };
@@ -296,7 +299,7 @@ pub(crate) fn run(run: &mut Run) {
     run.gate(
         ratio >= 50.0,
         format!(
-            "mux-mode connection state is <= 1/50 of per-client QPs: {} B/client vs {} B/client \
+            "shared-QP connection state is <= 1/50 of per-client QPs: {} B/client vs {} B/client \
              ({ratio:.0}x) at {CLIENTS} clients",
             bytes[1], bytes[0]
         ),

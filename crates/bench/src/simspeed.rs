@@ -15,9 +15,9 @@
 //!   the RNIC's sharded MTT, translation cache, and fault injector. An
 //!   *event* is one executed WQE.
 //! - **fig21 cell** — the same stream in shared-connection mode: several
-//!   tenants ride one [`MuxQp`](corm_sim_rdma::MuxQp) with the weighted
-//!   QoS scheduler on, so the mux completion routing and the
-//!   deficit-weighted admission are on the hot path.
+//!   clients, each its own tenant, share one `Arc<QueuePair>` with the
+//!   weighted QoS scheduler on, so the deficit-weighted admission is on
+//!   the hot path.
 //! - **fig22 cell** — the same stream against a 2×-oversubscribed pinless
 //!   server (NP-RDMA dynamic pinning over an NVMe-ish far tier), the pin
 //!   budget enforced every 64 batches, so residency checks, the NIC fault
@@ -58,7 +58,7 @@ const FIG13_BATCH_DEPTH: usize = 16;
 /// fig13 cell: DirectReads issued.
 const FIG13_OPS: usize = 131_072;
 
-/// fig21 cell: tenants sharing the one mux'd QP.
+/// fig21 cell: tenants sharing the one QP.
 const FIG21_TENANTS: usize = 4;
 /// fig21 cell: DirectReads issued (across all tenants).
 const FIG21_OPS: usize = 65_536;
@@ -164,7 +164,7 @@ fn fig13_once(ops: usize, trace: &TraceHandle) -> Once {
 }
 
 fn fig21_once(ops: usize, trace: &TraceHandle) -> Once {
-    use corm_sim_rdma::{MuxQp, QosConfig, RnicConfig};
+    use corm_sim_rdma::{QosConfig, QueuePair, RnicConfig};
     let config = ServerConfig {
         workers: 1,
         rnic: RnicConfig { qos: Some(QosConfig::default()), ..RnicConfig::default() },
@@ -172,9 +172,9 @@ fn fig21_once(ops: usize, trace: &TraceHandle) -> Once {
         ..ServerConfig::default()
     };
     let store = populate_server(config, FIG13_OBJECTS, FIG13_SIZE);
-    let shared = MuxQp::connect(store.server.rnic().clone(), FIG21_TENANTS);
-    let mut clients: Vec<CormClient> = (0..FIG21_TENANTS)
-        .map(|_| CormClient::connect_mux(store.server.clone(), shared.attach().expect("attach")))
+    let shared = std::sync::Arc::new(QueuePair::connect(store.server.rnic().clone()));
+    let mut clients: Vec<CormClient> = (0..FIG21_TENANTS as u32)
+        .map(|t| CormClient::connect_shared(store.server.clone(), shared.clone(), t))
         .collect();
     stream_once(&store, &mut clients, ops, |_| {})
 }
@@ -257,7 +257,7 @@ mod tests {
     fn fig21_mux_cell_replays_from_seed() {
         let t = TraceHandle::disabled();
         let (a, b) = (fig21_once(512, &t), fig21_once(512, &t));
-        assert_eq!(a, b, "mux-mode cell must replay from its seed");
+        assert_eq!(a, b, "shared-QP cell must replay from its seed");
         assert_eq!(a.0, 512, "every key becomes exactly one WQE");
     }
 

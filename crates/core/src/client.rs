@@ -2,18 +2,21 @@
 //!
 //! A [`CormClient`] holds a connection to a CoRM node: an RPC path for
 //! `Alloc`/`Free`/`Read`/`Write`/`ReleasePtr` and a reliable queue pair for
-//! one-sided `DirectRead`/`ScanRead`. One-sided reads validate the fetched
-//! object client-side (§3.2.2–§3.2.3): cacheline versions must agree, the
-//! lock bits must be clear, and the object ID must match the pointer. On an
-//! ID mismatch the client recovers by either an RPC read (server-side
-//! correction) or a [`ScanRead`](CormClient::scan_read) of the whole block,
-//! then fixes the pointer's offset hint in place.
+//! one-sided `DirectRead`/`ScanRead` — its own, or one several clients
+//! share as an `Arc<QueuePair>` ([`CormClient::connect_shared`], the
+//! Fig. 21 scale mode). Every verb is a call on that [`QueuePair`].
+//! One-sided reads validate the fetched object client-side
+//! (§3.2.2–§3.2.3): cacheline versions must agree, the lock bits must be
+//! clear, and the object ID must match the pointer. On an ID mismatch the
+//! client recovers by either an RPC read (server-side correction) or a
+//! [`ScanRead`](CormClient::scan_read) of the whole block, then fixes the
+//! pointer's offset hint in place.
 
 use std::sync::Arc;
 
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{MuxTenant, QueuePair, RdmaError, ReadReq, ReadResult, VerbOutcome};
+use corm_sim_rdma::{QueuePair, RdmaError, ReadReq, ReadResult};
 use corm_trace::{Stage, TraceHandle, Track};
 
 use crate::consistency::{self, ReadFailure};
@@ -59,69 +62,6 @@ const MAX_RECONNECTS: usize = 8;
 /// further one, up to [`RECONNECT_BACKOFF_CAP`].
 const RECONNECT_BACKOFF: SimDuration = SimDuration::from_micros(50);
 const RECONNECT_BACKOFF_CAP: SimDuration = SimDuration::from_millis(1);
-
-/// The client's connection to the node: a dedicated reliable QP (the
-/// default, O(QP) host state per client), or one tenant slot on a
-/// DCT-style shared connection ([`MuxTenant`], O(1) state per client) —
-/// the Fig. 21 scale mode. Both expose the same verb surface, and the
-/// dedicated arm delegates straight to [`QueuePair`], so a client built
-/// without mux behaves bit-identically to one predating this enum.
-// A client embeds exactly one `Conn` — never collections of them — so the
-// Own/Mux size disparity wastes nothing, while boxing the QP would put an
-// indirection on every verb.
-#[allow(clippy::large_enum_variant)]
-enum Conn {
-    /// A dedicated queue pair owned by this client.
-    Own(QueuePair),
-    /// A tenant slot on a shared [`corm_sim_rdma::MuxQp`].
-    Mux(MuxTenant),
-}
-
-impl Conn {
-    fn read(
-        &self,
-        rkey: u32,
-        va: u64,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        match self {
-            Conn::Own(qp) => qp.read(rkey, va, buf, now),
-            Conn::Mux(t) => t.read(rkey, va, buf, now),
-        }
-    }
-
-    fn read_batch_into(
-        &self,
-        reqs: &[ReadReq],
-        outs: &mut [Vec<u8>],
-        now: SimTime,
-        results: &mut Vec<ReadResult>,
-    ) {
-        match self {
-            Conn::Own(qp) => qp.read_batch_into(reqs, outs, now, results),
-            Conn::Mux(t) => t.read_batch_into(reqs, outs, now, results),
-        }
-    }
-
-    /// Re-establishes the connection after a break. On a shared
-    /// connection only the first tenant through pays ([`MuxTenant`] is
-    /// idempotent-by-state); a dedicated QP always pays, as before.
-    fn reconnect(&self) -> SimDuration {
-        match self {
-            Conn::Own(qp) => qp.reconnect(),
-            Conn::Mux(t) => t.reconnect(),
-        }
-    }
-
-    /// The underlying queue pair — the client's own, or the shared one.
-    fn qp(&self) -> &QueuePair {
-        match self {
-            Conn::Own(qp) => qp,
-            Conn::Mux(t) => t.mux().qp(),
-        }
-    }
-}
 
 /// Result classification of a raw DirectRead attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +124,11 @@ struct BatchScratch {
 /// A connected CoRM client.
 pub struct CormClient {
     server: Arc<CormServer>,
-    conn: Conn,
+    /// The client's queue pair: its own, or one several clients share
+    /// (Fig. 21's DCT-style mode, O(1) connection state per client).
+    qp: Arc<QueuePair>,
+    /// Tenant the QoS scheduler charges this client's multi-gets to.
+    tenant: u32,
     config: ClientConfig,
     rng: DetRng,
     /// Trace recorder, shared with the server node (disabled by default).
@@ -215,26 +159,30 @@ impl CormClient {
 
     /// Connects with explicit client configuration.
     pub fn connect_with(server: Arc<CormServer>, config: ClientConfig) -> Self {
-        let conn = Conn::Own(QueuePair::connect(server.rnic().clone()));
-        Self::with_conn(server, config, conn)
+        let qp = Arc::new(QueuePair::connect(server.rnic().clone()));
+        Self::with_qp(server, config, qp, 0)
     }
 
     /// Connects over a DCT-style shared connection (Fig. 21 scale mode):
-    /// the client occupies one tenant slot of a
-    /// [`corm_sim_rdma::MuxQp`] instead of owning a queue pair, dropping
-    /// its host connection state to O(1). Attach the tenant with
-    /// [`corm_sim_rdma::MuxQp::attach`] on a mux connected to
-    /// [`CormServer::rnic`].
-    pub fn connect_mux(server: Arc<CormServer>, tenant: MuxTenant) -> Self {
-        Self::with_conn(server, ClientConfig::default(), Conn::Mux(tenant))
+    /// the client rides `qp`, a queue pair connected to
+    /// [`CormServer::rnic`] that other clients hold too, as `tenant`,
+    /// instead of owning one, dropping its host connection state to O(1).
+    pub fn connect_shared(server: Arc<CormServer>, qp: Arc<QueuePair>, tenant: u32) -> Self {
+        Self::with_qp(server, ClientConfig::default(), qp, tenant)
     }
 
-    fn with_conn(server: Arc<CormServer>, config: ClientConfig, conn: Conn) -> Self {
+    fn with_qp(
+        server: Arc<CormServer>,
+        config: ClientConfig,
+        qp: Arc<QueuePair>,
+        tenant: u32,
+    ) -> Self {
         let rng = stream_rng(config.seed, 0);
         let trace = server.trace().clone();
         CormClient {
             server,
-            conn,
+            qp,
+            tenant,
             config,
             rng,
             trace,
@@ -251,10 +199,9 @@ impl CormClient {
         &self.server
     }
 
-    /// The client's queue pair (diagnostics) — its own, or the shared one
-    /// when connected through a mux.
+    /// The client's queue pair (diagnostics) — its own, or the shared one.
     pub fn qp(&self) -> &QueuePair {
-        self.conn.qp()
+        &self.qp
     }
 
     fn pick_worker(&mut self) -> usize {
@@ -302,7 +249,7 @@ impl CormClient {
             return Err(CormError::Rdma(RdmaError::QpBroken));
         }
         let backoff = RECONNECT_BACKOFF * (1u64 << self.op.reconnects);
-        let reconnect = self.conn.reconnect();
+        let reconnect = self.qp.reconnect();
         self.charge(Stage::Backoff, backoff.min(RECONNECT_BACKOFF_CAP));
         self.charge(Stage::Reconnect, reconnect);
         self.qp_recoveries += 1;
@@ -413,7 +360,7 @@ impl CormClient {
             return Ok(ReadOutcome::Invalid(ReadFailure::NotValid));
         };
         self.image.resize(slot_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, ptr.vaddr, &mut self.image, self.op.clock)?;
+        let verb = self.qp.read(ptr.rkey, ptr.vaddr, &mut self.image, self.op.clock)?;
         self.charge(Stage::Verb, verb.latency);
         self.charge(Stage::VersionCheck, self.server.model().version_check_cost(slot_bytes));
         Ok(match consistency::gather_into(&self.image, Some(ptr.obj_id), buf) {
@@ -446,7 +393,7 @@ impl CormClient {
         let slot_bytes = self.slot_bytes(ptr)?;
         let base = ptr.block_base(block_bytes);
         self.image.resize(block_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, base, &mut self.image, self.op.clock)?;
+        let verb = self.qp.read(ptr.rkey, base, &mut self.image, self.op.clock)?;
         let model = self.server.model();
         let slots = block_bytes / slot_bytes;
         // Everything past the wire: the header sweep plus each candidate's
@@ -596,11 +543,12 @@ impl CormClient {
             s.reqs.clear();
             for &i in s.pending.iter() {
                 match self.slot_bytes(&ptrs[i]) {
-                    // Multi-gets ride the latency class; on a shared
-                    // connection the mux re-tags the tenant itself.
-                    Ok(slot_bytes) => {
-                        s.reqs.push(ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes))
-                    }
+                    // Multi-gets ride the latency class, charged to this
+                    // client's tenant.
+                    Ok(slot_bytes) => s.reqs.push(ReadReq {
+                        tenant: self.tenant,
+                        ..ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes)
+                    }),
                     Err(_) => {
                         self.failed_direct_reads += 1;
                         s.repair.push(i);
@@ -618,7 +566,7 @@ impl CormClient {
                 if s.out.len() < posted {
                     s.out.resize_with(posted, Vec::new);
                 }
-                self.conn.read_batch_into(
+                self.qp.read_batch_into(
                     &s.reqs,
                     &mut s.out[..posted],
                     self.op.clock,

@@ -14,7 +14,7 @@
 //! each enforcement pass halves all counters, aging frequency into
 //! recency so the ranking behaves like LRU over sustained skew.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -30,9 +30,8 @@ pub struct TierDirector {
     budget: AtomicUsize,
     /// Block heat: access count since the last decay, keyed by block base.
     heat: Mutex<FastHashMap<u64, u64>>,
-    /// Blocks evicted (spilled whole) by budget enforcement.
-    evictions: AtomicU64,
-    /// Block bases in eviction order — the determinism tests replay this.
+    /// Bases of the blocks budget enforcement evicted (spilled whole), in
+    /// eviction order — the determinism tests replay this.
     evict_log: Mutex<Vec<u64>>,
 }
 
@@ -45,7 +44,6 @@ impl TierDirector {
             tier,
             budget: AtomicUsize::new(usize::MAX),
             heat: Mutex::new(FastHashMap::default()),
-            evictions: AtomicU64::new(0),
             evict_log: Mutex::new(Vec::new()),
         }
     }
@@ -102,13 +100,12 @@ impl TierDirector {
 
     /// Records one block eviction.
     pub(crate) fn note_eviction(&self, base: u64) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
         self.evict_log.lock().push(base);
     }
 
     /// Blocks evicted by budget enforcement so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evict_log.lock().len() as u64
     }
 
     /// Block bases in the order budget enforcement evicted them.

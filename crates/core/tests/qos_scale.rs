@@ -1,19 +1,22 @@
 //! QoS-scheduler and shared-connection replay pins.
 //!
-//! Three invariants guard the QoS/mux machinery:
+//! Four invariants guard the QoS scheduler and shared queue pairs:
 //!
 //! 1. **Uniform QoS is invisible**: a seeded run with an equal-weights
 //!    [`QosConfig`] (scheduler on, uniform discipline) is byte-identical —
 //!    costs, payloads, *and* the traced event stream — to the same run
 //!    with QoS off. Enabling the feature without skewing weights cannot
 //!    perturb any pinned replay.
-//! 2. **Mux replay identity**: a client riding a DCT-style shared
-//!    connection alone replays a seeded faulty workload byte-for-byte
-//!    like a client owning its QP — the mux re-tags ids, it never changes
-//!    what reaches the NIC.
-//! 3. **Shared-connection recovery**: a QP break on a [`MuxQp`] fails all
-//!    tenants, and every client recovers through its ordinary backoff
-//!    path; the first reconnect heals the connection for everyone.
+//! 2. **Shared replay identity**: a client riding a DCT-style shared
+//!    queue pair (`CormClient::connect_shared`) alone replays a seeded
+//!    faulty workload byte-for-byte like a client owning its QP.
+//! 3. **Shared-connection recovery**: a QP break on a shared
+//!    `Arc<QueuePair>` fails all its clients, and every client recovers
+//!    through its ordinary backoff path; the first reconnect heals the
+//!    connection for everyone.
+//! 4. **Tenants are stamped**: each client's multi-gets reach the QoS
+//!    scheduler as its own tenant, so two sharers with distinct tenants
+//!    are scheduled apart.
 
 use std::sync::Arc;
 
@@ -21,7 +24,7 @@ use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::GlobalPtr;
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::{FaultConfig, FaultKind, MuxQp, QosConfig, RnicConfig, ScheduledFault};
+use corm_sim_rdma::{FaultConfig, FaultKind, QosConfig, QueuePair, RnicConfig, ScheduledFault};
 use corm_trace::{diff_events, TraceHandle};
 
 const SIZE: usize = 48;
@@ -57,15 +60,14 @@ fn faulty_config(trace: TraceHandle, qos: Option<QosConfig>) -> ServerConfig {
     }
 }
 
-/// Batched multi-get workload under seeded faults; `mux` rides the client
-/// on a shared connection (as its only tenant). Returns per-batch costs
-/// and the payloads — the replay fingerprint.
-fn run_batched(config: ServerConfig, mux: bool) -> (Vec<u64>, Vec<Vec<u8>>) {
+/// Batched multi-get workload under seeded faults; `shared` rides the
+/// client on a shared queue pair (as its only holder, tenant 0). Returns
+/// per-batch costs and the payloads — the replay fingerprint.
+fn run_batched(config: ServerConfig, shared: bool) -> (Vec<u64>, Vec<Vec<u8>>) {
     let (server, ptrs) = populate(config);
-    let mut client = if mux {
-        let shared = MuxQp::connect(server.rnic().clone(), 8);
-        let tenant = shared.attach().expect("attach");
-        CormClient::connect_mux(server.clone(), tenant)
+    let mut client = if shared {
+        let qp = Arc::new(QueuePair::connect(server.rnic().clone()));
+        CormClient::connect_shared(server.clone(), qp, 0)
     } else {
         CormClient::connect(server.clone())
     };
@@ -104,11 +106,11 @@ fn uniform_qos_replays_byte_identically_to_qos_off() {
 }
 
 #[test]
-fn mux_client_replays_byte_identically_to_own_qp() {
+fn shared_client_replays_byte_identically_to_own_qp() {
     let own = run_batched(faulty_config(TraceHandle::disabled(), None), false);
-    let mux = run_batched(faulty_config(TraceHandle::disabled(), None), true);
-    assert_eq!(own.0, mux.0, "per-batch costs must be identical mux vs own QP");
-    assert_eq!(own.1, mux.1, "payloads must be identical mux vs own QP");
+    let shared = run_batched(faulty_config(TraceHandle::disabled(), None), true);
+    assert_eq!(own.0, shared.0, "per-batch costs must be identical shared vs own QP");
+    assert_eq!(own.1, shared.1, "payloads must be identical shared vs own QP");
 }
 
 #[test]
@@ -122,10 +124,9 @@ fn qp_break_on_shared_connection_recovers_every_tenant() {
         ..ServerConfig::default()
     };
     let (server, ptrs) = populate(config);
-    let shared = MuxQp::connect(server.rnic().clone(), 4);
-    let mut clients: Vec<CormClient> = (0..3)
-        .map(|_| CormClient::connect_mux(server.clone(), shared.attach().expect("attach")))
-        .collect();
+    let shared = Arc::new(QueuePair::connect(server.rnic().clone()));
+    let mut clients: Vec<CormClient> =
+        (0..3).map(|t| CormClient::connect_shared(server.clone(), shared.clone(), t)).collect();
     let mut clock = SimTime::ZERO;
     let mut buf = vec![0u8; SIZE];
     // Interleave tenants so the scripted break lands mid-stream; every
@@ -142,8 +143,37 @@ fn qp_break_on_shared_connection_recovers_every_tenant() {
     }
     // The break fired, the connection healed exactly once, and at least
     // one tenant went through its recovery path.
-    assert_eq!(shared.qp().breaks(), 1, "the scripted break must fire");
-    assert_eq!(shared.qp().reconnects(), 1, "one reconnect heals all tenants");
+    assert_eq!(shared.breaks(), 1, "the scripted break must fire");
+    assert_eq!(shared.reconnects(), 1, "one reconnect heals all tenants");
     let recoveries: u64 = clients.iter().map(|c| c.qp_recoveries).sum();
     assert!(recoveries >= 1, "the broken tenant must recover via backoff");
+}
+
+/// Two clients share one QP under the weighted scheduler and ring 16-entry
+/// multi-gets at the same instant. As distinct tenants the second batch is
+/// scheduled beside the first; as one tenant it queues behind it. The
+/// difference is the tenant each client stamps on its requests.
+#[test]
+fn shared_clients_are_scheduled_as_their_own_tenants() {
+    let second_cost = |tenants: [u32; 2]| {
+        let config = ServerConfig {
+            rnic: RnicConfig { qos: Some(QosConfig::default()), ..RnicConfig::default() },
+            ..ServerConfig::default()
+        };
+        let (server, ptrs) = populate(config);
+        let qp = Arc::new(QueuePair::connect(server.rnic().clone()));
+        let [_, second] = tenants.map(|t| {
+            let mut client = CormClient::connect_shared(server.clone(), qp.clone(), t);
+            let mut bptrs: Vec<GlobalPtr> = ptrs[..16].to_vec();
+            let mut bufs = vec![vec![0u8; SIZE]; 16];
+            client.read_batch(&mut bptrs, &mut bufs, SimTime::ZERO).expect("batch").cost
+        });
+        second
+    };
+    let apart = second_cost([1, 2]);
+    let together = second_cost([1, 1]);
+    assert!(
+        apart < together,
+        "distinct tenants must not queue behind each other: {apart:?} vs {together:?}"
+    );
 }

@@ -153,11 +153,6 @@ impl TimeSeries {
         self.counts[idx] += 1;
     }
 
-    /// Bucket width.
-    pub fn bucket(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Raw per-bucket counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts

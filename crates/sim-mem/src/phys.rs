@@ -92,13 +92,6 @@ pub struct ResidencySnapshot {
     pub far: u64,
 }
 
-impl ResidencySnapshot {
-    /// Frames currently occupying DRAM (pinned + resident).
-    pub fn in_dram(&self) -> u64 {
-        self.pinned + self.resident
-    }
-}
-
 impl fmt::Display for FrameId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "frame#{}", self.0)

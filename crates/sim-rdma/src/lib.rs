@@ -22,9 +22,12 @@
 //!   the paper's microbenchmarks (Figs. 8, 9, 15).
 //! - [`Rnic`]: memory regions with `l_key`/`r_key`, the MTT, ODP regions,
 //!   an LRU translation cache (the Zipf-locality effect of Fig. 12), and
-//!   one-sided READ/WRITE verbs executed against physical frames.
+//!   one-sided READ verbs executed against physical frames.
 //! - [`QueuePair`]: reliable connection semantics — invalid accesses move
-//!   the QP to the error state and reconnecting costs milliseconds. QPs
+//!   the QP to the error state and reconnecting costs milliseconds.
+//!   Several clients may share one QP through an `Arc` (Fig. 21's
+//!   DCT-style mode): reconnecting a connected QP is free, so the first
+//!   sharer to recover heals it for all of them. QPs
 //!   also expose the batched READ path, one synchronous doorbell:
 //!   `read_batch_into` admits a caller-held batch of [`ReadReq`]s into the
 //!   RNIC's engine scheduler for one doorbell cost plus per-WQE service and
@@ -41,7 +44,6 @@
 mod fault;
 mod latency;
 mod mtt;
-mod mux;
 mod qp;
 pub mod rnic;
 mod sched;
@@ -49,7 +51,6 @@ mod wq;
 
 pub use fault::{FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{LatencyModel, MttUpdateStrategy};
-pub use mux::{MuxQp, MuxTenant};
 pub use qp::{QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
 pub use sched::{QosConfig, TrafficClass};

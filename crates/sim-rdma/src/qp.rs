@@ -206,8 +206,7 @@ impl QueuePair {
     /// Bytes of connection state this QP pins on the host: the fixed
     /// struct plus the send/completion rings at provisioned depth (or the
     /// actual backing storage once traffic has grown past it). This is
-    /// the per-client cost the [`crate::MuxQp`] shared-connection mode
-    /// amortizes across tenants.
+    /// the per-client cost that clients sharing one QP amortize.
     pub fn state_bytes(&self) -> usize {
         let sq = self.sq.lock().capacity().max(Self::PROVISIONED_DEPTH);
         let cq = self.cq.lock().capacity().max(Self::PROVISIONED_DEPTH);
@@ -217,9 +216,15 @@ impl QueuePair {
     }
 
     /// Re-establishes a broken connection. Returns the recovery cost
-    /// ("a few milliseconds", §3.5).
+    /// ("a few milliseconds", §3.5). A connected QP has nothing to
+    /// re-establish: it costs nothing and counts no reconnect, so of the
+    /// clients sharing a broken QP the first to recover heals it and the
+    /// rest find it up.
     pub fn reconnect(&self) -> SimDuration {
         let mut state = self.state.lock();
+        if *state == QpState::Connected {
+            return SimDuration::ZERO;
+        }
         *state = QpState::Connected;
         self.reconnects.fetch_add(1, Ordering::Relaxed);
         self.rnic.model().qp_reconnect
@@ -282,6 +287,21 @@ mod tests {
         qp.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(qp.reconnects(), 1);
         assert_eq!(qp.breaks(), 1);
+    }
+
+    #[test]
+    fn reconnect_pays_only_on_a_broken_qp() {
+        let (_aspace, rnic, va) = setup();
+        let qp = QueuePair::connect(rnic.clone());
+        assert_eq!(qp.reconnect(), SimDuration::ZERO);
+        assert_eq!(qp.reconnects(), 0);
+        let mut buf = [0u8; 4];
+        assert!(qp.read(0xbad, va, &mut buf, SimTime::ZERO).is_err());
+        assert_eq!(qp.reconnect(), rnic.model().qp_reconnect);
+        assert_eq!(qp.reconnects(), 1);
+        // Healed: a second sharer's reconnect finds it up and pays nothing.
+        assert_eq!(qp.reconnect(), SimDuration::ZERO);
+        assert_eq!(qp.reconnects(), 1);
     }
 
     fn batch_setup(pages: usize) -> (Arc<AddressSpace>, Arc<Rnic>, u64) {

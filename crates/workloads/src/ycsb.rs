@@ -84,11 +84,6 @@ impl Workload {
         Workload { records, mix, zipf }
     }
 
-    /// Keyspace size.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// The mix in force.
     pub fn mix(&self) -> Mix {
         self.mix

@@ -41,16 +41,6 @@ impl Zipfian {
         self
     }
 
-    /// The keyspace size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     fn zeta(n: u64, theta: f64) -> f64 {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }

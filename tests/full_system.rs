@@ -329,14 +329,7 @@ fn capacity_pressure_triggers_compaction_and_recovers() {
     let phys = Arc::new(corm::sim_mem::PhysicalMemory::with_capacity(4096 + 64));
     let server = Arc::new(CormServer::with_memory(
         phys,
-        ServerConfig {
-            workers: 1,
-            alloc: corm::alloc::AllocConfig {
-                file_bytes: 64 * 1024, // small files so the cap binds late
-                ..Default::default()
-            },
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers: 1, ..ServerConfig::default() },
     ));
     let mut client = CormClient::connect(server.clone());
     // Fill until allocation fails.
