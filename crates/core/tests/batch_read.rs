@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use corm_check::{check, ensure_eq};
 
 use corm_core::client::{ClientConfig, CormClient, FixStrategy};
 use corm_core::server::{CormServer, ServerConfig};
@@ -41,18 +41,14 @@ fn populate(
     (server, ptrs)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `read_batch` over any pick sequence returns byte-identical payloads
-    /// and lengths to sequential `direct_read_with_recovery` calls over
-    /// the same pointers.
-    #[test]
-    fn batch_matches_sequential_bytes(
-        size in 8usize..600,
-        objects in 8usize..48,
-        picks in prop::collection::vec(any::<usize>(), 1..40),
-    ) {
+/// `read_batch` over any pick sequence returns byte-identical payloads
+/// and lengths to sequential `direct_read_with_recovery` calls over
+/// the same pointers.
+#[test]
+fn batch_matches_sequential_bytes() {
+    check(16, |g| {
+        let (size, objects) = (g.range(8usize..600), g.range(8usize..48));
+        let picks = g.vec(1..40, |g| g.range(0..=usize::MAX));
         let (server, ptrs) = populate(ServerConfig::default(), objects, size);
         let mut client = CormClient::connect(server);
         let picks: Vec<usize> = picks.into_iter().map(|p| p % objects).collect();
@@ -74,14 +70,15 @@ proptest! {
         let mut bbufs: Vec<Vec<u8>> = vec![vec![0u8; size]; picks.len()];
         let t = client.read_batch(&mut bptrs, &mut bbufs, SimTime::ZERO).unwrap();
 
-        prop_assert_eq!(&t.value, &seq_lens);
+        ensure_eq!(&t.value, &seq_lens);
         for k in 0..picks.len() {
-            prop_assert_eq!(&bbufs[k], &seq_bufs[k]);
+            ensure_eq!(&bbufs[k], &seq_bufs[k]);
             let mut expect = vec![0u8; size];
             fill_pattern(&mut expect, picks[k] as u64);
-            prop_assert_eq!(&bbufs[k][..seq_lens[k]], &expect[..seq_lens[k]]);
+            ensure_eq!(&bbufs[k][..seq_lens[k]], &expect[..seq_lens[k]]);
         }
-    }
+        Ok(())
+    });
 }
 
 /// Entries whose offset hint is stale (the slot holds a different object)

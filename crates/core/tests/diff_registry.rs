@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 
+use corm_check::{check, ensure, ensure_eq};
 use parking_lot::Mutex;
-use proptest::prelude::*;
 
 use corm_alloc::process::SharedBlock;
 use corm_alloc::{Block, BlockId, ClassId};
@@ -83,48 +83,46 @@ struct Pair {
 }
 
 impl Pair {
-    fn demote(&mut self, src: u64, dst: u64, region: (u32, usize)) -> Result<(), TestCaseError> {
+    fn demote(&mut self, src: u64, dst: u64, region: (u32, usize)) -> Result<(), String> {
         let got = self.reg.demote_to_alias(src, dst, region.0, region.1);
         let want = self.refr.demote(src, dst, region);
         let mut got_bases: Vec<u64> = got.iter().map(|r| r.0).collect();
         got_bases.sort_unstable();
-        prop_assert_eq!(got_bases, want);
+        ensure_eq!(got_bases, want);
         for (base, info) in got {
             let region = self.refr.0[&base].region;
-            prop_assert_eq!((info.target, info.rkey, info.pages), (dst, region.0, region.1));
+            ensure_eq!((info.target, info.rkey, info.pages), (dst, region.0, region.1));
         }
         Ok(())
     }
 
-    fn check(&self) -> Result<(), TestCaseError> {
+    fn check(&self) -> Result<(), String> {
         let live = self.refr.live().len();
-        prop_assert_eq!(self.reg.len(), self.refr.0.len());
-        prop_assert_eq!(self.reg.is_empty(), self.refr.0.is_empty());
-        prop_assert_eq!(self.reg.alias_count(), self.refr.0.len() - live);
-        prop_assert_eq!(self.reg.live_blocks().len(), live);
+        ensure_eq!(self.reg.len(), self.refr.0.len());
+        ensure_eq!(self.reg.is_empty(), self.refr.0.is_empty());
+        ensure_eq!(self.reg.alias_count(), self.refr.0.len() - live);
+        ensure_eq!(self.reg.live_blocks().len(), live);
         for &base in self.blocks.keys() {
             let want = self.refr.0.get(&base);
             let got = self.reg.resolve(base);
-            prop_assert_eq!(got.is_some(), want.is_some(), "base {:#x}", base);
-            prop_assert_eq!(self.reg.homed(base), want.map_or(0, |e| e.homed));
+            ensure_eq!(got.is_some(), want.is_some(), "base {:#x}", base);
+            ensure_eq!(self.reg.homed(base), want.map_or(0, |e| e.homed));
             let info = self.reg.alias_info(base).map(|i| (i.target, (i.rkey, i.pages)));
             let want_info = want.filter(|e| e.reaches != base).map(|e| (e.reaches, e.region));
-            prop_assert_eq!(info, want_info);
+            ensure_eq!(info, want_info);
             if let (Some(got), Some(want)) = (got, want) {
-                prop_assert!(Arc::ptr_eq(&got, &self.blocks[&want.reaches]), "base {:#x}", base);
+                ensure!(Arc::ptr_eq(&got, &self.blocks[&want.reaches]), "base {:#x}", base);
             }
         }
         Ok(())
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn directory_matches_the_reference(
-        ops in prop::collection::vec((0u8..12, any::<u16>(), any::<u16>()), 1..300),
-    ) {
+#[test]
+fn directory_matches_the_reference() {
+    check(64, |g| {
+        let ops =
+            g.vec(1..300, |g| (g.range(0u8..12), g.range(0..=u16::MAX), g.range(0..=u16::MAX)));
         let mut p =
             Pair { reg: BlockRegistry::new(), refr: Reference::default(), blocks: BTreeMap::new() };
         let pick = |from: &[u64], n: u16| from[n as usize % from.len()];
@@ -163,7 +161,7 @@ proptest! {
                         let base = pick(&homing, a);
                         let entry = p.refr.0.get_mut(&base).unwrap();
                         entry.homed -= 1;
-                        prop_assert_eq!(p.reg.home_dec(base), entry.homed);
+                        ensure_eq!(p.reg.home_dec(base), entry.homed);
                     }
                 }
                 // Any base ever issued: live, alias, homing or not, gone.
@@ -177,7 +175,7 @@ proptest! {
                         .filter(|e| e.reaches != base && e.homed == 0)
                         .map(|e| (e.reaches, e.region));
                     let got = p.reg.take_unhomed_alias(base).map(|i| (i.target, (i.rkey, i.pages)));
-                    prop_assert_eq!(got, want);
+                    ensure_eq!(got, want);
                     if want.is_some() {
                         p.refr.0.remove(&base);
                     }
@@ -205,9 +203,10 @@ proptest! {
                 p.demote(src, last, (u32::MAX, 1))?;
             }
             p.check()?;
-            prop_assert_eq!(p.reg.live_blocks().len(), 1);
+            ensure_eq!(p.reg.live_blocks().len(), 1);
         }
-    }
+        Ok(())
+    });
 }
 
 /// Resolvers, home counters and alias takers race a chain of demotes on

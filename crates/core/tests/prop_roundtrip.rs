@@ -1,6 +1,6 @@
 //! Property-based tests of the core codecs and the end-to-end store.
 
-use proptest::prelude::*;
+use corm_check::{check, ensure, ensure_eq, Gen};
 
 use corm_core::consistency::{self, ReadFailure};
 use corm_core::header::{LockState, ObjectHeader};
@@ -12,101 +12,99 @@ fn scatter(header: ObjectHeader, payload: &[u8], slot_bytes: usize) -> Vec<u8> {
     image
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// 128-bit pointer encoding is lossless for any field values.
+#[test]
+fn ptr_codec_roundtrip() {
+    check(128, |g| {
+        let p = GlobalPtr {
+            vaddr: g.range(0..=u64::MAX),
+            rkey: g.range(0..=u32::MAX),
+            obj_id: g.range(0..=u16::MAX),
+            class: g.range(0..=u8::MAX),
+            flags: g.range(0..=u8::MAX),
+        };
+        ensure_eq!(GlobalPtr::decode(p.encode()), p);
+        ensure_eq!(GlobalPtr::from_bytes(p.to_bytes()), p);
+        Ok(())
+    });
+}
 
-    /// 128-bit pointer encoding is lossless for any field values.
-    #[test]
-    fn ptr_codec_roundtrip(
-        vaddr in any::<u64>(),
-        rkey in any::<u32>(),
-        obj_id in any::<u16>(),
-        class in any::<u8>(),
-        flags in any::<u8>(),
-    ) {
-        let p = GlobalPtr { vaddr, rkey, obj_id, class, flags };
-        prop_assert_eq!(GlobalPtr::decode(p.encode()), p);
-        prop_assert_eq!(GlobalPtr::from_bytes(p.to_bytes()), p);
-    }
-
-    /// Header encoding is lossless for any in-range values.
-    #[test]
-    fn header_codec_roundtrip(
-        obj_id in any::<u16>(),
-        version in any::<u8>(),
-        home in 0u32..(1 << 28),
-        lock in 0u8..3,
-        valid in any::<bool>(),
-    ) {
-        let mut h = ObjectHeader::new(obj_id, version, home);
-        h.lock = match lock {
+/// Header encoding is lossless for any in-range values.
+#[test]
+fn header_codec_roundtrip() {
+    check(128, |g| {
+        let (obj_id, version) = (g.range(0..=u16::MAX), g.range(0..=u8::MAX));
+        let mut h = ObjectHeader::new(obj_id, version, g.range(0u32..(1 << 28)));
+        h.lock = match g.range(0u8..3) {
             0 => LockState::Free,
             1 => LockState::WriteLocked,
             _ => LockState::CompactionLocked,
         };
-        h.valid = valid;
-        prop_assert_eq!(ObjectHeader::decode(h.encode()), h);
-    }
+        h.valid = g.bool();
+        ensure_eq!(ObjectHeader::decode(h.encode()), h);
+        Ok(())
+    });
+}
 
-    /// scatter → gather is the identity on payloads for any slot size and
-    /// payload that fits.
-    #[test]
-    fn scatter_gather_identity(
-        slot_exp in 4usize..12, // 16 B – 4 KiB slots (8-aligned below)
-        payload in prop::collection::vec(any::<u8>(), 0..2048),
-        version in any::<u8>(),
-        id in any::<u16>(),
-    ) {
+/// scatter → gather is the identity on payloads for any slot size and
+/// payload that fits.
+#[test]
+fn scatter_gather_identity() {
+    check(128, |g| {
+        let slot_exp = g.range(4usize..12); // 16 B – 4 KiB slots (8-aligned below)
+        let payload = g.vec(0..2048, |g| g.range(0..=u8::MAX));
+        let (version, id) = (g.range(0..=u8::MAX), g.range(0..=u16::MAX));
         let slot = (1usize << slot_exp).max(16);
         let cap = consistency::layout(slot).capacity;
         let payload = &payload[..payload.len().min(cap)];
         let header = ObjectHeader::new(id, version, 1);
         let image = scatter(header, payload, slot);
-        prop_assert_eq!(image.len(), slot);
+        ensure_eq!(image.len(), slot);
         let mut got = vec![0u8; payload.len()];
         let (h, n) = consistency::gather_into(&image, Some(id), &mut got).unwrap();
-        prop_assert_eq!(&got[..n], payload);
-        prop_assert_eq!(h.version, version);
-    }
+        ensure_eq!(&got[..n], payload);
+        ensure_eq!(h.version, version);
+        Ok(())
+    });
+}
 
-    /// Any single-byte corruption of a version byte (or the header's
-    /// version) is detected — the read never silently returns mixed data.
-    #[test]
-    fn torn_cachelines_always_detected(
-        line in 1usize..8,
-        delta in 1u8..=255,
-    ) {
+/// Any single-byte corruption of a version byte (or the header's
+/// version) is detected — the read never silently returns mixed data.
+#[test]
+fn torn_cachelines_always_detected() {
+    check(128, |g| {
+        let (line, delta) = (g.range(1usize..8), g.range(1u8..=255));
         let slot = 512; // 8 cachelines
         let cap = consistency::layout(slot).capacity;
         let payload = vec![0x44u8; cap];
         let header = ObjectHeader::new(9, 100, 1);
         let mut image = scatter(header, &payload, slot);
         image[line * 64] = image[line * 64].wrapping_add(delta);
-        prop_assert_eq!(
+        ensure_eq!(
             consistency::gather_into(&image, Some(9), &mut vec![0u8; cap]),
             Err(ReadFailure::TornRead)
         );
-    }
+        Ok(())
+    });
+}
 
-    /// Pointer offset correction stays within the block and round-trips
-    /// the block base.
-    #[test]
-    fn correction_preserves_block(
-        base_blocks in 0u64..1_000_000,
-        off in 0usize..4096,
-        new_off in 0usize..4096,
-    ) {
+/// Pointer offset correction stays within the block and round-trips
+/// the block base.
+#[test]
+fn correction_preserves_block() {
+    check(128, |g| {
+        let base_blocks = g.range(0u64..1_000_000);
+        let (off, new_off) = (g.range(0usize..4096), g.range(0usize..4096));
         let block_bytes = 4096usize;
-        let vaddr = 0x0000_1000_0000_0000u64
-            + base_blocks * block_bytes as u64
-            + off as u64;
+        let vaddr = 0x0000_1000_0000_0000u64 + base_blocks * block_bytes as u64 + off as u64;
         let mut p = GlobalPtr { vaddr, rkey: 1, obj_id: 2, class: 3, flags: 0 };
         let base = p.block_base(block_bytes);
         p.correct_offset(block_bytes, new_off);
-        prop_assert_eq!(p.block_base(block_bytes), base);
-        prop_assert_eq!(p.block_offset(block_bytes), new_off);
-        prop_assert!(p.references_old_block());
-    }
+        ensure_eq!(p.block_base(block_bytes), base);
+        ensure_eq!(p.block_offset(block_bytes), new_off);
+        ensure!(p.references_old_block());
+        Ok(())
+    });
 }
 
 mod store_model {
@@ -128,21 +126,20 @@ mod store_model {
         Compact,
     }
 
-    fn arb_action() -> impl Strategy<Value = Action> {
-        prop_oneof![
-            3 => (8usize..300).prop_map(|size| Action::Alloc { size }),
-            2 => any::<usize>().prop_map(|pick| Action::Free { pick }),
-            2 => (any::<usize>(), any::<u8>())
-                .prop_map(|(pick, byte)| Action::Write { pick, byte }),
-            2 => any::<usize>().prop_map(|pick| Action::ReadCheck { pick }),
-            1 => Just(Action::Compact),
-        ]
+    fn arb_action(g: &mut Gen) -> Action {
+        match g.weighted(&[3, 2, 2, 2, 1]) {
+            0 => Action::Alloc { size: g.range(8usize..300) },
+            1 => Action::Free { pick: g.range(0..=usize::MAX) },
+            2 => Action::Write { pick: g.range(0..=usize::MAX), byte: g.range(0..=u8::MAX) },
+            3 => Action::ReadCheck { pick: g.range(0..=usize::MAX) },
+            _ => Action::Compact,
+        }
     }
 
     /// Runs `actions` against a fresh two-worker server, checking every
     /// read against the latest bytes written, then reads every live
     /// object back via RPC and via RDMA.
-    fn check_actions(actions: Vec<Action>) -> Result<(), TestCaseError> {
+    fn check_actions(actions: Vec<Action>) -> Result<(), String> {
         let server =
             Arc::new(CormServer::new(ServerConfig { workers: 2, ..ServerConfig::default() }));
         let mut client = CormClient::connect(server.clone());
@@ -176,7 +173,7 @@ mod store_model {
                         .direct_read_with_recovery(&mut live[idx].0, &mut buf, now)
                         .unwrap()
                         .value;
-                    prop_assert_eq!(&buf[..n], &expect[..]);
+                    ensure_eq!(&buf[..n], &expect[..]);
                 }
                 Action::Compact => {
                     let reports = server.compact_if_fragmented(now).unwrap();
@@ -193,24 +190,20 @@ mod store_model {
             let mut p = *ptr;
             let mut buf = vec![0u8; expect.len()];
             let n = client.read(&mut p, &mut buf).unwrap().value;
-            prop_assert_eq!(&buf[..n], &expect[..]);
+            ensure_eq!(&buf[..n], &expect[..]);
             let mut p2 = *ptr;
             let n2 = client.direct_read_with_recovery(&mut p2, &mut buf, now).unwrap().value;
-            prop_assert_eq!(&buf[..n2], &expect[..]);
+            ensure_eq!(&buf[..n2], &expect[..]);
         }
         Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn live_objects_always_recoverable(actions in prop::collection::vec(arb_action(), 1..120)) {
-            check_actions(actions)?;
-        }
+    #[test]
+    fn live_objects_always_recoverable() {
+        check(24, |g| check_actions(g.vec(1..120, arb_action)));
     }
 
-    /// The case real proptest once shrank a failure to: two frees after a
+    /// The case a shrinker once reduced a failure to: two frees after a
     /// compaction, then a recovery read of a survivor.
     #[test]
     fn recorded_case_frees_after_compaction_then_reads() {

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use corm_check::{check, ensure, ensure_eq};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -160,13 +160,11 @@ fn ref_vaddrs(blocks: &[RefShared]) -> Vec<u64> {
     blocks.iter().map(|b| b.borrow().vaddr).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bins_match_the_linear_scan(
-        ops in prop::collection::vec((0u8..16, any::<u8>(), any::<u16>()), 1..400),
-    ) {
+#[test]
+fn bins_match_the_linear_scan() {
+    check(64, |g| {
+        let ops =
+            g.vec(1..400, |g| (g.range(0u8..16), g.range(0..=u8::MAX), g.range(0..=u16::MAX)));
         let n_classes = AllocConfig::default().classes.len();
         let mut real = Side {
             allocs: [ThreadAllocator::new(0, n_classes), ThreadAllocator::new(1, n_classes)],
@@ -187,7 +185,7 @@ proptest! {
                 0..=6 => {
                     let out = real.allocs[who].alloc(class, &real.proc, &mut real.rng).unwrap();
                     let (rblock, want) = refr.allocs[who].alloc(class, &refr.proc, &mut refr.rng);
-                    prop_assert_eq!((out.vaddr, out.slot, out.id, out.refilled), want);
+                    ensure_eq!((out.vaddr, out.slot, out.id, out.refilled), want);
                     live.push((out.block, rblock, out.slot));
                 }
                 // Frees go through the block handle, whichever allocator
@@ -195,14 +193,14 @@ proptest! {
                 7..=11 if !live.is_empty() => {
                     let (block, rblock, slot) = live.swap_remove(b as usize % live.len());
                     let freed = block.lock().free_slot(slot);
-                    prop_assert!(freed.is_some());
-                    prop_assert_eq!(freed, rblock.borrow_mut().free(slot));
+                    ensure!(freed.is_some());
+                    ensure_eq!(freed, rblock.borrow_mut().free(slot));
                 }
                 12 => {
                     let max_occupancy = [0.25, 0.5, 0.9, 1.0][a as usize / 2 % 4];
                     let got = real.allocs[who].collect_for_compaction(class, max_occupancy);
                     let want = refr.allocs[who].collect_for_compaction(class, max_occupancy);
-                    prop_assert_eq!(vaddrs(&got), ref_vaddrs(&want));
+                    ensure_eq!(vaddrs(&got), ref_vaddrs(&want));
                     // Back round-robin, as the compaction leader does.
                     for (i, (block, rblock)) in got.into_iter().zip(want).enumerate() {
                         real.allocs[i % 2].adopt(block);
@@ -212,7 +210,7 @@ proptest! {
                 13 => {
                     let got = real.allocs[who].take_empty_blocks();
                     let want = refr.allocs[who].take_empty_blocks();
-                    prop_assert_eq!(vaddrs(&got), ref_vaddrs(&want));
+                    ensure_eq!(vaddrs(&got), ref_vaddrs(&want));
                     if b % 2 == 0 {
                         for (block, rblock) in got.into_iter().zip(want) {
                             real.allocs[1 - who].adopt(block);
@@ -226,7 +224,7 @@ proptest! {
                     let (block, rblock, _) = &live[b as usize % live.len()];
                     let class = rblock.borrow().class;
                     let removed = real.allocs[who].remove_block(class, block);
-                    prop_assert_eq!(removed, refr.allocs[who].remove_block(class, rblock));
+                    ensure_eq!(removed, refr.allocs[who].remove_block(class, rblock));
                     if removed && op == 15 {
                         real.allocs[1 - who].adopt(block.clone());
                         refr.allocs[1 - who].adopt(rblock.clone());
@@ -236,12 +234,13 @@ proptest! {
             }
             for who in 0..2 {
                 for class in CLASSES {
-                    prop_assert_eq!(
+                    ensure_eq!(
                         vaddrs(real.allocs[who].blocks_in_class(class)),
                         ref_vaddrs(&refr.allocs[who].bins[class.0 as usize])
                     );
                 }
             }
         }
-    }
+        Ok(())
+    });
 }

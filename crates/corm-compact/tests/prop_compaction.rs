@@ -1,6 +1,6 @@
 //! Property-based tests of the compaction algorithms' invariants.
 
-use proptest::prelude::*;
+use corm_check::{check, ensure, ensure_eq, Gen};
 
 use corm_compact::{
     compact_blocks, compaction_probability, BlockModel, CompactorKind, ConflictRule,
@@ -8,14 +8,11 @@ use corm_compact::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn arb_population(
-    max_blocks: usize,
-    slots: usize,
-) -> impl Strategy<Value = (Vec<(usize, u64)>, u32)> {
+fn arb_population(g: &mut Gen, max_blocks: usize, slots: usize) -> (Vec<(usize, u64)>, u32) {
     // (live count, seed) per block + id bits.
     (
-        prop::collection::vec((0..=slots, any::<u64>()), 1..max_blocks),
-        prop_oneof![Just(8u32), Just(12), Just(16)],
+        g.vec(1..max_blocks, |g| (g.range(0..=slots), g.range(0..=u64::MAX))),
+        [8u32, 12, 16][g.weighted(&[1, 1, 1])],
     )
 }
 
@@ -29,49 +26,53 @@ fn build(blocks: &[(usize, u64)], slots: usize, id_bits: u32) -> Vec<BlockModel>
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Compaction never loses or duplicates objects, never overfills a
-    /// block, and never *increases* the block count.
-    #[test]
-    fn merge_conserves_objects((blocks, id_bits) in arb_population(24, 64)) {
+/// Compaction never loses or duplicates objects, never overfills a
+/// block, and never *increases* the block count.
+#[test]
+fn merge_conserves_objects() {
+    check(64, |g| {
+        let (blocks, id_bits) = arb_population(g, 24, 64);
         let population = build(&blocks, 64, id_bits);
         let total_before: usize = population.iter().map(|b| b.live()).sum();
         let count_before = population.len();
         let out = compact_blocks(population, ConflictRule::Ids);
         let total_after: usize = out.blocks.iter().map(|b| b.live()).sum();
-        prop_assert_eq!(total_before, total_after);
-        prop_assert!(out.blocks.len() <= count_before);
-        prop_assert_eq!(out.blocks.len() + out.blocks_freed, count_before);
+        ensure_eq!(total_before, total_after);
+        ensure!(out.blocks.len() <= count_before);
+        ensure_eq!(out.blocks.len() + out.blocks_freed, count_before);
         for b in &out.blocks {
-            prop_assert!(b.live() <= b.slots());
+            ensure!(b.live() <= b.slots());
             // The id/offset sets stay in lockstep.
-            prop_assert_eq!(b.ids().count(), b.offsets().count());
+            ensure_eq!(b.ids().count(), b.offsets().count());
         }
-    }
+        Ok(())
+    });
+}
 
-    /// After a pass, no surviving pair is still mergeable — the greedy
-    /// algorithm runs to a fixpoint for the ID rule.
-    #[test]
-    fn pass_reaches_fixpoint((blocks, id_bits) in arb_population(12, 32)) {
+/// After a pass, no surviving pair is still mergeable — the greedy
+/// algorithm runs to a fixpoint for the ID rule.
+#[test]
+fn pass_reaches_fixpoint() {
+    check(64, |g| {
+        let (blocks, id_bits) = arb_population(g, 12, 32);
         let population = build(&blocks, 32, id_bits);
         let out = compact_blocks(population, ConflictRule::Ids);
         for (i, a) in out.blocks.iter().enumerate() {
             for (j, b) in out.blocks.iter().enumerate() {
                 if i != j && !a.is_empty() && !b.is_empty() {
-                    prop_assert!(
-                        !a.corm_compactable(b),
-                        "blocks {} and {} still mergeable", i, j
-                    );
+                    ensure!(!a.corm_compactable(b), "blocks {} and {} still mergeable", i, j);
                 }
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Mesh-rule compaction preserves every object's offset.
-    #[test]
-    fn mesh_merge_preserves_offsets(seeds in prop::collection::vec(any::<u64>(), 2..16)) {
+/// Mesh-rule compaction preserves every object's offset.
+#[test]
+fn mesh_merge_preserves_offsets() {
+    check(64, |g| {
+        let seeds = g.vec(2..16, |g| g.range(0..=u64::MAX));
         let slots = 32;
         let mut population = Vec::new();
         let mut all_offsets_before = Vec::new();
@@ -86,19 +87,20 @@ proptest! {
         let out = compact_blocks(population, ConflictRule::Offsets);
         let mut after: Vec<usize> = out.blocks.iter().flat_map(|b| b.offsets().iter()).collect();
         after.sort_unstable();
-        prop_assert_eq!(all_offsets_before, after);
-        prop_assert_eq!(out.objects_moved, 0, "mesh never relocates");
-    }
+        ensure_eq!(all_offsets_before, after);
+        ensure_eq!(out.objects_moved, 0, "mesh never relocates");
+        Ok(())
+    });
+}
 
-    /// The closed-form probability is within Monte-Carlo noise of actual
-    /// conflict sampling over random block pairs.
-    #[test]
-    fn probability_matches_sampling(
-        b1 in 1usize..40,
-        b2 in 1usize..40,
-        id_bits in prop_oneof![Just(8u32), Just(10)],
-        seed in any::<u64>(),
-    ) {
+/// The closed-form probability is within Monte-Carlo noise of actual
+/// conflict sampling over random block pairs.
+#[test]
+fn probability_matches_sampling() {
+    check(64, |g| {
+        let (b1, b2) = (g.range(1usize..40), g.range(1usize..40));
+        let id_bits = [8u32, 10][g.weighted(&[1, 1])];
+        let seed = g.range(0..=u64::MAX);
         let slots = 96usize;
         let n = 1usize << id_bits;
         let trials = 300;
@@ -115,33 +117,40 @@ proptest! {
         let closed = compaction_probability(n as u64, slots as u64, b1 as u64, b2 as u64);
         // 300 trials → generous tolerance; exactness is covered by the
         // unit tests, this guards against systematic bias.
-        prop_assert!(
-            (empirical - closed).abs() < 0.12,
-            "empirical {} vs closed {}", empirical, closed
-        );
-    }
+        ensure!((empirical - closed).abs() < 0.12, "empirical {} vs closed {}", empirical, closed);
+        Ok(())
+    });
+}
 
-    /// Hybrid CoRM compacts every class (never returns `None`) and vanilla
-    /// CoRM only refuses classes whose slot count exceeds the ID space.
-    #[test]
-    fn class_gating(id_bits in 1u32..=16, slots_log in 1u32..=16) {
+/// Hybrid CoRM compacts every class (never returns `None`) and vanilla
+/// CoRM only refuses classes whose slot count exceeds the ID space.
+#[test]
+fn class_gating() {
+    check(64, |g| {
+        let (id_bits, slots_log) = (g.range(1u32..=16), g.range(1u32..=16));
         let slots = 1usize << slots_log;
         let vanilla = CompactorKind::Corm { id_bits };
         let hybrid = CompactorKind::Hybrid { id_bits };
-        prop_assert!(hybrid.class_rule(slots).is_some());
+        ensure!(hybrid.class_rule(slots).is_some());
         let expect_enabled = (1usize << id_bits) >= slots;
-        prop_assert_eq!(vanilla.class_rule(slots).is_some(), expect_enabled);
-    }
+        ensure_eq!(vanilla.class_rule(slots).is_some(), expect_enabled);
+        Ok(())
+    });
+}
 
-    /// Ideal ≤ CoRM-16 ≤ No-compaction in block counts, always.
-    #[test]
-    fn strategy_sandwich((blocks, _bits) in arb_population(16, 64)) {
+/// Ideal ≤ CoRM-16 ≤ No-compaction in block counts, always.
+#[test]
+fn strategy_sandwich() {
+    check(64, |g| {
+        let (blocks, _bits) = arb_population(g, 16, 64);
         use corm_compact::strategy::apply_strategy;
         let population = build(&blocks, 64, 16);
         let ideal = apply_strategy(CompactorKind::Ideal, 4096, 64, population.clone());
-        let corm = apply_strategy(CompactorKind::Corm { id_bits: 16 }, 4096, 64, population.clone());
+        let corm =
+            apply_strategy(CompactorKind::Corm { id_bits: 16 }, 4096, 64, population.clone());
         let none = apply_strategy(CompactorKind::NoCompaction, 4096, 64, population);
-        prop_assert!(ideal.blocks_after <= corm.blocks_after);
-        prop_assert!(corm.blocks_after <= none.blocks_after);
-    }
+        ensure!(ideal.blocks_after <= corm.blocks_after);
+        ensure!(corm.blocks_after <= none.blocks_after);
+        Ok(())
+    });
 }

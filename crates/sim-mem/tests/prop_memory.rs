@@ -2,21 +2,17 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use corm_check::{check, ensure, ensure_eq};
 
 use corm_sim_mem::{AddressSpace, MemError, PhysicalMemory, PAGE_SIZE};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// CPU reads always return the last CPU write, for arbitrary offsets
-    /// and lengths, including page-crossing accesses.
-    #[test]
-    fn read_your_writes(
-        pages in 1usize..4,
-        offset in 0usize..8192,
-        data in prop::collection::vec(any::<u8>(), 1..512),
-    ) {
+/// CPU reads always return the last CPU write, for arbitrary offsets
+/// and lengths, including page-crossing accesses.
+#[test]
+fn read_your_writes() {
+    check(64, |g| {
+        let (pages, offset) = (g.range(1usize..4), g.range(0usize..8192));
+        let data = g.vec(1..512, |g| g.range(0..=u8::MAX));
         let pm = Arc::new(PhysicalMemory::new());
         let frames = pm.alloc_n(pages).unwrap();
         let aspace = AddressSpace::new(pm);
@@ -25,19 +21,23 @@ proptest! {
         let offset = offset % span;
         if offset + data.len() > span {
             // Out-of-mapping access must fail without partial effects.
-            prop_assert!(aspace.write(va + offset as u64, &data).is_err());
+            ensure!(aspace.write(va + offset as u64, &data).is_err());
             return Ok(());
         }
         aspace.write(va + offset as u64, &data).unwrap();
         let mut buf = vec![0u8; data.len()];
         aspace.read(va + offset as u64, &mut buf).unwrap();
-        prop_assert_eq!(buf, data);
-    }
+        ensure_eq!(buf, data);
+        Ok(())
+    });
+}
 
-    /// Remapping sequences keep refcounts exact: after unmapping
-    /// everything, only allocator references remain.
-    #[test]
-    fn refcounts_balance(ops in prop::collection::vec(0usize..3, 1..30)) {
+/// Remapping sequences keep refcounts exact: after unmapping
+/// everything, only allocator references remain.
+#[test]
+fn refcounts_balance() {
+    check(64, |g| {
+        let ops = g.vec(1..30, |g| g.range(0usize..3));
         let pm = Arc::new(PhysicalMemory::new());
         let f1 = pm.alloc().unwrap();
         let f2 = pm.alloc().unwrap();
@@ -55,14 +55,18 @@ proptest! {
             }
         }
         aspace.munmap(va, 1).unwrap();
-        prop_assert_eq!(pm.ref_count(f1), 1);
-        prop_assert_eq!(pm.ref_count(f2), 1);
-        prop_assert!(aspace.translate(va).is_err());
-    }
+        ensure_eq!(pm.ref_count(f1), 1);
+        ensure_eq!(pm.ref_count(f2), 1);
+        ensure!(aspace.translate(va).is_err());
+        Ok(())
+    });
+}
 
-    /// Epochs strictly increase across remaps of the same page.
-    #[test]
-    fn epochs_monotonic(n in 1usize..20) {
+/// Epochs strictly increase across remaps of the same page.
+#[test]
+fn epochs_monotonic() {
+    check(64, |g| {
+        let n = g.range(1usize..20);
         let pm = Arc::new(PhysicalMemory::new());
         let f1 = pm.alloc().unwrap();
         let f2 = pm.alloc().unwrap();
@@ -73,23 +77,28 @@ proptest! {
             let target = if i % 2 == 0 { f2 } else { f1 };
             aspace.remap(va, &[target]).unwrap();
             let e = aspace.translate(va).unwrap().epoch;
-            prop_assert!(e > last);
+            ensure!(e > last);
             last = e;
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Frame bounds are enforced exactly.
-    #[test]
-    fn frame_bounds(offset in 0usize..5000, len in 0usize..5000) {
+/// Frame bounds are enforced exactly.
+#[test]
+fn frame_bounds() {
+    check(64, |g| {
+        let (offset, len) = (g.range(0usize..5000), g.range(0usize..5000));
         let pm = PhysicalMemory::new();
         let f = pm.alloc().unwrap();
         let mut buf = vec![0u8; len];
         let result = pm.read(f, offset, &mut buf);
         if offset + len <= PAGE_SIZE {
-            prop_assert!(result.is_ok());
+            ensure!(result.is_ok());
         } else {
             let bounds = matches!(result, Err(MemError::FrameBounds { .. }));
-            prop_assert!(bounds);
+            ensure!(bounds);
         }
-    }
+        Ok(())
+    });
 }

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use corm_check::{check, ensure_eq};
 
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::{AddressSpace, FrameId, MemError, PhysicalMemory, Translation, PAGE_SIZE};
@@ -149,14 +149,14 @@ impl Reference {
 fn settled<T: std::fmt::Debug>(
     got: Result<T, RdmaError>,
     pages: Result<Vec<Translation>, MemError>,
-) -> Result<Option<(T, Vec<Translation>)>, TestCaseError> {
+) -> Result<Option<(T, Vec<Translation>)>, String> {
     match (got, pages) {
         (Ok(value), Ok(fresh)) => Ok(Some((value, fresh))),
         (Err(e), Err(unmapped)) => {
-            prop_assert_eq!(e, RdmaError::Mem(unmapped));
+            ensure_eq!(e, RdmaError::Mem(unmapped));
             Ok(None)
         }
-        (got, want) => Err(TestCaseError::fail(format!("verb {got:?}, page table {want:?}"))),
+        (got, want) => Err(format!("verb {got:?}, page table {want:?}")),
     }
 }
 
@@ -176,10 +176,10 @@ fn untranslated(model: &Reference, mr: &MemoryRegion, start: u64, len: usize) ->
 
 /// Puts `n` verbs that fail on their key to the NIC: each takes its fault
 /// draw and nothing else.
-fn spend_verbs(rnic: &Rnic, n: usize) -> Result<(), TestCaseError> {
+fn spend_verbs(rnic: &Rnic, n: usize) -> Result<(), String> {
     for _ in 0..n {
         let bad = rnic.read(0xdead, 0, &mut [0u8; 8], SimTime::ZERO);
-        prop_assert_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
+        ensure_eq!(bad, Err(RdmaError::InvalidKey(0xdead)));
     }
     Ok(())
 }
@@ -193,27 +193,22 @@ fn settle_read(
     buf: &[u8],
     got: Result<VerbOutcome, RdmaError>,
     want: Result<(Vec<FrameId>, bool, u32), RdmaError>,
-) -> Result<(), TestCaseError> {
+) -> Result<(), String> {
     match (got, want) {
         (Ok(out), Ok((frames, all_hit, odp_misses))) => {
-            prop_assert_eq!(
-                (out.cache_hit, out.odp_misses),
-                (all_hit, odp_misses),
-                "step {}",
-                step
-            );
+            ensure_eq!((out.cache_hit, out.odp_misses), (all_hit, odp_misses), "step {}", step);
             for (k, byte) in buf.iter().enumerate() {
                 let frame = frames[((start + k as u64) / PAGE - start / PAGE) as usize];
-                prop_assert_eq!(*byte, frame.0 as u8, "step {} byte {}", step, k);
+                ensure_eq!(*byte, frame.0 as u8, "step {} byte {}", step, k);
             }
         }
-        (Err(got), Err(want)) => prop_assert_eq!(got, want, "step {}", step),
-        (got, want) => prop_assert!(false, "step {step}: read {got:?} vs {want:?}"),
+        (Err(got), Err(want)) => ensure_eq!(got, want, "step {}", step),
+        (got, want) => return Err(format!("step {step}: read {got:?} vs {want:?}")),
     }
     Ok(())
 }
 
-fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
+fn run(capacity: usize, steps: &[Step]) -> Result<(), String> {
     let pm = Arc::new(PhysicalMemory::new());
     let aspace = Arc::new(AddressSpace::new(pm.clone()));
     let frames: Vec<FrameId> = (0..PAGES).map(|_| tagged_frame(&pm)).collect();
@@ -271,7 +266,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                     model.mtt.remove(&(mr.base / PAGE + p));
                     model.uncache(mr.base / PAGE + p);
                 }
-                prop_assert_eq!(rnic.deregister(mr.rkey), Err(RdmaError::InvalidKey(mr.rkey)));
+                ensure_eq!(rnic.deregister(mr.rkey), Err(RdmaError::InvalidKey(mr.rkey)));
             }
             (2, Some(mr)) => {
                 let got = rnic.rereg(&[mr.rkey], now);
@@ -284,7 +279,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                 let (base, pages) = (mr.base + skip as u64 * PAGE, mr.pages - skip);
                 let got = rnic.advise(&[(mr.rkey, base, pages)]);
                 if !mr.odp {
-                    prop_assert_eq!(got, Err(RdmaError::OdpUnsupported));
+                    ensure_eq!(got, Err(RdmaError::OdpUnsupported));
                 } else {
                     // Page by page, up to the first that does not translate.
                     let mut want = Ok(());
@@ -297,7 +292,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                             }
                         };
                     }
-                    prop_assert_eq!(got.map(drop), want, "step {}", i);
+                    ensure_eq!(got.map(drop), want, "step {}", i);
                 }
             }
             (4, _) => {
@@ -351,13 +346,13 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                 for (verb, (req, got)) in reqs.iter().zip(&results).enumerate() {
                     let got = got.result.clone();
                     if broken {
-                        prop_assert_eq!(got, Err(RdmaError::QpBroken), "step {}", i);
+                        ensure_eq!(got, Err(RdmaError::QpBroken), "step {}", i);
                         continue;
                     }
                     served += 1;
                     broken = got.is_err();
                     if req.rkey != mr.rkey {
-                        prop_assert_eq!(got, Err(RdmaError::InvalidKey(req.rkey)), "step {}", i);
+                        ensure_eq!(got, Err(RdmaError::InvalidKey(req.rkey)), "step {}", i);
                         continue;
                     }
                     let (first, last) = (req.va / PAGE, (req.va + req.len as u64 - 1) / PAGE);
@@ -372,14 +367,14 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
         }
         for p in 0..PAGES as u64 {
             let (page_va, vpn) = (va + p * PAGE, va / PAGE + p);
-            prop_assert_eq!(
+            ensure_eq!(
                 rnic.mtt_lookup(page_va),
                 model.mtt.get(&vpn).map(|t| t.frame),
                 "step {} page {}: translation",
                 i,
                 p
             );
-            prop_assert_eq!(
+            ensure_eq!(
                 rnic.mtt_cached(page_va),
                 model.cached[vpn as usize % SHARDS].contains(&vpn),
                 "step {} page {}: cached",
@@ -387,19 +382,18 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), TestCaseError> {
                 p
             );
         }
-        prop_assert_eq!(rnic.cache_stats(), (model.hits, model.misses), "step {}", i);
+        ensure_eq!(rnic.cache_stats(), (model.hits, model.misses), "step {}", i);
     }
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn mtt_and_cache_match_the_reference(
-        capacity in 1usize..=64,
-        steps in prop::collection::vec((0u8..12, 0usize..10_000, 0usize..10_000, any::<bool>()), 1..=2_000),
-    ) {
-        run(capacity, &steps)?;
-    }
+#[test]
+fn mtt_and_cache_match_the_reference() {
+    check(64, |g| {
+        let capacity = g.range(1usize..=64);
+        let steps = g.vec(1..=2_000, |g| {
+            (g.range(0u8..12), g.range(0usize..10_000), g.range(0usize..10_000), g.bool())
+        });
+        run(capacity, &steps)
+    });
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use corm_check::{check, ensure, ensure_eq};
 
 use corm_sim_core::time::SimTime;
 use corm_sim_mem::{AddressSpace, PhysicalMemory, PAGE_SIZE};
@@ -52,28 +52,29 @@ fn adapter_state(rnic: &Rnic, qp: &QueuePair) -> impl PartialEq + std::fmt::Debu
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The queued façade (`post` + `ring_doorbell` + `poll_cq`) and the
-    /// synchronous doorbell under it (`read_batch_into`) agree: for random
-    /// batches — page-crossing reads, neighbours on one page, bad rkeys,
-    /// reads off the region's end, a scripted fault of any kind at a
-    /// random index — under every scheduling discipline and unit count,
-    /// they produce the same `(wr_id, completed_at, result)` per entry, the
-    /// same payload bytes, and leave NIC and QP in the same state. Three
-    /// doorbells per case: the second finds the QP broken if the first
-    /// broke it, the third follows a reconnect.
-    #[test]
-    fn queued_and_synchronous_adapters_agree(
-        batch in prop::collection::vec(
-            (0usize..ADAPTER_PAGES, 0usize..PAGE_SIZE, 2usize..300, 0u8..16, 0u32..12),
-            1..=32,
-        ),
-        fault in (0u64..40, 0u8..5),
-        qos in 0u8..3,
-        units in 1usize..=4,
-    ) {
+/// The queued façade (`post` + `ring_doorbell` + `poll_cq`) and the
+/// synchronous doorbell under it (`read_batch_into`) agree: for random
+/// batches — page-crossing reads, neighbours on one page, bad rkeys,
+/// reads off the region's end, a scripted fault of any kind at a
+/// random index — under every scheduling discipline and unit count,
+/// they produce the same `(wr_id, completed_at, result)` per entry, the
+/// same payload bytes, and leave NIC and QP in the same state. Three
+/// doorbells per case: the second finds the QP broken if the first
+/// broke it, the third follows a reconnect.
+#[test]
+fn queued_and_synchronous_adapters_agree() {
+    check(48, |g| {
+        let batch = g.vec(1..=32, |g| {
+            (
+                g.range(0usize..ADAPTER_PAGES),
+                g.range(0usize..PAGE_SIZE),
+                g.range(2usize..300),
+                g.range(0u8..16),
+                g.range(0u32..12),
+            )
+        });
+        let fault = (g.range(0u64..40), g.range(0u8..5));
+        let (qos, units) = (g.range(0u8..3), g.range(1usize..=4));
         let config = RnicConfig {
             processing_units: units,
             qos: match qos {
@@ -97,7 +98,7 @@ proptest! {
         };
         let (rnic_q, qp_q, rkey, va) = adapter_setup(config.clone());
         let (rnic_s, qp_s, rkey_s, va_s) = adapter_setup(config);
-        prop_assert_eq!((rkey, va), (rkey_s, va_s));
+        ensure_eq!((rkey, va), (rkey_s, va_s));
         let mut last_page = 0;
         let reqs: Vec<ReadReq> = batch
             .iter()
@@ -128,60 +129,65 @@ proptest! {
         for (round, now) in [3u64, 50, 100].into_iter().enumerate() {
             let now = SimTime::from_micros(now);
             if round == 2 {
-                prop_assert_eq!(qp_q.reconnect(), qp_s.reconnect());
+                ensure_eq!(qp_q.reconnect(), qp_s.reconnect());
             }
             for req in &reqs {
                 qp_q.post(*req);
             }
-            prop_assert_eq!(qp_q.ring_doorbell(now), reqs.len());
+            ensure_eq!(qp_q.ring_doorbell(now), reqs.len());
             let comps = qp_q.poll_cq(usize::MAX);
             qp_s.read_batch_into(&reqs, &mut outs, now, &mut results);
             // In completion order, the synchronous results are the queued
             // completions.
             results.sort_by_key(|r| r.completed_at);
-            prop_assert_eq!(comps.len(), results.len());
+            ensure_eq!(comps.len(), results.len());
             for (c, r) in comps.iter().zip(&results) {
-                prop_assert_eq!(
+                ensure_eq!(
                     (c.wr_id, c.completed_at, &c.result),
                     (r.wr_id, r.completed_at, &r.result)
                 );
                 if c.is_ok() {
-                    prop_assert_eq!(&c.data[..], &outs[c.wr_id as usize][..]);
+                    ensure_eq!(&c.data[..], &outs[c.wr_id as usize][..]);
                 } else {
-                    prop_assert!(c.data.is_empty());
+                    ensure!(c.data.is_empty());
                 }
             }
-            prop_assert_eq!(adapter_state(&rnic_q, &qp_q), adapter_state(&rnic_s, &qp_s));
+            ensure_eq!(adapter_state(&rnic_q, &qp_q), adapter_state(&rnic_s, &qp_s));
         }
-    }
+        Ok(())
+    });
+}
 
-    /// RDMA reads return exactly what the CPU wrote, for arbitrary
-    /// offsets/lengths inside the region (including page-crossing).
-    #[test]
-    fn rdma_read_your_writes(
-        pages in 1usize..4,
-        offset in 0usize..(3 * PAGE_SIZE),
-        data in prop::collection::vec(any::<u8>(), 1..300),
-    ) {
+/// RDMA reads return exactly what the CPU wrote, for arbitrary
+/// offsets/lengths inside the region (including page-crossing).
+#[test]
+fn rdma_read_your_writes() {
+    check(48, |g| {
+        let (pages, offset) = (g.range(1usize..4), g.range(0usize..(3 * PAGE_SIZE)));
+        let data = g.vec(1..300, |g| g.range(0..=u8::MAX));
         let (aspace, rnic, va) = setup(pages);
         let (mr, _) = rnic.register(va, pages, false).unwrap();
         let span = pages * PAGE_SIZE;
         let offset = offset % span;
         if offset + data.len() > span {
             let mut buf = vec![0u8; data.len()];
-            prop_assert!(rnic.read(mr.rkey, va + offset as u64, &mut buf, SimTime::ZERO).is_err());
+            ensure!(rnic.read(mr.rkey, va + offset as u64, &mut buf, SimTime::ZERO).is_err());
             return Ok(());
         }
         aspace.write(va + offset as u64, &data).unwrap();
         let mut buf = vec![0u8; data.len()];
         rnic.read(mr.rkey, va + offset as u64, &mut buf, SimTime::ZERO).unwrap();
-        prop_assert_eq!(buf, data);
-    }
+        ensure_eq!(buf, data);
+        Ok(())
+    });
+}
 
-    /// After any remap sequence, an ODP region's reads always agree with
-    /// the CPU view, paying at most one miss per remap.
-    #[test]
-    fn odp_always_coherent(flips in prop::collection::vec(any::<bool>(), 1..12)) {
+/// After any remap sequence, an ODP region's reads always agree with
+/// the CPU view, paying at most one miss per remap.
+#[test]
+fn odp_always_coherent() {
+    check(48, |g| {
+        let flips = g.vec(1..12, |g| g.bool());
         let pm = Arc::new(PhysicalMemory::new());
         let f1 = pm.alloc().unwrap();
         let f2 = pm.alloc().unwrap();
@@ -200,16 +206,20 @@ proptest! {
             aspace.write(va, &tag).unwrap();
             let mut buf = [0u8; 4];
             let out = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-            prop_assert_eq!(buf, tag, "ODP read diverged at step {}", i);
+            ensure_eq!(buf, tag, "ODP read diverged at step {}", i);
             total_misses += out.odp_misses;
         }
-        prop_assert!(total_misses as usize <= remaps + 1, "{total_misses} misses for {remaps} remaps");
-    }
+        ensure!(total_misses as usize <= remaps + 1, "{total_misses} misses for {remaps} remaps");
+        Ok(())
+    });
+}
 
-    /// Non-ODP regions are exactly snapshot-consistent: reads reflect the
-    /// mapping at registration (or last rereg) time, never the page table.
-    #[test]
-    fn non_odp_reads_are_snapshots(writes in prop::collection::vec(any::<u8>(), 1..8)) {
+/// Non-ODP regions are exactly snapshot-consistent: reads reflect the
+/// mapping at registration (or last rereg) time, never the page table.
+#[test]
+fn non_odp_reads_are_snapshots() {
+    check(48, |g| {
+        let writes = g.vec(1..8, |g| g.range(0..=u8::MAX));
         let pm = Arc::new(PhysicalMemory::new());
         let f_old = pm.alloc().unwrap();
         let f_new = pm.alloc().unwrap();
@@ -225,7 +235,7 @@ proptest! {
         }
         let mut buf = [0u8; 4];
         rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-        prop_assert_eq!(&buf, b"OLD!", "stale snapshot must read the old frame");
+        ensure_eq!(&buf, b"OLD!", "stale snapshot must read the old frame");
         // rereg resynchronizes.
         let t0 = SimTime::from_micros(50);
         let cost = rnic.rereg(&[mr.rkey], t0).unwrap();
@@ -233,13 +243,17 @@ proptest! {
         rnic.read(mr.rkey, va, &mut buf2, t0 + cost).unwrap();
         let mut cpu = [0u8; 4];
         aspace.read(va, &mut cpu).unwrap();
-        prop_assert_eq!(buf2, cpu);
-    }
+        ensure_eq!(buf2, cpu);
+        Ok(())
+    });
+}
 
-    /// Cache hit/miss accounting is exact for any access pattern: hits +
-    /// misses equals the number of page translations performed.
-    #[test]
-    fn cache_accounting_exact(accesses in prop::collection::vec(0usize..8, 1..64)) {
+/// Cache hit/miss accounting is exact for any access pattern: hits +
+/// misses equals the number of page translations performed.
+#[test]
+fn cache_accounting_exact() {
+    check(48, |g| {
+        let accesses = g.vec(1..64, |g| g.range(0usize..8));
         let (_aspace, rnic, va) = setup(8);
         let (mr, _) = rnic.register(va, 8, false).unwrap();
         let mut buf = [0u8; 16];
@@ -247,9 +261,10 @@ proptest! {
             rnic.read(mr.rkey, va + (page * PAGE_SIZE) as u64, &mut buf, SimTime::ZERO).unwrap();
         }
         let (hits, misses) = rnic.cache_stats();
-        prop_assert_eq!(hits + misses, accesses.len() as u64);
+        ensure_eq!(hits + misses, accesses.len() as u64);
         // Distinct pages touched = cold misses (cache holds 16K entries).
         let distinct: std::collections::HashSet<_> = accesses.iter().collect();
-        prop_assert_eq!(misses, distinct.len() as u64);
-    }
+        ensure_eq!(misses, distinct.len() as u64);
+        Ok(())
+    });
 }

@@ -2,7 +2,7 @@
 //! one-sided "NIC" readers genuinely interleave, exercising the cacheline
 //! versioning protocol the way the paper's hardware does.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use corm::core::client::CormClient;
@@ -14,7 +14,13 @@ use corm::sim_core::time::SimTime;
 /// A lock-free RDMA reader racing an RPC writer on one object must only
 /// ever observe complete payloads: every accepted read is entirely one
 /// writer generation. Torn intermediate states must be rejected by the
-/// version check, never returned.
+/// version check, never returned. The one exception the protocol allows
+/// is the 8-bit version ABA the paper's scheme inherits from FaRM: a mixed
+/// image whose lines all carry matching version bytes, which takes at
+/// least 256 writes landing while the reader copies (impossible at
+/// hardware DMA speeds, possible here when the OS deschedules the reader
+/// mid-copy). The writer publishes how many writes it has completed, so
+/// each accepted mixed image is held to that rule exactly.
 #[test]
 fn direct_reads_never_observe_torn_writes() {
     let server = Arc::new(CormServer::new(ServerConfig { workers: 2, ..ServerConfig::default() }));
@@ -26,9 +32,10 @@ fn direct_reads_never_observe_torn_writes() {
     setup.write(&mut ptr, &vec![0u8; size]).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let completed = Arc::new(AtomicU64::new(0));
     let writer = {
         let server = server.clone();
-        let stop = stop.clone();
+        let (stop, completed) = (stop.clone(), completed.clone());
         let mut ptr = ptr;
         std::thread::spawn(move || {
             let mut client = CormClient::connect(server);
@@ -38,6 +45,7 @@ fn direct_reads_never_observe_torn_writes() {
                 client.write(&mut ptr, &vec![gen; size]).unwrap();
                 gen = gen.wrapping_add(1);
                 writes += 1;
+                completed.store(writes, Ordering::Release);
             }
             writes
         })
@@ -48,28 +56,32 @@ fn direct_reads_never_observe_torn_writes() {
     let mut rejected = 0u64;
     let mut aba_wraps = 0u64;
     let mut buf = vec![0u8; size];
-    // 60k reads gives solid ABA statistics. Detection itself is
-    // scheduler-dependent: on a single-CPU host a reader only observes the
-    // locked/torn window when the OS preempts the writer mid-update, so if
-    // no rejection has landed yet keep reading — up to a hard cap that
-    // still fails fast when the detection machinery is actually broken.
+    // Detection is scheduler-dependent: on a single-CPU host a reader only
+    // observes the locked/torn window when the OS preempts the writer
+    // mid-update, so if no rejection has landed after 60k reads keep
+    // reading — up to a hard cap that still fails fast when the detection
+    // machinery is actually broken.
     let mut reads = 0u64;
     while reads < 60_000 || (rejected == 0 && reads < 2_000_000) {
         reads += 1;
+        let before = completed.load(Ordering::Acquire);
         let out = reader.direct_read(&ptr, &mut buf, SimTime::ZERO).unwrap();
+        let landed = completed.load(Ordering::Acquire) - before;
         match out.value {
             ReadOutcome::Ok(n) => {
                 accepted += 1;
-                // Uniformity: the accepted image should be one writer
-                // generation. The sole legitimate exception is the 8-bit
-                // version ABA the paper's scheme inherits from FaRM: if
-                // exactly k*256 writes land while the reader is descheduled
-                // mid-copy, mixed generations carry matching version bytes.
-                // Impossible at hardware DMA speeds; rare-but-possible
-                // under OS preemption in this simulation. Assert the true
-                // guarantee: single-generation except a vanishing ABA tail.
-                let first = buf[0];
-                if !buf[..n].iter().all(|&b| b == first) {
+                if let Some(at) = buf[..n].iter().position(|&b| b != buf[0]) {
+                    // Lines of two generations pass the version check only
+                    // if their 8-bit versions wrapped to match: 256 writes
+                    // landed during the read, less one that may straddle
+                    // each end of it.
+                    assert!(
+                        landed >= 254,
+                        "accepted a mixed image while {landed} writes completed: generation \
+                         {} up to byte {at}, then {}",
+                        buf[0],
+                        buf[at]
+                    );
                     aba_wraps += 1;
                 }
             }
@@ -82,11 +94,7 @@ fn direct_reads_never_observe_torn_writes() {
     let writes = writer.join().unwrap();
     assert!(accepted > 0, "reader starved");
     assert!(writes > 0, "writer starved");
-    assert!(
-        (aba_wraps as f64) <= (accepted as f64 * 0.001).max(2.0),
-        "{aba_wraps} mixed-generation reads in {accepted} accepted — more than version-wrap \
-         ABA can explain"
-    );
+    println!("version-wrap ABAs: {aba_wraps} of {accepted} accepted reads ({writes} writes)");
     // With a hot writer the race window is real: expect some rejections
     // (this asserts the detection machinery actually fires).
     assert!(
