@@ -591,8 +591,8 @@ mod tests {
         assert_eq!(t.rows().count(), 2);
     }
 
-    /// The CSV of a sheet fed strings is byte for byte what the string
-    /// table it replaced (`Table::to_csv`, through PR 16) wrote.
+    /// A field holding a comma or a quote is quoted, with its quotes
+    /// doubled; a plain or empty field is written as is.
     #[test]
     fn csv_escapes() {
         let mut t = Sheet::new("x", &["a", "b,c"]);

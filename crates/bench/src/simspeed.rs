@@ -2,8 +2,8 @@
 //! virtual-time results fold into fingerprints pinned here as constants.
 //! Perf work may make the cells faster, never different — a fingerprint
 //! that moves means seeded behaviour changed. Nothing here reads the wall
-//! clock: the host-time instrument is `benchmark/` (DESIGN §12 records why
-//! the speed floor and the events/sec table went).
+//! clock: the host-time instrument is `benchmark/` (DESIGN §12 says why
+//! there is only one).
 //!
 //! - **fig12 cell** — the closed-loop event-driven simulator
 //!   ([`run_closed_loop`]) under a Zipf read/write mix: exercises the

@@ -16,8 +16,8 @@
 //!
 //! Virtual-time accounting follows the lane layout: merges on different
 //! lanes overlap (the pass's merge cost is the per-lane makespan, like the
-//! RNIC's parallel processing units), while `compaction_lanes: 1`
-//! reproduces the historical serial schedule byte for byte. A
+//! RNIC's parallel processing units), while with `compaction_lanes: 1`
+//! one lane runs the merges back to back in plan order. A
 //! `compaction_budget` bounds how long the pass runs between yields: at
 //! each yield the lanes synchronize, the caller (e.g. [`super::threaded`])
 //! interleaves queued RPCs, and the pass resumes — so serving latency

@@ -83,8 +83,8 @@ pub struct ServerConfig {
     pub rnic: RnicConfig,
     /// Parallel merge lanes in a compaction pass. Disjoint merge
     /// components overlap in virtual time across lanes (the merge phase
-    /// costs the per-lane makespan); 1 reproduces the historical serial
-    /// schedule byte for byte.
+    /// costs the per-lane makespan); with 1, one lane runs the merges back
+    /// to back in plan order.
     pub compaction_lanes: usize,
     /// Pause budget (virtual time) for pause-bounded compaction passes:
     /// after this much merge-phase time the pass yields so queued RPCs can

@@ -1,17 +1,17 @@
 //! Merge planning for the compaction engine.
 //!
-//! The leader used to interleave pairing decisions with merge execution:
-//! one serial loop picked the next `(src, dst)` pair and immediately merged
-//! it. [`MergePlan::build`] lifts the *same greedy pairing* out into an
-//! up-front plan — [`corm_compact::greedy_pass`], the one copy of the
-//! §3.1.4 loop, asking the candidates' own ID tables whether a pair is
-//! compatible, so the planned sequence is byte-identical to what the old
-//! loop would have executed — and then partitions the merges into
-//! **disjoint lanes**:
-//! merges that share no block (directly or transitively through a shared
-//! destination or a chain) land on different lanes and can overlap in
-//! virtual time, mirroring the RNIC's parallel processing units. With one
-//! lane the plan degenerates to the old serial schedule exactly.
+//! [`MergePlan::build`] plans a pass's merges before any of them runs, in
+//! greedy order: [`corm_compact::greedy_pass`], the one copy of the §3.1.4
+//! loop, tries each candidate in ascending live count as a source against
+//! the surviving candidates from the fullest down, and plans the first
+//! pair the blocks' own ID tables find compatible. That is the order
+//! `greedy_pass` yields over the candidates' `BlockModel`s, and
+//! `plan_matches_greedy_pass_over_block_models` holds the two equal. The
+//! merges are then partitioned into **disjoint lanes**: merges that share
+//! no block (directly or transitively through a shared destination or a
+//! chain) land on different lanes and can overlap in virtual time,
+//! mirroring the RNIC's parallel processing units. One lane runs the
+//! merges back to back in plan order.
 //!
 //! Planning itself is pure metadata work (no data-plane access, no RNG
 //! draws) and is charged zero virtual time.
@@ -257,9 +257,8 @@ mod tests {
     }
 
     /// `MergePlan::build` asks the blocks' own ID tables; the reference is
-    /// the same §3.1.4 loop over [`BlockModel`]s with their ID bitsets,
-    /// which is what the plan was built from before. Small ID space, so
-    /// shared IDs are common; live counts up to full.
+    /// the same §3.1.4 loop over [`BlockModel`]s with their ID bitsets.
+    /// Small ID space, so shared IDs are common; live counts up to full.
     #[test]
     fn plan_matches_greedy_pass_over_block_models() {
         use corm_compact::{greedy_pass, BlockModel};

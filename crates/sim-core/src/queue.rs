@@ -9,7 +9,7 @@
 //! closed-loop client pending — 1 to 32 in every figure and workload — so a
 //! sift is a handful of compares, and steady-state schedule/pop churn reuses
 //! the heap's retained capacity without touching the allocator. DESIGN §12
-//! records the calendar queue this replaced and what would bring it back.
+//! says what would justify a calendar queue instead.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

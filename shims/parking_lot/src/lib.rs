@@ -3,8 +3,8 @@
 //! Implements `parking_lot`'s non-poisoning API (`lock()`/`read()`/
 //! `write()` return guards directly instead of `Result`s) over raw atomic
 //! word locks rather than wrapping `std::sync`: an uncontended acquire is
-//! one compare-exchange. The same API over `std::sync` ran the `ycsb_rdma`
-//! benchmark workload 13–17 % slower on a 2-vCPU host (DESIGN §12).
+//! one compare-exchange. DESIGN §12 lists the same API over `std::sync`
+//! among its measured non-leads.
 //! Contended acquires spin briefly with exponential backoff, then yield to
 //! the scheduler — critical sections in this workspace are short (a map
 //! lookup, a frame copy), so parking infrastructure would buy nothing.
