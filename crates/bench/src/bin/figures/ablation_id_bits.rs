@@ -5,16 +5,11 @@
 //! pointer correction — at 8/12/16-bit IDs over the same fragmented
 //! population, and reports how much physical memory each width recovers
 //! plus how many objects had to relocate (indirect pointers created).
-//!
-//! It also runs the `corm_compact::tuning` auto-labeler (the paper's
-//! future-work §4.4.3) on the observed class usage and prints what width
-//! it would have picked.
 
 use std::sync::Arc;
 
-use corm_bench::report::{f2, Sheet};
+use corm_bench::report::Sheet;
 use corm_bench::setup::fill_pattern;
-use corm_compact::tuning::{recommend, ClassUsage, TunerPolicy};
 use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_sim_core::time::SimTime;
@@ -25,7 +20,7 @@ const OBJECTS: usize = 8_192;
 const PAYLOAD: usize = 24; // 40-byte class → 102 slots per 4 KiB block
 const DEALLOC: f64 = 0.75;
 
-fn compact_at(id_bits: u32) -> (usize, usize, usize, f64) {
+fn compact_at(id_bits: u32) -> (usize, usize, usize) {
     let mut config = ServerConfig { workers: 1, ..ServerConfig::default() };
     config.alloc.id_bits = id_bits;
     let server = Arc::new(CormServer::new(config));
@@ -60,9 +55,7 @@ fn compact_at(id_bits: u32) -> (usize, usize, usize, f64) {
         fill_pattern(&mut expect, i as u64);
         assert_eq!(&buf[..n], &expect[..], "id_bits={id_bits} object {i}");
     }
-    let occupancy = (OBJECTS as f64 * (1.0 - DEALLOC))
-        / (before as f64 * (server.block_bytes() / server.classes().size_of(class)) as f64);
-    (before, after, report.objects_relocated, occupancy)
+    (before, after, report.objects_relocated)
 }
 
 pub(crate) fn run(run: &mut Run) {
@@ -70,10 +63,8 @@ pub(crate) fn run(run: &mut Run) {
         "Ablation: ID width on the real data path (8192 x 24 B, 75% freed, 4 KiB blocks)",
         &["id_bits", "blocks_before", "blocks_after", "reduction", "objects_relocated"],
     );
-    let mut occupancy = 0.0;
     for id_bits in [8u32, 12, 16] {
-        let (before, after, relocated, occ) = compact_at(id_bits);
-        occupancy = occ;
+        let (before, after, relocated) = compact_at(id_bits);
         t.row(&[
             u64::from(id_bits).into(),
             before.into(),
@@ -87,16 +78,5 @@ pub(crate) fn run(run: &mut Run) {
     run.gate(
         after[0] > after[1] && after[1] > after[2] && after[2] == 16.0,
         "wider IDs recover more blocks, and 16 bits reach the 4x ceiling of a 75%-freed store",
-    );
-
-    // What would the auto-tuner have chosen for this class?
-    let usage = ClassUsage { slots: 102, mean_occupancy: occupancy, churn: 0.0 };
-    let rec = recommend(usage, TunerPolicy::default());
-    println!(
-        "\nauto-tuner (§4.4.3 future work): for slots=102, occupancy {:.2} → \
-         recommends {:?} bits (merge probability {})",
-        occupancy,
-        rec.id_bits,
-        f2(rec.merge_probability)
     );
 }

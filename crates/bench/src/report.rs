@@ -509,13 +509,11 @@ pub fn compaction_metrics(report: &CompactionReport) -> Json {
         .uint("class", u64::from(report.class.0))
         .uint("collected", report.collected as u64)
         .uint("merges", report.merges as u64)
-        .uint("blocks_freed", report.blocks_freed as u64)
         .uint("objects_relocated", report.objects_relocated as u64)
         .uint("objects_copied", report.objects_copied as u64)
         .float("collection_us", report.collection_cost.as_micros_f64())
         .float("compaction_us", report.compaction_cost.as_micros_f64())
         .float("total_us", report.total_cost().as_micros_f64())
-        .uint("lanes", report.lanes as u64)
         .uint("yields", report.yields as u64)
         .uint("extra_remaps", report.extra_remaps)
         .uint("mtt_batches", report.mtt_batches)

@@ -111,8 +111,8 @@ pub struct SimOutput {
     /// budget this is the single whole-pass window; the intervals tile
     /// `compaction_window` back to back.
     compaction_chunks: Vec<(SimTime, SimTime)>,
-    /// The pass's report, if one ran (lanes, yields, pause chunks, remap
-    /// batching counters).
+    /// The pass's report, if one ran (yields, pause chunks, remap batching
+    /// counters).
     pub compaction_report: Option<corm_core::server::CompactionReport>,
     /// Read latency samples issued while the pass was running (µs).
     pub read_latency_during: Histogram,

@@ -13,7 +13,6 @@
 //! harness uses the same costs as queueing service times.
 
 mod compaction;
-mod plan;
 pub mod registry;
 pub mod threaded;
 pub mod tiering;
@@ -81,11 +80,6 @@ pub struct ServerConfig {
     pub frag_threshold: f64,
     /// RNIC configuration (device model, translation-cache size).
     pub rnic: RnicConfig,
-    /// Parallel merge lanes in a compaction pass. Disjoint merge
-    /// components overlap in virtual time across lanes (the merge phase
-    /// costs the per-lane makespan); with 1, one lane runs the merges back
-    /// to back in plan order.
-    pub compaction_lanes: usize,
     /// Pause budget (virtual time) for pause-bounded compaction passes:
     /// after this much merge-phase time the pass yields so queued RPCs can
     /// interleave, then resumes. `None` runs each pass to completion.
@@ -122,7 +116,6 @@ impl Default for ServerConfig {
             mtt_strategy: MttUpdateStrategy::OdpPrefetch,
             frag_threshold: 1.5,
             rnic: RnicConfig::default(),
-            compaction_lanes: 1,
             compaction_budget: None,
             batch_mtt_sync: false,
             tier: None,

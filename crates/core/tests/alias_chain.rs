@@ -36,17 +36,11 @@ fn payload_for(i: usize) -> Vec<u8> {
     (0..32).map(|b| (i * 31 + b) as u8).collect()
 }
 
-fn build_chain(
-    strategy: MttUpdateStrategy,
-    batch: bool,
-    lanes: usize,
-    faults: Option<FaultConfig>,
-) -> Chain {
+fn build_chain(strategy: MttUpdateStrategy, batch: bool, faults: Option<FaultConfig>) -> Chain {
     let server = Arc::new(CormServer::new(ServerConfig {
         workers: 1,
         mtt_strategy: strategy,
         batch_mtt_sync: batch,
-        compaction_lanes: lanes,
         alloc: corm_alloc::AllocConfig {
             block_bytes: 4096,
             file_bytes: 16 << 20,
@@ -105,7 +99,7 @@ fn build_chain(
 fn chain_resolves_reads_under_every_strategy_and_batching() {
     for strategy in STRATEGIES {
         for batch in [false, true] {
-            let mut c = build_chain(strategy, batch, 1, None);
+            let mut c = build_chain(strategy, batch, None);
             let after = SimTime::ZERO + c.pass1.cost + c.pass2.cost + SimDuration::from_millis(1);
             assert!(
                 c.pass2.value.extra_remaps >= 8,
@@ -146,8 +140,8 @@ fn chain_resolves_reads_under_every_strategy_and_batching() {
 fn batched_sync_saves_exactly_the_per_target_term() {
     let model = LatencyModel::connectx5();
     for strategy in STRATEGIES {
-        let unb = build_chain(strategy, false, 1, None);
-        let bat = build_chain(strategy, true, 1, None);
+        let unb = build_chain(strategy, false, None);
+        let bat = build_chain(strategy, true, None);
         // Same seeded construction either way: identical plan and chain.
         assert_eq!(unb.pass2.value.merges, bat.pass2.value.merges);
         assert_eq!(unb.pass2.value.extra_remaps, bat.pass2.value.extra_remaps);
@@ -169,7 +163,7 @@ fn batched_sync_saves_exactly_the_per_target_term() {
 }
 
 #[test]
-fn seeded_fault_replay_is_byte_identical_at_one_lane() {
+fn seeded_fault_replay_is_byte_identical() {
     let faults = FaultConfig {
         seed: 77,
         transient_prob: 0.02,
@@ -179,7 +173,7 @@ fn seeded_fault_replay_is_byte_identical_at_one_lane() {
         ..FaultConfig::default()
     };
     let run = || {
-        let mut c = build_chain(MttUpdateStrategy::OdpPrefetch, false, 1, Some(faults.clone()));
+        let mut c = build_chain(MttUpdateStrategy::OdpPrefetch, false, Some(faults.clone()));
         let mut clock = SimTime::ZERO + c.pass1.cost + c.pass2.cost;
         let mut buf = vec![0u8; 32];
         let mut total = SimDuration::ZERO;

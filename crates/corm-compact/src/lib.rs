@@ -16,8 +16,6 @@
 //! - [`compaction_probability`]: the closed-form compaction probability
 //!   `p(B1,B2) = C(n-b1, b2) / C(n, b2)` behind Fig. 7.
 //! - [`header_bits`]: per-object metadata accounting behind Table 3.
-//! - [`tuning`]: automatic per-class ID-width selection — the auto-labeling
-//!   strategy the paper leaves as future work (§4.4.3).
 
 mod bitset;
 mod model;
@@ -25,7 +23,6 @@ mod overhead;
 pub mod pairing;
 mod probability;
 pub mod strategy;
-pub mod tuning;
 
 pub use bitset::BitSet;
 pub use model::BlockModel;
@@ -33,4 +30,3 @@ pub use overhead::{header_bits, header_bytes};
 pub use pairing::{compact_blocks, greedy_pass, CompactionOutcome, ConflictRule, GreedyPass};
 pub use probability::{compaction_probability, corm_probability, mesh_probability};
 pub use strategy::{CompactorKind, StrategyReport};
-pub use tuning::{recommend, ClassUsage, Recommendation, TunerPolicy};

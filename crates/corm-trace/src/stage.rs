@@ -72,8 +72,8 @@ pub enum Stage {
     CompactionMerge,
     /// MTT synchronisation call issued while remapping (rereg/advise).
     MttSync,
-    /// Merge-plan computation: the greedy pairing laid out into disjoint
-    /// lanes before any merge executes (zero virtual cost).
+    /// Merge-plan computation: the greedy pairing, planned before any
+    /// merge executes (zero virtual cost).
     CompactionPlan,
     /// A pause-bounded pass yielding so queued RPCs can interleave.
     CompactionYield,

@@ -78,7 +78,7 @@ fn main() {
     let frag = server.fragmentation_report();
     let mut freed = 0;
     for class in frag.classes_exceeding(1.5) {
-        freed += node.compact_class(class).expect("compaction").blocks_freed;
+        freed += node.compact_class(class).expect("compaction").merges;
     }
     println!(
         "compaction freed {freed} blocks: {} KiB -> {} KiB",

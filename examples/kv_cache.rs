@@ -83,7 +83,7 @@ fn main() {
 
     // Compact the fragmented heap.
     let reports = server.compact_if_fragmented(SimTime::ZERO).expect("compact");
-    let freed: usize = reports.iter().map(|r| r.blocks_freed).sum();
+    let freed: usize = reports.iter().map(|r| r.merges).sum();
     let after = server.active_bytes();
     println!(
         "compaction freed {} blocks: {} KiB -> {} KiB ({:.1}x)",

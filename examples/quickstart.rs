@@ -45,7 +45,7 @@ fn main() {
             "compacted class {:?}: {} blocks collected, {} freed, {} objects moved ({})",
             r.class,
             r.collected,
-            r.blocks_freed,
+            r.merges,
             r.objects_relocated,
             r.total_cost(),
         );

@@ -148,7 +148,7 @@ fn main() {
     println!(
         "compaction: {} passes across nodes, {} blocks freed, {before} KiB -> {} KiB",
         reports.len(),
-        reports.iter().map(|r| r.blocks_freed).sum::<usize>(),
+        reports.iter().map(|r| r.merges).sum::<usize>(),
         store.active_kib()
     );
     assert!(reports.iter().any(|r| r.objects_relocated > 0), "compaction moved nothing");

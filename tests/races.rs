@@ -346,7 +346,7 @@ fn threaded_server_compacts_under_live_rpc_traffic() {
     let class = corm::core::consistency::class_for_payload(server.classes(), 48).unwrap();
     let mut total_freed = 0;
     for _ in 0..3 {
-        total_freed += node.compact_class(class).unwrap().blocks_freed;
+        total_freed += node.compact_class(class).unwrap().merges;
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     stop.store(true, Ordering::Relaxed);
