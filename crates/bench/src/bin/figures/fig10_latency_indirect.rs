@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use corm_bench::report::{f2, median_us, Sheet};
-use corm_core::client::{ClientConfig, CormClient, FixStrategy};
+use corm_core::client::{CormClient, FixStrategy};
 use corm_core::server::{CormServer, CorrectionStrategy, ServerConfig};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::stats::Histogram;
@@ -120,10 +120,7 @@ pub(crate) fn run(run: &mut Run) {
             h_direct.record_duration(c.read(&mut p, &mut buf).expect("direct read").cost);
 
             // DirectRead + RPC-read recovery.
-            let mut c = CormClient::connect_with(
-                server.clone(),
-                ClientConfig { fix_strategy: FixStrategy::RpcRead, ..Default::default() },
-            );
+            let mut c = CormClient::connect_with(server.clone(), FixStrategy::RpcRead);
             let mut p = stale;
             let fix_rpc_cost =
                 c.direct_read_with_recovery(&mut p, &mut buf, clock).expect("recovery").cost;
@@ -131,10 +128,7 @@ pub(crate) fn run(run: &mut Run) {
             clock += fix_rpc_cost;
 
             // DirectRead + ScanRead recovery.
-            let mut c = CormClient::connect_with(
-                server.clone(),
-                ClientConfig { fix_strategy: FixStrategy::ScanRead, ..Default::default() },
-            );
+            let mut c = CormClient::connect_with(server.clone(), FixStrategy::ScanRead);
             let mut p = stale;
             let fix_scan_cost =
                 c.direct_read_with_recovery(&mut p, &mut buf, clock).expect("recovery").cost;

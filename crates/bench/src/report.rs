@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use corm_core::CompactionReport;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::{FaultKind, Rnic};
+use corm_sim_rdma::{FaultKind, Rnic, DELAY_SPIKE};
 use corm_trace::TraceHandle;
 
 /// One cell of a [`Sheet`]: text, or a number that remembers how it
@@ -387,7 +387,6 @@ pub fn fault_metrics(
 ) -> Json {
     let fired = rnic.fault_log();
     let count = |kind| fired.iter().filter(|&&(_, k)| k == kind).count() as u64;
-    let spike = rnic.fault_injector().map_or(0, |f| f.delay_spike().as_nanos());
     let log: Vec<Json> = fired
         .iter()
         .map(|&(op, kind)| {
@@ -398,7 +397,7 @@ pub fn fault_metrics(
         .uint("injected_faults", count(FaultKind::Transient))
         .uint("injected_qp_breaks", count(FaultKind::QpBreak))
         .uint("injected_delays", count(FaultKind::DelaySpike))
-        .uint("injected_delay_ns", count(FaultKind::DelaySpike) * spike)
+        .uint("injected_delay_ns", count(FaultKind::DelaySpike) * DELAY_SPIKE.as_nanos())
         .uint("forced_cache_misses", count(FaultKind::CacheMiss))
         .uint("qp_breaks", qp_breaks)
         .uint("qp_reconnects", qp_reconnects)
@@ -737,7 +736,6 @@ mod tests {
     fn fault_metrics_counts_the_fault_log_by_kind() {
         use std::sync::Arc;
 
-        use corm_sim_core::time::SimDuration;
         use corm_sim_mem::{AddressSpace, PhysicalMemory};
         use corm_sim_rdma::{FaultConfig, RnicConfig, ScheduledFault};
 
@@ -752,10 +750,7 @@ mod tests {
             .enumerate()
             .map(|(op, &kind)| ScheduledFault { at_op: 2 * op as u64 + 1, kind })
             .collect();
-        let faults = FaultConfig {
-            delay_spike: SimDuration::from_micros(7),
-            ..FaultConfig::scripted(schedule)
-        };
+        let faults = FaultConfig::scripted(schedule);
         let rnic = Rnic::new(aspace, RnicConfig { faults: Some(faults), ..RnicConfig::default() });
         let (mr, _) = rnic.register(va, 1, false).unwrap();
         let mut buf = [0u8; 8];
@@ -767,7 +762,7 @@ mod tests {
         assert!(
             j.starts_with(
                 "{\"injected_faults\":1,\"injected_qp_breaks\":1,\"injected_delays\":1,\
-                 \"injected_delay_ns\":7000,\"forced_cache_misses\":1,\"qp_breaks\":2,\
+                 \"injected_delay_ns\":50000,\"forced_cache_misses\":1,\"qp_breaks\":2,\
                  \"qp_reconnects\":1,\"client_recoveries\":3,"
             ),
             "{j}"

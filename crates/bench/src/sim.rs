@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use corm_core::client::{ClientConfig, CormClient, FixStrategy, READ_BACKOFF};
+use corm_core::client::{CormClient, FixStrategy, READ_BACKOFF};
 use corm_core::server::{CormServer, CorrectionStrategy};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
@@ -216,10 +216,7 @@ pub fn run_closed_loop(
     let mut queue: EventQueue<Ev> = EventQueue::new();
     let mut rngs: Vec<DetRng> =
         (0..spec.clients).map(|c| stream_rng(spec.seed, c as u64)).collect();
-    let mut client = CormClient::connect_with(
-        server.clone(),
-        ClientConfig { fix_strategy: spec.fix_strategy, ..Default::default() },
-    );
+    let mut client = CormClient::connect_with(server.clone(), spec.fix_strategy);
 
     let end = SimTime::ZERO + spec.warmup + spec.duration;
     let warmup_end = SimTime::ZERO + spec.warmup;
@@ -348,15 +345,12 @@ pub fn run_closed_loop(
                         let mut ptr = ptrs[k as usize];
                         let worker = next_worker % n_workers;
                         next_worker += 1;
-                        let corr_before =
-                            server.stats.corrections.load(std::sync::atomic::Ordering::Relaxed);
                         let cost = match server.read(worker, &mut ptr, &mut buf) {
                             Ok(t) => t.cost,
                             Err(e) => panic!("sim rpc read failed on key {k}: {e}"),
                         };
-                        let corrected =
-                            server.stats.corrections.load(std::sync::atomic::Ordering::Relaxed)
-                                > corr_before;
+                        // A correction moves the pointer to the object's new slot.
+                        let corrected = ptr != ptrs[k as usize];
                         ptrs[k as usize] = ptr;
                         out.corrections += u64::from(corrected);
                         let stall = correction_stall_end(now, &out)

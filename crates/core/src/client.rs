@@ -34,20 +34,8 @@ pub enum FixStrategy {
     ScanRead,
 }
 
-/// Client-side configuration.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Recovery strategy for relocated objects.
-    pub fix_strategy: FixStrategy,
-    /// Seed for worker selection.
-    pub seed: u64,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig { fix_strategy: FixStrategy::ScanRead, seed: 0xC11E }
-    }
-}
+/// Seed of every client's worker-selection stream.
+const WORKER_SEED: u64 = 0xC11E;
 
 /// Backoff before a torn or locked read is repeated (§3.2.3: "the read is
 /// repeated after a backoff period").
@@ -129,7 +117,8 @@ pub struct CormClient {
     qp: Arc<QueuePair>,
     /// Tenant the QoS scheduler charges this client's multi-gets to.
     tenant: u32,
-    config: ClientConfig,
+    /// Recovery strategy for relocated objects.
+    fix_strategy: FixStrategy,
     rng: DetRng,
     /// Trace recorder, shared with the server node (disabled by default).
     trace: TraceHandle,
@@ -152,15 +141,16 @@ impl std::fmt::Debug for CormClient {
 }
 
 impl CormClient {
-    /// Connects to a server (CreateCtx in Table 2).
+    /// Connects to a server (CreateCtx in Table 2); moved objects are
+    /// repaired with [`FixStrategy::ScanRead`].
     pub fn connect(server: Arc<CormServer>) -> Self {
-        Self::connect_with(server, ClientConfig::default())
+        Self::connect_with(server, FixStrategy::ScanRead)
     }
 
-    /// Connects with explicit client configuration.
-    pub fn connect_with(server: Arc<CormServer>, config: ClientConfig) -> Self {
+    /// Connects with an explicit repair strategy for moved objects.
+    pub fn connect_with(server: Arc<CormServer>, fix_strategy: FixStrategy) -> Self {
         let qp = Arc::new(QueuePair::connect(server.rnic().clone()));
-        Self::with_qp(server, config, qp, 0)
+        Self::with_qp(server, fix_strategy, qp, 0)
     }
 
     /// Connects over a DCT-style shared connection (Fig. 21 scale mode):
@@ -168,22 +158,22 @@ impl CormClient {
     /// [`CormServer::rnic`] that other clients hold too, as `tenant`,
     /// instead of owning one, dropping its host connection state to O(1).
     pub fn connect_shared(server: Arc<CormServer>, qp: Arc<QueuePair>, tenant: u32) -> Self {
-        Self::with_qp(server, ClientConfig::default(), qp, tenant)
+        Self::with_qp(server, FixStrategy::ScanRead, qp, tenant)
     }
 
     fn with_qp(
         server: Arc<CormServer>,
-        config: ClientConfig,
+        fix_strategy: FixStrategy,
         qp: Arc<QueuePair>,
         tenant: u32,
     ) -> Self {
-        let rng = stream_rng(config.seed, 0);
+        let rng = stream_rng(WORKER_SEED, 0);
         let trace = server.trace().clone();
         CormClient {
             server,
             qp,
             tenant,
-            config,
+            fix_strategy,
             rng,
             trace,
             op: OpState::default(),
@@ -459,7 +449,7 @@ impl CormClient {
                     ReadFailure::IdMismatch { .. } | ReadFailure::NotValid,
                 )) => {
                     self.op.locked_last = false;
-                    match self.config.fix_strategy {
+                    match self.fix_strategy {
                         FixStrategy::ScanRead => self.scan_block(ptr, buf),
                         // The RPC's virtual time counts toward the op like
                         // every other repair cost.

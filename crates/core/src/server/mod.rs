@@ -22,7 +22,7 @@ pub use compaction::CompactionReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use corm_alloc::process::SharedBlock;
 use corm_alloc::{
@@ -238,23 +238,14 @@ fn block_span(base: u64, frames: &[FrameId]) -> Result<PageSpan<'_>, CormError> 
     PageSpan::from_frames(base, frames.len() * PAGE_SIZE, base, frames).ok_or(CormError::BadPointer)
 }
 
-/// Reads the header of the slot a mutating handler is about to touch.
-/// `Ok(None)` means the slot is mid-migration — locked, or its image lags
-/// the block metadata until the remap lands — and the caller must back off
-/// and re-locate; an invalid slot is `ObjectNotFound`.
-fn live_header(
-    span: &PageSpan<'_>,
-    dma: &DmaSession<'_>,
-    slot_vaddr: u64,
-    obj_id: u16,
-) -> Result<Option<ObjectHeader>, CormError> {
-    let mut bytes = [0u8; HEADER_BYTES];
-    span.read(dma, slot_vaddr, &mut bytes)?;
-    let header = ObjectHeader::from_bytes(bytes);
-    if !header.valid {
-        return Err(CormError::ObjectNotFound);
-    }
-    Ok((header.obj_id == obj_id && header.readable()).then_some(header))
+/// A live object's slot, as a mutating handler finds it under its block's
+/// lock ([`CormServer::live_slot`]): the slot's address and pages, the DMA
+/// session that read its header, and that header.
+struct LiveSlot<'b, 'm> {
+    vaddr: u64,
+    span: PageSpan<'b>,
+    dma: DmaSession<'m>,
+    header: ObjectHeader,
 }
 
 /// A CoRM node: allocator, RNIC, registry, and RPC handlers.
@@ -486,7 +477,7 @@ impl CormServer {
                 if dma.residency(f) == Some(Residency::Far) {
                     continue;
                 }
-                let d = t.tier().spill_with(&dma, f, now).map_err(CormError::Mem)?;
+                let d = t.tier().spill(&dma, f, now).map_err(CormError::Mem)?;
                 block_cost = block_cost.max(d);
                 spilled += 1;
             }
@@ -625,112 +616,139 @@ impl CormServer {
         self.registry.resolve(base).ok_or(CormError::UnknownBlock(base))
     }
 
-    /// Locks a block [`Self::resolve`] returned. `None` means compaction
-    /// merged it away in between — its base now resolves to the
-    /// destination, which holds its objects — and, like a locked slot, has
-    /// been answered with a back-off: the caller resolves again.
-    fn lock_live<'a>(
+    /// The one retry protocol of the RPC handlers (§3.2.3). Each attempt
+    /// walks the chain [`Self::hint`] prefetches, in its order:
+    ///
+    /// 1. resolve the pointer's base and lock the live block it maps to. A
+    ///    block the compaction leader retired in between — merged away, so
+    ///    its base now resolves to the destination holding its objects —
+    ///    is unlocked and backed off, and the next attempt resolves again;
+    /// 2. find the object's slot: the pointer's own, or, when that slot
+    ///    holds another ID, the slot of the object's ID (§3.2.1), to which
+    ///    the pointer is corrected in place. The correction's cost and any
+    ///    far-tier fetch are summed over the attempts;
+    /// 3. run `action` on the locked block, the slot and the object's ID.
+    ///    `Ok(None)` means the slot is write-locked, `CompactionLocked`,
+    ///    torn, or holds another ID because its image lags the block
+    ///    metadata until a merge's remap lands: the block is unlocked and
+    ///    backed off, and the next attempt starts again at 1.
+    ///
+    /// `Ok(Some(value))` returns the value, the summed cost and the
+    /// resolved block, unlocked. An error — an unknown block, a pointer off
+    /// the slot grid, an ID in no slot, an invalid slot — ends the call at
+    /// once. Every condition that backs off clears when a writer unlocks or
+    /// a merge's remap lands; one that outlasts [`RPC_BACKOFF_ATTEMPTS`]
+    /// attempts surfaces as [`CormError::ObjectLocked`], which callers tell
+    /// apart from a deletion.
+    fn with_object<T>(
         &self,
-        block: &'a SharedBlock,
-        attempt: usize,
-    ) -> Option<MutexGuard<'a, Block>> {
-        let b = block.lock();
-        if b.is_retired() {
-            drop(b);
-            self.rpc_backoff(attempt);
-            return None;
-        }
-        Some(b)
-    }
-
-    /// Locates the slot a pointer refers to within its locked live block
-    /// `b` (from [`Self::resolve`]), applying pointer correction if the
-    /// object moved: the pointer hint is then updated in place. Returns the
-    /// slot and the virtual-time cost of the block's CPU access so far —
-    /// the correction plus any far-tier fetch. The caller keeps `b` locked
-    /// for its own slot access, so one acquisition serves both.
-    fn locate(
-        &self,
-        b: &Block,
         worker: usize,
         ptr: &mut GlobalPtr,
-    ) -> Result<(u32, SimDuration), CormError> {
+        mut action: impl FnMut(&mut Block, u32, u16) -> Result<Option<T>, CormError>,
+    ) -> Result<(T, SimDuration, SharedBlock), CormError> {
         let block_bytes = self.block_bytes();
-        // Heat feeds off the *resolved* block (not the pointer's possibly
-        // aliased base), so eviction ranks live blocks by real traffic.
-        if let Some(t) = &self.tiering {
-            t.touch(b.vaddr());
-        }
-        let slot = b.slot_of_offset(ptr.block_offset(block_bytes)).ok_or(CormError::BadPointer)?;
-        if b.id_at_slot(slot) == Some(ptr.obj_id as u32) {
-            return Ok((slot, self.ensure_resident(b)?));
-        }
-        // Indirect pointer: find the object by its ID (§3.2.1).
-        let model = self.model();
-        let cost = match self.config.correction {
-            // Round trip to the owning thread, which answers from its
-            // metadata table.
-            CorrectionStrategy::ThreadMessaging if b.owner() as usize != worker => {
-                model.collection_pair
+        let mut cost = SimDuration::ZERO;
+        for attempt in 0..RPC_BACKOFF_ATTEMPTS {
+            let block = self.resolve(ptr)?;
+            let mut b = block.lock();
+            if !b.is_retired() {
+                // Heat feeds off the *resolved* block (not the pointer's
+                // possibly aliased base), so eviction ranks live blocks by
+                // real traffic.
+                if let Some(t) = &self.tiering {
+                    t.touch(b.vaddr());
+                }
+                let offset = ptr.block_offset(block_bytes);
+                let mut slot = b.slot_of_offset(offset).ok_or(CormError::BadPointer)?;
+                if b.id_at_slot(slot) != Some(ptr.obj_id as u32) {
+                    let model = self.model();
+                    cost += match self.config.correction {
+                        // Round trip to the owning thread, which answers
+                        // from its metadata table.
+                        CorrectionStrategy::ThreadMessaging if b.owner() as usize != worker => {
+                            model.collection_pair
+                        }
+                        CorrectionStrategy::ThreadMessaging => SimDuration::ZERO,
+                        CorrectionStrategy::BlockScan => model.scan_cost(b.slots()),
+                    };
+                    slot = b.slot_of_id(ptr.obj_id as u32).ok_or(CormError::ObjectNotFound)?;
+                    ptr.correct_offset(block_bytes, b.slot_offset(slot));
+                    self.stats.corrections.fetch_add(1, Ordering::Relaxed);
+                }
+                cost += self.ensure_resident(&b)?;
+                if let Some(value) = action(&mut b, slot, ptr.obj_id)? {
+                    drop(b);
+                    return Ok((value, cost, block));
+                }
             }
-            CorrectionStrategy::ThreadMessaging => SimDuration::ZERO,
-            CorrectionStrategy::BlockScan => model.scan_cost(b.slots()),
-        };
-        let new_slot = b.slot_of_id(ptr.obj_id as u32).ok_or(CormError::ObjectNotFound)?;
-        ptr.correct_offset(block_bytes, b.slot_offset(new_slot));
-        self.stats.corrections.fetch_add(1, Ordering::Relaxed);
-        Ok((new_slot, cost + self.ensure_resident(b)?))
+            drop(b);
+            // Cheap spin first, then yield so the writer or compaction
+            // leader being raced gets scheduled.
+            self.stats.rpc_lock_retries.fetch_add(1, Ordering::Relaxed);
+            self.config.trace.count(Stage::LockRetry);
+            if attempt >= 16 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        Err(CormError::ObjectLocked)
+    }
+
+    /// Reads the header of the slot a mutating handler is about to touch.
+    /// `Ok(None)` is a slot [`Self::with_object`] backs off from — locked,
+    /// or its image lags the block metadata until the remap lands; an
+    /// invalid slot is `ObjectNotFound`.
+    fn live_slot<'b>(
+        &self,
+        b: &'b Block,
+        slot: u32,
+        obj_id: u16,
+    ) -> Result<Option<LiveSlot<'b, '_>>, CormError> {
+        let (vaddr, span) = slot_span(b, slot)?;
+        let dma = self.phys.dma();
+        let mut bytes = [0u8; HEADER_BYTES];
+        span.read(&dma, vaddr, &mut bytes)?;
+        let header = ObjectHeader::from_bytes(bytes);
+        if !header.valid {
+            return Err(CormError::ObjectNotFound);
+        }
+        let live = header.obj_id == obj_id && header.readable();
+        Ok(live.then_some(LiveSlot { vaddr, span, dma, header }))
     }
 
     /// RPC read (Table 2 `Read`): copies up to `buf.len()` object bytes
     /// into `buf`; returns the bytes read. Corrects the pointer in place.
-    ///
-    /// A read can race a writer or the compaction leader: the slot image is
-    /// then write-locked, torn, or mid-migration (header
-    /// `CompactionLocked`, or stale until the moved block's vaddr is
-    /// remapped onto the destination frames). Per §3.2.3, CPU accesses
-    /// back off and retry — the condition clears as soon as the writer
-    /// unlocks or the migration's remap lands. Only a genuinely invalid
-    /// slot is `ObjectNotFound`; exhausting the backoff budget surfaces as
-    /// [`CormError::ObjectLocked`] so callers can distinguish contention
-    /// from deletion.
+    /// A slot a writer or the compaction leader holds is retried as
+    /// `with_object` states; only an invalid slot is `ObjectNotFound`.
     pub fn read(
         &self,
         worker: usize,
         ptr: &mut GlobalPtr,
         buf: &mut [u8],
     ) -> Result<Timed<usize>, CormError> {
-        let mut corr_total = SimDuration::ZERO;
-        for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let block = self.resolve(ptr)?;
-            let Some(b) = self.lock_live(&block, attempt) else { continue };
-            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
-            corr_total += corr_cost;
+        let (n, cost, _) = self.with_object(worker, ptr, |b, slot, obj_id| {
             // The slot image lands in the per-thread scratch buffer and
             // payload bytes are gathered straight into `buf`: the hot read
             // path allocates nothing after warm-up.
             let gathered = SLOT_IMAGE.with(|cell| {
                 let mut image = cell.borrow_mut();
                 image.resize(b.obj_size(), 0);
-                let (slot_vaddr, span) = slot_span(&b, slot)?;
+                let (slot_vaddr, span) = slot_span(b, slot)?;
                 span.read(&self.phys.dma(), slot_vaddr, &mut image)?;
-                Ok::<_, CormError>(consistency::gather_into(&image, Some(ptr.obj_id), buf))
+                Ok::<_, CormError>(consistency::gather_into(&image, Some(obj_id), buf))
             })?;
-            drop(b);
             match gathered {
-                Ok((_, n)) => {
-                    self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                    let model = self.model();
-                    let cost = model.rpc_worker_service + model.copy_cost(n) + corr_total;
-                    return Ok(Timed::new(n, cost));
-                }
-                Err(ReadFailure::NotValid) => return Err(CormError::ObjectNotFound),
+                Ok((_, n)) => Ok(Some(n)),
+                Err(ReadFailure::NotValid) => Err(CormError::ObjectNotFound),
                 Err(
                     ReadFailure::Locked | ReadFailure::TornRead | ReadFailure::IdMismatch { .. },
-                ) => self.rpc_backoff(attempt),
+                ) => Ok(None),
             }
-        }
-        Err(CormError::ObjectLocked)
+        })?;
+        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        let model = self.model();
+        Ok(Timed::new(n, model.rpc_worker_service + model.copy_cost(n) + cost))
     }
 
     /// Hints the lines [`Self::read`] and [`Self::write`] will walk for
@@ -810,19 +828,6 @@ impl CormServer {
         Timed::new(outcomes, cost)
     }
 
-    /// Backs off before an RPC handler retries a transiently unreadable
-    /// slot. Cheap spin first, then yield so the writer or compaction
-    /// leader we are racing gets scheduled.
-    fn rpc_backoff(&self, attempt: usize) {
-        self.stats.rpc_lock_retries.fetch_add(1, Ordering::Relaxed);
-        self.config.trace.count(Stage::LockRetry);
-        if attempt >= 16 {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-
     /// RPC write (Table 2 `Write`): replaces the object's contents with
     /// `data`. Bumps the version; lock-free readers racing this write see
     /// mismatched cacheline versions and retry.
@@ -830,21 +835,15 @@ impl CormServer {
     /// If the slot is `CompactionLocked` — the leader is mid-migration and
     /// the copy already happened or is about to — writing through would
     /// both corrupt the migration marker and lose the update once the
-    /// remap lands. The worker backs off and retries (§3.2.3); after the
-    /// remap, `locate` resolves the object at its new block and the write
-    /// applies there.
+    /// remap lands, so the write backs off (`with_object`); after the
+    /// remap it finds the object at its new block and applies there.
     pub fn write(
         &self,
         worker: usize,
         ptr: &mut GlobalPtr,
         data: &[u8],
     ) -> Result<Timed<()>, CormError> {
-        let mut corr_total = SimDuration::ZERO;
-        for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let block = self.resolve(ptr)?;
-            let Some(b) = self.lock_live(&block, attempt) else { continue };
-            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
-            corr_total += corr_cost;
+        let ((), cost, _) = self.with_object(worker, ptr, |b, slot, obj_id| {
             let slot_bytes = b.obj_size();
             if data.len() > consistency::layout(slot_bytes).capacity {
                 return Err(CormError::PayloadTooLarge(data.len()));
@@ -852,12 +851,9 @@ impl CormServer {
             // One pinned DMA session for the whole operation: the header
             // read and the three ordered writes below cost zero
             // translations and zero extra lock acquisitions.
-            let (slot_vaddr, span) = slot_span(&b, slot)?;
-            let dma = self.phys.dma();
-            let Some(header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
-                drop((dma, b));
-                self.rpc_backoff(attempt);
-                continue;
+            let Some(LiveSlot { vaddr, span, dma, header }) = self.live_slot(b, slot, obj_id)?
+            else {
+                return Ok(None);
             };
             // 1) lock, 2) body with new version, 3) unlocked header. The
             // intermediate states are what concurrent DirectReads can
@@ -866,94 +862,76 @@ impl CormServer {
             // the whole update the way the paper's protocol intends
             // (tests/races.rs asserts real-thread readers catch it).
             let locked = header.with_lock(LockState::WriteLocked);
-            span.write(&dma, slot_vaddr, &locked.to_bytes())?;
+            span.write(&dma, vaddr, &locked.to_bytes())?;
             let new_header = header.bump_version();
             SLOT_IMAGE.with(|cell| {
                 let mut image = cell.borrow_mut();
                 consistency::scatter_into(new_header, data, slot_bytes, &mut image);
-                span.write(&dma, slot_vaddr + HEADER_BYTES as u64, &image[HEADER_BYTES..])
+                span.write(&dma, vaddr + HEADER_BYTES as u64, &image[HEADER_BYTES..])
             })?;
-            span.write(&dma, slot_vaddr, &new_header.to_bytes())?;
-            drop((dma, b));
-            self.stats.writes.fetch_add(1, Ordering::Relaxed);
-            let model = self.model();
-            let cost = model.rpc_worker_service + model.copy_cost(data.len()) + corr_total;
-            return Ok(Timed::new((), cost));
-        }
-        Err(CormError::ObjectLocked)
+            span.write(&dma, vaddr, &new_header.to_bytes())?;
+            Ok(Some(()))
+        })?;
+        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+        let model = self.model();
+        Ok(Timed::new((), model.rpc_worker_service + model.copy_cost(data.len()) + cost))
     }
 
     /// RPC free (Table 2 `Free`): releases the object and updates the
-    /// home-vaddr accounting (§3.3).
+    /// home-vaddr accounting (§3.3). Mid-migration it backs off
+    /// (`with_object`): freeing the source copy would leave the migrated
+    /// copy alive, so it frees the object at its new home once the remap
+    /// lands.
     pub fn free(&self, worker: usize, ptr: &mut GlobalPtr) -> Result<Timed<()>, CormError> {
-        let mut corr_total = SimDuration::ZERO;
-        for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let block = self.resolve(ptr)?;
-            let Some(mut b) = self.lock_live(&block, attempt) else { continue };
-            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
-            corr_total += corr_cost;
-            let (slot_vaddr, span) = slot_span(&b, slot)?;
-            let dma = self.phys.dma();
-            let Some(header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
-                // Mid-migration: freeing the source copy now would leave
-                // the migrated copy alive. Back off until the remap lands,
-                // then free the object at its new home.
-                drop((dma, b));
-                self.rpc_backoff(attempt);
-                continue;
-            };
-            span.write(&dma, slot_vaddr, &header.invalidated().to_bytes())?;
-            drop(dma);
-            b.free_slot(slot);
-            // The home is counted down, and an alias that this leaves
-            // homing nothing is released, under the block lock like the
-            // slot itself: whoever finds the block empty finds its objects'
-            // homes settled too, and a merge of this block, which needs
-            // this lock, finds each alias of it gone or still homing
-            // something.
-            let home_addr = home_base(header.home_block, self.mmap_base(), self.block_bytes());
-            if self.registry.home_dec(home_addr) == 0 {
-                self.try_release_vaddr(home_addr);
-            }
-            let (block_empty, live_base) = (b.is_empty(), b.vaddr());
-            drop(b);
-            if block_empty {
-                self.try_release_empty_block(&block, live_base);
-            }
-            self.stats.frees.fetch_add(1, Ordering::Relaxed);
-            let cost = self.model().alloc_free_extra + corr_total;
-            return Ok(Timed::new((), cost));
+        let ((block_empty, live_base), cost, block) =
+            self.with_object(worker, ptr, |b, slot, obj_id| {
+                let Some(LiveSlot { vaddr, span, dma, header }) =
+                    self.live_slot(b, slot, obj_id)?
+                else {
+                    return Ok(None);
+                };
+                span.write(&dma, vaddr, &header.invalidated().to_bytes())?;
+                drop(dma);
+                b.free_slot(slot);
+                // The home is counted down, and an alias that this leaves
+                // homing nothing is released, under the block lock like the
+                // slot itself: whoever finds the block empty finds its
+                // objects' homes settled too, and a merge of this block,
+                // which needs this lock, finds each alias of it gone or
+                // still homing something.
+                let home_addr = home_base(header.home_block, self.mmap_base(), self.block_bytes());
+                if self.registry.home_dec(home_addr) == 0 {
+                    self.try_release_vaddr(home_addr);
+                }
+                Ok(Some((b.is_empty(), b.vaddr())))
+            })?;
+        if block_empty {
+            self.try_release_empty_block(&block, live_base);
         }
-        Err(CormError::ObjectLocked)
+        self.stats.frees.fetch_add(1, Ordering::Relaxed);
+        Ok(Timed::new((), self.model().alloc_free_extra + cost))
     }
 
     /// RPC ReleasePtr (Table 2): the client has corrected all copies of an
     /// old pointer; re-home the object at its current block so the old
     /// virtual address can be reused (§3.3). Returns the fresh pointer.
+    /// Mid-migration it backs off (`with_object`): re-homing then would
+    /// stamp a home index the remap is about to invalidate.
     pub fn release_ptr(
         &self,
         worker: usize,
         ptr: &mut GlobalPtr,
     ) -> Result<Timed<GlobalPtr>, CormError> {
         let old_base = ptr.block_base(self.block_bytes());
-        let mut corr_total = SimDuration::ZERO;
-        for attempt in 0..RPC_BACKOFF_ATTEMPTS {
-            let block = self.resolve(ptr)?;
-            let Some(b) = self.lock_live(&block, attempt) else { continue };
-            let (slot, corr_cost) = self.locate(&b, worker, ptr)?;
-            corr_total += corr_cost;
-            let (slot_vaddr, span) = slot_span(&b, slot)?;
-            let dma = self.phys.dma();
-            let Some(mut header) = live_header(&span, &dma, slot_vaddr, ptr.obj_id)? else {
-                // Mid-migration: re-homing now would stamp a home index the
-                // remap is about to invalidate. Back off and re-locate.
-                drop((dma, b));
-                self.rpc_backoff(attempt);
-                continue;
+        let ((vaddr, rkey), cost, _) = self.with_object(worker, ptr, |b, slot, obj_id| {
+            let Some(LiveSlot { vaddr, span, dma, mut header }) =
+                self.live_slot(b, slot, obj_id)?
+            else {
+                return Ok(None);
             };
             let new_base = b.vaddr();
             header.home_block = home_index(new_base, self.mmap_base(), self.block_bytes());
-            span.write(&dma, slot_vaddr, &header.to_bytes())?;
+            span.write(&dma, vaddr, &header.to_bytes())?;
             let rkey = b.rkey().expect("live block is registered");
             drop(dma);
             // Under the block lock, for the reasons `free` gives.
@@ -963,18 +941,10 @@ impl CormServer {
                     self.try_release_vaddr(old_base);
                 }
             }
-            drop(b);
-            let cost = self.model().release_ptr_extra + corr_total;
-            let new_ptr = GlobalPtr {
-                vaddr: slot_vaddr,
-                rkey,
-                obj_id: ptr.obj_id,
-                class: ptr.class,
-                flags: 0,
-            };
-            return Ok(Timed::new(new_ptr, cost));
-        }
-        Err(CormError::ObjectLocked)
+            Ok(Some((vaddr, rkey)))
+        })?;
+        let new_ptr = GlobalPtr { vaddr, rkey, obj_id: ptr.obj_id, class: ptr.class, flags: 0 };
+        Ok(Timed::new(new_ptr, self.model().release_ptr_extra + cost))
     }
 
     // ------------------------------------------------------------------

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use corm_check::{check, ensure_eq};
 
-use corm_core::client::{ClientConfig, CormClient, FixStrategy};
+use corm_core::client::{CormClient, FixStrategy};
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::time::{SimDuration, SimTime};
@@ -158,12 +158,9 @@ fn fault_replay_identical_batched_vs_sequential() {
         let mut rng = corm_sim_core::rng::stream_rng(7, 3);
         (0..ops).map(|_| rand::Rng::gen_range(&mut rng, 0..objects)).collect()
     };
-    let client_config =
-        ClientConfig { fix_strategy: FixStrategy::RpcRead, ..ClientConfig::default() };
-
     // Sequential run.
     let (server_a, ptrs_a) = populate(config.clone(), objects, size);
-    let mut client_a = CormClient::connect_with(server_a.clone(), client_config.clone());
+    let mut client_a = CormClient::connect_with(server_a.clone(), FixStrategy::RpcRead);
     let mut bufs_a: Vec<Vec<u8>> = vec![vec![0u8; size]; ops];
     let mut clock = SimTime::ZERO;
     for (k, &key) in keys.iter().enumerate() {
@@ -177,7 +174,7 @@ fn fault_replay_identical_batched_vs_sequential() {
 
     // Batched run over an identically-populated, identically-seeded server.
     let (server_b, ptrs_b) = populate(config, objects, size);
-    let mut client_b = CormClient::connect_with(server_b.clone(), client_config);
+    let mut client_b = CormClient::connect_with(server_b.clone(), FixStrategy::RpcRead);
     let mut bufs_b: Vec<Vec<u8>> = vec![vec![0u8; size]; ops];
     let mut clock = SimTime::ZERO;
     for (chunk_idx, chunk) in keys.chunks(8).enumerate() {

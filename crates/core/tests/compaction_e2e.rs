@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use corm_core::client::{ClientConfig, FixStrategy};
+use corm_core::client::FixStrategy;
 use corm_core::server::{CormServer, CorrectionStrategy, ServerConfig};
 use corm_core::{CormClient, CormError, GlobalPtr, ReadOutcome};
 use corm_sim_core::time::SimTime;
@@ -81,10 +81,7 @@ fn compaction_frees_blocks_and_preserves_every_object() {
 #[test]
 fn direct_read_detects_relocation_and_scan_read_recovers() {
     let server = server_with(MttUpdateStrategy::OdpPrefetch, CorrectionStrategy::BlockScan);
-    let mut client = CormClient::connect_with(
-        server.clone(),
-        ClientConfig { fix_strategy: FixStrategy::ScanRead, ..ClientConfig::default() },
-    );
+    let mut client = CormClient::connect_with(server.clone(), FixStrategy::ScanRead);
 
     // Two blocks of 64-byte-class objects with deliberate offset overlap:
     // fill block A fully, free most of it; same for B; compact.

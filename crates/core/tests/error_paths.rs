@@ -1,10 +1,13 @@
 //! Error-path coverage for every server handler and client operation.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use corm_alloc::ClassId;
 use corm_core::client::CormClient;
+use corm_core::header::LockState;
 use corm_core::server::{CormError, CormServer, ServerConfig};
-use corm_core::GlobalPtr;
+use corm_core::{GlobalPtr, ObjectHeader};
 use corm_sim_core::time::SimTime;
 
 fn server() -> Arc<CormServer> {
@@ -119,4 +122,60 @@ fn reads_larger_than_object_capacity_are_truncated() {
     let n = client.read(&mut ptr, &mut buf).unwrap().value;
     assert!(n < 64, "read must be capped at the class capacity");
     assert_eq!(&buf[..10], b"0123456789");
+}
+
+/// Every RPC handler backs off from a slot the compaction leader holds and,
+/// once its attempts are spent, gives up with `ObjectLocked` and leaves the
+/// object as it found it; the same call goes through once the slot is free.
+#[test]
+fn handlers_give_up_on_a_compaction_locked_slot_and_leave_it_untouched() {
+    for handler in ["read", "write", "free", "release_ptr"] {
+        let server = server();
+        // One object in worker 0's block, two in worker 1's: the pass
+        // merges the sparser block into the other, so the lone object
+        // moves and its old base stays an alias that homes it alone — a
+        // home count dropping to 0 would release the alias.
+        let mut ptr = server.alloc(0, 48).unwrap().value;
+        server.write(0, &mut ptr, b"payload").unwrap();
+        for _ in 0..2 {
+            server.alloc(1, 48).unwrap();
+        }
+        let class = ClassId(u16::from(ptr.class));
+        assert_eq!(server.compact_class(class, SimTime::ZERO).unwrap().value.merges, 1);
+        assert_eq!(server.alias_count(), 1);
+        // The object's slot now, reached through the alias.
+        let mut moved = ptr;
+        server.read(0, &mut moved, &mut []).unwrap();
+        let image = || {
+            let mut image = vec![0u8; server.classes().size_of(class)];
+            server.aspace().read(moved.vaddr, &mut image).unwrap();
+            image
+        };
+        let live = || server.fragmentation_report().classes.iter().map(|c| c.live).sum::<usize>();
+        let (before, live_before) = (image(), live());
+        let header = ObjectHeader::from_bytes(before[..8].try_into().unwrap());
+        let locked = header.with_lock(LockState::CompactionLocked).to_bytes();
+        server.aspace().write(moved.vaddr, &locked).unwrap();
+
+        let call = |mut ptr: GlobalPtr| match handler {
+            "read" => server.read(0, &mut ptr, &mut [0u8; 8]).map(drop),
+            "write" => server.write(0, &mut ptr, b"lost").map(drop),
+            "free" => server.free(0, &mut ptr).map(drop),
+            _ => server.release_ptr(0, &mut ptr).map(drop),
+        };
+        let retries = server.stats.rpc_lock_retries.load(Ordering::Relaxed);
+        assert_eq!(call(ptr), Err(CormError::ObjectLocked), "{handler}");
+        let retried = server.stats.rpc_lock_retries.load(Ordering::Relaxed) - retries;
+        assert_eq!(retried, 100_000, "{handler}: one back-off per attempt");
+        assert_eq!(image()[8..], before[8..], "{handler}: the bytes past the header");
+        server.aspace().write(moved.vaddr, &before[..8]).unwrap();
+        assert_eq!(server.alias_count(), 1, "{handler}: the alias still homes the object");
+        assert_eq!(live(), live_before, "{handler}");
+
+        call(ptr).unwrap_or_else(|e| panic!("{handler} after the restore: {e:?}"));
+        // What the alias's home count does on success, which the failed
+        // call did not do.
+        let rehomed = matches!(handler, "free" | "release_ptr");
+        assert_eq!(server.alias_count(), usize::from(!rehomed), "{handler}");
+    }
 }

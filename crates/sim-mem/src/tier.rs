@@ -29,7 +29,7 @@ use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_core::{FastHashMap, FifoResource};
 use parking_lot::Mutex;
 
-use crate::phys::{DmaSession, FrameId, MemError, PhysicalMemory, Residency, PAGE_SIZE};
+use crate::phys::{DmaSession, FrameId, MemError, Residency, PAGE_SIZE};
 
 /// Cost model of one far tier: device latency, inverse bandwidth, channel
 /// parallelism, and the RNIC-side fault charges that gate access to
@@ -221,22 +221,12 @@ impl FarTier {
         Ok(done - now)
     }
 
-    /// Spills a live frame's page to the tier at `now`: bytes move into
-    /// the store, the DRAM copy is poisoned, the frame goes
-    /// [`Residency::Far`], and the transfer occupies a tier channel.
-    /// Returns the virtual time until the spill completes (queueing
-    /// included).
+    /// Spills a live frame's page to the tier at `now`, through the held
+    /// DMA session: bytes move into the store, the DRAM copy is poisoned,
+    /// the frame goes [`Residency::Far`], and the transfer occupies a tier
+    /// channel. Returns the virtual time until the spill completes
+    /// (queueing included).
     pub fn spill(
-        &self,
-        phys: &PhysicalMemory,
-        frame: FrameId,
-        now: SimTime,
-    ) -> Result<SimDuration, MemError> {
-        self.spill_with(&phys.dma(), frame, now)
-    }
-
-    /// [`Self::spill`] through an already-held DMA session.
-    pub fn spill_with(
         &self,
         dma: &DmaSession<'_>,
         frame: FrameId,
@@ -295,6 +285,7 @@ impl FarTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phys::PhysicalMemory;
 
     #[test]
     fn spill_fetch_round_trips_bytes_and_charges_costs() {
@@ -305,7 +296,7 @@ mod tests {
         pm.write(f, 0, &pattern).unwrap();
 
         let t0 = SimTime::ZERO;
-        let spill = tier.spill(&pm, f, t0).unwrap();
+        let spill = tier.spill(&pm.dma(), f, t0).unwrap();
         assert_eq!(spill, TierConfig::nvme().spill_cost());
         assert_eq!(pm.residency(f), Residency::Far);
         assert_eq!(tier.stored_frames(), 1);
@@ -334,8 +325,8 @@ mod tests {
         let cost = config.spill_cost();
         let tier = FarTier::new(config);
         let frames = pm.alloc_n(2).unwrap();
-        let a = tier.spill(&pm, frames[0], SimTime::ZERO).unwrap();
-        let b = tier.spill(&pm, frames[1], SimTime::ZERO).unwrap();
+        let a = tier.spill(&pm.dma(), frames[0], SimTime::ZERO).unwrap();
+        let b = tier.spill(&pm.dma(), frames[1], SimTime::ZERO).unwrap();
         assert_eq!(a, cost);
         assert_eq!(b, cost * 2);
     }

@@ -47,6 +47,9 @@ pub struct ScheduledFault {
     pub kind: FaultKind,
 }
 
+/// Latency added to a verb hit by a [`FaultKind::DelaySpike`] fault.
+pub const DELAY_SPIKE: SimDuration = SimDuration::from_micros(50);
+
 /// Configuration for a [`FaultInjector`].
 ///
 /// Probabilities are per one-sided verb and checked in fixed precedence
@@ -58,10 +61,8 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability a verb fails with a transient NIC/PCIe fault.
     pub transient_prob: f64,
-    /// Probability a verb's completion is delayed by `delay_spike`.
+    /// Probability a verb's completion is delayed by [`DELAY_SPIKE`].
     pub delay_prob: f64,
-    /// Latency added to a verb hit by a delay-spike fault.
-    pub delay_spike: SimDuration,
     /// Probability a verb is forced down the MTT-cache-miss path.
     pub cache_miss_prob: f64,
     /// Probability the QP breaks outright before the verb.
@@ -78,7 +79,6 @@ impl Default for FaultConfig {
             seed: 0,
             transient_prob: 0.0,
             delay_prob: 0.0,
-            delay_spike: SimDuration::from_micros(50),
             cache_miss_prob: 0.0,
             qp_break_prob: 0.0,
             schedule: Vec::new(),
@@ -183,11 +183,6 @@ impl FaultInjector {
         kind
     }
 
-    /// The latency added by a delay-spike fault.
-    pub fn delay_spike(&self) -> SimDuration {
-        self.config.delay_spike
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &FaultConfig {
         &self.config
@@ -222,11 +217,6 @@ impl FaultBlock<'_> {
     /// stream for unrelated verbs.
     pub(crate) fn decide(&mut self) -> Option<FaultKind> {
         FaultInjector::decide_locked(self.config, &mut self.state)
-    }
-
-    /// The latency added by a delay-spike fault.
-    pub(crate) fn delay_spike(&self) -> SimDuration {
-        self.config.delay_spike
     }
 }
 
@@ -307,7 +297,6 @@ mod tests {
             delay_prob: 0.03,
             cache_miss_prob: 0.05,
             qp_break_prob: 0.002,
-            delay_spike: SimDuration::from_micros(50),
             schedule: vec![
                 ScheduledFault { at_op: 5, kind: FaultKind::DelaySpike },
                 ScheduledFault { at_op: 100, kind: FaultKind::Transient },

@@ -49,7 +49,7 @@ pub mod rnic;
 mod sched;
 mod wq;
 
-pub use fault::{FaultConfig, FaultInjector, FaultKind, ScheduledFault};
+pub use fault::{FaultConfig, FaultInjector, FaultKind, ScheduledFault, DELAY_SPIKE};
 pub use latency::{LatencyModel, MttUpdateStrategy};
 pub use qp::{QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};

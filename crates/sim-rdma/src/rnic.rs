@@ -22,7 +22,7 @@ use corm_sim_mem::{
 };
 use corm_trace::{Stage, TraceHandle, Track};
 
-use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind};
+use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, DELAY_SPIKE};
 use crate::latency::LatencyModel;
 use crate::mtt::MttShard;
 use crate::sched::{QosConfig, QosScheduler};
@@ -357,11 +357,6 @@ impl Rnic {
         // `from_fn` walks the indexes forward: ascending lock order.
         let guards = std::array::from_fn(|i| ((mask >> i) & 1 == 1).then(|| self.shards[i].lock()));
         ShardGuards { guards }
-    }
-
-    /// The fault injector, if fault injection is enabled.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
     }
 
     /// The replay log of injected faults (empty when injection is off).
@@ -750,7 +745,7 @@ impl Rnic {
                 Some(FaultKind::QpBreak) => return Err(RdmaError::QpBroken),
                 Some(FaultKind::Transient) => return Err(RdmaError::InjectedFault),
                 Some(FaultKind::DelaySpike) => {
-                    injected_delay = inj.delay_spike();
+                    injected_delay = DELAY_SPIKE;
                     trace.sample(Stage::FaultDelay, injected_delay);
                 }
                 Some(FaultKind::CacheMiss) => forced_miss = true,
@@ -1204,7 +1199,7 @@ mod tests {
         let warm = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(tier.stats().pin_faults, 0);
 
-        tier.spill(&pm, frames[0], SimTime::ZERO).unwrap();
+        tier.spill(&pm.dma(), frames[0], SimTime::ZERO).unwrap();
         let faulted = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(&buf, b"tiered", "fetch must restore the page byte-exactly");
         assert_eq!(tier.stats().pin_faults, 1);
@@ -1240,7 +1235,7 @@ mod tests {
         let mut buf = [0u8; 8];
         rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         let warm = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-        tier.spill(&pm, frames[0], SimTime::ZERO).unwrap();
+        tier.spill(&pm.dma(), frames[0], SimTime::ZERO).unwrap();
         let hard = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(
             hard.latency,
@@ -1262,7 +1257,7 @@ mod tests {
         let (mr2, _) = rnic2.register(va2, 1, true).unwrap();
         rnic2.read(mr2.rkey, va2, &mut buf, SimTime::ZERO).unwrap();
         let warm2 = rnic2.read(mr2.rkey, va2, &mut buf, SimTime::ZERO).unwrap();
-        tier2.spill(&pm2, frames2[0], SimTime::ZERO).unwrap();
+        tier2.spill(&pm2.dma(), frames2[0], SimTime::ZERO).unwrap();
         let lazy = rnic2.read(mr2.rkey, va2, &mut buf, SimTime::ZERO).unwrap();
         let odp_miss = rnic2.config.model.odp_miss.unwrap();
         assert_eq!(lazy.odp_misses, 1);
@@ -1326,8 +1321,7 @@ mod tests {
         rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         let clean = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         let spiked = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
-        let spike = rnic.fault_injector().unwrap().delay_spike();
-        assert_eq!(spiked.latency, clean.latency + spike);
+        assert_eq!(spiked.latency, clean.latency + DELAY_SPIKE);
         // op 5 warm again; op 6 is forced down the miss path.
         let warm = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert!(warm.cache_hit);
@@ -1430,7 +1424,7 @@ mod tests {
             format!("{:?}", rnic.stats),
             rnic.cache_stats(),
             (cached, lru),
-            (rnic.fault_log(), rnic.fault_injector().unwrap().ops()),
+            (rnic.fault_log(), rnic.faults.as_ref().unwrap().ops()),
             (rnic.engine_admitted(), rnic.engine_busy()),
         )
     }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use corm::core::client::{ClientConfig, CormClient, FixStrategy};
+use corm::core::client::{CormClient, FixStrategy};
 use corm::core::server::{CormServer, CorrectionStrategy, ServerConfig};
 use corm::sim_core::time::{SimDuration, SimTime};
 use corm::sim_rdma::{FaultConfig, FaultKind, MttUpdateStrategy, RnicConfig, ScheduledFault};
@@ -105,10 +105,7 @@ fn all_mtt_strategies_preserve_objects_across_compaction() {
             mtt_strategy: strategy,
             ..ServerConfig::default()
         }));
-        let mut client = CormClient::connect_with(
-            server.clone(),
-            ClientConfig { fix_strategy: FixStrategy::ScanRead, ..Default::default() },
-        );
+        let mut client = CormClient::connect_with(server.clone(), FixStrategy::ScanRead);
         let mut ptrs: Vec<_> = (0..256)
             .map(|i| {
                 let mut p = client.alloc(48).unwrap().value;
@@ -150,10 +147,7 @@ fn reads_inside_mtt_repair_window_recover_per_strategy() {
             mtt_strategy: strategy,
             ..ServerConfig::default()
         }));
-        let mut client = CormClient::connect_with(
-            server.clone(),
-            ClientConfig { fix_strategy: FixStrategy::ScanRead, ..Default::default() },
-        );
+        let mut client = CormClient::connect_with(server.clone(), FixStrategy::ScanRead);
         let size = 48;
         let mut ptrs: Vec<_> = (0..256)
             .map(|i| {
@@ -220,7 +214,6 @@ fn faulted_run(seed: u64) -> (Vec<(u64, FaultKind)>, SimDuration, u64, u64, u64)
                     ScheduledFault { at_op: 5, kind: FaultKind::QpBreak },
                     ScheduledFault { at_op: 17, kind: FaultKind::Transient },
                 ],
-                ..FaultConfig::default()
             }),
             ..RnicConfig::default()
         },

@@ -9,7 +9,7 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use corm::core::client::{ClientConfig, CormClient, FixStrategy};
+use corm::core::client::{CormClient, FixStrategy};
 use corm::core::header::{LockState, ObjectHeader};
 use corm::core::server::{CormError, CormServer, ServerConfig};
 use corm::core::GlobalPtr;
@@ -51,10 +51,7 @@ fn rig(breaks: u64, fix_strategy: FixStrategy) -> Rig {
         trace: trace.clone(),
         ..ServerConfig::default()
     }));
-    let mut client = CormClient::connect_with(
-        server.clone(),
-        ClientConfig { fix_strategy, ..ClientConfig::default() },
-    );
+    let mut client = CormClient::connect_with(server.clone(), fix_strategy);
     let ptrs = (0..OBJECTS)
         .map(|key| {
             let mut ptr = client.alloc(SIZE).expect("alloc").value;
