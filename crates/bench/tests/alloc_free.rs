@@ -11,16 +11,19 @@
 //! `vec![..]`/`Box::new`/map-growth regression on the hot path fails this
 //! test with the exact allocation count. The second test
 //! holds `CormServer::{alloc, write, free}` to the same standard while no
-//! block is fetched or released, and the third holds a steady
+//! block is fetched or released, the third holds a steady
 //! `CormClient::read_batch` to exactly one allocation per call, the vector
-//! it returns.
+//! it returns, and the fourth
+//! (`steady_direct_read_with_recovery_allocates_nothing`) holds a steady
+//! `CormClient::direct_read_with_recovery` to none — a healthy read, and a
+//! moved object repaired under each `FixStrategy`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use corm_bench::populate_server;
 use corm_bench::simspeed::{FIG12_OBJECTS, FIG12_SIZE, SEED};
-use corm_core::client::CormClient;
+use corm_core::client::{CormClient, FixStrategy};
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::{GlobalPtr, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
@@ -349,4 +352,47 @@ fn steady_state_read_batch_allocates_only_its_result() {
         allocations, CALLS as u64,
         "a steady read_batch allocates its `lens` vector and nothing else: {allocations} allocations in {CALLS} calls"
     );
+}
+
+#[test]
+fn steady_direct_read_with_recovery_allocates_nothing() {
+    const CALLS: usize = 2_000;
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
+    // Object 0 carrying the hint of another object of its block: a read
+    // finds a live slot holding the wrong ID, as after a compaction.
+    let block_bytes = store.server.block_bytes();
+    let home = store.ptrs[0];
+    let neighbour = store.ptrs[1..]
+        .iter()
+        .find(|p| p.block_base(block_bytes) == home.block_base(block_bytes))
+        .expect("a second object in the first block");
+    let stale = GlobalPtr { vaddr: neighbour.vaddr, ..home };
+    for fix in [FixStrategy::ScanRead, FixStrategy::RpcRead] {
+        let mut client = CormClient::connect_with(store.server.clone(), fix);
+        let mut buf = vec![0u8; FIG12_SIZE];
+        let mut clock = SimTime::ZERO;
+        for (case, ptr) in [("healthy", home), ("moved", stale)] {
+            let mut run = |calls: usize| {
+                for _ in 0..calls {
+                    // A fresh stale copy per call: every call repairs.
+                    let mut ptr = ptr;
+                    let t = client
+                        .direct_read_with_recovery(&mut ptr, &mut buf, clock)
+                        .expect("qp healthy");
+                    assert_eq!(t.value, FIG12_SIZE);
+                    assert_eq!(ptr.vaddr, home.vaddr);
+                    clock += t.cost;
+                }
+            };
+            // Warm-up: the client's slot image and scratch, the translation
+            // cache.
+            run(CALLS);
+            let allocations = allocations_during(|| run(CALLS));
+            assert_eq!(
+                allocations, 0,
+                "a steady direct_read_with_recovery ({case}, {fix:?}) hit the allocator {allocations} times in {CALLS} calls"
+            );
+        }
+    }
 }

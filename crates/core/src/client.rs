@@ -10,7 +10,10 @@
 //! clear, and the object ID must match the pointer. On an ID mismatch the
 //! client recovers by either an RPC read (server-side correction) or a
 //! [`ScanRead`](CormClient::scan_read) of the whole block, then fixes the
-//! pointer's offset hint in place.
+//! pointer's offset hint in place. One recovery loop applies these rules
+//! to one pointer ([`CormClient::direct_read_with_recovery`]) and to many
+//! ([`CormClient::read_batch`]); the two differ only in their wire, a
+//! READ verb per pointer or one doorbell per round.
 
 use std::sync::Arc;
 
@@ -60,15 +63,13 @@ pub enum ReadOutcome {
     Invalid(ReadFailure),
 }
 
-/// The one-sided operation in flight, and all a recovery loop knows: what
-/// it has been charged so far and why its last attempt failed. Every
-/// one-sided entry point starts one with [`CormClient::begin`], charges
-/// it through [`CormClient::charge`] and closes it with
-/// [`CormClient::finish`]; the two recovery loops
-/// ([`CormClient::direct_read_with_recovery`], [`CormClient::read_batch`])
-/// add [`CormClient::backoff`], [`CormClient::recover`] and
-/// [`CormClient::exhausted`], and differ only in their wire path and
-/// their repair route.
+/// The one-sided operation in flight, and all the recovery loop knows:
+/// what it has been charged so far and how many reconnects it spent.
+/// Every one-sided entry point starts one with [`CormClient::begin`],
+/// charges it through [`CormClient::charge`] and closes it with
+/// [`CormClient::finish`]; the recovery loop ([`CormClient::read_rounds`],
+/// under [`CormClient::direct_read_with_recovery`] and
+/// [`CormClient::read_batch`]) adds [`CormClient::recover`].
 #[derive(Default)]
 struct OpState {
     /// Monotone per-client op number; the op's own span and every leaf
@@ -84,18 +85,15 @@ struct OpState {
     total: SimDuration,
     /// QP reconnects spent.
     reconnects: usize,
-    /// Whether the latest failed attempt found the object locked or torn
-    /// (it is there; retry later) rather than absent from its slot.
-    locked_last: bool,
 }
 
-/// The recycled buffers of [`CormClient::read_batch`], handed to a call as
-/// one value and taken back when it returns, so that a multi-get — retries
-/// and repairs included — allocates nothing but its result after warm-up.
+/// The recycled buffers of the recovery loop, so that a read — retries
+/// and repairs included — allocates nothing after warm-up (a multi-get:
+/// nothing but its result).
 #[derive(Default)]
 struct BatchScratch {
-    /// The round's request records, one slot-image buffer per request,
-    /// the results, and the completion-order permutation.
+    /// A doorbell round's request records, one slot-image buffer per
+    /// request, the results, and the completion-order permutation.
     reqs: Vec<ReadReq>,
     out: Vec<Vec<u8>>,
     results: Vec<ReadResult>,
@@ -103,10 +101,14 @@ struct BatchScratch {
     /// Entries this round posts, and those the next one will.
     pending: Vec<usize>,
     retry: Vec<usize>,
-    /// Entries routed to the repair RPC, and its pointer/buffer arguments.
+    /// Moved entries this round repairs by a ScanRead each.
+    scan: Vec<usize>,
+    /// Entries routed to the repair RPC, and its pointer, buffer and
+    /// outcome arguments.
     repair: Vec<usize>,
     repair_ptrs: Vec<GlobalPtr>,
     repair_bufs: Vec<Vec<u8>>,
+    repaired: Vec<Result<usize, CormError>>,
 }
 
 /// A connected CoRM client.
@@ -216,13 +218,6 @@ impl CormClient {
         self.op.clock += d;
     }
 
-    /// The object is there but locked or torn: waits out the §3.2.3
-    /// backoff before the next attempt.
-    fn backoff(&mut self) {
-        self.op.locked_last = true;
-        self.charge(Stage::Backoff, READ_BACKOFF);
-    }
-
     /// Whether an RDMA error is survivable by reconnecting the QP: the
     /// connection broke (or a transient NIC/PCIe fault broke it), but the
     /// region, keys, and data are intact.
@@ -252,18 +247,6 @@ impl CormClient {
     fn finish<T>(&self, value: T) -> Timed<T> {
         self.trace.span(Track::Client, Stage::ClientOp, self.op.id, self.op.start, self.op.total);
         Timed::new(value, self.op.total)
-    }
-
-    /// The error of an operation out of attempts, after its *last*
-    /// observed state: [`CormError::ObjectLocked`] if the object was
-    /// transiently locked or torn (the caller should back off and try
-    /// again), never a spurious `ObjectNotFound`.
-    fn exhausted(&self) -> CormError {
-        if self.op.locked_last {
-            CormError::ObjectLocked
-        } else {
-            CormError::ObjectNotFound
-        }
     }
 
     fn rpc_wire(&self, payload: usize) -> SimDuration {
@@ -422,74 +405,31 @@ impl CormClient {
     /// survives QP breaks — including injected transient NIC/PCIe faults
     /// and `rereg_mr` busy windows — by reconnecting with capped
     /// exponential backoff (§3.5). Every retry, backoff, and reconnect is
-    /// charged to the returned [`Timed`] cost.
+    /// charged to the returned [`Timed`] cost. This is the recovery loop
+    /// over one pointer, on a single READ verb per round.
     ///
-    /// When the 64 attempts run out the error reflects the *last* observed
-    /// state: [`CormError::ObjectLocked`] if the object was transiently
-    /// locked or torn (the caller should back off and try again), never a
-    /// spurious `ObjectNotFound`.
+    /// When the 64 rounds run out the object was locked or torn at the
+    /// last look: the error is [`CormError::ObjectLocked`] (the caller
+    /// should back off and try again), never a spurious `ObjectNotFound`.
     pub fn direct_read_with_recovery(
         &mut self,
         ptr: &mut GlobalPtr,
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<Timed<usize>, CormError> {
-        self.begin(now);
-        for _ in 0..MAX_ATTEMPTS {
-            let read = match self.read_slot(ptr, buf) {
-                Ok(ReadOutcome::Ok(n)) => Ok(n),
-                Ok(ReadOutcome::Invalid(ReadFailure::Locked | ReadFailure::TornRead)) => {
-                    Err(CormError::ObjectLocked)
-                }
-                // A mismatching ID *or* a vacant slot both mean "the object
-                // is not at the hint" — it may have been relocated while
-                // its old slot was freed or reused. Only the repair path
-                // can distinguish relocated from truly gone (§3.2.2).
-                Ok(ReadOutcome::Invalid(
-                    ReadFailure::IdMismatch { .. } | ReadFailure::NotValid,
-                )) => {
-                    self.op.locked_last = false;
-                    match self.fix_strategy {
-                        FixStrategy::ScanRead => self.scan_block(ptr, buf),
-                        // The RPC's virtual time counts toward the op like
-                        // every other repair cost.
-                        FixStrategy::RpcRead => self.read(ptr, buf).map(|t| {
-                            self.charge(Stage::RepairRpc, t.cost);
-                            t.value
-                        }),
-                    }
-                }
-                Err(e) => Err(CormError::Rdma(e)),
-            };
-            match read {
-                Ok(n) => return Ok(self.finish(n)),
-                Err(CormError::ObjectLocked) => self.backoff(),
-                Err(CormError::Rdma(e)) if Self::recoverable(&e) => self.recover()?,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(self.exhausted())
+        let mut len = [0];
+        self.read_rounds(false, std::slice::from_mut(ptr), &mut [buf], &mut len, now)?;
+        Ok(self.finish(len[0]))
     }
 
     /// Batched DirectRead (multi-get, the FaRM-style client pattern CoRM
-    /// §4.2 benchmarks against): issues one READ per pointer under a
-    /// single doorbell so the whole batch shares one doorbell cost and
-    /// pipelines through the RNIC inbound engine, then validates every
-    /// completion per §3.2.2–§3.2.3. The wire work runs through the
-    /// synchronous [`QueuePair::read_batch_into`] path — slot images DMA
-    /// into client-recycled scratch buffers with virtual-time, fault, and
-    /// statistics semantics identical to post/doorbell/poll.
-    ///
-    /// Only failed entries are repaired, and each failure class keeps its
-    /// sequential-path semantics:
-    /// - torn/locked entries are re-posted after the §3.2.3 backoff;
-    /// - relocated entries (ID mismatch / vacant slot, including corrupt
-    ///   class bytes) are repaired through **one batched RPC**
-    ///   (`CormServer::read_many`) that corrects their pointers in place;
-    /// - verb failures reconnect the QP once and re-post every failed and
-    ///   flushed WQE in posting order — flushed WQEs never reached the NIC,
-    ///   so the fault-injector draw sequence is byte-identical to the
-    ///   sequential recovery loop.
+    /// §4.2 benchmarks against): the recovery loop over many pointers, each
+    /// round's READs under one doorbell so they share its cost and pipeline
+    /// through the RNIC inbound engine. Only failed entries are repaired,
+    /// by the rules of [`Self::direct_read_with_recovery`]; a broken verb
+    /// reconnects the QP once and re-posts every failed and flushed WQE in
+    /// posting order — flushed WQEs never reached the NIC, so the
+    /// fault-injector draw sequence is that of sequential reads.
     ///
     /// Returns the per-entry payload lengths. The charged cost is the
     /// batch *makespan* (last completion) plus validation, repair, backoff,
@@ -506,165 +446,217 @@ impl CormClient {
         if ptrs.is_empty() {
             return Ok(Timed::new(lens, SimDuration::ZERO));
         }
-        self.begin(now);
-        let mut scratch = std::mem::take(&mut self.batch);
-        let done = self.read_batch_rounds(ptrs, bufs, &mut lens, &mut scratch);
-        self.batch = scratch;
-        done.map(|()| self.finish(lens))
+        self.read_rounds(true, ptrs, bufs, &mut lens, now)?;
+        Ok(self.finish(lens))
     }
 
-    /// [`Self::read_batch`]'s rounds: post what is pending under one
-    /// doorbell, validate, repair, and go round again with what is left.
-    fn read_batch_rounds(
+    /// The recovery loop (§3.2.2–§3.2.3, §3.5), as one operation from
+    /// `now`: reads each pointer into its buffer, its payload length into
+    /// `lens`. Each round posts the pending entries and files each as done,
+    /// locked or torn, moved, or broken; repairs the moved ones; reconnects
+    /// the QP if any broke, or else backs off if any are left to retry.
+    fn read_rounds<B: AsMut<[u8]>>(
         &mut self,
+        doorbell: bool,
         ptrs: &mut [GlobalPtr],
-        bufs: &mut [Vec<u8>],
+        bufs: &mut [B],
         lens: &mut [usize],
-        s: &mut BatchScratch,
+        now: SimTime,
     ) -> Result<(), CormError> {
-        s.pending.clear();
-        s.pending.extend(0..ptrs.len());
+        self.begin(now);
+        self.batch.pending.clear();
+        self.batch.pending.extend(0..ptrs.len());
         for _ in 0..MAX_ATTEMPTS {
-            // A corrupt class byte can never match a live object: such
-            // entries skip the wire and go straight to the repair RPC,
-            // like the sequential path's NotValid route.
-            s.repair.clear();
+            let s = &mut self.batch;
             s.retry.clear();
-            s.reqs.clear();
-            for &i in s.pending.iter() {
-                match self.slot_bytes(&ptrs[i]) {
-                    // Multi-gets ride the latency class, charged to this
-                    // client's tenant.
-                    Ok(slot_bytes) => s.reqs.push(ReadReq {
-                        tenant: self.tenant,
-                        ..ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes)
-                    }),
-                    Err(_) => {
-                        self.failed_direct_reads += 1;
-                        s.repair.push(i);
+            s.scan.clear();
+            s.repair.clear();
+            let mut broken = self.post(doorbell, ptrs, bufs, lens)?;
+            for k in 0..self.batch.scan.len() {
+                let i = self.batch.scan[k];
+                match self.scan_block(&mut ptrs[i], bufs[i].as_mut()) {
+                    Ok(n) => lens[i] = n,
+                    Err(CormError::ObjectLocked) => self.batch.retry.push(i),
+                    // A scan needs the slot size a corrupt class byte does
+                    // not name; the RPC resolves the object by address.
+                    Err(CormError::BadPointer) => self.batch.repair.push(i),
+                    Err(CormError::Rdma(ref e)) if Self::recoverable(e) => {
+                        broken = true;
+                        self.batch.retry.push(i);
                     }
+                    Err(e) => return Err(e),
                 }
             }
-            let mut broken = false;
-            // A round's failure class is that of its own entries.
-            self.op.locked_last = false;
-            let posted = s.reqs.len();
-            if posted > 0 {
-                // Slot images DMA straight into the recycled scratch
-                // buffers — the synchronous path with identical
-                // virtual-time and fault semantics to post/doorbell/poll.
-                if s.out.len() < posted {
-                    s.out.resize_with(posted, Vec::new);
-                }
-                self.qp.read_batch_into(
-                    &s.reqs,
-                    &mut s.out[..posted],
-                    self.op.clock,
-                    &mut s.results,
-                );
-                debug_assert_eq!(s.results.len(), posted);
-                // Walk results in virtual completion order — the order
-                // poll_cq would have delivered them — so the repair and
-                // retry lists keep their queued-path ordering.
-                s.order.clear();
-                s.order.extend(0..posted);
-                let results = &s.results;
-                s.order.sort_by_key(|&k| results[k].completed_at);
-                let mut batch_end = self.op.clock;
-                let mut checks = SimDuration::ZERO;
-                for &k in s.order.iter() {
-                    let r = &s.results[k];
-                    batch_end = batch_end.max(r.completed_at);
-                    let i = r.wr_id as usize;
-                    match r.result {
-                        Err(ref e) if Self::recoverable(e) => {
-                            broken = true;
-                            s.retry.push(i);
-                        }
-                        Err(ref e) => return Err(CormError::Rdma(e.clone())),
-                        Ok(_) => {
-                            let image = &s.out[k];
-                            checks += self.server.model().version_check_cost(image.len());
-                            match consistency::gather_into(
-                                image,
-                                Some(ptrs[i].obj_id),
-                                &mut bufs[i],
-                            ) {
-                                Ok((_, m)) => lens[i] = m,
-                                Err(ReadFailure::Locked) | Err(ReadFailure::TornRead) => {
-                                    self.failed_direct_reads += 1;
-                                    self.op.locked_last = true;
-                                    s.retry.push(i);
-                                }
-                                Err(_) => {
-                                    self.failed_direct_reads += 1;
-                                    s.repair.push(i);
-                                }
-                            }
-                        }
-                    }
-                }
-                // The client is blocked until the slowest completion
-                // lands, then validates all images back-to-back on the
-                // CPU.
-                let makespan = batch_end.saturating_since(self.op.clock) + checks;
-                self.charge(Stage::BatchWindow, makespan);
-            }
-            if !s.repair.is_empty() {
-                let w = self.pick_worker();
-                // The repair RPC's arguments come from recycled scratch
-                // too: pointers are copied in, and each entry's staging
-                // buffer is re-zeroed in place (no per-entry Vec).
-                s.repair_ptrs.clear();
-                s.repair_ptrs.extend(s.repair.iter().map(|&i| ptrs[i]));
-                if s.repair_bufs.len() < s.repair.len() {
-                    s.repair_bufs.resize_with(s.repair.len(), Vec::new);
-                }
-                for (rb, &i) in s.repair_bufs.iter_mut().zip(&s.repair) {
-                    rb.clear();
-                    rb.resize(bufs[i].len(), 0);
-                }
-                let t = self.server.read_many(
-                    w,
-                    &mut s.repair_ptrs,
-                    &mut s.repair_bufs[..s.repair.len()],
-                );
-                // One RPC carries the whole repair batch: a single wire
-                // round trip amortized over every repaired entry.
-                let repaired: usize = t.value.iter().map(|r| *r.as_ref().unwrap_or(&0)).sum();
-                self.charge(Stage::RepairRpc, t.cost);
-                self.charge(Stage::RpcWire, self.rpc_wire(repaired));
-                for (k, &i) in s.repair.iter().enumerate() {
-                    ptrs[i] = s.repair_ptrs[k];
-                    match &t.value[k] {
-                        Ok(m) => {
-                            bufs[i][..*m].copy_from_slice(&s.repair_bufs[k][..*m]);
-                            lens[i] = *m;
-                        }
-                        Err(CormError::ObjectLocked) => {
-                            self.op.locked_last = true;
-                            s.retry.push(i);
-                        }
-                        Err(e) => return Err(e.clone()),
-                    }
-                }
+            if !self.batch.repair.is_empty() {
+                self.repair_rpc(ptrs, bufs, lens)?;
             }
             if broken {
                 self.recover()?;
+            } else if !self.batch.retry.is_empty() {
+                // Short of a break, only a lock or a tear sends an entry
+                // round again: the object is there (§3.2.3).
+                self.charge(Stage::Backoff, READ_BACKOFF);
             }
+            let s = &mut self.batch;
             if s.retry.is_empty() {
                 return Ok(());
             }
-            if self.op.locked_last && !broken {
-                self.backoff();
-            }
-            // Re-post in posting (index) order so retried WQEs draw
-            // from the fault stream exactly as the sequential loop
-            // would.
+            // Re-post in posting (index) order so retried WQEs draw from
+            // the fault stream exactly as one-pointer reads would.
             s.retry.sort_unstable();
             std::mem::swap(&mut s.pending, &mut s.retry);
         }
-        Err(self.exhausted())
+        // Breaks are capped far below the rounds, so every entry still
+        // pending was last seen locked or torn.
+        Err(CormError::ObjectLocked)
+    }
+
+    /// Posts the round's pending entries on the wire `doorbell` picks — the
+    /// loop's only branch on its entry point — and files each; returns
+    /// whether any verb broke. One pointer: a READ verb each, charged
+    /// `verb` + `version_check`. Many: one doorbell through
+    /// [`QueuePair::read_batch_into`], slot images DMA'd into recycled
+    /// buffers and validated in virtual completion order (the order
+    /// `poll_cq` would deliver them), charged one `batch_window`: the
+    /// slowest completion, then every image's check back to back.
+    fn post<B: AsMut<[u8]>>(
+        &mut self,
+        doorbell: bool,
+        ptrs: &[GlobalPtr],
+        bufs: &mut [B],
+        lens: &mut [usize],
+    ) -> Result<bool, CormError> {
+        let mut broken = false;
+        if !doorbell {
+            for k in 0..self.batch.pending.len() {
+                let i = self.batch.pending[k];
+                match self.read_slot(&ptrs[i], bufs[i].as_mut()) {
+                    Ok(ReadOutcome::Ok(n)) => lens[i] = n,
+                    Ok(ReadOutcome::Invalid(failure)) => self.file(i, failure),
+                    Err(e) if Self::recoverable(&e) => {
+                        broken = true;
+                        self.batch.retry.push(i);
+                    }
+                    Err(e) => return Err(CormError::Rdma(e)),
+                }
+            }
+            return Ok(broken);
+        }
+        self.batch.reqs.clear();
+        for k in 0..self.batch.pending.len() {
+            let i = self.batch.pending[k];
+            let Ok(slot_bytes) = self.slot_bytes(&ptrs[i]) else {
+                // As in `read_slot`: it can never match a live object.
+                self.failed_direct_reads += 1;
+                self.file(i, ReadFailure::NotValid);
+                continue;
+            };
+            // Multi-gets ride the latency class, charged to this client's
+            // tenant.
+            self.batch.reqs.push(ReadReq {
+                tenant: self.tenant,
+                ..ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes)
+            });
+        }
+        let s = &mut self.batch;
+        let posted = s.reqs.len();
+        if posted == 0 {
+            return Ok(false);
+        }
+        if s.out.len() < posted {
+            s.out.resize_with(posted, Vec::new);
+        }
+        self.qp.read_batch_into(&s.reqs, &mut s.out[..posted], self.op.clock, &mut s.results);
+        s.order.clear();
+        s.order.extend(0..posted);
+        let results = &s.results;
+        s.order.sort_by_key(|&k| results[k].completed_at);
+        let mut batch_end = self.op.clock;
+        let mut checks = SimDuration::ZERO;
+        for j in 0..posted {
+            let k = self.batch.order[j];
+            let r = &self.batch.results[k];
+            batch_end = batch_end.max(r.completed_at);
+            let i = r.wr_id as usize;
+            match r.result {
+                Err(ref e) if Self::recoverable(e) => {
+                    broken = true;
+                    self.batch.retry.push(i);
+                }
+                Err(ref e) => return Err(CormError::Rdma(e.clone())),
+                Ok(_) => {
+                    let image = &self.batch.out[k];
+                    checks += self.server.model().version_check_cost(image.len());
+                    match consistency::gather_into(image, Some(ptrs[i].obj_id), bufs[i].as_mut()) {
+                        Ok((_, n)) => lens[i] = n,
+                        Err(failure) => {
+                            self.failed_direct_reads += 1;
+                            self.file(i, failure);
+                        }
+                    }
+                }
+            }
+        }
+        self.charge(Stage::BatchWindow, batch_end.saturating_since(self.op.clock) + checks);
+        Ok(broken)
+    }
+
+    /// Files entry `i`, whose slot image failed validation. A locked or
+    /// torn object is there: it goes round again. A mismatching ID *or* a
+    /// vacant slot both mean "not at the hint" — relocated, its old slot
+    /// maybe freed or reused — and only the repair, by the client's
+    /// [`FixStrategy`], can tell relocated from truly gone (§3.2.2).
+    fn file(&mut self, i: usize, failure: ReadFailure) {
+        let s = &mut self.batch;
+        match failure {
+            ReadFailure::Locked | ReadFailure::TornRead => s.retry.push(i),
+            ReadFailure::IdMismatch { .. } | ReadFailure::NotValid => match self.fix_strategy {
+                FixStrategy::ScanRead => s.scan.push(i),
+                FixStrategy::RpcRead => s.repair.push(i),
+            },
+        }
+    }
+
+    /// Repairs the round's RPC-routed entries with one `read_many`, which
+    /// corrects their pointers in place: one wire round trip for all,
+    /// charged after the handlers' summed time. Its arguments are staged in
+    /// recycled scratch.
+    fn repair_rpc<B: AsMut<[u8]>>(
+        &mut self,
+        ptrs: &mut [GlobalPtr],
+        bufs: &mut [B],
+        lens: &mut [usize],
+    ) -> Result<(), CormError> {
+        let w = self.pick_worker();
+        let s = &mut self.batch;
+        let n = s.repair.len();
+        s.repair_ptrs.clear();
+        s.repair_ptrs.extend(s.repair.iter().map(|&i| ptrs[i]));
+        if s.repair_bufs.len() < n {
+            s.repair_bufs.resize_with(n, Vec::new);
+        }
+        for (rb, &i) in s.repair_bufs.iter_mut().zip(&s.repair) {
+            rb.clear();
+            rb.resize(bufs[i].as_mut().len(), 0);
+        }
+        let handlers =
+            self.server.read_many(w, &mut s.repair_ptrs, &mut s.repair_bufs[..n], &mut s.repaired);
+        let bytes = s.repaired.iter().map(|r| *r.as_ref().unwrap_or(&0)).sum();
+        self.charge(Stage::RepairRpc, handlers);
+        self.charge(Stage::RpcWire, self.rpc_wire(bytes));
+        let s = &mut self.batch;
+        for (k, &i) in s.repair.iter().enumerate() {
+            ptrs[i] = s.repair_ptrs[k];
+            match &s.repaired[k] {
+                Ok(m) => {
+                    bufs[i].as_mut()[..*m].copy_from_slice(&s.repair_bufs[k][..*m]);
+                    lens[i] = *m;
+                }
+                Err(CormError::ObjectLocked) => s.retry.push(i),
+                Err(e) => return Err(e.clone()),
+            }
+        }
+        Ok(())
     }
 
     /// Local read through the CoRM API (Fig. 11's local path): same

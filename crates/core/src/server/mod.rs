@@ -802,30 +802,28 @@ impl CormServer {
     /// Batched RPC read (multi-get): one request carries many pointers, so
     /// the wire/ingress overhead is paid once by the caller while each
     /// entry still pays the per-object handler work. Outcomes are
-    /// per-entry — one relocated-and-freed or contended object does not
-    /// poison the rest of the batch, which is what lets the batched
-    /// DirectRead client repair only its failed entries. Pointers are
-    /// corrected in place; the cost is the summed handler time of the
-    /// entries that produced an outcome.
+    /// per-entry, one per pointer into the caller's `outcomes` — one
+    /// relocated-and-freed or contended object does not poison the rest of
+    /// the batch, which is what lets the client repair only its failed
+    /// entries. Pointers are corrected in place; the cost returned is the
+    /// summed handler time of the entries that produced an outcome.
     pub(crate) fn read_many(
         &self,
         worker: usize,
         ptrs: &mut [GlobalPtr],
         bufs: &mut [Vec<u8>],
-    ) -> Timed<Vec<Result<usize, CormError>>> {
+        outcomes: &mut Vec<Result<usize, CormError>>,
+    ) -> SimDuration {
         assert_eq!(ptrs.len(), bufs.len(), "one buffer per pointer");
+        outcomes.clear();
         let mut cost = SimDuration::ZERO;
-        let mut outcomes = Vec::with_capacity(ptrs.len());
         for (ptr, buf) in ptrs.iter_mut().zip(bufs.iter_mut()) {
-            match self.read(worker, ptr, buf) {
-                Ok(t) => {
-                    cost += t.cost;
-                    outcomes.push(Ok(t.value));
-                }
-                Err(e) => outcomes.push(Err(e)),
-            }
+            outcomes.push(self.read(worker, ptr, buf).map(|t| {
+                cost += t.cost;
+                t.value
+            }));
         }
-        Timed::new(outcomes, cost)
+        cost
     }
 
     /// RPC write (Table 2 `Write`): replaces the object's contents with

@@ -82,34 +82,38 @@ fn batch_matches_sequential_bytes() {
 }
 
 /// Entries whose offset hint is stale (the slot holds a different object)
-/// fail validation individually and are repaired through the batched RPC,
-/// which corrects their pointers in place — without disturbing the healthy
-/// entries of the batch.
+/// fail validation individually and are repaired by the client's
+/// `FixStrategy` — a ScanRead each, or one batched RPC — which corrects
+/// their pointers in place, without disturbing the healthy entries of the
+/// batch.
 #[test]
 fn batch_repairs_stale_hints_selectively() {
     let size = 64usize;
     let (server, ptrs) = populate(ServerConfig { workers: 1, ..ServerConfig::default() }, 16, size);
-    let mut client = CormClient::connect(server);
-    let mut bptrs: Vec<GlobalPtr> = ptrs[..8].to_vec();
-    // Cross two hints: each now points at the other's slot, so validation
-    // sees an ID mismatch (the slot is live, but holds the wrong object).
-    let (a, b) = (2usize, 5usize);
-    let (va, vb) = (bptrs[a].vaddr, bptrs[b].vaddr);
-    bptrs[a].vaddr = vb;
-    bptrs[b].vaddr = va;
+    for fix in [FixStrategy::ScanRead, FixStrategy::RpcRead] {
+        let mut client = CormClient::connect_with(server.clone(), fix);
+        let mut bptrs: Vec<GlobalPtr> = ptrs[..8].to_vec();
+        // Cross two hints: each now points at the other's slot, so
+        // validation sees an ID mismatch (the slot is live, but holds the
+        // wrong object).
+        let (a, b) = (2usize, 5usize);
+        let (va, vb) = (bptrs[a].vaddr, bptrs[b].vaddr);
+        bptrs[a].vaddr = vb;
+        bptrs[b].vaddr = va;
 
-    let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; size]; bptrs.len()];
-    let t = client.read_batch(&mut bptrs, &mut bufs, SimTime::ZERO).unwrap();
-    let mut expect = vec![0u8; size];
-    for (k, buf) in bufs.iter().enumerate() {
-        assert_eq!(t.value[k], size);
-        fill_pattern(&mut expect, k as u64);
-        assert_eq!(buf, &expect, "entry {k} must return its own payload");
+        let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; size]; bptrs.len()];
+        let t = client.read_batch(&mut bptrs, &mut bufs, SimTime::ZERO).unwrap();
+        let mut expect = vec![0u8; size];
+        for (k, buf) in bufs.iter().enumerate() {
+            assert_eq!(t.value[k], size);
+            fill_pattern(&mut expect, k as u64);
+            assert_eq!(buf, &expect, "{fix:?}: entry {k} must return its own payload");
+        }
+        // The repair corrected the crossed hints back to the true slots.
+        assert_eq!(bptrs[a].vaddr, va, "{fix:?}");
+        assert_eq!(bptrs[b].vaddr, vb, "{fix:?}");
+        assert_eq!(client.failed_direct_reads, 2, "{fix:?}");
     }
-    // The repair corrected the crossed hints back to the true slots.
-    assert_eq!(bptrs[a].vaddr, va);
-    assert_eq!(bptrs[b].vaddr, vb);
-    assert_eq!(client.failed_direct_reads, 2);
 }
 
 /// A corrupt class byte routes the entry straight to the RPC repair (it
@@ -129,6 +133,27 @@ fn batch_survives_corrupt_class_byte() {
         assert_eq!(t.value[k], size);
         fill_pattern(&mut expect, k as u64);
         assert_eq!(buf, &expect);
+    }
+}
+
+/// A one-pointer read routes a corrupt class byte as a batch does — to the
+/// RPC repair, which resolves the object by address — under either
+/// strategy: a scan would need the slot size the class byte names.
+#[test]
+fn single_read_survives_corrupt_class_byte() {
+    let size = 32usize;
+    let mut expect = vec![0u8; size];
+    fill_pattern(&mut expect, 3);
+    for fix in [FixStrategy::ScanRead, FixStrategy::RpcRead] {
+        let (server, ptrs) = populate(ServerConfig::default(), 8, size);
+        let mut client = CormClient::connect_with(server, fix);
+        let mut ptr = ptrs[3];
+        ptr.class = 0xFF;
+        let mut buf = vec![0u8; size];
+        let t = client.direct_read_with_recovery(&mut ptr, &mut buf, SimTime::ZERO).unwrap();
+        assert_eq!(t.value, size, "{fix:?}");
+        assert_eq!(buf, expect, "{fix:?}");
+        assert_eq!(client.failed_direct_reads, 1, "{fix:?}");
     }
 }
 

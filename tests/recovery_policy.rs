@@ -2,9 +2,20 @@
 //! times a read is retried, what each retry, repair and reconnect is
 //! charged, which error surfaces when the budget runs out, and the exact
 //! trace spans of every case — for `direct_read_with_recovery` and for a
-//! depth-4 `read_batch`. The expected span lists are literals recorded at
-//! commit 23eb98b; a change to the recovery loop that moves one span, one
-//! nanosecond or one fault draw fails here.
+//! depth-4 `read_batch`, under both `FixStrategy`s. The expected span
+//! lists are literals recorded at commit 23eb98b; a change to the recovery
+//! loop that moves one span, one nanosecond or one fault draw fails here.
+//!
+//! When the two entry points became one loop — a batch repairs by the
+//! client's `FixStrategy`, and a single read's RPC repair is a `read_many`
+//! charged like a batch's — three single-read cases were re-recorded:
+//! `SINGLE_MOVED_RPC` (its `repair_rpc` splits into `repair_rpc` +
+//! `rpc_wire`, same total), and the RpcRead freed and moved-and-locked
+//! cases, now `SINGLE_FREED_RPC` and `SINGLE_MOVED_LOCKED_FIRST_RPC` (a
+//! failed RPC repair is charged its wire). `BATCH_MOVED`, `BATCH_FREED`
+//! and `BATCH_MOVED_LOCKED_FIRST` describe a `read_many` repair and moved
+//! to an RpcRead rig unchanged; `BATCH_MOVED_SCAN` and `BATCH_FREED_SCAN`
+//! were recorded then for ScanRead. Every other literal is as recorded.
 
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -42,9 +53,14 @@ struct Rig {
 /// QP breaks from the first one-sided verb on, eight written objects, and
 /// a recorder drained of the set-up's spans.
 fn rig(breaks: u64, fix_strategy: FixStrategy) -> Rig {
+    rig_breaking_at(0..breaks, fix_strategy)
+}
+
+/// [`rig`] with a scripted QP break at each one-sided verb in `at_ops`
+/// (numbered from 0).
+fn rig_breaking_at(at_ops: std::ops::Range<u64>, fix_strategy: FixStrategy) -> Rig {
     let trace = TraceHandle::recording();
-    let schedule =
-        (0..breaks).map(|at_op| ScheduledFault { at_op, kind: FaultKind::QpBreak }).collect();
+    let schedule = at_ops.map(|at_op| ScheduledFault { at_op, kind: FaultKind::QpBreak }).collect();
     let server = Arc::new(CormServer::new(ServerConfig {
         workers: 1,
         rnic: RnicConfig { faults: Some(FaultConfig::scripted(schedule)), ..RnicConfig::default() },
@@ -219,19 +235,30 @@ fn locked_object_is_object_locked_after_64_attempts() {
         assert_eq!(r.nic_counts(), (ATTEMPTS, 0, 0));
         assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
         assert_eq!(r.spans(), expected, "{fix:?}");
-
-        // Moved *and* locked: every attempt reads the wrong slot and goes to
-        // its repair route, which finds the object locked. A failed repair
-        // is not charged, so the spans are those of the plain locked case.
-        let mut r = rig(0, fix);
-        r.cross_hints(ONE, 6);
-        r.write_lock(6);
-        assert_eq!(r.single().unwrap_err(), CormError::ObjectLocked);
-        let scans = if fix == FixStrategy::ScanRead { ATTEMPTS } else { 0 };
-        assert_eq!(r.nic_counts(), (ATTEMPTS + scans, 0, 0));
-        assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
-        assert_eq!(r.spans(), expected, "{fix:?}, moved");
     }
+
+    // Moved *and* locked, ScanRead: every attempt reads the wrong slot and
+    // scans the block, which finds the object locked. A failed scan is not
+    // charged, so the spans are those of the plain locked case.
+    let mut r = rig(0, FixStrategy::ScanRead);
+    r.cross_hints(ONE, 6);
+    r.write_lock(6);
+    assert_eq!(r.single().unwrap_err(), CormError::ObjectLocked);
+    assert_eq!(r.nic_counts(), (2 * ATTEMPTS, 0, 0));
+    assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
+    assert_eq!(r.spans(), expected, "moved");
+
+    // RpcRead: the first attempt's repair RPC corrects the hint and reports
+    // the lock, charged its wire; from then on the object is a plain
+    // locked one.
+    let mut r = rig(0, FixStrategy::RpcRead);
+    r.cross_hints(ONE, 6);
+    r.write_lock(6);
+    assert_eq!(r.single().unwrap_err(), CormError::ObjectLocked);
+    assert_eq!(r.nic_counts(), (ATTEMPTS, 0, 0));
+    assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
+    let expected = with_retries(SINGLE_MOVED_LOCKED_FIRST_RPC, 1_010_061, 6711, &SINGLE_RETRY);
+    assert_eq!(r.spans(), expected, "moved, RpcRead");
 }
 
 #[test]
@@ -244,31 +271,47 @@ fn locked_batch_entry_is_object_locked_after_64_rounds() {
     assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
     assert_eq!(r.spans(), with_retries(BATCH_LOCKED_FIRST, 1_008_452, 6961, &BATCH_RETRY));
 
-    // Moved and locked: the first round's repair RPC corrects the hint and
-    // reports the lock; from then on the entry is a plain locked one.
-    let mut r = rig(0, FixStrategy::ScanRead);
+    // Moved and locked, RpcRead: the first round's repair RPC corrects the
+    // hint and reports the lock; from then on the entry is a plain locked
+    // one.
+    let mut r = rig(0, FixStrategy::RpcRead);
     r.cross_hints(ONE, 6);
     r.write_lock(6);
     assert_eq!(r.batch().unwrap_err(), CormError::ObjectLocked);
     assert_eq!(r.nic_counts(), (ATTEMPTS + 3, ATTEMPTS + 3, ATTEMPTS));
     assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
     assert_eq!(r.spans(), with_retries(BATCH_MOVED_LOCKED_FIRST, 1_010_952, 6961, &BATCH_RETRY));
+
+    // ScanRead: every round scans the block after its doorbell and finds
+    // the object locked; the uncharged scans leave the plain locked spans.
+    let mut r = rig(0, FixStrategy::ScanRead);
+    r.cross_hints(ONE, 6);
+    r.write_lock(6);
+    assert_eq!(r.batch().unwrap_err(), CormError::ObjectLocked);
+    assert_eq!(r.nic_counts(), (2 * ATTEMPTS + 3, ATTEMPTS + 3, ATTEMPTS));
+    assert_eq!(r.client.failed_direct_reads, ATTEMPTS);
+    assert_eq!(r.spans(), with_retries(BATCH_LOCKED_FIRST, 1_008_452, 6961, &BATCH_RETRY));
 }
 
 #[test]
 fn freed_object_is_not_found() {
-    for fix in [FixStrategy::ScanRead, FixStrategy::RpcRead] {
+    for (fix, single, batch) in [
+        (FixStrategy::ScanRead, SINGLE_FREED, BATCH_FREED_SCAN),
+        (FixStrategy::RpcRead, SINGLE_FREED_RPC, BATCH_FREED),
+    ] {
         let mut r = rig(0, fix);
         r.free(ONE);
         assert_eq!(r.single().unwrap_err(), CormError::ObjectNotFound, "{fix:?}");
         assert_eq!(r.client.failed_direct_reads, 1);
-        assert_eq!(r.spans(), SINGLE_FREED, "{fix:?}");
+        assert_eq!(r.spans(), single, "{fix:?}");
+
+        let mut r = rig(0, fix);
+        r.free(ONE);
+        assert_eq!(r.batch().unwrap_err(), CormError::ObjectNotFound, "{fix:?}");
+        let scans = u64::from(fix == FixStrategy::ScanRead);
+        assert_eq!(r.nic_counts(), (4 + scans, 4, 1), "{fix:?}");
+        assert_eq!(r.spans(), batch, "{fix:?}");
     }
-    let mut r = rig(0, FixStrategy::ScanRead);
-    r.free(ONE);
-    assert_eq!(r.batch().unwrap_err(), CormError::ObjectNotFound);
-    assert_eq!(r.nic_counts(), (4, 4, 1));
-    assert_eq!(r.spans(), BATCH_FREED);
 }
 
 // (d) a moved object is repaired once, by the configured route, and the
@@ -290,15 +333,42 @@ fn moved_object_is_repaired_once_and_its_pointer_corrected() {
         assert_eq!(r.spans(), spans, "{fix:?}");
     }
 
-    let mut r = rig(0, FixStrategy::ScanRead);
-    let homes: Vec<u64> = r.ptrs[BATCH].iter().map(|p| p.vaddr).collect();
-    r.cross_hints(ONE, 4);
-    let (_, ptrs) = r.batch().expect("repaired");
-    assert_eq!(ptrs.iter().map(|p| p.vaddr).collect::<Vec<_>>(), homes);
-    // One doorbell, and one `read_many` RPC for both crossed entries.
-    assert_eq!(r.nic_counts(), (4, 4, 1));
-    assert_eq!(r.client.failed_direct_reads, 2);
-    assert_eq!(r.spans(), BATCH_MOVED);
+    // One doorbell, then a ScanRead per crossed entry, or one `read_many`
+    // RPC for both.
+    for (fix, reads, spans) in
+        [(FixStrategy::ScanRead, 6, BATCH_MOVED_SCAN), (FixStrategy::RpcRead, 4, BATCH_MOVED)]
+    {
+        let mut r = rig(0, fix);
+        let homes: Vec<u64> = r.ptrs[BATCH].iter().map(|p| p.vaddr).collect();
+        r.cross_hints(ONE, 4);
+        let (_, ptrs) = r.batch().expect("repaired");
+        assert_eq!(ptrs.iter().map(|p| p.vaddr).collect::<Vec<_>>(), homes, "{fix:?}");
+        assert_eq!(r.nic_counts(), (reads, 4, 1), "{fix:?}");
+        assert_eq!(r.client.failed_direct_reads, 2);
+        assert_eq!(r.spans(), spans, "{fix:?}");
+    }
+}
+
+// (e) a break in the last attempt tells nothing about the object, which
+// was last seen locked: still `ObjectLocked`, for one pointer and for a
+// batch of one.
+
+#[test]
+fn locked_object_whose_last_attempt_breaks_is_object_locked() {
+    let last = ATTEMPTS - 1;
+    let mut r = rig_breaking_at(last..ATTEMPTS, FixStrategy::ScanRead);
+    r.write_lock(ONE);
+    assert_eq!(r.single().unwrap_err(), CormError::ObjectLocked);
+    assert_eq!(r.client.qp_recoveries, 1);
+    assert_eq!(r.nic_counts(), (last, 0, 0));
+
+    let mut r = rig_breaking_at(last..ATTEMPTS, FixStrategy::ScanRead);
+    r.write_lock(ONE);
+    let (mut ptrs, mut bufs) = ([r.ptrs[ONE]], [vec![0u8; SIZE]]);
+    let err = r.client.read_batch(&mut ptrs, &mut bufs, START).unwrap_err();
+    assert_eq!(err, CormError::ObjectLocked);
+    assert_eq!(r.client.qp_recoveries, 1);
+    assert_eq!(r.nic_counts(), (last, ATTEMPTS, ATTEMPTS));
 }
 
 const SINGLE_1_BREAKS: &str = "\
@@ -534,6 +604,30 @@ mtt_miss 1000000 0
 verb 1000000 2560
 version_check 1002560 1";
 
+const SINGLE_FREED_RPC: &str = "\
+mtt_miss 1000000 0
+verb 1000000 2560
+version_check 1002560 1
+repair_rpc 1002561 0
+rpc_wire 1002561 2500";
+
+const SINGLE_MOVED_LOCKED_FIRST_RPC: &str = "\
+mtt_miss 1000000 0
+verb 1000000 2560
+version_check 1002560 1
+repair_rpc 1002561 0
+rpc_wire 1002561 2500
+backoff 1005061 5000";
+
+const BATCH_FREED_SCAN: &str = "\
+doorbell 1000000 250
+batch_window 1000000 3452
+mtt_miss 1000250 0
+engine_service 1000250 576
+engine_service 1000826 456
+engine_service 1001282 456
+engine_service 1001738 456";
+
 const BATCH_FREED: &str = "\
 doorbell 1000000 250
 batch_window 1000000 3452
@@ -558,7 +652,8 @@ mtt_miss 1000000 0
 verb 1000000 2560
 client_op 1000000 5973
 version_check 1002560 1
-repair_rpc 1002561 3412";
+repair_rpc 1002561 905
+rpc_wire 1003466 2507";
 
 const BATCH_MOVED: &str = "\
 doorbell 1000000 250
@@ -571,3 +666,17 @@ engine_service 1001282 456
 engine_service 1001738 456
 repair_rpc 1003452 1810
 rpc_wire 1005262 2514";
+
+const BATCH_MOVED_SCAN: &str = "\
+doorbell 1000000 250
+batch_window 1000000 3452
+client_op 1000000 8338
+mtt_miss 1000250 0
+engine_service 1000250 576
+engine_service 1000826 456
+engine_service 1001282 456
+engine_service 1001738 456
+verb 1003452 2314
+scan 1005766 129
+verb 1005895 2314
+scan 1008209 129";
