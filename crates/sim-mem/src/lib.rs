@@ -36,4 +36,4 @@ pub use phys::{
     DmaSession, FrameId, MemError, PhysicalMemory, Residency, ResidencySnapshot, PAGE_SIZE,
 };
 pub use tier::{FarTier, TierConfig, TierStats};
-pub use vspace::{AddressSpace, PageSpan, Translation};
+pub use vspace::{AddressSpace, FrameBuf, PageSpan, Translation};

@@ -468,17 +468,6 @@ impl PhysicalMemory {
         self.frames.read().get(id.0 as usize).map(|f| f.residency()).unwrap_or(Residency::Pinned)
     }
 
-    /// Moves a live frame to `to` in the residency lattice, returning the
-    /// previous state. Data movement is the caller's job ([`FarTier`]'s
-    /// spill and fetch are the byte-preserving transitions); this is the
-    /// bookkeeping-only flip used for pin/unpin, which never touches the
-    /// frame's bytes.
-    ///
-    /// [`FarTier`]: crate::FarTier
-    pub fn set_residency(&self, id: FrameId, to: Residency) -> Result<Residency, MemError> {
-        self.dma().set_residency(id, to)
-    }
-
     /// Live-frame gauges per residency state.
     pub fn residency_counts(&self) -> ResidencySnapshot {
         ResidencySnapshot {
@@ -521,10 +510,15 @@ impl DmaSession<'_> {
         self.frames.get(id.0 as usize).map(|f| f.residency())
     }
 
-    /// Bookkeeping-only residency flip under the held session; semantics of
-    /// [`PhysicalMemory::set_residency`]. The simulated RNIC uses this to
+    /// Moves a live frame to `to` in the residency lattice under the held
+    /// session, returning the previous state. Data movement is the
+    /// caller's job ([`FarTier`]'s spill and fetch are the byte-preserving
+    /// transitions); this is the bookkeeping-only flip used for pin/unpin,
+    /// which never touches the frame's bytes. The simulated RNIC uses it to
     /// pin a resident page mid-batch (NP-RDMA's dynamic-pin fault) without
     /// re-acquiring the frame-table lock it already holds.
+    ///
+    /// [`FarTier`]: crate::FarTier
     pub fn set_residency(&self, id: FrameId, to: Residency) -> Result<Residency, MemError> {
         let frame = self.frames.get(id.0 as usize).ok_or(MemError::DeadFrame(id))?;
         if frame.refs == 0 {
@@ -779,7 +773,7 @@ mod tests {
         let live = pm.alloc().unwrap();
         let freed = pm.alloc().unwrap();
         pm.write(live, 0, b"payload").unwrap();
-        pm.set_residency(live, Residency::Resident).unwrap();
+        pm.dma().set_residency(live, Residency::Resident).unwrap();
         pm.release(freed);
         let before = (pm.residency_counts(), pm.live_frames());
         let dma = pm.dma();
@@ -812,7 +806,7 @@ mod tests {
         let f = pm.alloc().unwrap();
         assert_eq!(pm.residency(f), Residency::Pinned);
         assert_eq!(pm.residency_counts(), ResidencySnapshot { pinned: 1, resident: 0, far: 0 });
-        assert_eq!(pm.set_residency(f, Residency::Resident).unwrap(), Residency::Pinned);
+        assert_eq!(pm.dma().set_residency(f, Residency::Resident).unwrap(), Residency::Pinned);
         assert_eq!(pm.residency_counts(), ResidencySnapshot { pinned: 0, resident: 1, far: 0 });
         // Freeing a demoted frame drains the right gauge; reuse re-pins.
         pm.release(f);

@@ -41,19 +41,19 @@ pub struct TierConfig {
     /// Device latency to spill one page, before bandwidth and queueing.
     spill_base: SimDuration,
     /// Inverse bandwidth of one channel (transfer time per byte, in ns).
-    pub ns_per_byte: f64,
+    ns_per_byte: f64,
     /// Independent transfer channels (servers of the [`FifoResource`]).
     pub(crate) channels: usize,
     /// NIC-side dynamic-pin fault: the MTT-miss-triggered host round trip
     /// that pins a resident page so DMA may proceed (NP-RDMA's fault path;
     /// a few microseconds on commodity hardware).
-    pub dynamic_pin: SimDuration,
+    dynamic_pin: SimDuration,
     /// Extra charge for the pinned-only baseline's hard miss: a NIC
     /// without ODP or dynamic pinning cannot touch unpinned memory, so the
     /// access faults to the host, which services the page synchronously
     /// (interrupt, swap-in wait, re-pin, re-registration) while the verb
     /// stalls. Charged on top of the tier fetch.
-    pub hard_miss_extra: SimDuration,
+    hard_miss_extra: SimDuration,
 }
 
 impl TierConfig {
@@ -89,6 +89,18 @@ impl TierConfig {
     /// Full service time of one page fetch (latency + bandwidth).
     pub fn fetch_cost(&self) -> SimDuration {
         self.fetch_base + self.transfer_time()
+    }
+
+    /// The NIC-side dynamic-pin fault's charge: the host round trip that
+    /// pins a resident page so DMA may proceed.
+    pub fn dynamic_pin(&self) -> SimDuration {
+        self.dynamic_pin
+    }
+
+    /// The pinned-only hard miss's charge on top of the tier fetch: the
+    /// host services the page synchronously while the verb stalls.
+    pub fn hard_miss_extra(&self) -> SimDuration {
+        self.hard_miss_extra
     }
 
     /// Full service time of one page spill (latency + bandwidth).

@@ -12,6 +12,7 @@
 //! [`remap`]: AddressSpace::remap
 
 use std::num::NonZeroU64;
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,10 +58,29 @@ impl<'a> PageSpan<'a> {
         Some(PageSpan { va, len, base_va, frames })
     }
 
+    /// Walks `[va, va + len)` one page at a time, or fails if it leaves
+    /// the span: `f` gets each page's frame, the access's offset in it and
+    /// the range of the access that page holds. The one loop that crosses
+    /// pages: every multi-page read or write in the workspace goes through
+    /// a span.
     #[inline]
-    fn check(&self, va: u64, len: usize) -> Result<(), MemError> {
+    fn walk(
+        &self,
+        va: u64,
+        len: usize,
+        mut f: impl FnMut(FrameId, usize, Range<usize>) -> Result<(), MemError>,
+    ) -> Result<(), MemError> {
         if va < self.va || va + len as u64 > self.va + self.len as u64 {
             return Err(MemError::Unmapped(va));
+        }
+        let mut done = 0;
+        while done < len {
+            let addr = va + done as u64;
+            let off = (addr % PAGE_SIZE as u64) as usize;
+            let n = (PAGE_SIZE - off).min(len - done);
+            let frame = self.frames[((addr - self.base_va) / PAGE_SIZE as u64) as usize];
+            f(frame, off, done..done + n)?;
+            done += n;
         }
         Ok(())
     }
@@ -69,36 +89,59 @@ impl<'a> PageSpan<'a> {
     /// through the held DMA session.
     #[inline]
     pub fn read(&self, dma: &DmaSession<'_>, va: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        self.check(va, buf.len())?;
-        let mut done = 0;
-        let mut addr = va;
-        while done < buf.len() {
-            let off = (addr % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
-            let frame = self.frames[((addr - self.base_va) / PAGE_SIZE as u64) as usize];
-            dma.read(frame, off, &mut buf[done..done + n])?;
-            done += n;
-            addr += n as u64;
-        }
-        Ok(())
+        self.walk(va, buf.len(), |frame, off, chunk| dma.read(frame, off, &mut buf[chunk]))
     }
 
     /// Writes `data` at `va` (which must lie inside the span) through the
     /// held DMA session.
     #[inline]
     pub fn write(&self, dma: &DmaSession<'_>, va: u64, data: &[u8]) -> Result<(), MemError> {
-        self.check(va, data.len())?;
-        let mut done = 0;
-        let mut addr = va;
-        while done < data.len() {
-            let off = (addr % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(data.len() - done);
-            let frame = self.frames[((addr - self.base_va) / PAGE_SIZE as u64) as usize];
-            dma.write(frame, off, &data[done..done + n])?;
-            done += n;
-            addr += n as u64;
+        self.walk(va, data.len(), |frame, off, chunk| dma.write(frame, off, &data[chunk]))
+    }
+}
+
+/// Frames a [`FrameBuf`] holds without touching the heap.
+const INLINE_FRAMES: usize = 8;
+
+/// The frames backing a run of pages, filled by a translation loop and
+/// walked by a [`PageSpan`]: on the stack for up to eight pages, on the
+/// heap beyond.
+pub struct FrameBuf {
+    inline: [FrameId; INLINE_FRAMES],
+    spill: Vec<FrameId>,
+    len: usize,
+}
+
+impl FrameBuf {
+    /// A buffer of `pages` frames, each `FrameId(0)` until filled.
+    #[inline]
+    pub fn new(pages: usize) -> FrameBuf {
+        let spill = if pages > INLINE_FRAMES { vec![FrameId(0); pages] } else { Vec::new() };
+        FrameBuf { inline: [FrameId(0); INLINE_FRAMES], spill, len: pages }
+    }
+}
+
+impl Deref for FrameBuf {
+    type Target = [FrameId];
+
+    #[inline]
+    fn deref(&self) -> &[FrameId] {
+        if self.len <= INLINE_FRAMES {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
         }
-        Ok(())
+    }
+}
+
+impl DerefMut for FrameBuf {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [FrameId] {
+        if self.len <= INLINE_FRAMES {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
+        }
     }
 }
 
@@ -314,16 +357,6 @@ impl AddressSpace {
         if buf.is_empty() {
             return Ok(());
         }
-        let last = va + buf.len() as u64 - 1;
-        if Self::page_of(va) == Self::page_of(last) {
-            // Single-page fast path — the overwhelmingly common case for
-            // slot-sized accesses: one table lock, one lookup, one copy.
-            let frame = {
-                let table = self.table.read();
-                table.get(Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
-            };
-            return self.phys.read(frame, (va % PAGE_SIZE as u64) as usize, buf);
-        }
         let (base, frames) = self.resolve_pages(va, buf.len())?;
         let span = PageSpan::from_frames(va, buf.len(), base, &frames).expect("pages resolved");
         span.read(&self.phys.dma(), va, buf)
@@ -339,14 +372,6 @@ impl AddressSpace {
         if buf.is_empty() {
             return Ok(());
         }
-        let last = va + buf.len() as u64 - 1;
-        if Self::page_of(va) == Self::page_of(last) {
-            let frame = {
-                let table = self.table.read();
-                table.get(Self::page_of(va)).ok_or(MemError::Unmapped(va))?.frame
-            };
-            return self.phys.write(frame, (va % PAGE_SIZE as u64) as usize, buf);
-        }
         let (base, frames) = self.resolve_pages(va, buf.len())?;
         let span = PageSpan::from_frames(va, buf.len(), base, &frames).expect("pages resolved");
         span.write(&self.phys.dma(), va, buf)
@@ -354,21 +379,21 @@ impl AddressSpace {
 
     /// The frames backing every page of the non-empty `[va, va + len)`,
     /// with the address of the first page, resolved in one page-table lock
-    /// acquisition: the page-crossing [`Self::read`] and [`Self::write`]
-    /// validate the whole range before any byte moves. The list is a
-    /// snapshot — a concurrent [`Self::remap`] of these pages is not
-    /// observed, like the stale-MTT hazard the RNIC models.
-    fn resolve_pages(&self, va: u64, len: usize) -> Result<(u64, Vec<FrameId>), MemError> {
+    /// acquisition: [`Self::read`] and [`Self::write`] validate the whole
+    /// range before any byte moves. The list is a snapshot — a concurrent
+    /// [`Self::remap`] of these pages is not observed, like the stale-MTT
+    /// hazard the RNIC models.
+    #[inline]
+    fn resolve_pages(&self, va: u64, len: usize) -> Result<(u64, FrameBuf), MemError> {
         let (first_vpn, last_vpn) = (Self::page_of(va), Self::page_of(va + len as u64 - 1));
+        let mut frames = FrameBuf::new((last_vpn - first_vpn + 1) as usize);
         let table = self.table.read();
-        let frames = (first_vpn..=last_vpn)
-            .map(|vpn| {
-                // Report the same address a per-page walk would: the
-                // requested va for the first page, the page base after.
-                let page_va = if vpn == first_vpn { va } else { vpn * PAGE_SIZE as u64 };
-                table.get(vpn).map(|pte| pte.frame).ok_or(MemError::Unmapped(page_va))
-            })
-            .collect::<Result<_, _>>()?;
+        for (vpn, frame) in (first_vpn..).zip(frames.iter_mut()) {
+            // Report the same address a per-page walk would: the requested
+            // va for the first page, the page base after.
+            let page_va = if vpn == first_vpn { va } else { vpn * PAGE_SIZE as u64 };
+            *frame = table.get(vpn).ok_or(MemError::Unmapped(page_va))?.frame;
+        }
         Ok((first_vpn * PAGE_SIZE as u64, frames))
     }
 

@@ -12,13 +12,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use corm_sim_core::prefetch_read;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{
-    AddressSpace, DmaSession, FarTier, FrameId, MemError, PagedTable, Residency, Translation,
-    PAGE_SIZE,
+    AddressSpace, DmaSession, FarTier, FrameBuf, FrameId, MemError, PageSpan, PagedTable,
+    Residency, Translation, PAGE_SIZE,
 };
 use corm_trace::{Stage, TraceHandle, Track};
 
@@ -142,11 +142,11 @@ pub struct RnicConfig {
     /// Whether the NIC supports NP-RDMA-style dynamic pinning: an MTT
     /// lookup that resolves to an unpinned or far frame triggers a
     /// host round trip that (fetches and) pins the page, charging
-    /// `TierConfig::dynamic_pin` instead of failing. Without it, an ODP
+    /// `TierConfig::dynamic_pin()` instead of failing. Without it, an ODP
     /// region degenerates to its existing lazy fault (the page is serviced
     /// in place and stays unpinned), and a non-ODP region takes the
     /// pinned-only *hard miss*: a synchronous host fault charged
-    /// `TierConfig::hard_miss_extra` on top of the fetch.
+    /// `TierConfig::hard_miss_extra()` on top of the fetch.
     pub dynamic_pin: bool,
 }
 
@@ -214,14 +214,14 @@ impl RegionTable {
     }
 }
 
-/// Doorbell-batch-scoped MTT shard guards. The serve paths prescan which
-/// shards a batch's pages hash to and lock exactly those once, in
-/// ascending index order, instead of locking per page per WQE. Ascending
-/// acquisition gives concurrent batches one global order, and every other
-/// shard user (registration, rereg, advise, the single-verb path) holds at
-/// most one shard at a time, so no cycle is possible. Wall-clock-only: the
-/// guards serialize exactly the accesses the per-page locks would have,
-/// batch-at-a-time instead of page-at-a-time, and virtual time never
+/// The MTT shard guards of one verb or one doorbell batch. Opening them
+/// prescans which shards the requests' pages hash to and locks exactly
+/// those once, in ascending index order, instead of locking per page per
+/// request. Ascending acquisition gives concurrent verbs one global order,
+/// and every other shard user (registration, rereg, advise) holds at most
+/// one shard at a time, so no cycle is possible. Wall-clock-only: the
+/// guards serialize exactly the accesses per-page locks would have,
+/// verb-at-a-time instead of page-at-a-time, and virtual time never
 /// depends on lock timing.
 struct ShardGuards<'a> {
     guards: [Option<MutexGuard<'a, MttShard>>; MTT_SHARDS],
@@ -233,13 +233,27 @@ impl<'a> ShardGuards<'a> {
     /// # Panics
     ///
     /// Panics if the prescan did not cover `idx` — the mask is computed
-    /// from the same request list the serve loop walks, so a miss is a
+    /// from the same request list the verb body walks, so a miss is a
     /// bug, not a recoverable state (locking late would break the
     /// ascending-order invariant).
     #[inline]
     fn shard(&mut self, idx: usize) -> &mut MttShard {
         self.guards[idx].as_mut().expect("shard prescan covered every page")
     }
+}
+
+/// Everything a one-sided verb holds for its whole service, opened by
+/// [`Rnic::open`] in the NIC's lock order: a single [`Rnic::read`] holds
+/// it for one request, [`Rnic::serve_doorbell`] once for its batch.
+struct VerbGuards<'a> {
+    rt: RwLockReadGuard<'a, RegionTable>,
+    dma: DmaSession<'a>,
+    fault: Option<FaultBlock<'a>>,
+    shards: ShardGuards<'a>,
+    /// The last region looked up, by rkey. Valid because `rt` pins the
+    /// table and every request under one set of guards shares one arrival
+    /// time, so the busy-window check cannot change between them.
+    memo: Option<(u32, MemoryRegion)>,
 }
 
 /// The outcome of a one-sided verb: end-to-end latency plus diagnostics.
@@ -332,17 +346,24 @@ impl Rnic {
         ((vpn % n) as usize, vpn / n)
     }
 
-    /// Locks the MTT shards a doorbell batch will touch, once, in
-    /// ascending index order. `accesses` yields each WQE's `(va, len)`;
-    /// pages of requests that later fail region checks are harmlessly
-    /// over-approximated into the mask.
-    fn lock_batch_shards(&self, accesses: impl Iterator<Item = (u64, usize)>) -> ShardGuards<'_> {
+    /// Opens a verb's guards over the requests `accesses` yields as
+    /// `(va, len)`, in the NIC's one lock order: the region table's read
+    /// guard, the DMA session, the fault-draw block, then the MTT shards
+    /// the requests' pages fall in, once each, ascending (pages of requests
+    /// that later fail region checks are harmlessly over-approximated into
+    /// the mask). Only a doorbell's engine scheduler comes after them.
+    fn open(&self, accesses: impl Iterator<Item = (u64, usize)>) -> VerbGuards<'_> {
+        let rt = self.regions.read();
+        let dma = self.aspace.phys().dma();
+        let fault = self.faults.as_ref().map(|inj| inj.begin_block());
         const _: () = assert!(MTT_SHARDS <= u8::BITS as usize);
         let full = u8::MAX >> (u8::BITS as usize - MTT_SHARDS);
         let mut mask = 0u8;
         for (va, len) in accesses {
             let first = va / PAGE_SIZE as u64;
-            let last = (va + len.max(1) as u64 - 1) / PAGE_SIZE as u64;
+            // Saturating: a request running off the address space fails
+            // its region check later; here it only widens the mask.
+            let last = va.saturating_add(len.max(1) as u64 - 1) / PAGE_SIZE as u64;
             if last - first + 1 >= MTT_SHARDS as u64 {
                 mask = full;
             } else {
@@ -356,7 +377,7 @@ impl Rnic {
         }
         // `from_fn` walks the indexes forward: ascending lock order.
         let guards = std::array::from_fn(|i| ((mask >> i) & 1 == 1).then(|| self.shards[i].lock()));
-        ShardGuards { guards }
+        VerbGuards { rt, dma, fault, shards: ShardGuards { guards }, memo: None }
     }
 
     /// The replay log of injected faults (empty when injection is off).
@@ -386,21 +407,16 @@ impl Rnic {
         (0..pages).map(|i| Ok(self.aspace.translate(base + (i * PAGE_SIZE) as u64)?)).collect()
     }
 
-    /// Installs `t` as the MTT's translation of page `vpn`. `uncache` also
-    /// drops the page from the translation cache.
-    fn install(&self, vpn: u64, t: Translation, uncache: bool) {
-        let (shard, page) = self.locate(vpn);
-        let mut shard = self.shards[shard].lock();
-        shard.install(page, t);
-        if uncache {
-            shard.uncache(page);
-        }
-    }
-
-    /// Installs a [`Rnic::snapshot`] of the pages from `base` on.
+    /// Installs a [`Rnic::snapshot`] of the pages from `base` on, one shard
+    /// at a time. `uncache` also drops the pages from the translation cache.
     fn install_all(&self, base: u64, fresh: &[Translation], uncache: bool) {
         for (i, &t) in fresh.iter().enumerate() {
-            self.install(base / PAGE_SIZE as u64 + i as u64, t, uncache);
+            let (shard, page) = self.locate(base / PAGE_SIZE as u64 + i as u64);
+            let mut shard = self.shards[shard].lock();
+            shard.install(page, t);
+            if uncache {
+                shard.uncache(page);
+            }
         }
     }
 
@@ -493,6 +509,7 @@ impl Rnic {
             return Ok(SimDuration::ZERO);
         }
         let mut max_pages = 0usize;
+        let mut fresh = Vec::with_capacity(targets.len());
         {
             let rt = self.regions.read();
             for &(rkey, va, pages) in targets {
@@ -504,13 +521,11 @@ impl Rnic {
                     return Err(RdmaError::OutOfRange { rkey, va, len: pages * PAGE_SIZE });
                 }
                 max_pages = max_pages.max(pages);
+                fresh.push((va, self.snapshot(va, pages)?));
             }
         }
-        for &(_, va, pages) in targets {
-            for i in 0..pages {
-                let page_va = va + (i * PAGE_SIZE) as u64;
-                self.install(page_va / PAGE_SIZE as u64, self.aspace.translate(page_va)?, false);
-            }
+        for (va, fresh) in &fresh {
+            self.install_all(*va, fresh, false);
         }
         self.stats.advises.fetch_add(targets.len() as u64, Ordering::Relaxed);
         Ok(self.config.model.advise_cost(max_pages))
@@ -521,7 +536,8 @@ impl Rnic {
     /// Translation is performed through the MTT. For non-ODP regions the
     /// snapshot is authoritative even if stale — the dangerous case. For
     /// ODP regions, stale/missing entries are refetched from the OS page
-    /// table at the ODP miss cost.
+    /// table at the ODP miss cost. The doorbell's verb body, without its
+    /// charge or engine admission.
     pub fn read(
         &self,
         rkey: u32,
@@ -529,7 +545,8 @@ impl Rnic {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<VerbOutcome, RdmaError> {
-        let outcome = self.access(rkey, va, now, buf)?;
+        let mut guards = self.open(std::iter::once((va, buf.len())));
+        let outcome = self.serve_verb(&mut guards, rkey, va, now, buf)?;
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }
@@ -567,30 +584,24 @@ impl Rnic {
         let arrival = now + model.doorbell_cost;
         self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
         trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
-        // Shared-state locks are taken once per doorbell, not once per WQE,
-        // in the one global order regions -> DMA session -> scheduler ->
-        // fault -> shards ascending. Virtual-time results are identical to
-        // per-WQE locking — these guards only serialize wall-clock access.
-        let rt = self.regions.read();
-        let dma = self.aspace.phys().dma();
+        // Shared-state locks are taken once per doorbell, not once per WQE:
+        // the verb's guards, then the engine scheduler last. Virtual-time
+        // results are identical to per-WQE locking — these guards only
+        // serialize wall-clock access.
+        let mut guards = self.open(reqs.iter().map(|r| (r.va, r.len)));
         let mut sched = self.sched.lock();
-        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
-        let held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
         // A lone request has no other chain to overlap with.
         if reqs.len() >= 2 {
-            self.resolve(&rt, &dma, &held, reqs);
+            self.resolve(&guards, reqs);
         }
-        let mut held = Some(held);
-        let mut memo = None;
         // How many requests reached the NIC, and whether the last one failed.
         let mut executed = 0usize;
         let mut failed = false;
         for (req, out) in reqs.iter().zip(outs.iter_mut()) {
             executed += 1;
             out.resize(req.len, 0);
-            let (completed_at, result) = match self.access_locked(
-                &rt, &dma, &mut fault, &mut held, &mut memo, req.rkey, req.va, arrival, out,
-            ) {
+            let served = self.serve_verb(&mut guards, req.rkey, req.va, arrival, out);
+            let (completed_at, result) = match served {
                 Ok(verb) => {
                     let mut service = model.rdma_read_service(req.len, verb.cache_hit);
                     if verb.odp_misses > 0 {
@@ -647,24 +658,19 @@ impl Rnic {
     /// nothing, traces nothing and charges no virtual time, so the commit
     /// pass decides exactly what it would have decided without it. A
     /// request that will fail its region checks resolves nothing.
-    fn resolve(
-        &self,
-        rt: &RegionTable,
-        dma: &DmaSession<'_>,
-        held: &ShardGuards<'_>,
-        reqs: &[ReadReq],
-    ) {
+    fn resolve(&self, guards: &VerbGuards<'_>, reqs: &[ReadReq]) {
         for req in reqs {
-            if !rt.get(req.rkey).is_ok_and(|slot| slot.mr.covers(req.va, req.len)) {
+            if !guards.rt.get(req.rkey).is_ok_and(|slot| slot.mr.covers(req.va, req.len)) {
                 continue;
             }
             let (shard, page) = self.locate(req.va / PAGE_SIZE as u64);
-            let translated = held.guards[shard].as_ref().and_then(|shard| shard.peek(page));
+            let translated =
+                guards.shards.guards[shard].as_ref().and_then(|shard| shard.peek(page));
             if let Some((frame, node)) = translated {
                 if let Some(node) = node {
                     prefetch_read(node);
                 }
-                dma.prefetch(frame, (req.va % PAGE_SIZE as u64) as usize);
+                guards.dma.prefetch(frame, (req.va % PAGE_SIZE as u64) as usize);
             }
         }
     }
@@ -694,39 +700,18 @@ impl Rnic {
         self.sched.lock().utilization(horizon)
     }
 
-    fn access(
+    /// The verb body: one READ of `buf.len()` bytes at `(rkey, va)` under
+    /// the guards [`Rnic::open`] took for it — by [`Rnic::read`] for this
+    /// request alone, by [`Rnic::serve_doorbell`] for its whole batch.
+    fn serve_verb(
         &self,
+        guards: &mut VerbGuards<'_>,
         rkey: u32,
         va: u64,
         now: SimTime,
         buf: &mut [u8],
     ) -> Result<VerbOutcome, RdmaError> {
-        let rt = self.regions.read();
-        let dma = self.aspace.phys().dma();
-        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
-        self.access_locked(&rt, &dma, &mut fault, &mut None, &mut None, rkey, va, now, buf)
-    }
-
-    /// The verb path proper, under a caller-held region-table snapshot,
-    /// DMA session, and fault-draw block. [`Rnic::serve_doorbell`] acquires
-    /// all three once per doorbell batch, plus batch-held shard guards in
-    /// `held` and a one-entry region memo in `memo` (valid because the
-    /// region snapshot is pinned and every WQE in a batch shares one
-    /// arrival time); the sequential [`Rnic::read`] wrapper passes `None`
-    /// for both and acquires per verb. The READ is of `buf.len()` bytes.
-    #[allow(clippy::too_many_arguments)]
-    fn access_locked(
-        &self,
-        rt: &RegionTable,
-        dma: &DmaSession<'_>,
-        fault: &mut Option<FaultBlock<'_>>,
-        held: &mut Option<ShardGuards<'_>>,
-        memo: &mut Option<(u32, MemoryRegion)>,
-        rkey: u32,
-        va: u64,
-        now: SimTime,
-        buf: &mut [u8],
-    ) -> Result<VerbOutcome, RdmaError> {
+        let VerbGuards { rt, dma, fault, shards, memo } = guards;
         let len = buf.len();
         // Consult the fault layer first: injected failures model the NIC or
         // the fabric going wrong before the verb touches any state.
@@ -766,34 +751,17 @@ impl Rnic {
         if !mr.covers(va, len) {
             return Err(RdmaError::OutOfRange { rkey, va, len });
         }
-        // Resolve the translation of every page the access touches. Each
-        // page locks only its own MTT shard, so concurrent verbs from
-        // different QPs touching different pages proceed in parallel.
-        // Translations live on the stack for typical verb sizes; only an
-        // access spanning more than eight pages spills to the heap.
+        // Resolve the translation of every page the access touches, under
+        // the shard guards the verb holds: concurrent verbs from different
+        // QPs touching different pages hold different shards.
         let first_vpn = va / PAGE_SIZE as u64;
         let last_vpn = (va + len.max(1) as u64 - 1) / PAGE_SIZE as u64;
-        let pages = (last_vpn - first_vpn + 1) as usize;
-        let mut inline = [FrameId(0); 8];
-        let mut spill = Vec::new();
-        let frames: &mut [FrameId] = if pages <= inline.len() {
-            &mut inline[..pages]
-        } else {
-            spill.resize(pages, FrameId(0));
-            &mut spill
-        };
+        let mut frames = FrameBuf::new((last_vpn - first_vpn + 1) as usize);
         let mut all_hit = true;
         let mut odp_misses = 0u32;
         for vpn in first_vpn..=last_vpn {
             let (shard, page) = self.locate(vpn);
-            let mut fresh;
-            let shard: &mut MttShard = match held {
-                Some(h) => h.shard(shard),
-                None => {
-                    fresh = self.shards[shard].lock();
-                    &mut fresh
-                }
-            };
+            let shard = shards.shard(shard);
             if forced_miss {
                 // A forced MTT-cache-miss fault evicts the page's
                 // translation so the normal lookup below takes a genuine
@@ -857,8 +825,9 @@ impl Rnic {
                                 // then proceeds against pinned memory.
                                 dma.set_residency(frame, Residency::Pinned)?;
                                 tier.note_pin_fault();
-                                trace.span(Track::Nic, Stage::DynamicPin, 0, now, tcfg.dynamic_pin);
-                                tier_delay += fetch + tcfg.dynamic_pin;
+                                let pin = tcfg.dynamic_pin();
+                                trace.span(Track::Nic, Stage::DynamicPin, 0, now, pin);
+                                tier_delay += fetch + pin;
                             } else if res == Residency::Far {
                                 // ODP degenerates to its existing lazy
                                 // fault: a far page is fetched and serviced
@@ -888,18 +857,9 @@ impl Rnic {
             }
         }
         // Perform the DMA against the translated frames.
-        let mut done = 0usize;
-        let mut addr = va;
-        let mut frame_idx = 0usize;
-        while done < len {
-            let off = (addr % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(len - done);
-            let frame = frames[frame_idx];
-            dma.read(frame, off, &mut buf[done..done + n])?;
-            done += n;
-            addr += n as u64;
-            frame_idx += 1;
-        }
+        PageSpan::from_frames(va, len, first_vpn * PAGE_SIZE as u64, &frames)
+            .expect("a frame per page")
+            .read(dma, va, buf)?;
         trace.add(Stage::MttLookup, last_vpn - first_vpn + 1);
         if !all_hit {
             trace.event(Track::Nic, Stage::MttMiss, 0, now);
@@ -1095,6 +1055,26 @@ mod tests {
     }
 
     #[test]
+    fn advise_of_a_target_with_an_unmapped_page_changes_nothing() {
+        let (aspace, rnic, va, frames) = setup(2);
+        let page = PAGE_SIZE as u64;
+        let (a, _) = rnic.register(va, 1, true).unwrap();
+        let (b, _) = rnic.register(va + page, 1, true).unwrap();
+        // The first target's translation is stale, the second's page gone.
+        let spare = aspace.phys().alloc().unwrap();
+        aspace.remap(va, &[spare]).unwrap();
+        aspace.munmap(va + page, 1).unwrap();
+        let unmapped = RdmaError::Mem(MemError::Unmapped(va + page));
+        assert_eq!(rnic.advise(&[(a.rkey, va, 1), (b.rkey, va + page, 1)]), Err(unmapped));
+        // No translation moved, nothing counted.
+        assert_eq!(rnic.mtt_lookup(va), Some(frames[0]));
+        assert_eq!(rnic.stats.advises.load(Ordering::Relaxed), 0);
+        // The mapped target alone still advises.
+        rnic.advise(&[(a.rkey, va, 1)]).unwrap();
+        assert_eq!(rnic.mtt_lookup(va), Some(spare));
+    }
+
+    #[test]
     fn region_table_follows_the_live_key_window() {
         // rkeys are never reissued: 20 K regions pass through a 600-region
         // window, and the table holds the window, not the history.
@@ -1205,7 +1185,7 @@ mod tests {
         assert_eq!(tier.stats().pin_faults, 1);
         assert_eq!(
             faulted.latency,
-            warm.latency + tier.config().fetch_cost() + tier.config().dynamic_pin
+            warm.latency + tier.config().fetch_cost() + tier.config().dynamic_pin()
         );
         assert_eq!(pm.residency(frames[0]), Residency::Pinned);
 
@@ -1239,7 +1219,7 @@ mod tests {
         let hard = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
         assert_eq!(
             hard.latency,
-            warm.latency + tier.config().fetch_cost() + tier.config().hard_miss_extra
+            warm.latency + tier.config().fetch_cost() + tier.config().hard_miss_extra()
         );
         assert_eq!(tier.stats().pin_faults, 0);
         assert_eq!(pm.residency(frames[0]), Residency::Pinned);
@@ -1493,10 +1473,8 @@ mod tests {
 
             let before = doorbell_visible_state(&rnic, va, PAGES);
             {
-                let rt = rnic.regions.read();
-                let dma = rnic.aspace.phys().dma();
-                let held = rnic.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
-                rnic.resolve(&rt, &dma, &held, &reqs);
+                let guards = rnic.open(reqs.iter().map(|r| (r.va, r.len)));
+                rnic.resolve(&guards, &reqs);
             }
             assert_eq!(doorbell_visible_state(&rnic, va, PAGES), before, "round {round}");
 

@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use corm_check::{check, ensure, ensure_eq};
 
-use corm_sim_core::time::SimTime;
+use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{AddressSpace, PhysicalMemory, PAGE_SIZE};
 use corm_sim_rdma::{
-    FaultConfig, FaultKind, QosConfig, QueuePair, ReadReq, ReadResult, Rnic, RnicConfig,
+    FaultConfig, FaultKind, QosConfig, QueuePair, RdmaError, ReadReq, ReadResult, Rnic, RnicConfig,
     ScheduledFault, TrafficClass,
 };
 
@@ -156,6 +156,127 @@ fn queued_and_synchronous_adapters_agree() {
         }
         Ok(())
     });
+}
+
+/// Pages of the region the verb-core property reads: more than a frame
+/// buffer holds inline, over every MTT shard.
+const CORE_PAGES: usize = 12;
+
+/// A NIC over a patterned `CORE_PAGES`-page mapping registered twice, pinned
+/// and ODP, with a translation cache of two entries per shard, plus a QP.
+fn core_setup(config: RnicConfig) -> (Arc<AddressSpace>, Arc<Rnic>, QueuePair, [u32; 2], u64) {
+    let pm = Arc::new(PhysicalMemory::new());
+    let frames = pm.alloc_n(CORE_PAGES).unwrap();
+    let aspace = Arc::new(AddressSpace::new(pm));
+    let va = aspace.mmap(&frames).unwrap();
+    let pattern: Vec<u8> = (0..CORE_PAGES * PAGE_SIZE).map(|i| (i % 253) as u8).collect();
+    aspace.write(va, &pattern).unwrap();
+    let rnic = Arc::new(Rnic::new(aspace.clone(), config));
+    let (pinned, _) = rnic.register(va, CORE_PAGES, false).unwrap();
+    let (odp, _) = rnic.register(va, CORE_PAGES, true).unwrap();
+    let qp = QueuePair::connect(rnic.clone());
+    (aspace, rnic, qp, [pinned.rkey, odp.rkey], va)
+}
+
+/// Everything a single verb and a doorbell of one must leave equal on
+/// their NICs (doorbell, WQE and engine counts are the doorbell's own).
+fn verb_core_state(rnic: &Rnic) -> impl PartialEq + std::fmt::Debug {
+    let s = &rnic.stats;
+    let counters = [&s.reads, &s.odp_misses].map(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+    (counters, rnic.cache_stats(), rnic.fault_log())
+}
+
+/// One verb core under both entries: the same access through
+/// `QueuePair::read` and through a one-WQE `read_batch_into` on twin NICs
+/// — small, page-crossing and more-than-eight-page reads over pinned and
+/// ODP regions, bad rkeys, remaps behind the NIC's back, and a scripted
+/// fault of each kind — gives the same bytes, the same `VerbOutcome` or
+/// error, and the same read count, ODP misses, cache counters and fault
+/// log. The doorbell completes at exactly the single verb's latency
+/// composed with the doorbell charge and an idle engine's admission.
+#[test]
+fn single_verb_and_doorbell_of_one_share_the_verb_core() {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    const KINDS: [FaultKind; 4] =
+        [FaultKind::Transient, FaultKind::QpBreak, FaultKind::DelaySpike, FaultKind::CacheMiss];
+    // Outcomes seen over all cases: long reads, ODP misses, bad rkeys.
+    let seen: [AtomicU64; 3] = Default::default();
+    check(48, |g| {
+        let accesses = g.vec(24..=24, |g| {
+            (g.range(0u8..16), g.range(0usize..CORE_PAGES), g.range(0usize..PAGE_SIZE))
+        });
+        let lens = g.vec(24..=24, |g| g.range(0usize..300));
+        let long = g.vec(24..=24, |g| g.range(8 * PAGE_SIZE + 1..=10 * PAGE_SIZE));
+        // One fault of each kind, each in a window of six verbs of its own.
+        let schedule = (0u64..)
+            .zip(KINDS)
+            .map(|(j, kind)| ScheduledFault { at_op: 6 * j + g.range(0u64..6), kind })
+            .collect();
+        let config = RnicConfig {
+            cache_entries: 16,
+            faults: Some(FaultConfig::scripted(schedule)),
+            ..RnicConfig::default()
+        };
+        let (aspace_s, rnic_s, qp_s, rkeys, va) = core_setup(config.clone());
+        let (aspace_d, rnic_d, qp_d, ..) = core_setup(config);
+        let model = rnic_s.model().clone();
+        let mut outs = vec![Vec::new()];
+        let mut results = Vec::new();
+        for (i, &(kind, page, off)) in accesses.iter().enumerate() {
+            let now = SimTime::from_micros(1_000 * i as u64);
+            let (rkey, at, len) = match kind {
+                0 => (0xdead, page * PAGE_SIZE + off, lens[i]),
+                // More pages than a frame buffer holds inline.
+                1 | 2 => (rkeys[kind as usize - 1], (page % 2) * PAGE_SIZE + off, long[i]),
+                // Page-crossing, off the region's end on the last page.
+                3..=5 => (rkeys[kind as usize % 2], (page + 1) * PAGE_SIZE - lens[i] / 2, lens[i]),
+                // Behind the NIC's back: the page moves to a fresh frame
+                // with new bytes, so the ODP region misses and the pinned
+                // one reads the old frame.
+                6 => {
+                    for aspace in [&aspace_s, &aspace_d] {
+                        let page_va = va + (page * PAGE_SIZE) as u64;
+                        aspace.remap(page_va, &[aspace.phys().alloc().unwrap()]).unwrap();
+                        aspace.write(page_va + off as u64 / 2, &[kind; 64]).unwrap();
+                    }
+                    (rkeys[1], page * PAGE_SIZE + off / 2, lens[i])
+                }
+                _ => (rkeys[kind as usize % 2], page * PAGE_SIZE + off, lens[i]),
+            };
+            let at = va + at as u64;
+            let mut buf = vec![0u8; len];
+            let single = qp_s.read(rkey, at, &mut buf, now);
+            qp_d.read_batch_into(&[ReadReq::new(0, rkey, at, len)], &mut outs, now, &mut results);
+            ensure_eq!(results.len(), 1);
+            let door = &results[0];
+            ensure_eq!(&door.result, &single, "access {i}");
+            let arrival = now + model.doorbell_cost;
+            match single {
+                Ok(verb) => {
+                    ensure_eq!(&outs[0][..], &buf[..], "access {i}");
+                    let service = model.rdma_read_service(len, verb.cache_hit)
+                        + model.odp_miss.unwrap_or(SimDuration::ZERO) * verb.odp_misses as u64;
+                    let composed = arrival + service + verb.latency.saturating_sub(service);
+                    ensure_eq!(door.completed_at, composed, "access {i}");
+                    seen[0].fetch_add((len > 8 * PAGE_SIZE) as u64, Relaxed);
+                    seen[1].fetch_add(verb.odp_misses as u64, Relaxed);
+                }
+                Err(e) => {
+                    ensure_eq!(door.completed_at, arrival);
+                    seen[2].fetch_add((e == RdmaError::InvalidKey(0xdead)) as u64, Relaxed);
+                    ensure_eq!(qp_s.state(), qp_d.state());
+                    qp_s.reconnect();
+                    qp_d.reconnect();
+                }
+            }
+            ensure_eq!(verb_core_state(&rnic_s), verb_core_state(&rnic_d), "access {i}");
+        }
+        let fired: Vec<FaultKind> = rnic_s.fault_log().into_iter().map(|(_, k)| k).collect();
+        ensure_eq!(fired, KINDS);
+        Ok(())
+    });
+    let seen = seen.map(|n| n.into_inner());
+    assert!(seen.iter().all(|&n| n > 0), "long reads, ODP misses, bad rkeys: {seen:?}");
 }
 
 /// RDMA reads return exactly what the CPU wrote, for arbitrary
