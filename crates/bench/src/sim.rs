@@ -32,6 +32,7 @@ use corm_sim_core::resource::FifoResource;
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::stats::{Histogram, TimeSeries};
 use corm_sim_core::time::{SimDuration, SimTime};
+use corm_sim_mem::FrameId;
 use corm_sim_rdma::LatencyModel;
 use corm_workloads::ycsb::{Op, Workload};
 
@@ -134,38 +135,94 @@ impl SimOutput {
 /// its next draw, or the conflicted DirectRead it retries.
 type Ev = (usize, Op);
 
-/// Stages of [`CormServer::hint`], and the depth of the ring that walks
-/// them: an op enters when its event is scheduled and takes one stage per
-/// loop iteration, so it is through all of them by the time a fourth op
-/// has followed it in.
-const HINT_STAGES: usize = 4;
+/// Stages of [`CormServer::hint`]. The last returns the frames and offsets
+/// of the slot's first and last byte, from which the ring hints the rest.
+const HINT_STAGES: u8 = 3;
 
-/// The last [`HINT_STAGES`] scheduled ops a server handler will serve, each
-/// as its key and the stage it is due next.
+/// Depth of the ring: an op enters when its event is scheduled and takes
+/// one step per loop iteration — the pointer's wait, the hint's stages,
+/// then the frame-table entries and the payload lines — so it is through
+/// all of them by the time this many ops have followed it in.
+const RING: usize = HINT_STAGES as usize + 3;
+
+/// The step an op in the ring is due next.
+#[derive(Clone, Copy)]
+enum Due {
+    /// Nothing: the draw has just hinted `ptrs[k]`, and stage 0 would
+    /// stall on that line if it ran in the same iteration.
+    Pointer,
+    /// This stage of [`CormServer::hint`].
+    Stage(u8),
+    /// The frame-table entries of the slot's first and last byte.
+    Entries([(FrameId, usize); 2]),
+    /// The lines of those two bytes.
+    Payload([(FrameId, usize); 2]),
+    Done,
+}
+
+/// The last [`RING`] scheduled ops a server handler will serve, each as
+/// its key and the step it is due next. The ring keeps keys and plain
+/// frame numbers, never a block handle or a guard, so nothing in it
+/// outlives a merge or holds a lock between iterations.
 struct Lookahead {
-    ring: [(u64, u8); HINT_STAGES],
+    ring: [(u64, Due); RING],
     pushed: usize,
 }
 
 impl Lookahead {
     fn new() -> Self {
-        Lookahead { ring: [(0, HINT_STAGES as u8); HINT_STAGES], pushed: 0 }
+        Lookahead { ring: [(0, Due::Done); RING], pushed: 0 }
     }
 
     fn push(&mut self, key: u64) {
-        self.ring[self.pushed % HINT_STAGES] = (key, 0);
+        self.ring[self.pushed % RING] = (key, Due::Pointer);
         self.pushed += 1;
     }
 
-    /// Takes every op in the ring one stage further. Stage by stage and
-    /// not a whole chain per call, because a stage's lines are named by
-    /// the lines of the one before: hinted in one call, each would stall
-    /// on its predecessor, here it finds it loaded an iteration ago.
+    /// Takes every op in the ring one step further. Step by step and not
+    /// a whole chain per call, because a step's lines are named by the
+    /// lines of the one before: hinted in one call, each would stall on
+    /// its predecessor, here it finds it loaded an iteration ago. The
+    /// hint's stages run first; the DMA steps then share one frame-table
+    /// session, opened with no directory or block lock held (DESIGN §8)
+    /// and dropped before the handler runs.
     fn advance(&mut self, server: &CormServer, ptrs: &[GlobalPtr]) {
-        for (key, stage) in &mut self.ring {
-            if (*stage as usize) < HINT_STAGES {
-                server.hint(&ptrs[*key as usize], *stage);
-                *stage += 1;
+        // Which ops were due a DMA step before this call: a stage below
+        // can make more, whose entries are due only on the next one.
+        let mut dma_due = [false; RING];
+        for ((key, due), dma) in self.ring.iter_mut().zip(&mut dma_due) {
+            match *due {
+                Due::Pointer => *due = Due::Stage(0),
+                Due::Stage(stage) => {
+                    *due = match server.hint(&ptrs[*key as usize], stage) {
+                        Some(bytes) => Due::Entries(bytes),
+                        None if stage + 1 < HINT_STAGES => Due::Stage(stage + 1),
+                        None => Due::Done,
+                    }
+                }
+                Due::Entries(_) | Due::Payload(_) => *dma = true,
+                Due::Done => {}
+            }
+        }
+        if !dma_due.contains(&true) {
+            return;
+        }
+        let dma = server.phys().dma();
+        for ((_, due), _) in self.ring.iter_mut().zip(dma_due).filter(|(_, dma)| *dma) {
+            match *due {
+                Due::Entries(bytes) => {
+                    for (frame, _) in bytes {
+                        dma.prefetch_entry(frame);
+                    }
+                    *due = Due::Payload(bytes);
+                }
+                Due::Payload(bytes) => {
+                    for (frame, offset) in bytes {
+                        dma.prefetch(frame, offset);
+                    }
+                    *due = Due::Done;
+                }
+                Due::Pointer | Due::Stage(_) | Due::Done => {}
             }
         }
     }
@@ -262,8 +319,8 @@ pub fn run_closed_loop(
     // fires: the same draws from the same per-client stream in the same
     // order, so nothing simulated moves, but the op is known for as many
     // iterations as there are events ahead of it. Its pointer is hinted at
-    // once, and a server handler's chain of dependent lines behind the
-    // pointer stage by stage from then on (DESIGN §12). One-sided reads
+    // once, and, an iteration later, a server handler's chain of dependent
+    // lines behind the pointer step by step (DESIGN §12). One-sided reads
     // stop at the pointer: walking the handler's chain for them costs more
     // than their own path saves.
     let mut ahead = Lookahead::new();
@@ -743,8 +800,8 @@ mod tests {
     #[test]
     fn one_client_loop_without_lookahead_distance_changes_no_simulated_value() {
         // One client: its next op is drawn when the only event is
-        // scheduled and runs at the very next pop, before any hint stage
-        // past the first has had an iteration to run in.
+        // scheduled and runs at the very next pop, while the ring has given
+        // it no more than the pointer's wait.
         #[rustfmt::skip]
         let parents = [
             (ReadPath::Rpc, [

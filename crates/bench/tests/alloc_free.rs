@@ -4,8 +4,9 @@
 //! The whole test binary runs under a counting `#[global_allocator]`: after
 //! a warm-up phase fills every scratch buffer, the event heap, translation
 //! cache, and latency histogram, the measured phase replays the fig12 hot
-//! loop's op pipeline — workload draw, event-queue schedule/pop, the four
-//! stages of `CormServer::hint`, one-sided `direct_read`, RPC-path
+//! loop's op pipeline — workload draw, event-queue schedule/pop, the three
+//! stages of `CormServer::hint` and the DMA hints from what the last one
+//! returns, one-sided `direct_read`, RPC-path
 //! `server.write`, FIFO-station admits, torn-read bookkeeping, latency
 //! recording — and asserts the allocation counter does not move. Any
 //! `vec![..]`/`Box::new`/map-growth regression on the hot path fails this
@@ -129,10 +130,19 @@ fn one_op(
     hist: &mut Histogram,
 ) -> SimTime {
     let service = SimDuration::from_nanos(500);
-    // The loop's lookahead: all four stages of the handler-chain hint.
-    for stage in 0..4 {
-        server.hint(&ptrs[op.key() as usize], stage);
+    // The loop's lookahead: the handler-chain hint's three stages, then
+    // the frame-table entries and payload lines from what the last one
+    // returned, under one DMA session.
+    let mut bytes = None;
+    for stage in 0..3 {
+        bytes = server.hint(&ptrs[op.key() as usize], stage);
     }
+    let dma = server.phys().dma();
+    for (frame, offset) in bytes.into_iter().flatten() {
+        dma.prefetch_entry(frame);
+        dma.prefetch(frame, offset);
+    }
+    drop(dma);
     match op {
         Op::Write(k) => {
             let ingress_done = ingress.admit(now, service);

@@ -760,43 +760,44 @@ impl CormServer {
     ///    block it resolves to;
     /// 1. the block's `slot_id` entry for the pointer's slot, and the frame
     ///    of the slot's page;
-    /// 2. that frame's entry in the frame table;
-    /// 3. the first and the last line of the slot's bytes.
+    /// 2. nothing: it returns where the slot's first and last byte lie, as
+    ///    `(frame, offset in that frame)`. The caller hints the rest from
+    ///    those values through a [`DmaSession`] it opens with no directory
+    ///    or block lock held: the frames' table entries
+    ///    ([`DmaSession::prefetch_entry`]), then, a call later, the two
+    ///    lines ([`DmaSession::prefetch`]).
     ///
-    /// Each stage walks the earlier stages' lines again — cached by then —
-    /// and keeps nothing between calls, so a block freed, merged away or
-    /// remapped in between wastes a hint and nothing else. A hint is inert:
-    /// it never waits for a block's lock (a held one ends the hint), and it
-    /// counts nothing, feeds no heat, fetches no far frame, corrects no
-    /// pointer and charges no virtual time. Any pointer and any stage are
-    /// accepted; what cannot be followed is ignored.
-    pub fn hint(&self, ptr: &GlobalPtr, stage: u8) {
+    /// Stages 1 and 2 walk the earlier stages' lines again — cached by then
+    /// — and nothing outlives a call but what stage 2 returns: plain
+    /// values, no handle. So a block freed, merged away or remapped in
+    /// between wastes a hint and nothing else, and so does a frame released
+    /// or reused before the caller hints it: the session's hints read
+    /// nothing and ignore unknown ids. A hint is inert: it never waits for a
+    /// block's lock (a held one ends the hint with `None`), and it counts
+    /// nothing, feeds no heat, fetches no far frame, corrects no pointer
+    /// and charges no virtual time. Any pointer and any stage are accepted;
+    /// what cannot be followed is ignored.
+    pub fn hint(&self, ptr: &GlobalPtr, stage: u8) -> Option<[(FrameId, usize); 2]> {
         let block_bytes = self.block_bytes();
         let base = ptr.block_base(block_bytes);
         if stage == 0 {
-            return self.registry.hint(base);
+            self.registry.hint(base);
+            return None;
+        }
+        if stage > 2 {
+            return None;
         }
         // Not `self.resolve`: that one counts `Stage::RegistryResolve`.
-        let Some(block) = self.registry.resolve(base) else { return };
-        let Some(b) = block.try_lock() else { return };
-        let Some(slot) = b.slot_of_offset(ptr.block_offset(block_bytes)) else { return };
+        let block = self.registry.resolve(base)?;
+        let b = block.try_lock()?;
+        let slot = b.slot_of_offset(ptr.block_offset(block_bytes))?;
         if stage == 1 {
-            return b.hint_slot(slot);
+            b.hint_slot(slot);
+            return None;
         }
         let first = b.slot_offset(slot);
-        let frame_of = |offset: usize| b.frames().get(offset / PAGE_SIZE).copied();
-        let dma = self.phys.dma();
-        if stage == 2 {
-            if let Some(frame) = frame_of(first) {
-                dma.prefetch_entry(frame);
-            }
-            return;
-        }
-        for offset in [first, first + b.obj_size() - 1] {
-            if let Some(frame) = frame_of(offset) {
-                dma.prefetch(frame, offset % PAGE_SIZE);
-            }
-        }
+        let at = |offset: usize| Some((*b.frames().get(offset / PAGE_SIZE)?, offset % PAGE_SIZE));
+        Some([at(first)?, at(first + b.obj_size() - 1)?])
     }
 
     /// Batched RPC read (multi-get): one request carries many pointers, so
@@ -1028,15 +1029,21 @@ mod tests {
             });
             is_locked.recv().expect("holder locks");
             for stage in 0..=4 {
-                server.hint(&ptr, stage);
+                assert_eq!(server.hint(&ptr, stage), None, "stage {stage} past a held lock");
             }
             assert!(block.try_lock().is_none(), "held throughout");
             release.send(()).expect("holder waits");
         });
-        // Free again, every stage gets through to its end.
-        for stage in 0..=4 {
-            server.hint(&ptr, stage);
-        }
+        // Free again, every stage gets through to its end, and stage 2
+        // returns the frame of the slot's bytes, both ends.
+        let (frame, obj_size) = {
+            let b = block.lock();
+            (b.frames()[0], b.obj_size())
+        };
+        let first = ptr.block_offset(server.block_bytes());
+        assert!(first + obj_size <= PAGE_SIZE, "the first object sits in the first page");
+        let returned: Vec<_> = (0..=4).filter_map(|stage| server.hint(&ptr, stage)).collect();
+        assert_eq!(returned, [[(frame, first), (frame, first + obj_size - 1)]]);
         assert!(block.try_lock().is_some(), "no hint kept the lock");
     }
 }

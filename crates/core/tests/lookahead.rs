@@ -3,23 +3,26 @@
 //! sources, freed slots, relocated objects behind stale pointers, far
 //! frames — every stage of the hint, for every pointer a client could hold
 //! and a few no client could, changes nothing that can be observed:
-//! counters, trace, tier state, pointer bytes, memory bytes. And it stays
-//! so, and always returns, while another thread takes the same blocks'
-//! locks as fast as it can.
+//! counters, trace, tier state, pointer bytes, memory bytes. So do the DMA
+//! hints the closed loop issues from what stage 2 returns, in the loop's
+//! ring order, even on frames released and reused since stage 2 returned
+//! them. And it stays so, and always returns, while another thread takes
+//! the same blocks' locks as fast as it can.
 //!
 //! (The deterministic form of the second statement — the hint returns
 //! while another thread *holds* the block's lock — needs the lock itself,
 //! which nothing outside the crate can reach: it is a unit test beside
 //! `hint` in `server/mod.rs`.)
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 
 use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::GlobalPtr;
 use corm_sim_core::time::SimTime;
-use corm_sim_mem::{ResidencySnapshot, TierConfig, TierStats, PAGE_SIZE};
+use corm_sim_mem::{FrameId, ResidencySnapshot, TierConfig, TierStats, PAGE_SIZE};
 use corm_trace::{Stage, StageTotal, TraceHandle};
 
 const SIZE: usize = 32;
@@ -47,7 +50,9 @@ struct Store {
     freed: Vec<GlobalPtr>,
 }
 
-fn build() -> Store {
+/// A tiered server holding [`OBJECTS`] stamped objects, keys in
+/// allocation order.
+fn populated() -> (Arc<CormServer>, TraceHandle, CormClient, Vec<GlobalPtr>) {
     let trace = TraceHandle::recording();
     let server = Arc::new(CormServer::new(ServerConfig {
         workers: 2,
@@ -59,26 +64,44 @@ fn build() -> Store {
         ..ServerConfig::default()
     }));
     let mut client = CormClient::connect(server.clone());
-    let mut ptrs: Vec<GlobalPtr> = (0..OBJECTS)
-        .map(|key| {
-            let mut p = client.alloc(SIZE).expect("alloc").value;
-            client.write(&mut p, &payload_for(key)).expect("stamp payload");
-            p
-        })
-        .collect();
+    let ptrs = alloc_stamped(&mut client, 0..OBJECTS);
+    (server, trace, client, ptrs)
+}
 
-    // Three in four freed, evenly, so every block is a merge candidate.
+fn alloc_stamped(client: &mut CormClient, keys: std::ops::Range<usize>) -> Vec<GlobalPtr> {
+    keys.map(|key| {
+        let mut p = client.alloc(SIZE).expect("alloc").value;
+        client.write(&mut p, &payload_for(key)).expect("stamp payload");
+        p
+    })
+    .collect()
+}
+
+/// Frees three objects in four, evenly, so every block is a merge
+/// candidate, and compacts the class. Returns the freed pointers.
+fn free_and_compact(
+    server: &CormServer,
+    client: &mut CormClient,
+    ptrs: &[GlobalPtr],
+) -> Vec<GlobalPtr> {
     let mut freed = Vec::new();
-    for (key, ptr) in ptrs.iter_mut().enumerate() {
+    for (key, ptr) in ptrs.iter().enumerate() {
         if key % 4 != 0 {
-            client.free(ptr).expect("free");
-            freed.push(*ptr);
+            let mut p = *ptr;
+            client.free(&mut p).expect("free");
+            freed.push(p);
         }
     }
     let class = corm_core::consistency::class_for_payload(server.classes(), SIZE).unwrap();
     let report = server.compact_class(class, SimTime::ZERO).expect("compaction").value;
     assert!(report.objects_relocated > 0, "the pass must leave stale pointers behind");
     assert!(server.alias_count() > 0, "the pass must leave aliases behind");
+    freed
+}
+
+fn build() -> Store {
+    let (server, trace, mut client, ptrs) = populated();
+    let mut freed = free_and_compact(&server, &mut client, &ptrs);
 
     // A few more frees after the pass: freed slots inside merged blocks.
     let mut live = Vec::new();
@@ -204,6 +227,45 @@ fn observe(store: &Store, ptrs: &[GlobalPtr]) -> Observed {
     }
 }
 
+/// What stage 2 of the hint returns: the frame and offset of a slot's
+/// first and last byte.
+type SlotBytes = [(FrameId, usize); 2];
+
+/// The DMA hints the closed loop issues from what stage 2 returned: the
+/// frames' table entries, then their lines.
+fn dma_hints(server: &CormServer, entries: Option<SlotBytes>, payload: Option<SlotBytes>) {
+    let dma = server.phys().dma();
+    for (frame, _) in entries.into_iter().flatten() {
+        dma.prefetch_entry(frame);
+    }
+    for (frame, offset) in payload.into_iter().flatten() {
+        dma.prefetch(frame, offset);
+    }
+}
+
+/// Replays the closed loop's ring over `ptrs`, one op entering per call
+/// as in the loop: each op's first call is the pointer's wait, the next
+/// three run the hint's stages 0 to 2, and the two after hint, from what
+/// stage 2 returned, the frames' table entries and then the payload lines,
+/// under one DMA session per call opened after the stages. Returns how
+/// many ops stage 2 returned frames for.
+fn replay_ring(server: &CormServer, ptrs: &[GlobalPtr]) -> usize {
+    let mut returned: Vec<Option<SlotBytes>> = vec![None; ptrs.len()];
+    // Op `i` enters after call `i`, so at call `c` it is `c - i` calls old.
+    for call in 0..ptrs.len() + 6 {
+        let aged = |age: usize| call.checked_sub(age).filter(|&i| i < ptrs.len());
+        for stage in 0..3u8 {
+            if let Some(i) = aged(2 + stage as usize) {
+                let got = server.hint(&ptrs[i], stage);
+                assert!(stage == 2 || got.is_none(), "only stage 2 returns values");
+                returned[i] = got;
+            }
+        }
+        dma_hints(server, aged(5).and_then(|i| returned[i]), aged(6).and_then(|i| returned[i]));
+    }
+    returned.iter().flatten().count()
+}
+
 fn every_pointer(store: &Store) -> Vec<GlobalPtr> {
     let mut ptrs: Vec<GlobalPtr> = store.live.iter().map(|&(_, p)| p).collect();
     ptrs.extend(&store.corrected);
@@ -224,16 +286,13 @@ fn every_stage_of_the_hint_for_every_pointer_changes_nothing() {
 
     for stage in STAGES {
         for ptr in &ptrs {
-            store.server.hint(ptr, stage);
+            let got = store.server.hint(ptr, stage);
+            dma_hints(&store.server, got, got);
         }
     }
-    // And in the order the loop issues them: four pointers in flight, each
-    // one stage behind the one before.
-    for window in ptrs.windows(4) {
-        for (stage, ptr) in window.iter().rev().enumerate() {
-            store.server.hint(ptr, stage as u8);
-        }
-    }
+    // And in the order the loop issues them.
+    let returned = replay_ring(&store.server, &ptrs);
+    assert!(returned >= store.live.len(), "stage 2 returns frames for every survivor at least");
 
     let after = (observe(&store, &ptrs), memory(&store.server, &ptrs));
     assert_eq!(before.0, after.0);
@@ -260,7 +319,6 @@ fn hints_racing_a_writer_for_the_same_blocks_return_and_count_nothing() {
     let writes_before = server.stats.writes.load(Ordering::Relaxed);
     let resolves_before = store.trace.counter(Stage::RegistryResolve);
     let start = Barrier::new(2);
-    let done = AtomicBool::new(false);
     const ROUNDS: usize = 200;
 
     std::thread::scope(|s| {
@@ -271,25 +329,18 @@ fn hints_racing_a_writer_for_the_same_blocks_return_and_count_nothing() {
                     server.write(0, &mut ptr, &payload_for(key + round)).expect("write");
                 }
             }
-            done.store(true, Ordering::Release);
         });
         start.wait();
-        let mut hints = 0u64;
+        let ptrs: Vec<GlobalPtr> = targets.iter().map(|&(_, ptr)| ptr).collect();
         // At least one full sweep even if the writer wins every race to
-        // the finish.
+        // the finish; a writer that panics ends the sweeps too.
         loop {
-            for stage in STAGES {
-                for (_, ptr) in &targets {
-                    server.hint(ptr, stage);
-                    hints += 1;
-                }
-            }
-            if done.load(Ordering::Acquire) {
+            replay_ring(server, &ptrs);
+            if writer.is_finished() {
                 break;
             }
         }
         writer.join().expect("writer");
-        assert!(hints >= (STAGES.len() * targets.len()) as u64);
     });
 
     let writes = (ROUNDS * targets.len()) as u64;
@@ -303,5 +354,55 @@ fn hints_racing_a_writer_for_the_same_blocks_return_and_count_nothing() {
     for &(key, mut ptr) in &targets {
         server.read(1, &mut ptr, &mut buf).expect("read");
         assert_eq!(buf, payload_for(key + ROUNDS - 1), "the last write's payload, whole");
+    }
+}
+
+#[test]
+fn dma_hints_on_frames_released_and_reused_since_stage_2_change_nothing() {
+    let (server, trace, mut client, ptrs) = populated();
+    let returned: Vec<SlotBytes> =
+        ptrs.iter().map(|p| server.hint(p, 2).expect("a live, unlocked slot")).collect();
+    // Each returned frame, with the base of the block it backed then.
+    let block_bytes = server.block_bytes();
+    let owner: HashMap<u32, u64> = ptrs
+        .iter()
+        .zip(&returned)
+        .flat_map(|(p, bytes)| bytes.map(|(frame, _)| (frame.0, p.block_base(block_bytes))))
+        .collect();
+
+    // Between stage 2 and the DMA hints, the pass merges blocks away and
+    // releases their frames, and fresh blocks take them again.
+    let freed = free_and_compact(&server, &mut client, &ptrs);
+    let fresh = alloc_stamped(&mut client, OBJECTS..2 * OBJECTS);
+    let reused = fresh
+        .iter()
+        .filter_map(|p| Some((server.hint(p, 2)?, p.block_base(block_bytes))))
+        .filter(|&(bytes, base)| {
+            bytes.iter().any(|(frame, _)| owner.get(&frame.0).is_some_and(|&was| was != base))
+        })
+        .count();
+    assert!(reused > 0, "a fresh block must back itself with a frame the pass released");
+
+    let store = Store { server, trace, live: Vec::new(), corrected: Vec::new(), freed };
+    let mut all = ptrs.clone();
+    all.extend(&fresh);
+    observe(&store, &all);
+    let before = (observe(&store, &all), memory(&store.server, &all));
+    for &bytes in &returned {
+        dma_hints(&store.server, Some(bytes), None);
+    }
+    for &bytes in &returned {
+        dma_hints(&store.server, None, Some(bytes));
+    }
+    let after = (observe(&store, &all), memory(&store.server, &all));
+    assert_eq!(before.0, after.0);
+    assert!(before.1 == after.1, "a DMA hint changed a byte of block memory");
+
+    // The fresh objects, on reused frames, read back whole.
+    let mut buf = [0u8; SIZE];
+    for (key, &ptr) in (OBJECTS..).zip(&fresh) {
+        let mut p = ptr;
+        store.server.read(1, &mut p, &mut buf).expect("fresh object reads");
+        assert_eq!(buf, payload_for(key));
     }
 }
