@@ -135,22 +135,29 @@ pub(crate) fn run(run: &mut Run) {
     // Gate 5a: the ≤5% wall-clock budget, measured on the workload class
     // the budget is written for — a paced closed-loop RPC cell, where a
     // worker is wall-clock occupied for each op's virtual cost.
-    // Interleaved best-of-N so host noise hits both arms alike.
-    const PACED_ROUNDS: usize = 3;
-    const PACED_OPS: usize = 12_000;
-    let paced_cell = |trace: &TraceHandle| run_rpc_cell(2, 2, PACED_OPS, trace).0.as_secs_f64();
-    let mut paced_on = f64::INFINITY;
-    let mut paced_off = f64::INFINITY;
-    for _ in 0..PACED_ROUNDS {
-        let t = TraceHandle::recording();
-        paced_on = paced_on.min(paced_cell(&t));
-        drop(t.drain());
-        paced_off = paced_off.min(paced_cell(&TraceHandle::disabled()));
+    // One cell's wall clock swings by about a quarter from the next one's
+    // on a shared 2-vCPU host, independently of its neighbours: compare the
+    // arms' medians over many rounds, each arm first in every other one.
+    const PACED_ROUNDS: usize = 64;
+    const PACED_OPS: usize = 1_000;
+    let paced_cell = |traced: bool| {
+        let trace = if traced { TraceHandle::recording() } else { TraceHandle::disabled() };
+        run_rpc_cell(2, 2, PACED_OPS, &trace).0.as_secs_f64()
+    };
+    let mut arms = [Vec::new(), Vec::new()];
+    for round in 0..PACED_ROUNDS {
+        for traced in [round % 2 == 0, round % 2 == 1] {
+            arms[usize::from(traced)].push(paced_cell(traced));
+        }
     }
+    let [paced_off, paced_on] = arms.map(|mut cells| {
+        cells.sort_by(f64::total_cmp);
+        cells[PACED_ROUNDS / 2]
+    });
     run.gate(
         paced_on / paced_off <= 1.05,
         format!(
-            "recorder overhead on the paced RPC cell is within 5%: best-of-{PACED_ROUNDS} traced \
+            "recorder overhead on the paced RPC cell is within 5%: median of {PACED_ROUNDS} traced \
              {:.1} ms vs untraced {:.1} ms ({:.3}x)",
             paced_on * 1e3,
             paced_off * 1e3,

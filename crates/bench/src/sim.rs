@@ -11,7 +11,9 @@
 //!   Fig. 12);
 //! - the **worker pool** — `workers` servers, each busy for the handler's
 //!   measured cost;
-//! - the **NIC inbound engine** — a single server for one-sided reads.
+//! - the **NIC inbound engine** — a single server that one-sided reads
+//!   occupy for their engine service and every two-sided request for its
+//!   receive (`rpc_nic_service`).
 //!
 //! Clients are closed-loop with one outstanding request (§4.2.1). Writes
 //! always travel the RPC path; reads go via RPC or one-sided RDMA per the
@@ -24,7 +26,7 @@ use std::sync::Arc;
 
 use corm_core::client::{CormClient, FixStrategy, READ_BACKOFF};
 use corm_core::server::{CormServer, CorrectionStrategy};
-use corm_core::{GlobalPtr, ReadOutcome};
+use corm_core::{GlobalPtr, Lookahead, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::prefetch_read;
 use corm_sim_core::queue::EventQueue;
@@ -32,8 +34,6 @@ use corm_sim_core::resource::FifoResource;
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::stats::{Histogram, TimeSeries};
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_mem::FrameId;
-use corm_sim_rdma::LatencyModel;
 use corm_workloads::ycsb::{Op, Workload};
 
 /// How reads reach the server.
@@ -135,123 +135,54 @@ impl SimOutput {
 /// its next draw, or the conflicted DirectRead it retries.
 type Ev = (usize, Op);
 
-/// Stages of [`CormServer::hint`]. The last returns the frames and offsets
-/// of the slot's first and last byte, from which the ring hints the rest.
-const HINT_STAGES: u8 = 3;
-
-/// Depth of the ring: an op enters when its event is scheduled and takes
-/// one step per loop iteration — the pointer's wait, the hint's stages,
-/// then the frame-table entries and the payload lines — so it is through
-/// all of them by the time this many ops have followed it in.
-const RING: usize = HINT_STAGES as usize + 3;
-
-/// The step an op in the ring is due next.
-#[derive(Clone, Copy)]
-enum Due {
-    /// Nothing: the draw has just hinted `ptrs[k]`, and stage 0 would
-    /// stall on that line if it ran in the same iteration.
-    Pointer,
-    /// This stage of [`CormServer::hint`].
-    Stage(u8),
-    /// The frame-table entries of the slot's first and last byte.
-    Entries([(FrameId, usize); 2]),
-    /// The lines of those two bytes.
-    Payload([(FrameId, usize); 2]),
-    Done,
-}
-
-/// The last [`RING`] scheduled ops a server handler will serve, each as
-/// its key and the step it is due next. The ring keeps keys and plain
-/// frame numbers, never a block handle or a guard, so nothing in it
-/// outlives a merge or holds a lock between iterations.
-struct Lookahead {
-    ring: [(u64, Due); RING],
-    pushed: usize,
-}
-
-impl Lookahead {
-    fn new() -> Self {
-        Lookahead { ring: [(0, Due::Done); RING], pushed: 0 }
-    }
-
-    fn push(&mut self, key: u64) {
-        self.ring[self.pushed % RING] = (key, Due::Pointer);
-        self.pushed += 1;
-    }
-
-    /// Takes every op in the ring one step further. Step by step and not
-    /// a whole chain per call, because a step's lines are named by the
-    /// lines of the one before: hinted in one call, each would stall on
-    /// its predecessor, here it finds it loaded an iteration ago. The
-    /// hint's stages run first; the DMA steps then share one frame-table
-    /// session, opened with no directory or block lock held (DESIGN §8)
-    /// and dropped before the handler runs.
-    fn advance(&mut self, server: &CormServer, ptrs: &[GlobalPtr]) {
-        // Which ops were due a DMA step before this call: a stage below
-        // can make more, whose entries are due only on the next one.
-        let mut dma_due = [false; RING];
-        for ((key, due), dma) in self.ring.iter_mut().zip(&mut dma_due) {
-            match *due {
-                Due::Pointer => *due = Due::Stage(0),
-                Due::Stage(stage) => {
-                    *due = match server.hint(&ptrs[*key as usize], stage) {
-                        Some(bytes) => Due::Entries(bytes),
-                        None if stage + 1 < HINT_STAGES => Due::Stage(stage + 1),
-                        None => Due::Done,
-                    }
-                }
-                Due::Entries(_) | Due::Payload(_) => *dma = true,
-                Due::Done => {}
-            }
-        }
-        if !dma_due.contains(&true) {
-            return;
-        }
-        let dma = server.phys().dma();
-        for ((_, due), _) in self.ring.iter_mut().zip(dma_due).filter(|(_, dma)| *dma) {
-            match *due {
-                Due::Entries(bytes) => {
-                    for (frame, _) in bytes {
-                        dma.prefetch_entry(frame);
-                    }
-                    *due = Due::Payload(bytes);
-                }
-                Due::Payload(bytes) => {
-                    for (frame, offset) in bytes {
-                        dma.prefetch(frame, offset);
-                    }
-                    *due = Due::Done;
-                }
-                Due::Pointer | Due::Stage(_) | Due::Done => {}
-            }
-        }
-    }
-}
-
-/// The closed loop's three queueing stations.
-struct Stations {
+/// The closed loop's three queueing stations and the walks through them.
+struct Stations<'a> {
+    server: &'a CormServer,
     ingress: FifoResource,
     workers: FifoResource,
     nic: FifoResource,
+    /// Requests taken so far: they go to the workers in turn.
+    next_worker: usize,
 }
 
-impl Stations {
-    /// The walk of every two-sided request arriving at `now`: the ingress,
-    /// the NIC's receive pipeline (which two-sided traffic shares with the
-    /// one-sided reads), then a worker for the handler's `cost`, starting
-    /// no earlier than `stall` when a correction has to wait for the
-    /// compaction leader. Returns when the ingress and the worker are done.
+/// When a two-sided request leaves the ingress and its worker, and its reply.
+struct RpcDone {
+    ingress: SimTime,
+    worker: SimTime,
+    reply: SimTime,
+}
+
+impl<'a> Stations<'a> {
+    /// The walk of a two-sided request of `len` bytes arriving at `now`:
+    /// the ingress, the NIC's receive pipeline, then the next worker in
+    /// turn, which runs `handler` for its cost and, when a correction waits
+    /// for the compaction leader, the time to start no earlier than.
     fn rpc(
         &mut self,
-        model: &LatencyModel,
         now: SimTime,
-        cost: SimDuration,
-        stall: Option<SimTime>,
-    ) -> (SimTime, SimTime) {
-        let ingress_done = self.ingress.admit(now, model.rpc_ingress_service);
-        self.nic.admit(now, model.rpc_nic_service);
-        let start = stall.map_or(ingress_done, |until| until.max(ingress_done));
-        (ingress_done, self.workers.admit(start, cost))
+        len: usize,
+        handler: impl FnOnce(usize) -> (SimDuration, Option<SimTime>),
+    ) -> RpcDone {
+        let worker = self.next_worker % self.server.config().workers;
+        self.next_worker += 1;
+        let (cost, stall) = handler(worker);
+        let m = self.server.model();
+        let ingress = self.ingress.admit(now, m.rpc_ingress_service);
+        self.nic.admit(now, m.rpc_nic_service);
+        let start = stall.map_or(ingress, |until| until.max(ingress));
+        let worker_done = self.workers.admit(start, cost);
+        // The wire share not covered by ingress/worker occupancy.
+        let wire = m
+            .rpc_latency(len)
+            .saturating_sub(m.rpc_ingress_service)
+            .saturating_sub(m.rpc_worker_service);
+        RpcDone { ingress, worker: worker_done, reply: worker_done + wire }
+    }
+
+    /// The walk of a one-sided read issued at `now` that takes `cost` in
+    /// all, `service` of it in the NIC's engine. Returns its completion.
+    fn one_sided(&mut self, now: SimTime, cost: SimDuration, service: SimDuration) -> SimTime {
+        self.nic.admit(now, service) + cost.saturating_sub(service)
     }
 }
 
@@ -261,12 +192,13 @@ pub fn run_closed_loop(
     ptrs: &mut [GlobalPtr],
     spec: &ClosedLoopSpec,
 ) -> SimOutput {
-    let model = server.model().clone();
-    let n_workers = server.config().workers;
+    let model = server.model();
     let mut stations = Stations {
+        server,
         ingress: FifoResource::new(1),
-        workers: FifoResource::new(n_workers),
+        workers: FifoResource::new(server.config().workers),
         nic: FifoResource::new(1),
+        next_worker: 0,
     };
     // Whether a correction stalls on a running pass (`correction_stall_end`).
     let thread_messaging = server.config().correction == CorrectionStrategy::ThreadMessaging;
@@ -300,19 +232,10 @@ pub fn run_closed_loop(
     let mut compaction_pending = spec.compaction_at;
     let mut buf = vec![0u8; spec.value_len];
     let payload = vec![0xA5u8; spec.value_len];
-    let mut next_worker = 0usize;
     let slot_bytes = {
         let class = corm_core::consistency::class_for_payload(server.classes(), spec.value_len)
             .expect("value length fits a class");
         server.classes().size_of(class)
-    };
-
-    // The RPC wire share not covered by ingress/worker occupancy.
-    let wire_rpc = |len: usize| {
-        model
-            .rpc_latency(len)
-            .saturating_sub(model.rpc_ingress_service)
-            .saturating_sub(model.rpc_worker_service)
     };
 
     // A client's next op is drawn when its event is scheduled, not when it
@@ -323,7 +246,7 @@ pub fn run_closed_loop(
     // lines behind the pointer step by step (DESIGN §12). One-sided reads
     // stop at the pointer: walking the handler's chain for them costs more
     // than their own path saves.
-    let mut ahead = Lookahead::new();
+    let mut ahead = Lookahead::default();
     let mut draw = |cid: usize, ptrs: &[GlobalPtr], ahead: &mut Lookahead| {
         let op = spec.workload.next_op(&mut rngs[cid]);
         prefetch_read(&ptrs[op.key() as usize]);
@@ -332,13 +255,16 @@ pub fn run_closed_loop(
         }
         op
     };
-
     // Closed loop, one outstanding request per client: the queue never
     // holds more than one event per client. `EventQueue` is sized for that
     // (sim-core's `queue.rs`; DESIGN §12), so it is asserted at each schedule.
-    for c in 0..spec.clients {
-        queue.schedule(SimTime::from_nanos(c as u64 * 100), (c, draw(c, ptrs, &mut ahead)));
+    let schedule = |queue: &mut EventQueue<Ev>, at: SimTime, ev: Ev| {
+        queue.schedule(at, ev);
         debug_assert!(queue.len() <= spec.clients);
+    };
+
+    for c in 0..spec.clients {
+        schedule(&mut queue, SimTime::from_nanos(c as u64 * 100), (c, draw(c, ptrs, &mut ahead)));
     }
 
     while let Some(next_at) = queue.peek_time() {
@@ -380,18 +306,15 @@ pub fn run_closed_loop(
         match op {
             Op::Write(k) => {
                 let mut ptr = ptrs[k as usize];
-                let worker = next_worker % n_workers;
-                next_worker += 1;
-                let cost = match server.write(worker, &mut ptr, &payload) {
-                    Ok(t) => t.cost,
-                    Err(e) => panic!("sim write failed on key {k}: {e}"),
-                };
+                let done = stations.rpc(now, spec.value_len, |worker| {
+                    let t = server.write(worker, &mut ptr, &payload);
+                    (t.unwrap_or_else(|e| panic!("sim write failed on key {k}: {e}")).cost, None)
+                });
                 ptrs[k as usize] = ptr;
-                let (ingress_done, worker_done) = stations.rpc(&model, now, cost, None);
                 if spec.read_path == ReadPath::Rdma {
-                    write_busy.insert(k, (ingress_done, worker_done));
+                    write_busy.insert(k, (done.ingress, done.worker));
                 }
-                completion = worker_done + wire_rpc(spec.value_len);
+                completion = done.reply;
                 if now >= warmup_end && completion <= end {
                     out.writes += 1;
                 }
@@ -400,20 +323,18 @@ pub fn run_closed_loop(
                 match spec.read_path {
                     ReadPath::Rpc => {
                         let mut ptr = ptrs[k as usize];
-                        let worker = next_worker % n_workers;
-                        next_worker += 1;
-                        let cost = match server.read(worker, &mut ptr, &mut buf) {
-                            Ok(t) => t.cost,
-                            Err(e) => panic!("sim rpc read failed on key {k}: {e}"),
-                        };
-                        // A correction moves the pointer to the object's new slot.
-                        let corrected = ptr != ptrs[k as usize];
+                        let stall = correction_stall_end(now, &out).filter(|_| thread_messaging);
+                        let done = stations.rpc(now, spec.value_len, |worker| {
+                            let cost = match server.read(worker, &mut ptr, &mut buf) {
+                                Ok(t) => t.cost,
+                                Err(e) => panic!("sim rpc read failed on key {k}: {e}"),
+                            };
+                            // A correction moves the pointer to the object's new slot.
+                            (cost, stall.filter(|_| ptr != ptrs[k as usize]))
+                        });
+                        out.corrections += u64::from(ptr != ptrs[k as usize]);
                         ptrs[k as usize] = ptr;
-                        out.corrections += u64::from(corrected);
-                        let stall = correction_stall_end(now, &out)
-                            .filter(|_| corrected && thread_messaging);
-                        let (_, worker_done) = stations.rpc(&model, now, cost, stall);
-                        completion = worker_done + wire_rpc(spec.value_len);
+                        completion = done.reply;
                         read_latency = Some(completion - now);
                     }
                     ReadPath::Rdma => {
@@ -448,8 +369,7 @@ pub fn run_closed_loop(
                                     + model.version_check_cost(slot_bytes);
                                 let cache_hit = attempt.cost <= hit_latency;
                                 let service = model.rdma_read_service(spec.value_len, cache_hit);
-                                let nic_done = stations.nic.admit(now, service);
-                                completion = nic_done + attempt.cost.saturating_sub(service);
+                                completion = stations.one_sided(now, attempt.cost, service);
                                 read_latency = Some(completion - now);
                             }
                             ReadOutcome::Invalid(
@@ -465,21 +385,16 @@ pub fn run_closed_loop(
                                             .scan_read(&mut ptr, &mut buf, now)
                                             .expect("scan finds relocated object");
                                         let service = model.rdma_read_service(block, true);
-                                        let nic_done = stations.nic.admit(now, service);
-                                        completion = nic_done + scan.cost.saturating_sub(service);
+                                        completion = stations.one_sided(now, scan.cost, service);
                                     }
                                     FixStrategy::RpcRead => {
-                                        let worker = next_worker % n_workers;
-                                        next_worker += 1;
-                                        let cost = server
-                                            .read(worker, &mut ptr, &mut buf)
-                                            .expect("rpc correction read")
-                                            .cost;
                                         let stall = correction_stall_end(now, &out)
                                             .filter(|_| thread_messaging);
-                                        let (_, worker_done) =
-                                            stations.rpc(&model, now, cost, stall);
-                                        completion = worker_done + wire_rpc(spec.value_len);
+                                        let done = stations.rpc(now, spec.value_len, |worker| {
+                                            let read = server.read(worker, &mut ptr, &mut buf);
+                                            (read.expect("rpc correction read").cost, stall)
+                                        });
+                                        completion = done.reply;
                                     }
                                 }
                                 ptrs[k as usize] = ptr;
@@ -491,8 +406,7 @@ pub fn run_closed_loop(
                                 if now >= warmup_end {
                                     out.conflicts += 1;
                                 }
-                                queue.schedule(now + attempt.cost + READ_BACKOFF, (cid, op));
-                                debug_assert!(queue.len() <= spec.clients);
+                                schedule(&mut queue, now + attempt.cost + READ_BACKOFF, (cid, op));
                                 continue;
                             }
                         }
@@ -521,8 +435,7 @@ pub fn run_closed_loop(
             }
         }
         if completion <= end {
-            queue.schedule(completion, (cid, draw(cid, ptrs, &mut ahead)));
-            debug_assert!(queue.len() <= spec.clients);
+            schedule(&mut queue, completion, (cid, draw(cid, ptrs, &mut ahead)));
         }
     }
 
@@ -717,7 +630,7 @@ mod tests {
             // pipeline like every other two-sided request (it skipped it
             // before `Stations::rpc`), so the one-sided reads behind its
             // 333 corrections queue a little longer. Same value with the
-            // hints on and with `CormServer::hint` stubbed out.
+            // lookahead on and with it stubbed out.
             ((BlockScan, ReadPath::Rdma, FixStrategy::RpcRead), [
                 39353, 19658, 19695, 9, 333, 42019, 1311767, 19658, 1959, 1846, 4290, 1413, 2345,
                 5890, 18245, 1929, 2615, 6228779974556458647, 8000000, 10438098, 1, 72, 1312, 691,

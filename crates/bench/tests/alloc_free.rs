@@ -4,9 +4,8 @@
 //! The whole test binary runs under a counting `#[global_allocator]`: after
 //! a warm-up phase fills every scratch buffer, the event heap, translation
 //! cache, and latency histogram, the measured phase replays the fig12 hot
-//! loop's op pipeline — workload draw, event-queue schedule/pop, the three
-//! stages of `CormServer::hint` and the DMA hints from what the last one
-//! returns, one-sided `direct_read`, RPC-path
+//! loop's op pipeline — workload draw, event-queue schedule/pop, the
+//! lookahead ring's push and advance, one-sided `direct_read`, RPC-path
 //! `server.write`, FIFO-station admits, torn-read bookkeeping, latency
 //! recording — and asserts the allocation counter does not move. Any
 //! `vec![..]`/`Box::new`/map-growth regression on the hot path fails this
@@ -26,7 +25,7 @@ use corm_bench::populate_server;
 use corm_bench::simspeed::{FIG12_OBJECTS, FIG12_SIZE, SEED};
 use corm_core::client::{CormClient, FixStrategy};
 use corm_core::server::{CormServer, ServerConfig};
-use corm_core::{GlobalPtr, ReadOutcome};
+use corm_core::{GlobalPtr, Lookahead, ReadOutcome};
 use corm_sim_core::hash::FastHashMap;
 use corm_sim_core::queue::EventQueue;
 use corm_sim_core::resource::FifoResource;
@@ -128,21 +127,13 @@ fn one_op(
     nic: &mut FifoResource,
     write_busy: &mut FastHashMap<u64, (SimTime, SimTime)>,
     hist: &mut Histogram,
+    ahead: &mut Lookahead,
 ) -> SimTime {
     let service = SimDuration::from_nanos(500);
-    // The loop's lookahead: the handler-chain hint's three stages, then
-    // the frame-table entries and payload lines from what the last one
-    // returned, under one DMA session.
-    let mut bytes = None;
-    for stage in 0..3 {
-        bytes = server.hint(&ptrs[op.key() as usize], stage);
-    }
-    let dma = server.phys().dma();
-    for (frame, offset) in bytes.into_iter().flatten() {
-        dma.prefetch_entry(frame);
-        dma.prefetch(frame, offset);
-    }
-    drop(dma);
+    // The loop's lookahead: the op enters the ring, and every op in it
+    // takes a step.
+    ahead.push(op.key());
+    ahead.advance(server, ptrs);
     match op {
         Op::Write(k) => {
             let ingress_done = ingress.admit(now, service);
@@ -200,6 +191,7 @@ fn steady_state_fig12_op_allocates_nothing() {
     write_busy.reserve(2 * FIG12_OBJECTS);
     let mut buf = vec![0u8; FIG12_SIZE];
     let payload = vec![0xA5u8; FIG12_SIZE];
+    let mut ahead = Lookahead::default();
 
     let mut clock = SimTime::ZERO;
     let run = |ops: usize,
@@ -213,7 +205,8 @@ fn steady_state_fig12_op_allocates_nothing() {
                nic: &mut FifoResource,
                write_busy: &mut FastHashMap<u64, (SimTime, SimTime)>,
                hist: &mut Histogram,
-               buf: &mut [u8]| {
+               buf: &mut [u8],
+               ahead: &mut Lookahead| {
         queue.schedule(*clock, 0);
         for _ in 0..ops {
             let (now, cid) = queue.pop().expect("queue never drains mid-run");
@@ -221,7 +214,7 @@ fn steady_state_fig12_op_allocates_nothing() {
             let op = workload.next_op(rng);
             let done = one_op(
                 op, now, client, &server, ptrs, buf, &payload, ingress, workers, nic, write_busy,
-                hist,
+                hist, ahead,
             );
             queue.schedule(done.max(now + SimDuration::from_nanos(1)), cid);
         }
@@ -248,6 +241,7 @@ fn steady_state_fig12_op_allocates_nothing() {
         &mut write_busy,
         &mut hist,
         &mut buf,
+        &mut ahead,
     );
 
     let allocations = allocations_during(|| {
@@ -264,6 +258,7 @@ fn steady_state_fig12_op_allocates_nothing() {
             &mut write_busy,
             &mut hist,
             &mut buf,
+            &mut ahead,
         )
     });
     assert_eq!(

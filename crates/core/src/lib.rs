@@ -34,7 +34,9 @@ pub mod server;
 pub use client::{CormClient, ReadOutcome};
 pub use header::ObjectHeader;
 pub use ptr::GlobalPtr;
-pub use server::{CompactionReport, CormError, CormServer, CorrectionStrategy, ServerConfig};
+pub use server::{
+    lookahead::Lookahead, CompactionReport, CormError, CormServer, CorrectionStrategy, ServerConfig,
+};
 
 use corm_sim_core::time::SimDuration;
 

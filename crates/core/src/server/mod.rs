@@ -13,6 +13,7 @@
 //! harness uses the same costs as queueing service times.
 
 mod compaction;
+pub(crate) mod lookahead;
 pub mod registry;
 pub mod threaded;
 pub mod tiering;
@@ -617,7 +618,7 @@ impl CormServer {
     }
 
     /// The one retry protocol of the RPC handlers (§3.2.3). Each attempt
-    /// walks the chain [`Self::hint`] prefetches, in its order:
+    /// walks the chain a [`crate::Lookahead`] prefetches, in its order:
     ///
     /// 1. resolve the pointer's base and lock the live block it maps to. A
     ///    block the compaction leader retired in between — merged away, so
@@ -749,55 +750,6 @@ impl CormServer {
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let model = self.model();
         Ok(Timed::new(n, model.rpc_worker_service + model.copy_cost(n) + cost))
-    }
-
-    /// Hints the lines [`Self::read`] and [`Self::write`] will walk for
-    /// `ptr`, one step of their chain per `stage`, for a caller that knows
-    /// its coming requests some calls ahead (the closed loop, DESIGN §12)
-    /// and wants their misses to overlap instead of queueing:
-    ///
-    /// 0. the directory entry of the pointer's base, and every line of the
-    ///    block it resolves to;
-    /// 1. the block's `slot_id` entry for the pointer's slot, and the frame
-    ///    of the slot's page;
-    /// 2. nothing: it returns where the slot's first and last byte lie, as
-    ///    `(frame, offset in that frame)`. The caller hints the rest from
-    ///    those values through a [`DmaSession`] it opens with no directory
-    ///    or block lock held: the frames' table entries
-    ///    ([`DmaSession::prefetch_entry`]), then, a call later, the two
-    ///    lines ([`DmaSession::prefetch`]).
-    ///
-    /// Stages 1 and 2 walk the earlier stages' lines again — cached by then
-    /// — and nothing outlives a call but what stage 2 returns: plain
-    /// values, no handle. So a block freed, merged away or remapped in
-    /// between wastes a hint and nothing else, and so does a frame released
-    /// or reused before the caller hints it: the session's hints read
-    /// nothing and ignore unknown ids. A hint is inert: it never waits for a
-    /// block's lock (a held one ends the hint with `None`), and it counts
-    /// nothing, feeds no heat, fetches no far frame, corrects no pointer
-    /// and charges no virtual time. Any pointer and any stage are accepted;
-    /// what cannot be followed is ignored.
-    pub fn hint(&self, ptr: &GlobalPtr, stage: u8) -> Option<[(FrameId, usize); 2]> {
-        let block_bytes = self.block_bytes();
-        let base = ptr.block_base(block_bytes);
-        if stage == 0 {
-            self.registry.hint(base);
-            return None;
-        }
-        if stage > 2 {
-            return None;
-        }
-        // Not `self.resolve`: that one counts `Stage::RegistryResolve`.
-        let block = self.registry.resolve(base)?;
-        let b = block.try_lock()?;
-        let slot = b.slot_of_offset(ptr.block_offset(block_bytes))?;
-        if stage == 1 {
-            b.hint_slot(slot);
-            return None;
-        }
-        let first = b.slot_offset(slot);
-        let at = |offset: usize| Some((*b.frames().get(offset / PAGE_SIZE)?, offset % PAGE_SIZE));
-        Some([at(first)?, at(first + b.obj_size() - 1)?])
     }
 
     /// Batched RPC read (multi-get): one request carries many pointers, so
@@ -1003,47 +955,5 @@ impl CormServer {
         drop(b);
         self.aspace.munmap(base, pages).expect("block vaddr mapped");
         self.proc.release_block_phys(file, page, frames);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::mpsc;
-
-    /// A hint that waited for the lock would never return here: the holder
-    /// lets go only once every stage has.
-    #[test]
-    fn hint_returns_at_once_while_another_thread_holds_the_block() {
-        let server = CormServer::new(ServerConfig::default());
-        let ptr = server.alloc(0, 32).expect("alloc").value;
-        let block = server.registry.resolve(ptr.block_base(server.block_bytes())).expect("live");
-        let (locked, is_locked) = mpsc::channel();
-        let (release, released) = mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            let block = &block;
-            s.spawn(move || {
-                let _held = block.lock();
-                locked.send(()).expect("main thread waits");
-                released.recv().expect("main thread releases");
-            });
-            is_locked.recv().expect("holder locks");
-            for stage in 0..=4 {
-                assert_eq!(server.hint(&ptr, stage), None, "stage {stage} past a held lock");
-            }
-            assert!(block.try_lock().is_none(), "held throughout");
-            release.send(()).expect("holder waits");
-        });
-        // Free again, every stage gets through to its end, and stage 2
-        // returns the frame of the slot's bytes, both ends.
-        let (frame, obj_size) = {
-            let b = block.lock();
-            (b.frames()[0], b.obj_size())
-        };
-        let first = ptr.block_offset(server.block_bytes());
-        assert!(first + obj_size <= PAGE_SIZE, "the first object sits in the first page");
-        let returned: Vec<_> = (0..=4).filter_map(|stage| server.hint(&ptr, stage)).collect();
-        assert_eq!(returned, [[(frame, first), (frame, first + obj_size - 1)]]);
-        assert!(block.try_lock().is_some(), "no hint kept the lock");
     }
 }

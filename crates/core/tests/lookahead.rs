@@ -1,35 +1,33 @@
-//! `CormServer::hint` is inert: on a store that has been through frees, a
+//! A [`Lookahead`] is inert: on a store that has been through frees, a
 //! compaction pass and a pin-budget enforcement — aliases, merged-away
 //! sources, freed slots, relocated objects behind stale pointers, far
-//! frames — every stage of the hint, for every pointer a client could hold
-//! and a few no client could, changes nothing that can be observed:
-//! counters, trace, tier state, pointer bytes, memory bytes. So do the DMA
-//! hints the closed loop issues from what stage 2 returns, in the loop's
-//! ring order, even on frames released and reused since stage 2 returned
-//! them. And it stays so, and always returns, while another thread takes
-//! the same blocks' locks as fast as it can.
+//! frames — walking the ring over every pointer a client could hold and a
+//! few no client could changes nothing that can be observed: counters,
+//! trace, tier state, pointer bytes, memory bytes. So do its DMA hints on
+//! frames released and reused since the ring read them. And it stays so,
+//! and always returns, while another thread takes the same blocks' locks
+//! as fast as it can.
 //!
-//! (The deterministic form of the second statement — the hint returns
-//! while another thread *holds* the block's lock — needs the lock itself,
-//! which nothing outside the crate can reach: it is a unit test beside
-//! `hint` in `server/mod.rs`.)
+//! (The deterministic form of the last statement — the walk returns while
+//! another thread *holds* the block's lock — needs the lock itself, which
+//! nothing outside the crate can reach: it is a unit test beside the walk
+//! in `server/lookahead.rs`.)
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 
 use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
-use corm_core::GlobalPtr;
+use corm_core::{GlobalPtr, Lookahead};
 use corm_sim_core::time::SimTime;
-use corm_sim_mem::{FrameId, ResidencySnapshot, TierConfig, TierStats, PAGE_SIZE};
+use corm_sim_mem::{ResidencySnapshot, TierConfig, TierStats, PAGE_SIZE};
 use corm_trace::{Stage, StageTotal, TraceHandle};
 
 const SIZE: usize = 32;
 const OBJECTS: usize = 4096;
-/// One past the last stage `hint` knows, and the far end of the type:
-/// stages it does not know must be as harmless as those it does.
-const STAGES: [u8; 6] = [0, 1, 2, 3, 4, u8::MAX];
+/// More advances than an op takes to go through the ring.
+const DRAIN: usize = 16;
 
 fn payload_for(key: usize) -> [u8; SIZE] {
     std::array::from_fn(|b| (key * 31 + b) as u8)
@@ -227,43 +225,17 @@ fn observe(store: &Store, ptrs: &[GlobalPtr]) -> Observed {
     }
 }
 
-/// What stage 2 of the hint returns: the frame and offset of a slot's
-/// first and last byte.
-type SlotBytes = [(FrameId, usize); 2];
-
-/// The DMA hints the closed loop issues from what stage 2 returned: the
-/// frames' table entries, then their lines.
-fn dma_hints(server: &CormServer, entries: Option<SlotBytes>, payload: Option<SlotBytes>) {
-    let dma = server.phys().dma();
-    for (frame, _) in entries.into_iter().flatten() {
-        dma.prefetch_entry(frame);
+/// Walks `ptrs` through a ring as the closed loop does, one pushed per
+/// advance, then drains it.
+fn through_the_ring(server: &CormServer, ptrs: &[GlobalPtr]) {
+    let mut ahead = Lookahead::default();
+    for key in 0..ptrs.len() {
+        ahead.push(key as u64);
+        ahead.advance(server, ptrs);
     }
-    for (frame, offset) in payload.into_iter().flatten() {
-        dma.prefetch(frame, offset);
+    for _ in 0..DRAIN {
+        ahead.advance(server, ptrs);
     }
-}
-
-/// Replays the closed loop's ring over `ptrs`, one op entering per call
-/// as in the loop: each op's first call is the pointer's wait, the next
-/// three run the hint's stages 0 to 2, and the two after hint, from what
-/// stage 2 returned, the frames' table entries and then the payload lines,
-/// under one DMA session per call opened after the stages. Returns how
-/// many ops stage 2 returned frames for.
-fn replay_ring(server: &CormServer, ptrs: &[GlobalPtr]) -> usize {
-    let mut returned: Vec<Option<SlotBytes>> = vec![None; ptrs.len()];
-    // Op `i` enters after call `i`, so at call `c` it is `c - i` calls old.
-    for call in 0..ptrs.len() + 6 {
-        let aged = |age: usize| call.checked_sub(age).filter(|&i| i < ptrs.len());
-        for stage in 0..3u8 {
-            if let Some(i) = aged(2 + stage as usize) {
-                let got = server.hint(&ptrs[i], stage);
-                assert!(stage == 2 || got.is_none(), "only stage 2 returns values");
-                returned[i] = got;
-            }
-        }
-        dma_hints(server, aged(5).and_then(|i| returned[i]), aged(6).and_then(|i| returned[i]));
-    }
-    returned.iter().flatten().count()
 }
 
 fn every_pointer(store: &Store) -> Vec<GlobalPtr> {
@@ -284,15 +256,11 @@ fn every_stage_of_the_hint_for_every_pointer_changes_nothing() {
     assert!(before.0.counters.iter().any(|&(s, n)| s == Stage::RegistryResolve && n > 0));
     assert_eq!(before.0.events, 0);
 
-    for stage in STAGES {
-        for ptr in &ptrs {
-            let got = store.server.hint(ptr, stage);
-            dma_hints(&store.server, got, got);
-        }
+    // Each pointer alone, then in the order the loop issues them.
+    for key in 0..ptrs.len() {
+        through_the_ring(&store.server, &ptrs[key..=key]);
     }
-    // And in the order the loop issues them.
-    let returned = replay_ring(&store.server, &ptrs);
-    assert!(returned >= store.live.len(), "stage 2 returns frames for every survivor at least");
+    through_the_ring(&store.server, &ptrs);
 
     let after = (observe(&store, &ptrs), memory(&store.server, &ptrs));
     assert_eq!(before.0, after.0);
@@ -335,7 +303,7 @@ fn hints_racing_a_writer_for_the_same_blocks_return_and_count_nothing() {
         // At least one full sweep even if the writer wins every race to
         // the finish; a writer that panics ends the sweeps too.
         loop {
-            replay_ring(server, &ptrs);
+            through_the_ring(server, &ptrs);
             if writer.is_finished() {
                 break;
             }
@@ -357,42 +325,61 @@ fn hints_racing_a_writer_for_the_same_blocks_return_and_count_nothing() {
     }
 }
 
-#[test]
-fn dma_hints_on_frames_released_and_reused_since_stage_2_change_nothing() {
-    let (server, trace, mut client, ptrs) = populated();
-    let returned: Vec<SlotBytes> =
-        ptrs.iter().map(|p| server.hint(p, 2).expect("a live, unlocked slot")).collect();
-    // Each returned frame, with the base of the block it backed then.
-    let block_bytes = server.block_bytes();
-    let owner: HashMap<u32, u64> = ptrs
-        .iter()
-        .zip(&returned)
-        .flat_map(|(p, bytes)| bytes.map(|(frame, _)| (frame.0, p.block_base(block_bytes))))
-        .collect();
+/// The frame backing `ptr`'s first byte, as the page table has it.
+fn frame_of(server: &CormServer, ptr: &GlobalPtr) -> u32 {
+    server.aspace().translate(ptr.vaddr).expect("mapped").frame.0
+}
 
-    // Between stage 2 and the DMA hints, the pass merges blocks away and
-    // releases their frames, and fresh blocks take them again.
+#[test]
+fn dma_hints_on_frames_released_and_reused_mid_walk_change_nothing() {
+    let (server, trace, mut client, ptrs) = populated();
+    // One ring per op, each stopped after a different number of steps,
+    // every number up to a drained ring: some are stopped between reading
+    // where their slot's bytes lie and hinting them.
+    let mut rings: Vec<(usize, Lookahead)> = (0..ptrs.len())
+        .map(|key| {
+            let mut ahead = Lookahead::default();
+            ahead.push(key as u64);
+            let stop = key % DRAIN;
+            for _ in 0..stop {
+                ahead.advance(&server, &ptrs);
+            }
+            (stop, ahead)
+        })
+        .collect();
+    // Each op's frame, and the base of the block it backed then.
+    let block_bytes = server.block_bytes();
+    let frames: Vec<u32> = ptrs.iter().map(|p| frame_of(&server, p)).collect();
+    let owner: HashMap<u32, u64> =
+        frames.iter().zip(&ptrs).map(|(&frame, p)| (frame, p.block_base(block_bytes))).collect();
+
+    // Then the pass merges blocks away and releases their frames, and
+    // fresh blocks take them again.
     let freed = free_and_compact(&server, &mut client, &ptrs);
     let fresh = alloc_stamped(&mut client, OBJECTS..2 * OBJECTS);
-    let reused = fresh
+    let reused: HashSet<u32> = fresh
         .iter()
-        .filter_map(|p| Some((server.hint(p, 2)?, p.block_base(block_bytes))))
-        .filter(|&(bytes, base)| {
-            bytes.iter().any(|(frame, _)| owner.get(&frame.0).is_some_and(|&was| was != base))
-        })
-        .count();
-    assert!(reused > 0, "a fresh block must back itself with a frame the pass released");
+        .map(|p| (frame_of(&server, p), p.block_base(block_bytes)))
+        .filter(|(frame, base)| owner.get(frame).is_some_and(|was| was != base))
+        .map(|(frame, _)| frame)
+        .collect();
+    for stop in 0..DRAIN {
+        assert!(
+            (stop..ptrs.len()).step_by(DRAIN).any(|key| reused.contains(&frames[key])),
+            "a fresh block must back itself with a frame the pass released, for a ring \
+             stopped after {stop} advances"
+        );
+    }
 
     let store = Store { server, trace, live: Vec::new(), corrected: Vec::new(), freed };
     let mut all = ptrs.clone();
     all.extend(&fresh);
     observe(&store, &all);
     let before = (observe(&store, &all), memory(&store.server, &all));
-    for &bytes in &returned {
-        dma_hints(&store.server, Some(bytes), None);
-    }
-    for &bytes in &returned {
-        dma_hints(&store.server, None, Some(bytes));
+    for (stop, ahead) in &mut rings {
+        for _ in *stop..DRAIN {
+            ahead.advance(&store.server, &ptrs);
+        }
     }
     let after = (observe(&store, &all), memory(&store.server, &all));
     assert_eq!(before.0, after.0);

@@ -167,6 +167,8 @@ fn with_thread_buf(inner: &Arc<Inner>, f: impl FnOnce(&mut ThreadBuf)) {
             f(buf);
             return;
         }
+        // Buffers of recorders gone would be scanned past by every event.
+        bufs.retain(|b| b.recorder.strong_count() > 0);
         bufs.push(ThreadBuf {
             recorder: Arc::downgrade(inner),
             recorder_id: inner.id,
@@ -418,6 +420,23 @@ mod tests {
         b.event(Track::Nic, Stage::FaultDraw, 0, SimTime::from_micros(3));
         assert_eq!(a.drain().len(), 1);
         assert_eq!(b.drain().len(), 2);
+    }
+
+    #[test]
+    fn a_thread_keeps_no_buffer_of_a_dropped_recorder() {
+        // A thread of its own: the test harness may reuse this one.
+        std::thread::spawn(|| {
+            for us in 0..16 {
+                let dropped = TraceHandle::recording();
+                dropped.event(Track::Nic, Stage::Doorbell, 0, SimTime::from_micros(us));
+            }
+            let live = TraceHandle::recording();
+            live.event(Track::Nic, Stage::Doorbell, 0, SimTime::ZERO);
+            assert_eq!(THREAD_BUFS.with(|bufs| bufs.borrow().len()), 1);
+            assert_eq!(live.drain().len(), 1);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
