@@ -67,70 +67,6 @@ fn run_compaction(
     server.compact_class(class, SimTime::ZERO).expect("compaction").value
 }
 
-/// Builds an alias-heavy store and runs the pass that remaps the alias
-/// chain: pass 1 funnels `slots` one-object blocks into a single full
-/// destination (leaving `slots - 1` alias vaddrs on it), the destination
-/// is then thinned while fresh allocations open a new block, and pass 2
-/// merges the alias-carrying survivor away — every alias is a remap
-/// target, which is exactly what batched MTT sync amortizes. Returns
-/// pass 2's report.
-fn run_alias_chain(strategy: MttUpdateStrategy, batch: bool) -> CompactionReport {
-    let server = Arc::new(CormServer::new(ServerConfig {
-        workers: 1,
-        mtt_strategy: strategy,
-        batch_mtt_sync: batch,
-        alloc: corm_alloc::AllocConfig {
-            block_bytes: 4096,
-            file_bytes: 16 << 20,
-            ..Default::default()
-        },
-        rnic: RnicConfig { model: LatencyModel::connectx5(), ..RnicConfig::default() },
-        ..ServerConfig::default()
-    }));
-    let mut client = CormClient::connect(server.clone());
-    let class = corm_core::consistency::class_for_payload(server.classes(), 32).unwrap();
-    let slots = server.block_bytes() / server.classes().size_of(class);
-    // Phase A: `slots` blocks of one object each (fill every block, then
-    // free the fillers, so freed slots are never refilled).
-    let mut firsts = Vec::new();
-    let mut fillers = Vec::new();
-    for _ in 0..slots {
-        for s in 0..slots {
-            let p = client.alloc(32).expect("alloc").value;
-            if s == 0 {
-                firsts.push(p);
-            } else {
-                fillers.push(p);
-            }
-        }
-    }
-    for p in &mut fillers {
-        client.free(p).expect("free filler");
-    }
-    let pass1 = server.compact_class(class, SimTime::ZERO).expect("pass 1");
-    assert_eq!(pass1.value.merges, slots - 1, "pass 1 must funnel into one block");
-    // Phase B: the survivor is exactly full, so fresh anchor allocations
-    // open a new block — made *more* utilized than the survivor so the
-    // greedy pass picks the alias-carrying survivor as the source. Keeping
-    // only interior objects (their home blocks are sources under either
-    // collection order) leaves their alias vaddrs alive: those are the
-    // extra remap targets.
-    let _anchors: Vec<_> = (0..48).map(|_| client.alloc(32).expect("alloc").value).collect();
-    for (i, p) in firsts.iter_mut().enumerate() {
-        if !(1..=16).contains(&i) {
-            client.free(p).expect("free survivor object");
-        }
-    }
-    let pass2 = server.compact_class(class, SimTime::ZERO + pass1.cost).expect("pass 2").value;
-    assert_eq!(pass2.merges, 1, "pass 2 merges the alias-carrying survivor away");
-    assert!(
-        pass2.extra_remaps >= 8,
-        "the surviving alias chain must be remapped, got {}",
-        pass2.extra_remaps
-    );
-    pass2
-}
-
 /// Tags a pass's [`CompactionReport`] metrics with its panel coordinates.
 fn pass_json(coord: &str, value: usize, variant: &str, report: &CompactionReport) -> Json {
     JsonObject::new()
@@ -217,61 +153,12 @@ pub(crate) fn run(run: &mut Run) {
     );
     run.emit("fig15_compaction_block_size", &right);
 
-    // --- Alias-chain panel: batched vs per-target MTT sync --------------
-    // Pass 2 of the alias-heavy store remaps the survivor's whole alias
-    // chain. Unbatched, each extra target pays mmap + MTT update; batched,
-    // the chain rides the primary target's transition, so the saving is
-    // exactly `extra_remaps × (mmap + mtt_update)` — asserted below.
-    let mut alias_passes: Vec<Json> = Vec::new();
-    let mut alias = Sheet::new(
-        "Fig. 15 (alias chain): pass cost, per-target vs batched MTT sync (us)",
-        &["strategy", "extra_remaps", "unbatched", "batched", "saved"],
-    );
-    let model = LatencyModel::connectx5();
-    for (name, strategy) in [
-        ("rereg", MttUpdateStrategy::Rereg),
-        ("odp", MttUpdateStrategy::Odp),
-        ("odp_prefetch", MttUpdateStrategy::OdpPrefetch),
-    ] {
-        let unbatched = run_alias_chain(strategy, false);
-        let batched = run_alias_chain(strategy, true);
-        assert_eq!(unbatched.extra_remaps, batched.extra_remaps, "same plan either way");
-        let saved =
-            (model.mmap_cost(1) + model.mtt_update_cost(strategy, 1)) * unbatched.extra_remaps;
-        assert_eq!(
-            unbatched.compaction_cost - batched.compaction_cost,
-            saved,
-            "batching must save exactly the per-target mmap + MTT term ({name})"
-        );
-        alias.row(&[
-            name.into(),
-            unbatched.extra_remaps.into(),
-            f1(unbatched.compaction_cost.as_micros_f64()),
-            f1(batched.compaction_cost.as_micros_f64()),
-            f1(saved.as_micros_f64()),
-        ]);
-        alias_passes.push(pass_json(
-            "extra_remaps",
-            unbatched.extra_remaps as usize,
-            name,
-            &unbatched,
-        ));
-        alias_passes.push(pass_json(
-            "extra_remaps",
-            batched.extra_remaps as usize,
-            &format!("{name}_batched"),
-            &batched,
-        ));
-    }
-    run.emit("fig15_alias_chain_batching", &alias);
-
     run.json(
         "fig15_compaction_latency",
         &JsonObject::new()
             .field("collection_vs_threads", Json::Arr(left_passes))
             .field("compaction_vs_blocks", Json::Arr(center_passes))
             .field("compaction_vs_block_size", Json::Arr(right_passes))
-            .field("alias_chain_batching", Json::Arr(alias_passes))
             .build(),
     );
 }

@@ -62,7 +62,7 @@ pub(crate) fn run(run: &mut Run) {
         s.aspace.remap(s.va, &[s.new_frame]).unwrap();
         s.aspace.write(s.va, b"after-remap.....").unwrap();
         let t0 = SimTime::from_micros(100);
-        let rereg = s.rnic.rereg(&[s.rkey], t0).unwrap().as_micros_f64();
+        let rereg = s.rnic.rereg(s.rkey, t0).unwrap().as_micros_f64();
         // Read during the window breaks the QP.
         let qp = QueuePair::connect(s.rnic.clone());
         let mut buf = [0u8; 16];
@@ -111,7 +111,7 @@ pub(crate) fn run(run: &mut Run) {
         let s = setup(true);
         s.aspace.remap(s.va, &[s.new_frame]).unwrap();
         s.aspace.write(s.va, b"after-remap.....").unwrap();
-        let advise = s.rnic.advise(&[(s.rkey, s.va, 1)]).unwrap().as_micros_f64();
+        let advise = s.rnic.advise(s.rkey, s.va, 1).unwrap().as_micros_f64();
         let qp = QueuePair::connect(s.rnic.clone());
         let mut buf = [0u8; 16];
         let read = qp.read(s.rkey, s.va, &mut buf, SimTime::ZERO).unwrap();

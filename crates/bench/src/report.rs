@@ -515,7 +515,6 @@ pub fn compaction_metrics(report: &CompactionReport) -> Json {
         .float("total_us", report.total_cost().as_micros_f64())
         .uint("yields", report.yields as u64)
         .uint("extra_remaps", report.extra_remaps)
-        .uint("mtt_batches", report.mtt_batches)
         .float("pause_p50_us", pauses.median().unwrap_or(0.0))
         .float("pause_p99_us", pauses.p99().unwrap_or(0.0))
         .build()

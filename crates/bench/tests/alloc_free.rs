@@ -17,9 +17,14 @@
 //! (`steady_direct_read_with_recovery_allocates_nothing`) holds a steady
 //! `CormClient::direct_read_with_recovery` to none — a healthy read, and a
 //! moved object repaired under each `FixStrategy`.
+//!
+//! Only the measuring thread counts: the test harness and the other tests
+//! allocate on threads of their own, whenever they like, and are not the
+//! code under test. Every measured closure runs on its test's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use corm_bench::populate_server;
 use corm_bench::simspeed::{FIG12_OBJECTS, FIG12_SIZE, SEED};
@@ -35,13 +40,20 @@ use corm_sim_core::time::{SimDuration, SimTime};
 use corm_workloads::ycsb::{KeyDist, Mix, Op, Workload};
 
 /// Delegates to the system allocator, counting every allocation (including
-/// growth reallocs). Frees are not counted: the invariant under test is
-/// "zero allocator round trips per steady-state op", and a free without a
-/// matching alloc cannot happen.
+/// growth reallocs) a thread makes inside [`allocations_during`]. Frees are
+/// not counted: the invariant under test is "zero allocator round trips per
+/// steady-state op", and a free without a matching alloc cannot happen.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static TRAP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+thread_local! {
+    /// Set while [`allocations_during`] measures this thread.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while `MEASURING`.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The `ALLOC_TRAP` debugging aid: abort at a measured allocation.
+static TRAP: AtomicBool = AtomicBool::new(false);
 
 fn trap_hit(size: usize) {
     // Runs inside the allocator: report without allocating, then abort so
@@ -64,25 +76,31 @@ unsafe fn libc_write(fd: i32, buf: *const u8, len: usize) {
     );
 }
 
+/// Counts an allocation of `size` bytes if this thread is measured. Both
+/// thread-locals are const-initialised and need no drop, so reading them
+/// never allocates; `try_with` skips a thread that is being torn down.
+fn count(size: usize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        if TRAP.load(Ordering::Relaxed) {
+            trap_hit(size);
+        }
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if TRAP.load(Ordering::Relaxed) {
-            trap_hit(layout.size());
-        }
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if TRAP.load(Ordering::Relaxed) {
-            trap_hit(new_size);
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -94,19 +112,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// The counter is the process's: one measured window at a time.
-static WINDOW: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Allocator round trips `measured` makes, with the `ALLOC_TRAP` debugging
-/// aid armed if asked for.
+/// Allocator round trips `measured` makes on this thread, with the
+/// `ALLOC_TRAP` debugging aid armed if asked for.
 fn allocations_during(measured: impl FnOnce()) -> u64 {
     if std::env::var_os("ALLOC_TRAP").is_some() {
         TRAP.store(true, Ordering::Relaxed);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    MEASURING.with(|m| m.set(true));
     measured();
-    TRAP.store(false, Ordering::Relaxed);
-    ALLOCS.load(Ordering::Relaxed) - before
+    MEASURING.with(|m| m.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 /// One fig12-shaped op: draw from the workload, pay the queue churn, run
@@ -168,7 +184,6 @@ fn one_op(
 
 #[test]
 fn steady_state_fig12_op_allocates_nothing() {
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
     let server = store.server.clone();
     let mut ptrs = store.ptrs;
@@ -298,7 +313,6 @@ fn churn_cycle(
 #[test]
 fn steady_state_alloc_write_free_cycle_allocates_nothing() {
     const OBJECTS: usize = 32 * 1024;
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let server = CormServer::new(ServerConfig::default());
     let workers = server.config().workers;
     let payload = vec![0x5Au8; FIG12_SIZE];
@@ -332,7 +346,6 @@ fn steady_state_alloc_write_free_cycle_allocates_nothing() {
 fn steady_state_read_batch_allocates_only_its_result() {
     const DEPTH: usize = 16;
     const CALLS: usize = 2_000;
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
     let mut client = CormClient::connect(store.server.clone());
     let mut rng = stream_rng(SEED, 2);
@@ -362,7 +375,6 @@ fn steady_state_read_batch_allocates_only_its_result() {
 #[test]
 fn steady_direct_read_with_recovery_allocates_nothing() {
     const CALLS: usize = 2_000;
-    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let store = populate_server(ServerConfig::default(), FIG12_OBJECTS, FIG12_SIZE);
     // Object 0 carrying the hint of another object of its block: a read
     // finds a live slot holding the wrong ID, as after a compaction.

@@ -9,10 +9,10 @@
 //! locked, copied — preserving their offsets when possible, relocating on
 //! conflicts (§3.1.2) — and then the source block's virtual address is
 //! *remapped* onto the destination's physical frames. The RNIC's MTT is
-//! brought back in sync per the configured §3.5 strategy — one call per
-//! remap target, or one *batched* verb for the whole target set when
-//! `batch_mtt_sync` is on — preserving the `r_key` clients hold, and the
-//! source's physical pages are returned to the process-wide allocator.
+//! brought back in sync per the configured §3.5 strategy — one verb per
+//! remap target, as `ibv_rereg_mr` takes one region — preserving the
+//! `r_key` clients hold, and the source's physical pages are returned to
+//! the process-wide allocator.
 //!
 //! One leader thread runs the merges back to back in plan order on one
 //! virtual clock, so the merge phase costs the sum of its merges. A
@@ -68,12 +68,9 @@ pub struct CompactionReport {
     /// Busy intervals between yields, in plan order. Without a budget this
     /// is the single whole merge phase; their sum is `compaction_cost`.
     pub chunks: Vec<SimDuration>,
-    /// Alias remap targets beyond the primary vaddr, summed over merges —
-    /// the targets batched MTT sync amortizes.
+    /// Alias remap targets beyond the primary vaddr, summed over merges:
+    /// each pays its own `mmap` and MTT sync.
     pub extra_remaps: u64,
-    /// Batched MTT-sync verbs issued (0 when `batch_mtt_sync` is off or
-    /// the strategy defers to ODP).
-    pub mtt_batches: u64,
 }
 
 impl CompactionReport {
@@ -88,7 +85,6 @@ struct MergeStats {
     copied: usize,
     cost: SimDuration,
     extra_remaps: u64,
-    mtt_batches: u64,
 }
 
 /// Plans a pass's merges before any of them runs: [`greedy_pass`], the
@@ -209,7 +205,6 @@ impl CormServer {
         let mut relocated = 0;
         let mut copied = 0;
         let mut extra_remaps = 0u64;
-        let mut mtt_batches = 0u64;
         let merges = plan.pairs.len();
         for (i, &(s, d)) in plan.pairs.iter().enumerate() {
             let stats = self.merge_blocks(&candidates[s], &candidates[d], clock, &mut scratch)?;
@@ -218,7 +213,6 @@ impl CormServer {
             relocated += stats.relocated;
             copied += stats.copied;
             extra_remaps += stats.extra_remaps;
-            mtt_batches += stats.mtt_batches;
             if let Some(budget) = budget {
                 if clock - chunk_start >= budget && i + 1 < merges {
                     let chunk = clock - chunk_start;
@@ -259,7 +253,6 @@ impl CormServer {
             yields,
             chunks,
             extra_remaps,
-            mtt_batches,
         };
         let total = report.total_cost();
         Ok(crate::Timed::new(report, total))
@@ -390,38 +383,20 @@ impl CormServer {
         let (file, page) = s.phys_identity();
         let old_frames = s.frames().to_vec();
         let repointed = self.registry.demote_to_alias(src_base, dst_base, src_rkey, pages);
-        // Each target as the `(rkey, vaddr, pages)` an advise takes.
-        let mut targets = vec![(src_rkey, src_base, pages)];
-        targets.extend(repointed.iter().map(|(base, info)| (info.rkey, *base, pages)));
-        // Remap every target, then sync the MTT: all targets in one posted
-        // verb when batched (they alias the same frames, so the batch rides
-        // the primary's transition), one verb per target otherwise. A rereg
-        // or advise reads only its own region's pages, so syncing after
-        // every remap matches syncing after each.
-        for &(_, base, _) in &targets {
-            self.aspace().remap(base, &dst_frames)?;
-        }
-        let batched = self.config().batch_mtt_sync;
-        let per_verb = if batched { targets.len() } else { 1 };
+        // Each target is remapped, then synced by its own verb; plain ODP
+        // issues none and faults the new translation in on next access.
         let strategy = self.config().mtt_strategy;
-        match strategy {
-            MttUpdateStrategy::Rereg => {
-                let keys: Vec<u32> = targets.iter().map(|&(rkey, _, _)| rkey).collect();
-                for verb in keys.chunks(per_verb) {
-                    self.rnic().rereg(verb, now)?;
-                    self.trace().add(Stage::MttSync, verb.len() as u64);
-                }
-            }
-            MttUpdateStrategy::Odp => {}
-            MttUpdateStrategy::OdpPrefetch => {
-                for verb in targets.chunks(per_verb) {
-                    self.rnic().advise(verb)?;
-                    self.trace().add(Stage::MttSync, verb.len() as u64);
-                }
-            }
+        let targets = std::iter::once((src_rkey, src_base))
+            .chain(repointed.iter().map(|(base, info)| (info.rkey, *base)));
+        for (rkey, base) in targets {
+            self.aspace().remap(base, &dst_frames)?;
+            match strategy {
+                MttUpdateStrategy::Rereg => self.rnic().rereg(rkey, now)?,
+                MttUpdateStrategy::Odp => continue,
+                MttUpdateStrategy::OdpPrefetch => self.rnic().advise(rkey, base, pages)?,
+            };
+            self.trace().add(Stage::MttSync, 1);
         }
-        let mtt_batches = u64::from(batched && strategy != MttUpdateStrategy::Odp);
-        let mtt_calls = targets.len() as u64;
         s.retire();
         drop((s, d));
 
@@ -441,19 +416,12 @@ impl CormServer {
         }
 
         // One block_compaction_cost covers bookkeeping + copies + the
-        // primary remap; extra alias remaps each add an mmap + MTT update —
-        // unless the batched verb covers them, in which case they ride the
-        // primary's transition for free.
-        let extra_remaps = mtt_calls.saturating_sub(1);
-        let base_cost = model.block_compaction_cost(strategy, pages, bytes_copied, objects.len());
-        let cost = if batched {
-            base_cost
-        } else {
-            base_cost
-                + (model.mmap_cost(pages) + model.mtt_update_cost(strategy, pages)) * extra_remaps
-        };
-        let cost = cost + tier_cost;
-        Ok(MergeStats { relocated, copied: objects.len(), cost, extra_remaps, mtt_batches })
+        // primary remap; extra alias remaps each add an mmap + MTT update.
+        let extra_remaps = repointed.len() as u64;
+        let cost = model.block_compaction_cost(strategy, pages, bytes_copied, objects.len())
+            + (model.mmap_cost(pages) + model.mtt_update_cost(strategy, pages)) * extra_remaps
+            + tier_cost;
+        Ok(MergeStats { relocated, copied: objects.len(), cost, extra_remaps })
     }
 }
 
@@ -697,6 +665,43 @@ mod tests {
         assert_eq!(read_back, kept.len() - 3);
         assert!(server.registry.resolve(emptied).is_none(), "the emptied source's vaddr is gone");
         assert!(server.registry.alias_info(emptied).is_none());
+    }
+
+    /// `fragmentation_report` holds one block lock at a time: while it
+    /// waits for a block another thread holds, the blocks it has counted
+    /// are free. Holding them all (as it once did) deadlocks against a
+    /// merge or the planner, which lock two blocks in their own order.
+    #[test]
+    fn fragmentation_report_holds_one_block_lock_at_a_time() {
+        let server = server_with(1, None);
+        two_fifths_fill(&server, 0, 2);
+        let blocks = server.registry.live_blocks();
+        assert!(blocks.len() >= 2);
+        let held = blocks[1].lock();
+        let freed = std::thread::scope(|s| {
+            let reporter = s.spawn(|| server.fragmentation_report());
+            // Time for the reporter to count the first block and wait on
+            // the held one. Nothing it can signal marks that point; the
+            // pause lets the check see a reporter that holds the first
+            // block, and a correct one passes however long it takes.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+            let freed = loop {
+                if blocks[0].try_lock().is_some() {
+                    break true;
+                }
+                if std::time::Instant::now() >= deadline {
+                    break false;
+                }
+                std::thread::yield_now();
+            };
+            drop(held);
+            let report = reporter.join().expect("reporter");
+            let live: usize = blocks.iter().map(|b| b.lock().live()).sum();
+            assert_eq!(report.classes.iter().map(|c| c.live).sum::<usize>(), live);
+            freed
+        });
+        assert!(freed, "the first block stayed locked while the report waited on the second");
     }
 
     #[test]

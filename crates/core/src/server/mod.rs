@@ -74,7 +74,8 @@ pub struct ServerConfig {
     pub alloc: AllocConfig,
     /// Pointer-correction strategy for RPC accesses.
     pub correction: CorrectionStrategy,
-    /// MTT-update strategy after compaction remaps (§3.5).
+    /// MTT-update strategy after compaction remaps (§3.5): one `rereg_mr`
+    /// or `advise_mr` per remapped region, or none under plain ODP.
     pub mtt_strategy: MttUpdateStrategy,
     /// Per-class fragmentation ratio beyond which compaction triggers
     /// (§3.1.3).
@@ -85,11 +86,6 @@ pub struct ServerConfig {
     /// after this much merge-phase time the pass yields so queued RPCs can
     /// interleave, then resumes. `None` runs each pass to completion.
     pub compaction_budget: Option<SimDuration>,
-    /// Issue one batched MTT-sync verb per merge covering the primary
-    /// vaddr and its whole alias chain, instead of one verb per remap
-    /// target. The batch rides the primary target's transition, so alias
-    /// targets stop paying the per-target `mmap + mtt_update` cost.
-    pub batch_mtt_sync: bool,
     /// The far tier's cost model: tiering is on iff this is `Some`. The
     /// server then attaches the tier to its RNIC and runs a pin-budget
     /// manager whose budget starts unbounded; [`CormServer::set_pin_budget`]
@@ -118,7 +114,6 @@ impl Default for ServerConfig {
             frag_threshold: 1.5,
             rnic: RnicConfig::default(),
             compaction_budget: None,
-            batch_mtt_sync: false,
             tier: None,
             seed: 0xC0_4D,
             trace: TraceHandle::disabled(),
@@ -529,11 +524,11 @@ impl CormServer {
         &self.proc
     }
 
-    /// Per-class fragmentation snapshot (§3.1.3).
+    /// Per-class fragmentation snapshot (§3.1.3). Takes the live blocks'
+    /// locks one at a time, so it can run beside a compaction pass.
     pub fn fragmentation_report(&self) -> FragmentationReport {
         let blocks = self.registry.live_blocks();
-        let guards: Vec<_> = blocks.iter().map(|b| b.lock()).collect();
-        FragmentationReport::from_blocks(guards.iter().map(|g| &**g), self.config.alloc.block_bytes)
+        FragmentationReport::from_blocks(blocks.iter().map(|b| b.lock()), self.block_bytes())
     }
 
     fn mmap_base(&self) -> u64 {

@@ -1,8 +1,8 @@
 //! Alias-chain remap coverage: a destination that accumulated alias
 //! vaddrs in one compaction pass is itself merged away in a later pass, so
 //! the whole chain must be re-pointed at the new destination and re-synced
-//! into the MTT — under every §3.5 strategy, with per-target and batched
-//! sync, without breaking a single pointer clients still hold.
+//! into the MTT — under every §3.5 strategy, one verb per remap target,
+//! without breaking a single pointer clients still hold.
 //!
 //! The chain is built in two passes: pass 1 funnels `slots` one-object
 //! blocks into a single destination, which ends up exactly full and
@@ -36,11 +36,10 @@ fn payload_for(i: usize) -> Vec<u8> {
     (0..32).map(|b| (i * 31 + b) as u8).collect()
 }
 
-fn build_chain(strategy: MttUpdateStrategy, batch: bool, faults: Option<FaultConfig>) -> Chain {
+fn build_chain(strategy: MttUpdateStrategy, faults: Option<FaultConfig>) -> Chain {
     let server = Arc::new(CormServer::new(ServerConfig {
         workers: 1,
         mtt_strategy: strategy,
-        batch_mtt_sync: batch,
         alloc: corm_alloc::AllocConfig {
             block_bytes: 4096,
             file_bytes: 16 << 20,
@@ -96,69 +95,59 @@ fn build_chain(strategy: MttUpdateStrategy, batch: bool, faults: Option<FaultCon
 }
 
 #[test]
-fn chain_resolves_reads_under_every_strategy_and_batching() {
+fn chain_resolves_reads_under_every_strategy() {
     for strategy in STRATEGIES {
-        for batch in [false, true] {
-            let mut c = build_chain(strategy, batch, None);
-            let after = SimTime::ZERO + c.pass1.cost + c.pass2.cost + SimDuration::from_millis(1);
-            assert!(
-                c.pass2.value.extra_remaps >= 8,
-                "pass 2 must remap an alias chain, got {} ({strategy:?})",
-                c.pass2.value.extra_remaps
-            );
-            if batch && strategy != MttUpdateStrategy::Odp {
-                assert!(c.pass2.value.mtt_batches >= 1, "batched sync must be used ({strategy:?})");
-            } else {
-                assert_eq!(c.pass2.value.mtt_batches, 0, "no batch verb expected ({strategy:?})");
-            }
-            let mut buf = vec![0u8; 32];
-            for (ptr, want) in c.kept.clone() {
-                // One-sided read via the original pointer: the alias region
-                // (key preserved) now maps the final destination's frames;
-                // the fix strategy repairs the stale offset hint.
-                let mut p = ptr;
-                let t = c
-                    .client
-                    .direct_read_with_recovery(&mut p, &mut buf, after)
-                    .expect("twice-compacted object must stay readable one-sided");
-                assert_eq!(&buf[..t.value], &want[..], "payload intact ({strategy:?})");
-                // Two-sided read: transparent pointer correction resolves
-                // the alias hop in the registry.
-                let mut p = ptr;
-                let n = c
-                    .server
-                    .read(0, &mut p, &mut buf)
-                    .expect("twice-compacted object must stay readable over RPC")
-                    .value;
-                assert_eq!(&buf[..n], &want[..], "rpc payload intact ({strategy:?})");
-            }
+        let mut c = build_chain(strategy, None);
+        let after = SimTime::ZERO + c.pass1.cost + c.pass2.cost + SimDuration::from_millis(1);
+        assert!(
+            c.pass2.value.extra_remaps >= 8,
+            "pass 2 must remap an alias chain, got {} ({strategy:?})",
+            c.pass2.value.extra_remaps
+        );
+        let mut buf = vec![0u8; 32];
+        for (ptr, want) in c.kept.clone() {
+            // One-sided read via the original pointer: the alias region
+            // (key preserved) now maps the final destination's frames; the
+            // fix strategy repairs the stale offset hint.
+            let mut p = ptr;
+            let t = c
+                .client
+                .direct_read_with_recovery(&mut p, &mut buf, after)
+                .expect("twice-compacted object must stay readable one-sided");
+            assert_eq!(&buf[..t.value], &want[..], "payload intact ({strategy:?})");
+            // Two-sided read: transparent pointer correction resolves the
+            // alias hop in the registry.
+            let mut p = ptr;
+            let n = c
+                .server
+                .read(0, &mut p, &mut buf)
+                .expect("twice-compacted object must stay readable over RPC")
+                .value;
+            assert_eq!(&buf[..n], &want[..], "rpc payload intact ({strategy:?})");
         }
     }
 }
 
 #[test]
-fn batched_sync_saves_exactly_the_per_target_term() {
+fn each_alias_target_pays_one_remap_and_one_sync() {
     let model = LatencyModel::connectx5();
     for strategy in STRATEGIES {
-        let unb = build_chain(strategy, false, None);
-        let bat = build_chain(strategy, true, None);
-        // Same seeded construction either way: identical plan and chain.
-        assert_eq!(unb.pass2.value.merges, bat.pass2.value.merges);
-        assert_eq!(unb.pass2.value.extra_remaps, bat.pass2.value.extra_remaps);
-        let extra = unb.pass2.value.extra_remaps;
+        let c = build_chain(strategy, None);
+        // Pass 1 has no aliases yet: every merge has one target.
+        assert_eq!(c.pass1.value.extra_remaps, 0);
+        let pass2 = &c.pass2.value;
+        let extra = pass2.extra_remaps;
         assert!(extra >= 8, "alias-heavy pass expected, got {extra} extra remaps");
-        // The batch rides the primary target's transition, so it saves
-        // exactly the per-target mmap + MTT-update term.
-        let saved = (model.mmap_cost(1) + model.mtt_update_cost(strategy, 1)) * extra;
+        // Pass 2 is one one-page merge: the base merge covers the primary
+        // target, and every alias target adds its own mmap and MTT update.
+        let slot = c.server.classes().size_of(pass2.class);
+        let copied = pass2.objects_copied;
+        let want = model.block_compaction_cost(strategy, 1, copied * slot, copied)
+            + (model.mmap_cost(1) + model.mtt_update_cost(strategy, 1)) * extra;
         assert_eq!(
-            unb.pass2.value.compaction_cost - bat.pass2.value.compaction_cost,
-            saved,
-            "batching must save extra_remaps x (mmap + mtt_update) ({strategy:?})"
+            pass2.compaction_cost, want,
+            "base merge + extra_remaps x (mmap + mtt_update) ({strategy:?})"
         );
-        // Pass 1 has no aliases yet (no extra targets), so batching must
-        // not change its cost at all.
-        assert_eq!(unb.pass1.value.compaction_cost, bat.pass1.value.compaction_cost);
-        assert_eq!(unb.pass1.value.extra_remaps, 0);
     }
 }
 
@@ -173,7 +162,7 @@ fn seeded_fault_replay_is_byte_identical() {
         ..FaultConfig::default()
     };
     let run = || {
-        let mut c = build_chain(MttUpdateStrategy::OdpPrefetch, false, Some(faults.clone()));
+        let mut c = build_chain(MttUpdateStrategy::OdpPrefetch, Some(faults.clone()));
         let mut clock = SimTime::ZERO + c.pass1.cost + c.pass2.cost;
         let mut buf = vec![0u8; 32];
         let mut total = SimDuration::ZERO;

@@ -6,6 +6,8 @@
 //! per size class and triggers compaction for classes exceeding a
 //! threshold.
 
+use std::ops::Deref;
+
 use crate::block::Block;
 use crate::classes::ClassId;
 
@@ -50,8 +52,12 @@ pub struct FragmentationReport {
 }
 
 impl FragmentationReport {
-    /// Builds a report from an iterator over blocks and the block size.
-    pub fn from_blocks<'a>(blocks: impl Iterator<Item = &'a Block>, block_bytes: usize) -> Self {
+    /// Builds a report from an iterator over blocks (or guards of them,
+    /// each dropped before the next is drawn) and the block size.
+    pub fn from_blocks(
+        blocks: impl Iterator<Item = impl Deref<Target = Block>>,
+        block_bytes: usize,
+    ) -> Self {
         let mut map: std::collections::BTreeMap<ClassId, ClassStats> = Default::default();
         for b in blocks {
             let entry = map.entry(b.class()).or_insert_with(|| ClassStats {
@@ -139,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_report() {
-        let rep = FragmentationReport::from_blocks(std::iter::empty(), 4096);
+        let rep = FragmentationReport::from_blocks(std::iter::empty::<&Block>(), 4096);
         assert!(rep.classes.is_empty());
         assert!(rep.classes_exceeding(1.0).is_empty());
     }

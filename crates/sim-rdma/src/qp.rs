@@ -466,7 +466,7 @@ mod tests {
         aspace.remap(va, &[f_new]).unwrap();
         let qp = QueuePair::connect(rnic.clone());
         let t0 = SimTime::from_micros(10);
-        rnic.rereg(&[mr.rkey], t0).unwrap();
+        rnic.rereg(mr.rkey, t0).unwrap();
         let mut buf = [0u8; 4];
         assert!(matches!(qp.read(mr.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(_))));
         assert_eq!(qp.state(), QpState::Error);

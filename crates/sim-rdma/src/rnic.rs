@@ -460,75 +460,47 @@ impl Rnic {
         Ok(())
     }
 
-    /// `ibv_rereg_mr` over every region in `rkeys` as one posted verb:
-    /// re-snapshots their translations, preserving keys. All of them share
-    /// one busy window `[now, now + cost)`, and the cost is that of
-    /// re-registering the largest (the batch rides one doorbell/transition;
-    /// compaction's regions all alias the same destination frames).
-    /// One-sided accesses inside the window break the QP. Every key and
-    /// every page is checked first, read-only, so an unknown key or an
-    /// unmapped page fails the verb with no window opened and the MTT as it
-    /// was. An empty list costs nothing.
-    pub fn rereg(&self, rkeys: &[u32], now: SimTime) -> Result<SimDuration, RdmaError> {
-        if rkeys.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        let (fresh, cost) = {
+    /// `ibv_rereg_mr` of one region: re-snapshots its translations,
+    /// preserving its keys, and opens its busy window `[now, now + cost)`,
+    /// inside which one-sided accesses break the QP. The key and every page
+    /// are checked first, read-only, so an unknown key or an unmapped page
+    /// fails the verb with no window opened and the MTT as it was.
+    pub fn rereg(&self, rkey: u32, now: SimTime) -> Result<SimDuration, RdmaError> {
+        let (base, fresh, cost) = {
             let mut rt = self.regions.write();
-            let mut fresh = Vec::with_capacity(rkeys.len());
-            let mut max_pages = 0;
-            for &rkey in rkeys {
-                let mr = rt.get(rkey)?.mr;
-                max_pages = max_pages.max(mr.pages);
-                fresh.push((mr.base, self.snapshot(mr.base, mr.pages)?));
-            }
-            let cost = self.config.model.rereg_cost(max_pages);
-            // Open the busy windows before any translation changes:
+            let mr = rt.get(rkey)?.mr;
+            let fresh = self.snapshot(mr.base, mr.pages)?;
+            let cost = self.config.model.rereg_cost(mr.pages);
+            // Open the busy window before any translation changes:
             // concurrent one-sided accesses see RegionBusy first, as on
             // real hardware.
-            for &rkey in rkeys {
-                rt.get_mut(rkey).expect("checked under this lock").busy_until = now + cost;
-            }
-            (fresh, cost)
+            rt.get_mut(rkey).expect("checked under this lock").busy_until = now + cost;
+            (mr.base, fresh, cost)
         };
-        for (base, fresh) in &fresh {
-            self.install_all(*base, fresh, true);
-        }
-        self.stats.reregs.fetch_add(rkeys.len() as u64, Ordering::Relaxed);
+        self.install_all(base, &fresh, true);
+        self.stats.reregs.fetch_add(1, Ordering::Relaxed);
         Ok(cost)
     }
 
-    /// `ibv_advise_mr` prefetch over every `(rkey, va, pages)` target of
-    /// ODP regions as one posted verb: refreshes their translations ahead
-    /// of the first access. Costs one advise over the largest target (the
-    /// batch shares a doorbell/transition; compaction's targets all map the
-    /// same frames). Every target is checked before any translation is
-    /// installed. An empty list costs nothing.
-    pub fn advise(&self, targets: &[(u32, u64, usize)]) -> Result<SimDuration, RdmaError> {
-        if targets.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        let mut max_pages = 0usize;
-        let mut fresh = Vec::with_capacity(targets.len());
-        {
+    /// `ibv_advise_mr` prefetch of `pages` pages from `va` in the ODP
+    /// region `rkey`: refreshes their translations ahead of the first
+    /// access. Every page is translated before any is installed, so an
+    /// unmapped page fails the verb with the MTT as it was.
+    pub fn advise(&self, rkey: u32, va: u64, pages: usize) -> Result<SimDuration, RdmaError> {
+        let fresh = {
             let rt = self.regions.read();
-            for &(rkey, va, pages) in targets {
-                let mr = rt.get(rkey)?.mr;
-                if !mr.odp {
-                    return Err(RdmaError::OdpUnsupported);
-                }
-                if !mr.covers(va, pages * PAGE_SIZE) {
-                    return Err(RdmaError::OutOfRange { rkey, va, len: pages * PAGE_SIZE });
-                }
-                max_pages = max_pages.max(pages);
-                fresh.push((va, self.snapshot(va, pages)?));
+            let mr = rt.get(rkey)?.mr;
+            if !mr.odp {
+                return Err(RdmaError::OdpUnsupported);
             }
-        }
-        for (va, fresh) in &fresh {
-            self.install_all(*va, fresh, false);
-        }
-        self.stats.advises.fetch_add(targets.len() as u64, Ordering::Relaxed);
-        Ok(self.config.model.advise_cost(max_pages))
+            if !mr.covers(va, pages * PAGE_SIZE) {
+                return Err(RdmaError::OutOfRange { rkey, va, len: pages * PAGE_SIZE });
+            }
+            self.snapshot(va, pages)?
+        };
+        self.install_all(va, &fresh, false);
+        self.stats.advises.fetch_add(1, Ordering::Relaxed);
+        Ok(self.config.model.advise_cost(pages))
     }
 
     /// One-sided RDMA READ of `buf.len()` bytes at `(rkey, va)`.
@@ -1012,7 +984,7 @@ mod tests {
         aspace.write(va, b"new!").unwrap();
 
         let t0 = SimTime::from_micros(100);
-        let cost = rnic.rereg(&[mr.rkey], t0).unwrap();
+        let cost = rnic.rereg(mr.rkey, t0).unwrap();
         // Access inside the window breaks (RegionBusy).
         let mut buf = [0u8; 4];
         assert_eq!(rnic.read(mr.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(mr.rkey)));
@@ -1034,12 +1006,8 @@ mod tests {
         aspace.munmap(va + 3 * page, 1).unwrap();
         let t0 = SimTime::from_micros(100);
         let unmapped = RdmaError::Mem(MemError::Unmapped(va + 3 * page));
-        assert_eq!(rnic.rereg(&[b.rkey], t0), Err(unmapped.clone()));
-        assert_eq!(rnic.rereg(&[a.rkey, b.rkey], t0), Err(unmapped));
-        assert_eq!(rnic.rereg(&[a.rkey, 0xdead], t0), Err(RdmaError::InvalidKey(0xdead)));
-        // An empty verb costs nothing and touches nothing.
-        assert_eq!(rnic.rereg(&[], t0), Ok(SimDuration::ZERO));
-        assert_eq!(rnic.advise(&[]), Ok(SimDuration::ZERO));
+        assert_eq!(rnic.rereg(b.rkey, t0), Err(unmapped));
+        assert_eq!(rnic.rereg(0xdead, t0), Err(RdmaError::InvalidKey(0xdead)));
         // No window opened, no translation moved, nothing counted.
         let mut buf = [0u8; 4];
         rnic.read(a.rkey, va, &mut buf, t0).unwrap();
@@ -1048,7 +1016,7 @@ mod tests {
         assert_eq!(rnic.mtt_lookup(va + 2 * page), Some(frames[2]));
         assert_eq!(rnic.stats.reregs.load(Ordering::Relaxed), 0);
         // The mapped region still re-registers.
-        let cost = rnic.rereg(&[a.rkey], t0).unwrap();
+        let cost = rnic.rereg(a.rkey, t0).unwrap();
         assert_eq!(rnic.mtt_lookup(va), Some(spare));
         assert_eq!(rnic.read(a.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(a.rkey)));
         rnic.read(a.rkey, va, &mut buf, t0 + cost).unwrap();
@@ -1058,20 +1026,22 @@ mod tests {
     fn advise_of_a_target_with_an_unmapped_page_changes_nothing() {
         let (aspace, rnic, va, frames) = setup(2);
         let page = PAGE_SIZE as u64;
-        let (a, _) = rnic.register(va, 1, true).unwrap();
-        let (b, _) = rnic.register(va + page, 1, true).unwrap();
-        // The first target's translation is stale, the second's page gone.
+        let (mr, _) = rnic.register(va, 2, true).unwrap();
+        // Page 0's translation is stale, page 1 is gone.
         let spare = aspace.phys().alloc().unwrap();
         aspace.remap(va, &[spare]).unwrap();
         aspace.munmap(va + page, 1).unwrap();
         let unmapped = RdmaError::Mem(MemError::Unmapped(va + page));
-        assert_eq!(rnic.advise(&[(a.rkey, va, 1), (b.rkey, va + page, 1)]), Err(unmapped));
+        assert_eq!(rnic.advise(mr.rkey, va, 2), Err(unmapped));
         // No translation moved, nothing counted.
         assert_eq!(rnic.mtt_lookup(va), Some(frames[0]));
         assert_eq!(rnic.stats.advises.load(Ordering::Relaxed), 0);
-        // The mapped target alone still advises.
-        rnic.advise(&[(a.rkey, va, 1)]).unwrap();
+        // Once page 1 is mapped again, the target advises whole.
+        aspace.mmap_fixed(va + page, &[frames[1]]).unwrap();
+        rnic.advise(mr.rkey, va, 2).unwrap();
         assert_eq!(rnic.mtt_lookup(va), Some(spare));
+        assert_eq!(rnic.mtt_lookup(va + page), Some(frames[1]));
+        assert_eq!(rnic.stats.advises.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1137,7 +1107,7 @@ mod tests {
         aspace.remap(va, &[f_new]).unwrap();
         aspace.write(va, b"new!").unwrap();
 
-        let advise_cost = rnic.advise(&[(mr.rkey, va, 1)]).unwrap();
+        let advise_cost = rnic.advise(mr.rkey, va, 1).unwrap();
         assert!((4.4..=4.7).contains(&advise_cost.as_micros_f64()));
         let mut buf = [0u8; 4];
         let out = rnic.read(mr.rkey, va, &mut buf, SimTime::ZERO).unwrap();
@@ -1157,7 +1127,7 @@ mod tests {
         );
         assert_eq!(rnic.register(va, 1, true).unwrap_err(), RdmaError::OdpUnsupported);
         let (mr, _) = rnic.register(va, 1, false).unwrap();
-        assert_eq!(rnic.advise(&[(mr.rkey, va, 1)]).unwrap_err(), RdmaError::OdpUnsupported);
+        assert_eq!(rnic.advise(mr.rkey, va, 1).unwrap_err(), RdmaError::OdpUnsupported);
     }
 
     #[test]

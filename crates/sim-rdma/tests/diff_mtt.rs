@@ -269,7 +269,7 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), String> {
                 ensure_eq!(rnic.deregister(mr.rkey), Err(RdmaError::InvalidKey(mr.rkey)));
             }
             (2, Some(mr)) => {
-                let got = rnic.rereg(&[mr.rkey], now);
+                let got = rnic.rereg(mr.rkey, now);
                 if let Some((_, fresh)) = settled(got, translate_all(mr.base, mr.pages))? {
                     model.install(mr.base, fresh, true);
                 }
@@ -277,22 +277,13 @@ fn run(capacity: usize, steps: &[Step]) -> Result<(), String> {
             (3, Some(mr)) => {
                 let skip = b % mr.pages;
                 let (base, pages) = (mr.base + skip as u64 * PAGE, mr.pages - skip);
-                let got = rnic.advise(&[(mr.rkey, base, pages)]);
+                let got = rnic.advise(mr.rkey, base, pages);
+                // Every page or none: a page that does not translate fails
+                // the verb with the MTT as it was.
                 if !mr.odp {
                     ensure_eq!(got, Err(RdmaError::OdpUnsupported));
-                } else {
-                    // Page by page, up to the first that does not translate.
-                    let mut want = Ok(());
-                    for page_va in (0..pages as u64).map(|p| base + p * PAGE) {
-                        match aspace.translate(page_va) {
-                            Ok(t) => model.mtt.insert(page_va / PAGE, t),
-                            Err(unmapped) => {
-                                want = Err(RdmaError::Mem(unmapped));
-                                break;
-                            }
-                        };
-                    }
-                    ensure_eq!(got.map(drop), want, "step {}", i);
+                } else if let Some((_, fresh)) = settled(got, translate_all(base, pages))? {
+                    model.install(base, fresh, false);
                 }
             }
             (4, _) => {

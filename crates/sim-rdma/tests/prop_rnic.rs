@@ -359,7 +359,7 @@ fn non_odp_reads_are_snapshots() {
         ensure_eq!(&buf, b"OLD!", "stale snapshot must read the old frame");
         // rereg resynchronizes.
         let t0 = SimTime::from_micros(50);
-        let cost = rnic.rereg(&[mr.rkey], t0).unwrap();
+        let cost = rnic.rereg(mr.rkey, t0).unwrap();
         let mut buf2 = [0u8; 4];
         rnic.read(mr.rkey, va, &mut buf2, t0 + cost).unwrap();
         let mut cpu = [0u8; 4];

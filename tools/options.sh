@@ -7,7 +7,7 @@
 # Prints the total; with -v, one line per struct first. Exits 1 if the total
 # is above the ceiling below. Raising the ceiling takes a CHANGES.md line
 # saying why; a change that lowers the total lowers the ceiling to it.
-ceiling=43
+ceiling=42
 cd "$(dirname "$0")/.." || exit 1
 find crates/*/src src -name '*.rs' | sort | xargs awk -v verbose="$1" -v ceiling="$ceiling" '
     FNR == 1 { stop = 0; name = "" }

@@ -24,7 +24,7 @@
 # definition — a name the word census misses when a field or a local
 # shares it. Comments are not read here either.
 # The census always exits 0.
-ceiling=892
+ceiling=890
 cd "$(dirname "$0")/.." || exit 1
 if [ "$1" = "--census" ]; then
     find crates src tests examples benchmark/src shims -name '*.rs' -not -path '*/target/*' |
